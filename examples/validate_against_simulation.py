@@ -14,7 +14,7 @@ Run:  python examples/validate_against_simulation.py [--full]
 import sys
 
 from repro.experiments.figures import fig03, fig04, fig05, fig06, fig07, fig08
-from repro.experiments.report import print_tables
+from repro.report import format_table
 
 
 def main() -> None:
@@ -25,7 +25,8 @@ def main() -> None:
         figure(scale=scale, simulate=True)
         for figure in (fig03, fig04, fig05, fig06, fig07, fig08)
     ]
-    print_tables(tables)
+    for table in tables:
+        print(format_table(table))
     print("Shape check: every simulated series should sit close to its "
           "analytical series at low and\nmoderate load and bend up at the "
           "same knee — 'the analysis and the simulation predict the\nsame "

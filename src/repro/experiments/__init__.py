@@ -7,17 +7,14 @@ quick runs; ``scale=1.0`` matches the paper's 10,000 measured operations
 and 5 seeds.
 
 Use :data:`~repro.experiments.registry.EXPERIMENTS` to enumerate them or
-the ``btree-perf`` console script to run them from the shell.
+``btree-perf figures`` to render them with the validation report.
 """
 
 from repro.experiments.common import ExperimentTable
 from repro.experiments.registry import EXPERIMENTS, get_experiment
-from repro.experiments.report import format_table, to_csv
 
 __all__ = [
     "EXPERIMENTS",
     "ExperimentTable",
-    "format_table",
     "get_experiment",
-    "to_csv",
 ]

@@ -1,16 +1,11 @@
 """The paper's in-text quantitative claims as runnable checks.
 
 The evaluation section makes several statements that have no figure of
-their own.  Each :class:`Claim` here evaluates one of them from the
-analytical framework and reports the measured quantity next to the
-paper's wording, so ``btree-perf claims`` produces the auditable summary
-that EXPERIMENTS.md quotes (and the integration tests assert).
-
-The claims audit is folded into the unified reproduction report:
-``btree-perf figures`` embeds every claim's verdict in its markdown +
-JSON output and fails the run when one breaks (``repro.report``,
-``docs/reproduction.md``).  The standalone ``btree-perf claims``
-command remains as a quick analytical check.
+their own.  Each claim here evaluates one of them from the analytical
+framework and reports the measured quantity next to the paper's
+wording.  ``btree-perf figures`` embeds every claim's verdict in its
+markdown + JSON validation report and fails the run when one breaks
+(:mod:`repro.report.validation`, ``docs/reproduction.md``).
 """
 
 from __future__ import annotations
@@ -149,31 +144,3 @@ _CLAIMS: Tuple[Callable[[], ClaimResult], ...] = (
 def evaluate_claims() -> List[ClaimResult]:
     """Evaluate every registered claim (analytical; a few seconds)."""
     return [claim() for claim in _CLAIMS]
-
-
-def format_claims(results: List[ClaimResult]) -> str:
-    lines = ["In-text claims of the paper, evaluated", "=" * 40]
-    for r in results:
-        status = "HOLDS " if r.holds else "FAILS "
-        lines.append(f"[{status}] {r.claim_id} ({r.section})")
-        lines.append(f"    claim:    {r.statement}")
-        lines.append(f"    measured: {r.measured}")
-    holding = sum(1 for r in results if r.holds)
-    lines.append(f"{holding}/{len(results)} claims hold")
-    return "\n".join(lines) + "\n"
-
-
-def main() -> int:  # pragma: no cover - pointer shim
-    """Deprecated entry point; claims now ride in the unified report."""
-    import sys
-
-    print("note: the claims audit is folded into the validation report "
-          "of `btree-perf figures` (docs/reproduction.md); running the "
-          "standalone evaluation.", file=sys.stderr)
-    results = evaluate_claims()
-    sys.stdout.write(format_claims(results))
-    return 0 if all(r.holds for r in results) else 1
-
-
-if __name__ == "__main__":  # pragma: no cover
-    raise SystemExit(main())

@@ -5,9 +5,8 @@ Usage::
     btree-perf list
     btree-perf list-algorithms
     btree-perf list-workloads
-    btree-perf run fig03 [--scale 0.2] [--no-sim] [--csv] [--jobs 4]
-    btree-perf all [--scale 0.1] [--jobs 4]
     btree-perf figures --all [--scale 0.1] [--jobs 4] [--out figures]
+    btree-perf figures fig11 --no-sim --formats svg
     btree-perf figures fig03 fig10 --scale 0.05 --resume
     btree-perf simulate --algorithm link-type --rate 0.2 \\
         --metrics-out run.ndjson --progress
@@ -21,7 +20,8 @@ matplotlib is installed) with the publication theme plus an NDJSON
 data sidecar per figure, and writes a validation report (markdown +
 JSON) whose model-vs-simulation error tables are checked against the
 registry thresholds — a breach (or a failed in-text claim) exits
-nonzero, which is the CI gate.  The run checkpoints per figure;
+nonzero, which is the CI gate.  Every figure's aligned table also lands
+in ``tables.txt`` next to the report.  The run checkpoints per figure;
 re-invoking with ``--resume`` serves completed figures from the
 journal.  See ``docs/reproduction.md``.
 
@@ -44,9 +44,8 @@ default, 1, is serial); results are bit-identical either way.  See
 ``simulate`` runs one configuration under full telemetry and
 ``--metrics-out PATH`` exports it as NDJSON (``docs/observability.md``).
 
-``--task-timeout``, ``--max-retries``, ``--checkpoint`` and ``--resume``
-switch sweeps into resilient execution (retries with backoff,
-quarantine instead of abort, checkpoint/resume); see
+``--task-timeout`` and ``--max-retries`` switch sweeps into resilient
+execution (retries with backoff, quarantine instead of abort); see
 ``docs/robustness.md``.
 
 ``cluster`` runs one sharded-cluster simulation (:mod:`repro.cluster`)
@@ -65,8 +64,7 @@ from typing import List, Optional
 
 from repro.algorithms import algorithm_names, all_algorithms, names
 from repro.errors import ConfigurationError, ReproError
-from repro.experiments.registry import EXPERIMENTS, get_experiment
-from repro.experiments.report import format_table, to_csv
+from repro.experiments.registry import EXPERIMENTS
 from repro.parallel import ResultCache, execution
 
 
@@ -82,7 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("list-workloads",
                    help="list the registered workload components "
                         "(arrival processes and key distributions)")
-    sub.add_parser("claims", help="evaluate the paper's in-text claims")
     sub.add_parser("list-cluster-policies",
                    help="list the named cluster defense presets "
                         "(retry / hedge / breaker bundles)")
@@ -127,13 +124,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="inject the deterministic ext08 chaos "
                               "schedule with WAVES waves instead of "
                               "--faults")
-
-    run = sub.add_parser("run", help="run one experiment")
-    run.add_argument("experiment_id", help="e.g. fig03")
-    _common_run_flags(run)
-
-    everything = sub.add_parser("all", help="run every experiment")
-    _common_run_flags(everything)
 
     figures = sub.add_parser(
         "figures",
@@ -183,14 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
     figures.add_argument("--journal", default=None, metavar="PATH",
                          help="figure checkpoint journal (default: "
                               "<out>/figures-journal.ndjson)")
-    figures.add_argument("--task-timeout", type=_positive_seconds,
-                         default=None, metavar="SECONDS",
-                         help="wall-clock deadline per simulation task "
-                              "(stalled tasks are retried, then "
-                              "quarantined)")
-    figures.add_argument("--max-retries", type=_non_negative_int,
-                         default=None, metavar="N",
-                         help="retries per failed simulation task")
+    _resilience_flags(figures)
 
     simulate = sub.add_parser(
         "simulate",
@@ -259,65 +242,18 @@ def _resilience_flags(sub: argparse.ArgumentParser) -> None:
                      help="retries per failed task before it is "
                           "quarantined (default 2 when any resilience "
                           "flag is set)")
-    sub.add_argument("--checkpoint", default=None, metavar="PATH",
-                     help="write a sweep checkpoint journal to PATH "
-                          "(doubles as the failure manifest)")
-    sub.add_argument("--resume", action="store_true",
-                     help="resume from the --checkpoint journal, "
-                          "skipping already-completed tasks")
 
 
 def _resilience_from_args(args):
     """The :class:`~repro.resilience.ResilienceOptions` the flags ask
-    for, or None when none were given (legacy fail-fast batches)."""
+    for, or None when neither was given (fail-fast batches)."""
     from repro.resilience import ResilienceOptions, RetryPolicy
 
-    wants = (args.task_timeout is not None
-             or args.max_retries is not None
-             or args.checkpoint is not None
-             or args.resume)
-    if not wants:
+    if args.task_timeout is None and args.max_retries is None:
         return None
-    if args.resume and args.checkpoint is None:
-        raise ConfigurationError(
-            "--resume needs --checkpoint PATH (the journal of the "
-            "interrupted sweep to resume from)")
     retry = RetryPolicy(max_retries=args.max_retries) \
         if args.max_retries is not None else RetryPolicy()
-    return ResilienceOptions(retry=retry,
-                             task_timeout=args.task_timeout,
-                             checkpoint=args.checkpoint,
-                             resume=args.resume)
-
-
-def _common_run_flags(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--scale", type=float, default=1.0,
-                     help="simulation effort scale (1.0 = paper scale)")
-    sub.add_argument("--no-sim", action="store_true",
-                     help="analytical series only (skip the simulator)")
-    sub.add_argument("--csv", action="store_true",
-                     help="emit CSV instead of an aligned table")
-    sub.add_argument("--plot", action="store_true",
-                     help="also render the series as an ASCII chart")
-    sub.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="worker processes for independent simulation "
-                          "runs (default 1: serial; results identical)")
-    sub.add_argument("--no-cache", action="store_true",
-                     help="disable the on-disk simulation result cache")
-    sub.add_argument("--clear-cache", action="store_true",
-                     help="empty the simulation result cache first")
-    sub.add_argument("--progress", action="store_true",
-                     help="stream one line per completed simulation run "
-                          "to stderr")
-    _resilience_flags(sub)
-
-
-def _emit(table, as_csv: bool, plot: bool = False) -> None:
-    sys.stdout.write(to_csv(table) if as_csv else format_table(table))
-    if plot:
-        from repro.experiments.plot import render_chart
-        sys.stdout.write("\n" + render_chart(table))
-    sys.stdout.write("\n")
+    return ResilienceOptions(retry=retry, task_timeout=args.task_timeout)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -361,15 +297,6 @@ def _dispatch(args) -> int:
                   "multi-op transaction envelopes "
                   "(TransactionSpec(size=k), k > 1)")
             return 0
-        if args.command == "claims":
-            from repro.experiments.claims import evaluate_claims, format_claims
-            print("note: `btree-perf claims` is folded into the "
-                  "validation report of `btree-perf figures` "
-                  "(docs/reproduction.md); this standalone command "
-                  "remains for quick checks.", file=sys.stderr)
-            results = evaluate_claims()
-            sys.stdout.write(format_claims(results))
-            return 0 if all(r.holds for r in results) else 1
         if args.command == "list-cluster-policies":
             from repro.cluster import POLICY_PRESETS
             for preset in POLICY_PRESETS.values():
@@ -379,29 +306,7 @@ def _dispatch(args) -> int:
             return _cluster(args)
         if args.command == "simulate":
             return _simulate(args)
-        if args.command == "figures":
-            return _figures(args)
-        simulate: Optional[bool] = False if args.no_sim else None
-        if args.clear_cache:
-            ResultCache().clear()
-        cache = None if args.no_cache else ResultCache()
-        progress = None
-        if args.progress:
-            from repro.obs import ProgressPrinter
-            progress = ProgressPrinter()
-        resilience = _resilience_from_args(args)
-        with execution(jobs=args.jobs, cache=cache, progress=progress,
-                       resilience=resilience):
-            if args.command == "run":
-                experiment = get_experiment(args.experiment_id)
-                _emit(experiment.run(scale=args.scale, simulate=simulate),
-                      args.csv, args.plot)
-                return 0
-            # "all"
-            for experiment in EXPERIMENTS.values():
-                _emit(experiment.run(scale=args.scale, simulate=simulate),
-                      args.csv, args.plot)
-            return 0
+        return _figures(args)  # "figures"
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 1
@@ -426,16 +331,9 @@ def _figures(args) -> int:
         from repro.obs import ProgressPrinter
         progress = ProgressPrinter()
         log = lambda message: print(message, file=sys.stderr)  # noqa: E731
-    resilience = None
-    if args.task_timeout is not None or args.max_retries is not None:
-        from repro.resilience import ResilienceOptions, RetryPolicy
-        retry = RetryPolicy(max_retries=args.max_retries) \
-            if args.max_retries is not None else RetryPolicy()
-        resilience = ResilienceOptions(retry=retry,
-                                       task_timeout=args.task_timeout)
     formats = args.formats.split(",") if args.formats else None
     with execution(jobs=args.jobs, cache=cache, progress=progress,
-                   resilience=resilience):
+                   resilience=_resilience_from_args(args)):
         result = generate_figures(
             figure_ids=figure_ids, scale=args.scale, out_dir=args.out,
             formats=formats,

@@ -1,10 +1,9 @@
 """Live progress reporting for long sweeps.
 
-PR 1 made sweeps fast; this makes them visible.  A
-:class:`ProgressPrinter` is an ordinary ``progress`` callback (one call
-per completed :class:`~repro.simulator.metrics.SimulationResult`, in
-completion order when parallel) that writes one line per run to a
-stream — stderr by default, so ``--csv`` output stays clean.  The CLI
+A :class:`ProgressPrinter` is an ordinary ``progress`` callback (one
+call per completed :class:`~repro.simulator.metrics.SimulationResult`,
+in completion order when parallel) that writes one line per run to a
+stream — stderr by default, so stdout stays clean.  The CLI
 installs it into the ambient execution context
 (``execution(progress=...)``), from where every ``run_batch`` below
 picks it up.

@@ -8,6 +8,9 @@ evidence set:
 * :mod:`repro.report.theme` — the publication theme shared by the SVG
   and matplotlib backends;
 * :mod:`repro.report.svg` — dependency-free SVG rendering;
+* :mod:`repro.report.png` — the optional matplotlib PNG backend;
+* :mod:`repro.report.table` — aligned plain-text tables
+  (``tables.txt``);
 * :mod:`repro.report.sidecar` — deterministic NDJSON data sidecars;
 * :mod:`repro.report.validation` — per-figure error tables and the
   machine-checked reproduction report (markdown + JSON + schema);
@@ -37,6 +40,7 @@ from repro.report.sidecar import (
     write_sidecar,
 )
 from repro.report.svg import render_svg
+from repro.report.table import format_table
 from repro.report.theme import PUBLICATION, Theme
 from repro.report.validation import (
     REPORT_JSON_SCHEMA,
@@ -72,6 +76,7 @@ __all__ = [
     "dumps_report",
     "dumps_sidecar",
     "figure_key",
+    "format_table",
     "generate_figures",
     "get_figure",
     "loads_report",

@@ -30,11 +30,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
 from repro.experiments.common import ExperimentTable
-from repro.experiments.report import format_table
 from repro.parallel.cache import CODE_SALT
+from repro.report.png import matplotlib_available, save_figure_image
 from repro.report.registry import FIGURES, FigureSpec, get_figure
 from repro.report.sidecar import write_sidecar
 from repro.report.svg import render_svg
+from repro.report.table import format_table
 from repro.report.theme import PUBLICATION, Theme
 from repro.report.validation import (
     ReproductionReport,
@@ -98,8 +99,6 @@ def resolve_formats(formats: Optional[Sequence[str]]) -> Tuple[str, ...]:
     """The image formats to emit: the explicit request (strict — asking
     for PNG without matplotlib is an error), or SVG plus PNG-when-
     available by default."""
-    from repro.experiments.plot import matplotlib_available
-
     if formats is None:
         return ("svg", "png") if matplotlib_available() else ("svg",)
     resolved = []
@@ -143,8 +142,6 @@ def _render(spec: FigureSpec, table: ExperimentTable, out_dir: Path,
                                        theme=theme), encoding="utf-8")
         paths["svg"] = svg_path
     if "png" in formats:
-        from repro.experiments.plot import save_figure_image
-
         paths["png"] = save_figure_image(
             table, out_dir / f"{spec.figure_id}.png",
             y_columns=columns, theme=theme)
@@ -222,8 +219,7 @@ def generate_figures(figure_ids: Optional[Sequence[str]] = None,
     report_markdown = out / "report.md"
     report_markdown.write_text(report_to_markdown(report),
                                encoding="utf-8")
-    # The former ad-hoc `btree-perf all` text dump, folded in: every
-    # figure's aligned table in one artifact next to the report.
+    # Every figure's aligned table in one artifact next to the report.
     tables_text = out / "tables.txt"
     tables_text.write_text(
         "\n".join(format_table(output.table) for output in outputs),

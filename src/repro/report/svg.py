@@ -5,13 +5,12 @@ with nothing beyond the core scientific stack installed, so this module
 renders an :class:`~repro.experiments.common.ExperimentTable` as a
 self-contained SVG document in pure Python.  When matplotlib is
 available the pipeline *additionally* rasterizes a PNG through
-:func:`repro.experiments.plot.save_figure_image`; both backends share
-the :class:`~repro.report.theme.Theme` so the outputs match.
+:func:`repro.report.png.save_figure_image`; both backends share the
+:class:`~repro.report.theme.Theme` so the outputs match.
 
-Conventions follow the ASCII plotter: the first column is the x axis,
-every other numeric column is a series, saturated points (``+inf``)
-render as up-arrows pinned to the top of the panel, and NaN points are
-skipped.  The output is deterministic for a given table and theme —
+Conventions: the first column is the x axis, every other numeric
+column is a series, saturated points (``+inf``) render as up-arrows
+pinned to the top of the panel, and NaN points are skipped.  The output is deterministic for a given table and theme —
 the byte-identity regression tests rely on this.
 """
 
@@ -119,8 +118,7 @@ def render_svg(table: ExperimentTable,
 
     The first column is the x axis; ``y_columns`` defaults to every
     other column.  Raises :class:`~repro.errors.ConfigurationError` for
-    empty tables, unknown columns, or all-saturated series — the same
-    contract as :func:`repro.experiments.plot.render_chart`.
+    empty tables, unknown columns, or all-saturated series.
     """
     if not table.rows:
         raise ConfigurationError("cannot plot an empty table")

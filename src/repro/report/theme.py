@@ -1,10 +1,10 @@
 """The publication theme shared by every rendered figure.
 
-One :class:`Theme` instance drives all three figure backends — the pure
-SVG renderer (:mod:`repro.report.svg`), the optional matplotlib PNG
-path (:func:`repro.experiments.plot.save_figure_image`) and the ASCII
-chart's successor styling — so the full figure set reads as one system:
-same palette, same marker cycle, same grid, same typography.
+One :class:`Theme` instance drives both figure backends — the pure SVG
+renderer (:mod:`repro.report.svg`) and the optional matplotlib PNG path
+(:func:`repro.report.png.save_figure_image`) — so the full figure set
+reads as one system: same palette, same marker cycle, same grid, same
+typography.
 
 The palette is the eight-hue colorblind-safe cycle of Okabe & Ito
 ("Color Universal Design"), reordered so the first three series (the

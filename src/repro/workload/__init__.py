@@ -1,4 +1,4 @@
-"""The pluggable workload subsystem (supersedes ``repro.workloads``).
+"""The pluggable workload subsystem.
 
 A workload is declared as a frozen :class:`WorkloadSpec` — arrival
 process x key distribution x transaction envelope — set on

@@ -1,4 +1,4 @@
-"""Key-selection distributions (absorbing ``repro.workloads.keyspace``).
+"""Key-selection distributions.
 
 The paper draws keys uniformly; :class:`HotspotKeys` adds the classic
 80/20 skew, :class:`ZipfKeys` a power-law skew, and

@@ -1,5 +1,4 @@
-"""Named operation mixes and mix sampling (absorbed from
-``repro.workloads.mixes``).
+"""Named operation mixes and mix sampling.
 
 The mix triple (q_s, q_i, q_d) is the single workload knob of the
 paper's framework.  ``PAPER_MIX`` is the Section 5.3 setting; the

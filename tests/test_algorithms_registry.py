@@ -177,14 +177,6 @@ class TestDispatch:
         with pytest.raises(ConfigurationError, match="no registered"):
             resolve_analyzer(None, names.OPTIMISTIC_LOCK_COUPLING)
 
-    def test_deprecated_aliases_track_the_registry(self):
-        from repro.simulator import ALGORITHMS
-        from repro.simulator.driver import _ALGORITHM_MODULES
-        assert tuple(ALGORITHMS) == algorithm_names()
-        assert set(_ALGORITHM_MODULES) == set(algorithm_names())
-        for name, module in _ALGORITHM_MODULES.items():
-            assert module is get_algorithm(name).ops
-
 
 # ----------------------------------------------------------------------
 # CLI and experiment surfacing

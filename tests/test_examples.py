@@ -1,8 +1,9 @@
 """Smoke tests: every example script runs to completion.
 
 Examples are part of the public surface; refactors must not break them.
-The heavyweight ones (full validation sweep) are exercised through the
-figure benchmarks instead.
+The heavyweight ``validate_against_simulation.py`` (a full validation
+sweep) is too slow for the suite and is not run by it; only its
+presence is checked.
 """
 
 import pathlib

@@ -1,19 +1,14 @@
-"""Unit tests for the experiment drivers, registry, report and CLI."""
+"""Unit tests for the experiment drivers, registry, tables and CLI."""
 
 import math
 
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments import (
-    EXPERIMENTS,
-    ExperimentTable,
-    format_table,
-    get_experiment,
-    to_csv,
-)
+from repro.experiments import EXPERIMENTS, ExperimentTable, get_experiment
 from repro.experiments.figures import fig11, fig12, fig13, fig14, fig15, fig16
 from repro.experiments.runner import main as cli_main
+from repro.report import format_table
 
 
 class TestRegistry:
@@ -63,13 +58,6 @@ class TestExperimentTable:
         text = format_table(table)
         assert "saturated" in text
         assert "note: a note" in text
-
-    def test_csv_round_trip(self):
-        table = ExperimentTable("x", "t", "Figure X", ["rate", "resp"])
-        table.add(0.1, 17.5)
-        csv = to_csv(table)
-        assert csv.splitlines()[0] == "rate,resp"
-        assert "0.1" in csv and "17.5" in csv
 
 
 class TestAnalyticalFigures:
@@ -172,14 +160,19 @@ class TestCli:
         out = capsys.readouterr().out
         assert "fig03" in out and "fig16" in out
 
-    def test_run_analytical(self, capsys):
-        assert cli_main(["run", "fig11"]) == 0
-        assert "max_throughput" in capsys.readouterr().out
+    def test_run_analytical(self, tmp_path):
+        assert cli_main(["figures", "fig11", "--no-sim", "--no-cache",
+                         "--formats", "svg", "--out", str(tmp_path)]) == 0
+        tables = (tmp_path / "tables.txt").read_text(encoding="utf-8")
+        assert "max_throughput" in tables
 
-    def test_run_csv(self, capsys):
-        assert cli_main(["run", "fig11", "--csv"]) == 0
-        assert "disk_cost,max_throughput" in capsys.readouterr().out
+    def test_unknown_experiment_fails_cleanly(self, tmp_path, capsys):
+        assert cli_main(["figures", "fig99", "--out", str(tmp_path)]) == 1
+        assert "unknown figure" in capsys.readouterr().err
 
-    def test_unknown_experiment_fails_cleanly(self, capsys):
-        assert cli_main(["run", "fig99"]) == 1
-        assert "unknown experiment" in capsys.readouterr().err
+    @pytest.mark.parametrize("command", ["run", "all", "claims"])
+    def test_removed_subcommands_are_unknown(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([command])
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err

@@ -1,12 +1,8 @@
-"""Tests for the in-text claims evaluator and its CLI surface."""
+"""Tests for the in-text claims evaluator and its CLI exit code."""
 
 import pytest
 
-from repro.experiments.claims import (
-    ClaimResult,
-    evaluate_claims,
-    format_claims,
-)
+from repro.experiments.claims import ClaimResult, evaluate_claims
 from repro.experiments.runner import main as cli_main
 
 
@@ -35,21 +31,13 @@ def test_measured_strings_are_informative(results):
         assert any(ch.isdigit() for ch in r.measured)
 
 
-def test_format_lists_every_claim(results):
-    text = format_claims(results)
-    for r in results:
-        assert r.claim_id in text
-    assert f"{len(results)}/{len(results)} claims hold" in text
+def test_cli_claims_exit_code(tmp_path, capsys, monkeypatch):
+    """A failed in-text claim fails ``btree-perf figures``."""
+    import repro.report.validation as validation
 
-
-def test_format_marks_failures():
     fake = [ClaimResult("x", "Section 0", "up is down", "no", False)]
-    text = format_claims(fake)
-    assert "FAILS" in text
-    assert "0/1 claims hold" in text
-
-
-def test_cli_claims_exit_code(capsys):
-    assert cli_main(["claims"]) == 0
-    out = capsys.readouterr().out
-    assert "claims hold" in out
+    monkeypatch.setattr(validation, "evaluate_claims", lambda: fake)
+    code = cli_main(["figures", "fig11", "--no-sim", "--no-cache",
+                     "--formats", "svg", "--out", str(tmp_path)])
+    assert code == 1
+    assert "CLAIM FAILED x: no" in capsys.readouterr().err

@@ -249,7 +249,7 @@ class TestExecutionContext:
 class TestFigurePipeline:
 
     def test_second_figure_run_is_all_cache_hits(self, tmp_path):
-        # Stand-in for "btree-perf run fig09 --scale ... twice": the
+        # Stand-in for "btree-perf figures ext05 --scale ... twice": the
         # second regeneration must be served entirely from the cache.
         from repro.experiments.registry import get_experiment
         experiment = get_experiment("ext05")
@@ -278,21 +278,25 @@ class TestFigurePipeline:
                      for rate in rates]
         assert swept == pointwise
 
-    def test_cli_cache_flags(self, tmp_path, monkeypatch, capsys):
+    def test_cli_cache_flags(self, tmp_path, monkeypatch):
         from repro.experiments.runner import main as cli_main
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        argv = ["run", "ext05", "--scale", "0.01", "--jobs", "2"]
+        cache_dir = tmp_path / "cache"
+        out = tmp_path / "out"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(cache_dir))
+        argv = ["figures", "ext05", "--scale", "0.01", "--jobs", "2",
+                "--formats", "svg", "--no-claims", "--out", str(out)]
+        sidecar = out / "ext05.ndjson"
         assert cli_main(argv) == 0
-        first = capsys.readouterr().out
-        entries = list(tmp_path.glob("*/*.pkl"))
+        first = sidecar.read_bytes()
+        entries = list(cache_dir.glob("*/*.pkl"))
         assert entries  # the CLI populated the cache
 
         assert cli_main(argv) == 0  # second run: served from cache
-        assert capsys.readouterr().out == first
+        assert sidecar.read_bytes() == first
 
         assert cli_main(argv + ["--clear-cache", "--no-cache"]) == 0
-        assert capsys.readouterr().out == first
-        assert not list(tmp_path.glob("*/*.pkl"))  # cleared, not refilled
+        assert sidecar.read_bytes() == first
+        assert not list(cache_dir.glob("*/*.pkl"))  # cleared, not refilled
 
 
 # ----------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pytest
 
 import repro.report.pipeline as pipeline_module
 from repro.errors import CheckpointError, ConfigurationError
-from repro.experiments.plot import matplotlib_available
+from repro.report.png import matplotlib_available
 from repro.experiments.runner import main as runner_main
 from repro.parallel import ResultCache
 from repro.parallel.context import execution

@@ -5,11 +5,9 @@ the run)."""
 
 import pytest
 
+from repro.algorithms import get_algorithm
 from repro.btree.validate import check_invariants
-from repro.simulator.driver import (
-    _ALGORITHM_MODULES,
-    run_simulation,
-)
+from repro.simulator.driver import run_simulation
 
 # Re-run the driver but keep a handle on the tree: we rebuild the run via
 # a tiny wrapper around run_simulation internals would be invasive;
@@ -31,7 +29,7 @@ def _drive(algorithm: str, n_ops: int = 800, rate: float = 0.5,
            recovery: str = "no-recovery"):
     """Run ``n_ops`` concurrent operations of ``algorithm`` on a small,
     split-happy tree and return (tree, metrics, issued ops)."""
-    module = _ALGORITHM_MODULES[algorithm]
+    module = get_algorithm(algorithm).ops
     rng = random.Random(seed)
 
     def attach_lock(node: Node) -> None:

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.simulator import SimulationConfig, run_simulation
 from repro.simulator.driver import make_key_picker
-from repro.workloads.keyspace import HotspotKeys, UniformKeys
+from repro.workload.keys import HotspotKeys, UniformKeys
 
 
 def _config(**overrides):

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from repro.algorithms import algorithm_names, get_algorithm
 from repro.btree.builder import build_tree
 from repro.btree.node import Node
 from repro.btree.validate import check_invariants
@@ -18,12 +19,11 @@ from repro.des.engine import Simulator
 from repro.des.rwlock import RWLock
 from repro.model.params import CostModel
 from repro.simulator.costs import ServiceTimeSampler
-from repro.simulator.driver import _ALGORITHM_MODULES
 from repro.simulator.metrics import MetricsCollector
 from repro.simulator.operations import OperationContext, pick_resident_key
 
 KEY_SPACE = 400
-ALGORITHMS = sorted(_ALGORITHM_MODULES)
+ALGORITHMS = sorted(algorithm_names())
 
 
 def _storm(algorithm: str, seed: int, n_ops: int = 1_200,
@@ -42,7 +42,7 @@ def _storm(algorithm: str, seed: int, n_ops: int = 1_200,
     sampler = ServiceTimeSampler(CostModel(disk_cost=2.0), tree,
                                  random.Random(seed + 200))
     ctx = OperationContext(sim, tree, sampler, metrics, rng)
-    module = _ALGORITHM_MODULES[algorithm]
+    module = get_algorithm(algorithm).ops
     t = 0.0
     for _ in range(n_ops):
         t += rng.expovariate(rate)

@@ -14,7 +14,6 @@ The central promises:
 
 import dataclasses
 import hashlib
-import warnings
 
 import pytest
 
@@ -155,23 +154,3 @@ class TestWorkloadTelemetry:
         assert counters["workload.txn_hold.count"] > 0
         assert counters["workload.txn_hold.total"] > 0.0
 
-
-# ----------------------------------------------------------------------
-# Deprecation shim
-# ----------------------------------------------------------------------
-class TestWorkloadsShim:
-
-    def test_legacy_names_forward_with_deprecation_warning(self):
-        import repro.workloads as legacy
-        import repro.workload as current
-        with pytest.warns(DeprecationWarning, match="repro.workload"):
-            assert legacy.UniformKeys is current.UniformKeys
-        with pytest.warns(DeprecationWarning):
-            assert legacy.PAPER_MIX is current.PAPER_MIX
-
-    def test_unknown_legacy_attribute_raises(self):
-        import repro.workloads as legacy
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            with pytest.raises(AttributeError):
-                legacy.NoSuchThing
