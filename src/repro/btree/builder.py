@@ -6,13 +6,18 @@ the construction phase is the same as the proportion in the concurrent
 operation phase" (Section 4).  ``build_tree`` reproduces that: it applies
 insert/delete operations drawn with the mix's update proportions until the
 tree holds the requested number of items.
+
+The simulator drivers go through ``warm_tree``, which grows each distinct
+tree once per process and hands every run its own clone.
 """
 
 from __future__ import annotations
 
+import copy
 import random
-from typing import Optional
+from typing import List, Optional, Tuple
 
+from repro.btree.node import InternalNode, LeafNode, Node
 from repro.btree.policies import MERGE_AT_EMPTY, MergePolicy
 from repro.btree.tree import BPlusTree, NodeHook
 from repro.errors import ConfigurationError
@@ -20,6 +25,10 @@ from repro.errors import ConfigurationError
 #: Default size of the integer key universe used by the experiments; large
 #: enough that random inserts rarely collide.
 DEFAULT_KEY_SPACE = 1 << 30
+
+#: ``warm_tree``'s one template: (key, template tree, every node it ever
+#: allocated, in creation order), or None before the first call.
+_last: Optional[Tuple[tuple, BPlusTree, List[Node]]] = None
 
 
 def build_tree(n_items: int, order: int = 13,
@@ -68,6 +77,62 @@ def build_tree(n_items: int, order: int = 13,
             if len(tree) > 0 and rng.random() < 0.5:
                 key = _approximate_resident_key(tree, key)
             tree.delete(key)
+    return tree
+
+
+def warm_tree(build_seed: int, n_items: int, order: int,
+              insert_fraction: float, merge_policy: MergePolicy,
+              key_space: int, on_new_node: NodeHook = None) -> BPlusTree:
+    """The tree ``build_tree`` grows from ``random.Random(build_seed)``,
+    built only when the previous call asked for a different tree.
+
+    The memo keeps the last template only, so callers that run several
+    trees should group their runs by tree (see
+    :func:`repro.experiments.common.sweep_replications`).  A miss builds
+    a lock-free template; every call returns a fresh clone of it.  The
+    clone allocates one node per node the build allocated (freed ones
+    included), in creation order, so it takes the same ``node_id``
+    sequence a fresh build would.  Then
+    ``on_new_node`` runs over the clones in that order, as it would have
+    run during the build.  The result is indistinguishable from
+    ``build_tree(..., rng=random.Random(build_seed),
+    on_new_node=on_new_node)``.
+    """
+    global _last
+    key = (build_seed, n_items, order, insert_fraction, merge_policy,
+           key_space)
+    if _last is None or _last[0] != key:
+        _last = None  # drop the old template before growing the next
+        created: List[Node] = []
+        template = build_tree(n_items, order=order,
+                              insert_fraction=insert_fraction,
+                              merge_policy=merge_policy, key_space=key_space,
+                              rng=random.Random(build_seed),
+                              on_new_node=created.append)
+        _last = (key, template, created)
+    _key, template, created = _last
+    return _clone(template, created, on_new_node)
+
+
+def _clone(template: BPlusTree, created: List[Node],
+           on_new_node: NodeHook) -> BPlusTree:
+    """A deep copy of ``template`` sharing no node or list with it."""
+    clones = [LeafNode() if node.is_leaf else InternalNode(node.level)
+              for node in created]
+    twin = dict(zip(created, clones))
+    for node, clone in zip(created, clones):
+        clone.keys = node.keys[:]
+        clone.right = twin.get(node.right)
+        clone.high_key = node.high_key
+        clone.dead = node.dead
+        if not clone.is_leaf:
+            clone.children = [twin[child] for child in node.children]
+    tree = copy.copy(template)
+    tree.root = twin[template.root]
+    tree.on_new_node = on_new_node
+    if on_new_node is not None:
+        for clone in clones:
+            on_new_node(clone)
     return tree
 
 

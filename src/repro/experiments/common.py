@@ -92,14 +92,19 @@ def sweep_replications(base: SimulationConfig, rates: Sequence[float],
     context overlaps *all* of a figure's simulation runs instead of
     blocking point by point; returns the per-rate result lists in rate
     order (each in seed order, identical to serial execution).
+
+    The grid is submitted seed-major (every rate of one seed, then the
+    next seed): runs of one seed share a warm-up tree, so the one-tree
+    memo of :func:`repro.btree.builder.warm_tree` grows each tree once.
     """
     n = seeds if seeds is not None else sim_seeds(scale)
-    tasks: List[SimTask] = []
-    for rate in rates:
-        config = scaled_sim_config(base.with_rate(rate), scale)
-        tasks.extend(replication_tasks(config, n))
+    per_rate = [replication_tasks(scaled_sim_config(base.with_rate(rate),
+                                                    scale), n)
+                for rate in rates]
+    tasks: List[SimTask] = [replicas[seed] for seed in range(n)
+                            for replicas in per_rate]
     flat = run_batch(tasks)
-    return [flat[i * n:(i + 1) * n] for i in range(len(rates))]
+    return [flat[i::len(rates)] for i in range(len(rates))]
 
 
 def _pooled_means(results: Sequence[Optional[SimulationResult]]

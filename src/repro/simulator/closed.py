@@ -19,7 +19,7 @@ from __future__ import annotations
 import random
 
 from repro.algorithms import get_algorithm
-from repro.btree.builder import build_tree
+from repro.btree.builder import warm_tree
 from repro.btree.node import Node
 from repro.des.engine import Simulator
 from repro.des.rwlock import RWLock
@@ -67,7 +67,7 @@ def run_closed_simulation(config: SimulationConfig,
 
     module = get_algorithm(config.algorithm).closed_module
     seed_root = random.Random(config.seed)
-    rng_build = random.Random(seed_root.randrange(2 ** 63))
+    build_seed = seed_root.randrange(2 ** 63)
     rng_keys = random.Random(seed_root.randrange(2 ** 63))
     rng_service = random.Random(seed_root.randrange(2 ** 63))
     rng_think = random.Random(seed_root.randrange(2 ** 63))
@@ -78,11 +78,10 @@ def run_closed_simulation(config: SimulationConfig,
         node.lock = RWLock(name=f"n{node.node_id}",
                            observer=_GatedObserver(metrics, node.level))
 
-    tree = build_tree(
-        config.n_items, order=config.order,
-        insert_fraction=config.mix.insert_share or 1.0,
-        merge_policy=config.merge_policy, key_space=config.key_space,
-        rng=rng_build, on_new_node=attach_lock,
+    tree = warm_tree(
+        build_seed, config.n_items, config.order,
+        config.mix.insert_share or 1.0, config.merge_policy,
+        config.key_space, on_new_node=attach_lock,
     )
     sim = Simulator()
     sampler = ServiceTimeSampler(config.costs, tree, rng_service)

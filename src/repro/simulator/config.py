@@ -6,13 +6,11 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 from repro.algorithms.names import DEFAULT_ALGORITHM
+from repro.btree.builder import DEFAULT_KEY_SPACE
 from repro.btree.policies import MERGE_AT_EMPTY, MergePolicy
 from repro.errors import ConfigurationError
 from repro.model.params import PAPER_MIX, CostModel, OperationMix
 from repro.workload.spec import WorkloadSpec
-
-#: Default key universe; large enough that random inserts rarely collide.
-DEFAULT_KEY_SPACE = 1 << 30
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,11 @@
 
 ``run_simulation``:
 
-1. builds the B-tree out of a random insert/delete sequence with the same
-   insert/delete proportions as the concurrent mix (construction phase);
+1. gets the B-tree that a random insert/delete sequence with the same
+   insert/delete proportions as the concurrent mix grows (construction
+   phase) from the warm-up tree memo
+   (:func:`~repro.btree.builder.warm_tree`), which keeps the last tree
+   it grew and hands every run its own clone;
 2. attaches a FCFS R/W lock to every node (including nodes created later
    by concurrent splits);
 3. releases concurrent operations in a Poisson stream, each performing a
@@ -28,7 +31,7 @@ import random
 from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
 
 from repro.algorithms import get_algorithm
-from repro.btree.builder import build_tree
+from repro.btree.builder import warm_tree
 from repro.btree.node import Node
 from repro.des.engine import Simulator
 from repro.des.rwlock import RWLock
@@ -119,7 +122,7 @@ def run_simulation(config: SimulationConfig, trace=None,
     module = get_algorithm(config.algorithm).ops
 
     seed_root = random.Random(config.seed)
-    rng_build = random.Random(seed_root.randrange(2 ** 63))
+    build_seed = seed_root.randrange(2 ** 63)
     rng_arrivals = random.Random(seed_root.randrange(2 ** 63))
     rng_keys = random.Random(seed_root.randrange(2 ** 63))
     rng_service = random.Random(seed_root.randrange(2 ** 63))
@@ -145,11 +148,10 @@ def run_simulation(config: SimulationConfig, trace=None,
             telemetry.watch(lock, node.level)
         node.lock = lock
 
-    tree = build_tree(
-        config.n_items, order=config.order,
-        insert_fraction=config.mix.insert_share or 1.0,
-        merge_policy=config.merge_policy, key_space=config.key_space,
-        rng=rng_build, on_new_node=attach_lock,
+    tree = warm_tree(
+        build_seed, config.n_items, config.order,
+        config.mix.insert_share or 1.0, config.merge_policy,
+        config.key_space, on_new_node=attach_lock,
     )
 
     sim = Simulator(trace=trace,
@@ -314,17 +316,6 @@ def make_key_picker(config: SimulationConfig,
     field wins; the legacy ``key_distribution`` fields map onto the
     equivalent spec)."""
     return effective_workload(config).keys.build(config.key_space, rng)
-
-
-def _draw_operation(config: SimulationConfig, rng: random.Random) -> str:
-    """Deprecated per-call mix draw (kept for external callers; the
-    driver hoists the thresholds through :class:`WorkloadRuntime`)."""
-    u = rng.random()
-    if u < config.mix.q_search:
-        return OP_SEARCH
-    if u < config.mix.q_search + config.mix.q_insert:
-        return OP_INSERT
-    return OP_DELETE
 
 
 def run_replications(config: SimulationConfig,

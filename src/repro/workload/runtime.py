@@ -48,8 +48,8 @@ class WorkloadRuntime:
         return self.spec.arrival.build(rate, rng)
 
     def draw_operation(self, rng: random.Random) -> str:
-        """One mix draw — same stream, same comparison order as the
-        legacy ``_draw_operation``, against precomputed thresholds."""
+        """One mix draw: a single ``rng.random()`` compared against the
+        precomputed search and search+insert thresholds."""
         u = rng.random()
         if u < self._t_search:
             return _SEARCH
