@@ -9,7 +9,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.algorithms import AlgorithmSpec
 from repro.model.params import ModelConfig
 from repro.model.results import AlgorithmPrediction
-from repro.parallel import SimTask, replication_tasks, run_batch
+from repro.parallel import replication_grid
 from repro.simulator.config import SimulationConfig
 from repro.simulator.driver import pooled_response_means
 from repro.simulator.metrics import SimulationResult
@@ -87,24 +87,16 @@ def sweep_replications(base: SimulationConfig, rates: Sequence[float],
                        ) -> List[List[SimulationResult]]:
     """Replication results for every rate, one fan-out for the grid.
 
-    Flattens the whole ``(rate, seed)`` grid into a single
-    :func:`~repro.parallel.run_batch` call, so a parallel execution
-    context overlaps *all* of a figure's simulation runs instead of
-    blocking point by point; returns the per-rate result lists in rate
-    order (each in seed order, identical to serial execution).
-
-    The grid is submitted seed-major (every rate of one seed, then the
-    next seed): runs of one seed share a warm-up tree, so the one-tree
-    memo of :func:`repro.btree.builder.warm_tree` grows each tree once.
+    The whole ``(rate, seed)`` grid goes out as a single
+    :func:`~repro.parallel.replication_grid` batch, so a parallel
+    execution context overlaps *all* of a figure's simulation runs
+    instead of blocking point by point; returns the per-rate result
+    lists in rate order (each in seed order, identical to serial
+    execution).
     """
     n = seeds if seeds is not None else sim_seeds(scale)
-    per_rate = [replication_tasks(scaled_sim_config(base.with_rate(rate),
-                                                    scale), n)
-                for rate in rates]
-    tasks: List[SimTask] = [replicas[seed] for seed in range(n)
-                            for replicas in per_rate]
-    flat = run_batch(tasks)
-    return [flat[i::len(rates)] for i in range(len(rates))]
+    return replication_grid([scaled_sim_config(base.with_rate(rate), scale)
+                             for rate in rates], n)
 
 
 def _pooled_means(results: Sequence[Optional[SimulationResult]]

@@ -1,99 +1,32 @@
-"""Registry mapping experiment ids to their drivers."""
+"""Figure id -> sweep driver lookup.
+
+Every ``figNN`` function in :mod:`repro.experiments.figures` and
+``extNN`` function in :mod:`repro.experiments.extensions` is the driver
+of the figure of that id.  Which ids exist, and how each is validated,
+is :data:`repro.report.FIGURES`.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, Tuple
+import re
+from typing import Callable
 
 from repro.errors import ConfigurationError
 from repro.experiments import extensions, figures
 from repro.experiments.common import ExperimentTable
 
-Runner = Callable[..., ExperimentTable]
+Driver = Callable[..., ExperimentTable]
+
+_DRIVER_ID = re.compile(r"(fig|ext)\d\d")
 
 
-@dataclass(frozen=True)
-class Experiment:
-    """One reproducible paper figure."""
-
-    experiment_id: str
-    figure: str
-    title: str
-    runner: Runner
-    #: True when the paper's figure itself includes simulation points.
-    has_simulation: bool
-
-    def run(self, scale: float = 1.0, simulate: bool | None = None,
-            ) -> ExperimentTable:
-        if simulate is None:
-            simulate = self.has_simulation
-        return self.runner(scale=scale, simulate=simulate)
-
-
-def _entry(experiment_id: str, figure: str, title: str,
-           has_simulation: bool) -> Tuple[str, Experiment]:
-    module = extensions if experiment_id.startswith("ext") else figures
-    runner = getattr(module, experiment_id)
-    return experiment_id, Experiment(experiment_id, figure, title, runner,
-                                     has_simulation)
-
-
-EXPERIMENTS: Dict[str, Experiment] = dict([
-    _entry("fig03", "Figure 3",
-           "Naive Lock-coupling insert response vs arrival rate", True),
-    _entry("fig04", "Figure 4",
-           "Naive Lock-coupling search response vs arrival rate", True),
-    _entry("fig05", "Figure 5",
-           "Optimistic Descent insert response vs arrival rate", True),
-    _entry("fig06", "Figure 6",
-           "Optimistic Descent search response vs arrival rate", True),
-    _entry("fig07", "Figure 7",
-           "Link-type insert response vs arrival rate", True),
-    _entry("fig08", "Figure 8",
-           "Link-type search response vs arrival rate", True),
-    _entry("fig09", "Figure 9",
-           "Link-type link crossings vs arrival rate", True),
-    _entry("fig10", "Figure 10",
-           "Root writer utilization, Naive Lock-coupling", True),
-    _entry("fig11", "Figure 11",
-           "Naive Lock-coupling max throughput vs disk cost", False),
-    _entry("fig12", "Figure 12",
-           "Insert response comparison of the three algorithms", False),
-    _entry("fig13", "Figure 13",
-           "Naive Lock-coupling rules of thumb vs analysis", False),
-    _entry("fig14", "Figure 14",
-           "Optimistic Descent rules of thumb vs analysis", False),
-    _entry("fig15", "Figure 15",
-           "Recovery comparison, N=13 (5 levels)", False),
-    _entry("fig16", "Figure 16",
-           "Recovery comparison, N=59 (4 levels)", False),
-    _entry("ext01", "Extension: 2PL",
-           "Two-Phase Locking added to the algorithm comparison", False),
-    _entry("ext02", "Extension: LRU",
-           "Maximum throughput vs LRU buffer size", False),
-    _entry("ext03", "Extension: mix",
-           "Maximum throughput vs search fraction of the mix", False),
-    _entry("ext04", "Extension: MPL",
-           "Closed-system throughput vs multiprogramming level", True),
-    _entry("ext05", "Extension: skew",
-           "Insert response vs hotspot access skew", True),
-    _entry("ext06", "Extension: OLC",
-           "Optimistic Lock-coupling added to the comparison", True),
-    _entry("ext07", "Extension: workload",
-           "Algorithm comparison under bursty / skewed / migrating "
-           "workload traces", True),
-    _entry("ext08", "Extension: cluster",
-           "Sharded-cluster availability and goodput under injected "
-           "chaos, robustness policies on vs off", True),
-])
-
-
-def get_experiment(experiment_id: str) -> Experiment:
-    """Look up an experiment; raises ConfigurationError when unknown."""
-    try:
-        return EXPERIMENTS[experiment_id]
-    except KeyError:
+def driver(figure_id: str) -> Driver:
+    """The ``(scale, simulate) -> ExperimentTable`` function of
+    ``figure_id``; raises ConfigurationError when there is none."""
+    module = extensions if figure_id.startswith("ext") else figures
+    run = getattr(module, figure_id, None) \
+        if _DRIVER_ID.fullmatch(figure_id) else None
+    if run is None:
         raise ConfigurationError(
-            f"unknown experiment {experiment_id!r}; known ids: "
-            f"{', '.join(sorted(EXPERIMENTS))}"
-        ) from None
+            f"no experiment driver for figure {figure_id!r}")
+    return run

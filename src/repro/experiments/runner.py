@@ -58,13 +58,13 @@ deterministic ext08 schedule with N waves), and
 from __future__ import annotations
 
 import argparse
+import inspect
 import math
 import sys
 from typing import List, Optional
 
 from repro.algorithms import algorithm_names, all_algorithms, names
 from repro.errors import ConfigurationError, ReproError
-from repro.experiments.registry import EXPERIMENTS
 from repro.parallel import ResultCache, execution
 
 
@@ -74,7 +74,8 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Regenerate the figures of Johnson & Shasha (PODS 1990)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("list", help="list the available experiments")
+    sub.add_parser("list",
+                   help="list the figures with a one-line description")
     sub.add_parser("list-algorithms",
                    help="list the registered algorithms and capabilities")
     sub.add_parser("list-workloads",
@@ -273,9 +274,12 @@ def main(argv: Optional[List[str]] = None) -> int:
 def _dispatch(args) -> int:
     try:
         if args.command == "list":
-            for experiment in EXPERIMENTS.values():
-                print(f"{experiment.experiment_id}  {experiment.figure:<10}"
-                      f"  {experiment.title}")
+            from repro.experiments.registry import driver
+            from repro.report import FIGURES
+            for figure_id, spec in FIGURES.items():
+                summary = inspect.getdoc(driver(figure_id)).split("\n\n")[0]
+                print(f"{figure_id}  {spec.kind:<5}  "
+                      f"{' '.join(summary.split())}")
             return 0
         if args.command == "list-algorithms":
             for spec in all_algorithms():

@@ -18,7 +18,7 @@ from repro.errors import ConfigurationError
 from repro.model.occupancy import OccupancyModel
 from repro.model.params import ModelConfig, TreeShape
 from repro.model.results import AlgorithmPrediction
-from repro.parallel import replication_tasks, run_batch
+from repro.parallel import replication_grid
 from repro.simulator.config import SimulationConfig
 from repro.simulator.driver import pooled_response_means, run_replications
 from repro.simulator.metrics import SimulationResult
@@ -165,19 +165,13 @@ def sweep_agreement(analyzer: Optional[Analyzer],
 
     ``analyzer=None`` uses the algorithm's registered analytical model.
     The whole ``(rate, seed)`` grid is submitted as one batch through
-    :func:`repro.parallel.run_batch`, so with ``jobs=N`` (or an ambient
-    parallel execution context) every point's replications overlap.
+    :func:`repro.parallel.replication_grid`, so with ``jobs=N`` (or an
+    ambient parallel execution context) every point's replications
+    overlap.
     """
     analyzer = resolve_analyzer(analyzer, sim_config.algorithm)
     config = measured_model_config(sim_config)
-    tasks = []
-    for rate in rates:
-        tasks.extend(replication_tasks(sim_config.with_rate(rate), n_seeds))
-    flat = run_batch(tasks, jobs=jobs)
-    reports: Dict[float, ValidationReport] = {}
-    for index, rate in enumerate(rates):
-        point = sim_config.with_rate(rate)
-        prediction = analyzer(config, rate)
-        results = flat[index * n_seeds:(index + 1) * n_seeds]
-        reports[rate] = _report(point, prediction, results)
-    return reports
+    points = [sim_config.with_rate(rate) for rate in rates]
+    grid = replication_grid(points, n_seeds, jobs=jobs)
+    return {rate: _report(point, analyzer(config, rate), results)
+            for rate, point, results in zip(rates, points, grid)}

@@ -37,6 +37,7 @@ from repro.parallel.context import (
 from repro.parallel.executor import (
     SimTask,
     execute_task,
+    replication_grid,
     replication_tasks,
     run_batch,
     run_batch_report,
@@ -54,6 +55,7 @@ __all__ = [
     "default_cache_dir",
     "execute_task",
     "execution",
+    "replication_grid",
     "replication_tasks",
     "run_batch",
     "run_batch_report",

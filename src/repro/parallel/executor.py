@@ -25,8 +25,9 @@ instead of aborting the sweep, stalled tasks are preempted by a
 parent-side wall deadline, budget-truncated runs come back as partial
 saturation-flagged results, and a checkpoint journal lets an
 interrupted sweep resume.  :func:`run_batch_report` exposes the full
-:class:`~repro.resilience.BatchReport`.  The fault-free path through a
-resilient batch produces the same results as the plain one.
+:class:`~repro.resilience.BatchReport`.  Without a policy the same loop
+is fail-fast: the first task exception propagates.  Either way a
+fault-free batch returns the same results.
 """
 
 from __future__ import annotations
@@ -139,9 +140,6 @@ class SimTask:
                 f"budget must be a TaskBudget, got "
                 f"{type(self.budget).__name__}")
 
-    def cache_key(self, cache: ResultCache) -> str:
-        return task_key(self, salt=cache.salt)
-
 
 def task_key(task: SimTask, salt: str = CODE_SALT) -> str:
     """The task's content key — shared by the result cache and the
@@ -156,6 +154,25 @@ def replication_tasks(config: SimulationConfig,
     """The paper's replication scheme: seeds ``seed .. seed+n_seeds-1``."""
     return [SimTask(config.with_seed(config.seed + offset))
             for offset in range(n_seeds)]
+
+
+def replication_grid(configs: Sequence[SimulationConfig], n_seeds: int,
+                     jobs: Optional[int] = None,
+                     ) -> List[List[Optional[SimulationResult]]]:
+    """:func:`replication_tasks` for every config, run as one
+    :func:`run_batch`; returns the per-config result lists in config
+    order, each in seed order.
+
+    The grid is submitted seed-major (every config of one seed, then
+    the next seed): runs of one seed share a warm-up tree, so the
+    one-tree memo of :func:`repro.btree.builder.warm_tree` grows each
+    tree once.  Runs are independent, so the order changes no result.
+    """
+    per_config = [replication_tasks(config, n_seeds) for config in configs]
+    tasks = [replicas[seed] for seed in range(n_seeds)
+             for replicas in per_config]
+    flat = run_batch(tasks, jobs=jobs)
+    return [flat[i::len(configs)] for i in range(len(configs))]
 
 
 def execute_task(task: SimTask) -> Any:
@@ -186,7 +203,7 @@ def execute_task(task: SimTask) -> Any:
 def _execute_guarded(task: SimTask, index: int,
                      fault_specs: Tuple[FaultSpec, ...],
                      beacon_dir: Optional[str]) -> Any:
-    """Worker entry point for resilient batches.
+    """Worker entry point of the process pool.
 
     Drops a beacon file (``running-<index>`` containing the worker
     pid) before executing and removes it on any *Python-level* return,
@@ -238,12 +255,13 @@ def run_batch(tasks: Sequence[SimTask],
     ``telemetry_sink(task_index, telemetry)`` while the returned list
     still holds plain results at every position.
 
-    Without a failure policy, the first task exception propagates (the
-    historical contract).  With one — installed explicitly, through the
-    ambient context, or implicitly by a ``$REPRO_FAULTS`` plan — the
-    batch runs resiliently: failed tasks are retried then quarantined
-    (``None`` in the returned list) and the sweep always terminates;
-    use :func:`run_batch_report` to also get the failure manifest.
+    Without a failure policy, the first task exception propagates and
+    the tasks not yet started are cancelled.  With one — installed
+    explicitly, through the ambient context, or implicitly by a
+    ``$REPRO_FAULTS`` plan — the batch runs resiliently: failed tasks
+    are retried then quarantined (``None`` in the returned list) and
+    the sweep always terminates; use :func:`run_batch_report` to also
+    get the failure manifest.
     """
     resolved = resolve_resilience(resilience)
     if resolved is None and plan_from_env() is not None:
@@ -251,74 +269,9 @@ def run_batch(tasks: Sequence[SimTask],
         # the default failure policy, else injected faults would simply
         # crash the sweep they are meant to exercise.
         resolved = ResilienceOptions()
-    if resolved is not None:
-        return _ResilientBatch(list(tasks), resolve_jobs(jobs),
-                               resolve_cache(cache),
-                               resolve_progress(progress),
-                               telemetry_sink, resolved).run().results
-
-    tasks = list(tasks)
-    n_jobs = resolve_jobs(jobs)
-    cache = resolve_cache(cache)
-    progress = resolve_progress(progress)
-
-    results: List[Optional[SimulationResult]] = [None] * len(tasks)
-    pending: List[int] = []
-    keys: List[Optional[str]] = [None] * len(tasks)
-
-    if cache is not None:
-        for index, task in enumerate(tasks):
-            if task.telemetry is not None:
-                pending.append(index)
-                continue
-            key = task.cache_key(cache)
-            keys[index] = key
-            hit = cache.get(key)
-            if hit is not None:
-                results[index] = hit
-                if progress is not None:
-                    progress(hit)
-            else:
-                pending.append(index)
-    else:
-        pending = list(range(len(tasks)))
-
-    if not pending:
-        return results
-
-    def record(index: int, outcome) -> None:
-        if tasks[index].telemetry is not None:
-            result = outcome.result
-            if telemetry_sink is not None:
-                telemetry_sink(index, outcome)
-        elif type(outcome) is TruncatedResult:
-            # Partial metrics from a tripped budget: usable, never
-            # memoized as the point's true result.
-            result = outcome.result
-        else:
-            result = outcome
-            if cache is not None:
-                cache.put(keys[index], result)
-        results[index] = result
-        if progress is not None:
-            progress(result)
-
-    if n_jobs <= 1 or len(pending) == 1:
-        for index in pending:
-            record(index, execute_task(tasks[index]))
-        return results
-
-    workers = min(n_jobs, len(pending))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = {pool.submit(execute_task, tasks[index]): index
-                   for index in pending}
-        outstanding = set(futures)
-        while outstanding:
-            done, outstanding = wait(outstanding,
-                                     return_when=FIRST_COMPLETED)
-            for future in done:
-                record(futures[future], future.result())
-    return results
+    return _Batch(list(tasks), resolve_jobs(jobs), resolve_cache(cache),
+                  resolve_progress(progress), telemetry_sink,
+                  resolved).run().results
 
 
 def run_batch_report(tasks: Sequence[SimTask],
@@ -337,24 +290,32 @@ BatchReport` (results, failure manifest, truncations, event totals).
     context's options, else to ``ResilienceOptions()``.
     """
     resolved = resolve_resilience(resilience) or ResilienceOptions()
-    return _ResilientBatch(list(tasks), resolve_jobs(jobs),
-                           resolve_cache(cache), resolve_progress(progress),
-                           telemetry_sink, resolved).run()
+    return _Batch(list(tasks), resolve_jobs(jobs), resolve_cache(cache),
+                  resolve_progress(progress), telemetry_sink,
+                  resolved).run()
 
 
-class _ResilientBatch:
-    """One resilient ``run_batch`` execution (single-use)."""
+class _Batch:
+    """One ``run_batch`` execution (single-use).
+
+    ``options=None`` is fail-fast: the first task exception propagates
+    unchanged (``BrokenProcessPool`` included) and the pool's pending
+    futures are cancelled; nothing is retried, quarantined or journaled.
+    """
 
     def __init__(self, tasks: List[SimTask], n_jobs: int,
                  cache: Optional[ResultCache],
                  progress: Optional[Callable],
                  telemetry_sink: Optional[Callable],
-                 options: ResilienceOptions) -> None:
+                 options: Optional[ResilienceOptions]) -> None:
         self.tasks = tasks
         self.n_jobs = n_jobs
         self.cache = cache
         self.progress = progress
         self.telemetry_sink = telemetry_sink
+        self.fail_fast = options is None
+        if options is None:
+            options = ResilienceOptions()
         self.options = options
         faults = options.faults if options.faults is not None \
             else plan_from_env()
@@ -395,7 +356,8 @@ class _ResilientBatch:
             pending = self._serve_from_cache(
                 [i for i in range(len(self.tasks)) if not self.completed[i]])
             if pending:
-                if self.n_jobs <= 1:
+                # A lone fail-fast task gains nothing from a pool.
+                if self.n_jobs <= 1 or (self.fail_fast and len(pending) == 1):
                     self._run_inline(pending)
                 else:
                     self._run_pool(pending)
@@ -463,6 +425,8 @@ class _ResilientBatch:
                     apply_worker_faults(specs)
                     outcome = execute_task(self._prepared(index))
                 except Exception as error:
+                    if self.fail_fast:
+                        raise
                     if self._charge(index, type(error).__name__,
                                     str(error)):
                         time.sleep(self._remaining_backoff(index))
@@ -525,11 +489,13 @@ class _ResilientBatch:
                     running_since.pop(index, None)
                     try:
                         outcome = future.result()
-                    except BrokenProcessPool:
-                        futures[future] = index
-                        broken = True
-                        break
                     except Exception as error:
+                        if self.fail_fast:
+                            raise
+                        if isinstance(error, BrokenProcessPool):
+                            futures[future] = index
+                            broken = True
+                            break
                         if self._charge(index, type(error).__name__,
                                         str(error)):
                             queue.append(index)

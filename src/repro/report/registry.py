@@ -1,14 +1,15 @@
 """The figure registry: every paper + extension figure, with its
 model-vs-simulation comparisons declared as data.
 
-This layers on :mod:`repro.experiments.registry` (which maps experiment
-ids to sweep drivers): a :class:`FigureSpec` adds what the *report*
-pipeline needs on top of the raw series — which column pairs overlay an
-analytical prediction on simulated points, what error metric applies,
-and how much divergence the reproduction tolerates before the run is
-declared a validation failure (Thomasian-style contention-analysis
-validation: the claim "the model matches the simulation" is checked
-numerically, per figure, per operating point).
+A :class:`FigureSpec` is the one per-figure record: its id names the
+sweep driver (:func:`repro.experiments.registry.driver`), and it adds
+what the *report* pipeline needs on top of the raw series — which
+column pairs overlay an analytical prediction on simulated points, what
+error metric applies, and how much divergence the reproduction
+tolerates before the run is declared a validation failure
+(Thomasian-style contention-analysis validation: the claim "the model
+matches the simulation" is checked numerically, per figure, per
+operating point).
 
 Thresholds bound the **median** relative (or absolute) error across a
 comparison's valid points: single-seed smoke runs are noisy point by
@@ -27,7 +28,7 @@ from typing import Dict, Optional, Tuple
 from repro.algorithms import names
 from repro.errors import ConfigurationError
 from repro.experiments.common import ExperimentTable
-from repro.experiments.registry import EXPERIMENTS, Experiment, get_experiment
+from repro.experiments.registry import driver
 
 #: Error metrics a comparison may declare.
 RELATIVE = "relative"
@@ -53,11 +54,11 @@ class Comparison:
 
 @dataclass(frozen=True)
 class FigureSpec:
-    """One figure of the reproduction's output set."""
+    """One figure of the reproduction's output set.
+
+    Its title and figure label live in the table its driver renders."""
 
     figure_id: str
-    #: ``"paper"`` for Figures 3-16, ``"ext"`` for the extensions.
-    kind: str
     comparisons: Tuple[Comparison, ...] = field(default_factory=tuple)
     #: Columns to draw (None: every non-x column).  Used where a table
     #: carries bookkeeping columns on a different scale than the series
@@ -65,24 +66,18 @@ class FigureSpec:
     plot_columns: Optional[Tuple[str, ...]] = None
 
     @property
-    def experiment(self) -> Experiment:
-        return get_experiment(self.figure_id)
-
-    @property
-    def title(self) -> str:
-        return self.experiment.title
-
-    @property
-    def figure_label(self) -> str:
-        return self.experiment.figure
-
-    @property
-    def has_simulation(self) -> bool:
-        return self.experiment.has_simulation
+    def kind(self) -> str:
+        """``"paper"`` for Figures 3-16, ``"ext"`` for the extensions."""
+        return "ext" if self.figure_id.startswith("ext") else "paper"
 
     def run(self, scale: float = 1.0,
             simulate: Optional[bool] = None) -> ExperimentTable:
-        return self.experiment.run(scale=scale, simulate=simulate)
+        """Regenerate the figure's table; ``simulate=None`` keeps the
+        driver's own default (simulated where the paper's figure is)."""
+        run = driver(self.figure_id)
+        if simulate is None:
+            return run(scale=scale)
+        return run(scale=scale, simulate=simulate)
 
 
 def _response_pair(algorithm: str, operation: str,
@@ -96,22 +91,22 @@ def _response_pair(algorithm: str, operation: str,
 _ENTRIES: Tuple[FigureSpec, ...] = (
     # Figures 3/4: Naive Lock-coupling saturates early; simulated
     # points near the knee sit well above the open-model curve.
-    FigureSpec("fig03", "paper",
+    FigureSpec("fig03",
                (_response_pair(names.NAIVE_LOCK_COUPLING, "insert", 0.40),)),
-    FigureSpec("fig04", "paper",
+    FigureSpec("fig04",
                (_response_pair(names.NAIVE_LOCK_COUPLING, "search", 0.40),)),
-    FigureSpec("fig05", "paper",
+    FigureSpec("fig05",
                (_response_pair(names.OPTIMISTIC_DESCENT, "insert", 0.35),)),
-    FigureSpec("fig06", "paper",
+    FigureSpec("fig06",
                (_response_pair(names.OPTIMISTIC_DESCENT, "search", 0.35),)),
-    FigureSpec("fig07", "paper",
+    FigureSpec("fig07",
                (_response_pair(names.LINK_TYPE, "insert", 0.35),)),
-    FigureSpec("fig08", "paper",
+    FigureSpec("fig08",
                (_response_pair(names.LINK_TYPE, "search", 0.35),)),
     # Figure 9 compares *rates of a rare event* (link crossings per
     # 1000 operations); both sides hover near zero, so the bound is
     # absolute, in the figure's own per-1k units.
-    FigureSpec("fig09", "paper",
+    FigureSpec("fig09",
                (Comparison(names.LINK_TYPE, "link crossings per 1k ops",
                            "model_crossings_per_1k_ops",
                            "sim_crossings_per_1k_ops",
@@ -120,16 +115,16 @@ _ENTRIES: Tuple[FigureSpec, ...] = (
                              "sim_crossings_per_1k_ops")),
     # Figure 10: the simulator samples writer *presence* at the root, a
     # documented slight over-estimate of the model's aggregate rho_w.
-    FigureSpec("fig10", "paper",
+    FigureSpec("fig10",
                (Comparison(names.NAIVE_LOCK_COUPLING,
                            "root writer utilization",
                            "model_rho_w_root", "sim_rho_w_root",
                            metric=RELATIVE, threshold=0.60),)),
-    FigureSpec("fig11", "paper"),
+    FigureSpec("fig11"),
     # Figures 12/15 and ext01 are analytical by default; their sim
     # columns (and these comparisons) only materialize under
     # ``simulate=True`` runs.
-    FigureSpec("fig12", "paper", (
+    FigureSpec("fig12", (
         Comparison(names.NAIVE_LOCK_COUPLING, "insert response",
                    "naive_insert", "sim_naive_insert", threshold=0.40),
         Comparison(names.OPTIMISTIC_DESCENT, "insert response",
@@ -138,9 +133,9 @@ _ENTRIES: Tuple[FigureSpec, ...] = (
         Comparison(names.LINK_TYPE, "insert response",
                    "link_insert", "sim_link_insert", threshold=0.40),
     )),
-    FigureSpec("fig13", "paper"),
-    FigureSpec("fig14", "paper"),
-    FigureSpec("fig15", "paper", (
+    FigureSpec("fig13"),
+    FigureSpec("fig14"),
+    FigureSpec("fig15", (
         Comparison(names.OPTIMISTIC_DESCENT, "insert response (no recovery)",
                    "no_recovery_insert", "sim_no_recovery", threshold=0.45),
         Comparison(names.OPTIMISTIC_DESCENT, "insert response (leaf-only)",
@@ -149,31 +144,31 @@ _ENTRIES: Tuple[FigureSpec, ...] = (
                    "naive_recovery_insert", "sim_naive_recovery",
                    threshold=0.60),
     )),
-    FigureSpec("fig16", "paper"),
-    FigureSpec("ext01", "ext", (
+    FigureSpec("fig16"),
+    FigureSpec("ext01", (
         Comparison(names.TWO_PHASE_LOCKING, "insert response",
                    "two_phase_insert", "sim_two_phase_insert",
                    threshold=0.45),
     )),
-    FigureSpec("ext02", "ext"),
-    FigureSpec("ext03", "ext"),
+    FigureSpec("ext02"),
+    FigureSpec("ext03"),
     # ext04 overlays the interactive response-time-law fixed point on
     # the closed-system simulation for the first closed-capable spec.
-    FigureSpec("ext04", "ext", (
+    FigureSpec("ext04", (
         Comparison(names.NAIVE_LOCK_COUPLING, "closed-system throughput",
                    "naive_model_throughput", "naive_throughput",
                    metric=RELATIVE, threshold=0.35),
     )),
-    FigureSpec("ext05", "ext"),
-    FigureSpec("ext06", "ext"),
-    FigureSpec("ext07", "ext"),
+    FigureSpec("ext05"),
+    FigureSpec("ext06"),
+    FigureSpec("ext07"),
     # ext08 validates the cluster tier on both axes: the M/G/1 router +
     # multi-class-shard response composition on the fault-free rows
     # (faulted rows carry NaN sim responses and drop out), and the
     # closed-form crash availability — exact without retries, a
     # mean-jitter rescue-horizon approximation (plus breaker sheds the
     # model does not charge) with them, hence the looser second bound.
-    FigureSpec("ext08", "ext", (
+    FigureSpec("ext08", (
         Comparison(names.NAIVE_LOCK_COUPLING, "cluster response",
                    "model_response", "sim_response",
                    metric=RELATIVE, threshold=0.35),
@@ -197,17 +192,8 @@ def _build() -> Dict[str, FigureSpec]:
         if spec.figure_id in figures:
             raise ConfigurationError(
                 f"figure {spec.figure_id!r} registered twice")
-        if spec.figure_id not in EXPERIMENTS:
-            raise ConfigurationError(
-                f"figure {spec.figure_id!r} has no experiment driver")
-        if spec.kind not in ("paper", "ext"):
-            raise ConfigurationError(
-                f"figure {spec.figure_id!r} has unknown kind {spec.kind!r}")
+        driver(spec.figure_id)  # raises when the id has no driver
         figures[spec.figure_id] = spec
-    missing = sorted(set(EXPERIMENTS) - set(figures))
-    if missing:
-        raise ConfigurationError(
-            f"experiments without a registered figure: {missing}")
     return figures
 
 

@@ -221,9 +221,8 @@ class TestSurfacing:
         assert args.algorithm == names.OPTIMISTIC_LOCK_COUPLING
 
     def test_ext06_registered_and_columned_by_short_keys(self):
-        from repro.experiments.registry import EXPERIMENTS
-        assert "ext06" in EXPERIMENTS
-        assert EXPERIMENTS["ext06"].has_simulation
+        from repro.report import get_figure
+        assert get_figure("ext06").kind == "ext"
 
     def test_ext06_runs_at_tiny_scale(self):
         from repro.experiments.extensions import ext06

@@ -5,37 +5,36 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments import EXPERIMENTS, ExperimentTable, get_experiment
+from repro.experiments import ExperimentTable
 from repro.experiments.figures import fig11, fig12, fig13, fig14, fig15, fig16
 from repro.experiments.runner import main as cli_main
-from repro.report import format_table
+from repro.report import FIGURES, all_figure_ids, format_table, get_figure
 
 
 class TestRegistry:
     def test_all_fourteen_figures_registered(self):
-        figures = [eid for eid in EXPERIMENTS if eid.startswith("fig")]
+        figures = [fid for fid in FIGURES if fid.startswith("fig")]
         assert sorted(figures) == [f"fig{n:02d}" for n in range(3, 17)]
 
     def test_extensions_registered(self):
-        assert "ext01" in EXPERIMENTS
-        assert "ext02" in EXPERIMENTS
-        assert "ext03" in EXPERIMENTS
-        assert "ext08" in EXPERIMENTS
-        assert EXPERIMENTS["ext08"].has_simulation
+        assert all_figure_ids("ext") == tuple(
+            f"ext{n:02d}" for n in range(1, 9))
 
     def test_lookup(self):
-        exp = get_experiment("fig03")
-        assert exp.figure == "Figure 3"
-        assert exp.has_simulation
+        spec = get_figure("fig03")
+        assert spec.figure_id == "fig03"
+        assert spec.kind == "paper"
 
     def test_unknown_id(self):
         with pytest.raises(ConfigurationError):
-            get_experiment("fig99")
+            get_figure("fig99")
 
     def test_analytical_figures_marked(self):
-        for experiment_id in ("fig11", "fig12", "fig13", "fig14",
-                              "fig15", "fig16"):
-            assert not EXPERIMENTS[experiment_id].has_simulation
+        for figure_id in ("fig11", "fig12", "fig13", "fig14",
+                          "fig15", "fig16"):
+            table = get_figure(figure_id).run(scale=0.02)
+            assert not [column for column in table.columns
+                        if column.startswith("sim_")], figure_id
 
 
 class TestExperimentTable:
@@ -141,8 +140,7 @@ class TestSimulatedFigureSmoke:
     """One simulated figure end to end at a tiny scale."""
 
     def test_fig03_tiny(self):
-        experiment = get_experiment("fig03")
-        table = experiment.run(scale=0.02)
+        table = get_figure("fig03").run(scale=0.02)
         assert table.columns[0] == "arrival_rate"
         model = table.column("model_insert_response")
         sim = table.column("sim_insert_response")
@@ -150,15 +148,20 @@ class TestSimulatedFigureSmoke:
         assert sim[0] == pytest.approx(model[0], rel=0.35)
 
     def test_no_sim_variant(self):
-        table = get_experiment("fig04").run(scale=0.02, simulate=False)
+        table = get_figure("fig04").run(scale=0.02, simulate=False)
         assert "sim_search_response" not in table.columns
 
 
 class TestCli:
     def test_list(self, capsys):
         assert cli_main(["list"]) == 0
-        out = capsys.readouterr().out
-        assert "fig03" in out and "fig16" in out
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines] == list(FIGURES)
+        assert len(lines) == 22
+        for line, spec in zip(lines, FIGURES.values()):
+            parts = line.split(None, 2)
+            assert len(parts) == 3 and parts[2].strip(), line
+            assert parts[1] == spec.kind
 
     def test_run_analytical(self, tmp_path):
         assert cli_main(["figures", "fig11", "--no-sim", "--no-cache",

@@ -15,6 +15,7 @@ from repro.parallel import (
     execution,
     replication_tasks,
     run_batch,
+    task_key,
 )
 from repro.simulator.config import SimulationConfig
 from repro.simulator.driver import (
@@ -67,6 +68,35 @@ class TestParallelDeterminism:
             SimTask(_quick(), kind="closed")
         with pytest.raises(ConfigurationError):
             SimTask(_quick(), kind="bogus")
+
+
+# ----------------------------------------------------------------------
+# Fail-fast: no failure policy, the first task exception propagates
+# ----------------------------------------------------------------------
+def _failing_task() -> SimTask:
+    # run_closed_simulation rejects a negative think time when it runs.
+    return SimTask(_quick(), kind="closed", mpl=2, think_time=-1.0)
+
+
+class TestFailFast:
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_task_exception_propagates_with_its_own_type(self, jobs):
+        tasks = [SimTask(_quick(seed=1)), _failing_task(),
+                 SimTask(_quick(seed=2))]
+        with pytest.raises(ConfigurationError, match="think_time"):
+            run_batch(tasks, jobs=jobs)
+
+    def test_inline_batch_caches_the_tasks_finished_before(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        done = [SimTask(_quick(seed=seed)) for seed in (1, 2)]
+        after = SimTask(_quick(seed=3))
+        with pytest.raises(ConfigurationError):
+            run_batch(done + [_failing_task(), after], jobs=1, cache=cache)
+        assert cache.stats.stores == 2
+        for task in done:
+            assert cache.get(task_key(task, salt=cache.salt)) is not None
+        assert cache.get(task_key(after, salt=cache.salt)) is None
 
 
 # ----------------------------------------------------------------------
@@ -130,7 +160,7 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         config = _quick()
         [expected] = run_batch([SimTask(config)], cache=cache)
-        key = SimTask(config).cache_key(cache)
+        key = task_key(SimTask(config), salt=cache.salt)
         cache.path_for(key).write_bytes(b"\x00not a pickle")
 
         fresh = ResultCache(tmp_path)
@@ -156,7 +186,7 @@ class TestResultCache:
         # a miss.  The checksum header catches any truncation point.
         cache = ResultCache(tmp_path)
         [expected] = run_batch([SimTask(_quick())], cache=cache)
-        key = SimTask(_quick()).cache_key(cache)
+        key = task_key(SimTask(_quick()), salt=cache.salt)
         path = cache.path_for(key)
         blob = path.read_bytes()
         for cut in (1, len(blob) // 2, len(blob) - 1):
@@ -173,7 +203,7 @@ class TestResultCache:
     def test_checksum_catches_single_bit_flip(self, tmp_path):
         cache = ResultCache(tmp_path)
         [expected] = run_batch([SimTask(_quick())], cache=cache)
-        key = SimTask(_quick()).cache_key(cache)
+        key = task_key(SimTask(_quick()), salt=cache.salt)
         path = cache.path_for(key)
         blob = bytearray(path.read_bytes())
         blob[-1] ^= 0x01  # bit rot in the payload tail
@@ -191,7 +221,7 @@ class TestResultCache:
         # readable (no CODE_SALT bump accompanied the format change).
         cache = ResultCache(tmp_path)
         [expected] = run_batch([SimTask(_quick())], cache=cache)
-        key = SimTask(_quick()).cache_key(cache)
+        key = task_key(SimTask(_quick()), salt=cache.salt)
         cache.path_for(key).write_bytes(
             pickle.dumps(expected, protocol=pickle.HIGHEST_PROTOCOL))
         fresh = ResultCache(tmp_path)
@@ -251,8 +281,8 @@ class TestFigurePipeline:
     def test_second_figure_run_is_all_cache_hits(self, tmp_path):
         # Stand-in for "btree-perf figures ext05 --scale ... twice": the
         # second regeneration must be served entirely from the cache.
-        from repro.experiments.registry import get_experiment
-        experiment = get_experiment("ext05")
+        from repro.report import get_figure
+        experiment = get_figure("ext05")
         cache = ResultCache(tmp_path)
         with execution(cache=cache):
             first = experiment.run(scale=0.01)

@@ -1,18 +1,24 @@
 """Figure-registry invariants: completeness, uniqueness, declarations."""
 
+import re
+
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.experiments.registry import EXPERIMENTS
+from repro.experiments import extensions, figures
+from repro.experiments.registry import driver
 from repro.report import FIGURES, all_figure_ids, get_figure
 from repro.report.registry import _ENTRIES, ABSOLUTE, RELATIVE
 
 
 class TestCompleteness:
     def test_every_experiment_has_exactly_one_figure(self):
-        assert set(FIGURES) == set(EXPERIMENTS)
+        drivers = {name for module in (figures, extensions)
+                   for name, value in vars(module).items()
+                   if re.fullmatch(r"(fig|ext)\d\d", name) and callable(value)}
         ids = [spec.figure_id for spec in _ENTRIES]
-        assert len(ids) == len(set(ids)), "duplicate figure registration"
+        assert sorted(ids) == sorted(drivers)
+        assert list(FIGURES) == ids
 
     def test_every_paper_figure_is_registered(self):
         expected = {f"fig{n:02d}" for n in range(3, 17)}
@@ -31,9 +37,14 @@ class TestDeclarations:
     def test_lookup_and_experiment_link(self):
         spec = get_figure("fig03")
         assert spec.kind == "paper"
-        assert spec.experiment.experiment_id == "fig03"
-        assert spec.has_simulation is True
-        assert spec.title
+        assert get_figure("ext03").kind == "ext"
+        assert driver("fig03") is figures.fig03
+        assert driver("ext03") is extensions.ext03
+
+    def test_unknown_driver_is_a_readable_error(self):
+        for figure_id in ("fig99", "figures", "_response_figure"):
+            with pytest.raises(ConfigurationError, match=figure_id):
+                driver(figure_id)
 
     def test_unknown_figure_is_a_readable_error(self):
         with pytest.raises(ConfigurationError, match="fig99"):

@@ -29,7 +29,7 @@ from repro.report.validation import (
 
 
 def _spec(metric=RELATIVE, threshold=0.25) -> FigureSpec:
-    return FigureSpec("fig03", "paper", (
+    return FigureSpec("fig03", (
         Comparison("algo", "response", "model", "sim",
                    metric=metric, threshold=threshold),))
 

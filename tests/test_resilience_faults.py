@@ -17,6 +17,7 @@ from repro.obs.instruments import Instrumentation
 from repro.parallel import (
     ResultCache,
     SimTask,
+    execute_task,
     execution,
     run_batch,
     run_batch_report,
@@ -317,13 +318,15 @@ class TestFaultFreeParity:
 
     def test_resilient_path_matches_legacy_exactly(self):
         tasks = _tasks(4)
-        legacy = run_batch(tasks, jobs=2)
+        direct = [execute_task(task) for task in tasks]
         resilient = run_batch_report(
             tasks, jobs=2, resilience=ResilienceOptions())
         assert resilient.ok
         assert resilient.retries == 0
         assert resilient.pool_rebuilds == 0
-        assert _fingerprints(resilient.results) == _fingerprints(legacy)
+        assert _fingerprints(resilient.results) == _fingerprints(direct)
+        assert _fingerprints(run_batch(tasks, jobs=2)) == \
+            _fingerprints(direct)
 
 
 # ----------------------------------------------------------------------
