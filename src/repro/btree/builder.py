@@ -8,16 +8,16 @@ insert/delete operations drawn with the mix's update proportions until the
 tree holds the requested number of items.
 
 The simulator drivers go through ``warm_tree``, which grows each distinct
-tree once per process and hands every run its own clone.
+tree once per process and lends it to every run, which undoes its changes
+afterwards.
 """
 
 from __future__ import annotations
 
-import copy
 import random
 from typing import List, Optional, Tuple
 
-from repro.btree.node import InternalNode, LeafNode, Node
+from repro.btree.node import Node
 from repro.btree.policies import MERGE_AT_EMPTY, MergePolicy
 from repro.btree.tree import BPlusTree, NodeHook
 from repro.errors import ConfigurationError
@@ -89,19 +89,25 @@ def warm_tree(build_seed: int, n_items: int, order: int,
     The memo keeps the last template only, so callers that run several
     trees should group their runs by tree (see
     :func:`repro.experiments.common.sweep_replications`).  A miss builds
-    a lock-free template; every call returns a fresh clone of it.  The
-    clone allocates one node per node the build allocated (freed ones
-    included), in creation order, so it takes the same ``node_id``
-    sequence a fresh build would.  Then
-    ``on_new_node`` runs over the clones in that order, as it would have
-    run during the build.  The result is indistinguishable from
-    ``build_tree(..., rng=random.Random(build_seed),
-    on_new_node=on_new_node)``.
+    a lock-free template.  Every call lends the template itself, with
+    its undo journal open (:meth:`~repro.btree.tree.BPlusTree.journal`):
+    the caller must call ``rollback()`` on it when done, which puts back
+    every node the caller changed and copies none it did not.  A call
+    also rolls back a loan that was never returned.
+
+    ``on_new_node`` first runs over every node the build allocated
+    (freed ones included) in creation order, as it would have run during
+    the build, and then becomes the tree's hook.  Within the loan the
+    tree is indistinguishable from ``build_tree(...,
+    rng=random.Random(build_seed), on_new_node=on_new_node)``, except
+    that its ``node_id`` values come from the build.
     """
     global _last
     key = (build_seed, n_items, order, insert_fraction, merge_policy,
            key_space)
-    if _last is None or _last[0] != key:
+    if _last is not None and _last[0] == key:
+        _last[1].rollback()  # in case the last loan was never returned
+    else:
         _last = None  # drop the old template before growing the next
         created: List[Node] = []
         template = build_tree(n_items, order=order,
@@ -109,31 +115,15 @@ def warm_tree(build_seed: int, n_items: int, order: int,
                               merge_policy=merge_policy, key_space=key_space,
                               rng=random.Random(build_seed),
                               on_new_node=created.append)
+        template.on_new_node = None
         _last = (key, template, created)
     _key, template, created = _last
-    return _clone(template, created, on_new_node)
-
-
-def _clone(template: BPlusTree, created: List[Node],
-           on_new_node: NodeHook) -> BPlusTree:
-    """A deep copy of ``template`` sharing no node or list with it."""
-    clones = [LeafNode() if node.is_leaf else InternalNode(node.level)
-              for node in created]
-    twin = dict(zip(created, clones))
-    for node, clone in zip(created, clones):
-        clone.keys = node.keys[:]
-        clone.right = twin.get(node.right)
-        clone.high_key = node.high_key
-        clone.dead = node.dead
-        if not clone.is_leaf:
-            clone.children = [twin[child] for child in node.children]
-    tree = copy.copy(template)
-    tree.root = twin[template.root]
-    tree.on_new_node = on_new_node
     if on_new_node is not None:
-        for clone in clones:
-            on_new_node(clone)
-    return tree
+        for node in created:
+            on_new_node(node)
+    template.journal()
+    template.on_new_node = on_new_node
+    return template
 
 
 def _approximate_resident_key(tree: BPlusTree, probe: int) -> int:

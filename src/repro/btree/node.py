@@ -19,17 +19,38 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from typing import List, Optional
+from contextlib import contextmanager
+from typing import Any, Callable, Iterator, List, Optional
 
 from repro.errors import BTreeError
 
 _node_ids = itertools.count(1)
 
+#: The running simulation's lock factory (see :func:`lock_factory`), or
+#: None outside a run.
+_lock_factory: Optional[Callable[["Node"], Any]] = None
+
+
+@contextmanager
+def lock_factory(factory: Callable[["Node"], Any]) -> Iterator[None]:
+    """Within the block, a node whose ``lock`` was never set gets
+    ``factory(node)`` on the first read of it.
+
+    A run creates only the locks its operations reach this way, instead
+    of one per node up front.
+    """
+    global _lock_factory
+    outer, _lock_factory = _lock_factory, factory
+    try:
+        yield
+    finally:
+        _lock_factory = outer
+
 
 class Node:
     """Common state for leaf and internal nodes."""
 
-    __slots__ = ("node_id", "level", "keys", "right", "high_key", "lock", "dead")
+    __slots__ = ("node_id", "level", "keys", "right", "high_key", "_lock", "dead")
 
     def __init__(self, level: int) -> None:
         self.node_id: int = next(_node_ids)
@@ -37,11 +58,26 @@ class Node:
         self.keys: List[int] = []
         self.right: Optional["Node"] = None
         self.high_key: Optional[int] = None
-        #: Concurrency-control slot; the simulator attaches an RWLock here.
-        self.lock = None
+        self._lock = None
         #: Set when the node has been removed from the tree (merge-at-empty
         #: deallocation); descents that raced here must restart/relink.
         self.dead: bool = False
+
+    @property
+    def lock(self) -> Any:
+        """Concurrency-control slot: the simulator's RWLock for this node.
+
+        Unset, the first read inside a run asks the run's
+        :func:`lock_factory` for it; outside a run it reads None.
+        """
+        lock = self._lock
+        if lock is None and _lock_factory is not None:
+            lock = self._lock = _lock_factory(self)
+        return lock
+
+    @lock.setter
+    def lock(self, lock: Any) -> None:
+        self._lock = lock
 
     @property
     def is_leaf(self) -> bool:

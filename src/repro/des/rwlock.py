@@ -245,6 +245,15 @@ class RWLock:
         """Flush the time-weighted accumulators up to ``now``."""
         self._advance_clocks(now)
 
+    def retire(self) -> None:
+        """Drop the interned commands once the lock is no longer used.
+
+        They refer back to the lock, so until then only the cyclic
+        garbage collector can free it; a retired lock is freed as soon
+        as its last reference goes.
+        """
+        self.acquire_read = self.acquire_write = self.release_cmd = None
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<RWLock {self.name!r} readers={len(self._readers)} "

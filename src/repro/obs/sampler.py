@@ -33,8 +33,8 @@ class LevelState:
     ``held_read`` / ``held_write`` count node locks currently granted in
     each mode across the level; ``queued`` counts waiting requests;
     ``grants_read`` / ``grants_write`` accumulate totals; ``nodes``
-    counts locks ever attached at the level (nodes are created by
-    splits but never recycled, so this is also the allocation count).
+    counts the nodes ever allocated at the level, build-freed ones
+    included (nodes are never recycled).
     """
 
     __slots__ = ("level", "nodes", "held_read", "held_write", "queued",
@@ -110,12 +110,14 @@ class TelemetrySampler:
             self.levels[level] = state
         return state
 
+    def count_node(self, level: int) -> None:
+        """Count one node allocated at ``level``."""
+        self.level_state(level).nodes += 1
+
     def watch(self, lock, level: int) -> None:
         """Register one node lock: future grants/releases/queueing on it
         update the level's aggregate counters."""
-        state = self.level_state(level)
-        state.nodes += 1
-        lock.telemetry = state
+        lock.telemetry = self.level_state(level)
 
     def sample(self, now: float, in_flight: int, events: int) -> None:
         snapshot = tuple(

@@ -142,6 +142,10 @@ class TelemetryRecorder:
                                         self.options.ring_capacity)
         self.telemetry: Optional[RunTelemetry] = None
 
+    def count_node(self, level: int) -> None:
+        """Count one tree node allocated at ``level``."""
+        self.sampler.count_node(level)
+
     def watch(self, lock, level: int) -> None:
         """Attach one node lock to its level's live aggregate state."""
         self.sampler.watch(lock, level)

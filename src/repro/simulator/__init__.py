@@ -7,7 +7,8 @@ processes against an actual :class:`~repro.btree.tree.BPlusTree`:
 
 * operations arrive in a Poisson process and perform real searches,
   inserts and deletes on the shared tree;
-* every node carries a FCFS R/W lock; all service times are exponential
+* every node carries a FCFS R/W lock, created when an operation first
+  reaches the node; all service times are exponential
   with the Section 5.3 cost means (disk levels dilated by D);
 * the simulator "crashes" (raises
   :class:`~repro.errors.PopulationOverflowError`) when the in-flight

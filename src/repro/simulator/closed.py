@@ -19,22 +19,11 @@ from __future__ import annotations
 import random
 
 from repro.algorithms import get_algorithm
-from repro.btree.builder import warm_tree
-from repro.btree.node import Node
-from repro.des.engine import Simulator
-from repro.des.rwlock import RWLock
 from repro.errors import ConfigurationError
 from repro.simulator.config import SimulationConfig
-from repro.simulator.costs import ServiceTimeSampler
-from repro.simulator.driver import _GatedObserver
-from repro.simulator.metrics import MetricsCollector, SimulationResult, summarize
-from repro.simulator.operations import (
-    OP_DELETE,
-    OP_INSERT,
-    OP_SEARCH,
-    OperationContext,
-    pick_resident_key,
-)
+from repro.simulator.driver import run_context
+from repro.simulator.metrics import MetricsCollector, summarize
+from repro.simulator.operations import OP_DELETE, pick_resident_key
 from repro.workload.runtime import WorkloadRuntime
 
 #: Interval between root-utilization samples (as in the open driver).
@@ -74,93 +63,82 @@ def run_closed_simulation(config: SimulationConfig,
 
     metrics = MetricsCollector(seed=config.seed)
 
-    def attach_lock(node: Node) -> None:
-        node.lock = RWLock(name=f"n{node.node_id}",
-                           observer=_GatedObserver(metrics, node.level))
+    with run_context(config, build_seed, rng_keys, rng_service,
+                     metrics) as ctx:
+        sim, tree = ctx.sim, ctx.tree
+        warmup = config.warmup_operations
+        target = config.n_operations
+        completions = [0]
 
-    tree = warm_tree(
-        build_seed, config.n_items, config.order,
-        config.mix.insert_share or 1.0, config.merge_policy,
-        config.key_space, on_new_node=attach_lock,
-    )
-    sim = Simulator()
-    sampler = ServiceTimeSampler(config.costs, tree, rng_service)
-    ctx = OperationContext(sim, tree, sampler, metrics, rng_keys,
-                           recovery=config.recovery,
-                           t_trans=config.t_trans)
-    warmup = config.warmup_operations
-    target = config.n_operations
-    completions = [0]
+        # Key distribution and (hoisted) mix thresholds come from the
+        # workload layer.  The arrival process is ignored — the fixed
+        # population is the load control in a closed system — and
+        # transaction envelopes are an open-system construct.
+        runtime = WorkloadRuntime(config, rng_keys)
+        if runtime.transaction_size != 1:
+            raise ConfigurationError(
+                "transaction envelopes are not modelled in the closed "
+                "system (each terminal already serialises its operations); "
+                "use the open simulator for TransactionSpec(size > 1)")
+        picker = runtime.picker
 
-    # Key distribution and (hoisted) mix thresholds come from the
-    # workload layer.  The arrival process is ignored — the fixed
-    # population is the load control in a closed system — and
-    # transaction envelopes are an open-system construct.
-    runtime = WorkloadRuntime(config, rng_keys)
-    if runtime.transaction_size != 1:
-        raise ConfigurationError(
-            "transaction envelopes are not modelled in the closed "
-            "system (each terminal already serialises its operations); "
-            "use the open simulator for TransactionSpec(size > 1)")
-    picker = runtime.picker
+        def draw_operation() -> tuple:
+            op_name = runtime.draw_operation(rng_keys)
+            if op_name == OP_DELETE:
+                return OP_DELETE, pick_resident_key(tree, rng_keys,
+                                                    config.key_space,
+                                                    probe=picker.pick(sim.now))
+            return op_name, picker.pick(sim.now)
 
-    def draw_operation() -> tuple:
-        op_name = runtime.draw_operation(rng_keys)
-        if op_name == OP_DELETE:
-            return OP_DELETE, pick_resident_key(tree, rng_keys,
-                                                config.key_space,
-                                                probe=picker.pick(sim.now))
-        return op_name, picker.pick(sim.now)
+        def terminal():
+            while True:
+                if think_time > 0.0:
+                    yield rng_think.expovariate(1.0 / think_time)
+                op_name, key = draw_operation()
+                yield from getattr(module, op_name)(ctx, key)
+                completions[0] += 1
+                if completions[0] == warmup and not metrics.measuring:
+                    metrics.measuring = True
+                    metrics.measure_start_time = sim.now
 
-    def terminal():
-        while True:
-            if think_time > 0.0:
-                yield rng_think.expovariate(1.0 / think_time)
-            op_name, key = draw_operation()
-            yield from getattr(module, op_name)(ctx, key)
-            completions[0] += 1
-            if completions[0] == warmup and not metrics.measuring:
-                metrics.measuring = True
-                metrics.measure_start_time = sim.now
+        if warmup == 0:
+            metrics.measuring = True
+            metrics.measure_start_time = 0.0
 
-    if warmup == 0:
-        metrics.measuring = True
-        metrics.measure_start_time = 0.0
+        def root_sampler():
+            while True:
+                yield _ROOT_SAMPLE_INTERVAL
+                lock = tree.root.lock
+                present = lock.writer is not None or lock.writer_waiting()
+                metrics.record_root_sample(present,
+                                           queue_length=lock.queue_length)
 
-    def root_sampler():
-        while True:
-            yield _ROOT_SAMPLE_INTERVAL
-            lock = tree.root.lock
-            present = lock.writer is not None or lock.writer_waiting()
-            metrics.record_root_sample(present,
-                                       queue_length=lock.queue_length)
+        for index in range(multiprogramming_level):
+            sim.spawn(terminal(), name=f"terminal-{index}",
+                      delay=index * 1e-6)  # stagger identical start times
+        sim.spawn(root_sampler(), name="root-sampler")
+        metrics.note_population(multiprogramming_level)
 
-    for index in range(multiprogramming_level):
-        sim.spawn(terminal(), name=f"terminal-{index}",
-                  delay=index * 1e-6)  # stagger identical start times
-    sim.spawn(root_sampler(), name="root-sampler")
-    metrics.note_population(multiprogramming_level)
+        def done() -> bool:
+            return metrics.measured_operations >= target
 
-    def done() -> bool:
-        return metrics.measured_operations >= target
+        guard = None
+        if budget is None:
+            sim.run(stop_when=done)
+        else:
+            from repro.resilience.budget import BudgetGuard
+            guard = BudgetGuard(budget)
+            # exceeded() runs first so every executed event is counted.
+            sim.run(stop_when=lambda: guard.exceeded() or done())
+        metrics.measure_end_time = sim.now
 
-    guard = None
-    if budget is None:
-        sim.run(stop_when=done)
-    else:
-        from repro.resilience.budget import BudgetGuard
-        guard = BudgetGuard(budget)
-        # exceeded() runs first so every executed event is counted.
-        sim.run(stop_when=lambda: guard.exceeded() or done())
-    metrics.measure_end_time = sim.now
-
-    tripped = guard is not None and guard.tripped
-    result = summarize(
-        metrics, algorithm=config.algorithm,
-        arrival_rate=float("nan"),  # no open arrival stream
-        seed=config.seed, overflowed=tripped,
-        tree_size=len(tree), tree_height=tree.height,
-    )
+        tripped = guard is not None and guard.tripped
+        result = summarize(
+            metrics, algorithm=config.algorithm,
+            arrival_rate=float("nan"),  # no open arrival stream
+            seed=config.seed, overflowed=tripped,
+            tree_size=len(tree), tree_height=tree.height,
+        )
     if tripped:
         from repro.resilience.budget import TruncatedResult
         return TruncatedResult(result=result, reason=guard.reason,

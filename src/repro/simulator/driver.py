@@ -2,13 +2,14 @@
 
 ``run_simulation``:
 
-1. gets the B-tree that a random insert/delete sequence with the same
-   insert/delete proportions as the concurrent mix grows (construction
-   phase) from the warm-up tree memo
+1. borrows the B-tree that a random insert/delete sequence with the
+   same insert/delete proportions as the concurrent mix grows
+   (construction phase) from the warm-up tree memo
    (:func:`~repro.btree.builder.warm_tree`), which keeps the last tree
-   it grew and hands every run its own clone;
-2. attaches a FCFS R/W lock to every node (including nodes created later
-   by concurrent splits);
+   it grew, and rolls back the run's changes to it afterwards
+   (:func:`run_context`);
+2. gives a node a FCFS R/W lock the first time an operation reaches it
+   (nodes created later by concurrent splits included);
 3. releases concurrent operations in a Poisson stream, each performing a
    real search / insert / delete through the chosen algorithm's
    processes, with exponential service times;
@@ -28,16 +29,19 @@ from __future__ import annotations
 
 import math
 import random
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from contextlib import contextmanager
+from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
+                    Sequence)
 
 from repro.algorithms import get_algorithm
 from repro.btree.builder import warm_tree
-from repro.btree.node import Node
+from repro.btree.node import Node, lock_factory
 from repro.des.engine import Simulator
 from repro.des.rwlock import RWLock
 from repro.simulator.config import SimulationConfig
 from repro.simulator.costs import ServiceTimeSampler
 from repro.simulator.metrics import (
+    GatedObserver,
     MetricsCollector,
     SimulationResult,
     summarize,
@@ -71,19 +75,64 @@ assert (_workload_runtime._SEARCH, _workload_runtime._INSERT,
 _ROOT_SAMPLE_INTERVAL = 1.0
 
 
-class _GatedObserver:
-    """Forwards lock waits to the per-level collector only while the
-    measurement window is open."""
+@contextmanager
+def run_context(config: SimulationConfig, build_seed: int,
+                rng_keys: random.Random, rng_service: random.Random,
+                metrics: MetricsCollector, telemetry=None,
+                trace=None) -> Iterator[OperationContext]:
+    """The set-up both drivers share: yields the run's
+    :class:`OperationContext` on the borrowed warm-up tree.
 
-    __slots__ = ("collector", "inner")
+    Every tree level the build or the run allocates a node at gets one
+    gated lock-wait observer, registered when the node is allocated (or
+    replayed from the build), so ``mean_lock_waits`` has a key for each
+    such level even if no lock there is ever used.  ``telemetry``
+    counts those nodes per level the same way.  A node's lock is created
+    on the first read of ``node.lock``, named ``n{node_id}``; an idle
+    lock accrues nothing, so creating it late changes no number.  On
+    exit, normal or not, the locks are retired (freed without waiting
+    for the cyclic garbage collector) and dropped, and the tree is
+    rolled back, so the memo's template is again the tree the build
+    grew.
+    """
+    observers: Dict[int, GatedObserver] = {}
 
-    def __init__(self, collector: MetricsCollector, level: int) -> None:
-        self.collector = collector
-        self.inner = collector.observer_for_level(level)
+    def note_node(node: Node) -> None:
+        level = node.level
+        if level not in observers:
+            observers[level] = GatedObserver(metrics, level)
+        if telemetry is not None:
+            telemetry.count_node(level)
 
-    def on_wait(self, mode: str, wait: float) -> None:
-        if self.collector.measuring:
-            self.inner.on_wait(mode, wait)
+    locked: List[Node] = []
+
+    def make_lock(node: Node) -> RWLock:
+        lock = RWLock(name=f"n{node.node_id}",
+                      observer=observers[node.level])
+        if telemetry is not None:
+            telemetry.watch(lock, node.level)
+        locked.append(node)
+        return lock
+
+    with lock_factory(make_lock):
+        tree = warm_tree(
+            build_seed, config.n_items, config.order,
+            config.mix.insert_share or 1.0, config.merge_policy,
+            config.key_space, on_new_node=note_node,
+        )
+        try:
+            sim = Simulator(trace=trace,
+                            instruments=telemetry.instruments
+                            if telemetry is not None else None)
+            yield OperationContext(
+                sim, tree, ServiceTimeSampler(config.costs, tree, rng_service),
+                metrics, rng_keys, recovery=config.recovery,
+                t_trans=config.t_trans)
+        finally:
+            for node in locked:
+                node.lock.retire()
+                node.lock = None
+            tree.rollback()
 
 
 class _RunState:
@@ -141,164 +190,148 @@ def run_simulation(config: SimulationConfig, trace=None,
 
         metrics.record_response = record_and_time
 
-    def attach_lock(node: Node) -> None:
-        lock = RWLock(name=f"n{node.node_id}",
-                      observer=_GatedObserver(metrics, node.level))
-        if telemetry is not None:
-            telemetry.watch(lock, node.level)
-        node.lock = lock
+    with run_context(config, build_seed, rng_keys, rng_service, metrics,
+                     telemetry, trace) as ctx:
+        sim, tree = ctx.sim, ctx.tree
+        state = _RunState()
+        warmup = config.warmup_operations
+        target = config.n_operations
 
-    tree = warm_tree(
-        build_seed, config.n_items, config.order,
-        config.mix.insert_share or 1.0, config.merge_policy,
-        config.key_space, on_new_node=attach_lock,
-    )
+        def on_operation_done(_process) -> None:
+            state.population -= 1
+            state.completions += 1
+            if state.completions == warmup and not metrics.measuring:
+                metrics.measuring = True
+                metrics.measure_start_time = sim.now
 
-    sim = Simulator(trace=trace,
-                    instruments=telemetry.instruments
-                    if telemetry is not None else None)
-    sampler = ServiceTimeSampler(config.costs, tree, rng_service)
-    ctx = OperationContext(sim, tree, sampler, metrics, rng_keys,
-                           recovery=config.recovery, t_trans=config.t_trans)
-    state = _RunState()
-    warmup = config.warmup_operations
-    target = config.n_operations
-
-    def on_operation_done(_process) -> None:
-        state.population -= 1
-        state.completions += 1
-        if state.completions == warmup and not metrics.measuring:
+        if warmup == 0:
             metrics.measuring = True
-            metrics.measure_start_time = sim.now
+            metrics.measure_start_time = 0.0
 
-    if warmup == 0:
-        metrics.measuring = True
-        metrics.measure_start_time = 0.0
+        runtime = WorkloadRuntime(config, rng_keys)
+        picker = runtime.picker
+        txn_size = runtime.transaction_size
+        key_space = config.key_space
 
-    runtime = WorkloadRuntime(config, rng_keys)
-    picker = runtime.picker
-    txn_size = runtime.transaction_size
-    key_space = config.key_space
+        # workload.* telemetry instruments (docs/observability.md): offered
+        # load, interarrival gaps, hot-key share and transaction lock-hold
+        # times.  NULL_INSTRUMENTS keeps the disabled path allocation-free.
+        wl_instruments = telemetry.instruments if telemetry is not None \
+            else NULL_INSTRUMENTS
+        wl_arrivals = wl_instruments.counter("workload.arrivals")
+        wl_interarrival = wl_instruments.timer("workload.interarrival")
+        wl_keys_total = wl_instruments.counter("workload.keys")
+        wl_keys_hot = wl_instruments.counter("workload.keys_hot")
+        wl_txn_hold = wl_instruments.timer("workload.txn_hold")
 
-    # workload.* telemetry instruments (docs/observability.md): offered
-    # load, interarrival gaps, hot-key share and transaction lock-hold
-    # times.  NULL_INSTRUMENTS keeps the disabled path allocation-free.
-    wl_instruments = telemetry.instruments if telemetry is not None \
-        else NULL_INSTRUMENTS
-    wl_arrivals = wl_instruments.counter("workload.arrivals")
-    wl_interarrival = wl_instruments.timer("workload.interarrival")
-    wl_keys_total = wl_instruments.counter("workload.keys")
-    wl_keys_hot = wl_instruments.counter("workload.keys_hot")
-    wl_txn_hold = wl_instruments.timer("workload.txn_hold")
-
-    if telemetry is not None:
-        def note_key(key: int, now: float) -> None:
-            wl_keys_total.inc()
-            hot = picker.hot_interval(now)
-            if hot is not None:
-                start, size = hot
-                if (key - start) % key_space < size:
-                    wl_keys_hot.inc()
-    else:
-        def note_key(key: int, now: float) -> None:
-            pass
-
-    def draw_member(now: float):
-        """One (operation, key) draw — identical stream order to the
-        legacy driver (mix from rng_arrivals, key from rng_keys)."""
-        op_name = runtime.draw_operation(rng_arrivals)
-        if op_name == OP_DELETE:
-            key = pick_resident_key(tree, rng_keys, key_space,
-                                    probe=picker.pick(now))
+        if telemetry is not None:
+            def note_key(key: int, now: float) -> None:
+                wl_keys_total.inc()
+                hot = picker.hot_interval(now)
+                if hot is not None:
+                    start, size = hot
+                    if (key - start) % key_space < size:
+                        wl_keys_hot.inc()
         else:
-            key = picker.pick(now)
-        note_key(key, now)
-        return op_name, key
+            def note_key(key: int, now: float) -> None:
+                pass
 
-    def spawn_operation() -> None:
-        op_name, key = draw_member(sim.now)
-        factory = getattr(module, op_name)
-        state.population += 1
-        metrics.note_population(state.population)
-        if state.population > config.max_population:
-            state.overflowed = True
-            sim.stop()
-            return
-        sim.spawn(factory(ctx, key), name=op_name,
-                  on_done=on_operation_done)
+        def draw_member(now: float):
+            """One (operation, key) draw — identical stream order to the
+            legacy driver (mix from rng_arrivals, key from rng_keys)."""
+            op_name = runtime.draw_operation(rng_arrivals)
+            if op_name == OP_DELETE:
+                key = pick_resident_key(tree, rng_keys, key_space,
+                                        probe=picker.pick(now))
+            else:
+                key = picker.pick(now)
+            note_key(key, now)
+            return op_name, key
 
-    txn_table = TransactionLockTable() if txn_size > 1 else None
+        def spawn_operation() -> None:
+            op_name, key = draw_member(sim.now)
+            factory = getattr(module, op_name)
+            state.population += 1
+            metrics.note_population(state.population)
+            if state.population > config.max_population:
+                state.overflowed = True
+                sim.stop()
+                return
+            sim.spawn(factory(ctx, key), name=op_name,
+                      on_done=on_operation_done)
 
-    def spawn_transaction() -> None:
-        now = sim.now
-        members = tuple(draw_member(now) for _ in range(txn_size))
-        state.population += 1
-        metrics.note_population(state.population)
-        if state.population > config.max_population:
-            state.overflowed = True
-            sim.stop()
-            return
-        sim.spawn(
-            transaction_envelope(module, ctx, members, txn_table,
-                                 on_commit=wl_txn_hold.observe),
-            name="transaction", on_done=on_operation_done)
+        txn_table = TransactionLockTable() if txn_size > 1 else None
 
-    spawn = spawn_operation if txn_size == 1 else spawn_transaction
+        def spawn_transaction() -> None:
+            now = sim.now
+            members = tuple(draw_member(now) for _ in range(txn_size))
+            state.population += 1
+            metrics.note_population(state.population)
+            if state.population > config.max_population:
+                state.overflowed = True
+                sim.stop()
+                return
+            sim.spawn(
+                transaction_envelope(module, ctx, members, txn_table,
+                                     on_commit=wl_txn_hold.observe),
+                name="transaction", on_done=on_operation_done)
 
-    def arrivals():
-        sampler = runtime.arrival_sampler(config.arrival_rate,
-                                          rng_arrivals)
-        # Hoisted bound methods: no per-arrival attribute or config
-        # lookups in the hot loop.
-        next_interval = sampler.next_interval
-        count_arrival = wl_arrivals.inc
-        observe_gap = wl_interarrival.observe
-        while True:
-            gap = next_interval()
-            yield gap
-            count_arrival()
-            observe_gap(gap)
-            spawn()
+        spawn = spawn_operation if txn_size == 1 else spawn_transaction
 
-    def root_sampler():
-        while True:
-            yield _ROOT_SAMPLE_INTERVAL
-            lock = tree.root.lock
-            present = lock.writer is not None or lock.writer_waiting()
-            metrics.record_root_sample(present,
-                                       queue_length=lock.queue_length)
+        def arrivals():
+            sampler = runtime.arrival_sampler(config.arrival_rate,
+                                              rng_arrivals)
+            # Hoisted bound methods: no per-arrival attribute or config
+            # lookups in the hot loop.
+            next_interval = sampler.next_interval
+            count_arrival = wl_arrivals.inc
+            observe_gap = wl_interarrival.observe
+            while True:
+                gap = next_interval()
+                yield gap
+                count_arrival()
+                observe_gap(gap)
+                spawn()
 
-    sim.spawn(arrivals(), name="arrivals")
-    sim.spawn(root_sampler(), name="root-sampler")
-    if telemetry is not None:
-        sim.spawn(telemetry.sampler_process(sim, lambda: state.population),
-                  name="telemetry-sampler")
-    if config.compaction_interval is not None:
-        from repro.simulator.compaction import compactor
-        sim.spawn(compactor(ctx, config.compaction_interval),
-                  name="compactor")
+        def root_sampler():
+            while True:
+                yield _ROOT_SAMPLE_INTERVAL
+                lock = tree.root.lock
+                present = lock.writer is not None or lock.writer_waiting()
+                metrics.record_root_sample(present,
+                                           queue_length=lock.queue_length)
 
-    def done() -> bool:
-        return (metrics.measured_operations >= target) or state.overflowed
+        sim.spawn(arrivals(), name="arrivals")
+        sim.spawn(root_sampler(), name="root-sampler")
+        if telemetry is not None:
+            sim.spawn(telemetry.sampler_process(sim, lambda: state.population),
+                      name="telemetry-sampler")
+        if config.compaction_interval is not None:
+            from repro.simulator.compaction import compactor
+            sim.spawn(compactor(ctx, config.compaction_interval),
+                      name="compactor")
 
-    guard = None
-    if budget is None:
-        stop_when = done
-    else:
-        from repro.resilience.budget import BudgetGuard
-        guard = BudgetGuard(budget)
-        # exceeded() runs first so every executed event is counted.
-        stop_when = lambda: guard.exceeded() or done()  # noqa: E731
-    sim.run(stop_when=stop_when)
-    metrics.measure_end_time = sim.now
+        def done() -> bool:
+            return (metrics.measured_operations >= target) or state.overflowed
 
-    tripped = guard is not None and guard.tripped
-    result = summarize(
-        metrics, algorithm=config.algorithm,
-        arrival_rate=config.arrival_rate, seed=config.seed,
-        overflowed=state.overflowed or tripped, tree_size=len(tree),
-        tree_height=tree.height,
-    )
+        guard = None
+        if budget is None:
+            stop_when = done
+        else:
+            from repro.resilience.budget import BudgetGuard
+            guard = BudgetGuard(budget)
+            # exceeded() runs first so every executed event is counted.
+            stop_when = lambda: guard.exceeded() or done()  # noqa: E731
+        sim.run(stop_when=stop_when)
+        metrics.measure_end_time = sim.now
+
+        tripped = guard is not None and guard.tripped
+        result = summarize(
+            metrics, algorithm=config.algorithm,
+            arrival_rate=config.arrival_rate, seed=config.seed,
+            overflowed=state.overflowed or tripped, tree_size=len(tree),
+            tree_height=tree.height,
+        )
     if telemetry is not None:
         telemetry.finalize(result)
     if tripped:

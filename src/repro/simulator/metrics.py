@@ -19,8 +19,8 @@ from repro.des.stats import ReservoirSample, RunningStats
 
 
 class LevelWaitObserver:
-    """Per-level lock-wait accumulator, installed as the RWLock observer
-    of every node at the level."""
+    """Per-level lock-wait accumulator, fed through the level's
+    :class:`GatedObserver` by every node lock at the level."""
 
     __slots__ = ("read_waits", "write_waits")
 
@@ -33,6 +33,22 @@ class LevelWaitObserver:
             self.read_waits.add(wait)
         else:
             self.write_waits.add(wait)
+
+
+class GatedObserver:
+    """Forwards lock waits to one level's :class:`LevelWaitObserver`
+    only while the collector's measurement window is open; the
+    simulator shares one per tree level among that level's locks."""
+
+    __slots__ = ("collector", "inner")
+
+    def __init__(self, collector: "MetricsCollector", level: int) -> None:
+        self.collector = collector
+        self.inner = collector.observer_for_level(level)
+
+    def on_wait(self, mode: str, wait: float) -> None:
+        if self.collector.measuring:
+            self.inner.on_wait(mode, wait)
 
 
 def _reservoir_seed(run_seed: int, index: int) -> int:

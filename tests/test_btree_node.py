@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.btree.node import InternalNode, LeafNode
+from repro.btree.node import InternalNode, LeafNode, lock_factory
 from repro.errors import BTreeError
 
 
@@ -121,3 +121,33 @@ class TestInternalNode:
     def test_node_ids_unique(self):
         ids = {LeafNode().node_id for _ in range(100)}
         assert len(ids) == 100
+
+
+class TestLazyLock:
+    def test_reads_none_outside_a_run(self):
+        assert LeafNode().lock is None
+
+    def test_factory_runs_once_on_first_read(self):
+        made = []
+        leaf, other = LeafNode(), InternalNode(2)
+
+        def factory(node):
+            made.append(node)
+            return f"n{node.node_id}"
+
+        with lock_factory(factory):
+            assert leaf.lock == f"n{leaf.node_id}"
+            assert leaf.lock == f"n{leaf.node_id}"
+        assert made == [leaf]
+        assert leaf.lock == f"n{leaf.node_id}"
+        assert other.lock is None
+
+    def test_assigned_lock_wins_and_none_resets(self):
+        leaf = LeafNode()
+        leaf.lock = "assigned"
+        with lock_factory(lambda node: "made"):
+            assert leaf.lock == "assigned"
+            leaf.lock = None
+            assert leaf.lock == "made"
+        leaf.lock = None
+        assert leaf.lock is None

@@ -127,3 +127,85 @@ def test_search_finds_exactly_members(order, keys):
         assert tree.search(key)
     for probe in range(0, 10**6, 99_991):
         assert tree.search(probe) == (probe in keys)
+
+
+def _snapshot(tree: BPlusTree):
+    """Every field of every reachable node, nodes named by identity."""
+    nodes, frontier = [], [tree.root]
+    while frontier:
+        nodes.extend(frontier)
+        frontier = [child for node in frontier
+                    for child in getattr(node, "children", ())]
+    return ([(id(node), node.level, list(node.keys), node.high_key,
+              id(node.right), node.dead,
+              [id(child) for child in getattr(node, "children", ())])
+             for node in nodes],
+            id(tree.root), len(tree), tree.split_count, tree.merge_count,
+            tree.on_new_node)
+
+
+@_SETTINGS
+@given(policy=st.sampled_from([MERGE_AT_EMPTY, MERGE_AT_HALF]),
+       order=ORDERS, before=OPERATIONS, during=OPERATIONS)
+def test_rollback_restores_the_journaled_tree(policy, order, before, during):
+    """Whatever splits, merges and removals happen after ``journal()``,
+    ``rollback()`` restores every reachable node and the tree fields."""
+    tree = BPlusTree(order=order, merge_policy=policy)
+    for op, key in before:
+        getattr(tree, op)(key)
+    expected = _snapshot(tree)
+    tree.journal()
+    tree.on_new_node = lambda node: None
+    for op, key in during:
+        getattr(tree, op)(key)
+    tree.rollback()
+    assert _snapshot(tree) == expected
+    check_invariants(tree)
+    tree.rollback()  # no journal open: nothing to undo
+    assert _snapshot(tree) == expected
+
+
+def _undone(tree: BPlusTree, change) -> None:
+    """``change(tree)`` under a journal alters the tree; ``rollback()``
+    restores it exactly."""
+    expected = _snapshot(tree)
+    tree.journal()
+    change(tree)
+    assert _snapshot(tree) != expected
+    tree.rollback()
+    assert _snapshot(tree) == expected
+
+
+def _sequential_tree(policy, order: int = 4) -> BPlusTree:
+    tree = BPlusTree(order=order, merge_policy=policy)
+    for key in range(0, 300, 3):
+        tree.insert(key)
+    return tree
+
+
+def test_each_primitive_journals_the_nodes_it_writes():
+    """A primitive is undone even when no earlier call journaled the
+    nodes it writes (the concurrent algorithms call them directly)."""
+    tree = _sequential_tree(MERGE_AT_EMPTY)
+    _undone(tree, lambda t: t.half_split(t.find_leaf(150)))
+    # Empty one leaf without restructuring, then free it under the
+    # journal: the freed leaf and its neighbours were never journaled.
+    path = tree.path_to(150)
+    for key in list(path[-1].keys):
+        tree.apply_leaf_delete(path[-1], key)
+    _undone(tree, lambda t: t.remove_empty_leaf(path))
+
+
+@pytest.mark.parametrize("extra", [1, 0], ids=["borrow", "merge"])
+def test_merge_at_half_restructuring_is_undone(extra):
+    """A delete that underflows the last child of a parent borrows from
+    (or merges into) its left sibling, which nothing journaled before."""
+    tree = _sequential_tree(MERGE_AT_HALF)
+    parent = tree.path_to(10**6)[-2]
+    left, last = parent.children[-2], parent.children[-1]
+    floor = MERGE_AT_HALF.min_entries(tree.order)
+    while len(left.keys) < floor + extra:
+        tree.insert(left.keys[-1] + 1)
+    while len(last.keys) > floor:
+        tree.delete(last.keys[-1])
+    _undone(tree, lambda t: t.delete(last.keys[0]))
