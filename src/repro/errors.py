@@ -95,7 +95,7 @@ class ResilienceError(ReproError):
 
 
 class CheckpointError(ResilienceError):
-    """A sweep checkpoint journal cannot be used (wrong task list, bad
+    """A checkpoint journal cannot be used (wrong task list, bad
     header, unwritable path)."""
 
 

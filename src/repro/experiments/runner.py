@@ -472,7 +472,7 @@ def _simulate(args) -> int:
     for offset, result in enumerate(results):
         if result is None:
             print(f"seed={config.seed + offset} QUARANTINED "
-                  f"(see the failure manifest / stderr)")
+                  f"(failed every attempt the retry policy allows)")
             continue
         status = ("OVERFLOW" if result.overflowed
                   else f"throughput={result.throughput:.4g} "

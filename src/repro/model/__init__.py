@@ -47,11 +47,7 @@ from repro.model.thumb import (
     rule_of_thumb_3,
     rule_of_thumb_4,
 )
-from repro.model.validation import (
-    ValidationReport,
-    compare_prediction_to_simulation,
-    measured_model_config,
-)
+from repro.model.validation import measured_model_config
 from repro.model.closed import (
     ClosedSystemPrediction,
     closed_system_prediction,
@@ -79,14 +75,12 @@ __all__ = [
     "RWQueueSolution",
     "RecoveryPolicy",
     "TreeShape",
-    "ValidationReport",
     "analyze_link",
     "analyze_lock_coupling",
     "analyze_optimistic",
     "analyze_optimistic_with_recovery",
     "analyze_two_phase",
     "arrival_rate_for_root_utilization",
-    "compare_prediction_to_simulation",
     "effective_load",
     "max_throughput",
     "measured_model_config",

@@ -17,8 +17,8 @@ The :func:`execution` context manager installs ambient ``jobs``/
 experiment layer with one ``with`` block; see ``docs/performance.md``
 and ``docs/robustness.md``.  With a
 :class:`~repro.resilience.ResilienceOptions` installed, batches retry,
-quarantine and checkpoint instead of aborting on the first failure;
-:func:`run_batch_report` returns the full
+preempt stalled tasks and quarantine instead of aborting on the first
+failure; :func:`run_batch_report` returns the full
 :class:`~repro.resilience.BatchReport`.
 """
 

@@ -43,7 +43,7 @@ class ExecutionContext:
     cache: Optional[ResultCache] = None
     progress: Optional[Callable] = None
     #: Failure policy for batches below this context (retries, task
-    #: timeouts, checkpointing — see :mod:`repro.resilience`); ``None``
+    #: timeouts, quarantine — see :mod:`repro.resilience`); ``None``
     #: keeps the historical fail-fast behavior.
     resilience: Optional[ResilienceOptions] = None
 

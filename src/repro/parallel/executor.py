@@ -21,13 +21,12 @@ or ambient :func:`~repro.parallel.context.execution` context), the
 batch additionally survives hostile conditions: per-task exceptions and
 ``BrokenProcessPool`` trigger bounded retries with exponential backoff,
 exhausted tasks are quarantined (a ``None`` slot in the returned list)
-instead of aborting the sweep, stalled tasks are preempted by a
-parent-side wall deadline, budget-truncated runs come back as partial
-saturation-flagged results, and a checkpoint journal lets an
-interrupted sweep resume.  :func:`run_batch_report` exposes the full
-:class:`~repro.resilience.BatchReport`.  Without a policy the same loop
-is fail-fast: the first task exception propagates.  Either way a
-fault-free batch returns the same results.
+instead of aborting the sweep, and stalled tasks are preempted by a
+parent-side wall deadline (at any ``jobs``: a timeout runs the batch in
+worker processes, one at ``jobs=1``).  :func:`run_batch_report` exposes
+the full :class:`~repro.resilience.BatchReport`.  Without a policy the
+same loop is fail-fast: the first task exception propagates.  Either
+way a fault-free batch returns the same results.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     TYPE_CHECKING,
@@ -62,7 +61,6 @@ from repro.parallel.context import (
     resolve_progress,
     resolve_resilience,
 )
-from repro.resilience.budget import TaskBudget, TruncatedResult
 from repro.resilience.faults import (
     FaultPlan,
     FaultSpec,
@@ -70,14 +68,12 @@ from repro.resilience.faults import (
     corrupt_cache_entry,
     plan_from_env,
 )
-from repro.resilience.manifest import SweepJournal
 from repro.resilience.policy import ResilienceOptions
 from repro.resilience.report import (
     ERROR_TIMEOUT,
     ERROR_WORKER_DIED,
     BatchReport,
     FailureRecord,
-    TruncationRecord,
 )
 from repro.simulator.config import SimulationConfig
 from repro.simulator.metrics import SimulationResult
@@ -91,6 +87,9 @@ KIND_CLOSED = "closed"
 
 #: Bound on how long pool teardown may block (joining dead workers).
 _TEARDOWN_GRACE = 5.0
+
+#: Parent wait granularity while a timeout or backoff is armed.
+_POLL_INTERVAL = 0.05
 
 
 @dataclass(frozen=True)
@@ -106,13 +105,6 @@ class SimTask:
     also record full run telemetry.  Telemetry runs bypass the result
     cache — the time series are the artifact, and a memoized result
     has none — and are supported for open tasks only.
-
-    ``budget`` (a :class:`~repro.resilience.TaskBudget`) bounds the run
-    by executed events and/or wall clock; a tripped budget yields a
-    :class:`~repro.resilience.TruncatedResult` whose partial metrics
-    are flagged as saturation-suspected.  Budgets do not enter the
-    cache key — they cannot alter a run that completes within them,
-    and truncated results are never cached.
     """
 
     config: SimulationConfig
@@ -120,7 +112,6 @@ class SimTask:
     mpl: Optional[int] = None
     think_time: float = 0.0
     telemetry: Optional["TelemetryOptions"] = None
-    budget: Optional[TaskBudget] = None
 
     def __post_init__(self) -> None:
         if self.kind not in (KIND_OPEN, KIND_CLOSED):
@@ -134,16 +125,11 @@ class SimTask:
         if self.telemetry is not None and self.kind != KIND_OPEN:
             raise ConfigurationError(
                 "telemetry collection is supported for open tasks only")
-        if self.budget is not None and not isinstance(self.budget,
-                                                      TaskBudget):
-            raise ConfigurationError(
-                f"budget must be a TaskBudget, got "
-                f"{type(self.budget).__name__}")
 
 
 def task_key(task: SimTask, salt: str = CODE_SALT) -> str:
-    """The task's content key — shared by the result cache and the
-    checkpoint journal, so both identify a point the same way."""
+    """The task's content key, under which the result cache stores
+    the task's result."""
     extra = {} if task.kind == KIND_OPEN else \
         {"mpl": task.mpl, "think_time": task.think_time}
     return config_key(task.config, kind=task.kind, extra=extra, salt=salt)
@@ -179,25 +165,23 @@ def execute_task(task: SimTask) -> Any:
     """Run one task to completion (top-level, hence picklable: this is
     the function worker processes import and call).
 
-    Returns the task's :class:`SimulationResult` — or a
-    :class:`~repro.resilience.TruncatedResult` when the task's budget
-    tripped, or, when the task carries telemetry options, the full
+    Returns the task's :class:`SimulationResult` — or, when the task
+    carries telemetry options, the full
     :class:`~repro.obs.telemetry.RunTelemetry` (whose ``result`` field
-    is the run's result, truncated or not)."""
+    is the run's result)."""
     # Imported here, not at module top, to keep the worker import light
     # and to avoid a cycle (driver -> parallel -> driver).
     if task.kind == KIND_CLOSED:
         from repro.simulator.closed import run_closed_simulation
         return run_closed_simulation(task.config, task.mpl,
-                                     think_time=task.think_time,
-                                     budget=task.budget)
+                                     think_time=task.think_time)
     from repro.simulator.driver import run_simulation
     if task.telemetry is not None:
         from repro.obs.telemetry import TelemetryRecorder
         recorder = TelemetryRecorder(task.telemetry)
-        run_simulation(task.config, telemetry=recorder, budget=task.budget)
+        run_simulation(task.config, telemetry=recorder)
         return recorder.telemetry
-    return run_simulation(task.config, budget=task.budget)
+    return run_simulation(task.config)
 
 
 def _execute_guarded(task: SimTask, index: int,
@@ -261,7 +245,7 @@ def run_batch(tasks: Sequence[SimTask],
     ``$REPRO_FAULTS`` plan — the batch runs resiliently: failed tasks
     are retried then quarantined (``None`` in the returned list) and
     the sweep always terminates; use :func:`run_batch_report` to also
-    get the failure manifest.
+    get the failure records.
     """
     resolved = resolve_resilience(resilience)
     if resolved is None and plan_from_env() is not None:
@@ -284,7 +268,7 @@ def run_batch_report(tasks: Sequence[SimTask],
                      resilience: Optional[ResilienceOptions] = None,
                      ) -> BatchReport:
     """:func:`run_batch` with the full :class:`~repro.resilience.\
-BatchReport` (results, failure manifest, truncations, event totals).
+BatchReport` (results, failure records, event totals).
 
     Always runs resiliently; ``resilience`` defaults to the ambient
     context's options, else to ``ResilienceOptions()``.
@@ -300,7 +284,7 @@ class _Batch:
 
     ``options=None`` is fail-fast: the first task exception propagates
     unchanged (``BrokenProcessPool`` included) and the pool's pending
-    futures are cancelled; nothing is retried, quarantined or journaled.
+    futures are cancelled; nothing is retried or quarantined.
     """
 
     def __init__(self, tasks: List[SimTask], n_jobs: int,
@@ -331,13 +315,11 @@ class _Batch:
             for task in tasks]
         n = len(tasks)
         self.results: List[Optional[SimulationResult]] = [None] * n
-        self.completed = [False] * n
         #: Failed attempts charged so far, per task.
         self.failures = [0] * n
         #: Earliest monotonic time a retry may be resubmitted.
         self.eligible_at: Dict[int, float] = {}
         self.report = BatchReport(results=self.results)
-        self.journal: Optional[SweepJournal] = None
         self._beacon_dir: Optional[str] = None
         #: pid -> Process, accumulated across a pool's life so exit
         #: codes stay readable after the executor reaps its workers.
@@ -347,47 +329,19 @@ class _Batch:
     # Orchestration
     # ------------------------------------------------------------------
     def run(self) -> BatchReport:
-        if self.options.checkpoint is not None:
-            self.journal = SweepJournal(self.options.checkpoint, self.keys,
-                                        resume=self.options.resume)
-            self.report.checkpoint_path = str(self.journal.path)
-        try:
-            self._resume_from_journal()
-            pending = self._serve_from_cache(
-                [i for i in range(len(self.tasks)) if not self.completed[i]])
-            if pending:
-                # A lone fail-fast task gains nothing from a pool.
-                if self.n_jobs <= 1 or (self.fail_fast and len(pending) == 1):
-                    self._run_inline(pending)
-                else:
-                    self._run_pool(pending)
-            self.report.failures.sort(key=lambda record: record.index)
-            if self.journal is not None:
-                self.journal.close(summary={
-                    "succeeded": self.report.succeeded,
-                    "quarantined": self.report.quarantined_indices,
-                    "retries": self.report.retries,
-                    "timeouts": self.report.timeouts,
-                    "pool_rebuilds": self.report.pool_rebuilds,
-                    "truncated": [t.index for t in self.report.truncations],
-                })
-        finally:
-            if self.journal is not None:
-                self.journal.close()
+        pending = self._serve_from_cache(list(range(len(self.tasks))))
+        if pending:
+            # Only a worker process can be preempted, so a deadline
+            # needs the pool even at one job; a lone fail-fast task
+            # gains nothing from one.
+            if self.options.task_timeout is None and (
+                    self.n_jobs <= 1
+                    or (self.fail_fast and len(pending) == 1)):
+                self._run_inline(pending)
+            else:
+                self._run_pool(pending)
+        self.report.failures.sort(key=lambda record: record.index)
         return self.report
-
-    def _resume_from_journal(self) -> None:
-        if self.journal is None:
-            return
-        for index, result in sorted(self.journal.completed.items()):
-            if self.tasks[index].telemetry is not None:
-                continue  # telemetry artifacts are never journaled
-            self.results[index] = result
-            self.completed[index] = True
-            self.report.resumed += 1
-            self.inst.counter("resilience.resumed").inc()
-            if self.progress is not None:
-                self.progress(result)
 
     def _serve_from_cache(self, pending: List[int]) -> List[int]:
         if self.cache is None:
@@ -398,15 +352,13 @@ class _Batch:
                 missed.append(index)
                 continue
             key = self.keys[index]
-            for spec in self.faults.cache_faults(index):
-                if corrupt_cache_entry(self.cache, key):
-                    self._event("cache-corruption-injected", index=index)
+            for _ in self.faults.cache_faults(index):
+                corrupt_cache_entry(self.cache, key)
             errors_before = self.cache.stats.errors
             hit = self.cache.get(key)
             if self.cache.stats.errors > errors_before:
                 self.report.cache_corruptions += 1
                 self.inst.counter("resilience.cache_corrupt").inc()
-                self._event("cache-entry-corrupt", index=index)
             if hit is None:
                 missed.append(index)
             else:
@@ -423,7 +375,7 @@ class _Batch:
                 specs = self.faults.worker_faults(index, attempt)
                 try:
                     apply_worker_faults(specs)
-                    outcome = execute_task(self._prepared(index))
+                    outcome = execute_task(self.tasks[index])
                 except Exception as error:
                     if self.fail_fast:
                         raise
@@ -436,7 +388,7 @@ class _Batch:
                 break
 
     # ------------------------------------------------------------------
-    # Process pool (jobs >= 2)
+    # Process pool (jobs >= 2, or any jobs with a task timeout)
     # ------------------------------------------------------------------
     def _run_pool(self, pending: List[int]) -> None:
         queue: deque = deque(pending)
@@ -446,7 +398,6 @@ class _Batch:
                 if self._pool_round(queue):
                     self.report.pool_rebuilds += 1
                     self.inst.counter("resilience.pool_rebuilds").inc()
-                    self._event("pool-rebuild")
         finally:
             shutil.rmtree(self._beacon_dir, ignore_errors=True)
             self._beacon_dir = None
@@ -463,7 +414,7 @@ class _Batch:
         torn_down = False
         try:
             while queue or futures:
-                self._submit_eligible(pool, queue, futures)
+                self._submit_eligible(pool, queue, futures, workers)
                 self._procs.update(getattr(pool, "_processes", None) or {})
                 if not futures:
                     # Everything left is backing off; nap until the
@@ -472,9 +423,9 @@ class _Batch:
                     soonest = min((self.eligible_at.get(i, now)
                                    for i in queue), default=now)
                     time.sleep(min(max(soonest - now, 0.0),
-                                   self.options.poll_interval * 10))
+                                   _POLL_INTERVAL * 10))
                     continue
-                poll = self.options.poll_interval \
+                poll = _POLL_INTERVAL \
                     if (self.options.task_timeout is not None or queue) \
                     else None
                 done, _ = wait(set(futures), timeout=poll,
@@ -515,15 +466,21 @@ class _Batch:
                 pool.shutdown(wait=True, cancel_futures=True)
 
     def _submit_eligible(self, pool, queue: deque,
-                         futures: Dict[Any, int]) -> None:
+                         futures: Dict[Any, int], workers: int) -> None:
+        """Submit eligible tasks, at most one per worker: the pool marks
+        a future running as soon as it is queued for a worker, so a task
+        waiting behind a busy one would otherwise start its deadline
+        clock early."""
         now = time.monotonic()
         for _ in range(len(queue)):
+            if len(futures) >= workers:
+                return
             index = queue.popleft()
             if self.eligible_at.get(index, 0.0) > now:
                 queue.append(index)  # still backing off; rotate
                 continue
             specs = self.faults.worker_faults(index, self.failures[index])
-            future = pool.submit(_execute_guarded, self._prepared(index),
+            future = pool.submit(_execute_guarded, self.tasks[index],
                                  index, specs, self._beacon_dir)
             futures[future] = index
 
@@ -544,8 +501,6 @@ class _Batch:
         for index in sorted(expired):
             self.report.timeouts += 1
             self.inst.counter("resilience.timeouts").inc()
-            self._event("timeout", index=index,
-                        attempt=self.failures[index])
             if self._charge(index, ERROR_TIMEOUT,
                             f"ran past the {timeout:g}s task deadline"):
                 queue.append(index)
@@ -576,8 +531,6 @@ class _Batch:
         self._clear_beacons()
         for index in sorted(outstanding):
             if index in culprits:
-                self._event("worker-died", index=index,
-                            attempt=self.failures[index])
                 if self._charge(index, ERROR_WORKER_DIED,
                                 "worker process died while running "
                                 "this task (process pool broken)"):
@@ -654,12 +607,6 @@ class _Batch:
     # ------------------------------------------------------------------
     # Accounting
     # ------------------------------------------------------------------
-    def _prepared(self, index: int) -> SimTask:
-        task = self.tasks[index]
-        if task.budget is None and self.options.budget is not None:
-            return replace(task, budget=self.options.budget)
-        return task
-
     def _remaining_backoff(self, index: int) -> float:
         return max(0.0, self.eligible_at.get(index, 0.0) - time.monotonic())
 
@@ -674,45 +621,24 @@ class _Batch:
                 message=message, attempts=attempts)
             self.report.failures.append(record)
             self.inst.counter("resilience.quarantined").inc()
-            if self.journal is not None:
-                self.journal.record_quarantined(record)
             return False
         delay = policy.delay_for(attempts,
                                  token=self.keys[index] or f"task-{index}")
         self.eligible_at[index] = time.monotonic() + delay
         self.report.retries += 1
         self.inst.counter("resilience.retries").inc()
-        self._event("retry", index=index, attempt=attempts, error=error,
-                    delay=round(delay, 4))
         return True
 
     def _record_success(self, index: int, outcome: Any,
                         store: bool = True) -> None:
-        truncation: Optional[TruncationRecord] = None
         if self.tasks[index].telemetry is not None:
             result = outcome.result
             if self.telemetry_sink is not None:
                 self.telemetry_sink(index, outcome)
-        elif type(outcome) is TruncatedResult:
-            truncation = TruncationRecord(
-                index=index, key=self.keys[index], reason=outcome.reason,
-                events_executed=outcome.events_executed,
-                wall_seconds=outcome.wall_seconds)
-            self.report.truncations.append(truncation)
-            self.inst.counter("resilience.truncated").inc()
-            result = outcome.result  # partial metrics; never cached
         else:
             result = outcome
             if store and self.cache is not None:
                 self.cache.put(self.keys[index], result)
-        if self.journal is not None and self.keys[index] is not None:
-            self.journal.record_completed(index, self.failures[index] + 1,
-                                          result, truncation=truncation)
         self.results[index] = result
-        self.completed[index] = True
         if self.progress is not None:
             self.progress(result)
-
-    def _event(self, event: str, **fields) -> None:
-        if self.journal is not None:
-            self.journal.record_event(event, **fields)

@@ -3,38 +3,31 @@
 The paper's experiments live near and past saturation — the regime
 where simulations can run effectively forever and fixed-point solvers
 are most prone to divergence.  This package makes the sweep stack
-degrade gracefully there instead of hanging or aborting:
+degrade gracefully there instead of hanging or aborting.  A run that
+outgrows the system stops itself at ``max_population`` and comes back
+flagged ``overflowed``; everything else goes through one failure path:
 
-* **budgets** — :class:`TaskBudget` bounds one run by executed events
-  and/or wall clock; a tripped budget yields a structured
-  :class:`TruncatedResult` (saturation-suspected), never a hang.
 * **failure policy** — :class:`RetryPolicy` +
   :class:`ResilienceOptions` drive bounded retries with exponential
   backoff and deterministic jitter inside
-  :func:`repro.parallel.run_batch`; exhausted tasks are quarantined and
-  the sweep continues.
-* **checkpoint/resume** — :class:`SweepJournal` is an append-only
-  on-disk manifest; an interrupted sweep resumes, skipping completed
-  tasks, and the journal doubles as the failure manifest.
+  :func:`repro.parallel.run_batch`; a parent-side ``task_timeout``
+  preempts stalled tasks at any ``jobs``; exhausted tasks are
+  quarantined and the sweep continues, with the account in a
+  :class:`BatchReport`.
+* **checkpoint/resume** — :class:`SweepJournal` is the append-only
+  figure journal behind ``btree-perf figures --resume``; an interrupted
+  run serves its finished figures from it.
 * **fault injection** — :class:`FaultPlan` /
   :mod:`repro.resilience.faults` deterministically kill workers, stall
-  tasks, corrupt cache entries and poison solver iterations, driving
-  the test suite and the CI smoke job.
+  tasks and corrupt cache entries, driving the test suite and the CI
+  smoke job; :func:`nan_faults` poisons solver iterations in tests.
 
 See ``docs/robustness.md`` for the failure model and usage.
 """
 
-from repro.resilience.budget import (
-    REASON_EVENT_CAP,
-    REASON_WALL_DEADLINE,
-    BudgetGuard,
-    TaskBudget,
-    TruncatedResult,
-)
 from repro.resilience.faults import (
     CORRUPT_CACHE,
     FAULTS_ENV,
-    INJECT_NAN,
     KILL_WORKER,
     REPLICA_LAG,
     SHARD_CRASH,
@@ -47,19 +40,17 @@ from repro.resilience.faults import (
     nan_faults,
     plan_from_env,
 )
-from repro.resilience.manifest import SweepJournal, read_manifest
+from repro.resilience.manifest import SweepJournal
 from repro.resilience.policy import ResilienceOptions, RetryPolicy
 from repro.resilience.report import (
     ERROR_TIMEOUT,
     ERROR_WORKER_DIED,
     BatchReport,
     FailureRecord,
-    TruncationRecord,
 )
 
 __all__ = [
     "BatchReport",
-    "BudgetGuard",
     "CORRUPT_CACHE",
     "ERROR_TIMEOUT",
     "ERROR_WORKER_DIED",
@@ -67,10 +58,7 @@ __all__ = [
     "FailureRecord",
     "FaultPlan",
     "FaultSpec",
-    "INJECT_NAN",
     "KILL_WORKER",
-    "REASON_EVENT_CAP",
-    "REASON_WALL_DEADLINE",
     "REPLICA_LAG",
     "ResilienceOptions",
     "RetryPolicy",
@@ -79,10 +67,7 @@ __all__ = [
     "SLOW_SHARD",
     "STALL_TASK",
     "SweepJournal",
-    "TaskBudget",
-    "TruncatedResult",
     "corrupt_cache_entry",
     "nan_faults",
     "plan_from_env",
-    "read_manifest",
 ]

@@ -1,12 +1,12 @@
 """Deterministic fault injection for the resilience test harness.
 
 A :class:`FaultPlan` is a picklable set of :class:`FaultSpec`\\ s that
-name *where* (a task index in the batch, or a solver) and *when* (which
-retry attempts) a failure fires.  The plan travels to worker processes
-inside the submitted call, so it works under any multiprocessing start
-method, and it round-trips through the ``REPRO_FAULTS`` environment
-variable so the CI smoke job can drive a stock ``btree-perf`` sweep
-through the same failures.
+name *where* (a task index in the batch, or a shard) and *when* (which
+retry attempts, or which simulated window) a failure fires.  The plan
+travels to worker processes inside the submitted call, so it works
+under any multiprocessing start method, and it round-trips through the
+``REPRO_FAULTS`` environment variable so the CI smoke job can drive a
+stock ``btree-perf`` sweep through the same failures.
 
 Fault kinds
 -----------
@@ -19,24 +19,23 @@ Fault kinds
     process survives.
 ``stall-task``
     The worker sleeps ``seconds`` before running the task, simulating a
-    hang the in-simulation budget cannot see; only the executor's
-    parent-side ``task_timeout`` can clear it.
+    hang the simulator's population cap cannot see; only the
+    executor's parent-side ``task_timeout`` can clear it.
 ``corrupt-cache-entry``
     The task's on-disk cache entry is overwritten with a payload whose
     checksum cannot verify, exercising the corrupt-entry-degrades-to-
     miss path inside a real sweep.
-``inject-nan``
-    The next ``count`` fixed-point evaluations in
-    :func:`repro.model.rwqueue.solve_rw_queue` return NaN, exercising
-    the solver's divergence guards (installed per-process via
-    :func:`nan_faults`).
+
+The model solvers' divergence guards have their own seam: inside the
+:func:`nan_faults` context manager the next fixed-point evaluations in
+:func:`repro.model.rwqueue.solve_rw_queue` return NaN.
 
 Simulation-time fault kinds
 ---------------------------
 
 The kinds above strike the *sweep harness* (worker processes, cache
-files, solvers).  The cluster tier (:mod:`repro.cluster`) adds faults
-that strike the *simulated system* at simulated times — ``task_index``
+files).  The cluster tier (:mod:`repro.cluster`) adds faults that
+strike the *simulated system* at simulated times — ``task_index``
 names the target **shard** and ``at``/``duration`` open a window on the
 simulation clock:
 
@@ -70,11 +69,10 @@ from typing import Iterator, Optional, Tuple
 
 from repro.errors import ConfigurationError, InjectedFaultError
 
-#: Fault kinds (the ISSUE's harness vocabulary).
+#: Fault kinds that strike the sweep harness.
 KILL_WORKER = "kill-worker"
 STALL_TASK = "stall-task"
 CORRUPT_CACHE = "corrupt-cache-entry"
-INJECT_NAN = "inject-nan"
 #: Simulation-time fault kinds (the cluster tier's chaos vocabulary).
 SHARD_CRASH = "shard-crash"
 SLOW_SHARD = "slow-shard"
@@ -83,8 +81,7 @@ REPLICA_LAG = "replica-lag"
 #: Kinds that strike the simulated cluster rather than the harness.
 SIMULATION_KINDS = (SHARD_CRASH, SLOW_SHARD, REPLICA_LAG)
 
-_KINDS = (KILL_WORKER, STALL_TASK, CORRUPT_CACHE, INJECT_NAN) \
-    + SIMULATION_KINDS
+_KINDS = (KILL_WORKER, STALL_TASK, CORRUPT_CACHE) + SIMULATION_KINDS
 
 #: Defaults for the optional encoded fields (omitted when defaulted).
 _DEFAULT_SECONDS = 30.0
@@ -117,8 +114,6 @@ class FaultSpec:
     attempts: Optional[Tuple[int, ...]] = (0,)
     #: Stall duration (``stall-task`` only).
     seconds: float = _DEFAULT_SECONDS
-    #: How many evaluations to poison (``inject-nan`` only; -1 = all).
-    count: int = 1
     #: Simulated start time of the fault window (simulation kinds).
     at: float = _DEFAULT_AT
     #: Simulated length of the fault window (simulation kinds).
@@ -193,8 +188,6 @@ class FaultSpec:
                 parts.append(f"!{self.at:g}")
             if self.factor != _DEFAULT_FACTOR:
                 parts.append(f"%{self.factor:g}")
-        if self.kind == INJECT_NAN and self.count != 1:
-            parts.append(f"x{self.count}")
         return "".join(parts)
 
 
@@ -217,9 +210,6 @@ class FaultPlan:
         """Cache-corruption faults targeting task ``index``."""
         return tuple(s for s in self.specs
                      if s.kind == CORRUPT_CACHE and s.task_index == index)
-
-    def nan_faults(self) -> Tuple[FaultSpec, ...]:
-        return tuple(s for s in self.specs if s.kind == INJECT_NAN)
 
     def simulation_faults(self, kind: Optional[str] = None,
                           shard: Optional[int] = None,
@@ -253,10 +243,6 @@ def _parse_spec(chunk: str) -> FaultSpec:
     # Markers are stripped in reverse order of FaultSpec.encode so each
     # partition's tail is exactly one field's text.
     original = chunk
-    count = 1
-    if "x" in chunk:
-        chunk, _, count_text = chunk.rpartition("x")
-        count = _parse_int(count_text, original, "count")
     factor = _DEFAULT_FACTOR
     if "%" in chunk:
         chunk, _, factor_text = chunk.partition("%")
@@ -291,7 +277,7 @@ def _parse_spec(chunk: str) -> FaultSpec:
         else:
             seconds = window
     return FaultSpec(kind=chunk, task_index=index, attempts=attempts,
-                     seconds=seconds, count=count, at=at,
+                     seconds=seconds, at=at,
                      duration=duration, factor=factor)
 
 
@@ -395,19 +381,3 @@ def nan_faults(count: int = 1) -> Iterator[None]:
     finally:
         _nan_remaining = previous
 
-
-def install_nan_faults(plan: Optional[FaultPlan]) -> None:
-    """Arm the plan's ``inject-nan`` specs in this process (used by the
-    executor before running model-side work; tests prefer the
-    :func:`nan_faults` context manager)."""
-    global _nan_remaining
-    if plan is None:
-        _nan_remaining = 0
-        return
-    specs = plan.nan_faults()
-    if not specs:
-        _nan_remaining = 0
-    elif any(s.count < 0 for s in specs):
-        _nan_remaining = -1
-    else:
-        _nan_remaining = sum(s.count for s in specs)

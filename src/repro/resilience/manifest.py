@@ -1,21 +1,17 @@
-"""The sweep checkpoint journal (checkpoint/resume + failure manifest).
+"""The figure journal behind ``btree-perf figures --resume``.
 
-An append-only NDJSON file that doubles as the sweep's failure
-manifest.  One header line pins the journal to a specific task list
-(count + digest of the per-task content keys); every completed task
-appends a ``task`` line carrying its pickled result (base64), every
-quarantine appends a ``task`` line with the failure, and retry/timeout/
-rebuild events append ``event`` lines.  Appends are flushed per record,
-so a killed sweep loses at most the line being written — and the loader
-tolerates a torn final line by design.
+An append-only NDJSON file.  One header line pins the journal to a
+specific task list (count + digest of the per-task content keys), and
+every completed task appends a ``task`` line carrying its pickled
+result (base64).  Appends are flushed per record, so a killed run loses
+at most the line being written — and the loader tolerates a torn final
+line by design.
 
 Resuming (:class:`SweepJournal` with ``resume=True``) replays the
 journal: tasks recorded ``completed`` are served from it without
-re-execution; quarantined tasks get a fresh set of attempts (an
-interrupted sweep is exactly when a flaky host may have improved).
-A journal written for a different task list is refused with a readable
-:class:`~repro.errors.CheckpointError` rather than silently mixing
-sweeps.
+re-execution.  A journal written for a different task list is refused
+with a readable :class:`~repro.errors.CheckpointError` rather than
+silently mixing runs.
 """
 
 from __future__ import annotations
@@ -28,7 +24,6 @@ from pathlib import Path
 from typing import Any, Dict, Optional, Sequence
 
 from repro.errors import CheckpointError
-from repro.resilience.report import FailureRecord, TruncationRecord
 
 JOURNAL_VERSION = 1
 
@@ -43,11 +38,10 @@ def keys_digest(keys: Sequence[Optional[str]]) -> str:
 
 
 class SweepJournal:
-    """Append-only checkpoint + failure manifest for one ``run_batch``.
+    """Append-only checkpoint of one task list's completed results.
 
-    ``keys[i]`` is task *i*'s content key (the same key the result
-    cache uses), or ``None`` for tasks that cannot be resumed
-    (telemetry runs — their time series are not journaled).
+    ``keys[i]`` is task *i*'s content key; a replayed record counts
+    only when its key still matches.
     """
 
     def __init__(self, path, keys: Sequence[Optional[str]],
@@ -57,8 +51,6 @@ class SweepJournal:
         self.digest = keys_digest(self.keys)
         #: Results replayed from an existing journal, by task index.
         self.completed: Dict[int, Any] = {}
-        #: Latest quarantine record per index seen in a resumed journal.
-        self.prior_failures: Dict[int, str] = {}
         self.path.parent.mkdir(parents=True, exist_ok=True)
         if resume and self.path.exists():
             self._replay()
@@ -77,33 +69,16 @@ class SweepJournal:
                                       separators=(",", ":")) + "\n")
         self._handle.flush()
 
-    def record_completed(self, index: int, attempts: int, result: Any,
-                         truncation: Optional[TruncationRecord] = None,
-                         ) -> None:
-        record = {
+    def record_completed(self, index: int, attempts: int,
+                         result: Any) -> None:
+        self._append({
             "kind": "task", "index": index, "key": self.keys[index],
             "status": "completed", "attempts": attempts,
             "result": base64.b64encode(
                 pickle.dumps(result,
                              protocol=pickle.HIGHEST_PROTOCOL)
             ).decode("ascii"),
-        }
-        if truncation is not None:
-            record["truncated"] = truncation.reason
-            record["events_executed"] = truncation.events_executed
-        self._append(record)
-
-    def record_quarantined(self, failure: FailureRecord) -> None:
-        self._append({
-            "kind": "task", "index": failure.index, "key": failure.key,
-            "status": "quarantined", "attempts": failure.attempts,
-            "error": failure.error, "message": failure.message,
         })
-
-    def record_event(self, event: str, **fields) -> None:
-        record = {"kind": "event", "event": event}
-        record.update(fields)
-        self._append(record)
 
     def close(self, summary: Optional[dict] = None) -> None:
         if self._handle.closed:
@@ -125,7 +100,7 @@ class SweepJournal:
         records = list(_read_records(self.path))
         if not records or records[0].get("kind") != "header":
             raise CheckpointError(
-                f"{self.path} is not a sweep checkpoint journal "
+                f"{self.path} is not a checkpoint journal "
                 f"(missing header); delete it or point --resume at a "
                 f"fresh path")
         header = records[0]
@@ -140,28 +115,23 @@ class SweepJournal:
                 f"{self.path} was written for a different task list "
                 f"({header.get('n_tasks')} task(s), digest "
                 f"{str(header.get('keys_digest'))[:12]}…) than this "
-                f"sweep ({len(self.keys)} task(s), digest "
+                f"run ({len(self.keys)} task(s), digest "
                 f"{self.digest[:12]}…); delete it or choose another "
-                f"checkpoint path")
+                f"journal path")
         for record in records[1:]:
-            if record.get("kind") != "task":
+            if record.get("kind") != "task" \
+                    or record.get("status") != "completed":
                 continue
             index = record.get("index")
             if not isinstance(index, int) or not 0 <= index < len(self.keys):
                 continue
             if record.get("key") != self.keys[index]:
                 continue  # same length, different point: ignore defensively
-            if record.get("status") == "completed":
-                payload = record.get("result")
-                try:
-                    result = pickle.loads(base64.b64decode(payload))
-                except Exception:
-                    continue  # torn/corrupt payload: recompute the task
-                self.completed[index] = result
-                self.prior_failures.pop(index, None)
-            elif record.get("status") == "quarantined":
-                self.prior_failures[index] = record.get("error", "unknown")
-                self.completed.pop(index, None)
+            try:
+                self.completed[index] = pickle.loads(
+                    base64.b64decode(record.get("result")))
+            except Exception:
+                continue  # torn/corrupt payload: recompute the task
 
 
 def _read_records(path: Path):
@@ -177,31 +147,3 @@ def _read_records(path: Path):
                 return  # a crash mid-append; everything before is good
             if isinstance(record, dict):
                 yield record
-
-
-def read_manifest(path) -> Dict[str, Any]:
-    """Summarize a journal for reporting: counts plus the latest status
-    per task index (the *failure manifest* view)."""
-    statuses: Dict[int, dict] = {}
-    events = []
-    header: Optional[dict] = None
-    for record in _read_records(Path(path)):
-        kind = record.get("kind")
-        if kind == "header":
-            header = record
-        elif kind == "task" and isinstance(record.get("index"), int):
-            slim = {k: v for k, v in record.items() if k != "result"}
-            statuses[record["index"]] = slim
-        elif kind == "event":
-            events.append(record)
-    completed = sorted(i for i, r in statuses.items()
-                       if r.get("status") == "completed")
-    quarantined = sorted(i for i, r in statuses.items()
-                         if r.get("status") == "quarantined")
-    return {
-        "header": header,
-        "tasks": statuses,
-        "events": events,
-        "completed": completed,
-        "quarantined": quarantined,
-    }

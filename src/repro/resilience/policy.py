@@ -7,9 +7,8 @@ never from global randomness, so a rerun schedules identically).
 
 :class:`ResilienceOptions` bundles everything
 :func:`repro.parallel.run_batch` needs to survive a hostile sweep:
-the retry policy, the parent-side per-task wall deadline, a default
-in-worker :class:`~repro.resilience.budget.TaskBudget`, the checkpoint
-journal path, the fault plan under test, and an optional
+the retry policy, the parent-side per-task wall deadline, the fault
+plan under test, and an optional
 :class:`~repro.obs.instruments.Instrumentation` that receives
 ``resilience.*`` counters.
 """
@@ -18,12 +17,10 @@ from __future__ import annotations
 
 import hashlib
 import math
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
 from repro.errors import ConfigurationError
-from repro.resilience.budget import TaskBudget
 from repro.resilience.faults import FaultPlan
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -80,24 +77,16 @@ class ResilienceOptions:
     """How :func:`~repro.parallel.run_batch` should weather failures.
 
     ``task_timeout`` is the parent-side wall deadline for one *running*
-    attempt; it needs ``jobs >= 2`` to preempt anything (an inline run
-    cannot interrupt itself — give the task an in-worker ``budget`` for
-    that).  ``checkpoint`` names the on-disk sweep journal; with
-    ``resume`` set, completed tasks recorded there are not re-run.
+    attempt, enforced at any ``jobs``: with a timeout set, the batch
+    runs its tasks in worker processes the parent can terminate.
     """
 
     retry: RetryPolicy = RetryPolicy()
     task_timeout: Optional[float] = None
-    #: Default budget applied to tasks that do not carry their own.
-    budget: Optional[TaskBudget] = None
-    checkpoint: Optional[str] = None
-    resume: bool = False
     faults: Optional[FaultPlan] = None
     #: Sink for ``resilience.*`` event counters (retries, timeouts,
-    #: quarantines, pool rebuilds, truncations, cache corruption).
+    #: quarantines, pool rebuilds, cache corruption).
     instruments: Optional["Instrumentation"] = None
-    #: Parent wait granularity while a timeout or backoff is armed.
-    poll_interval: float = 0.05
 
     def __post_init__(self) -> None:
         if self.task_timeout is not None and not (
@@ -107,16 +96,3 @@ class ResilienceOptions:
             raise ConfigurationError(
                 f"task_timeout must be a positive finite number of "
                 f"seconds, got {self.task_timeout!r}")
-        if self.poll_interval <= 0:
-            raise ConfigurationError(
-                f"poll_interval must be positive, got {self.poll_interval}")
-        if self.resume and not self.checkpoint:
-            raise ConfigurationError(
-                "resume requires a checkpoint path to resume from")
-        if self.checkpoint is not None:
-            # Fail on construction, not hours into the sweep.
-            parent = os.path.dirname(os.path.abspath(
-                os.fspath(self.checkpoint))) or "."
-            if os.path.exists(parent) and not os.path.isdir(parent):
-                raise ConfigurationError(
-                    f"checkpoint parent {parent!r} is not a directory")

@@ -3,8 +3,7 @@
 A resilient sweep never aborts: it ends with partial results plus an
 account of what went wrong.  :class:`BatchReport` is that account —
 the in-order results list (``None`` where a task was quarantined),
-the final :class:`FailureRecord` per quarantined task, the
-:class:`TruncationRecord` per budget-truncated task, and the event
+the final :class:`FailureRecord` per quarantined task, and the event
 totals that also flow into ``resilience.*`` telemetry counters.
 """
 
@@ -38,18 +37,6 @@ class FailureRecord:
                 f"{self.message}")
 
 
-@dataclass(frozen=True)
-class TruncationRecord:
-    """One task stopped by its in-worker budget (still yields a
-    partial, saturation-flagged result)."""
-
-    index: int
-    key: Optional[str]
-    reason: str
-    events_executed: int
-    wall_seconds: float
-
-
 @dataclass
 class BatchReport:
     """Everything a resilient :func:`~repro.parallel.run_batch_report`
@@ -58,19 +45,14 @@ class BatchReport:
     #: Results in task order; ``None`` marks a quarantined task.
     results: List[Optional[object]]
     failures: List[FailureRecord] = field(default_factory=list)
-    truncations: List[TruncationRecord] = field(default_factory=list)
     #: Total retry attempts scheduled (any cause).
     retries: int = 0
     #: Parent-side deadline expiries observed.
     timeouts: int = 0
     #: Process pools torn down and rebuilt (worker death or timeout).
     pool_rebuilds: int = 0
-    #: Tasks served from a resumed checkpoint journal.
-    resumed: int = 0
     #: Cache entries detected corrupt and recomputed.
     cache_corruptions: int = 0
-    #: The checkpoint journal path, when one was written.
-    checkpoint_path: Optional[str] = None
 
     @property
     def quarantined_indices(self) -> List[int]:
@@ -82,18 +64,13 @@ class BatchReport:
 
     @property
     def ok(self) -> bool:
-        """True when every task produced a result (truncated counts:
-        a truncated task still reports partial, usable metrics)."""
+        """True when every task produced a result."""
         return not self.failures
 
     def summary(self) -> str:
         """One human line for logs and the CLI."""
         n = len(self.results)
         parts = [f"{self.succeeded}/{n} tasks succeeded"]
-        if self.resumed:
-            parts.append(f"{self.resumed} resumed from checkpoint")
-        if self.truncations:
-            parts.append(f"{len(self.truncations)} truncated by budget")
         if self.retries:
             parts.append(f"{self.retries} retries")
         if self.timeouts:

@@ -22,7 +22,11 @@ from repro.algorithms import get_algorithm
 from repro.errors import ConfigurationError
 from repro.simulator.config import SimulationConfig
 from repro.simulator.driver import run_context
-from repro.simulator.metrics import MetricsCollector, summarize
+from repro.simulator.metrics import (
+    MetricsCollector,
+    SimulationResult,
+    summarize,
+)
 from repro.simulator.operations import OP_DELETE, pick_resident_key
 from repro.workload.runtime import WorkloadRuntime
 
@@ -32,7 +36,7 @@ _ROOT_SAMPLE_INTERVAL = 1.0
 
 def run_closed_simulation(config: SimulationConfig,
                           multiprogramming_level: int,
-                          think_time: float = 0.0, budget=None):
+                          think_time: float = 0.0) -> SimulationResult:
     """Run ``config``'s algorithm under a fixed population of
     ``multiprogramming_level`` concurrent operations.
 
@@ -41,11 +45,6 @@ def run_closed_simulation(config: SimulationConfig,
     takes between operations (0 = back-to-back).  The returned
     :class:`~repro.simulator.metrics.SimulationResult` reports the
     achieved throughput — the closed system's primary output.
-
-    ``budget`` (a :class:`~repro.resilience.TaskBudget`) bounds the run
-    as in :func:`~repro.simulator.driver.run_simulation`: a tripped
-    budget returns a :class:`~repro.resilience.TruncatedResult` with
-    the partial metrics flagged ``overflowed``.
     """
     if multiprogramming_level < 1:
         raise ConfigurationError(
@@ -122,26 +121,13 @@ def run_closed_simulation(config: SimulationConfig,
         def done() -> bool:
             return metrics.measured_operations >= target
 
-        guard = None
-        if budget is None:
-            sim.run(stop_when=done)
-        else:
-            from repro.resilience.budget import BudgetGuard
-            guard = BudgetGuard(budget)
-            # exceeded() runs first so every executed event is counted.
-            sim.run(stop_when=lambda: guard.exceeded() or done())
+        sim.run(stop_when=done)
         metrics.measure_end_time = sim.now
 
-        tripped = guard is not None and guard.tripped
         result = summarize(
             metrics, algorithm=config.algorithm,
             arrival_rate=float("nan"),  # no open arrival stream
-            seed=config.seed, overflowed=tripped,
+            seed=config.seed, overflowed=False,
             tree_size=len(tree), tree_height=tree.height,
         )
-    if tripped:
-        from repro.resilience.budget import TruncatedResult
-        return TruncatedResult(result=result, reason=guard.reason,
-                               events_executed=guard.events,
-                               wall_seconds=guard.elapsed())
     return result

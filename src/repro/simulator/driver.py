@@ -147,7 +147,7 @@ class _RunState:
 
 
 def run_simulation(config: SimulationConfig, trace=None,
-                   telemetry=None, budget=None):
+                   telemetry=None) -> SimulationResult:
     """Execute one simulator run and return its metrics summary.
 
     Pass a :class:`~repro.des.trace.TraceLog` as ``trace`` to record
@@ -159,14 +159,9 @@ def run_simulation(config: SimulationConfig, trace=None,
     finished :class:`~repro.obs.telemetry.RunTelemetry` afterwards
     (``docs/observability.md``).
 
-    Pass a :class:`~repro.resilience.TaskBudget` as ``budget`` to bound
-    the run by executed events and/or wall clock; a tripped budget
-    stops the simulation and returns a
-    :class:`~repro.resilience.TruncatedResult` wrapping the partial
-    metrics summarized at truncation time, flagged ``overflowed`` (a
-    budget trip in this regime is saturation-suspected).  Without a
-    budget the return type is a plain :class:`SimulationResult` and
-    behavior is unchanged (see ``docs/robustness.md``).
+    A run that outgrows the system stops at ``config.max_population``
+    and comes back flagged ``overflowed`` (the paper's saturation
+    signal; see ``docs/robustness.md``).
     """
     module = get_algorithm(config.algorithm).ops
 
@@ -314,31 +309,17 @@ def run_simulation(config: SimulationConfig, trace=None,
         def done() -> bool:
             return (metrics.measured_operations >= target) or state.overflowed
 
-        guard = None
-        if budget is None:
-            stop_when = done
-        else:
-            from repro.resilience.budget import BudgetGuard
-            guard = BudgetGuard(budget)
-            # exceeded() runs first so every executed event is counted.
-            stop_when = lambda: guard.exceeded() or done()  # noqa: E731
-        sim.run(stop_when=stop_when)
+        sim.run(stop_when=done)
         metrics.measure_end_time = sim.now
 
-        tripped = guard is not None and guard.tripped
         result = summarize(
             metrics, algorithm=config.algorithm,
             arrival_rate=config.arrival_rate, seed=config.seed,
-            overflowed=state.overflowed or tripped, tree_size=len(tree),
+            overflowed=state.overflowed, tree_size=len(tree),
             tree_height=tree.height,
         )
     if telemetry is not None:
         telemetry.finalize(result)
-    if tripped:
-        from repro.resilience.budget import TruncatedResult
-        return TruncatedResult(result=result, reason=guard.reason,
-                               events_executed=guard.events,
-                               wall_seconds=guard.elapsed())
     return result
 
 

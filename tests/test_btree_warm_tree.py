@@ -12,7 +12,6 @@ from repro.btree import MERGE_AT_EMPTY, MERGE_AT_HALF, BPlusTree, check_invarian
 from repro.btree.builder import build_tree, warm_tree
 from repro.des.rwlock import RWLock
 from repro.experiments.common import sweep_replications
-from repro.model import validation
 from repro.model.params import OperationMix
 from repro.obs import TelemetryOptions, TelemetryRecorder
 from repro.simulator import SimulationConfig, driver, run_simulation
@@ -301,16 +300,3 @@ def test_multi_seed_sweep_builds_each_tree_once(build_calls):
     expected = [[run_simulation(base.with_rate(rate).with_seed(base.seed + k))
                  for k in range(3)] for rate in rates]
     assert repr(swept) == repr(expected)
-
-
-def test_agreement_sweep_builds_each_tree_once(build_calls, monkeypatch):
-    monkeypatch.setattr(validation, "build_tree", builder.build_tree)
-    base = _run_config(n_operations=200, warmup_operations=20)
-    rates = (0.1, 0.2, 0.3)
-    swept = validation.sweep_agreement(None, base, rates, n_seeds=2)
-    # The measured shape, then one build per seed: seed-major submission.
-    assert len(build_calls) == 3
-    pointwise = {rate: validation.sweep_agreement(None, base, [rate],
-                                                  n_seeds=2)[rate]
-                 for rate in rates}
-    assert repr(swept) == repr(pointwise)

@@ -1,17 +1,8 @@
-"""Tests for the prediction-vs-simulation validation utilities."""
-
-import math
+"""Tests for the measured model configuration."""
 
 import pytest
 
-from repro.model.lock_coupling import analyze_lock_coupling
-from repro.model.validation import (
-    ComparisonRow,
-    ValidationReport,
-    compare_prediction_to_simulation,
-    measured_model_config,
-    sweep_agreement,
-)
+from repro.model.validation import measured_model_config
 from repro.simulator.config import SimulationConfig
 
 
@@ -20,16 +11,6 @@ def quick_config():
     return SimulationConfig(
         algorithm="naive-lock-coupling", arrival_rate=0.1,
         n_items=3_000, n_operations=500, warmup_operations=50, seed=21)
-
-
-class TestComparisonRow:
-    def test_relative_error(self):
-        row = ComparisonRow("search", predicted=10.0, simulated=11.0)
-        assert row.relative_error == pytest.approx(0.1)
-
-    def test_undefined_when_saturated(self):
-        row = ComparisonRow("search", predicted=math.inf, simulated=11.0)
-        assert math.isnan(row.relative_error)
 
 
 class TestMeasuredModelConfig:
@@ -43,40 +24,3 @@ class TestMeasuredModelConfig:
         a = measured_model_config(quick_config)
         b = measured_model_config(quick_config)
         assert a.shape == b.shape
-
-
-class TestCompare:
-    def test_low_load_agreement(self, quick_config):
-        report = compare_prediction_to_simulation(
-            analyze_lock_coupling, quick_config, n_seeds=2)
-        assert len(report.rows) == 3
-        assert report.prediction.stable
-        assert not report.any_overflowed
-        assert report.max_relative_error < 0.25
-        assert report.agrees_within(0.30)
-
-    def test_format_is_readable(self, quick_config):
-        report = compare_prediction_to_simulation(
-            analyze_lock_coupling, quick_config, n_seeds=1)
-        text = report.format()
-        assert "naive-lock-coupling" in text
-        for op in ("search", "insert", "delete"):
-            assert op in text
-
-    def test_saturated_point_never_agrees(self, quick_config):
-        saturated = quick_config.with_rate(10.0)
-        report = compare_prediction_to_simulation(
-            analyze_lock_coupling,
-            SimulationConfig(**{**saturated.__dict__,
-                                "max_population": 100}),
-            n_seeds=1)
-        assert not report.agrees_within(1e9)
-
-    def test_sweep_reuses_shape(self, quick_config):
-        reports = sweep_agreement(
-            analyze_lock_coupling, quick_config, rates=(0.05, 0.15),
-            n_seeds=1)
-        assert set(reports) == {0.05, 0.15}
-        for rate, report in reports.items():
-            assert report.arrival_rate == rate
-            assert isinstance(report, ValidationReport)

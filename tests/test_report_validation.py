@@ -54,9 +54,11 @@ class TestPointSemantics:
         ]))
         assert [p.status for p in result.points] == [
             OK, BOTH_SATURATED, MODEL_SATURATED, SIM_SATURATED, UNDEFINED]
-        # Only the OK point contributes to the error statistics.
+        # Only the OK point contributes to the error statistics; a
+        # saturated or undefined point carries no error at all.
         assert len(result.valid_points) == 1
         assert result.points[0].error == pytest.approx(0.1)
+        assert [p.error for p in result.points[1:]] == [None] * 4
         assert result.saturation_mismatches == 2
 
     def test_relative_vs_absolute_metric(self):

@@ -1,9 +1,9 @@
 """Fault-injection tests: the sweep stack under hostile conditions.
 
 Every fault here is deterministic (keyed off task index + attempt), so
-these tests exercise real worker deaths, stalls, cache corruption and
-poisoned solvers without flakiness.  The acceptance scenario at the
-bottom is the one the CI fault-smoke job mirrors.
+these tests exercise real worker deaths, stalls and cache corruption
+without flakiness.  The CI fault-smoke job repeats the transient
+worker-kill case end to end, through ``$REPRO_FAULTS``.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import pytest
 from repro.errors import InjectedFaultError
 from repro.obs.instruments import Instrumentation
 from repro.parallel import (
+    CacheStats,
     ResultCache,
     SimTask,
     execute_task,
@@ -28,14 +29,11 @@ from repro.resilience import (
     FAULTS_ENV,
     FaultPlan,
     FaultSpec,
-    INJECT_NAN,
     KILL_WORKER,
     STALL_TASK,
     CORRUPT_CACHE,
     ResilienceOptions,
     RetryPolicy,
-    TaskBudget,
-    read_manifest,
 )
 from repro.simulator.config import SimulationConfig
 
@@ -135,30 +133,17 @@ class TestStallsAndDeadlines:
         plan = FaultPlan(specs=(
             FaultSpec(kind=STALL_TASK, task_index=0, attempts=None,
                       seconds=10.0),))
-        report = run_batch_report(
-            _tasks(3), jobs=2,
-            resilience=ResilienceOptions(retry=RetryPolicy(
-                max_retries=0), task_timeout=0.75, faults=plan))
-        assert report.quarantined_indices == [0]
-        assert report.failures[0].error == ERROR_TIMEOUT
-        assert report.succeeded == 2
-
-    def test_in_worker_budget_converts_stall_to_truncation(self):
-        # A wall budget inside the worker needs no pool teardown: the
-        # run truncates itself and reports partial, overflow-flagged
-        # metrics.
-        tasks = _tasks(2)
-        slow = SimTask(_quick(seed=500, arrival_rate=0.5,
-                              n_operations=100_000),
-                       budget=TaskBudget(wall_seconds=0.5,
-                                         check_interval=256))
-        report = run_batch_report(
-            tasks + [slow], jobs=2,
-            resilience=ResilienceOptions(retry=_FAST_RETRY))
-        assert report.ok
-        assert [t.index for t in report.truncations] == [2]
-        assert report.results[2].overflowed
-        assert report.pool_rebuilds == 0
+        # At jobs=1 the deadline still holds: the batch runs in a
+        # one-worker pool rather than stalling the parent.
+        for jobs in (1, 2):
+            report = run_batch_report(
+                _tasks(3), jobs=jobs,
+                resilience=ResilienceOptions(retry=RetryPolicy(
+                    max_retries=0), task_timeout=0.75, faults=plan))
+            assert report.timeouts == 1, jobs
+            assert report.quarantined_indices == [0], jobs
+            assert report.failures[0].error == ERROR_TIMEOUT
+            assert report.succeeded == 2
 
 
 # ----------------------------------------------------------------------
@@ -185,44 +170,41 @@ class TestCacheCorruptionFault:
 
 
 # ----------------------------------------------------------------------
-# Checkpoint/resume under faults
+# Resume under faults: the result cache checkpoints finished points
 # ----------------------------------------------------------------------
 class TestCheckpointResume:
 
     def test_interrupted_sweep_resumes_without_recomputing(self, tmp_path):
-        path = tmp_path / "sweep.ndjson"
+        cache = ResultCache(tmp_path)
         tasks = _tasks(5)
         plan = FaultPlan(specs=(
             FaultSpec(kind=KILL_WORKER, task_index=3, attempts=None),))
         first = run_batch_report(
-            tasks, jobs=2,
+            tasks, jobs=2, cache=cache,
             resilience=ResilienceOptions(retry=RetryPolicy(max_retries=0),
-                                         checkpoint=path, faults=plan))
+                                         faults=plan))
         assert first.quarantined_indices == [3]
-        manifest = read_manifest(path)
-        assert manifest["quarantined"] == [3]
-        assert len(manifest["completed"]) == 4
 
-        # Resume fault-free: completed tasks replay from the journal,
-        # the quarantined one gets fresh attempts and now succeeds.
-        second = run_batch_report(
-            tasks, jobs=2,
-            resilience=ResilienceOptions(checkpoint=path, resume=True))
+        # Rerun fault-free: the finished points come from the cache and
+        # only the quarantined one runs again.
+        cache.stats = CacheStats()
+        second = run_batch_report(tasks, jobs=2, cache=cache,
+                                  resilience=ResilienceOptions())
         assert second.ok
-        assert second.resumed == 4
+        assert (cache.stats.hits, cache.stats.misses) == (4, 1)
         clean = run_batch(tasks, jobs=1)
         assert _fingerprints(second.results) == _fingerprints(clean)
 
     def test_resumed_results_not_re_cached_from_scratch(self, tmp_path):
-        path = tmp_path / "sweep.ndjson"
+        cache = ResultCache(tmp_path)
         tasks = _tasks(3)
-        run_batch_report(tasks, jobs=1,
-                         resilience=ResilienceOptions(checkpoint=path))
-        report = run_batch_report(
-            tasks, jobs=1,
-            resilience=ResilienceOptions(checkpoint=path, resume=True))
-        assert report.resumed == 3
+        run_batch_report(tasks, jobs=1, cache=cache,
+                         resilience=ResilienceOptions())
+        cache.stats = CacheStats()
+        report = run_batch_report(tasks, jobs=1, cache=cache,
+                                  resilience=ResilienceOptions())
         assert report.ok
+        assert (cache.stats.hits, cache.stats.stores) == (3, 0)
 
 
 # ----------------------------------------------------------------------
@@ -258,11 +240,10 @@ class TestAcceptanceSweep:
 
     def test_twenty_task_sweep_survives_injected_faults(self, tmp_path):
         """Under kill + stall + cache-corruption faults, a 20-task sweep
-        must terminate with >= 17 successes, a failure manifest naming
-        the quarantined tasks, and fingerprints identical to a clean
-        run for every non-quarantined task."""
+        must terminate with >= 17 successes, failure records naming the
+        quarantined tasks, and fingerprints identical to a clean run
+        for every non-quarantined task."""
         cache = ResultCache(tmp_path / "cache")
-        journal = tmp_path / "sweep.ndjson"
         tasks = _tasks(20)
         # Warm one entry so the corruption fault has a target.
         run_batch([tasks[5]], jobs=1, cache=cache)
@@ -278,8 +259,8 @@ class TestAcceptanceSweep:
         report = run_batch_report(
             tasks, jobs=4, cache=cache,
             resilience=ResilienceOptions(
-                retry=_FAST_RETRY, task_timeout=1.5, checkpoint=journal,
-                faults=plan, instruments=inst))
+                retry=_FAST_RETRY, task_timeout=1.5, faults=plan,
+                instruments=inst))
 
         # Terminates with partial results: 18/20 (persistent kill and
         # persistent stall quarantined, transient kill retried).
@@ -287,12 +268,9 @@ class TestAcceptanceSweep:
         assert sorted(report.quarantined_indices) == [3, 7]
         assert report.cache_corruptions == 1
 
-        # The failure manifest names the quarantined tasks.
-        manifest = read_manifest(journal)
-        assert manifest["quarantined"] == [3, 7]
-        assert len(manifest["completed"]) == 18
-        errors = {manifest["tasks"][3]["error"],
-                  manifest["tasks"][7]["error"]}
+        # The failure records name the quarantined tasks and why.
+        assert [f.index for f in report.failures] == [3, 7]
+        errors = {failure.error for failure in report.failures}
         assert errors == {ERROR_WORKER_DIED, ERROR_TIMEOUT}
 
         # Telemetry counters observed the events.
@@ -341,14 +319,10 @@ class TestPlanRoundTripProperty:
     def _random_spec(rng):
         from repro.resilience import REPLICA_LAG, SHARD_CRASH, SLOW_SHARD
         kind = rng.choice((KILL_WORKER, STALL_TASK, CORRUPT_CACHE,
-                           INJECT_NAN, SHARD_CRASH, SLOW_SHARD,
-                           REPLICA_LAG))
+                           SHARD_CRASH, SLOW_SHARD, REPLICA_LAG))
         # %g-stable floats: <= 6 significant digits survive the text form.
         def stable(lo, hi):
             return round(rng.uniform(lo, hi), 3)
-        if kind == INJECT_NAN:
-            return FaultSpec(kind=kind,
-                             count=rng.choice((-1, 1, 2, 5)))
         if kind == CORRUPT_CACHE:
             return FaultSpec(kind=kind, task_index=rng.randrange(16))
         if kind in (KILL_WORKER, STALL_TASK):
@@ -393,7 +367,6 @@ class TestPlanRoundTripProperty:
                       duration=7.25, factor=8.0),
             FaultSpec(kind=STALL_TASK, task_index=4, seconds=12.0),
             FaultSpec(kind=KILL_WORKER, task_index=2, attempts=(0, 1)),
-            FaultSpec(kind=INJECT_NAN, count=3),
         ))
         monkeypatch.setenv(FAULTS_ENV, plan.encode())
         assert plan_from_env() == plan
