@@ -3,8 +3,7 @@
 
 Demonstrates the observability features a practitioner needs when an
 index misbehaves: latency percentiles from the run metrics, per-level
-lock-wait breakdowns (which level is the bottleneck?), the event
-trace (what exactly was a slow operation doing?), and a per-phase
+lock-wait breakdowns (which level is the bottleneck?), and a per-phase
 cProfile (where does the wall-clock go — building the tree, or running
 the concurrent operations?).
 
@@ -17,7 +16,7 @@ import pstats
 import random
 
 from repro.btree.builder import build_tree
-from repro.des import RWLock, Simulator, TraceLog
+from repro.des import RWLock, Simulator
 from repro.model.params import CostModel
 from repro.simulator import SimulationConfig, run_simulation
 from repro.simulator.costs import ServiceTimeSampler
@@ -43,36 +42,6 @@ def latency_panel() -> None:
         print(f"{rate:>6} {result.mean_response['search']:>8.2f} "
               f"{p['p50']:>8.2f} {p['p90']:>8.2f} {p['p99']:>8.2f} "
               f"{'level ' + str(worst_level):>20} ({worst_wait:.2f})")
-
-
-def trace_one_operation() -> None:
-    """Event-trace a single insert through a contended tree."""
-    print("\nEvent trace of one insert racing a burst of searches:")
-    trace = TraceLog()
-    sim = Simulator(trace=trace)
-    rng = random.Random(1)
-
-    def attach(node):
-        node.lock = RWLock(f"L{node.level}.{node.node_id}")
-
-    tree = build_tree(400, order=4, key_space=1_000,
-                      rng=random.Random(2), on_new_node=attach)
-    metrics = MetricsCollector()
-    metrics.measuring = True
-    metrics.measure_start_time = 0.0
-    ctx = OperationContext(
-        sim, tree,
-        ServiceTimeSampler(CostModel(disk_cost=5.0), tree,
-                           random.Random(3)),
-        metrics, rng)
-    for i in range(6):
-        sim.spawn(lock_coupling.search(ctx, rng.randrange(1_000)),
-                  name=f"search-{i}", delay=0.2 * i)
-    insert_proc = sim.spawn(lock_coupling.insert(ctx, 777),
-                            name="insert-777", delay=0.5)
-    sim.run()
-    for event in trace.timeline(insert_proc.pid):
-        print(f"  {event}")
 
 
 def profile_phases() -> None:
@@ -124,12 +93,10 @@ def profile_phases() -> None:
 
 def main() -> None:
     latency_panel()
-    trace_one_operation()
     profile_phases()
     print("\nReading: near the knee the p99 pulls away from the median "
           "first, and the per-level\nwaits point at the root (the "
-          "lock-coupling bottleneck) — the trace shows each W\nlock the "
-          "insert had to queue for.  The per-phase profile separates "
+          "lock-coupling bottleneck).  The per-phase profile separates "
           "setup cost\n(tree build) from the DES run itself, where "
           "Simulator._step dominates.")
 

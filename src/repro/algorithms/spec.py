@@ -3,7 +3,7 @@
 An :class:`AlgorithmSpec` pairs one concurrency-control algorithm's
 simulator operation processes with its analytical model and a set of
 capability flags.  Consumers — the open and closed simulator drivers,
-model validation, the experiment drivers and the CLI — resolve
+the experiment drivers and the CLI — resolve
 algorithms exclusively through :func:`get_algorithm` /
 :func:`all_algorithms`, never through name literals or private maps.
 
@@ -61,8 +61,6 @@ class AlgorithmSpec:
     short: str
     #: Dotted module path of the open-system operation processes.
     ops_ref: str
-    #: Dotted path of a closed-system ops variant; None reuses ``ops``.
-    closed_ops_ref: Optional[str] = None
     #: ``"module:function"`` path of the analytical model; None means
     #: the algorithm is simulator-only (no model registered yet).
     analyze_ref: Optional[str] = None
@@ -99,24 +97,6 @@ class AlgorithmSpec:
             cached = _resolve_ops(self.ops_ref, self.name)
             object.__setattr__(self, "_ops", cached)
         return cached
-
-    @property
-    def closed_ops(self) -> Optional[ModuleType]:
-        """The closed-system ops variant, or None when ``ops`` serves
-        both modes."""
-        if self.closed_ops_ref is None:
-            return None
-        cached = self.__dict__.get("_closed_ops")
-        if cached is None:
-            cached = _resolve_ops(self.closed_ops_ref, self.name)
-            object.__setattr__(self, "_closed_ops", cached)
-        return cached
-
-    @property
-    def closed_module(self) -> ModuleType:
-        """Ops module for closed-system runs (defaults to ``ops``)."""
-        return self.closed_ops if self.closed_ops_ref is not None \
-            else self.ops
 
     @property
     def has_model(self) -> bool:

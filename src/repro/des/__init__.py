@@ -31,7 +31,6 @@ from repro.des.engine import Simulator
 from repro.des.process import Acquire, Hold, Process, READ, Release, WRITE
 from repro.des.rwlock import RWLock
 from repro.des.stats import ReservoirSample, RunningStats, TimeWeightedStat
-from repro.des.trace import TraceEvent, TraceLog
 
 __all__ = [
     "Acquire",
@@ -47,8 +46,6 @@ __all__ = [
     "RunningStats",
     "Simulator",
     "TimeWeightedStat",
-    "TraceEvent",
-    "TraceLog",
     "UniformDist",
     "WRITE",
 ]

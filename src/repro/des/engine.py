@@ -26,7 +26,6 @@ from repro.des.process import (
     KIND_ACQUIRE,
     KIND_HOLD,
     KIND_RELEASE,
-    Hold,
     Process,
 )
 from repro.errors import ProcessError, SimulationError
@@ -62,22 +61,13 @@ class Simulator:
         sim.run()
     """
 
-    def __init__(self, trace=None, instruments=None) -> None:
+    def __init__(self) -> None:
         self._now: float = 0.0
         self._heap: List[Event] = []
         self._sequence: int = 0
         self._active: int = 0
         self._total_spawned: int = 0
         self._stopped: bool = False
-        #: Optional :class:`~repro.des.trace.TraceLog` recording every
-        #: lifecycle/lock/hold event the kernel executes.
-        self.trace = trace
-        #: Optional :class:`~repro.obs.instruments.Instrumentation`
-        #: registry.  When None (the default) the event loop runs the
-        #: instrument-free fast path — disabled telemetry costs nothing
-        #: per event; when set, :meth:`run` counts executed events under
-        #: ``des.events`` and :meth:`spawn` under ``des.spawned``.
-        self.instruments = instruments
 
     # ------------------------------------------------------------------
     # Clock and bookkeeping
@@ -96,6 +86,17 @@ class Simulator:
     def total_spawned(self) -> int:
         """Number of processes spawned since construction."""
         return self._total_spawned
+
+    @property
+    def events_executed(self) -> int:
+        """Number of events :meth:`run` has popped and executed.
+
+        Every heap push bumps ``_sequence`` and only :meth:`run` pops,
+        so the events that have left the heap are the pushes minus the
+        events still on it.  Inside an event the current one counts as
+        executed.
+        """
+        return self._sequence - len(self._heap)
 
     # ------------------------------------------------------------------
     # Scheduling primitives
@@ -125,8 +126,6 @@ class Simulator:
         process.on_done = on_done
         self._active += 1
         self._total_spawned += 1
-        if self.instruments is not None:
-            self.instruments.counter("des.spawned").inc()
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         self._sequence += 1
@@ -167,8 +166,6 @@ class Simulator:
 
         Returns the simulation time at which the run stopped.
         """
-        if self.instruments is not None:
-            return self._run_instrumented(until, stop_when)
         self._stopped = False
         # Local bindings: this loop executes once per event and the
         # attribute/global lookups are measurable at sweep scale.
@@ -196,40 +193,6 @@ class Simulator:
             self._now = until
         return self._now
 
-    def _run_instrumented(self, until: Optional[float],
-                          stop_when: Optional[Callable[[], bool]]) -> float:
-        """The :meth:`run` loop with the ``des.events`` counter live.
-
-        A separate loop (rather than an ``if`` per event) so that runs
-        without instrumentation keep the untouched fast path.
-        """
-        events = self.instruments.counter("des.events")
-        self._stopped = False
-        heap = self._heap
-        heappop = heapq.heappop
-        step = self._step
-        while heap:
-            event = heap[0]
-            time = event[0]
-            if until is not None and time > until:
-                self._now = until
-                return self._now
-            heappop(heap)
-            self._now = time
-            events.inc()
-            kind = event[2]
-            if kind == _EV_RESUME:
-                step(event[3], event[4])
-            elif kind == _EV_START:
-                self._start(event[3])
-            else:
-                event[3]()
-            if self._stopped or (stop_when is not None and stop_when()):
-                return self._now
-        if until is not None:
-            self._now = until
-        return self._now
-
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""
         self._stopped = True
@@ -240,21 +203,15 @@ class Simulator:
     def _start(self, process: Process) -> None:
         """First step of a spawned process (the ``_EV_START`` record)."""
         process.started_at = self._now
-        if self.trace is not None:
-            self.trace.record(self._now, "spawn", process.pid, process.name)
         self._step(process, None)
 
     def _step(self, process: Process, send_value) -> None:
         """Advance ``process`` until it blocks, holds, or finishes."""
         if process.done:
             raise ProcessError(f"{process!r} resumed after completion")
-        if self.trace is not None:
-            self._step_traced(process, send_value)
-            return
-        # Hot path: the trace check is hoisted out of the command loop
-        # entirely (tracing is off for every production sweep), the heap
-        # push for holds is inlined, and commands dispatch on a bare
-        # float check plus one integer ``kind`` compare.
+        # Hot path: the heap push for holds is inlined, and commands
+        # dispatch on a bare float check plus one integer ``kind``
+        # compare.
         send = process.generator.send
         heap = self._heap
         heappush = heapq.heappush
@@ -315,74 +272,9 @@ class Simulator:
             f"{process!r} yielded unsupported command {command!r}"
         )
 
-    def _step_traced(self, process: Process, send_value) -> None:
-        """The :meth:`_step` loop with per-command trace records."""
-        trace = self.trace
-        if process.pending_acquire is not None:
-            pending = process.pending_acquire
-            process.pending_acquire = None
-            trace.record(self._now, "grant", process.pid, process.name,
-                         f"{pending.mode} {pending.lock.name} "
-                         f"after {send_value:.4f}")
-        while True:
-            try:
-                command = process.generator.send(send_value)
-            except StopIteration:
-                self._finish(process)
-                return
-            if command.__class__ is float:
-                command = Hold(command)
-            kind = getattr(command, "kind", None)
-            if kind == KIND_HOLD:
-                trace.record(self._now, "hold", process.pid,
-                             process.name, f"{command.duration:.4f}")
-                if command.duration == 0.0:
-                    send_value = None
-                    continue
-                self.resume(process, None, delay=command.duration)
-                return
-            if kind == KIND_RELEASE:
-                trace.record(self._now, "release", process.pid,
-                             process.name, command.lock.name)
-                command.lock.release(self, process)
-                send_value = None
-                continue
-            if kind == KIND_ACQUIRE:
-                trace.record(self._now, "request", process.pid,
-                             process.name,
-                             f"{command.mode} {command.lock.name}")
-                granted = command.lock.request(self, process, command.mode)
-                if granted:
-                    # No contention: the wait is zero and the process
-                    # continues within this same step.
-                    trace.record(self._now, "grant", process.pid,
-                                 process.name,
-                                 f"{command.mode} {command.lock.name} "
-                                 "immediately")
-                    send_value = 0.0
-                    continue
-                process.pending_acquire = command
-                return  # the lock will resume us with the wait time
-            if isinstance(command, (int, float)) \
-                    and not isinstance(command, bool):
-                command = Hold(float(command))
-                trace.record(self._now, "hold", process.pid,
-                             process.name, f"{command.duration:.4f}")
-                if command.duration == 0.0:
-                    send_value = None
-                    continue
-                self.resume(process, None, delay=command.duration)
-                return
-            raise ProcessError(
-                f"{process!r} yielded unsupported command {command!r}"
-            )
-
     def _finish(self, process: Process) -> None:
         process.done = True
         process.finished_at = self._now
-        if self.trace is not None:
-            self.trace.record(self._now, "finish", process.pid,
-                              process.name)
         self._active -= 1
         if process.on_done is not None:
             process.on_done(process)

@@ -136,11 +136,11 @@ class Process:
         (or bare float) / :class:`Acquire` / :class:`Release` commands
         only.
     name:
-        Optional human-readable label used in error messages and traces.
+        Optional human-readable label used in error messages.
     """
 
     __slots__ = ("pid", "name", "generator", "done", "started_at",
-                 "finished_at", "on_done", "pending_acquire")
+                 "finished_at", "on_done")
 
     def __init__(self, generator: Generator, name: str = "") -> None:
         if not hasattr(generator, "send"):
@@ -155,8 +155,6 @@ class Process:
         self.finished_at: Optional[float] = None
         #: Optional callback ``fn(process)`` invoked when the process ends.
         self.on_done = None
-        #: The Acquire the process is currently blocked on (trace support).
-        self.pending_acquire = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "done" if self.done else "running"
@@ -172,29 +170,14 @@ class LockRequest:
     kernel must stay cheap in.
     """
 
-    __slots__ = ("process", "mode", "requested_at", "granted_at",
-                 "cancelled")
+    __slots__ = ("process", "mode", "requested_at")
 
-    def __init__(self, process: Process, mode: str, requested_at: float,
-                 granted_at: Optional[float] = None,
-                 cancelled: bool = False) -> None:
+    def __init__(self, process: Process, mode: str,
+                 requested_at: float) -> None:
         self.process = process
         self.mode = mode
         self.requested_at = requested_at
-        self.granted_at = granted_at
-        #: Set by the lock when the request is cancelled (not used by the
-        #: B-tree algorithms, but part of the queue protocol).
-        self.cancelled = cancelled
-
-    @property
-    def wait(self) -> float:
-        """Queueing delay; only meaningful once granted."""
-        if self.granted_at is None:
-            raise ProcessError("request has not been granted yet")
-        return self.granted_at - self.requested_at
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"LockRequest(process={self.process!r}, mode={self.mode!r}, "
-                f"requested_at={self.requested_at!r}, "
-                f"granted_at={self.granted_at!r}, "
-                f"cancelled={self.cancelled!r})")
+                f"requested_at={self.requested_at!r})")

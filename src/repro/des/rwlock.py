@@ -179,11 +179,6 @@ class RWLock:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _compatible(self, mode: str) -> bool:
-        if mode == READ:
-            return self._writer is None
-        return self._writer is None and not self._readers
-
     def _admit(self, process: Process, mode: str) -> None:
         tel = self.telemetry
         if mode == READ:
@@ -218,7 +213,6 @@ class RWLock:
             if tel is not None:
                 tel.queued -= 1
             self._admit(head.process, mode)
-            head.granted_at = now
             wait = now - head.requested_at
             if observer is not None:
                 observer.on_wait(mode, wait)

@@ -63,25 +63,6 @@ class SimulationError(ReproError):
     """Base class for discrete-event simulation failures."""
 
 
-class PopulationOverflowError(SimulationError):
-    """Too many concurrent operations are in flight.
-
-    The paper's simulator aborts a run when the number of concurrent
-    operations exceeds the space allocated for them, which happens when the
-    arrival rate exceeds the algorithm's maximum throughput.  We reproduce
-    that behaviour with this exception so saturation is detected the same
-    way.
-    """
-
-    def __init__(self, population: int, limit: int) -> None:
-        super().__init__(
-            f"concurrent-operation population {population} exceeded the "
-            f"allocation of {limit}; the offered load is unsustainable"
-        )
-        self.population = population
-        self.limit = limit
-
-
 class ProcessError(SimulationError):
     """A simulation process misused the engine protocol."""
 

@@ -8,16 +8,9 @@ report path (:mod:`repro.report.validation`).
 
 from __future__ import annotations
 
-from typing import Callable, Optional
-
-from repro.algorithms import get_algorithm
 from repro.btree import build_tree, collect_statistics
-from repro.errors import ConfigurationError
 from repro.model.params import ModelConfig, TreeShape
-from repro.model.results import AlgorithmPrediction
 from repro.simulator.config import SimulationConfig
-
-Analyzer = Callable[..., AlgorithmPrediction]
 
 
 def measured_model_config(sim_config: SimulationConfig,
@@ -34,17 +27,3 @@ def measured_model_config(sim_config: SimulationConfig,
     return ModelConfig(mix=sim_config.mix, costs=sim_config.costs,
                        shape=TreeShape.from_statistics(stats),
                        order=sim_config.order)
-
-
-def resolve_analyzer(analyzer: Optional[Analyzer],
-                     algorithm: str) -> Analyzer:
-    """``analyzer`` itself, or ``algorithm``'s registered analytical
-    model when None (ConfigurationError for simulator-only specs)."""
-    if analyzer is not None:
-        return analyzer
-    spec = get_algorithm(algorithm)
-    if not spec.has_model:
-        raise ConfigurationError(
-            f"algorithm {algorithm!r} has no registered analytical "
-            "model; pass an analyzer explicitly")
-    return spec.analyze

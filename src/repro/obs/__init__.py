@@ -5,7 +5,7 @@ makes a run observable *while it happens* and exportable after:
 
 * **instruments** — named :class:`Counter`\\ s and :class:`Timer`\\ s
   with a zero-allocation disabled path (:data:`NULL_INSTRUMENTS`); the
-  DES engine's untraced fast path stays entirely instrument-free.
+  DES engine's event loop holds no instrument at all.
 * **sampling** — a periodic in-simulation sampler records per-level
   lock state (queue depth, R/W utilization) and the in-flight operation
   population into a decimating ring: bounded memory, full-run coverage,

@@ -5,9 +5,10 @@ Instrumented code asks an :class:`Instrumentation` registry for named
 ``inc()`` / ``observe()`` on the hot path.  When telemetry is off the
 code holds the *null* variants instead — shared singletons whose methods
 are empty — so a disabled instrument costs one no-op method call and
-allocates nothing per event.  The DES engine goes one step further and
-keeps its untraced event loop entirely instrument-free (see
-:meth:`repro.des.engine.Simulator.run`).
+allocates nothing per event.  The DES engine goes one step further: its
+event loop holds no instrument, and the recorder reads the event and
+spawn counts off the engine when the run ends (see
+:attr:`repro.des.engine.Simulator.events_executed`).
 
 Counters accumulate integer-ish totals (events executed, processes
 spawned); timers accumulate a count / total / min / max summary of a

@@ -129,9 +129,8 @@ class TelemetrySampler:
         if self.ring.append((now, in_flight, events, snapshot)):
             self.interval *= 2.0
 
-    def process(self, sim, in_flight: Callable[[], int],
-                events_counter) -> Iterator[float]:
+    def process(self, sim, in_flight: Callable[[], int]) -> Iterator[float]:
         """The generator the driver spawns alongside the workload."""
         while True:
             yield self.interval
-            self.sample(sim.now, in_flight(), events_counter.value)
+            self.sample(sim.now, in_flight(), sim.events_executed)

@@ -2,11 +2,12 @@
 
 A :class:`TelemetryRecorder` is handed to
 :func:`~repro.simulator.driver.run_simulation`; the driver wires it into
-the engine (instrument counters), every node lock (per-level live
-state), and the process table (the periodic sampler), and calls
-:meth:`~TelemetryRecorder.finalize` on the way out.  The frozen product
-is a :class:`RunTelemetry`: the run's :class:`SimulationResult`, its
-counter snapshot, and the per-level / global time series.
+every node lock (per-level live state) and the process table (the
+periodic sampler), and calls :meth:`~TelemetryRecorder.finalize` on the
+way out, which also publishes the engine's own event and spawn counts.
+The frozen product is a :class:`RunTelemetry`: the run's
+:class:`SimulationResult`, its counter snapshot, and the per-level /
+global time series.
 
 :func:`merge_telemetry` folds the per-seed runs of one sweep point into
 a :class:`SweepTelemetry` — counters summed, series kept per seed — so
@@ -152,11 +153,14 @@ class TelemetryRecorder:
 
     def sampler_process(self, sim, in_flight: Callable[[], int]):
         """The periodic sampling process to spawn into ``sim``."""
-        return self.sampler.process(sim, in_flight,
-                                    self.instruments.counter("des.events"))
+        return self.sampler.process(sim, in_flight)
 
-    def finalize(self, result: SimulationResult) -> RunTelemetry:
-        """Freeze the collected state into a :class:`RunTelemetry`."""
+    def finalize(self, result: SimulationResult, sim) -> RunTelemetry:
+        """Freeze the collected state into a :class:`RunTelemetry`,
+        publishing ``sim``'s event and spawn counts as the ``des.events``
+        and ``des.spawned`` counters."""
+        self.instruments.counter("des.events").inc(sim.events_executed)
+        self.instruments.counter("des.spawned").inc(sim.total_spawned)
         self.telemetry = RunTelemetry(
             schema=SCHEMA_VERSION,
             algorithm=result.algorithm,

@@ -10,10 +10,10 @@ processes against an actual :class:`~repro.btree.tree.BPlusTree`:
 * every node carries a FCFS R/W lock, created when an operation first
   reaches the node; all service times are exponential
   with the Section 5.3 cost means (disk levels dilated by D);
-* the simulator "crashes" (raises
-  :class:`~repro.errors.PopulationOverflowError`) when the in-flight
-  operation population exceeds its allocation, which is how saturation
-  manifests, exactly as in the paper.
+* the paper's simulator crashes when the in-flight operation population
+  exceeds its allocation, which is how saturation manifests; here the
+  open driver stops the run at ``config.max_population`` instead and
+  flags the result ``overflowed``.
 
 Entry points: :func:`~repro.simulator.driver.run_simulation` (open
 Poisson arrivals) and

@@ -25,13 +25,11 @@ from repro.simulator.driver import run_context
 from repro.simulator.metrics import (
     MetricsCollector,
     SimulationResult,
+    root_sampler,
     summarize,
 )
 from repro.simulator.operations import OP_DELETE, pick_resident_key
 from repro.workload.runtime import WorkloadRuntime
-
-#: Interval between root-utilization samples (as in the open driver).
-_ROOT_SAMPLE_INTERVAL = 1.0
 
 
 def run_closed_simulation(config: SimulationConfig,
@@ -53,7 +51,7 @@ def run_closed_simulation(config: SimulationConfig,
     if think_time < 0:
         raise ConfigurationError(f"think_time must be >= 0, got {think_time}")
 
-    module = get_algorithm(config.algorithm).closed_module
+    module = get_algorithm(config.algorithm).ops
     seed_root = random.Random(config.seed)
     build_seed = seed_root.randrange(2 ** 63)
     rng_keys = random.Random(seed_root.randrange(2 ** 63))
@@ -104,18 +102,10 @@ def run_closed_simulation(config: SimulationConfig,
             metrics.measuring = True
             metrics.measure_start_time = 0.0
 
-        def root_sampler():
-            while True:
-                yield _ROOT_SAMPLE_INTERVAL
-                lock = tree.root.lock
-                present = lock.writer is not None or lock.writer_waiting()
-                metrics.record_root_sample(present,
-                                           queue_length=lock.queue_length)
-
         for index in range(multiprogramming_level):
             sim.spawn(terminal(), name=f"terminal-{index}",
                       delay=index * 1e-6)  # stagger identical start times
-        sim.spawn(root_sampler(), name="root-sampler")
+        sim.spawn(root_sampler(tree, metrics), name="root-sampler")
         metrics.note_population(multiprogramming_level)
 
         def done() -> bool:

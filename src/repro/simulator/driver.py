@@ -44,6 +44,7 @@ from repro.simulator.metrics import (
     GatedObserver,
     MetricsCollector,
     SimulationResult,
+    root_sampler,
     summarize,
 )
 from repro.simulator.operations import (
@@ -71,15 +72,12 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 assert (_workload_runtime._SEARCH, _workload_runtime._INSERT,
         _workload_runtime._DELETE) == (OP_SEARCH, OP_INSERT, OP_DELETE)
 
-#: Interval (in root-search time units) between root-utilization samples.
-_ROOT_SAMPLE_INTERVAL = 1.0
-
 
 @contextmanager
 def run_context(config: SimulationConfig, build_seed: int,
                 rng_keys: random.Random, rng_service: random.Random,
-                metrics: MetricsCollector, telemetry=None,
-                trace=None) -> Iterator[OperationContext]:
+                metrics: MetricsCollector,
+                telemetry=None) -> Iterator[OperationContext]:
     """The set-up both drivers share: yields the run's
     :class:`OperationContext` on the borrowed warm-up tree.
 
@@ -121,9 +119,7 @@ def run_context(config: SimulationConfig, build_seed: int,
             config.key_space, on_new_node=note_node,
         )
         try:
-            sim = Simulator(trace=trace,
-                            instruments=telemetry.instruments
-                            if telemetry is not None else None)
+            sim = Simulator()
             yield OperationContext(
                 sim, tree, ServiceTimeSampler(config.costs, tree, rng_service),
                 metrics, rng_keys, recovery=config.recovery,
@@ -146,17 +142,15 @@ class _RunState:
         self.overflowed = False
 
 
-def run_simulation(config: SimulationConfig, trace=None,
+def run_simulation(config: SimulationConfig,
                    telemetry=None) -> SimulationResult:
     """Execute one simulator run and return its metrics summary.
 
-    Pass a :class:`~repro.des.trace.TraceLog` as ``trace`` to record
-    every lock/hold/lifecycle event of the run (bounded ring buffer;
-    see ``docs/simulator.md``).  Pass a
-    :class:`~repro.obs.telemetry.TelemetryRecorder` as ``telemetry`` to
-    additionally collect per-level time series, engine counters and a
-    response timer; the recorder's ``telemetry`` attribute holds the
-    finished :class:`~repro.obs.telemetry.RunTelemetry` afterwards
+    Pass a :class:`~repro.obs.telemetry.TelemetryRecorder` as
+    ``telemetry`` to also collect per-level time series, engine
+    counters and a response timer; the recorder's ``telemetry``
+    attribute holds the finished
+    :class:`~repro.obs.telemetry.RunTelemetry` afterwards
     (``docs/observability.md``).
 
     A run that outgrows the system stops at ``config.max_population``
@@ -186,7 +180,7 @@ def run_simulation(config: SimulationConfig, trace=None,
         metrics.record_response = record_and_time
 
     with run_context(config, build_seed, rng_keys, rng_service, metrics,
-                     telemetry, trace) as ctx:
+                     telemetry) as ctx:
         sim, tree = ctx.sim, ctx.tree
         state = _RunState()
         warmup = config.warmup_operations
@@ -288,16 +282,8 @@ def run_simulation(config: SimulationConfig, trace=None,
                 observe_gap(gap)
                 spawn()
 
-        def root_sampler():
-            while True:
-                yield _ROOT_SAMPLE_INTERVAL
-                lock = tree.root.lock
-                present = lock.writer is not None or lock.writer_waiting()
-                metrics.record_root_sample(present,
-                                           queue_length=lock.queue_length)
-
         sim.spawn(arrivals(), name="arrivals")
-        sim.spawn(root_sampler(), name="root-sampler")
+        sim.spawn(root_sampler(tree, metrics), name="root-sampler")
         if telemetry is not None:
             sim.spawn(telemetry.sampler_process(sim, lambda: state.population),
                       name="telemetry-sampler")
@@ -319,7 +305,7 @@ def run_simulation(config: SimulationConfig, trace=None,
             tree_height=tree.height,
         )
     if telemetry is not None:
-        telemetry.finalize(result)
+        telemetry.finalize(result, sim)
     return result
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict, Iterator, Optional
 
 from repro.des.process import READ
 from repro.des.stats import ReservoirSample, RunningStats
@@ -49,6 +49,22 @@ class GatedObserver:
     def on_wait(self, mode: str, wait: float) -> None:
         if self.collector.measuring:
             self.inner.on_wait(mode, wait)
+
+
+#: Interval (in root-search time units) between root-utilization samples.
+ROOT_SAMPLE_INTERVAL = 1.0
+
+
+def root_sampler(tree, collector: "MetricsCollector") -> Iterator[float]:
+    """The process both drivers spawn to sample ``tree``'s root lock
+    every :data:`ROOT_SAMPLE_INTERVAL` into ``collector`` (the
+    writer-presence probability rho_w of Figure 10)."""
+    while True:
+        yield ROOT_SAMPLE_INTERVAL
+        lock = tree.root.lock
+        present = lock.writer is not None or lock.writer_waiting()
+        collector.record_root_sample(present,
+                                     queue_length=lock.queue_length)
 
 
 def _reservoir_seed(run_seed: int, index: int) -> int:

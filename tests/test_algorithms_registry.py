@@ -43,7 +43,6 @@ class TestRegistryInvariants:
             module = spec.ops
             for op in OPS_INTERFACE:
                 assert callable(getattr(module, op)), (spec.name, op)
-            assert spec.closed_module is module  # no closed variants yet
 
     def test_every_model_backed_spec_resolves_its_analyzer(self):
         with_model = [spec for spec in all_algorithms() if spec.has_model]
@@ -162,20 +161,6 @@ class TestDispatch:
             multiprogramming_level=4, think_time=1.0)
         assert result.throughput > 0
         assert math.isfinite(result.mean_response["search"])
-
-    def test_validation_resolves_registered_analyzer(self):
-        from repro.model.validation import resolve_analyzer
-        from repro.model.lock_coupling import analyze_lock_coupling
-        resolved = resolve_analyzer(None, names.NAIVE_LOCK_COUPLING)
-        assert resolved is analyze_lock_coupling
-        sentinel = object()
-        assert resolve_analyzer(sentinel, names.NAIVE_LOCK_COUPLING) \
-            is sentinel
-
-    def test_validation_rejects_simulator_only_specs(self):
-        from repro.model.validation import resolve_analyzer
-        with pytest.raises(ConfigurationError, match="no registered"):
-            resolve_analyzer(None, names.OPTIMISTIC_LOCK_COUPLING)
 
 
 # ----------------------------------------------------------------------

@@ -254,3 +254,66 @@ def test_determinism_same_seed_same_trace():
 
     assert trace(7) == trace(7)
     assert trace(7) != trace(8)
+
+
+def _counted_workload(sim):
+    """Two writers on one lock plus a plain action.  The events, by hand:
+
+    1. t=0    start A (grant is immediate, holds 2.0)
+    2. t=0.5  start B (queues behind A)
+    3. t=1.5  the scheduled action
+    4. t=2    resume A (releases, which wakes B; then holds 1.0)
+    5. t=2    resume B with its wait (holds 1.0)
+    6. t=3    resume A (finishes)
+    7. t=3    resume B (releases, holds 0.0 in-step, finishes)
+    """
+    lock = RWLock("counted")
+
+    def writer(first_hold):
+        yield lock.acquire_write
+        yield first_hold
+        yield lock.release_cmd
+        yield 1.0
+
+    def late_writer():
+        yield lock.acquire_write
+        yield 1.0
+        yield lock.release_cmd
+        yield 0.0
+
+    sim.spawn(writer(2.0), name="A")
+    sim.spawn(late_writer(), name="B", delay=0.5)
+    sim.schedule(1.5, lambda: None)
+
+
+def test_events_executed_matches_hand_count():
+    sim = Simulator()
+    _counted_workload(sim)
+    assert sim.events_executed == 0
+    assert sim.run() == 3.0
+    assert sim.events_executed == 7
+
+
+def test_events_executed_after_until_and_stop_when():
+    sim = Simulator()
+    _counted_workload(sim)
+    assert sim.run(until=2.5) == 2.5
+    assert sim.events_executed == 5   # events 1-5; 6 and 7 still queued
+    sim.run()
+    assert sim.events_executed == 7
+
+    sim = Simulator()
+    _counted_workload(sim)
+    assert sim.run(stop_when=lambda: sim.now >= 2.0) == 2.0
+    assert sim.events_executed == 4   # stops right after event 4
+    sim.run()
+    assert sim.events_executed == 7
+
+
+def test_events_executed_counts_the_running_event():
+    sim = Simulator()
+    seen = []
+    sim.schedule(1.0, lambda: seen.append(sim.events_executed))
+    sim.schedule(2.0, lambda: seen.append(sim.events_executed))
+    sim.run()
+    assert seen == [1, 2]

@@ -11,9 +11,9 @@ interned commands, bare-float holds, O(1) writer-waiting counter):
 * **Typed-event scheduling paths** — every heap-record kind
   (action / start / resume) and every command spelling the step loop
   accepts, including the error paths.
-* **Equivalence checks** — traced vs untraced stepping, the maintained
-  queued-writer counter vs a direct queue scan, and the bisect-based
-  hyperexponential branch selection vs the old linear walk.
+* **Equivalence checks** — the maintained queued-writer counter vs a
+  direct queue scan, and the bisect-based hyperexponential branch
+  selection vs the old linear walk.
 """
 
 import dataclasses
@@ -25,10 +25,12 @@ import pytest
 from repro.algorithms import all_algorithms
 from repro.des import Acquire, Hold, READ, RWLock, Release, Simulator, WRITE
 from repro.des.distributions import Hyperexponential
-from repro.des.trace import TraceLog
 from repro.errors import ProcessError
+from repro.obs import TelemetryOptions, TelemetryRecorder, dumps_ndjson
 from repro.simulator import SimulationConfig, run_simulation
 from repro.simulator.closed import run_closed_simulation
+from repro.workload import (MMPPArrivals, TransactionSpec, WorkloadSpec,
+                            ZipfKeysSpec)
 
 
 def fingerprint(result) -> str:
@@ -99,6 +101,39 @@ def test_golden_seed_closed_system():
     result = run_closed_simulation(config, multiprogramming_level=8,
                                    think_time=2.0)
     assert fingerprint(result) == GOLDEN_CLOSED
+
+
+#: name -> sha256 of the run's telemetry NDJSON (``dumps_ndjson``), at the
+#: same scale as GOLDEN_OPEN.  Pins the engine-derived counters
+#: (``des.events``, ``des.spawned``) and the sampled event counts along
+#: with every series.
+GOLDEN_TELEMETRY = {
+    "plain":
+        "233f71c70cd80414ba5b8ff4ec7edd587d4b650105c30050c50f0b64333176b2",
+    "mmpp-zipf-txn3":
+        "117b0ebd77013eb11d2d8f50631b4fce781a869a1f25924acf9f4b1d2fd7ab08",
+}
+
+TELEMETRY_CASES = {
+    "plain": dict(algorithm="naive-lock-coupling", arrival_rate=0.06,
+                  seed=2),
+    "mmpp-zipf-txn3": dict(
+        algorithm="link-type", arrival_rate=0.04, seed=5,
+        workload=WorkloadSpec(arrival=MMPPArrivals(),
+                              keys=ZipfKeysSpec(theta=0.9),
+                              transaction=TransactionSpec(size=3))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_TELEMETRY))
+def test_golden_seed_telemetry_bytes(name):
+    config = SimulationConfig(n_items=2000, n_operations=400,
+                              warmup_operations=50, **TELEMETRY_CASES[name])
+    recorder = TelemetryRecorder(TelemetryOptions())
+    run_simulation(config, telemetry=recorder)
+    text = dumps_ndjson(recorder.telemetry)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        GOLDEN_TELEMETRY[name]
 
 
 # ----------------------------------------------------------------------
@@ -191,13 +226,6 @@ def test_unknown_command_raises(command):
         sim.run()
 
 
-def test_unknown_command_raises_traced():
-    sim = Simulator(trace=TraceLog())
-    sim.spawn(gen("nonsense"))
-    with pytest.raises(ProcessError, match="unsupported command"):
-        sim.run()
-
-
 def test_stop_interrupts_run():
     sim = Simulator()
     sim.schedule(1.0, sim.stop)
@@ -244,43 +272,6 @@ def test_interned_and_allocated_commands_equivalent():
     assert end == 2.0
     assert grants == 2
     assert log == [(1.0, 0.0), (2.0, 1.0)]
-
-
-# ----------------------------------------------------------------------
-# Traced vs untraced equivalence
-# ----------------------------------------------------------------------
-def _contended_workload(sim, lock, finish_times, n=8, iters=5):
-    def worker(i):
-        rng = random.Random(i)
-        acquire = lock.acquire_write if i % 3 == 0 else lock.acquire_read
-        for _ in range(iters):
-            wait = yield acquire
-            assert wait >= 0.0
-            yield rng.uniform(0.1, 0.5)
-            yield lock.release_cmd
-            yield rng.uniform(0.0, 0.2)
-        finish_times.append(sim.now)
-
-    for i in range(n):
-        sim.spawn(worker(i), name=f"w{i}")
-
-
-def test_traced_run_matches_untraced():
-    results = []
-    for trace in (None, TraceLog()):
-        sim = Simulator(trace=trace)
-        lock = RWLock("contended")
-        finish_times = []
-        _contended_workload(sim, lock, finish_times)
-        end = sim.run()
-        results.append((end, finish_times, lock.grants_read,
-                        lock.grants_write, lock.time_writer_held,
-                        lock.time_held_any))
-    assert results[0] == results[1]
-    # sanity: the traced run actually recorded the lock protocol
-    trace_kinds = {e.kind for e in trace}
-    assert {"spawn", "request", "grant", "release", "hold",
-            "finish"} <= trace_kinds
 
 
 # ----------------------------------------------------------------------

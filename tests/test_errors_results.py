@@ -18,7 +18,6 @@ class TestErrorHierarchy:
             errors.ConfigurationError("x"),
             errors.UnstableQueueError(),
             errors.ConvergenceError("x"),
-            errors.PopulationOverflowError(10, 5),
             errors.ProcessError("x"),
             errors.LockProtocolError("x"),
             errors.KeyNotFoundError("x"),
@@ -37,12 +36,6 @@ class TestErrorHierarchy:
         error = errors.UnstableQueueError("saturated", level=4)
         assert error.level == 4
         assert errors.UnstableQueueError().level is None
-
-    def test_population_overflow_message(self):
-        error = errors.PopulationOverflowError(population=120, limit=100)
-        assert error.population == 120
-        assert error.limit == 100
-        assert "120" in str(error) and "100" in str(error)
 
     def test_model_vs_simulation_branches(self):
         assert issubclass(errors.UnstableQueueError, errors.ModelError)

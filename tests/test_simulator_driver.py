@@ -58,21 +58,6 @@ class TestBasicRuns:
         result = run_simulation(_quick(arrival_rate=0.3))
         assert 0.0 <= result.root_writer_utilization <= 1.0
 
-    def test_trace_capture(self):
-        from repro.des import TraceLog
-        trace = TraceLog(capacity=50_000)
-        result = run_simulation(_quick(n_operations=150), trace=trace)
-        assert result.measured_operations >= 150
-        kinds = {event.kind for event in trace}
-        assert {"spawn", "finish", "request", "grant", "hold",
-                "release"} <= kinds
-
-    def test_trace_does_not_perturb_results(self):
-        from repro.des import TraceLog
-        plain = run_simulation(_quick(seed=12))
-        traced = run_simulation(_quick(seed=12), trace=TraceLog())
-        assert plain.mean_response == traced.mean_response
-
 
 class TestSaturation:
     def test_overflow_flags_saturation(self):
