@@ -48,7 +48,8 @@ def profile_phases() -> None:
     """cProfile the two phases of a run separately: tree construction
     and the concurrent-operation DES run (top 10 by cumulative time
     each).  This is how the kernel hot-path work was located — the run
-    phase concentrates in ``Simulator._step`` and the lock protocol."""
+    phase concentrates in ``Simulator.run`` (one fused event and step
+    loop) and the lock protocol."""
     print("\nPer-phase profile (top 10 functions by cumulative time):")
     rng = random.Random(7)
 
@@ -98,7 +99,7 @@ def main() -> None:
           "first, and the per-level\nwaits point at the root (the "
           "lock-coupling bottleneck).  The per-phase profile separates "
           "setup cost\n(tree build) from the DES run itself, where "
-          "Simulator._step dominates.")
+          "Simulator.run dominates.")
 
 
 if __name__ == "__main__":

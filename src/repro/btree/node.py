@@ -79,10 +79,6 @@ class Node:
     def lock(self, lock: Any) -> None:
         self._lock = lock
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.level == 1
-
     def n_entries(self) -> int:
         """Number of occupancy-relevant entries (keys for a leaf,
         children for an internal node)."""
@@ -104,6 +100,7 @@ class LeafNode(Node):
     in the leaves)."""
 
     __slots__ = ()
+    is_leaf = True
 
     def __init__(self) -> None:
         super().__init__(level=1)
@@ -141,6 +138,7 @@ class InternalNode(Node):
     """
 
     __slots__ = ("children",)
+    is_leaf = False
 
     def __init__(self, level: int) -> None:
         if level < 2:
@@ -151,13 +149,9 @@ class InternalNode(Node):
     def n_entries(self) -> int:
         return len(self.children)
 
-    def child_index_for(self, key: int) -> int:
-        """Index of the child responsible for ``key``."""
-        return bisect_right(self.keys, key)
-
     def child_for(self, key: int) -> Node:
         """The child responsible for ``key``."""
-        return self.children[self.child_index_for(key)]
+        return self.children[bisect_right(self.keys, key)]
 
     def insert_router(self, separator: int, right_child: Node) -> None:
         """Insert the (separator, right-child) pair produced by a split.

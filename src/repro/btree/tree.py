@@ -30,6 +30,7 @@ tree first.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.btree.node import InternalNode, LeafNode, Node
@@ -184,8 +185,9 @@ class BPlusTree:
         """Descend to the leaf responsible for ``key`` (no link chasing
         needed in sequential use)."""
         node = self.root
-        while not node.is_leaf:
-            node = node.child_for(key)  # type: ignore[union-attr]
+        while not node.is_leaf:  # ``child_for``, inlined for the build
+            node = node.children[  # type: ignore[union-attr]
+                bisect_right(node.keys, key)]
         return node  # type: ignore[return-value]
 
     def path_to(self, key: int) -> List[Node]:
@@ -455,24 +457,24 @@ class BPlusTree:
     # Whole operations (sequential)
     # ------------------------------------------------------------------
     def insert(self, key: int) -> bool:
-        """Insert ``key``; returns False if it was already present."""
-        path = self.path_to(key)
-        leaf = path[-1]
-        assert isinstance(leaf, LeafNode)
+        """Insert ``key``; returns False if it was already present.
+
+        Like :meth:`delete`, it builds the root-to-leaf path only for a
+        leaf that must be restructured (the routers have not changed).
+        """
+        leaf = self.find_leaf(key)
         if self._undo is not None:
             self._save(leaf)
         if not leaf.insert_key(key):
             return False
         self._size += 1
         if self.overflowed(leaf):
-            self.split_path(path)
+            self.split_path(self.path_to(key))
         return True
 
     def delete(self, key: int) -> bool:
         """Delete ``key``; returns False if it was absent."""
-        path = self.path_to(key)
-        leaf = path[-1]
-        assert isinstance(leaf, LeafNode)
+        leaf = self.find_leaf(key)
         if self._undo is not None:
             self._save(leaf)
         if not leaf.delete_key(key):
@@ -481,9 +483,9 @@ class BPlusTree:
         if leaf is not self.root and self.merge_policy.underflows(
                 leaf.n_entries(), self.order):
             if self.merge_policy is MERGE_AT_EMPTY:
-                self.remove_empty_leaf(path)
+                self.remove_empty_leaf(self.path_to(key))
             else:
-                self._rebalance_path(path)
+                self._rebalance_path(self.path_to(key))
         return True
 
     # ------------------------------------------------------------------

@@ -10,11 +10,12 @@ turn makes whole simulation runs reproducible for a fixed random seed;
 because it is unique, heap comparisons never reach the payload fields.
 
 Processes (see :mod:`repro.des.process`) communicate with the kernel by
-yielding commands; the step loop dispatches on each command's integer
-``kind`` tag (with a bare ``float`` understood as an allocation-free
-Hold).  The kernel steps a process as far as it can without time passing
-— e.g. a lock acquired without contention is granted immediately within
-the same step — which keeps the event heap small and the simulator fast.
+yielding commands; :meth:`Simulator.run` dispatches on each command's
+integer ``kind`` tag (with a bare ``float`` understood as an
+allocation-free Hold).  The kernel steps a process as far as it can
+without time passing — e.g. a lock acquired without contention is
+granted immediately within the same step — which keeps the event heap
+small and the simulator fast.
 """
 
 from __future__ import annotations
@@ -122,12 +123,12 @@ class Simulator:
         Returns the :class:`Process` handle.  ``on_done`` is invoked with
         the process when its generator finishes.
         """
+        if delay < 0:
+            raise SimulationError(f"cannot schedule in the past (delay={delay})")
         process = Process(generator, name=name)
         process.on_done = on_done
         self._active += 1
         self._total_spawned += 1
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
         self._sequence += 1
         heapq.heappush(self._heap,
                        (self._now + delay, self._sequence, _EV_START,
@@ -150,45 +151,92 @@ class Simulator:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def run(self, until: Optional[float] = None,
-            stop_when: Optional[Callable[[], bool]] = None) -> float:
-        """Drain the event heap.
+    def run(self, until: Optional[float] = None) -> float:
+        """Drain the event heap, stepping each process as far as it can
+        go without time passing.
 
-        Parameters
-        ----------
-        until:
-            If given, stop once the next event is later than ``until`` and
-            advance the clock to exactly ``until``.
-        stop_when:
-            Optional predicate checked after every event; the run stops as
-            soon as it returns True (used e.g. to stop after N measured
-            operations).
-
-        Returns the simulation time at which the run stopped.
+        If ``until`` is given, stop once the next event is later than
+        ``until`` and advance the clock to exactly ``until``; an
+        ``until`` before :attr:`now` is an error.  :meth:`stop` ends the
+        run after the current event.  Returns the simulation time at
+        which the run stopped.
         """
+        if until is not None and until < self._now:
+            raise SimulationError(
+                f"cannot run until {until}, before now={self._now}")
         self._stopped = False
-        # Local bindings: this loop executes once per event and the
-        # attribute/global lookups are measurable at sweep scale.
+        # One loop for events and process steps: this body executes once
+        # per event, so calls and attribute/global lookups are hoisted
+        # into locals.  Holds push their resume record inline, commands
+        # dispatch on a bare float check plus one integer ``kind``
+        # compare, and the clock cannot advance within a step.
         heap = self._heap
         heappop = heapq.heappop
-        step = self._step
+        heappush = heapq.heappush
         while heap:
-            event = heap[0]
-            time = event[0]
-            if until is not None and time > until:
+            if until is not None and heap[0][0] > until:
                 self._now = until
-                return self._now
-            heappop(heap)
-            self._now = time
-            kind = event[2]
-            if kind == _EV_RESUME:
-                step(event[3], event[4])
-            elif kind == _EV_START:
-                self._start(event[3])
-            else:
-                event[3]()
-            if self._stopped or (stop_when is not None and stop_when()):
-                return self._now
+                return until
+            now, _, event_kind, process, send_value = heappop(heap)
+            self._now = now
+            if event_kind == _EV_ACTION:
+                process()  # a plain action (``schedule``)
+                if self._stopped:
+                    return now
+                continue
+            if event_kind == _EV_START:
+                process.started_at = now
+            elif process.done:
+                raise ProcessError(f"{process!r} resumed after completion")
+            send = process.generator.send
+            while True:
+                try:
+                    command = send(send_value)
+                except StopIteration:
+                    process.done = True
+                    process.finished_at = now
+                    self._active -= 1
+                    if process.on_done is not None:
+                        process.on_done(process)
+                    break
+                if command.__class__ is float:
+                    if command > 0.0:
+                        self._sequence = seq = self._sequence + 1
+                        heappush(heap, (now + command, seq, _EV_RESUME,
+                                        process, None))
+                        break
+                    if command == 0.0:
+                        send_value = None
+                        continue
+                    raise ProcessError(
+                        f"{process!r} held for negative time {command!r}")
+                try:
+                    kind = command.kind
+                except AttributeError:
+                    self._step_other(process, command)  # int holds
+                    break
+                if kind == 1:  # acquire
+                    if command.lock.request(self, process, command.mode):
+                        send_value = 0.0
+                        continue
+                    break  # the lock will resume us with the wait time
+                if kind == 2:  # release
+                    command.lock.release(self, process)
+                    send_value = None
+                    continue
+                if kind == 0:  # Hold instance (validated non-negative)
+                    duration = command.duration
+                    if duration > 0.0:
+                        self._sequence = seq = self._sequence + 1
+                        heappush(heap, (now + duration, seq, _EV_RESUME,
+                                        process, None))
+                        break
+                    send_value = None
+                    continue
+                self._step_other(process, command)  # unknown kind
+                break
+            if self._stopped:
+                return now
         if until is not None:
             self._now = until
         return self._now
@@ -196,69 +244,6 @@ class Simulator:
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""
         self._stopped = True
-
-    # ------------------------------------------------------------------
-    # Process stepping
-    # ------------------------------------------------------------------
-    def _start(self, process: Process) -> None:
-        """First step of a spawned process (the ``_EV_START`` record)."""
-        process.started_at = self._now
-        self._step(process, None)
-
-    def _step(self, process: Process, send_value) -> None:
-        """Advance ``process`` until it blocks, holds, or finishes."""
-        if process.done:
-            raise ProcessError(f"{process!r} resumed after completion")
-        # Hot path: the heap push for holds is inlined, and commands
-        # dispatch on a bare float check plus one integer ``kind``
-        # compare.
-        send = process.generator.send
-        heap = self._heap
-        heappush = heapq.heappush
-        now = self._now  # the clock cannot advance within a step
-        while True:
-            try:
-                command = send(send_value)
-            except StopIteration:
-                self._finish(process)
-                return
-            if command.__class__ is float:
-                if command > 0.0:
-                    self._sequence = seq = self._sequence + 1
-                    heappush(heap, (now + command, seq, _EV_RESUME,
-                                    process, None))
-                    return
-                if command == 0.0:
-                    send_value = None
-                    continue
-                raise ProcessError(
-                    f"{process!r} held for negative time {command!r}")
-            try:
-                kind = command.kind
-            except AttributeError:
-                self._step_other(process, command)  # int holds
-                return
-            if kind == 1:  # acquire
-                if command.lock.request(self, process, command.mode):
-                    send_value = 0.0
-                    continue
-                return  # the lock will resume us with the wait time
-            if kind == 2:  # release
-                command.lock.release(self, process)
-                send_value = None
-                continue
-            if kind == 0:  # Hold instance (validated non-negative)
-                duration = command.duration
-                if duration > 0.0:
-                    self._sequence = seq = self._sequence + 1
-                    heappush(heap, (now + duration, seq, _EV_RESUME,
-                                    process, None))
-                    return
-                send_value = None
-                continue
-            raise ProcessError(
-                f"{process!r} yielded unsupported command {command!r}"
-            )
 
     def _step_other(self, process: Process, command) -> None:
         """Slow-path commands: integer holds and protocol errors."""
@@ -271,10 +256,3 @@ class Simulator:
         raise ProcessError(
             f"{process!r} yielded unsupported command {command!r}"
         )
-
-    def _finish(self, process: Process) -> None:
-        process.done = True
-        process.finished_at = self._now
-        self._active -= 1
-        if process.on_done is not None:
-            process.on_done(process)

@@ -138,22 +138,37 @@ class RWLock:
         and returns False.  Queued processes are resumed by ``release``
         with their queueing delay as the sent value.
         """
-        if self._writer is process or process in self._readers:
+        readers = self._readers
+        if self._writer is process or process in readers:
             raise LockProtocolError(
                 f"{process.name} already holds lock {self.name!r}; "
                 "re-entrant locking is not part of the protocol"
             )
-        self._advance_clocks(sim.now)
+        now = sim.now
+        self._advance_clocks(now)
+        tel = self.telemetry
         if not self._queue and self._writer is None \
-                and (mode == READ or not self._readers):
-            self._admit(process, mode)
+                and (mode == READ or not readers):
+            # The uncontended grant, inlined: the common case of every
+            # descent.  ``_admit`` serves the queued grants.
+            if mode == READ:
+                readers.add(process)
+                self.grants_read += 1
+                if tel is not None:
+                    tel.held_read += 1
+                    tel.grants_read += 1
+            else:
+                self._writer = process
+                self.grants_write += 1
+                if tel is not None:
+                    tel.held_write += 1
+                    tel.grants_write += 1
             if self.observer is not None:
                 self.observer.on_wait(mode, 0.0)
             return True
-        self._queue.append(LockRequest(process, mode, sim.now))
+        self._queue.append(LockRequest(process, mode, now))
         if mode == WRITE:
             self._queued_writers += 1
-        tel = self.telemetry
         if tel is not None:
             tel.queued += 1
         return False
@@ -174,7 +189,8 @@ class RWLock:
             raise LockProtocolError(
                 f"{process.name} released lock {self.name!r} without holding it"
             )
-        self._dispatch(sim)
+        if self._queue:
+            self._dispatch(sim)
 
     # ------------------------------------------------------------------
     # Internals
@@ -197,8 +213,6 @@ class RWLock:
     def _dispatch(self, sim: Simulator) -> None:
         """Grant the longest compatible prefix of the wait queue."""
         queue = self._queue
-        if not queue:
-            return
         tel = self.telemetry
         observer = self.observer
         now = sim.now

@@ -64,7 +64,6 @@ def run_closed_simulation(config: SimulationConfig,
                      metrics) as ctx:
         sim, tree = ctx.sim, ctx.tree
         warmup = config.warmup_operations
-        target = config.n_operations
         completions = [0]
 
         # Key distribution and (hoisted) mix thresholds come from the
@@ -108,10 +107,7 @@ def run_closed_simulation(config: SimulationConfig,
         sim.spawn(root_sampler(tree, metrics), name="root-sampler")
         metrics.note_population(multiprogramming_level)
 
-        def done() -> bool:
-            return metrics.measured_operations >= target
-
-        sim.run(stop_when=done)
+        sim.run()
         metrics.measure_end_time = sim.now
 
         result = summarize(

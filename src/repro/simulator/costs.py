@@ -12,6 +12,7 @@ levels.
 from __future__ import annotations
 
 import random
+from typing import Dict
 
 from repro.btree.tree import BPlusTree
 from repro.model.params import CostModel
@@ -25,6 +26,9 @@ class ServiceTimeSampler:
         self._costs = costs
         self._tree = tree
         self._rng = rng
+        #: ``{height: {level: 1 / Se(level)}}``, filled on first use
+        #: (``Se`` is positive: ``CostModel`` validates its factors).
+        self._search_rates: Dict[int, Dict[int, float]] = {}
 
     def _exp(self, mean: float) -> float:
         if mean <= 0.0:
@@ -33,7 +37,13 @@ class ServiceTimeSampler:
 
     def search(self, level: int) -> float:
         """Time to search a level-``level`` node."""
-        return self._exp(self._costs.se(level, self._tree.height))
+        try:
+            rate = self._search_rates[self._tree.root.level][level]
+        except KeyError:
+            height = self._tree.height
+            rate = 1.0 / self._costs.se(level, height)
+            self._search_rates.setdefault(height, {})[level] = rate
+        return self._rng.expovariate(rate)
 
     def modify(self, level: int = 1) -> float:
         """Time to modify a level-``level`` node (usually a leaf)."""

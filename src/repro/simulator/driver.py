@@ -91,7 +91,8 @@ def run_context(config: SimulationConfig, build_seed: int,
     exit, normal or not, the locks are retired (freed without waiting
     for the cyclic garbage collector) and dropped, and the tree is
     rolled back, so the memo's template is again the tree the build
-    grew.
+    grew.  The collector stops the run's simulator on the event that
+    records the ``config.n_operations``-th measured operation.
     """
     observers: Dict[int, GatedObserver] = {}
 
@@ -120,6 +121,8 @@ def run_context(config: SimulationConfig, build_seed: int,
         )
         try:
             sim = Simulator()
+            metrics.stop_after = config.n_operations
+            metrics.on_stop = sim.stop
             yield OperationContext(
                 sim, tree, ServiceTimeSampler(config.costs, tree, rng_service),
                 metrics, rng_keys, recovery=config.recovery,
@@ -184,7 +187,6 @@ def run_simulation(config: SimulationConfig,
         sim, tree = ctx.sim, ctx.tree
         state = _RunState()
         warmup = config.warmup_operations
-        target = config.n_operations
 
         def on_operation_done(_process) -> None:
             state.population -= 1
@@ -292,10 +294,7 @@ def run_simulation(config: SimulationConfig,
             sim.spawn(compactor(ctx, config.compaction_interval),
                       name="compactor")
 
-        def done() -> bool:
-            return (metrics.measured_operations >= target) or state.overflowed
-
-        sim.run(stop_when=done)
+        sim.run()
         metrics.measure_end_time = sim.now
 
         result = summarize(

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, Optional
+from typing import Callable, Dict, Iterator, Optional
 
 from repro.des.process import READ
 from repro.des.stats import ReservoirSample, RunningStats
 
 
 class LevelWaitObserver:
-    """Per-level lock-wait accumulator, fed through the level's
+    """Per-level lock-wait accumulators, fed through the level's
     :class:`GatedObserver` by every node lock at the level."""
 
     __slots__ = ("read_waits", "write_waits")
@@ -28,27 +28,26 @@ class LevelWaitObserver:
         self.read_waits = RunningStats()
         self.write_waits = RunningStats()
 
-    def on_wait(self, mode: str, wait: float) -> None:
-        if mode == READ:
-            self.read_waits.add(wait)
-        else:
-            self.write_waits.add(wait)
-
 
 class GatedObserver:
-    """Forwards lock waits to one level's :class:`LevelWaitObserver`
+    """Adds lock waits to one level's :class:`LevelWaitObserver` stats
     only while the collector's measurement window is open; the
     simulator shares one per tree level among that level's locks."""
 
-    __slots__ = ("collector", "inner")
+    __slots__ = ("collector", "read_waits", "write_waits")
 
     def __init__(self, collector: "MetricsCollector", level: int) -> None:
         self.collector = collector
-        self.inner = collector.observer_for_level(level)
+        inner = collector.observer_for_level(level)
+        self.read_waits = inner.read_waits
+        self.write_waits = inner.write_waits
 
     def on_wait(self, mode: str, wait: float) -> None:
         if self.collector.measuring:
-            self.inner.on_wait(mode, wait)
+            if mode == READ:
+                self.read_waits.add(wait)
+            else:
+                self.write_waits.add(wait)
 
 
 #: Interval (in root-search time units) between root-utilization samples.
@@ -117,6 +116,10 @@ class MetricsCollector:
         self.measure_end_time: Optional[float] = None
         self.peak_population = 0
         self.measuring = False
+        #: Called on the event that records the ``stop_after``-th
+        #: measured operation (the drivers pass ``Simulator.stop``).
+        self.stop_after: Optional[int] = None
+        self.on_stop: Optional[Callable[[], None]] = None
 
     def observer_for_level(self, level: int) -> LevelWaitObserver:
         observer = self.level_waits.get(level)
@@ -130,6 +133,9 @@ class MetricsCollector:
             self.response[operation].add(elapsed)
             self.response_samples[operation].add(elapsed)
             self.measured_operations += 1
+            if self.measured_operations == self.stop_after \
+                    and self.on_stop is not None:
+                self.on_stop()
 
     def record_root_sample(self, writer_present: bool,
                            queue_length: int = 0) -> None:

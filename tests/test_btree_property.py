@@ -70,6 +70,21 @@ class TestAgainstSetModel:
         check_invariants(tree)
 
     @_SETTINGS
+    @given(order=ORDERS, ops=OPERATIONS)
+    def test_find_leaf_ends_path_to(self, policy, order, ops):
+        """``insert``/``delete`` descend with ``find_leaf`` and build
+        ``path_to`` only to restructure; both must reach the same leaf."""
+        tree = BPlusTree(order=order, merge_policy=policy)
+        model = set()
+        for op, key in ops:
+            _apply(tree, model, op, key)
+            assert tree.find_leaf(key) is tree.path_to(key)[-1]
+        for key in range(0, 201, 5):
+            path = tree.path_to(key)
+            assert tree.find_leaf(key) is path[-1]
+            assert path[0] is tree.root and len(path) == tree.height
+
+    @_SETTINGS
     @given(order=ORDERS, keys=st.sets(KEYS, min_size=1, max_size=150))
     def test_insert_all_then_delete_all(self, policy, order, keys):
         tree = BPlusTree(order=order, merge_policy=policy)

@@ -1,5 +1,7 @@
 """Unit tests for policies, builder, statistics and the validator."""
 
+import hashlib
+
 import pytest
 
 from repro.btree import (
@@ -72,6 +74,29 @@ class TestBuilder:
         assert stats.height == 5
         assert 3 <= stats.root_fanout <= 12
         assert abs(stats.fill_factor() - LN2_FILL) < 0.06
+
+    #: policy -> (nodes created, sha256 over each created node's
+    #: ``(level, keys, n_children)`` in creation order) for
+    #: ``build_tree(40_000, seed=11)``: pins the warm-up tree's shape.
+    GOLDEN_SHAPES = {
+        MERGE_AT_EMPTY: (4931, "ec864e114d3a7f37da6714be100de31b0f811614a9"
+                               "49364ace3b2556c77d9863"),
+        MERGE_AT_HALF: (5204, "f05e442c11b710068001d07a3d77c566544d3df947"
+                              "01292fda1fc066ed3592fd"),
+    }
+
+    @pytest.mark.parametrize("policy", [MERGE_AT_EMPTY, MERGE_AT_HALF],
+                             ids=["merge-at-empty", "merge-at-half"])
+    def test_golden_warm_up_shape(self, policy):
+        created = []
+        build_tree(40_000, merge_policy=policy, seed=11,
+                   on_new_node=created.append)
+        digest = hashlib.sha256()
+        for node in created:
+            digest.update(repr((node.level, node.keys,
+                                len(getattr(node, "children", ())))).encode())
+        assert (len(created), digest.hexdigest()) == \
+            self.GOLDEN_SHAPES[policy]
 
     def test_node_hooks_forwarded(self):
         created = []

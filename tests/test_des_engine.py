@@ -152,7 +152,7 @@ def test_stop_ends_run_after_current_event():
     assert seen == ["early", "late"]
 
 
-def test_stop_when_predicate():
+def test_stop_from_scheduled_action():
     sim = Simulator()
     counter = []
 
@@ -162,8 +162,39 @@ def test_stop_when_predicate():
             counter.append(sim.now)
 
     sim.spawn(ticker())
-    sim.run(stop_when=lambda: len(counter) >= 3)
+    sim.schedule(3.5, sim.stop)
+    assert sim.run() == 3.5
     assert len(counter) == 3
+
+
+def test_run_until_in_the_past_rejected():
+    sim = Simulator()
+    seen = []
+    sim.schedule(10.0, lambda: seen.append(sim.now))
+    assert sim.run(until=5.0) == 5.0
+    with pytest.raises(SimulationError, match="before now"):
+        sim.run(until=2.0)
+    assert sim.now == 5.0          # the clock did not move backwards
+    assert sim.run(until=5.0) == 5.0
+    sim.run()
+    assert seen == [10.0]
+
+
+def test_spawn_negative_delay_leaves_counts_unchanged():
+    sim = Simulator()
+
+    def process():
+        yield Hold(1.0)
+
+    with pytest.raises(SimulationError):
+        sim.spawn(process(), delay=-1.0)
+    assert sim.active_processes == 0
+    assert sim.total_spawned == 0
+    sim.spawn(process())
+    assert sim.active_processes == 1
+    sim.run()
+    assert sim.active_processes == 0
+    assert sim.total_spawned == 1
 
 
 def test_unknown_command_raises():
@@ -256,12 +287,12 @@ def test_determinism_same_seed_same_trace():
     assert trace(7) != trace(8)
 
 
-def _counted_workload(sim):
+def _counted_workload(sim, action=lambda: None):
     """Two writers on one lock plus a plain action.  The events, by hand:
 
     1. t=0    start A (grant is immediate, holds 2.0)
     2. t=0.5  start B (queues behind A)
-    3. t=1.5  the scheduled action
+    3. t=1.5  the scheduled ``action``
     4. t=2    resume A (releases, which wakes B; then holds 1.0)
     5. t=2    resume B with its wait (holds 1.0)
     6. t=3    resume A (finishes)
@@ -283,7 +314,7 @@ def _counted_workload(sim):
 
     sim.spawn(writer(2.0), name="A")
     sim.spawn(late_writer(), name="B", delay=0.5)
-    sim.schedule(1.5, lambda: None)
+    sim.schedule(1.5, action)
 
 
 def test_events_executed_matches_hand_count():
@@ -294,7 +325,7 @@ def test_events_executed_matches_hand_count():
     assert sim.events_executed == 7
 
 
-def test_events_executed_after_until_and_stop_when():
+def test_events_executed_after_until_and_stop():
     sim = Simulator()
     _counted_workload(sim)
     assert sim.run(until=2.5) == 2.5
@@ -303,9 +334,9 @@ def test_events_executed_after_until_and_stop_when():
     assert sim.events_executed == 7
 
     sim = Simulator()
-    _counted_workload(sim)
-    assert sim.run(stop_when=lambda: sim.now >= 2.0) == 2.0
-    assert sim.events_executed == 4   # stops right after event 4
+    _counted_workload(sim, action=sim.stop)
+    assert sim.run() == 1.5
+    assert sim.events_executed == 3   # stops right after event 3
     sim.run()
     assert sim.events_executed == 7
 

@@ -5,7 +5,9 @@ import math
 import pytest
 
 from repro.simulator import SimulationConfig, run_replications, run_simulation
+from repro.simulator.closed import run_closed_simulation
 from repro.simulator.driver import pooled_response_means
+from repro.workload import TransactionSpec, WorkloadSpec
 
 
 def _quick(algorithm="naive-lock-coupling", **overrides):
@@ -75,6 +77,35 @@ class TestSaturation:
         result = run_simulation(_quick(arrival_rate=0.05))
         assert not result.overflowed
         assert result.peak_population < 50
+
+
+class TestStopsAtTarget:
+    """The collector stops the run on the event that records the
+    ``n_operations``-th measured operation, in both drivers."""
+
+    def test_open_run(self):
+        result = run_simulation(_quick(n_operations=300))
+        assert result.measured_operations == 300
+
+    def test_closed_run(self):
+        result = run_closed_simulation(_quick(n_operations=250),
+                                       multiprogramming_level=6)
+        assert result.measured_operations == 250
+
+    def test_transaction_run(self):
+        spec = WorkloadSpec(transaction=TransactionSpec(size=3))
+        result = run_simulation(_quick("link-type", n_operations=300,
+                                       workload=spec))
+        assert not result.overflowed
+        assert result.measured_operations == 300
+
+    def test_overflowing_run_stops_flagged(self):
+        config = _quick(arrival_rate=50.0, max_population=60,
+                        n_operations=5_000)
+        result = run_simulation(config)
+        assert result.overflowed
+        assert result.peak_population == 61  # the arrival that overflowed
+        assert result.measured_operations < 5_000
 
 
 class TestWarmup:
