@@ -31,9 +31,8 @@ reflects the fact that serving n concurrent readers takes
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-from scipy.optimize import brentq
 
 from repro.errors import (
     ConfigurationError,
@@ -48,6 +47,10 @@ _FALLBACK_MAX_ITERATIONS = 10_000
 _FALLBACK_DAMPING = 0.5
 #: rho is confined below this during the fallback iteration.
 _RHO_CEILING = 1.0 - 1e-12
+#: Brent root finder: relative tolerance and iteration cap of the
+#: reference ``brentq`` (docs/robustness.md).
+_BRENT_RTOL = 4 * sys.float_info.epsilon
+_BRENT_MAXITER = 100
 
 
 @dataclass(frozen=True)
@@ -99,6 +102,92 @@ def _reader_drains(rho: float, q: RWQueueInput) -> tuple:
     r_u = math.log1p(rho * q.lambda_r / q.lambda_w) / q.mu_r
     r_e = math.log1p((1.0 + rho) * q.lambda_r / (q.mu_r + q.lambda_w)) / q.mu_r
     return r_u, r_e
+
+
+def _brentq(f, a: float, b: float, xtol: float) -> float:
+    """Root of ``f`` in the sign-changing bracket ``[a, b]`` by Brent's
+    method.
+
+    A line-for-line port of the reference C ``brentq`` (Brent 1973,
+    ch. 4; docs/robustness.md) with its defaults ``rtol = 4 eps`` and
+    ``maxiter = 100``: the same evaluations in the same order and the
+    same float operations, so it returns the same root bit for bit.
+    Raises ``ValueError`` when an evaluation is NaN or ``f(a)`` and
+    ``f(b)`` have the same sign, and ``RuntimeError`` when the
+    iterations run out.
+
+    At the top of each iteration the root lies between ``xcur`` and
+    ``xblk``, ``xcur`` is the latest estimate, ``xpre`` the previous one
+    and ``|f(xcur)| <= |f(xblk)|``.
+    """
+    xpre, xcur = a, b
+    xblk = fblk = spre = scur = 0.0
+    fpre = f(xpre)
+    if fpre != fpre:
+        raise ValueError(f"f({xpre}) is NaN; the root finder cannot continue")
+    fcur = f(xcur)
+    if fcur != fcur:
+        raise ValueError(f"f({xcur}) is NaN; the root finder cannot continue")
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if (fpre < 0) == (fcur < 0):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(_BRENT_MAXITER):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk = xpre
+            fblk = fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre = xcur
+            xcur = xblk
+            xblk = xpre
+            fpre = fcur
+            fcur = fblk
+            fblk = fpre
+
+        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:
+                    # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:
+                # C yields inf or NaN here, which fails the test below.
+                stry = math.nan
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                # good short step
+                spre = scur
+                scur = stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+
+        xpre = xcur
+        fpre = fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+
+        fcur = f(xcur)
+        if fcur != fcur:
+            raise ValueError(
+                f"f({xcur}) is NaN; the root finder cannot continue")
+    raise RuntimeError(
+        f"failed to converge after {_BRENT_MAXITER} iterations")
 
 
 def _error_context(q: RWQueueInput, level: int | None,
@@ -204,7 +293,7 @@ def solve_rw_queue(q: RWQueueInput, tol: float = 1e-12,
                 level=level,
             )
         try:
-            rho = float(brentq(g, 0.0, upper, xtol=tol))
+            rho = _brentq(g, 0.0, upper, tol)
         except (ValueError, RuntimeError):
             rho = math.nan  # a mid-search evaluation went non-finite
     else:

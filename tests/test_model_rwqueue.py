@@ -81,6 +81,38 @@ class TestFixedPoint:
         assert hi.r_e > lo.r_e
 
 
+class TestGoldenSolutions:
+    """``float.hex()`` of every solution field, captured when the root
+    finder was scipy.optimize.brentq: the in-repo Brent port must keep
+    them bit for bit."""
+
+    @pytest.mark.parametrize("rates,expected", [
+        pytest.param((2.5, 0.05, 3.0, 0.8), (
+            "0x1.2fc1f65509e6ap-4", "0x1.0868264a448d6p-1",
+            "0x1.af1d5f3cea97bp-3", "0x1.7bb273ea4c1dbp+0"),
+            id="read-heavy"),
+        pytest.param((0.05, 0.45, 1.0, 0.7), (
+            "0x1.588c9c74d1a75p-1", "0x1.275b44485b612p-4",
+            "0x1.cb734eaee8929p-5", "0x1.7ed51f9e3de72p+0"),
+            id="write-heavy"),
+        pytest.param((0.2, 0.8, 1.0, 1.0), (
+            "0x1.f2a5eee350ee0p-1", "0x1.be49e0842e35cp-3",
+            "0x1.961cd41af50fep-3", "0x1.37a7b54e1294cp+0"),
+            id="near-saturation"),
+        pytest.param((0.0, 0.3, 1.0, 1.3), (
+            "0x1.d89d89d89d89cp-3", "0x0.0p+0",
+            "0x0.0p+0", "0x1.89d89d89d89d8p-1"),
+            id="no-readers"),
+    ])
+    def test_solution_bits(self, rates, expected):
+        sol = _solve(*rates)
+        assert (sol.rho_w.hex(), sol.r_u.hex(), sol.r_e.hex(),
+                sol.aggregate_service_time.hex()) == expected
+
+    def test_near_saturation_case_is_near_saturation(self):
+        assert _solve(0.2, 0.8, 1.0, 1.0).rho_w > 0.97
+
+
 class TestSaturation:
     def test_overload_raises(self):
         with pytest.raises(UnstableQueueError):
@@ -127,7 +159,9 @@ class TestDampedFallback:
     def test_poisoned_bracket_falls_back_and_agrees(self):
         from repro.resilience.faults import nan_faults
         clean = _solve(0.5, 0.2, 1.0, 1.0)
-        with nan_faults(1):  # kill brentq's opening evaluation
+        # The poisoned evaluation is solve_rw_queue's own g(upper)
+        # stability guard, so the root finder never runs.
+        with nan_faults(1):
             recovered = _solve(0.5, 0.2, 1.0, 1.0)
         assert recovered.rho_w == pytest.approx(clean.rho_w, abs=1e-6)
 
