@@ -10,11 +10,12 @@ Johnson's SIGMETRICS '90 paper):
   an earlier one, so a compatible reader still waits behind a queued
   writer.
 
-The lock keeps cheap per-lock accumulators of writer-held / writer-present
-time so the simulator can report the writer utilization :math:`\\rho_w`
-(paper Figure 10) without external instrumentation.  A maintained
-queued-writer counter makes the writer-present check O(1) — the clock
-advance on every request/release never scans the wait queue.
+The lock keeps no statistics of its own.  Grant waits go to its
+``observer``; live per-level counts go to its ``telemetry`` slot; and
+the writer utilization :math:`\\rho_w` of paper Figure 10 comes from
+:func:`~repro.simulator.metrics.root_sampler`, which polls the root
+lock.  A maintained queued-writer counter makes that poll's
+writer-present check O(1): it never scans the wait queue.
 
 Each lock also interns one :class:`~repro.des.process.Acquire` per mode
 and one :class:`~repro.des.process.Release` (:attr:`acquire_read` /
@@ -41,7 +42,7 @@ from repro.errors import LockProtocolError
 
 
 class RWLock:
-    """A FCFS shared/exclusive lock with queue-time accounting.
+    """A FCFS shared/exclusive lock.
 
     Parameters
     ----------
@@ -65,8 +66,6 @@ class RWLock:
     __slots__ = (
         "name", "observer", "telemetry", "acquire_read", "acquire_write",
         "release_cmd", "_readers", "_writer", "_queue", "_queued_writers",
-        "_last_change", "time_writer_held", "time_writer_present",
-        "time_held_any", "grants_read", "grants_write",
     )
 
     def __init__(self, name: str = "", observer=None) -> None:
@@ -82,20 +81,8 @@ class RWLock:
         self._writer: Optional[Process] = None
         self._queue: Deque[LockRequest] = deque()
         #: Number of W requests currently in :attr:`_queue`, maintained
-        #: on enqueue/dequeue so :meth:`writer_waiting` and the clock
-        #: advance are O(1).
+        #: on enqueue/dequeue so :meth:`writer_waiting` is O(1).
         self._queued_writers: int = 0
-        # Time-weighted accumulators, advanced lazily on state changes.
-        self._last_change: float = 0.0
-        #: Total time a writer has held the lock.
-        self.time_writer_held: float = 0.0
-        #: Total time a writer has been holding *or waiting* (the paper's
-        #: rho_w is the probability that "a W lock is in the lock queue").
-        self.time_writer_present: float = 0.0
-        #: Total time the lock has been held in any mode.
-        self.time_held_any: float = 0.0
-        self.grants_read: int = 0
-        self.grants_write: int = 0
 
     # ------------------------------------------------------------------
     # Introspection
@@ -144,8 +131,6 @@ class RWLock:
                 f"{process.name} already holds lock {self.name!r}; "
                 "re-entrant locking is not part of the protocol"
             )
-        now = sim.now
-        self._advance_clocks(now)
         tel = self.telemetry
         if not self._queue and self._writer is None \
                 and (mode == READ or not readers):
@@ -153,20 +138,18 @@ class RWLock:
             # descent.  ``_admit`` serves the queued grants.
             if mode == READ:
                 readers.add(process)
-                self.grants_read += 1
                 if tel is not None:
                     tel.held_read += 1
                     tel.grants_read += 1
             else:
                 self._writer = process
-                self.grants_write += 1
                 if tel is not None:
                     tel.held_write += 1
                     tel.grants_write += 1
             if self.observer is not None:
                 self.observer.on_wait(mode, 0.0)
             return True
-        self._queue.append(LockRequest(process, mode, now))
+        self._queue.append(LockRequest(process, mode, sim.now))
         if mode == WRITE:
             self._queued_writers += 1
         if tel is not None:
@@ -175,7 +158,6 @@ class RWLock:
 
     def release(self, sim: Simulator, process: Process) -> None:
         """Release ``process``'s hold and hand the lock to queued waiters."""
-        self._advance_clocks(sim.now)
         tel = self.telemetry
         if self._writer is process:
             self._writer = None
@@ -199,13 +181,11 @@ class RWLock:
         tel = self.telemetry
         if mode == READ:
             self._readers.add(process)
-            self.grants_read += 1
             if tel is not None:
                 tel.held_read += 1
                 tel.grants_read += 1
         else:
             self._writer = process
-            self.grants_write += 1
             if tel is not None:
                 tel.held_write += 1
                 tel.grants_write += 1
@@ -234,24 +214,6 @@ class RWLock:
             if mode == WRITE:
                 # An exclusive grant blocks everything behind it.
                 break
-
-    def _advance_clocks(self, now: float) -> None:
-        dt = now - self._last_change
-        if dt > 0.0:
-            if self._writer is not None:
-                self.time_writer_held += dt
-                self.time_writer_present += dt
-                self.time_held_any += dt
-            else:
-                if self._queued_writers:
-                    self.time_writer_present += dt
-                if self._readers:
-                    self.time_held_any += dt
-        self._last_change = now
-
-    def finalize(self, now: float) -> None:
-        """Flush the time-weighted accumulators up to ``now``."""
-        self._advance_clocks(now)
 
     def retire(self) -> None:
         """Drop the interned commands once the lock is no longer used.

@@ -27,20 +27,22 @@ worker processes, one at ``jobs=1``).  :func:`run_batch_report` exposes
 the full :class:`~repro.resilience.BatchReport`.  Without a policy the
 same loop is fail-fast: the first task exception propagates.  Either
 way a fault-free batch returns the same results.
+
+A broken pool says that *a* worker died, not which.  With one task in
+flight, that task is charged.  With several, none is: they go back to
+the front of the queue as *suspects*, and while any suspect remains the
+pool runs one task at a time, so the next break names its culprit.
+Faults are keyed by attempt and suspects are requeued uncharged, so
+this attribution does not depend on timing.
 """
 
 from __future__ import annotations
 
-import os
-import shutil
-import signal
-import tempfile
 import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from pathlib import Path
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -184,35 +186,12 @@ def execute_task(task: SimTask) -> Any:
     return run_simulation(task.config)
 
 
-def _execute_guarded(task: SimTask, index: int,
-                     fault_specs: Tuple[FaultSpec, ...],
-                     beacon_dir: Optional[str]) -> Any:
-    """Worker entry point of the process pool.
-
-    Drops a beacon file (``running-<index>`` containing the worker
-    pid) before executing and removes it on any *Python-level* return,
-    so a beacon that survives marks a task whose worker process died
-    mid-flight — the parent uses beacons plus worker exit codes to
-    charge a pool breakage to the task that caused it rather than to
-    every task that happened to be in flight.
-    """
-    beacon = None
-    if beacon_dir:
-        beacon = os.path.join(beacon_dir, f"running-{index}")
-        try:
-            with open(beacon, "w", encoding="ascii") as handle:
-                handle.write(str(os.getpid()))
-        except OSError:
-            beacon = None
-    try:
-        apply_worker_faults(fault_specs)
-        return execute_task(task)
-    finally:
-        if beacon is not None:
-            try:
-                os.remove(beacon)
-            except OSError:
-                pass
+def _execute_guarded(task: SimTask,
+                     fault_specs: Tuple[FaultSpec, ...]) -> Any:
+    """Worker entry point of the process pool: fire the task's injected
+    faults, then run it."""
+    apply_worker_faults(fault_specs)
+    return execute_task(task)
 
 
 def run_batch(tasks: Sequence[SimTask],
@@ -320,10 +299,9 @@ class _Batch:
         #: Earliest monotonic time a retry may be resubmitted.
         self.eligible_at: Dict[int, float] = {}
         self.report = BatchReport(results=self.results)
-        self._beacon_dir: Optional[str] = None
-        #: pid -> Process, accumulated across a pool's life so exit
-        #: codes stay readable after the executor reaps its workers.
-        self._procs: Dict[int, Any] = {}
+        #: Tasks in flight at a pool break that was not charged to
+        #: anyone; each leaves the set when it succeeds or is charged.
+        self.suspects: Set[int] = set()
 
     # ------------------------------------------------------------------
     # Orchestration
@@ -392,15 +370,10 @@ class _Batch:
     # ------------------------------------------------------------------
     def _run_pool(self, pending: List[int]) -> None:
         queue: deque = deque(pending)
-        self._beacon_dir = tempfile.mkdtemp(prefix="repro-sweep-")
-        try:
-            while queue:
-                if self._pool_round(queue):
-                    self.report.pool_rebuilds += 1
-                    self.inst.counter("resilience.pool_rebuilds").inc()
-        finally:
-            shutil.rmtree(self._beacon_dir, ignore_errors=True)
-            self._beacon_dir = None
+        while queue:
+            if self._pool_round(queue):
+                self.report.pool_rebuilds += 1
+                self.inst.counter("resilience.pool_rebuilds").inc()
 
     def _pool_round(self, queue: deque) -> bool:
         """Run one pool until the queue drains or the pool must be
@@ -408,14 +381,12 @@ class _Batch:
         rebuild is needed; unfinished tasks are already requeued."""
         workers = min(self.n_jobs, max(len(queue), 1))
         pool = ProcessPoolExecutor(max_workers=workers)
-        self._procs = {}
         futures: Dict[Any, int] = {}
         running_since: Dict[int, float] = {}
         torn_down = False
         try:
             while queue or futures:
                 self._submit_eligible(pool, queue, futures, workers)
-                self._procs.update(getattr(pool, "_processes", None) or {})
                 if not futures:
                     # Everything left is backing off; nap until the
                     # soonest task becomes eligible again.
@@ -434,33 +405,38 @@ class _Batch:
                     if future not in done and index not in running_since \
                             and future.running():
                         running_since[index] = time.monotonic()
-                broken = False
+                broken = None
                 for future in done:
                     index = futures.pop(future)
                     running_since.pop(index, None)
                     try:
                         outcome = future.result()
+                    except BrokenProcessPool as error:
+                        futures[future] = index  # in flight at the break
+                        broken = error
                     except Exception as error:
                         if self.fail_fast:
                             raise
-                        if isinstance(error, BrokenProcessPool):
-                            futures[future] = index
-                            broken = True
-                            break
                         if self._charge(index, type(error).__name__,
                                         str(error)):
                             queue.append(index)
                     else:
                         self._record_success(index, outcome)
-                if broken:
-                    self._handle_broken(pool, futures, queue)
-                    torn_down = True
-                    return True
+                if broken is not None:
+                    raise broken
                 if self._expire_deadlines(pool, futures, running_since,
                                           queue):
                     torn_down = True
                     return True
             return False
+        except BrokenProcessPool:
+            # From a future or from ``pool.submit``: either way the
+            # tasks left in ``futures`` were in flight when it broke.
+            if self.fail_fast:
+                raise
+            self._handle_broken(pool, futures, queue)
+            torn_down = True
+            return True
         finally:
             if not torn_down:
                 pool.shutdown(wait=True, cancel_futures=True)
@@ -470,18 +446,26 @@ class _Batch:
         """Submit eligible tasks, at most one per worker: the pool marks
         a future running as soon as it is queued for a worker, so a task
         waiting behind a busy one would otherwise start its deadline
-        clock early."""
+        clock early.  While a suspect remains, at most one in all.
+
+        A ``BrokenProcessPool`` from ``pool.submit`` propagates, with
+        the unsubmitted task back at the front of the queue."""
+        limit = 1 if self.suspects else workers
         now = time.monotonic()
         for _ in range(len(queue)):
-            if len(futures) >= workers:
+            if len(futures) >= limit:
                 return
             index = queue.popleft()
             if self.eligible_at.get(index, 0.0) > now:
                 queue.append(index)  # still backing off; rotate
                 continue
             specs = self.faults.worker_faults(index, self.failures[index])
-            future = pool.submit(_execute_guarded, self.tasks[index],
-                                 index, specs, self._beacon_dir)
+            try:
+                future = pool.submit(_execute_guarded, self.tasks[index],
+                                     specs)
+            except BrokenProcessPool:
+                queue.appendleft(index)
+                raise
             futures[future] = index
 
     def _expire_deadlines(self, pool, futures: Dict[Any, int],
@@ -513,96 +497,39 @@ class _Batch:
 
     def _handle_broken(self, pool, futures: Dict[Any, int],
                        queue: deque) -> None:
-        """A worker died.  Identify the task(s) it was running via the
-        beacons + abnormal exit codes, charge only those, and requeue
-        every other in-flight task uncharged."""
-        self._procs.update(getattr(pool, "_processes", None) or {})
-        self._teardown(pool, terminate=False)
-        abnormal = self._abnormal_pids()
-        started = self._read_beacons()
-        outstanding = set(futures.values())
-        culprits = {index for index, pid in started.items()
-                    if pid in abnormal and index in outstanding}
-        if not culprits:
-            # Degraded attribution: charge whatever had started; as a
-            # last resort, everything in flight (guarantees progress).
-            culprits = {index for index in started
-                        if index in outstanding} or set(outstanding)
-        self._clear_beacons()
-        for index in sorted(outstanding):
-            if index in culprits:
-                if self._charge(index, ERROR_WORKER_DIED,
-                                "worker process died while running "
-                                "this task (process pool broken)"):
-                    queue.append(index)
-            else:
-                queue.append(index)
+        """A worker died.  A lone task in flight is charged; several
+        are all requeued uncharged, at the front, as suspects."""
+        self._teardown(pool)
+        in_flight = sorted(futures.values())
+        if len(in_flight) == 1:
+            if self._charge(in_flight[0], ERROR_WORKER_DIED,
+                            "worker process died while running "
+                            "this task (process pool broken)"):
+                queue.append(in_flight[0])
+        else:
+            self.suspects.update(in_flight)
+            queue.extendleft(reversed(in_flight))
 
-    # ------------------------------------------------------------------
-    # Pool teardown helpers
-    # ------------------------------------------------------------------
-    def _teardown(self, pool, terminate: bool = True) -> None:
-        procs = dict(self._procs)
-        procs.update(getattr(pool, "_processes", None) or {})
-        self._procs = procs
-        if terminate:
-            for proc in procs.values():
-                try:
-                    proc.terminate()
-                except Exception:  # already dead / already reaped
-                    pass
+    def _teardown(self, pool) -> None:
+        """Stop ``pool`` without waiting for its tasks: terminate its
+        workers (a stalled one never returns), then join them for at
+        most :data:`_TEARDOWN_GRACE` seconds."""
+        procs = list((getattr(pool, "_processes", None) or {}).values())
+        for proc in procs:
+            try:
+                proc.terminate()
+            except Exception:  # already dead / already reaped
+                pass
         try:
             pool.shutdown(wait=False, cancel_futures=True)
         except Exception:  # pragma: no cover - defensive
             pass
         deadline = time.monotonic() + _TEARDOWN_GRACE
-        for proc in procs.values():
+        for proc in procs:
             try:
                 proc.join(timeout=max(0.0, deadline - time.monotonic()))
             except Exception:  # pragma: no cover - defensive
                 pass
-
-    def _abnormal_pids(self) -> Set[int]:
-        """Workers that died on their own (not the executor's SIGTERM)."""
-        abnormal: Set[int] = set()
-        sigterm = -int(getattr(signal, "SIGTERM", 15))
-        for pid, proc in self._procs.items():
-            code = getattr(proc, "exitcode", None)
-            if code is not None and code not in (0, sigterm):
-                abnormal.add(pid)
-        return abnormal
-
-    def _read_beacons(self) -> Dict[int, int]:
-        """Surviving beacons: task index -> worker pid."""
-        started: Dict[int, int] = {}
-        if not self._beacon_dir:
-            return started
-        try:
-            names = os.listdir(self._beacon_dir)
-        except OSError:
-            return started
-        for name in names:
-            if not name.startswith("running-"):
-                continue
-            try:
-                index = int(name.split("-", 1)[1])
-                pid = int(Path(self._beacon_dir, name).read_text("ascii"))
-            except (ValueError, OSError):
-                continue
-            started[index] = pid
-        return started
-
-    def _clear_beacons(self) -> None:
-        if not self._beacon_dir:
-            return
-        try:
-            for name in os.listdir(self._beacon_dir):
-                try:
-                    os.remove(os.path.join(self._beacon_dir, name))
-                except OSError:
-                    pass
-        except OSError:
-            pass
 
     # ------------------------------------------------------------------
     # Accounting
@@ -612,6 +539,7 @@ class _Batch:
 
     def _charge(self, index: int, error: str, message: str) -> bool:
         """Record one failed attempt; True when the task may retry."""
+        self.suspects.discard(index)
         self.failures[index] += 1
         attempts = self.failures[index]
         policy = self.options.retry
@@ -640,5 +568,6 @@ class _Batch:
             if store and self.cache is not None:
                 self.cache.put(self.keys[index], result)
         self.results[index] = result
+        self.suspects.discard(index)
         if self.progress is not None:
             self.progress(result)

@@ -92,7 +92,8 @@ _DEFAULT_FACTOR = 2.0
 #: Environment variable carrying an encoded plan into CLI runs.
 FAULTS_ENV = "REPRO_FAULTS"
 
-#: Exit status of a worker killed by the harness (diagnostic only).
+#: Exit status of a worker killed by the harness.  Nothing reads it:
+#: the executor attributes a broken pool by what it had in flight.
 KILL_EXIT_CODE = 87
 
 
@@ -162,10 +163,6 @@ class FaultSpec:
     def window_end(self) -> float:
         """End of the fault window: ``at + duration``."""
         return self.at + self.duration
-
-    def active_at(self, time: float) -> bool:
-        """True while a simulation-time fault window covers ``time``."""
-        return self.at <= time < self.window_end
 
     def encode(self) -> str:
         """``kind@index#attempts~seconds!at%factor`` (omitting defaulted

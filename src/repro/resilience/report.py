@@ -29,7 +29,6 @@ class FailureRecord:
     error: str
     message: str
     attempts: int
-    quarantined: bool = True
 
     def describe(self) -> str:
         return (f"task {self.index} ({self.key or 'unkeyed'}): "

@@ -27,6 +27,7 @@ from repro.des import Acquire, Hold, READ, RWLock, Release, Simulator, WRITE
 from repro.des.distributions import Hyperexponential
 from repro.errors import ProcessError
 from repro.obs import TelemetryOptions, TelemetryRecorder, dumps_ndjson
+from repro.obs.sampler import LevelState
 from repro.simulator import SimulationConfig, run_simulation
 from repro.simulator.closed import run_closed_simulation
 from repro.workload import (MMPPArrivals, TransactionSpec, WorkloadSpec,
@@ -262,11 +263,12 @@ def test_interned_and_allocated_commands_equivalent():
     for interned in (True, False):
         sim = Simulator()
         lock = RWLock("n")
+        lock.telemetry = state = LevelState(0)
         log = []
         sim.spawn(worker(sim, lock, interned, log))
         sim.spawn(worker(sim, lock, interned, log))
         end = sim.run()
-        outcomes.append((end, log, lock.grants_write))
+        outcomes.append((end, log, state.grants_write))
     assert outcomes[0] == outcomes[1]
     end, log, grants = outcomes[0]
     assert end == 2.0
@@ -280,6 +282,7 @@ def test_interned_and_allocated_commands_equivalent():
 def test_writer_waiting_counter_tracks_queue():
     sim = Simulator()
     lock = RWLock("counted")
+    lock.telemetry = state = LevelState(0)
 
     def scan(expected):
         actual = any(req.mode == WRITE for req in lock._queue)
@@ -307,8 +310,8 @@ def test_writer_waiting_counter_tracks_queue():
     sim.schedule(3.0, lambda: scan(True))   # writer queued behind holder
     sim.run()
     scan(False)                             # everything drained
-    assert lock.grants_write == 2
-    assert lock.grants_read == 1
+    assert state.grants_write == 2
+    assert state.grants_read == 1
 
 
 def test_writer_waiting_counter_many_writers():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.des import Acquire, Hold, READ, RWLock, Release, Simulator, WRITE
 from repro.errors import LockProtocolError
+from repro.obs.sampler import LevelState
 
 
 def _run(script):
@@ -206,8 +207,17 @@ def test_observer_receives_waits():
 
 
 def test_writer_presence_accounting():
+    # The live counts a telemetry LevelState sees, and the writer
+    # presence root_sampler polls for rho_w (paper Figure 10).
     sim = Simulator()
     lock = RWLock()
+    lock.telemetry = state = LevelState(0)
+    snapshots = []
+
+    def snapshot():
+        snapshots.append((sim.now, state.held_read, state.held_write,
+                          state.queued,
+                          lock.writer is not None or lock.writer_waiting()))
 
     def writer():
         yield Acquire(lock, WRITE)
@@ -221,19 +231,19 @@ def test_writer_presence_accounting():
 
     sim.spawn(reader())
     sim.spawn(writer(), delay=1.0)  # waits 1 unit behind the reader
+    for at in (0.5, 1.5, 3.0, 7.0):
+        sim.schedule(at, snapshot)
     sim.run()
-    lock.finalize(sim.now)
-    assert lock.time_writer_held == pytest.approx(4.0)
     # present = waiting (1..2) + holding (2..6)
-    assert lock.time_writer_present == pytest.approx(5.0)
-    assert lock.time_held_any == pytest.approx(6.0)
-    assert lock.grants_read == 1
-    assert lock.grants_write == 1
+    assert snapshots == [(0.5, 1, 0, 0, False), (1.5, 1, 0, 1, True),
+                         (3.0, 0, 1, 0, True), (7.0, 0, 0, 0, False)]
+    assert (state.grants_read, state.grants_write) == (1, 1)
 
 
 def test_grant_counters():
     sim = Simulator()
     lock = RWLock()
+    lock.telemetry = state = LevelState(0)
 
     def reader():
         yield Acquire(lock, READ)
@@ -242,5 +252,5 @@ def test_grant_counters():
     for i in range(5):
         sim.spawn(reader(), delay=float(i))
     sim.run()
-    assert lock.grants_read == 5
-    assert lock.grants_write == 0
+    assert state.grants_read == 5
+    assert state.grants_write == 0

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.des import Acquire, Hold, READ, RWLock, Release, Simulator, WRITE
+from repro.obs.sampler import LevelState
 
 CUSTOMERS = st.lists(
     st.tuples(
@@ -112,6 +113,14 @@ def test_writer_grant_means_sole_ownership(schedule):
 def test_accounting_consistent(schedule):
     sim = Simulator()
     lock = RWLock("acct")
+    lock.telemetry = state = LevelState(0)
+    waits = []
+
+    class Observer:
+        def on_wait(self, mode, wait):
+            waits.append((mode, wait))
+
+    lock.observer = Observer()
 
     def customer(mode, hold):
         yield Acquire(lock, mode)
@@ -123,8 +132,9 @@ def test_accounting_consistent(schedule):
     for delay, mode, hold in schedule:
         sim.spawn(customer(mode, hold), delay=delay)
     sim.run()
-    lock.finalize(sim.now)
-    assert lock.grants_read == n_readers
-    assert lock.grants_write == n_writers
-    assert 0.0 <= lock.time_writer_held <= lock.time_writer_present
-    assert lock.time_writer_held <= lock.time_held_any + 1e-9
+    assert state.grants_read == n_readers
+    assert state.grants_write == n_writers
+    assert (state.held_read, state.held_write, state.queued) == (0, 0, 0)
+    assert sum(1 for mode, _w in waits if mode == READ) == n_readers
+    assert len(waits) == len(schedule)
+    assert all(wait >= 0.0 for _m, wait in waits)

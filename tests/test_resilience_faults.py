@@ -1,19 +1,24 @@
 """Fault-injection tests: the sweep stack under hostile conditions.
 
-Every fault here is deterministic (keyed off task index + attempt), so
-these tests exercise real worker deaths, stalls and cache corruption
-without flakiness.  The CI fault-smoke job repeats the transient
-worker-kill case end to end, through ``$REPRO_FAULTS``.
+Every fault here is deterministic (keyed off task index + attempt), and
+the executor charges a worker death by what it had in flight, never by
+which process the pool reaps first.  So these tests exercise real
+worker deaths, stalls and cache corruption with outcomes that do not
+depend on timing; the worker-death tests repeat one batch to show it.
+The CI fault-smoke job repeats the transient worker-kill case end to
+end, through ``$REPRO_FAULTS``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from concurrent.futures import wait as futures_wait
 
 import pytest
 
 from repro.errors import InjectedFaultError
 from repro.obs.instruments import Instrumentation
+from repro.parallel import executor as executor_module
 from repro.parallel import (
     CacheStats,
     ResultCache,
@@ -89,6 +94,67 @@ class TestWorkerDeath:
         [failure] = report.failures
         assert failure.error == ERROR_WORKER_DIED
         assert failure.attempts == 2  # initial try + one retry
+
+    @pytest.mark.parametrize("rep", range(10))
+    def test_transient_kill_charged_once_every_time(self, rep):
+        # Attribution must not depend on which worker the pool reaps
+        # first, so the same batch charges exactly one retry every run.
+        plan = FaultPlan(specs=(
+            FaultSpec(kind=KILL_WORKER, task_index=1),))
+        report = run_batch_report(
+            _tasks(4), jobs=2,
+            resilience=ResilienceOptions(retry=_FAST_RETRY, faults=plan))
+        assert report.ok, report.summary()
+        assert report.retries == 1, report.summary()
+
+    def test_two_persistent_kills_in_one_round_spare_bystanders(self):
+        # Tasks 1 and 2 die in the same four-worker round, so the first
+        # break cannot name a culprit; running the suspects one at a
+        # time must quarantine exactly those two and charge no one else.
+        plan = FaultPlan(specs=(
+            FaultSpec(kind=KILL_WORKER, task_index=1, attempts=None),
+            FaultSpec(kind=KILL_WORKER, task_index=2, attempts=None),))
+        report = run_batch_report(
+            _tasks(8), jobs=4,
+            resilience=ResilienceOptions(retry=_FAST_RETRY, faults=plan))
+        assert report.quarantined_indices == [1, 2], report.summary()
+        assert [f.attempts for f in report.failures] == [2, 2]
+        assert {f.error for f in report.failures} == {ERROR_WORKER_DIED}
+        # One retry each for the two culprits; a charged bystander
+        # would add more.
+        assert report.retries == 2, report.summary()
+        clean = run_batch(_tasks(8), jobs=1)
+        expected = _fingerprints(clean)
+        expected[1] = expected[2] = None
+        assert _fingerprints(report.results) == expected
+
+    def test_pool_broken_before_next_submit_is_absorbed(self, monkeypatch):
+        # Force the race where the pool breaks between the parent's last
+        # wait and its next submit: each submit first waits on every
+        # future this pool already returned, so task 0's kill breaks
+        # the pool before task 1 is submitted.
+        class WaitingPool(executor_module.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                self.returned = []
+
+            def submit(self, *args, **kwargs):
+                futures_wait(self.returned, timeout=60)
+                future = super().submit(*args, **kwargs)
+                self.returned.append(future)
+                return future
+
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor",
+                            WaitingPool)
+        plan = FaultPlan(specs=(
+            FaultSpec(kind=KILL_WORKER, task_index=0),))
+        report = run_batch_report(
+            _tasks(3), jobs=2,
+            resilience=ResilienceOptions(retry=_FAST_RETRY, faults=plan))
+        assert report.ok, report.summary()
+        assert report.retries == 1, report.summary()
+        clean = run_batch(_tasks(3), jobs=1)
+        assert _fingerprints(report.results) == _fingerprints(clean)
 
     def test_inline_kill_raises_injected_fault_not_exit(self):
         # jobs=1 must not take the test process down with it.
