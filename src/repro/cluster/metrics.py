@@ -8,19 +8,15 @@ counts against availability, because a shed client saw an error):
 * ``mean_response`` — mean response of *completed* operations only
   (failed operations have no response to average).
 
-:meth:`ClusterResult.publish` exports the counters through
-:class:`repro.obs.instruments.Instrumentation` under the ``cluster.*``
-namespace so cluster runs merge into the standard telemetry stream.
+:meth:`ClusterResult.counters` names the tallies under the ``cluster.*``
+namespace.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, Tuple
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.instruments import Instrumentation
+from typing import Dict, Tuple
 
 
 @dataclass
@@ -98,8 +94,3 @@ class ClusterResult:
             "cluster.hedges": self.hedges,
             "cluster.hedged_wins": self.hedged_wins,
         }
-
-    def publish(self, instruments: "Instrumentation") -> None:
-        """Add this run's tallies to ``instruments`` (``cluster.*``)."""
-        for name, value in self.counters().items():
-            instruments.counter(name).inc(value)

@@ -1,21 +1,20 @@
 """The discrete-event simulation kernel.
 
 :class:`Simulator` owns the simulation clock and a binary-heap event list.
-Events are typed records ``(time, sequence, kind, a, b)`` interpreted
-inline by :meth:`Simulator.run` — a process start, a process resume
-carrying its send value, or a plain callable (the public
-:meth:`~Simulator.schedule` API).  The sequence number makes the ordering
-of simultaneous events deterministic (FIFO in scheduling order), which in
+Every event is one record ``(time, sequence, process, send_value)``: resume
+``process`` by sending it ``send_value`` (a fresh process is started by
+sending it ``None``).  The sequence number makes the ordering of
+simultaneous events deterministic (FIFO in scheduling order), which in
 turn makes whole simulation runs reproducible for a fixed random seed;
 because it is unique, heap comparisons never reach the payload fields.
 
 Processes (see :mod:`repro.des.process`) communicate with the kernel by
-yielding commands; :meth:`Simulator.run` dispatches on each command's
-integer ``kind`` tag (with a bare ``float`` understood as an
-allocation-free Hold).  The kernel steps a process as far as it can
-without time passing — e.g. a lock acquired without contention is
-granted immediately within the same step — which keeps the event heap
-small and the simulator fast.
+yielding commands: a ``float`` hold, or a lock's interned
+:class:`~repro.des.process.Acquire` / :class:`~repro.des.process.Release`,
+which :meth:`Simulator.run` tells apart by class.  The kernel steps a
+process as far as it can without time passing — e.g. a lock acquired
+without contention is granted immediately within the same step — which
+keeps the event heap small and the simulator fast.
 """
 
 from __future__ import annotations
@@ -23,27 +22,11 @@ from __future__ import annotations
 import heapq
 from typing import Callable, List, Optional, Tuple
 
-from repro.des.process import (
-    KIND_ACQUIRE,
-    KIND_HOLD,
-    KIND_RELEASE,
-    Process,
-)
+from repro.des.process import Acquire, Process, Release
 from repro.errors import ProcessError, SimulationError
 
-Action = Callable[[], None]
-
-#: Heap-record kinds (slot 2 of every event tuple).
-_EV_ACTION = 0   # a: zero-argument callable,   b: unused
-_EV_START = 1    # a: Process to start,         b: unused
-_EV_RESUME = 2   # a: Process to resume,        b: value to send
-
-#: One scheduled event.
-Event = Tuple[float, int, int, object, object]
-
-# The step loop dispatches on literal ints for speed; pin them to the
-# canonical constants so a drift in process.py cannot go unnoticed.
-assert (KIND_HOLD, KIND_ACQUIRE, KIND_RELEASE) == (0, 1, 2)
+#: One scheduled event: resume ``process`` with ``send_value`` at ``time``.
+Event = Tuple[float, int, Process, object]
 
 
 class Simulator:
@@ -55,7 +38,7 @@ class Simulator:
 
         def customer(lock):
             wait = yield lock.acquire_write
-            yield 1.0                      # hold (bare-float shorthand)
+            yield 1.0                      # hold for one time unit
             yield lock.release_cmd
 
         sim.spawn(customer(lock))
@@ -102,19 +85,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling primitives
     # ------------------------------------------------------------------
-    def schedule(self, delay: float, action: Action) -> None:
-        """Run ``action`` after ``delay`` units of simulated time."""
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
-        self._sequence += 1
-        heapq.heappush(self._heap,
-                       (self._now + delay, self._sequence, _EV_ACTION,
-                        action, None))
-
-    def schedule_at(self, time: float, action: Action) -> None:
-        """Run ``action`` at absolute simulation time ``time``."""
-        self.schedule(time - self._now, action)
-
     def spawn(self, generator, name: str = "",
               on_done: Optional[Callable[[Process], None]] = None,
               delay: float = 0.0) -> Process:
@@ -131,22 +101,19 @@ class Simulator:
         self._total_spawned += 1
         self._sequence += 1
         heapq.heappush(self._heap,
-                       (self._now + delay, self._sequence, _EV_START,
-                        process, None))
+                       (self._now + delay, self._sequence, process, None))
         return process
 
     def resume(self, process: Process, value=None, delay: float = 0.0) -> None:
         """Schedule ``process`` to be resumed with ``value`` after ``delay``.
 
-        Used by synchronisation objects (locks) to wake waiters.  A typed
-        heap record — no closure is allocated.
+        Used by synchronisation objects (locks) to wake waiters.
         """
         if delay < 0:
             raise SimulationError(f"cannot schedule in the past (delay={delay})")
         self._sequence += 1
         heapq.heappush(self._heap,
-                       (self._now + delay, self._sequence, _EV_RESUME,
-                        process, value))
+                       (self._now + delay, self._sequence, process, value))
 
     # ------------------------------------------------------------------
     # Execution
@@ -168,25 +135,20 @@ class Simulator:
         # One loop for events and process steps: this body executes once
         # per event, so calls and attribute/global lookups are hoisted
         # into locals.  Holds push their resume record inline, commands
-        # dispatch on a bare float check plus one integer ``kind``
-        # compare, and the clock cannot advance within a step.
+        # dispatch on their class by identity, and the clock cannot
+        # advance within a step.
         heap = self._heap
         heappop = heapq.heappop
         heappush = heapq.heappush
+        acquire = Acquire
+        release = Release
         while heap:
             if until is not None and heap[0][0] > until:
                 self._now = until
                 return until
-            now, _, event_kind, process, send_value = heappop(heap)
+            now, _, process, send_value = heappop(heap)
             self._now = now
-            if event_kind == _EV_ACTION:
-                process()  # a plain action (``schedule``)
-                if self._stopped:
-                    return now
-                continue
-            if event_kind == _EV_START:
-                process.started_at = now
-            elif process.done:
+            if process.done:
                 raise ProcessError(f"{process!r} resumed after completion")
             send = process.generator.send
             while True:
@@ -194,47 +156,32 @@ class Simulator:
                     command = send(send_value)
                 except StopIteration:
                     process.done = True
-                    process.finished_at = now
                     self._active -= 1
                     if process.on_done is not None:
                         process.on_done(process)
                     break
-                if command.__class__ is float:
+                cls = command.__class__
+                if cls is float:
                     if command > 0.0:
                         self._sequence = seq = self._sequence + 1
-                        heappush(heap, (now + command, seq, _EV_RESUME,
-                                        process, None))
+                        heappush(heap, (now + command, seq, process, None))
                         break
                     if command == 0.0:
                         send_value = None
                         continue
                     raise ProcessError(
                         f"{process!r} held for negative time {command!r}")
-                try:
-                    kind = command.kind
-                except AttributeError:
-                    self._step_other(process, command)  # int holds
-                    break
-                if kind == 1:  # acquire
+                if cls is acquire:
                     if command.lock.request(self, process, command.mode):
                         send_value = 0.0
                         continue
                     break  # the lock will resume us with the wait time
-                if kind == 2:  # release
+                if cls is release:
                     command.lock.release(self, process)
                     send_value = None
                     continue
-                if kind == 0:  # Hold instance (validated non-negative)
-                    duration = command.duration
-                    if duration > 0.0:
-                        self._sequence = seq = self._sequence + 1
-                        heappush(heap, (now + duration, seq, _EV_RESUME,
-                                        process, None))
-                        break
-                    send_value = None
-                    continue
-                self._step_other(process, command)  # unknown kind
-                break
+                raise ProcessError(
+                    f"{process!r} yielded unsupported command {command!r}")
             if self._stopped:
                 return now
         if until is not None:
@@ -244,15 +191,3 @@ class Simulator:
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""
         self._stopped = True
-
-    def _step_other(self, process: Process, command) -> None:
-        """Slow-path commands: integer holds and protocol errors."""
-        if isinstance(command, (int, float)) and not isinstance(command, bool):
-            if command < 0:
-                raise ProcessError(
-                    f"{process!r} held for negative time {command!r}")
-            self.resume(process, None, delay=float(command))
-            return
-        raise ProcessError(
-            f"{process!r} yielded unsupported command {command!r}"
-        )

@@ -1,19 +1,16 @@
-"""Statistics collectors used by the simulator and experiment drivers.
+"""Statistics collectors used by the simulator.
 
 * :class:`RunningStats` — numerically stable (Welford) accumulator for
   mean / variance / min / max plus a normal-approximation confidence
   interval; used for response times and lock waits.
-* :class:`TimeWeightedStat` — integral of a piecewise-constant signal,
-  used for utilizations and mean queue lengths.
-* :func:`combine_runs` — pools the per-seed means of replicated runs the
-  way the paper aggregates its five independent simulations per setting.
+* :class:`ReservoirSample` — a fixed-size uniform sample of a stream,
+  from which response-time percentiles are estimated.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 
 class RunningStats:
@@ -98,41 +95,6 @@ class RunningStats:
         return f"RunningStats(n={self.n}, mean={self.mean:.6g})"
 
 
-class TimeWeightedStat:
-    """Time integral of a piecewise-constant signal.
-
-    ``update(now, value)`` records that the signal has had value ``value``
-    since the previous update.  ``mean(now)`` is the time average over the
-    observation window.
-    """
-
-    __slots__ = ("_start", "_last_time", "_last_value", "_area")
-
-    def __init__(self, start: float = 0.0, value: float = 0.0) -> None:
-        self._start = start
-        self._last_time = start
-        self._last_value = value
-        self._area = 0.0
-
-    def update(self, now: float, value: float) -> None:
-        if now < self._last_time:
-            raise ValueError("time went backwards in TimeWeightedStat")
-        self._area += self._last_value * (now - self._last_time)
-        self._last_time = now
-        self._last_value = value
-
-    def mean(self, now: float) -> float:
-        span = now - self._start
-        if span <= 0:
-            return math.nan
-        area = self._area + self._last_value * (now - self._last_time)
-        return area / span
-
-    @property
-    def current(self) -> float:
-        return self._last_value
-
-
 class ReservoirSample:
     """Fixed-size uniform sample of a stream (Vitter's algorithm R).
 
@@ -186,30 +148,3 @@ class ReservoirSample:
         return {"p50": self.percentile(50.0),
                 "p90": self.percentile(90.0),
                 "p99": self.percentile(99.0)}
-
-
-@dataclass(frozen=True)
-class RunSummary:
-    """Mean and spread of a metric pooled over replicated runs."""
-
-    mean: float
-    stddev: float
-    n_runs: int
-    low: float
-    high: float
-
-
-def combine_runs(per_run_means: Sequence[float]) -> RunSummary:
-    """Pool per-seed means, as the paper does over 5 seeds per setting."""
-    if not per_run_means:
-        raise ValueError("no runs to combine")
-    acc = RunningStats()
-    acc.extend(per_run_means)
-    sd = acc.stddev
-    return RunSummary(
-        mean=acc.mean,
-        stddev=0.0 if sd != sd else sd,
-        n_runs=acc.n,
-        low=acc.min,
-        high=acc.max,
-    )

@@ -119,14 +119,6 @@ def sweep_simulated_responses(base: SimulationConfig,
             for results in sweep_replications(base, rates, scale, seeds)]
 
 
-def simulated_response(base: SimulationConfig, rate: float, operation: str,
-                       scale: float, seeds: Optional[int] = None,
-                       ) -> Dict[str, float]:
-    """Pooled simulated response means at ``rate`` (over several seeds)."""
-    del operation  # kept for call-site readability; means cover all ops
-    return sweep_simulated_responses(base, [rate], scale, seeds)[0]
-
-
 def response_sweep(table: ExperimentTable, rates: Sequence[float],
                    analyzer: Analyzer, model_config: ModelConfig,
                    operation: str, sim_base: Optional[SimulationConfig],

@@ -150,8 +150,10 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="simulation effort scale (1.0 = paper "
                               "scale)")
     figures.add_argument("--no-sim", action="store_true",
-                         help="analytical series only (skip the "
-                              "simulator everywhere)")
+                         help="analytical series only: skip the "
+                              "simulator wherever a figure has a model "
+                              "series (ext04-ext08 are inherently "
+                              "simulated and still simulate)")
     figures.add_argument("--no-claims", action="store_true",
                          help="leave the paper's in-text claims out of "
                               "the validation report")

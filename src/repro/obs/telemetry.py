@@ -48,6 +48,10 @@ class TelemetryOptions:
     ring_capacity: int = 4096
 
     def __post_init__(self) -> None:
+        # The sampler yields this as a hold, and the kernel holds only
+        # for floats: an int from a library caller must not reach it.
+        object.__setattr__(self, "sample_interval",
+                           float(self.sample_interval))
         if self.sample_interval <= 0:
             raise ConfigurationError(
                 f"sample_interval must be positive, "

@@ -283,11 +283,6 @@ class _Batch:
         faults = options.faults if options.faults is not None \
             else plan_from_env()
         self.faults = faults if faults is not None else FaultPlan()
-        if options.instruments is not None:
-            self.inst = options.instruments
-        else:
-            from repro.obs.instruments import NULL_INSTRUMENTS
-            self.inst = NULL_INSTRUMENTS
         salt = cache.salt if cache is not None else CODE_SALT
         self.keys: List[Optional[str]] = [
             None if task.telemetry is not None else task_key(task, salt=salt)
@@ -336,7 +331,6 @@ class _Batch:
             hit = self.cache.get(key)
             if self.cache.stats.errors > errors_before:
                 self.report.cache_corruptions += 1
-                self.inst.counter("resilience.cache_corrupt").inc()
             if hit is None:
                 missed.append(index)
             else:
@@ -373,7 +367,6 @@ class _Batch:
         while queue:
             if self._pool_round(queue):
                 self.report.pool_rebuilds += 1
-                self.inst.counter("resilience.pool_rebuilds").inc()
 
     def _pool_round(self, queue: deque) -> bool:
         """Run one pool until the queue drains or the pool must be
@@ -484,7 +477,6 @@ class _Batch:
             return False
         for index in sorted(expired):
             self.report.timeouts += 1
-            self.inst.counter("resilience.timeouts").inc()
             if self._charge(index, ERROR_TIMEOUT,
                             f"ran past the {timeout:g}s task deadline"):
                 queue.append(index)
@@ -548,13 +540,11 @@ class _Batch:
                 index=index, key=self.keys[index], error=error,
                 message=message, attempts=attempts)
             self.report.failures.append(record)
-            self.inst.counter("resilience.quarantined").inc()
             return False
         delay = policy.delay_for(attempts,
                                  token=self.keys[index] or f"task-{index}")
         self.eligible_at[index] = time.monotonic() + delay
         self.report.retries += 1
-        self.inst.counter("resilience.retries").inc()
         return True
 
     def _record_success(self, index: int, outcome: Any,

@@ -7,10 +7,9 @@ never from global randomness, so a rerun schedules identically).
 
 :class:`ResilienceOptions` bundles everything
 :func:`repro.parallel.run_batch` needs to survive a hostile sweep:
-the retry policy, the parent-side per-task wall deadline, the fault
-plan under test, and an optional
-:class:`~repro.obs.instruments.Instrumentation` that receives
-``resilience.*`` counters.
+the retry policy, the parent-side per-task wall deadline and the fault
+plan under test.  The batch's event totals go to its
+:class:`~repro.resilience.BatchReport`.
 """
 
 from __future__ import annotations
@@ -18,13 +17,10 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 from repro.errors import ConfigurationError
 from repro.resilience.faults import FaultPlan
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.obs.instruments import Instrumentation
 
 
 @dataclass(frozen=True)
@@ -84,9 +80,6 @@ class ResilienceOptions:
     retry: RetryPolicy = RetryPolicy()
     task_timeout: Optional[float] = None
     faults: Optional[FaultPlan] = None
-    #: Sink for ``resilience.*`` event counters (retries, timeouts,
-    #: quarantines, pool rebuilds, cache corruption).
-    instruments: Optional["Instrumentation"] = None
 
     def __post_init__(self) -> None:
         if self.task_timeout is not None and not (

@@ -4,7 +4,7 @@ A resilient sweep never aborts: it ends with partial results plus an
 account of what went wrong.  :class:`BatchReport` is that account —
 the in-order results list (``None`` where a task was quarantined),
 the final :class:`FailureRecord` per quarantined task, and the event
-totals that also flow into ``resilience.*`` telemetry counters.
+totals (retries, timeouts, pool rebuilds, cache corruptions).
 """
 
 from __future__ import annotations

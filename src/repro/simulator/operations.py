@@ -2,8 +2,8 @@
 
 Each algorithm module exposes three generator factories — ``search``,
 ``insert``, ``delete`` — taking an :class:`OperationContext` and a key.
-The generators yield the allocation-free forms of the kernel commands: a
-bare ``float`` (hold that much simulated time) and the per-lock interned
+The generators yield the kernel's commands, none of which allocates: a
+``float`` (hold that much simulated time) and the per-lock interned
 ``lock.acquire_read`` / ``lock.acquire_write`` / ``lock.release_cmd``
 instances (see :mod:`repro.des.process`).  Code between yields executes
 atomically in simulated time, so

@@ -23,6 +23,21 @@ def rng():
 
 
 @pytest.fixture
+def call_at():
+    """``call_at(sim, delay, action)`` runs ``action`` after ``delay``.
+
+    The call is a process that runs once and ends, so it costs one
+    event and keeps its place in the FIFO order of equal-time events.
+    """
+    def schedule(sim, delay, action):
+        def body():
+            action()
+            yield from ()
+        return sim.spawn(body(), delay=delay)
+    return schedule
+
+
+@pytest.fixture
 def paper_config() -> ModelConfig:
     """The Section 5.3 analytical configuration."""
     return paper_default_config()

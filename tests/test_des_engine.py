@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import Acquire, Hold, READ, RWLock, Release, Simulator, WRITE
+from repro.des import RWLock, Simulator
 from repro.errors import ProcessError, SimulationError
 
 
@@ -10,44 +10,47 @@ def test_clock_starts_at_zero():
     assert Simulator().now == 0.0
 
 
-def test_schedule_runs_in_time_order():
+def test_schedule_runs_in_time_order(call_at):
     sim = Simulator()
     seen = []
-    sim.schedule(3.0, lambda: seen.append("c"))
-    sim.schedule(1.0, lambda: seen.append("a"))
-    sim.schedule(2.0, lambda: seen.append("b"))
+    call_at(sim, 3.0, lambda: seen.append("c"))
+    call_at(sim, 1.0, lambda: seen.append("a"))
+    call_at(sim, 2.0, lambda: seen.append("b"))
     sim.run()
     assert seen == ["a", "b", "c"]
     assert sim.now == 3.0
 
 
-def test_simultaneous_events_run_in_scheduling_order():
+def test_simultaneous_events_run_in_scheduling_order(call_at):
     sim = Simulator()
     seen = []
     for tag in ("first", "second", "third"):
-        sim.schedule(1.0, lambda tag=tag: seen.append(tag))
+        call_at(sim, 1.0, lambda tag=tag: seen.append(tag))
     sim.run()
     assert seen == ["first", "second", "third"]
 
 
-def test_schedule_in_the_past_rejected():
+def test_schedule_in_the_past_rejected(call_at):
     sim = Simulator()
     with pytest.raises(SimulationError):
-        sim.schedule(-0.1, lambda: None)
+        call_at(sim, -0.1, lambda: None)
+    with pytest.raises(SimulationError):
+        sim.resume(call_at(sim, 1.0, lambda: None), delay=-0.1)
 
 
-def test_schedule_at_absolute_time():
+def test_schedule_at_absolute_time(call_at):
     sim = Simulator()
     seen = []
-    sim.schedule_at(5.0, lambda: seen.append(sim.now))
+    sim.run(until=2.0)
+    call_at(sim, 5.0 - sim.now, lambda: seen.append(sim.now))
     sim.run()
     assert seen == [5.0]
 
 
-def test_run_until_stops_and_advances_clock():
+def test_run_until_stops_and_advances_clock(call_at):
     sim = Simulator()
     seen = []
-    sim.schedule(10.0, lambda: seen.append("late"))
+    call_at(sim, 10.0, lambda: seen.append("late"))
     sim.run(until=4.0)
     assert seen == []
     assert sim.now == 4.0
@@ -66,9 +69,9 @@ def test_hold_advances_time():
     times = []
 
     def process():
-        yield Hold(2.5)
+        yield 2.5
         times.append(sim.now)
-        yield Hold(1.5)
+        yield 1.5
         times.append(sim.now)
 
     sim.spawn(process())
@@ -82,7 +85,7 @@ def test_zero_hold_does_not_schedule():
 
     def process():
         steps.append(sim.now)
-        yield Hold(0.0)
+        yield 0.0
         steps.append(sim.now)
 
     sim.spawn(process())
@@ -96,7 +99,7 @@ def test_spawn_delay():
 
     def process():
         starts.append(sim.now)
-        yield Hold(1.0)
+        yield 1.0
 
     sim.spawn(process(), delay=3.0)
     sim.run()
@@ -108,7 +111,7 @@ def test_on_done_callback_and_bookkeeping():
     finished = []
 
     def process():
-        yield Hold(1.0)
+        yield 1.0
 
     sim.spawn(process(), name="p", on_done=lambda p: finished.append(p.name))
     assert sim.active_processes == 1
@@ -120,14 +123,17 @@ def test_on_done_callback_and_bookkeeping():
 
 def test_process_records_start_and_finish_times():
     sim = Simulator()
+    times = []
 
     def process():
-        yield Hold(2.0)
+        times.append(sim.now)
+        yield 2.0
+        times.append(sim.now)
 
-    proc = sim.spawn(process(), delay=1.0)
+    proc = sim.spawn(process(), on_done=lambda p: times.append(sim.now),
+                     delay=1.0)
     sim.run()
-    assert proc.started_at == 1.0
-    assert proc.finished_at == 3.0
+    assert times == [1.0, 3.0, 3.0]
     assert proc.done
 
 
@@ -136,12 +142,12 @@ def test_stop_ends_run_after_current_event():
     seen = []
 
     def early():
-        yield Hold(1.0)
+        yield 1.0
         seen.append("early")
         sim.stop()
 
     def late():
-        yield Hold(2.0)
+        yield 2.0
         seen.append("late")
 
     sim.spawn(early())
@@ -152,25 +158,25 @@ def test_stop_ends_run_after_current_event():
     assert seen == ["early", "late"]
 
 
-def test_stop_from_scheduled_action():
+def test_stop_from_scheduled_action(call_at):
     sim = Simulator()
     counter = []
 
     def ticker():
         while True:
-            yield Hold(1.0)
+            yield 1.0
             counter.append(sim.now)
 
     sim.spawn(ticker())
-    sim.schedule(3.5, sim.stop)
+    call_at(sim, 3.5, sim.stop)
     assert sim.run() == 3.5
     assert len(counter) == 3
 
 
-def test_run_until_in_the_past_rejected():
+def test_run_until_in_the_past_rejected(call_at):
     sim = Simulator()
     seen = []
-    sim.schedule(10.0, lambda: seen.append(sim.now))
+    call_at(sim, 10.0, lambda: seen.append(sim.now))
     assert sim.run(until=5.0) == 5.0
     with pytest.raises(SimulationError, match="before now"):
         sim.run(until=2.0)
@@ -184,7 +190,7 @@ def test_spawn_negative_delay_leaves_counts_unchanged():
     sim = Simulator()
 
     def process():
-        yield Hold(1.0)
+        yield 1.0
 
     with pytest.raises(SimulationError):
         sim.spawn(process(), delay=-1.0)
@@ -218,7 +224,7 @@ def test_resume_after_completion_is_an_error():
     sim = Simulator()
 
     def process():
-        yield Hold(1.0)
+        yield 1.0
 
     proc = sim.spawn(process())
     sim.run()
@@ -234,9 +240,9 @@ def test_lock_protocol_through_engine():
     waits = {}
 
     def writer(name, hold):
-        waits[name] = yield Acquire(lock, WRITE)
-        yield Hold(hold)
-        yield Release(lock)
+        waits[name] = yield lock.acquire_write
+        yield hold
+        yield lock.release_cmd
 
     sim.spawn(writer("w1", 5.0))
     sim.spawn(writer("w2", 1.0), delay=1.0)
@@ -251,14 +257,14 @@ def test_reader_wait_value_sent_back():
     observed = []
 
     def writer():
-        yield Acquire(lock, WRITE)
-        yield Hold(3.0)
-        yield Release(lock)
+        yield lock.acquire_write
+        yield 3.0
+        yield lock.release_cmd
 
     def reader():
-        wait = yield Acquire(lock, READ)
+        wait = yield lock.acquire_read
         observed.append((sim.now, wait))
-        yield Release(lock)
+        yield lock.release_cmd
 
     sim.spawn(writer())
     sim.spawn(reader(), delay=1.0)
@@ -275,7 +281,7 @@ def test_determinism_same_seed_same_trace():
         events = []
 
         def worker(i):
-            yield Hold(rng.random())
+            yield rng.random()
             events.append((round(sim.now, 9), i))
 
         for i in range(50):
@@ -287,12 +293,13 @@ def test_determinism_same_seed_same_trace():
     assert trace(7) != trace(8)
 
 
-def _counted_workload(sim, action=lambda: None):
-    """Two writers on one lock plus a plain action.  The events, by hand:
+def _counted_workload(sim, call_at, action=lambda: None):
+    """Two writers on one lock plus a one-step action process.  The
+    events, by hand:
 
     1. t=0    start A (grant is immediate, holds 2.0)
     2. t=0.5  start B (queues behind A)
-    3. t=1.5  the scheduled ``action``
+    3. t=1.5  start and finish the ``action`` process
     4. t=2    resume A (releases, which wakes B; then holds 1.0)
     5. t=2    resume B with its wait (holds 1.0)
     6. t=3    resume A (finishes)
@@ -314,37 +321,37 @@ def _counted_workload(sim, action=lambda: None):
 
     sim.spawn(writer(2.0), name="A")
     sim.spawn(late_writer(), name="B", delay=0.5)
-    sim.schedule(1.5, action)
+    call_at(sim, 1.5, action)
 
 
-def test_events_executed_matches_hand_count():
+def test_events_executed_matches_hand_count(call_at):
     sim = Simulator()
-    _counted_workload(sim)
+    _counted_workload(sim, call_at)
     assert sim.events_executed == 0
     assert sim.run() == 3.0
     assert sim.events_executed == 7
 
 
-def test_events_executed_after_until_and_stop():
+def test_events_executed_after_until_and_stop(call_at):
     sim = Simulator()
-    _counted_workload(sim)
+    _counted_workload(sim, call_at)
     assert sim.run(until=2.5) == 2.5
     assert sim.events_executed == 5   # events 1-5; 6 and 7 still queued
     sim.run()
     assert sim.events_executed == 7
 
     sim = Simulator()
-    _counted_workload(sim, action=sim.stop)
+    _counted_workload(sim, call_at, action=sim.stop)
     assert sim.run() == 1.5
     assert sim.events_executed == 3   # stops right after event 3
     sim.run()
     assert sim.events_executed == 7
 
 
-def test_events_executed_counts_the_running_event():
+def test_events_executed_counts_the_running_event(call_at):
     sim = Simulator()
     seen = []
-    sim.schedule(1.0, lambda: seen.append(sim.events_executed))
-    sim.schedule(2.0, lambda: seen.append(sim.events_executed))
+    call_at(sim, 1.0, lambda: seen.append(sim.events_executed))
+    call_at(sim, 2.0, lambda: seen.append(sim.events_executed))
     sim.run()
     assert seen == [1, 2]

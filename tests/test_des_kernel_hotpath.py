@@ -1,30 +1,27 @@
 """Regression tests for the allocation-free kernel hot path.
 
-Three layers of protection for the hot-path rewrite (typed heap events,
-interned commands, bare-float holds, O(1) writer-waiting counter):
+Three layers of protection for the hot-path rewrite (one heap record
+kind, interned commands, float holds, O(1) writer-waiting counter):
 
 * **Golden-seed determinism** — full simulator runs hashed against
   fingerprints captured when the rewrite was proven byte-identical to
   the pre-rewrite kernel.  Any change to event ordering, RNG stream
   consumption, or result contents shows up here (and must be paired
   with a ``CODE_SALT`` bump in ``repro.parallel.cache``).
-* **Typed-event scheduling paths** — every heap-record kind
-  (action / start / resume) and every command spelling the step loop
-  accepts, including the error paths.
+* **Scheduling paths** — the heap record as a process start and as a
+  resume carrying a value, and every command the step loop accepts,
+  including the error paths.
 * **Equivalence checks** — the maintained queued-writer counter vs a
-  direct queue scan, and the bisect-based hyperexponential branch
-  selection vs the old linear walk.
+  direct queue scan.
 """
 
 import dataclasses
 import hashlib
-import random
 
 import pytest
 
 from repro.algorithms import all_algorithms
-from repro.des import Acquire, Hold, READ, RWLock, Release, Simulator, WRITE
-from repro.des.distributions import Hyperexponential
+from repro.des import Acquire, READ, RWLock, Release, Simulator, WRITE
 from repro.errors import ProcessError
 from repro.obs import TelemetryOptions, TelemetryRecorder, dumps_ndjson
 from repro.obs.sampler import LevelState
@@ -44,7 +41,6 @@ def gen(*commands):
     """A generator yielding a fixed command sequence."""
     for command in commands:
         yield command
-
 
 # ----------------------------------------------------------------------
 # Golden-seed determinism
@@ -138,7 +134,7 @@ def test_golden_seed_telemetry_bytes(name):
 
 
 # ----------------------------------------------------------------------
-# Typed-event scheduling paths
+# Scheduling paths
 # ----------------------------------------------------------------------
 def test_spawn_delay_uses_start_record():
     sim = Simulator()
@@ -185,23 +181,12 @@ def test_zero_hold_continues_within_step():
     def proc():
         yield 0.0
         seen.append(sim.now)
-        yield Hold(0.0)
+        yield 0.0
         seen.append(sim.now)
 
     sim.spawn(proc())
     sim.run()
     assert seen == [0.0, 0.0]
-
-
-def test_int_hold_slow_path():
-    sim = Simulator()
-
-    def proc():
-        yield 2  # ints take the _step_other path
-        yield 1
-
-    sim.spawn(proc())
-    assert sim.run() == 3.0
 
 
 def test_negative_float_hold_raises():
@@ -214,12 +199,12 @@ def test_negative_float_hold_raises():
 def test_negative_int_hold_raises():
     sim = Simulator()
     sim.spawn(gen(-2))
-    with pytest.raises(ProcessError, match="negative time"):
+    with pytest.raises(ProcessError, match="unsupported command"):
         sim.run()
 
 
-@pytest.mark.parametrize("command", ["nonsense", True, None, object()],
-                         ids=["str", "bool", "none", "object"])
+@pytest.mark.parametrize("command", ["nonsense", True, None, object(), 2],
+                         ids=["str", "bool", "none", "object", "int"])
 def test_unknown_command_raises(command):
     sim = Simulator()
     sim.spawn(gen(command))
@@ -227,10 +212,10 @@ def test_unknown_command_raises(command):
         sim.run()
 
 
-def test_stop_interrupts_run():
+def test_stop_interrupts_run(call_at):
     sim = Simulator()
-    sim.schedule(1.0, sim.stop)
-    sim.schedule(9.0, lambda: None)
+    call_at(sim, 1.0, sim.stop)
+    call_at(sim, 9.0, lambda: None)
     assert sim.run() == 1.0
     assert sim.run() == 9.0  # the rest of the heap survives a stop
 
@@ -241,10 +226,12 @@ def test_stop_interrupts_run():
 def test_lock_interns_one_command_per_mode():
     lock = RWLock("n")
     assert lock.acquire_read is lock.acquire_read
-    assert lock.acquire_read == Acquire(lock, READ)
-    assert lock.acquire_write == Acquire(lock, WRITE)
-    assert lock.release_cmd == Release(lock)
-    assert lock.acquire_read.kind != lock.release_cmd.kind
+    for command, cls, mode in ((lock.acquire_read, Acquire, READ),
+                               (lock.acquire_write, Acquire, WRITE)):
+        assert command.__class__ is cls
+        assert command.lock is lock and command.mode == mode
+    assert lock.release_cmd.__class__ is Release
+    assert lock.release_cmd.lock is lock
 
 
 def test_interned_and_allocated_commands_equivalent():
@@ -255,7 +242,7 @@ def test_interned_and_allocated_commands_equivalent():
             yield lock.release_cmd
         else:
             wait = yield Acquire(lock, WRITE)
-            yield Hold(1.0)
+            yield 1.0
             yield Release(lock)
         log.append((sim.now, wait))
 
@@ -279,7 +266,7 @@ def test_interned_and_allocated_commands_equivalent():
 # ----------------------------------------------------------------------
 # O(1) writer_waiting counter
 # ----------------------------------------------------------------------
-def test_writer_waiting_counter_tracks_queue():
+def test_writer_waiting_counter_tracks_queue(call_at):
     sim = Simulator()
     lock = RWLock("counted")
     lock.telemetry = state = LevelState(0)
@@ -307,14 +294,14 @@ def test_writer_waiting_counter_tracks_queue():
     sim.spawn(holder())
     sim.spawn(reader())
     sim.spawn(writer())
-    sim.schedule(3.0, lambda: scan(True))   # writer queued behind holder
+    call_at(sim, 3.0, lambda: scan(True))   # writer queued behind holder
     sim.run()
     scan(False)                             # everything drained
     assert state.grants_write == 2
     assert state.grants_read == 1
 
 
-def test_writer_waiting_counter_many_writers():
+def test_writer_waiting_counter_many_writers(call_at):
     sim = Simulator()
     lock = RWLock("counted")
 
@@ -326,35 +313,9 @@ def test_writer_waiting_counter_many_writers():
     for _ in range(5):
         sim.spawn(writer(1.0))
     counts = []
-    sim.schedule(0.5, lambda: counts.append(
+    call_at(sim, 0.5, lambda: counts.append(
         (lock.writer_waiting(),
          sum(1 for req in lock._queue if req.mode == WRITE))))
     sim.run()
     assert counts == [(True, 4)]
     assert not lock.writer_waiting()
-
-
-# ----------------------------------------------------------------------
-# Hyperexponential bisect vs linear walk
-# ----------------------------------------------------------------------
-def test_hyperexponential_bisect_matches_linear_walk():
-    probs = [0.2, 0.0, 0.5, 0.3]
-    means = [1.0, 99.0, 0.5, 2.0]
-
-    def linear_reference(seed, n):
-        rng = random.Random(seed)
-        out = []
-        for _ in range(n):
-            u = rng.random()
-            acc = 0.0
-            for p, m in zip(probs, means):
-                acc += p
-                if u <= acc:  # first threshold >= u, as the old walk did
-                    out.append(rng.expovariate(1.0 / m))
-                    break
-        return out
-
-    rng = random.Random(42)
-    dist = Hyperexponential(probs, means, rng=rng)
-    samples = [dist.sample() for _ in range(2000)]
-    assert samples == linear_reference(42, 2000)

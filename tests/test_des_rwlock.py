@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import Acquire, Hold, READ, RWLock, Release, Simulator, WRITE
+from repro.des import READ, RWLock, Simulator, WRITE
 from repro.errors import LockProtocolError
 from repro.obs.sampler import LevelState
 
@@ -22,10 +22,10 @@ def test_readers_share():
     concurrent = []
 
     def reader(hold):
-        yield Acquire(lock, READ)
+        yield lock.acquire_read
         concurrent.append(len(lock.readers))
-        yield Hold(hold)
-        yield Release(lock)
+        yield hold
+        yield lock.release_cmd
 
     sim.spawn(reader(2.0))
     sim.spawn(reader(2.0), delay=0.5)
@@ -41,12 +41,12 @@ def test_writer_excludes_writer():
     overlap = []
 
     def writer(name):
-        yield Acquire(lock, WRITE)
+        yield lock.acquire_write
         overlap.append(list(active))
         active.append(name)
-        yield Hold(1.0)
+        yield 1.0
         active.remove(name)
-        yield Release(lock)
+        yield lock.release_cmd
 
     for i in range(4):
         sim.spawn(writer(i), delay=0.1 * i)
@@ -60,16 +60,16 @@ def test_writer_excludes_readers():
     trace = []
 
     def writer():
-        yield Acquire(lock, WRITE)
+        yield lock.acquire_write
         trace.append(("w-in", sim.now))
-        yield Hold(5.0)
+        yield 5.0
         trace.append(("w-out", sim.now))
-        yield Release(lock)
+        yield lock.release_cmd
 
     def reader():
-        yield Acquire(lock, READ)
+        yield lock.acquire_read
         trace.append(("r-in", sim.now))
-        yield Release(lock)
+        yield lock.release_cmd
 
     sim.spawn(writer())
     sim.spawn(reader(), delay=1.0)
@@ -85,20 +85,20 @@ def test_fcfs_reader_does_not_overtake_queued_writer():
     grants = []
 
     def holder():
-        yield Acquire(lock, READ)
-        yield Hold(4.0)
-        yield Release(lock)
+        yield lock.acquire_read
+        yield 4.0
+        yield lock.release_cmd
 
     def writer():
-        yield Acquire(lock, WRITE)
+        yield lock.acquire_write
         grants.append(("w", sim.now))
-        yield Hold(1.0)
-        yield Release(lock)
+        yield 1.0
+        yield lock.release_cmd
 
     def late_reader():
-        yield Acquire(lock, READ)
+        yield lock.acquire_read
         grants.append(("r", sim.now))
-        yield Release(lock)
+        yield lock.release_cmd
 
     sim.spawn(holder())
     sim.spawn(writer(), delay=1.0)       # queues behind the holder
@@ -113,15 +113,15 @@ def test_consecutive_readers_granted_together():
     grants = []
 
     def writer():
-        yield Acquire(lock, WRITE)
-        yield Hold(3.0)
-        yield Release(lock)
+        yield lock.acquire_write
+        yield 3.0
+        yield lock.release_cmd
 
     def reader(name):
-        yield Acquire(lock, READ)
+        yield lock.acquire_read
         grants.append((name, sim.now))
-        yield Hold(1.0)
-        yield Release(lock)
+        yield 1.0
+        yield lock.release_cmd
 
     sim.spawn(writer())
     sim.spawn(reader("r1"), delay=1.0)
@@ -135,7 +135,7 @@ def test_release_without_holding_raises():
     lock = RWLock("naked")
 
     def bad():
-        yield Release(lock)
+        yield lock.release_cmd
 
     sim.spawn(bad())
     with pytest.raises(LockProtocolError):
@@ -147,8 +147,8 @@ def test_reentrant_request_raises():
     lock = RWLock()
 
     def bad():
-        yield Acquire(lock, READ)
-        yield Acquire(lock, READ)
+        yield lock.acquire_read
+        yield lock.acquire_read
 
     sim.spawn(bad())
     with pytest.raises(LockProtocolError):
@@ -159,7 +159,7 @@ def test_holds_reports_mode_via_direct_api():
     from repro.des.process import Process
 
     def idle():
-        yield Hold(0.0)
+        yield 0.0
 
     sim = Simulator()
     lock = RWLock()
@@ -192,13 +192,13 @@ def test_observer_receives_waits():
     lock = RWLock(observer=observer)
 
     def writer():
-        yield Acquire(lock, WRITE)
-        yield Hold(2.0)
-        yield Release(lock)
+        yield lock.acquire_write
+        yield 2.0
+        yield lock.release_cmd
 
     def reader():
-        yield Acquire(lock, READ)
-        yield Release(lock)
+        yield lock.acquire_read
+        yield lock.release_cmd
 
     sim.spawn(writer())
     sim.spawn(reader(), delay=0.5)
@@ -206,7 +206,7 @@ def test_observer_receives_waits():
     assert observer.calls == [(WRITE, 0.0), (READ, 1.5)]
 
 
-def test_writer_presence_accounting():
+def test_writer_presence_accounting(call_at):
     # The live counts a telemetry LevelState sees, and the writer
     # presence root_sampler polls for rho_w (paper Figure 10).
     sim = Simulator()
@@ -220,19 +220,19 @@ def test_writer_presence_accounting():
                           lock.writer is not None or lock.writer_waiting()))
 
     def writer():
-        yield Acquire(lock, WRITE)
-        yield Hold(4.0)
-        yield Release(lock)
+        yield lock.acquire_write
+        yield 4.0
+        yield lock.release_cmd
 
     def reader():
-        yield Acquire(lock, READ)
-        yield Hold(2.0)
-        yield Release(lock)
+        yield lock.acquire_read
+        yield 2.0
+        yield lock.release_cmd
 
     sim.spawn(reader())
     sim.spawn(writer(), delay=1.0)  # waits 1 unit behind the reader
     for at in (0.5, 1.5, 3.0, 7.0):
-        sim.schedule(at, snapshot)
+        call_at(sim, at, snapshot)
     sim.run()
     # present = waiting (1..2) + holding (2..6)
     assert snapshots == [(0.5, 1, 0, 0, False), (1.5, 1, 0, 1, True),
@@ -246,8 +246,8 @@ def test_grant_counters():
     lock.telemetry = state = LevelState(0)
 
     def reader():
-        yield Acquire(lock, READ)
-        yield Release(lock)
+        yield lock.acquire_read
+        yield lock.release_cmd
 
     for i in range(5):
         sim.spawn(reader(), delay=float(i))

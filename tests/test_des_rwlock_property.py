@@ -14,7 +14,7 @@ on the full execution:
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des import Acquire, Hold, READ, RWLock, Release, Simulator, WRITE
+from repro.des import READ, RWLock, Simulator, WRITE
 from repro.obs.sampler import LevelState
 
 CUSTOMERS = st.lists(
@@ -37,11 +37,11 @@ def _execute(schedule):
 
     def customer(index, mode, hold):
         requested = sim.now
-        wait = yield Acquire(lock, mode)
+        wait = yield (lock.acquire_read if mode == READ else lock.acquire_write)
         granted = sim.now
         holders_now = (len(lock.readers), lock.writer is not None)
-        yield Hold(hold)
-        yield Release(lock)
+        yield hold
+        yield lock.release_cmd
         records.append({
             "index": index, "mode": mode,
             "requested": requested, "granted": granted,
@@ -123,9 +123,9 @@ def test_accounting_consistent(schedule):
     lock.observer = Observer()
 
     def customer(mode, hold):
-        yield Acquire(lock, mode)
-        yield Hold(hold)
-        yield Release(lock)
+        yield (lock.acquire_read if mode == READ else lock.acquire_write)
+        yield hold
+        yield lock.release_cmd
 
     n_readers = sum(1 for _d, mode, _h in schedule if mode == READ)
     n_writers = len(schedule) - n_readers

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.des.stats import RunningStats, TimeWeightedStat, combine_runs
+from repro.des.stats import RunningStats
 
 
 class TestRunningStats:
@@ -75,46 +75,3 @@ class TestRunningStats:
         acc.add(1.0)
         low, high = acc.ci95()
         assert math.isnan(low) and math.isnan(high)
-
-
-class TestTimeWeightedStat:
-    def test_piecewise_constant_mean(self):
-        tw = TimeWeightedStat(start=0.0, value=0.0)
-        tw.update(2.0, 1.0)   # 0 over [0,2)
-        tw.update(5.0, 0.0)   # 1 over [2,5)
-        assert tw.mean(10.0) == pytest.approx(3.0 / 10.0)
-
-    def test_current_value_extends_to_now(self):
-        tw = TimeWeightedStat()
-        tw.update(1.0, 4.0)
-        assert tw.mean(3.0) == pytest.approx(4.0 * 2.0 / 3.0)
-        assert tw.current == 4.0
-
-    def test_time_going_backwards_rejected(self):
-        tw = TimeWeightedStat()
-        tw.update(5.0, 1.0)
-        with pytest.raises(ValueError):
-            tw.update(4.0, 0.0)
-
-    def test_zero_span_is_nan(self):
-        tw = TimeWeightedStat(start=2.0)
-        assert math.isnan(tw.mean(2.0))
-
-
-class TestCombineRuns:
-    def test_basic(self):
-        summary = combine_runs([1.0, 2.0, 3.0])
-        assert summary.mean == 2.0
-        assert summary.n_runs == 3
-        assert summary.low == 1.0
-        assert summary.high == 3.0
-        assert summary.stddev == pytest.approx(1.0)
-
-    def test_single_run_has_zero_spread(self):
-        summary = combine_runs([4.2])
-        assert summary.mean == 4.2
-        assert summary.stddev == 0.0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            combine_runs([])

@@ -3,7 +3,7 @@
 Examples are part of the public surface; refactors must not break them.
 The heavyweight ``validate_against_simulation.py`` (a full validation
 sweep) is too slow for the suite and is not run by it; only its
-presence is checked.
+presence is checked here, and the CI ``smoke`` job runs it.
 """
 
 import pathlib

@@ -4,7 +4,6 @@ import random
 
 import pytest
 
-from repro.des.distributions import Exponential, Hyperexponential
 from repro.errors import ConfigurationError, UnstableQueueError
 from repro.model.mg1 import (
     LockCouplingServer,
@@ -69,18 +68,18 @@ class TestLockCouplingServer:
         sampling of the three-stage server of Figure 2."""
         server = self._server()
         rng = random.Random(42)
-        exp_e = Exponential(server.t_e, rng=rng)
-        exp_f = Exponential(server.t_f, rng=rng)
-        stage_o = Hyperexponential(
-            [server.rho_o, 1.0 - server.rho_o],
-            [server.inv_mu_o, server.r_e_child], rng=rng)
         n = 200_000
         total = 0.0
         total_sq = 0.0
         for _ in range(n):
-            x = exp_e.sample() + stage_o.sample()
+            x = rng.expovariate(1.0 / server.t_e)
+            # Stage o: the holder's service w.p. rho_o, else the child's
+            # empty-lock residual (branch draw, then its exponential).
+            o_mean = server.inv_mu_o if rng.random() <= server.rho_o \
+                else server.r_e_child
+            x += rng.expovariate(1.0 / o_mean)
             if rng.random() < server.p_f:
-                x += exp_f.sample()
+                x += rng.expovariate(1.0 / server.t_f)
             total += x
             total_sq += x * x
         assert total / n == pytest.approx(server.mean, rel=0.02)

@@ -186,6 +186,16 @@ class TestRecordedRun:
         assert telemetry.result.throughput == plain.throughput
         assert telemetry.result.mean_response == plain.mean_response
 
+    def test_int_sample_interval_runs_as_a_float_hold(self):
+        # The sampler yields the interval as a hold, and the kernel
+        # holds only for floats, so an int must be stored as a float.
+        assert TelemetryOptions(sample_interval=2).sample_interval \
+            .__class__ is float
+        as_int = _record(sample_interval=2)
+        as_float = _record(sample_interval=2.0)
+        assert as_int.global_series.t
+        assert dumps_ndjson(as_int) == dumps_ndjson(as_float)
+
     def test_reservoir_seeds_differ_by_run_seed(self):
         streams = [_reservoir_seed(seed, index)
                    for seed in (0, 1, 2) for index in (0, 1, 2)]

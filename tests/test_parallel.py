@@ -297,14 +297,11 @@ class TestFigurePipeline:
         assert second.rows == first.rows
 
     def test_sweep_helpers_match_pointwise_calls(self):
-        from repro.experiments.common import (
-            simulated_response,
-            sweep_simulated_responses,
-        )
+        from repro.experiments.common import sweep_simulated_responses
         base = _quick()
         rates = (0.1, 0.2)
         swept = sweep_simulated_responses(base, rates, scale=0.01)
-        pointwise = [simulated_response(base, rate, "insert", scale=0.01)
+        pointwise = [sweep_simulated_responses(base, [rate], scale=0.01)[0]
                      for rate in rates]
         assert swept == pointwise
 

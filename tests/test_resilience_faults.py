@@ -17,7 +17,6 @@ from concurrent.futures import wait as futures_wait
 import pytest
 
 from repro.errors import InjectedFaultError
-from repro.obs.instruments import Instrumentation
 from repro.parallel import executor as executor_module
 from repro.parallel import (
     CacheStats,
@@ -321,12 +320,10 @@ class TestAcceptanceSweep:
                       seconds=10.0),                           # persistent
             FaultSpec(kind=CORRUPT_CACHE, task_index=5),
         ))
-        inst = Instrumentation()
         report = run_batch_report(
             tasks, jobs=4, cache=cache,
             resilience=ResilienceOptions(
-                retry=_FAST_RETRY, task_timeout=1.5, faults=plan,
-                instruments=inst))
+                retry=_FAST_RETRY, task_timeout=1.5, faults=plan))
 
         # Terminates with partial results: 18/20 (persistent kill and
         # persistent stall quarantined, transient kill retried).
@@ -339,10 +336,10 @@ class TestAcceptanceSweep:
         errors = {failure.error for failure in report.failures}
         assert errors == {ERROR_WORKER_DIED, ERROR_TIMEOUT}
 
-        # Telemetry counters observed the events.
-        assert inst.counter("resilience.quarantined").value == 2
-        assert inst.counter("resilience.retries").value >= 3
-        assert inst.counter("resilience.cache_corrupt").value == 1
+        # The report's event totals observed the events.
+        assert len(report.failures) == 2
+        assert report.retries >= 3
+        assert report.cache_corruptions == 1
 
         # Every surviving result is bit-identical to a clean serial run.
         clean = run_batch(tasks, jobs=1)

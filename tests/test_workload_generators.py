@@ -9,7 +9,6 @@ segments, transaction size 1).
 """
 
 import random
-from collections import Counter
 
 import pytest
 
@@ -29,6 +28,7 @@ from repro.workload.keys import (
 )
 from repro.workload.spec import (
     MMPPArrivals,
+    PoissonArrivals,
     ScheduleArrivals,
     SpikeArrivals,
     TransactionSpec,
@@ -135,6 +135,19 @@ class TestArrivalSamplers:
         in_tail = [g for t, g in intervals if t > 2.0]
         assert sum(in_burst) / len(in_burst) \
             < sum(in_tail) / len(in_tail)
+
+    @pytest.mark.parametrize("spec", [
+        PoissonArrivals(),
+        MMPPArrivals(on_factor=3, off_factor=0, mean_on=5, mean_off=20),
+        ScheduleArrivals(segments=((10, 2), (0, 1), (10, 0))),
+        SpikeArrivals(multiplier=8, start=2, duration=3),
+    ], ids=["poisson", "mmpp", "schedule", "spike"])
+    def test_int_parameters_give_float_gaps(self, spec):
+        # The arrivals process yields every gap as a hold, and the kernel holds
+        # only for floats.
+        sampler = spec.build(1, random.Random(SEED))
+        gaps = [sampler.next_interval() for _ in range(300)]
+        assert all(gap.__class__ is float for gap in gaps)
 
     def test_schedule_spec_skips_zero_length_segments(self):
         spec = ScheduleArrivals(segments=((0.0, 3.0), (10.0, 1.0),

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.simulator import SimulationConfig
 from repro.workload import (
     HotspotKeys,
     INSERT_ONLY,
@@ -12,8 +13,14 @@ from repro.workload import (
     READ_HEAVY,
     UPDATE_HEAVY,
     UniformKeys,
-    draw_operation,
+    WorkloadRuntime,
 )
+
+
+def draw_operations(mix, rng, n):
+    """``n`` operation draws from ``mix`` through the run-time sampler."""
+    runtime = WorkloadRuntime(SimulationConfig(mix=mix), rng)
+    return [runtime.draw_operation(rng) for _ in range(n)]
 
 
 class TestMixes:
@@ -24,14 +31,13 @@ class TestMixes:
             == pytest.approx(1.0)
 
     def test_draw_frequencies_match_mix(self, rng):
-        counts = Counter(draw_operation(PAPER_MIX, rng)
-                         for _ in range(30_000))
+        counts = Counter(draw_operations(PAPER_MIX, rng, 30_000))
         assert counts["search"] / 30_000 == pytest.approx(0.3, abs=0.02)
         assert counts["insert"] / 30_000 == pytest.approx(0.5, abs=0.02)
         assert counts["delete"] / 30_000 == pytest.approx(0.2, abs=0.02)
 
     def test_insert_only_never_draws_others(self, rng):
-        draws = {draw_operation(INSERT_ONLY, rng) for _ in range(1_000)}
+        draws = set(draw_operations(INSERT_ONLY, rng, 1_000))
         assert draws == {"insert"}
 
 
