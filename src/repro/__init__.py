@@ -7,8 +7,8 @@ Performance Analysis of Concurrent B-tree Algorithms" (PODS 1990):
   Naive Lock-coupling, Optimistic Descent and the Link-type algorithm,
   rules of thumb, recovery extensions);
 * :mod:`repro.simulator` — the validating concurrent B-tree simulator;
-* :mod:`repro.btree` — the B+-tree substrate (merge-at-empty /
-  merge-at-half, right links);
+* :mod:`repro.btree` — the B+-tree substrate (merge-at-empty, right
+  links);
 * :mod:`repro.des` — the discrete-event simulation kernel;
 * :mod:`repro.experiments` — drivers regenerating every figure of the
   paper's evaluation.

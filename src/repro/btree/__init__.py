@@ -11,8 +11,8 @@ The paper's simulator runs the concurrent algorithms "on actual B-trees"
   whole operations (``insert``/``delete``/``search``) and the structure
   modification primitives (``half_split``, ``complete_split``,
   ``split_path`` ...) that the concurrent algorithms invoke under locks.
-* :mod:`~repro.btree.policies` — merge-at-empty vs merge-at-half
-  restructuring (paper Section 3.2, "B-trees").
+* :mod:`~repro.btree.policies` — the merge-at-empty underflow policy
+  (paper Section 3.2, "B-trees"), the only one the tree implements.
 * :mod:`~repro.btree.builder` — the construction phase: build a tree from
   a random insert/delete mix before concurrent operation begins.
 * :mod:`~repro.btree.validate` — structural invariant checker used by the
@@ -22,7 +22,7 @@ The paper's simulator runs the concurrent algorithms "on actual B-trees"
 """
 
 from repro.btree.node import InternalNode, LeafNode, Node
-from repro.btree.policies import MERGE_AT_EMPTY, MERGE_AT_HALF, MergePolicy
+from repro.btree.policies import MERGE_AT_EMPTY, MergePolicy
 from repro.btree.tree import BPlusTree
 from repro.btree.builder import build_tree
 from repro.btree.stats import TreeStatistics, collect_statistics
@@ -33,7 +33,6 @@ __all__ = [
     "InternalNode",
     "LeafNode",
     "MERGE_AT_EMPTY",
-    "MERGE_AT_HALF",
     "MergePolicy",
     "Node",
     "TreeStatistics",

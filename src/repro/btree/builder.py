@@ -33,6 +33,7 @@ _last: Optional[Tuple[tuple, BPlusTree, List[Node]]] = None
 
 def build_tree(n_items: int, order: int = 13,
                insert_fraction: float = 5.0 / 7.0,
+               # One legal value, kept because bench/tracer.py binds it by name.
                merge_policy: MergePolicy = MERGE_AT_EMPTY,
                key_space: int = DEFAULT_KEY_SPACE,
                seed: int = 0,
@@ -49,6 +50,9 @@ def build_tree(n_items: int, order: int = 13,
         Probability that a construction operation is an insert, i.e.
         ``q_i / (q_i + q_d)`` of the concurrent mix (paper default
         .5/.7 = 5/7).
+    merge_policy:
+        Must be :data:`~repro.btree.policies.MERGE_AT_EMPTY`, the only
+        policy the tree implements.
     key_space:
         Keys are drawn uniformly from ``[0, key_space)``.
     seed / rng:
@@ -63,9 +67,12 @@ def build_tree(n_items: int, order: int = 13,
             "insert_fraction must be in (0.5, 1.0] so the tree grows "
             f"(got {insert_fraction})"
         )
+    if merge_policy != MERGE_AT_EMPTY:
+        raise ConfigurationError(
+            f"the B-tree is merge-at-empty only, got {merge_policy!r}")
     rng = rng if rng is not None else random.Random(seed)
-    tree = BPlusTree(order=order, merge_policy=merge_policy,
-                     on_new_node=on_new_node, on_free_node=on_free_node)
+    tree = BPlusTree(order=order, on_new_node=on_new_node,
+                     on_free_node=on_free_node)
     while len(tree) < n_items:
         key = rng.randrange(key_space)
         if rng.random() < insert_fraction:
@@ -81,8 +88,8 @@ def build_tree(n_items: int, order: int = 13,
 
 
 def warm_tree(build_seed: int, n_items: int, order: int,
-              insert_fraction: float, merge_policy: MergePolicy,
-              key_space: int, on_new_node: NodeHook = None) -> BPlusTree:
+              insert_fraction: float, key_space: int,
+              on_new_node: NodeHook = None) -> BPlusTree:
     """The tree ``build_tree`` grows from ``random.Random(build_seed)``,
     built only when the previous call asked for a different tree.
 
@@ -103,8 +110,7 @@ def warm_tree(build_seed: int, n_items: int, order: int,
     that its ``node_id`` values come from the build.
     """
     global _last
-    key = (build_seed, n_items, order, insert_fraction, merge_policy,
-           key_space)
+    key = (build_seed, n_items, order, insert_fraction, key_space)
     if _last is not None and _last[0] == key:
         _last[1].rollback()  # in case the last loan was never returned
     else:
@@ -112,7 +118,7 @@ def warm_tree(build_seed: int, n_items: int, order: int,
         created: List[Node] = []
         template = build_tree(n_items, order=order,
                               insert_fraction=insert_fraction,
-                              merge_policy=merge_policy, key_space=key_space,
+                              key_space=key_space,
                               rng=random.Random(build_seed),
                               on_new_node=created.append)
         template.on_new_node = None

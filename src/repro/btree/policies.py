@@ -1,79 +1,34 @@
-"""Underflow (merge) policies.
+"""The underflow (merge) policy.
 
-The paper (Section 3.2, "B-trees") distinguishes:
-
-* **merge-at-half** — the classical Wedekind B+-tree: a node that drops
-  below half full is rebalanced (borrow from a sibling or merge with it).
-* **merge-at-empty** — nodes are only removed when they become completely
-  empty; no borrowing ever happens.  Johnson & Shasha (PODS '89) show this
-  restructures far less often with only slightly lower space utilization
-  when inserts outnumber deletes, which is why every algorithm in the
-  paper uses it.
+The paper (Section 3.2, "B-trees") distinguishes merge-at-half, the
+classical B+-tree that rebalances a node once it drops below half full,
+from **merge-at-empty**, which removes a node only when it becomes
+completely empty and never borrows.  Johnson & Shasha (PODS '89) show
+merge-at-empty restructures far less often with only slightly lower
+space utilization when inserts outnumber deletes, which is why every
+algorithm in the paper uses it, and it is the only policy the tree
+implements.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import ConfigurationError
-
 
 @dataclass(frozen=True)
 class MergePolicy:
     """A named underflow policy.
 
-    Attributes
-    ----------
-    name:
-        ``"merge-at-empty"`` or ``"merge-at-half"``.
-    min_fill_numerator / min_fill_denominator:
-        A non-root node underflows when it holds strictly fewer than
-        ``ceil(capacity * num / den)`` entries.  Merge-at-empty uses 1
-        entry as the floor (i.e. underflow only at zero entries).
+    A non-root node underflows when it holds strictly fewer than
+    ``ceil(capacity * min_fill_numerator / min_fill_denominator)``
+    entries, with merge-at-empty's floor of 1 entry (underflow only at
+    zero).  The record exists for :data:`MERGE_AT_EMPTY`, whose fields
+    are part of every result-cache key.
     """
 
     name: str
     min_fill_numerator: int
     min_fill_denominator: int
 
-    def min_entries(self, capacity: int) -> int:
-        """Minimum number of entries a non-root node must retain."""
-        if self.min_fill_numerator == 0:
-            return 1  # merge-at-empty: a node survives with any entry
-        # ceil division for the half-full floor
-        num = capacity * self.min_fill_numerator
-        return -(-num // self.min_fill_denominator)
-
-    def underflows(self, n_entries: int, capacity: int) -> bool:
-        """True when a non-root node with ``n_entries`` must restructure."""
-        if self.min_fill_numerator == 0:
-            return n_entries == 0
-        return n_entries < self.min_entries(capacity)
-
-    def __str__(self) -> str:
-        return self.name
-
-    def __reduce__(self):
-        # Unpickle back to the canonical singleton: the tree and the
-        # simulator config compare policies by identity, and configs
-        # cross process boundaries in the parallel sweep layer.
-        canonical = _POLICIES.get(self.name)
-        if canonical is not None and canonical == self:
-            return (policy_by_name, (self.name,))
-        return super().__reduce__()
-
 
 MERGE_AT_EMPTY = MergePolicy("merge-at-empty", 0, 1)
-MERGE_AT_HALF = MergePolicy("merge-at-half", 1, 2)
-
-_POLICIES = {p.name: p for p in (MERGE_AT_EMPTY, MERGE_AT_HALF)}
-
-
-def policy_by_name(name: str) -> MergePolicy:
-    """Look up a policy by its canonical name."""
-    try:
-        return _POLICIES[name]
-    except KeyError:
-        raise ConfigurationError(
-            f"unknown merge policy {name!r}; expected one of {sorted(_POLICIES)}"
-        ) from None

@@ -31,7 +31,7 @@ class LevelStatistics:
     max_entries: int
     #: Fraction of the level's nodes that are insert-unsafe (full).
     fraction_full: float
-    #: Fraction that are delete-unsafe under the tree's merge policy.
+    #: Fraction that are delete-unsafe (one entry, so a delete empties them).
     fraction_delete_unsafe: float
 
 
@@ -79,8 +79,7 @@ def collect_statistics(tree: BPlusTree) -> TreeStatistics:
         full = sum(1 for c in counts if c >= tree.order)
         unsafe = sum(
             1 for c, node in zip(counts, tree.level_nodes(level))
-            if node is not tree.root
-            and tree.merge_policy.underflows(c - 1, tree.order)
+            if node is not tree.root and c == 1
         )
         levels.append(LevelStatistics(
             level=level,
@@ -98,21 +97,3 @@ def collect_statistics(tree: BPlusTree) -> TreeStatistics:
         levels=levels,
     )
 
-
-def expected_height(n_items: int, order: int,
-                    fill: float = LN2_FILL) -> int:
-    """Predicted height of a random B-tree of ``n_items`` keys.
-
-    Uses the paper's random-B-tree rule: the effective fanout below the
-    root is ``fill * order`` (~0.69 N).  The height is the smallest h such
-    that one root can cover all the leaves.
-    """
-    if n_items <= 0:
-        return 1
-    effective = max(2.0, fill * order)
-    height = 1
-    coverage = effective  # keys reachable with a height-1 tree (one leaf)
-    while coverage < n_items:
-        coverage *= effective
-        height += 1
-    return height

@@ -3,8 +3,9 @@
 ``BPlusTree`` provides two API layers:
 
 1. **Whole operations** (``search`` / ``insert`` / ``delete``) used by the
-   construction phase and the sequential tests.  They implement both
-   underflow policies (merge-at-empty and merge-at-half).
+   construction phase and the sequential tests.  Underflow follows the
+   paper's merge-at-empty policy (:mod:`repro.btree.policies`): a
+   non-root node is removed once it is empty and never rebalanced.
 2. **Structure-modification primitives** (``half_split``, ``grow_root``,
    ``complete_split``, ``remove_empty_leaf`` ...) that the concurrent
    algorithms call while holding the appropriate locks.  The whole
@@ -34,36 +35,30 @@ from bisect import bisect_right
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.btree.node import InternalNode, LeafNode, Node
-from repro.btree.policies import MERGE_AT_EMPTY, MergePolicy
 from repro.errors import BTreeError, ConfigurationError
 
 NodeHook = Optional[Callable[[Node], None]]
 
 
 class BPlusTree:
-    """A B+-tree with right links, supporting two underflow policies.
+    """A merge-at-empty B+-tree with right links.
 
     Parameters
     ----------
     order:
         Maximum entries per node (keys in a leaf, children in an internal
         node).  The paper's default experiment uses 13.
-    merge_policy:
-        :data:`~repro.btree.policies.MERGE_AT_EMPTY` (paper default) or
-        :data:`~repro.btree.policies.MERGE_AT_HALF`.
     on_new_node / on_free_node:
         Hooks invoked whenever a node is allocated or deallocated; the
         simulator uses ``on_new_node`` to register each new node's level.
     """
 
     def __init__(self, order: int = 13,
-                 merge_policy: MergePolicy = MERGE_AT_EMPTY,
                  on_new_node: NodeHook = None,
                  on_free_node: NodeHook = None) -> None:
         if order < 3:
             raise ConfigurationError(f"order must be >= 3, got {order}")
         self.order = order
-        self.merge_policy = merge_policy
         self.on_new_node = on_new_node
         self.on_free_node = on_free_node
         self._size = 0
@@ -162,7 +157,7 @@ class BPlusTree:
 
     @property
     def merge_count(self) -> int:
-        """Total underflow restructurings (merges/borrows/removals)."""
+        """Total emptied nodes removed (root collapses not counted)."""
         return self._merges
 
     def is_insert_safe(self, node: Node) -> bool:
@@ -170,13 +165,11 @@ class BPlusTree:
         return node.n_entries() < self.order
 
     def is_delete_safe(self, node: Node) -> bool:
-        """True when removing one entry cannot underflow ``node``.
+        """True when removing one entry cannot empty ``node``.
 
         The root never underflows for safety purposes (it shrinks instead).
         """
-        if node is self.root:
-            return True
-        return not self.merge_policy.underflows(node.n_entries() - 1, self.order)
+        return node is self.root or node.n_entries() != 1
 
     # ------------------------------------------------------------------
     # Lookup
@@ -353,8 +346,6 @@ class BPlusTree:
         Returns the number of nodes freed.  The caller holds W locks on
         the whole unsafe suffix of the path (Naive Lock-coupling delete).
         """
-        if self.merge_policy is not MERGE_AT_EMPTY:
-            raise BTreeError("remove_empty_leaf requires the merge-at-empty policy")
         # Find the decisive ancestor: the deepest node on the path that
         # keeps entries after the removal cascade.  The key range of the
         # removed chain is absorbed by the sibling next to the chain
@@ -480,103 +471,13 @@ class BPlusTree:
         if not leaf.delete_key(key):
             return False
         self._size -= 1
-        if leaf is not self.root and self.merge_policy.underflows(
-                leaf.n_entries(), self.order):
-            if self.merge_policy is MERGE_AT_EMPTY:
-                self.remove_empty_leaf(self.path_to(key))
-            else:
-                self._rebalance_path(self.path_to(key))
+        if leaf is not self.root and leaf.n_entries() == 0:
+            self.remove_empty_leaf(self.path_to(key))
         return True
-
-    # ------------------------------------------------------------------
-    # merge-at-half rebalancing
-    # ------------------------------------------------------------------
-    def _rebalance_path(self, path: List[Node]) -> None:
-        """Fix an underflow at the end of ``path`` by borrow or merge,
-        propagating upward as merges remove routers."""
-        depth = len(path) - 1
-        while depth > 0:
-            node = path[depth]
-            if not self.merge_policy.underflows(node.n_entries(), self.order):
-                break
-            parent = path[depth - 1]
-            assert isinstance(parent, InternalNode)
-            self._fix_underflow(parent, node)
-            self._merges += 1
-            depth -= 1
-        self._collapse_root()
-
-    def _fix_underflow(self, parent: InternalNode, node: Node) -> None:
-        i = parent.children.index(node)
-        right = parent.children[i + 1] if i + 1 < len(parent.children) else None
-        left = parent.children[i - 1] if i > 0 else None
-        floor = self.merge_policy.min_entries(self.order)
-        if right is not None and right.n_entries() > floor:
-            self._borrow_from_right(parent, node, right, i)
-        elif left is not None and left.n_entries() > floor:
-            self._borrow_from_left(parent, left, node, i)
-        elif right is not None:
-            self._merge_pair(parent, node, right, i)
-        elif left is not None:
-            self._merge_pair(parent, left, node, i - 1)
-        else:  # pragma: no cover - parent always has >= 2 children here
-            raise BTreeError("underflowing node has no siblings")
-
-    def _borrow_from_right(self, parent: InternalNode, node: Node,
-                           right: Node, i: int) -> None:
-        if self._undo is not None:
-            self._save(parent, node, right)
-        if node.is_leaf:
-            assert isinstance(node, LeafNode) and isinstance(right, LeafNode)
-            moved = right.keys.pop(0)
-            node.keys.append(moved)
-            parent.keys[i] = right.keys[0]
-        else:
-            assert isinstance(node, InternalNode) and isinstance(right, InternalNode)
-            node.keys.append(parent.keys[i])
-            parent.keys[i] = right.keys.pop(0)
-            node.children.append(right.children.pop(0))
-        node.high_key = parent.keys[i]
-
-    def _borrow_from_left(self, parent: InternalNode, left: Node,
-                          node: Node, i: int) -> None:
-        if self._undo is not None:
-            self._save(parent, left, node)
-        if node.is_leaf:
-            assert isinstance(node, LeafNode) and isinstance(left, LeafNode)
-            moved = left.keys.pop()
-            node.keys.insert(0, moved)
-            parent.keys[i - 1] = moved
-        else:
-            assert isinstance(node, InternalNode) and isinstance(left, InternalNode)
-            node.keys.insert(0, parent.keys[i - 1])
-            parent.keys[i - 1] = left.keys.pop()
-            node.children.insert(0, left.children.pop())
-        left.high_key = parent.keys[i - 1]
-
-    def _merge_pair(self, parent: InternalNode, left: Node, right: Node,
-                    left_index: int) -> None:
-        """Absorb ``right`` into ``left`` and drop the separating router."""
-        if self._undo is not None:
-            self._save(parent, left)
-        separator = parent.keys[left_index]
-        if left.is_leaf:
-            assert isinstance(left, LeafNode) and isinstance(right, LeafNode)
-            left.keys.extend(right.keys)
-        else:
-            assert isinstance(left, InternalNode) and isinstance(right, InternalNode)
-            left.keys.append(separator)
-            left.keys.extend(right.keys)
-            left.children.extend(right.children)
-        left.right = right.right
-        left.high_key = right.high_key
-        del parent.keys[left_index]
-        del parent.children[left_index + 1]
-        self._free(right)
 
     def _collapse_root(self) -> None:
         """Shrink the tree while the root is an internal node with a single
-        child (both policies) — the inverse of ``grow_root``."""
+        child — the inverse of ``grow_root``."""
         while (not self.root.is_leaf
                and self.root.n_entries() == 1):
             old = self.root

@@ -8,8 +8,8 @@ the first violation, which makes hypothesis shrinking output readable.
 Checked invariants:
 
 1. keys are strictly sorted inside every node;
-2. no node exceeds the order; non-root nodes respect the merge policy's
-   occupancy floor (vacuously true for merge-at-empty);
+2. no node exceeds the order; non-root nodes are not empty (the
+   merge-at-empty floor);
 3. internal nodes have ``len(children) == len(keys) + 1`` and children one
    level below;
 4. separator correctness: each child's keys fall inside the router range;
@@ -57,9 +57,8 @@ def _check_subtree(tree: BPlusTree, node: Node,
         _fail(f"node #{node.node_id} holds {node.n_entries()} entries "
               f"(> order {tree.order})")
     if not allow_underflow and node is not tree.root \
-            and tree.merge_policy.underflows(node.n_entries(), tree.order):
-        _fail(f"node #{node.node_id} underflows policy "
-              f"{tree.merge_policy} with {node.n_entries()} entries")
+            and node.n_entries() == 0:
+        _fail(f"non-root node #{node.node_id} is empty (merge-at-empty)")
     if node.high_key is not None and high is not None \
             and node.high_key > high:
         _fail(f"node #{node.node_id} high_key {node.high_key} exceeds "

@@ -99,23 +99,13 @@ def sweep_replications(base: SimulationConfig, rates: Sequence[float],
                              for rate in rates], n)
 
 
-def _pooled_means(results: Sequence[Optional[SimulationResult]]
-                  ) -> Dict[str, float]:
-    # None entries are quarantined tasks from a resilient sweep: the
-    # point survives on its remaining replications.
-    means = pooled_response_means(results)
-    means["_overflow_fraction"] = (
-        sum(1 for r in results if r is not None and r.overflowed)
-        / len(results))
-    return means
-
-
 def sweep_simulated_responses(base: SimulationConfig,
                               rates: Sequence[float], scale: float,
                               seeds: Optional[int] = None,
                               ) -> List[Dict[str, float]]:
-    """Pooled simulated response means for every rate (one fan-out)."""
-    return [_pooled_means(results)
+    """Pooled simulated response means for every rate (one fan-out);
+    +inf where every replication overflowed."""
+    return [pooled_response_means(results)
             for results in sweep_replications(base, rates, scale, seeds)]
 
 

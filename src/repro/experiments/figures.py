@@ -232,9 +232,7 @@ def fig12(scale: float = 1.0, simulate: bool = False) -> ExperimentTable:
             row.append(math.inf if math.isinf(value) else round(value, 3))
         if sim_means is not None:
             for per_rate in sim_means:
-                means = per_rate[index]
-                row.append(math.inf if means["_overflow_fraction"] == 1.0
-                           else round(means["insert"], 3))
+                row.append(round(per_rate[index]["insert"], 3))
         table.add(*row)
     table.note("Link-type > Optimistic Descent > Naive Lock-coupling, "
                "each by a wide margin (paper Section 5.3)")
@@ -328,9 +326,7 @@ def _recovery_figure(experiment_id: str, figure: str, order: int,
             row.append(math.inf if math.isinf(value) else round(value, 3))
         if sim_means is not None:
             for per_rate in sim_means:
-                means = per_rate[index]
-                row.append(math.inf if means["_overflow_fraction"] == 1.0
-                           else round(means["insert"], 3))
+                row.append(round(per_rate[index]["insert"], 3))
         table.add(*row)
     table.note("D=10, T_trans=100; leaf-only recovery costs almost "
                "nothing over no recovery, naive recovery is far worse")

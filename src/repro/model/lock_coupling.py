@@ -13,11 +13,6 @@ The computation follows the paper's summary exactly:
 Inserts and deletes always place W locks, so they are the queue's writer
 class; searches are the reader class (Proposition 1).  Arrival rates thin
 by the fanout from level to level (Proposition 2).
-
-``service_model="exponential"`` replaces the Theorem 3 hyperexponential
-server with Theorem 4's exponential approximation at every level; it
-exists for the ablation benchmark that shows why the heavier machinery is
-needed.
 """
 
 from __future__ import annotations
@@ -41,12 +36,9 @@ from repro.model.rwqueue import RWQueueInput, solve_rw_queue
 
 ALGORITHM = names.NAIVE_LOCK_COUPLING
 
-_SERVICE_MODELS = ("hyperexponential", "exponential")
-
 
 def analyze_lock_coupling(config: ModelConfig, arrival_rate: float,
                           occupancy: Optional[OccupancyModel] = None,
-                          service_model: str = "hyperexponential",
                           ) -> AlgorithmPrediction:
     """Predict response times and per-level queue state for Naive
     Lock-coupling at ``arrival_rate``.
@@ -57,9 +49,6 @@ def analyze_lock_coupling(config: ModelConfig, arrival_rate: float,
     """
     if arrival_rate <= 0:
         raise ConfigurationError(f"arrival rate must be positive, got {arrival_rate}")
-    if service_model not in _SERVICE_MODELS:
-        raise ConfigurationError(
-            f"service_model must be one of {_SERVICE_MODELS}, got {service_model!r}")
 
     mix, costs, shape = config.mix, config.costs, config.shape
     h = shape.height
@@ -114,7 +103,7 @@ def analyze_lock_coupling(config: ModelConfig, arrival_rate: float,
             return unstable_prediction(ALGORITHM, arrival_rate, level)
 
         drain = queue.mean_reader_drain
-        if level == 1 or service_model == "exponential" or lam_w == 0.0:
+        if level == 1 or lam_w == 0.0:
             # Theorem 4: exponential aggregate service.
             wait_r = (queue.rho_w / (1.0 - queue.rho_w)
                       * (1.0 / mu_w + drain)) if lam_w > 0 else 0.0

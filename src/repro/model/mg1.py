@@ -12,7 +12,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, UnstableQueueError
@@ -97,28 +96,8 @@ class LockCouplingServer:
         )
         return 2.0 * bracket
 
-    @property
-    def scv(self) -> float:
-        """Squared coefficient of variation (> 1: more variable than
-        exponential, the reason Theorem 3 exists)."""
-        m = self.mean
-        if m == 0.0:
-            return 0.0
-        return self.second_moment / m ** 2 - 1.0
-
     def wait(self, lambda_w: float, rho_w: float) -> float:
         """Theorem 3's queueing delay
         ``R(i) = lambda_w / (1 - rho_w) * [bracket]``."""
         return pollaczek_khinchine_wait(lambda_w, self.second_moment, rho_w)
 
-
-def exponential_second_moment(mean: float) -> float:
-    """E[X^2] = 2 m^2 for an exponential with mean ``m``."""
-    return 2.0 * mean * mean
-
-
-def saturating(value: float) -> float:
-    """Map NaN to +inf so saturated predictions sort last in sweeps."""
-    if math.isnan(value):
-        return math.inf
-    return value

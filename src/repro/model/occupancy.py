@@ -126,26 +126,3 @@ class OccupancyModel:
         return cls(pr_full=(pr_full,) * height,
                    pr_empty=(pr_empty,) * height)
 
-
-def effective_fanout(order: int) -> float:
-    """Expected children per internal node below the root: 0.69 N."""
-    return INTERNAL_FILL * order
-
-
-def expected_split_rate(mix: OperationMix, occupancy: OccupancyModel,
-                        arrival_rate: float, level: int) -> float:
-    """Global rate of splits at ``level``: inserts whose split propagates
-    through all the levels below and including ``level``."""
-    if level < 1:
-        raise ConfigurationError(f"level must be >= 1, got {level}")
-    return (mix.q_insert * arrival_rate
-            * occupancy.split_propagation(level))
-
-
-def utilization_headroom(occupancy: OccupancyModel) -> float:
-    """Summary scalar: geometric mean of (1 - Pr[F(i)]) across levels;
-    near 1 means restructuring is rare everywhere."""
-    product = 1.0
-    for level in range(1, occupancy.height + 1):
-        product *= (1.0 - occupancy.full(level))
-    return product ** (1.0 / occupancy.height)

@@ -261,12 +261,6 @@ class ModelConfig:
         """Copy with a different disk dilation (Figure 11 sweeps this)."""
         return replace(self, costs=replace(self.costs, disk_cost=disk_cost))
 
-    def with_order(self, order: int, n_items: int) -> "ModelConfig":
-        """Copy with a different node size; the shape is re-idealised for
-        the same item count (Figures 13/14 sweep the node size)."""
-        return replace(self, order=order,
-                       shape=TreeShape.ideal(n_items, order))
-
 
 #: Item count of the paper's experimental tree.
 PAPER_N_ITEMS = 40_000

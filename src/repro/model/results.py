@@ -33,15 +33,6 @@ class LevelSolution:
     R: float
     W: float
 
-    @property
-    def reader_drain(self) -> float:
-        """rho_w r_u + (1 - rho_w) r_e."""
-        return self.rho_w * self.r_u + (1.0 - self.rho_w) * self.r_e
-
-    @property
-    def writer_service_time(self) -> float:
-        return 1.0 / self.mu_w if self.mu_w > 0 else 0.0
-
 
 @dataclass(frozen=True)
 class AlgorithmPrediction:

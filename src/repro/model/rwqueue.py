@@ -312,11 +312,3 @@ def solve_rw_queue(q: RWQueueInput, tol: float = 1e-12,
     return RWQueueSolution(rho_w=rho, r_u=r_u, r_e=r_e,
                            aggregate_service_time=t_a)
 
-
-def writer_utilization(q: RWQueueInput) -> float:
-    """rho_w, or +inf when the queue is saturated (convenience for
-    throughput searches that probe past the stability boundary)."""
-    try:
-        return solve_rw_queue(q).rho_w
-    except UnstableQueueError:
-        return math.inf

@@ -16,7 +16,6 @@ callable).
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 from repro.errors import ConfigurationError, ConvergenceError
@@ -140,10 +139,3 @@ def _bisect(predicate_holds_below: Callable[[float], bool], lo: float,
         f"bisection failed to converge in {max_iter} iterations",
         solver="bisection", iterations=max_iter, residual=hi - lo)
 
-
-def stability_margin(prediction: AlgorithmPrediction) -> float:
-    """1 - max rho_w: how far a stable prediction sits from saturation
-    (negative infinity when already unstable)."""
-    if not prediction.stable:
-        return -math.inf
-    return 1.0 - prediction.max_writer_utilization

@@ -20,7 +20,6 @@ def measured_model_config(sim_config: SimulationConfig,
     cannot pollute a comparison."""
     tree = build_tree(sim_config.n_items, order=sim_config.order,
                       insert_fraction=sim_config.mix.insert_share or 1.0,
-                      merge_policy=sim_config.merge_policy,
                       key_space=sim_config.key_space,
                       seed=sim_config.seed)
     stats = collect_statistics(tree)

@@ -143,10 +143,6 @@ class ResultCache:
         self.salt = salt
         self.stats = CacheStats()
 
-    def key_for(self, config: SimulationConfig, *, kind: str = "open",
-                extra: Optional[dict] = None) -> str:
-        return config_key(config, kind=kind, extra=extra, salt=self.salt)
-
     def path_for(self, key: str) -> Path:
         # Two-character fan-out keeps any one directory small even for
         # very large sweep grids.

@@ -33,6 +33,7 @@ class SimulationConfig:
     n_items: int = 40_000
     mix: OperationMix = PAPER_MIX
     costs: CostModel = field(default_factory=CostModel)
+    #: One legal value, kept because it is part of every result-cache key.
     merge_policy: MergePolicy = MERGE_AT_EMPTY
     #: Measured concurrent operations (after warm-up).
     n_operations: int = 10_000
@@ -113,10 +114,10 @@ class SimulationConfig:
                     "workload and key_distribution are mutually "
                     "exclusive: express the skew through the workload's "
                     "key spec (e.g. HotspotKeysSpec)")
-        if self.merge_policy is not MERGE_AT_EMPTY:
+        if self.merge_policy != MERGE_AT_EMPTY:
             raise ConfigurationError(
-                "the concurrent simulator requires merge-at-empty (the "
-                "paper's setting); merge-at-half is supported sequentially")
+                "the simulator requires merge-at-empty (the paper's "
+                f"setting), got {self.merge_policy!r}")
 
     def with_rate(self, arrival_rate: float) -> "SimulationConfig":
         return replace(self, arrival_rate=arrival_rate)

@@ -55,9 +55,7 @@ from repro.simulator.operations import (
     pick_resident_key,
 )
 from repro.obs.instruments import NULL_INSTRUMENTS
-from repro.workload.keys import KeyPicker
 from repro.workload.runtime import WorkloadRuntime
-from repro.workload.spec import effective_workload
 from repro.workload.transactions import (
     TransactionLockTable,
     transaction_envelope,
@@ -116,8 +114,8 @@ def run_context(config: SimulationConfig, build_seed: int,
     with lock_factory(make_lock):
         tree = warm_tree(
             build_seed, config.n_items, config.order,
-            config.mix.insert_share or 1.0, config.merge_policy,
-            config.key_space, on_new_node=note_node,
+            config.mix.insert_share or 1.0, config.key_space,
+            on_new_node=note_node,
         )
         try:
             sim = Simulator()
@@ -306,15 +304,6 @@ def run_simulation(config: SimulationConfig,
     if telemetry is not None:
         telemetry.finalize(result, sim)
     return result
-
-
-def make_key_picker(config: SimulationConfig,
-                    rng: random.Random) -> KeyPicker:
-    """The key-selection distribution the configuration asks for,
-    resolved through the workload layer (the explicit ``workload``
-    field wins; the legacy ``key_distribution`` fields map onto the
-    equivalent spec)."""
-    return effective_workload(config).keys.build(config.key_space, rng)
 
 
 def run_replications(config: SimulationConfig,

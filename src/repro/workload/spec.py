@@ -376,10 +376,6 @@ class WorkloadSpec:
                  f"transaction must be a TransactionSpec, "
                  f"got {type(self.transaction).__name__}")
 
-    def is_default(self) -> bool:
-        """True when this spec reproduces the legacy driver exactly
-        (and is therefore omitted from cache keys)."""
-        return self == DEFAULT_WORKLOAD
 
 
 #: The spec equal to "no spec": stationary Poisson, uniform keys,

@@ -1,21 +1,15 @@
 """Property-based tests: the B+-tree against a set model.
 
-Hypothesis drives random operation sequences against both merge policies
-and checks, after every batch, that (a) every structural invariant holds
+Hypothesis drives random operation sequences against the merge-at-empty
+tree and checks, after every batch, that (a) every structural invariant holds
 and (b) the tree's contents equal a plain Python set subjected to the
 same operations.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.btree import (
-    BPlusTree,
-    MERGE_AT_EMPTY,
-    MERGE_AT_HALF,
-    check_invariants,
-)
+from repro.btree import BPlusTree, check_invariants
 
 #: Small key universe to force collisions, duplicates and deletions of
 #: present keys.
@@ -43,13 +37,11 @@ def _apply(tree: BPlusTree, model: set, op: str, key: int) -> None:
         assert tree.search(key) == (key in model)
 
 
-@pytest.mark.parametrize("policy", [MERGE_AT_EMPTY, MERGE_AT_HALF],
-                         ids=["merge-at-empty", "merge-at-half"])
 class TestAgainstSetModel:
     @_SETTINGS
     @given(order=ORDERS, ops=OPERATIONS)
-    def test_contents_and_invariants(self, policy, order, ops):
-        tree = BPlusTree(order=order, merge_policy=policy)
+    def test_contents_and_invariants(self, order, ops):
+        tree = BPlusTree(order=order)
         model = set()
         for op, key in ops:
             _apply(tree, model, op, key)
@@ -59,9 +51,9 @@ class TestAgainstSetModel:
 
     @_SETTINGS
     @given(order=ORDERS, ops=OPERATIONS)
-    def test_interleaved_validation(self, policy, order, ops):
+    def test_interleaved_validation(self, order, ops):
         """Invariants hold after *every* operation, not just at the end."""
-        tree = BPlusTree(order=order, merge_policy=policy)
+        tree = BPlusTree(order=order)
         model = set()
         for i, (op, key) in enumerate(ops):
             _apply(tree, model, op, key)
@@ -71,10 +63,10 @@ class TestAgainstSetModel:
 
     @_SETTINGS
     @given(order=ORDERS, ops=OPERATIONS)
-    def test_find_leaf_ends_path_to(self, policy, order, ops):
+    def test_find_leaf_ends_path_to(self, order, ops):
         """``insert``/``delete`` descend with ``find_leaf`` and build
         ``path_to`` only to restructure; both must reach the same leaf."""
-        tree = BPlusTree(order=order, merge_policy=policy)
+        tree = BPlusTree(order=order)
         model = set()
         for op, key in ops:
             _apply(tree, model, op, key)
@@ -86,8 +78,8 @@ class TestAgainstSetModel:
 
     @_SETTINGS
     @given(order=ORDERS, keys=st.sets(KEYS, min_size=1, max_size=150))
-    def test_insert_all_then_delete_all(self, policy, order, keys):
-        tree = BPlusTree(order=order, merge_policy=policy)
+    def test_insert_all_then_delete_all(self, order, keys):
+        tree = BPlusTree(order=order)
         for key in keys:
             tree.insert(key)
         check_invariants(tree)
@@ -160,12 +152,11 @@ def _snapshot(tree: BPlusTree):
 
 
 @_SETTINGS
-@given(policy=st.sampled_from([MERGE_AT_EMPTY, MERGE_AT_HALF]),
-       order=ORDERS, before=OPERATIONS, during=OPERATIONS)
-def test_rollback_restores_the_journaled_tree(policy, order, before, during):
-    """Whatever splits, merges and removals happen after ``journal()``,
+@given(order=ORDERS, before=OPERATIONS, during=OPERATIONS)
+def test_rollback_restores_the_journaled_tree(order, before, during):
+    """Whatever splits and removals happen after ``journal()``,
     ``rollback()`` restores every reachable node and the tree fields."""
-    tree = BPlusTree(order=order, merge_policy=policy)
+    tree = BPlusTree(order=order)
     for op, key in before:
         getattr(tree, op)(key)
     expected = _snapshot(tree)
@@ -191,8 +182,8 @@ def _undone(tree: BPlusTree, change) -> None:
     assert _snapshot(tree) == expected
 
 
-def _sequential_tree(policy, order: int = 4) -> BPlusTree:
-    tree = BPlusTree(order=order, merge_policy=policy)
+def _sequential_tree(order: int = 4) -> BPlusTree:
+    tree = BPlusTree(order=order)
     for key in range(0, 300, 3):
         tree.insert(key)
     return tree
@@ -201,7 +192,7 @@ def _sequential_tree(policy, order: int = 4) -> BPlusTree:
 def test_each_primitive_journals_the_nodes_it_writes():
     """A primitive is undone even when no earlier call journaled the
     nodes it writes (the concurrent algorithms call them directly)."""
-    tree = _sequential_tree(MERGE_AT_EMPTY)
+    tree = _sequential_tree()
     _undone(tree, lambda t: t.half_split(t.find_leaf(150)))
     # Empty one leaf without restructuring, then free it under the
     # journal: the freed leaf and its neighbours were never journaled.
@@ -210,17 +201,3 @@ def test_each_primitive_journals_the_nodes_it_writes():
         tree.apply_leaf_delete(path[-1], key)
     _undone(tree, lambda t: t.remove_empty_leaf(path))
 
-
-@pytest.mark.parametrize("extra", [1, 0], ids=["borrow", "merge"])
-def test_merge_at_half_restructuring_is_undone(extra):
-    """A delete that underflows the last child of a parent borrows from
-    (or merges into) its left sibling, which nothing journaled before."""
-    tree = _sequential_tree(MERGE_AT_HALF)
-    parent = tree.path_to(10**6)[-2]
-    left, last = parent.children[-2], parent.children[-1]
-    floor = MERGE_AT_HALF.min_entries(tree.order)
-    while len(left.keys) < floor + extra:
-        tree.insert(left.keys[-1] + 1)
-    while len(last.keys) > floor:
-        tree.delete(last.keys[-1])
-    _undone(tree, lambda t: t.delete(last.keys[0]))

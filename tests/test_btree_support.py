@@ -1,4 +1,4 @@
-"""Unit tests for policies, builder, statistics and the validator."""
+"""Unit tests for the builder, statistics and the validator."""
 
 import hashlib
 
@@ -7,35 +7,12 @@ import pytest
 from repro.btree import (
     BPlusTree,
     MERGE_AT_EMPTY,
-    MERGE_AT_HALF,
     build_tree,
     check_invariants,
     collect_statistics,
 )
-from repro.btree.policies import policy_by_name
-from repro.btree.stats import LN2_FILL, expected_height
+from repro.btree.stats import LN2_FILL
 from repro.errors import ConfigurationError, InvariantViolationError
-
-
-class TestPolicies:
-    def test_merge_at_empty_floor(self):
-        assert MERGE_AT_EMPTY.min_entries(13) == 1
-        assert MERGE_AT_EMPTY.underflows(0, 13)
-        assert not MERGE_AT_EMPTY.underflows(1, 13)
-
-    def test_merge_at_half_floor(self):
-        assert MERGE_AT_HALF.min_entries(13) == 7  # ceil(13/2)
-        assert MERGE_AT_HALF.underflows(6, 13)
-        assert not MERGE_AT_HALF.underflows(7, 13)
-
-    def test_lookup_by_name(self):
-        assert policy_by_name("merge-at-empty") is MERGE_AT_EMPTY
-        assert policy_by_name("merge-at-half") is MERGE_AT_HALF
-        with pytest.raises(ConfigurationError):
-            policy_by_name("merge-at-noon")
-
-    def test_str(self):
-        assert str(MERGE_AT_EMPTY) == "merge-at-empty"
 
 
 class TestBuilder:
@@ -81,12 +58,10 @@ class TestBuilder:
     GOLDEN_SHAPES = {
         MERGE_AT_EMPTY: (4931, "ec864e114d3a7f37da6714be100de31b0f811614a9"
                                "49364ace3b2556c77d9863"),
-        MERGE_AT_HALF: (5204, "f05e442c11b710068001d07a3d77c566544d3df947"
-                              "01292fda1fc066ed3592fd"),
     }
 
-    @pytest.mark.parametrize("policy", [MERGE_AT_EMPTY, MERGE_AT_HALF],
-                             ids=["merge-at-empty", "merge-at-half"])
+    @pytest.mark.parametrize("policy", [MERGE_AT_EMPTY],
+                             ids=["merge-at-empty"])
     def test_golden_warm_up_shape(self, policy):
         created = []
         build_tree(40_000, merge_policy=policy, seed=11,
@@ -125,19 +100,6 @@ class TestStatistics:
         for level in range(2, tree.height + 1):
             expected = (stats.nodes_at(level - 1) / stats.nodes_at(level))
             assert stats.fanout(level) == pytest.approx(expected)
-
-    @pytest.mark.parametrize("n_items,order", [
-        (0, 13), (5, 13), (40_000, 13), (40_000, 59), (10**6, 101),
-    ])
-    def test_expected_height_close_to_actual_formula(self, n_items, order):
-        h = expected_height(n_items, order)
-        assert h >= 1
-        effective = max(2.0, LN2_FILL * order)
-        if n_items > 0:
-            assert effective ** h >= n_items  # coverage suffices
-
-    def test_expected_height_matches_paper(self):
-        assert expected_height(40_000, 13) == 5
 
 
 class TestValidator:

@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.btree import (
-    BPlusTree,
-    MERGE_AT_EMPTY,
-    MERGE_AT_HALF,
-    check_invariants,
-)
+from repro.btree import BPlusTree, check_invariants
 from repro.btree.node import InternalNode
 from repro.errors import BTreeError, ConfigurationError
 
@@ -101,7 +96,7 @@ class TestSplitting:
 
 class TestMergeAtEmpty:
     def test_leaves_survive_until_empty(self):
-        tree = BPlusTree(order=4, merge_policy=MERGE_AT_EMPTY)
+        tree = BPlusTree(order=4)
         for key in range(20):
             tree.insert(key)
         merges_before = tree.merge_count
@@ -111,7 +106,7 @@ class TestMergeAtEmpty:
         check_invariants(tree)
 
     def test_drain_to_empty(self):
-        tree = BPlusTree(order=4, merge_policy=MERGE_AT_EMPTY)
+        tree = BPlusTree(order=4)
         for key in range(100):
             tree.insert(key)
         for key in range(100):
@@ -121,7 +116,7 @@ class TestMergeAtEmpty:
         assert tree.height == 1
 
     def test_drain_reverse_order(self):
-        tree = BPlusTree(order=5, merge_policy=MERGE_AT_EMPTY)
+        tree = BPlusTree(order=5)
         for key in range(100):
             tree.insert(key)
         for key in reversed(range(100)):
@@ -130,7 +125,7 @@ class TestMergeAtEmpty:
         assert len(tree) == 0
 
     def test_root_collapses(self):
-        tree = BPlusTree(order=3, merge_policy=MERGE_AT_EMPTY)
+        tree = BPlusTree(order=3)
         for key in range(30):
             tree.insert(key)
         tall = tree.height
@@ -138,34 +133,6 @@ class TestMergeAtEmpty:
             tree.delete(key)
         assert tree.height < tall
         check_invariants(tree)
-
-
-class TestMergeAtHalf:
-    def test_borrowing_keeps_occupancy(self):
-        tree = BPlusTree(order=4, merge_policy=MERGE_AT_HALF)
-        for key in range(40):
-            tree.insert(key)
-        for key in range(0, 40, 3):
-            tree.delete(key)
-            check_invariants(tree)
-
-    def test_drain_to_empty(self):
-        tree = BPlusTree(order=4, merge_policy=MERGE_AT_HALF)
-        for key in range(120):
-            tree.insert(key)
-        for key in range(120):
-            assert tree.delete(key)
-            check_invariants(tree)
-        assert len(tree) == 0
-        assert tree.height == 1
-
-    def test_merge_count_grows(self):
-        tree = BPlusTree(order=4, merge_policy=MERGE_AT_HALF)
-        for key in range(60):
-            tree.insert(key)
-        for key in range(60):
-            tree.delete(key)
-        assert tree.merge_count > 0
 
 
 class TestPrimitives:
@@ -229,13 +196,6 @@ class TestPrimitives:
         assert len(tree) == 0
         assert not tree.apply_leaf_delete(leaf, 3)
 
-    def test_remove_empty_leaf_requires_merge_at_empty(self):
-        tree = BPlusTree(order=4, merge_policy=MERGE_AT_HALF)
-        for key in range(10):
-            tree.insert(key)
-        with pytest.raises(BTreeError):
-            tree.remove_empty_leaf(tree.path_to(0))
-
     def test_level_nodes_out_of_range(self):
         tree = BPlusTree(order=4)
         with pytest.raises(BTreeError):
@@ -252,7 +212,7 @@ class TestSafety:
         assert not tree.is_insert_safe(tree.find_leaf(0))
 
     def test_delete_safety_merge_at_empty(self):
-        tree = BPlusTree(order=4, merge_policy=MERGE_AT_EMPTY)
+        tree = BPlusTree(order=4)
         for key in range(12):
             tree.insert(key)
         leaf = tree.find_leaf(0)
@@ -269,7 +229,7 @@ class TestSafety:
 
     def test_on_new_and_free_node_hooks(self):
         created, freed = [], []
-        tree = BPlusTree(order=3, merge_policy=MERGE_AT_EMPTY,
+        tree = BPlusTree(order=3,
                          on_new_node=created.append,
                          on_free_node=freed.append)
         assert len(created) == 1  # the initial root leaf

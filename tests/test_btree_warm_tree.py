@@ -8,7 +8,7 @@ import pytest
 
 import repro.btree.builder as builder
 import repro.btree.node as node_module
-from repro.btree import MERGE_AT_EMPTY, MERGE_AT_HALF, BPlusTree, check_invariants
+from repro.btree import BPlusTree, check_invariants
 from repro.btree.builder import build_tree, warm_tree
 from repro.des.rwlock import RWLock
 from repro.experiments.common import sweep_replications
@@ -17,12 +17,11 @@ from repro.obs import TelemetryOptions, TelemetryRecorder
 from repro.simulator import SimulationConfig, driver, run_simulation
 from repro.simulator.closed import run_closed_simulation
 
-#: (n_items, order, insert_fraction, merge_policy) shapes to compare.
+#: (n_items, order, insert_fraction) shapes to compare.
 SHAPES = [
-    (3_000, 13, 5.0 / 7.0, MERGE_AT_EMPTY),
-    (800, 4, 0.6, MERGE_AT_EMPTY),
-    (800, 5, 0.6, MERGE_AT_HALF),
-    (0, 13, 1.0, MERGE_AT_EMPTY),
+    (3_000, 13, 5.0 / 7.0),
+    (800, 4, 0.6),
+    (0, 13, 1.0),
 ]
 
 
@@ -65,33 +64,32 @@ def _shape(tree, nodes):
     levels = [[(list(node.keys), node.high_key)
                for node in tree.level_nodes(level)]
               for level in range(1, tree.height + 1)]
-    return (tree.order, tree.merge_policy, len(tree), tree.height,
+    return (tree.order, len(tree), tree.height,
             tree.split_count, tree.merge_count, name(tree.root), list(tree),
             levels, allocation)
 
 
-@pytest.mark.parametrize("n_items,order,insert_fraction,policy", SHAPES)
-def test_clone_equals_fresh_build(n_items, order, insert_fraction, policy):
+@pytest.mark.parametrize("n_items,order,insert_fraction", SHAPES)
+def test_clone_equals_fresh_build(n_items, order, insert_fraction):
     seed = 7
     fresh, fresh_nodes = _grow(lambda hook: build_tree(
         n_items, order=order, insert_fraction=insert_fraction,
-        merge_policy=policy, rng=random.Random(seed), on_new_node=hook))
+        rng=random.Random(seed), on_new_node=hook))
     expected = _shape(fresh, fresh_nodes)
     check_invariants(fresh)
     for _ in ("miss", "hit"):
         lease, lease_nodes = _grow(lambda hook: warm_tree(
-            seed, n_items, order, insert_fraction, policy,
+            seed, n_items, order, insert_fraction,
             builder.DEFAULT_KEY_SPACE, on_new_node=hook))
         check_invariants(lease)
         assert _shape(lease, lease_nodes) == expected
-        assert lease.merge_policy is policy
         ids = [node.node_id for node in lease_nodes]
         assert ids == list(range(ids[0], ids[0] + len(ids)))
         lease.rollback()
 
 
 def test_returned_lease_leaves_template_as_built():
-    args = (3, 800, 4, 0.6, MERGE_AT_EMPTY, 1 << 20)
+    args = (3, 800, 4, 0.6, 1 << 20)
     fresh, fresh_nodes = _grow(lambda hook: build_tree(
         800, order=4, insert_fraction=0.6, key_space=1 << 20,
         rng=random.Random(3), on_new_node=hook))
@@ -143,11 +141,11 @@ def test_same_seed_runs_identical_after_mutating_run(build_calls):
     assert len(build_calls) == 1
 
 
-def _fresh_build(build_seed, n_items, order, insert_fraction, merge_policy,
-                 key_space, on_new_node=None):
+def _fresh_build(build_seed, n_items, order, insert_fraction, key_space,
+                 on_new_node=None):
     """``warm_tree`` without the memo: the reference it must match."""
     return build_tree(n_items, order=order, insert_fraction=insert_fraction,
-                      merge_policy=merge_policy, key_space=key_space,
+                      key_space=key_space,
                       rng=random.Random(build_seed), on_new_node=on_new_node)
 
 
@@ -284,10 +282,10 @@ def test_open_and_closed_runs_share_one_build(build_calls):
 
 def test_same_key_gives_no_rebuild(build_calls):
     for seed in (1, 2, 2, 1):
-        warm_tree(seed, 50, 4, 0.8, MERGE_AT_EMPTY, 1 << 20)
+        warm_tree(seed, 50, 4, 0.8, 1 << 20)
     # One template is kept: 1, 2 and then 1 again are built.
     assert len(build_calls) == 3
-    warm_tree(1, 50, 4, 0.8, MERGE_AT_EMPTY, 1 << 20)
+    warm_tree(1, 50, 4, 0.8, 1 << 20)
     assert len(build_calls) == 3
 
 

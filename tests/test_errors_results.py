@@ -49,16 +49,6 @@ def _level(level=1, rho=0.2, r=0.5, w=0.8):
                          r_e=0.2, R=r, W=w)
 
 
-class TestLevelSolution:
-    def test_reader_drain(self):
-        level = _level(rho=0.25)
-        expected = 0.25 * 0.1 + 0.75 * 0.2
-        assert level.reader_drain == pytest.approx(expected)
-
-    def test_writer_service_time(self):
-        assert _level().writer_service_time == pytest.approx(2.0)
-
-
 class TestAlgorithmPrediction:
     def _prediction(self):
         return AlgorithmPrediction(

@@ -122,22 +122,20 @@ class TestOptions:
             occupancy=OccupancyModel.uniform(0.4, paper_config.height))
         assert hot.response("insert") > calm.response("insert")
 
-    def test_exponential_service_model_runs(self, paper_config):
-        p = analyze_lock_coupling(paper_config, 0.3,
-                                  service_model="exponential")
-        assert p.stable
-
     def test_hyperexponential_predicts_more_waiting(self, paper_config):
-        """The ablation: ignoring the service-time variance (Theorem 3)
-        underestimates the lock waits."""
-        hyper = analyze_lock_coupling(paper_config, 0.45)
-        expo = analyze_lock_coupling(paper_config, 0.45,
-                                     service_model="exponential")
-        assert hyper.response("insert") > expo.response("insert")
-
-    def test_unknown_service_model_rejected(self, paper_config):
-        with pytest.raises(ConfigurationError):
-            analyze_lock_coupling(paper_config, 0.1, service_model="gamma")
+        """Ignoring the service-time variance underestimates the lock
+        waits: above the leaves, Theorem 3's wait exceeds Theorem 4's
+        exponential approximation on the same queue solution (the
+        leaves use Theorem 4 itself)."""
+        prediction = analyze_lock_coupling(paper_config, 0.45)
+        for level in prediction.levels:
+            drain = level.rho_w * level.r_u + (1.0 - level.rho_w) * level.r_e
+            exponential = (level.rho_w / (1.0 - level.rho_w)
+                           * (1.0 / level.mu_w + drain))
+            if level.level == 1:
+                assert level.R == pytest.approx(exponential)
+            else:
+                assert level.R > exponential
 
     def test_nonpositive_rate_rejected(self, paper_config):
         with pytest.raises(ConfigurationError):

@@ -7,10 +7,8 @@ import pytest
 from repro.errors import ConfigurationError, UnstableQueueError
 from repro.model.mg1 import (
     LockCouplingServer,
-    exponential_second_moment,
     mm1_wait,
     pollaczek_khinchine_wait,
-    saturating,
 )
 
 
@@ -33,8 +31,8 @@ class TestMM1:
 class TestPollaczekKhinchine:
     def test_reduces_to_mm1_for_exponential_service(self):
         lam, mu = 0.5, 1.0
-        wait = pollaczek_khinchine_wait(
-            lam, exponential_second_moment(1.0 / mu), lam / mu)
+        # An exponential service time with mean m has E[X^2] = 2 m^2.
+        wait = pollaczek_khinchine_wait(lam, 2.0 / mu**2, lam / mu)
         assert wait == pytest.approx(mm1_wait(lam, mu))
 
     def test_deterministic_service_halves_the_wait(self):
@@ -86,7 +84,10 @@ class TestLockCouplingServer:
         assert total_sq / n == pytest.approx(server.second_moment, rel=0.04)
 
     def test_more_variable_than_exponential(self):
-        assert self._server().scv > 0.0
+        """A positive squared coefficient of variation,
+        E[X^2] / E[X]^2 - 1 > 0."""
+        server = self._server()
+        assert server.second_moment / server.mean ** 2 - 1.0 > 0.0
 
     def test_wait_is_pk(self):
         server = self._server()
@@ -107,8 +108,3 @@ class TestLockCouplingServer:
                                     inv_mu_o=0.0, r_e_child=0.5)
         assert server.mean == pytest.approx(2.5)
 
-
-def test_saturating_maps_nan_to_inf():
-    import math
-    assert saturating(float("nan")) == math.inf
-    assert saturating(1.5) == 1.5

@@ -7,11 +7,8 @@ from repro.btree import build_tree, collect_statistics
 from repro.errors import ConfigurationError
 from repro.model.occupancy import (
     OccupancyModel,
-    effective_fanout,
-    expected_split_rate,
     pr_full_internal,
     pr_full_leaf,
-    utilization_headroom,
 )
 from repro.model.params import PAPER_MIX, OperationMix
 
@@ -33,9 +30,6 @@ class TestClosedForms:
 
     def test_internal_value(self):
         assert pr_full_internal(13) == pytest.approx(1.0 / (0.69 * 13))
-
-    def test_effective_fanout(self):
-        assert effective_fanout(13) == pytest.approx(8.97)
 
     def test_larger_nodes_are_less_often_full(self):
         assert pr_full_leaf(PAPER_MIX, 59) < pr_full_leaf(PAPER_MIX, 13)
@@ -84,28 +78,3 @@ class TestOccupancyModel:
         measured = OccupancyModel.measured(collect_statistics(tree))
         closed = OccupancyModel.corollary1(PAPER_MIX, 13, tree.height)
         assert measured.full(1) == pytest.approx(closed.full(1), rel=0.25)
-
-    def test_headroom(self):
-        occ = OccupancyModel.uniform(0.0, height=3)
-        assert utilization_headroom(occ) == pytest.approx(1.0)
-        occ2 = OccupancyModel.uniform(0.5, height=3)
-        assert utilization_headroom(occ2) == pytest.approx(0.5)
-
-
-class TestSplitRate:
-    def test_scales_with_arrival_rate(self):
-        occ = OccupancyModel.corollary1(PAPER_MIX, 13, height=5)
-        low = expected_split_rate(PAPER_MIX, occ, 1.0, level=1)
-        high = expected_split_rate(PAPER_MIX, occ, 2.0, level=1)
-        assert high == pytest.approx(2 * low)
-
-    def test_decays_with_level(self):
-        occ = OccupancyModel.corollary1(PAPER_MIX, 13, height=5)
-        rates = [expected_split_rate(PAPER_MIX, occ, 1.0, level)
-                 for level in range(1, 5)]
-        assert all(a > b for a, b in zip(rates, rates[1:]))
-
-    def test_level_floor(self):
-        occ = OccupancyModel.corollary1(PAPER_MIX, 13, height=5)
-        with pytest.raises(ConfigurationError):
-            expected_split_rate(PAPER_MIX, occ, 1.0, level=0)

@@ -127,11 +127,6 @@ class TestModelConfig:
         assert config.costs.disk_cost == 10.0
         assert config.order == 13  # untouched
 
-    def test_with_order_reshapes(self):
-        config = paper_default_config().with_order(59, n_items=40_000)
-        assert config.order == 59
-        assert config.height == 3
-
     def test_tiny_order_rejected(self):
         with pytest.raises(ConfigurationError):
             ModelConfig(mix=PAPER_MIX, costs=CostModel(),

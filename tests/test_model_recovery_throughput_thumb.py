@@ -1,7 +1,6 @@
 """Unit tests for the recovery extension, throughput solvers and the
 rules of thumb."""
 
-import math
 
 import pytest
 
@@ -20,7 +19,6 @@ from repro.model.recovery import (
 from repro.model.throughput import (
     arrival_rate_for_root_utilization,
     max_throughput,
-    stability_margin,
 )
 from repro.model.thumb import (
     rule_of_thumb_1,
@@ -129,12 +127,6 @@ class TestThroughputSolvers:
             analyze_link, paper_config, target=0.5, use_max_level=True)
         p = analyze_link(paper_config, rate)
         assert p.max_writer_utilization == pytest.approx(0.5, abs=0.02)
-
-    def test_stability_margin(self, paper_config):
-        stable = analyze_lock_coupling(paper_config, 0.1)
-        assert 0.0 < stability_margin(stable) < 1.0
-        unstable = analyze_lock_coupling(paper_config, 5.0)
-        assert stability_margin(unstable) == -math.inf
 
 
 class TestRulesOfThumb:

@@ -5,11 +5,7 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError, UnstableQueueError
-from repro.model.rwqueue import (
-    RWQueueInput,
-    solve_rw_queue,
-    writer_utilization,
-)
+from repro.model.rwqueue import RWQueueInput, solve_rw_queue
 
 
 def _solve(lambda_r, lambda_w, mu_r, mu_w):
@@ -126,11 +122,6 @@ class TestSaturation:
         with pytest.raises(UnstableQueueError) as exc_info:
             solve_rw_queue(RWQueueInput(0.5, 1.5, 1.0, 1.0), level=3)
         assert exc_info.value.level == 3
-
-    def test_writer_utilization_returns_inf(self):
-        assert writer_utilization(RWQueueInput(0.5, 1.5, 1.0, 1.0)) == math.inf
-        assert writer_utilization(RWQueueInput(0.0, 0.3, 1.0, 1.0)) \
-            == pytest.approx(0.3)
 
 
 class TestValidation:

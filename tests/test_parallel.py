@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.parallel import (
+    CODE_SALT,
     ResultCache,
     SimTask,
     config_key,
@@ -23,6 +24,7 @@ from repro.simulator.driver import (
     run_replications,
     run_simulation,
 )
+from repro.workload import WorkloadSpec, ZipfKeysSpec
 
 
 def _quick(**overrides) -> SimulationConfig:
@@ -119,6 +121,30 @@ class TestConfigKey:
             config_key(config, salt="sim-v2")
 
 
+class TestGoldenKeys:
+    """Pinned ``task_key`` values: any change to a config field's
+    canonical form (a renamed or added ``MergePolicy`` field, say)
+    silently invalidates every cached result, and must fail here
+    unless it bumps ``CODE_SALT`` on purpose."""
+
+    @pytest.mark.parametrize("task,expected", [
+        (SimTask(SimulationConfig()),
+         "7f0942ac2b60fb05d71b453dd3d78112bc85ffc556ab0e07eb2b2ff7585db99e"),
+        (SimTask(SimulationConfig(algorithm="optimistic-descent"),
+                 kind="closed", mpl=8, think_time=2.0),
+         "108107aab1a14ba44f4e1d785e511a03636bac48db0c306c6f369ffea8977a0b"),
+        (SimTask(SimulationConfig(key_distribution="hotspot",
+                                  hot_fraction=0.2, hot_probability=0.8)),
+         "389a0f455978f050b62c4830bfb64d5b7566d5f4b55fd4c308a3dc083aac68c2"),
+        (SimTask(SimulationConfig(
+            workload=WorkloadSpec(keys=ZipfKeysSpec(theta=0.9)))),
+         "7cd72e33a21f27d251c1dd807f3c062d46db488dbce4d762d4167933c5880291"),
+    ], ids=["default", "closed-optimistic", "legacy-hotspot", "zipf"])
+    def test_task_key(self, task, expected):
+        assert CODE_SALT == "sim-v2"
+        assert task_key(task) == expected
+
+
 # ----------------------------------------------------------------------
 # Cache behavior: hit / miss / invalidation / corruption
 # ----------------------------------------------------------------------
@@ -174,7 +200,7 @@ class TestResultCache:
 
     def test_wrong_payload_type_is_a_miss(self, tmp_path):
         cache = ResultCache(tmp_path)
-        key = cache.key_for(_quick())
+        key = config_key(_quick(), salt=cache.salt)
         path = cache.path_for(key)
         path.parent.mkdir(parents=True)
         path.write_bytes(pickle.dumps({"not": "a result"}))
@@ -337,10 +363,17 @@ class TestExecuteTask:
         clone = pickle.loads(pickle.dumps(task))
         assert execute_task(clone) == run_simulation(_quick())
 
-    def test_config_pickle_preserves_merge_policy_identity(self):
-        # Regression: configs cross process boundaries, and both the
-        # tree and SimulationConfig compare merge policies by identity
-        # (a worker used to raise BTreeError on the first emptied leaf).
+    def test_config_pickle_preserves_merge_policy(self):
+        # Regression: configs cross process boundaries, and a worker
+        # once raised BTreeError on the first emptied leaf because the
+        # unpickled merge policy was a copy, not the canonical object.
         from repro.btree.policies import MERGE_AT_EMPTY
-        clone = pickle.loads(pickle.dumps(_quick()))
-        assert clone.merge_policy is MERGE_AT_EMPTY
+        from repro.model.params import OperationMix
+        configs = [_quick(n_items=200, order=4, seed=seed,
+                          mix=OperationMix(0.3, 0.385, 0.315))
+                   for seed in (7, 8)]
+        clones = [pickle.loads(pickle.dumps(config)) for config in configs]
+        assert all(clone.merge_policy == MERGE_AT_EMPTY for clone in clones)
+        results = run_batch([SimTask(clone) for clone in clones], jobs=2)
+        assert all(result.leaf_removals > 0 for result in results)
+        assert results == [run_simulation(config) for config in configs]

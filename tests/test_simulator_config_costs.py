@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.btree import MERGE_AT_HALF, build_tree
+from repro.btree import MergePolicy, build_tree
 from repro.errors import ConfigurationError
 from repro.model.params import CostModel
 from repro.simulator.config import SimulationConfig
@@ -45,8 +45,11 @@ class TestSimulationConfig:
                          recovery="leaf-only-recovery")
 
     def test_merge_at_half_rejected_concurrently(self):
+        merge_at_half = MergePolicy("merge-at-half", 1, 2)
         with pytest.raises(ConfigurationError):
-            SimulationConfig(merge_policy=MERGE_AT_HALF)
+            SimulationConfig(merge_policy=merge_at_half)
+        with pytest.raises(ConfigurationError):
+            build_tree(100, merge_policy=merge_at_half)
 
     def test_with_rate_and_seed(self):
         config = SimulationConfig()

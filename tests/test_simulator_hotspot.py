@@ -4,8 +4,8 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.simulator import SimulationConfig, run_simulation
-from repro.simulator.driver import make_key_picker
 from repro.workload.keys import HotspotKeys, UniformKeys
+from repro.workload.runtime import WorkloadRuntime
 
 
 def _config(**overrides):
@@ -22,12 +22,14 @@ class TestConfig:
             _config(key_distribution="zipf")
 
     def test_picker_factory(self):
+        """The legacy ``key_distribution`` fields map onto the
+        equivalent key spec."""
         import random
         rng = random.Random(0)
-        assert isinstance(make_key_picker(_config(), rng), UniformKeys)
-        picker = make_key_picker(
+        assert isinstance(WorkloadRuntime(_config(), rng).picker, UniformKeys)
+        picker = WorkloadRuntime(
             _config(key_distribution="hotspot", hot_fraction=0.1,
-                    hot_probability=0.9), rng)
+                    hot_probability=0.9), rng).picker
         assert isinstance(picker, HotspotKeys)
         assert picker.hot_fraction == 0.1
         assert picker.hot_probability == 0.9

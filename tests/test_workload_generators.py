@@ -27,6 +27,7 @@ from repro.workload.keys import (
     zipf_value,
 )
 from repro.workload.spec import (
+    DEFAULT_WORKLOAD,
     MMPPArrivals,
     PoissonArrivals,
     ScheduleArrivals,
@@ -283,7 +284,7 @@ class TestTransactionSpecEdges:
         # Single-op transactions are the default spec; with one scalar
         # execution path there is no separate vector_native flag.
         spec = WorkloadSpec(transaction=TransactionSpec(size=1))
-        assert spec.is_default()
+        assert spec == DEFAULT_WORKLOAD
         assert not hasattr(spec, "vector_native")
 
     def test_size_below_one_rejected(self):
@@ -292,5 +293,5 @@ class TestTransactionSpecEdges:
 
     def test_multi_op_spec_not_vector_native(self):
         spec = WorkloadSpec(transaction=TransactionSpec(size=4))
-        assert not spec.is_default()
+        assert spec != DEFAULT_WORKLOAD
         assert not hasattr(spec, "vector_native")

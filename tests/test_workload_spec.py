@@ -51,7 +51,6 @@ class TestSpecSemantics:
     def test_default_spec_flags(self):
         spec = WorkloadSpec()
         assert spec == DEFAULT_WORKLOAD
-        assert spec.is_default()
         assert spec.arrival.stationary()
 
     @pytest.mark.parametrize("spec", [
@@ -68,7 +67,7 @@ class TestSpecSemantics:
         # Every component now runs on the one scalar path: none carries
         # a vector_native flag, and each is still told apart from the
         # default spec.
-        assert not spec.is_default()
+        assert spec != DEFAULT_WORKLOAD
         for part in (spec, spec.arrival, spec.keys, spec.transaction):
             assert not hasattr(part, "vector_native")
 
