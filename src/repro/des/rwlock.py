@@ -56,7 +56,7 @@ class RWLock:
     The :attr:`telemetry` slot (normally None) may hold any object with
     integer ``held_read`` / ``held_write`` / ``queued`` /
     ``grants_read`` / ``grants_write`` attributes — in practice a
-    :class:`~repro.obs.sampler.LevelState` shared by every lock of one
+    :class:`~repro.obs.telemetry.LevelState` shared by every lock of one
     tree level.  The lock keeps those live counts current so a periodic
     sampler can read per-level queue depth and R/W utilization without
     walking the tree.  With telemetry off the cost is a single

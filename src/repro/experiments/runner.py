@@ -466,7 +466,10 @@ def _simulate(args) -> int:
         results, merged = collect_replications(
             config, n_seeds=args.seeds, options=options, jobs=args.jobs,
             progress=progress)
-    if args.metrics_out:
+    if args.metrics_out and merged is None:
+        print(f"no telemetry written to {args.metrics_out}: every seed "
+              f"was quarantined", file=sys.stderr)
+    elif args.metrics_out:
         write_ndjson(args.metrics_out, merged)
         print(f"telemetry written to {args.metrics_out} "
               f"(schema v{merged.schema}, {len(merged.runs)} run(s), "
@@ -480,7 +483,7 @@ def _simulate(args) -> int:
                   else f"throughput={result.throughput:.4g} "
                        f"mean_response={result.overall_mean_response:.4g}")
         print(f"seed={result.seed} {status}")
-    return 0
+    return 0 if merged is not None else 1
 
 
 if __name__ == "__main__":  # pragma: no cover

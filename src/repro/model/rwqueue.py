@@ -39,13 +39,8 @@ from repro.errors import (
     ConvergenceError,
     UnstableQueueError,
 )
-from repro.resilience.faults import consume_nan_fault
 
-#: Damped-fallback iteration cap (used only when the bracketing root
-#: finder fails, e.g. a poisoned evaluation returned NaN).
-_FALLBACK_MAX_ITERATIONS = 10_000
-_FALLBACK_DAMPING = 0.5
-#: rho is confined below this during the fallback iteration.
+#: Upper end of the root bracket: rho_w stays strictly below 1.
 _RHO_CEILING = 1.0 - 1e-12
 #: Brent root finder: relative tolerance and iteration cap of the
 #: reference ``brentq`` (docs/robustness.md).
@@ -201,60 +196,8 @@ def _error_context(q: RWQueueInput, level: int | None,
 
 
 def _fixed_point_rhs(rho: float, q: RWQueueInput) -> float:
-    if consume_nan_fault():
-        return math.nan
     r_u, r_e = _reader_drains(rho, q)
     return q.lambda_w * (1.0 / q.mu_w + rho * r_u + (1.0 - rho) * r_e)
-
-
-def _damped_fixed_point(q: RWQueueInput, tol: float,
-                        level: int | None) -> float:
-    """Fallback solver: damped iteration on ``rho <- f(rho)``.
-
-    Used only when the bracketing root finder could not run (a fixed-
-    point evaluation came back non-finite).  Non-finite evaluations are
-    skipped — a transient poisoned value is retried — within the hard
-    iteration cap; persistent failure raises a structured
-    :class:`~repro.errors.ConvergenceError`.
-    """
-    rho = 0.5
-    residual = math.inf
-    converged = False
-    iterations = 0
-    for iterations in range(1, _FALLBACK_MAX_ITERATIONS + 1):
-        rhs = _fixed_point_rhs(rho, q)
-        if not math.isfinite(rhs):
-            continue
-        nxt = ((1.0 - _FALLBACK_DAMPING) * rho
-               + _FALLBACK_DAMPING * min(rhs, _RHO_CEILING))
-        residual = abs(nxt - rho)
-        rho = nxt
-        if residual <= max(tol, 1e-12):
-            converged = True
-            break
-    if not converged:
-        raise ConvergenceError(
-            f"R/W queue damped fixed point did not converge within "
-            f"{_FALLBACK_MAX_ITERATIONS} iterations",
-            solver="rw-queue", iterations=iterations, residual=residual,
-            context=_error_context(q, level, rho))
-    final = _fixed_point_rhs(rho, q)
-    if math.isfinite(final) and final >= _RHO_CEILING:
-        # The iteration pinned rho at the ceiling: the queue has no
-        # root below 1 — the usual saturation signal, not divergence.
-        raise UnstableQueueError(
-            f"no stable writer utilization: offered load rho_w >= 1 "
-            f"(lambda_w={q.lambda_w:.6g}, mu_w={q.mu_w:.6g})",
-            level=level)
-    if not math.isfinite(final) or abs(final - rho) > 1e-6:
-        raise ConvergenceError(
-            f"R/W queue damped fixed point settled on rho={rho:.6g} "
-            f"but f(rho)={final:.6g} is not a root",
-            solver="rw-queue", iterations=iterations,
-            residual=abs(final - rho) if math.isfinite(final)
-            else math.nan,
-            context=_error_context(q, level, rho))
-    return rho
 
 
 def solve_rw_queue(q: RWQueueInput, tol: float = 1e-12,
@@ -266,12 +209,10 @@ def solve_rw_queue(q: RWQueueInput, tol: float = 1e-12,
     attached to the exception for diagnostics.
 
     Guarded against numeric corruption (``docs/robustness.md``): a
-    non-finite fixed-point evaluation — e.g. one poisoned by the
-    fault-injection harness — diverts to a damped fallback iteration
-    instead of feeding NaN into the bracketing root finder, and a
-    persistent failure raises a structured
-    :class:`~repro.errors.ConvergenceError` rather than propagating
-    NaN into result tables.
+    non-finite fixed-point evaluation, or a root finder that cannot
+    finish, raises a structured :class:`~repro.errors.ConvergenceError`
+    carrying the operating point rather than propagating NaN into
+    result tables.
     """
     if q.lambda_w == 0.0:
         r_u, r_e = _reader_drains(0.0, q)
@@ -285,21 +226,24 @@ def solve_rw_queue(q: RWQueueInput, tol: float = 1e-12,
     # iff g crosses zero before rho = 1.
     upper = _RHO_CEILING
     g_upper = g(upper)
-    if math.isfinite(g_upper):
-        if g_upper <= 0.0:
-            raise UnstableQueueError(
-                f"no stable writer utilization: offered load rho_w >= 1 "
-                f"(lambda_w={q.lambda_w:.6g}, mu_w={q.mu_w:.6g})",
-                level=level,
-            )
-        try:
-            rho = _brentq(g, 0.0, upper, tol)
-        except (ValueError, RuntimeError):
-            rho = math.nan  # a mid-search evaluation went non-finite
-    else:
-        rho = math.nan
-    if not (math.isfinite(rho) and 0.0 <= rho < 1.0):
-        rho = _damped_fixed_point(q, tol, level)
+    if not math.isfinite(g_upper):
+        raise ConvergenceError(
+            f"R/W queue fixed point is non-finite at rho={upper!r}",
+            solver="rw-queue", iterations=0, residual=math.nan,
+            context=_error_context(q, level, upper))
+    if g_upper <= 0.0:
+        raise UnstableQueueError(
+            f"no stable writer utilization: offered load rho_w >= 1 "
+            f"(lambda_w={q.lambda_w:.6g}, mu_w={q.mu_w:.6g})",
+            level=level,
+        )
+    try:
+        rho = _brentq(g, 0.0, upper, tol)
+    except (ValueError, RuntimeError) as exc:
+        raise ConvergenceError(
+            f"R/W queue root finder failed: {exc}",
+            solver="rw-queue", residual=math.nan,
+            context=_error_context(q, level, math.nan)) from exc
     r_u, r_e = _reader_drains(rho, q)
     t_a = 1.0 / q.mu_w + rho * r_u + (1.0 - rho) * r_e
     if not (math.isfinite(r_u) and math.isfinite(r_e)

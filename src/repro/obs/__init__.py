@@ -3,13 +3,13 @@
 The paper's simulator "collects a variety of statistics"; this package
 makes a run observable *while it happens* and exportable after:
 
-* **instruments** — named :class:`Counter`\\ s and :class:`Timer`\\ s
-  with a zero-allocation disabled path (:data:`NULL_INSTRUMENTS`); the
-  DES engine's event loop holds no instrument at all.
-* **sampling** — a periodic in-simulation sampler records per-level
-  lock state (queue depth, R/W utilization) and the in-flight operation
-  population into a decimating ring: bounded memory, full-run coverage,
-  strictly increasing timestamps.
+* **recording** — one :class:`TelemetryRecorder` per run keeps named
+  counters (tallies and count/total pairs of observed durations), the
+  live per-level lock state (:class:`LevelState`) and a periodic
+  in-simulation sample of it plus the in-flight operation population:
+  bounded memory, full-run coverage, strictly increasing timestamps.
+  With telemetry off the driver holds no recorder, and each hook costs
+  one ``is None`` check; the DES engine's event loop holds none at all.
 * **export** — the whole artifact (result + counters + time series)
   round-trips through a stable, versioned NDJSON layout
   (:func:`write_ndjson` / :func:`load_ndjson`).
@@ -31,22 +31,12 @@ from repro.obs.export import (
     telemetry_records,
     write_ndjson,
 )
-from repro.obs.instruments import (
-    NULL_COUNTER,
-    NULL_INSTRUMENTS,
-    NULL_TIMER,
-    Counter,
-    Instrumentation,
-    NullInstrumentation,
-    Timer,
-    merge_counter_snapshots,
-)
 from repro.obs.progress import ProgressPrinter
-from repro.obs.sampler import DecimatingRing, LevelState, TelemetrySampler
 from repro.obs.telemetry import (
     SCHEMA_VERSION,
     GlobalSeries,
     LevelSeries,
+    LevelState,
     RunTelemetry,
     SweepTelemetry,
     TelemetryOptions,
@@ -56,29 +46,19 @@ from repro.obs.telemetry import (
 )
 
 __all__ = [
-    "Counter",
-    "DecimatingRing",
     "GlobalSeries",
-    "Instrumentation",
     "LevelSeries",
     "LevelState",
-    "NULL_COUNTER",
-    "NULL_INSTRUMENTS",
-    "NULL_TIMER",
-    "NullInstrumentation",
     "ProgressPrinter",
     "RunTelemetry",
     "SCHEMA_VERSION",
     "SweepTelemetry",
     "TelemetryOptions",
     "TelemetryRecorder",
-    "TelemetrySampler",
-    "Timer",
     "collect_replications",
     "dumps_ndjson",
     "load_ndjson",
     "loads_ndjson",
-    "merge_counter_snapshots",
     "merge_telemetry",
     "telemetry_records",
     "write_ndjson",

@@ -1,12 +1,24 @@
 """Run telemetry: what one instrumented simulation run knows about itself.
 
 A :class:`TelemetryRecorder` is handed to
-:func:`~repro.simulator.driver.run_simulation`; the driver wires it into
-every node lock (per-level live state) and the process table (the
-periodic sampler), and calls :meth:`~TelemetryRecorder.finalize` on the
-way out, which also publishes the engine's own event and spawn counts.
-The frozen product is a :class:`RunTelemetry`: the run's
-:class:`SimulationResult`, its counter snapshot, and the per-level /
+:func:`~repro.simulator.driver.run_simulation`, and it is the one object
+the driver feeds:
+
+* **counters** — a plain ``{name: value}`` dict.  ``count(name, n)``
+  adds to a tally; ``observe(name, duration)`` adds one measurement to
+  the ``name.count`` / ``name.total`` pair (the mean is derivable, and
+  counts and totals sum cleanly across seeds).
+* **levels** — one live :class:`LevelState` per tree level, which every
+  node lock at the level updates inline (per-level lock state).
+* **samples** — a periodic in-simulation process snapshots the levels
+  and the in-flight population.  Memory is bounded: when
+  ``ring_capacity`` samples are held, every second one is dropped and
+  the interval doubles, so any run is covered end to end at a
+  self-adjusting resolution with strictly increasing timestamps.
+
+:meth:`~TelemetryRecorder.finalize` publishes the engine's own event and
+spawn counts and freezes everything into a :class:`RunTelemetry`: the
+run's :class:`SimulationResult`, its counters, and the per-level /
 global time series.
 
 :func:`merge_telemetry` folds the per-seed runs of one sweep point into
@@ -23,11 +35,9 @@ for a fixed configuration and seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.obs.instruments import Instrumentation, merge_counter_snapshots
-from repro.obs.sampler import TelemetrySampler
 from repro.simulator.config import SimulationConfig
 from repro.simulator.metrics import SimulationResult
 
@@ -36,13 +46,34 @@ from repro.simulator.metrics import SimulationResult
 #: ``docs/observability.md``).
 SCHEMA_VERSION = 1
 
+#: The counters every run exports, in export (sorted) order, at their
+#: starting values: an int tally, or an observed stream's int ``.count``
+#: and float ``.total``.
+_COUNTERS: Dict[str, float] = {
+    "des.events": 0,
+    "des.spawned": 0,
+    "sim.response.count": 0,
+    "sim.response.total": 0.0,
+    "workload.arrivals": 0,
+    "workload.interarrival.count": 0,
+    "workload.interarrival.total": 0.0,
+    "workload.keys": 0,
+    "workload.keys_hot": 0,
+    "workload.txn_hold.count": 0,
+    "workload.txn_hold.total": 0.0,
+}
+
+#: One sample: (time, in_flight, events_executed,
+#:              ((level, held_read, held_write, queued, nodes), ...)).
+Sample = Tuple[float, int, int, Tuple[Tuple[int, int, int, int, int], ...]]
+
 
 @dataclass(frozen=True)
 class TelemetryOptions:
     """Knobs of the telemetry layer (picklable; rides on SimTask)."""
 
     #: Simulated time between samples (same unit as everything else:
-    #: one root search).  Doubles whenever the ring decimates.
+    #: one root search).  Doubles whenever the samples decimate.
     sample_interval: float = 1.0
     #: Maximum retained samples per run (bounded memory).
     ring_capacity: int = 4096
@@ -59,6 +90,30 @@ class TelemetryOptions:
         if self.ring_capacity < 4:
             raise ConfigurationError(
                 f"ring_capacity must be >= 4, got {self.ring_capacity}")
+
+
+class LevelState:
+    """Live aggregate lock state of one tree level.
+
+    ``held_read`` / ``held_write`` count node locks currently granted in
+    each mode across the level; ``queued`` counts waiting requests;
+    ``grants_read`` / ``grants_write`` accumulate totals; ``nodes``
+    counts the nodes ever allocated at the level, build-freed ones
+    included (nodes are never recycled).  The level's
+    :class:`~repro.des.rwlock.RWLock`\\ s keep the lock counts current.
+    """
+
+    __slots__ = ("level", "nodes", "held_read", "held_write", "queued",
+                 "grants_read", "grants_write")
+
+    def __init__(self, level: int) -> None:
+        self.level = level
+        self.nodes = 0
+        self.held_read = 0
+        self.held_write = 0
+        self.queued = 0
+        self.grants_read = 0
+        self.grants_write = 0
 
 
 @dataclass
@@ -142,38 +197,73 @@ class TelemetryRecorder:
 
     def __init__(self, options: Optional[TelemetryOptions] = None) -> None:
         self.options = options if options is not None else TelemetryOptions()
-        self.instruments = Instrumentation()
-        self.sampler = TelemetrySampler(self.options.sample_interval,
-                                        self.options.ring_capacity)
+        self.counters: Dict[str, float] = dict(_COUNTERS)
+        self.levels: Dict[int, LevelState] = {}
+        self.samples: List[Sample] = []
+        #: Current sampling interval; doubles on each decimation.
+        self.interval = self.options.sample_interval
         self.telemetry: Optional[RunTelemetry] = None
+
+    def count(self, name: str, n: int = 1) -> None:
+        """Add ``n`` to the ``name`` tally."""
+        self.counters[name] += n
+
+    def observe(self, name: str, duration: float) -> None:
+        """Fold one measurement into ``name.count`` / ``name.total``."""
+        counters = self.counters
+        counters[name + ".count"] += 1
+        counters[name + ".total"] += duration
+
+    def _level_state(self, level: int) -> LevelState:
+        """The (created-on-demand) live state of ``level``."""
+        state = self.levels.get(level)
+        if state is None:
+            state = self.levels[level] = LevelState(level)
+        return state
 
     def count_node(self, level: int) -> None:
         """Count one tree node allocated at ``level``."""
-        self.sampler.count_node(level)
+        self._level_state(level).nodes += 1
 
     def watch(self, lock, level: int) -> None:
         """Attach one node lock to its level's live aggregate state."""
-        self.sampler.watch(lock, level)
+        lock.telemetry = self._level_state(level)
 
-    def sampler_process(self, sim, in_flight: Callable[[], int]):
+    def sample(self, now: float, in_flight: int, events: int) -> None:
+        """Record one sample; at capacity keep every second sample
+        (order, hence timestamp monotonicity, is preserved) and double
+        the interval."""
+        samples = self.samples
+        samples.append((now, in_flight, events, tuple(
+            (state.level, state.held_read, state.held_write, state.queued,
+             state.nodes)
+            for _level, state in sorted(self.levels.items()))))
+        if len(samples) >= self.options.ring_capacity:
+            del samples[1::2]
+            self.interval *= 2.0
+
+    def sampler_process(self, sim, in_flight: Callable[[], int]
+                        ) -> Iterator[float]:
         """The periodic sampling process to spawn into ``sim``."""
-        return self.sampler.process(sim, in_flight)
+        while True:
+            yield self.interval
+            self.sample(sim.now, in_flight(), sim.events_executed)
 
     def finalize(self, result: SimulationResult, sim) -> RunTelemetry:
         """Freeze the collected state into a :class:`RunTelemetry`,
         publishing ``sim``'s event and spawn counts as the ``des.events``
         and ``des.spawned`` counters."""
-        self.instruments.counter("des.events").inc(sim.events_executed)
-        self.instruments.counter("des.spawned").inc(sim.total_spawned)
+        self.count("des.events", sim.events_executed)
+        self.count("des.spawned", sim.total_spawned)
         self.telemetry = RunTelemetry(
             schema=SCHEMA_VERSION,
             algorithm=result.algorithm,
             arrival_rate=result.arrival_rate,
             seed=result.seed,
-            sample_interval=self.sampler.base_interval,
-            final_interval=self.sampler.interval,
+            sample_interval=self.options.sample_interval,
+            final_interval=self.interval,
             result=result,
-            counters=self.instruments.snapshot(),
+            counters=dict(self.counters),
             global_series=self._global_series(),
             levels=self._level_series(),
         )
@@ -184,7 +274,7 @@ class TelemetryRecorder:
     # ------------------------------------------------------------------
     def _global_series(self) -> GlobalSeries:
         series = GlobalSeries()
-        for now, in_flight, events, _levels in self.sampler.ring:
+        for now, in_flight, events, _levels in self.samples:
             series.t.append(now)
             series.in_flight.append(in_flight)
             series.events.append(events)
@@ -192,14 +282,13 @@ class TelemetryRecorder:
 
     def _level_series(self) -> List[LevelSeries]:
         out: List[LevelSeries] = []
-        for level in sorted(self.sampler.levels):
-            state = self.sampler.levels[level]
+        for level, state in sorted(self.levels.items()):
             series = LevelSeries(
                 level=level, nodes=state.nodes,
                 grants_read=state.grants_read,
                 grants_write=state.grants_write,
             )
-            for now, _in_flight, _events, snapshot in self.sampler.ring:
+            for now, _in_flight, _events, snapshot in self.samples:
                 entry = _find_level(snapshot, level)
                 if entry is None:
                     # The level did not exist yet (root split later).
@@ -236,12 +325,16 @@ def merge_telemetry(runs: Sequence[RunTelemetry]) -> SweepTelemetry:
                 "cannot merge telemetry from different algorithms or "
                 f"schema versions: {first.algorithm}/{first.schema} vs "
                 f"{run.algorithm}/{run.schema}")
+    counters: Dict[str, float] = {}
+    for run in ordered:
+        for name, value in run.counters.items():
+            counters[name] = counters.get(name, 0) + value
     return SweepTelemetry(
         schema=first.schema,
         algorithm=first.algorithm,
         arrival_rate=first.arrival_rate,
         seeds=[run.seed for run in ordered],
-        counters=merge_counter_snapshots(run.counters for run in ordered),
+        counters=dict(sorted(counters.items())),
         runs=list(ordered),
     )
 
@@ -251,13 +344,15 @@ def collect_replications(config: SimulationConfig, n_seeds: int = 5,
                          jobs: Optional[int] = None,
                          progress: Optional[Callable[[SimulationResult], None]]
                          = None,
-                         ) -> Tuple[List[SimulationResult], SweepTelemetry]:
+                         ) -> Tuple[List[SimulationResult],
+                                    Optional[SweepTelemetry]]:
     """Run one sweep point under telemetry and merge the artifacts.
 
     Fans the seeds out exactly like
     :func:`~repro.simulator.driver.run_replications` (``jobs`` defaults
     to the ambient execution context) and returns ``(results, merged)``
-    where ``merged`` is the point's :class:`SweepTelemetry`.  Telemetry
+    where ``merged`` is the point's :class:`SweepTelemetry`, or None
+    when no seed delivered telemetry (every one quarantined).  Telemetry
     runs bypass the result cache: the time series are the artifact, and
     a memoized result has none.
     """
@@ -276,8 +371,7 @@ def collect_replications(config: SimulationConfig, n_seeds: int = 5,
     results = run_batch(tasks, jobs=jobs, progress=progress,
                         telemetry_sink=sink)
     # Under a resilient execution context a seed can be quarantined and
-    # deliver no telemetry; merge whatever arrived (merge_telemetry
-    # still refuses an entirely empty point).
+    # deliver no telemetry; merge whatever arrived.
     runs = [captured[index] for index in range(len(tasks))
             if index in captured]
-    return results, merge_telemetry(runs)
+    return results, merge_telemetry(runs) if runs else None

@@ -25,8 +25,8 @@ torn pickle, and each entry carries a SHA-256 payload checksum
 (:data:`ENTRY_MAGIC` header) so *any* on-disk corruption — truncation,
 bit rot, a concurrent writer torn mid-entry — degrades to a cache miss
 instead of feeding a damaged result into a sweep.  Unreadable or
-unverifiable entries are deleted and recomputed; entries from the older
-headerless format still load when their pickle is intact.
+unverifiable entries — headerless ones included, which carry no
+checksum — are deleted and recomputed.
 """
 
 from __future__ import annotations
@@ -175,20 +175,16 @@ class ResultCache:
         return result
 
     def _decode(self, blob: bytes) -> Any:
-        """Verify and unpickle one entry body.
-
-        Checksummed entries must verify exactly; headerless blobs are
-        treated as the pre-checksum format and loaded directly (their
-        own pickle framing still catches truncation).
-        """
-        if blob.startswith(ENTRY_MAGIC):
-            header_end = len(ENTRY_MAGIC) + _DIGEST_SIZE
-            digest = blob[len(ENTRY_MAGIC):header_end]
-            payload = blob[header_end:]
-            if hashlib.sha256(payload).digest() != digest:
-                raise ValueError("cache entry checksum mismatch")
-            return pickle.loads(payload)
-        return pickle.loads(blob)
+        """Verify and unpickle one entry body; only a checksummed entry
+        that verifies exactly is ever unpickled."""
+        if not blob.startswith(ENTRY_MAGIC):
+            raise ValueError("cache entry has no checksum header")
+        header_end = len(ENTRY_MAGIC) + _DIGEST_SIZE
+        digest = blob[len(ENTRY_MAGIC):header_end]
+        payload = blob[header_end:]
+        if hashlib.sha256(payload).digest() != digest:
+            raise ValueError("cache entry checksum mismatch")
+        return pickle.loads(payload)
 
     def _reject(self, path: Path) -> None:
         """Count and delete an unusable entry; always a miss."""

@@ -20,7 +20,7 @@ flagged ``overflowed``; everything else goes through one failure path:
 * **fault injection** — :class:`FaultPlan` /
   :mod:`repro.resilience.faults` deterministically kill workers, stall
   tasks and corrupt cache entries, driving the test suite and the CI
-  smoke job; :func:`nan_faults` poisons solver iterations in tests.
+  smoke job.
 
 See ``docs/robustness.md`` for the failure model and usage.
 """
@@ -37,7 +37,6 @@ from repro.resilience.faults import (
     FaultPlan,
     FaultSpec,
     corrupt_cache_entry,
-    nan_faults,
     plan_from_env,
 )
 from repro.resilience.manifest import SweepJournal
@@ -68,6 +67,5 @@ __all__ = [
     "STALL_TASK",
     "SweepJournal",
     "corrupt_cache_entry",
-    "nan_faults",
     "plan_from_env",
 ]

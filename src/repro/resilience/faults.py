@@ -26,10 +26,6 @@ Fault kinds
     checksum cannot verify, exercising the corrupt-entry-degrades-to-
     miss path inside a real sweep.
 
-The model solvers' divergence guards have their own seam: inside the
-:func:`nan_faults` context manager the next fixed-point evaluations in
-:func:`repro.model.rwqueue.solve_rw_queue` return NaN.
-
 Simulation-time fault kinds
 ---------------------------
 
@@ -63,9 +59,8 @@ from __future__ import annotations
 import multiprocessing
 import os
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.errors import ConfigurationError, InjectedFaultError
 
@@ -345,36 +340,3 @@ def corrupt_cache_entry(cache, key: str) -> bool:
     # Flip the final payload byte; header (if any) stays valid.
     path.write_bytes(blob[:-1] + bytes([blob[-1] ^ 0xFF]))
     return True
-
-
-# ----------------------------------------------------------------------
-# Solver NaN injection
-# ----------------------------------------------------------------------
-#: Remaining NaN evaluations to poison in this process; -1 = unlimited.
-#: Plain module state: the solvers check ``_nan_remaining`` with one
-#: integer compare, so the fault-free path costs nothing measurable.
-_nan_remaining = 0
-
-
-def consume_nan_fault() -> bool:
-    """True when the calling solver evaluation should return NaN."""
-    global _nan_remaining
-    if _nan_remaining == 0:
-        return False
-    if _nan_remaining > 0:
-        _nan_remaining -= 1
-    return True
-
-
-@contextmanager
-def nan_faults(count: int = 1) -> Iterator[None]:
-    """Poison the next ``count`` solver evaluations (-1 = all) in this
-    process; restores the previous state on exit."""
-    global _nan_remaining
-    previous = _nan_remaining
-    _nan_remaining = count
-    try:
-        yield
-    finally:
-        _nan_remaining = previous
-

@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 import random
 from contextlib import contextmanager
+from functools import partial
 from typing import (TYPE_CHECKING, Callable, Dict, Iterator, List, Optional,
                     Sequence)
 
@@ -41,7 +42,6 @@ from repro.des.rwlock import RWLock
 from repro.simulator.config import SimulationConfig
 from repro.simulator.costs import ServiceTimeSampler
 from repro.simulator.metrics import (
-    GatedObserver,
     MetricsCollector,
     SimulationResult,
     root_sampler,
@@ -54,7 +54,6 @@ from repro.simulator.operations import (
     OperationContext,
     pick_resident_key,
 )
-from repro.obs.instruments import NULL_INSTRUMENTS
 from repro.workload.runtime import WorkloadRuntime
 from repro.workload.transactions import (
     TransactionLockTable,
@@ -80,32 +79,31 @@ def run_context(config: SimulationConfig, build_seed: int,
     :class:`OperationContext` on the borrowed warm-up tree.
 
     Every tree level the build or the run allocates a node at gets one
-    gated lock-wait observer, registered when the node is allocated (or
-    replayed from the build), so ``mean_lock_waits`` has a key for each
-    such level even if no lock there is ever used.  ``telemetry``
-    counts those nodes per level the same way.  A node's lock is created
-    on the first read of ``node.lock``, named ``n{node_id}``; an idle
-    lock accrues nothing, so creating it late changes no number.  On
-    exit, normal or not, the locks are retired (freed without waiting
-    for the cyclic garbage collector) and dropped, and the tree is
-    rolled back, so the memo's template is again the tree the build
-    grew.  The collector stops the run's simulator on the event that
-    records the ``config.n_operations``-th measured operation.
+    gated lock-wait observer (:meth:`MetricsCollector.observer_for_level`),
+    registered when the node is allocated (or replayed from the build),
+    so ``mean_lock_waits`` has a key for each such level even if no lock
+    there is ever used.  ``telemetry`` counts those nodes per level the
+    same way.  A node's lock is created on the first read of
+    ``node.lock``, named ``n{node_id}``; an idle lock accrues nothing,
+    so creating it late changes no number.  On exit, normal or not, the
+    locks are retired (freed without waiting for the cyclic garbage
+    collector) and dropped, and the tree is rolled back, so the memo's
+    template is again the tree the build grew.  The collector stops the
+    run's simulator on the event that records the
+    ``config.n_operations``-th measured operation.
     """
-    observers: Dict[int, GatedObserver] = {}
+    observer_for_level = metrics.observer_for_level
 
     def note_node(node: Node) -> None:
-        level = node.level
-        if level not in observers:
-            observers[level] = GatedObserver(metrics, level)
+        observer_for_level(node.level)
         if telemetry is not None:
-            telemetry.count_node(level)
+            telemetry.count_node(node.level)
 
     locked: List[Node] = []
 
     def make_lock(node: Node) -> RWLock:
         lock = RWLock(name=f"n{node.node_id}",
-                      observer=observers[node.level])
+                      observer=observer_for_level(node.level))
         if telemetry is not None:
             telemetry.watch(lock, node.level)
         locked.append(node)
@@ -149,7 +147,7 @@ def run_simulation(config: SimulationConfig,
 
     Pass a :class:`~repro.obs.telemetry.TelemetryRecorder` as
     ``telemetry`` to also collect per-level time series, engine
-    counters and a response timer; the recorder's ``telemetry``
+    counters and response totals; the recorder's ``telemetry``
     attribute holds the finished
     :class:`~repro.obs.telemetry.RunTelemetry` afterwards
     (``docs/observability.md``).
@@ -168,15 +166,14 @@ def run_simulation(config: SimulationConfig,
 
     metrics = MetricsCollector(seed=config.seed)
     if telemetry is not None:
-        # Fold every measured response into a Timer instrument as well,
-        # so the exported counters carry the latency totals.
-        response_timer = telemetry.instruments.timer("sim.response")
+        # Fold every measured response into the sim.response totals as
+        # well, so the exported counters carry the latency totals.
         record_response = metrics.record_response
 
         def record_and_time(operation: str, elapsed: float) -> None:
             record_response(operation, elapsed)
             if metrics.measuring:
-                response_timer.observe(elapsed)
+                telemetry.observe("sim.response", elapsed)
 
         metrics.record_response = record_and_time
 
@@ -202,28 +199,16 @@ def run_simulation(config: SimulationConfig,
         txn_size = runtime.transaction_size
         key_space = config.key_space
 
-        # workload.* telemetry instruments (docs/observability.md): offered
-        # load, interarrival gaps, hot-key share and transaction lock-hold
-        # times.  NULL_INSTRUMENTS keeps the disabled path allocation-free.
-        wl_instruments = telemetry.instruments if telemetry is not None \
-            else NULL_INSTRUMENTS
-        wl_arrivals = wl_instruments.counter("workload.arrivals")
-        wl_interarrival = wl_instruments.timer("workload.interarrival")
-        wl_keys_total = wl_instruments.counter("workload.keys")
-        wl_keys_hot = wl_instruments.counter("workload.keys_hot")
-        wl_txn_hold = wl_instruments.timer("workload.txn_hold")
-
-        if telemetry is not None:
-            def note_key(key: int, now: float) -> None:
-                wl_keys_total.inc()
-                hot = picker.hot_interval(now)
-                if hot is not None:
-                    start, size = hot
-                    if (key - start) % key_space < size:
-                        wl_keys_hot.inc()
-        else:
-            def note_key(key: int, now: float) -> None:
-                pass
+        # workload.* telemetry counters (docs/observability.md): offered
+        # load, interarrival gaps, hot-key share and transaction
+        # lock-hold times.  Each hook is guarded by one ``is None`` check.
+        def note_key(key: int, now: float) -> None:
+            telemetry.count("workload.keys")
+            hot = picker.hot_interval(now)
+            if hot is not None:
+                start, size = hot
+                if (key - start) % key_space < size:
+                    telemetry.count("workload.keys_hot")
 
         def draw_member(now: float):
             """One (operation, key) draw — identical stream order to the
@@ -234,7 +219,8 @@ def run_simulation(config: SimulationConfig,
                                         probe=picker.pick(now))
             else:
                 key = picker.pick(now)
-            note_key(key, now)
+            if telemetry is not None:
+                note_key(key, now)
             return op_name, key
 
         def spawn_operation() -> None:
@@ -250,6 +236,8 @@ def run_simulation(config: SimulationConfig,
                       on_done=on_operation_done)
 
         txn_table = TransactionLockTable() if txn_size > 1 else None
+        on_commit = None if telemetry is None \
+            else partial(telemetry.observe, "workload.txn_hold")
 
         def spawn_transaction() -> None:
             now = sim.now
@@ -262,7 +250,7 @@ def run_simulation(config: SimulationConfig,
                 return
             sim.spawn(
                 transaction_envelope(module, ctx, members, txn_table,
-                                     on_commit=wl_txn_hold.observe),
+                                     on_commit=on_commit),
                 name="transaction", on_done=on_operation_done)
 
         spawn = spawn_operation if txn_size == 1 else spawn_transaction
@@ -270,16 +258,15 @@ def run_simulation(config: SimulationConfig,
         def arrivals():
             sampler = runtime.arrival_sampler(config.arrival_rate,
                                               rng_arrivals)
-            # Hoisted bound methods: no per-arrival attribute or config
+            # Hoisted bound method: no per-arrival attribute or config
             # lookups in the hot loop.
             next_interval = sampler.next_interval
-            count_arrival = wl_arrivals.inc
-            observe_gap = wl_interarrival.observe
             while True:
                 gap = next_interval()
                 yield gap
-                count_arrival()
-                observe_gap(gap)
+                if telemetry is not None:
+                    telemetry.count("workload.arrivals")
+                    telemetry.observe("workload.interarrival", gap)
                 spawn()
 
         sim.spawn(arrivals(), name="arrivals")

@@ -18,29 +18,17 @@ from repro.des.process import READ
 from repro.des.stats import ReservoirSample, RunningStats
 
 
-class LevelWaitObserver:
-    """Per-level lock-wait accumulators, fed through the level's
-    :class:`GatedObserver` by every node lock at the level."""
-
-    __slots__ = ("read_waits", "write_waits")
-
-    def __init__(self) -> None:
-        self.read_waits = RunningStats()
-        self.write_waits = RunningStats()
-
-
 class GatedObserver:
-    """Adds lock waits to one level's :class:`LevelWaitObserver` stats
-    only while the collector's measurement window is open; the
-    simulator shares one per tree level among that level's locks."""
+    """One tree level's lock-wait accumulators.  Every node lock at the
+    level reports its grant waits here; they count only while the
+    collector's measurement window is open."""
 
     __slots__ = ("collector", "read_waits", "write_waits")
 
-    def __init__(self, collector: "MetricsCollector", level: int) -> None:
+    def __init__(self, collector: "MetricsCollector") -> None:
         self.collector = collector
-        inner = collector.observer_for_level(level)
-        self.read_waits = inner.read_waits
-        self.write_waits = inner.write_waits
+        self.read_waits = RunningStats()
+        self.write_waits = RunningStats()
 
     def on_wait(self, mode: str, wait: float) -> None:
         if self.collector.measuring:
@@ -98,7 +86,7 @@ class MetricsCollector:
             for i, name in enumerate(("search", "insert", "delete"))
         }
         #: Lock-wait observers keyed by level (created on demand).
-        self.level_waits: Dict[int, LevelWaitObserver] = {}
+        self.level_waits: Dict[int, GatedObserver] = {}
         self.measured_operations = 0
         self.link_crossings = 0
         self.redo_descents = 0
@@ -121,11 +109,10 @@ class MetricsCollector:
         self.stop_after: Optional[int] = None
         self.on_stop: Optional[Callable[[], None]] = None
 
-    def observer_for_level(self, level: int) -> LevelWaitObserver:
+    def observer_for_level(self, level: int) -> GatedObserver:
         observer = self.level_waits.get(level)
         if observer is None:
-            observer = LevelWaitObserver()
-            self.level_waits[level] = observer
+            observer = self.level_waits[level] = GatedObserver(self)
         return observer
 
     def record_response(self, operation: str, elapsed: float) -> None:

@@ -28,8 +28,6 @@ from repro.workload.registry import (
     WorkloadComponent,
     all_arrival_processes,
     all_key_distributions,
-    get_arrival_process,
-    get_key_distribution,
 )
 from repro.workload.runtime import WorkloadRuntime
 from repro.workload.spec import (
@@ -83,8 +81,6 @@ __all__ = [
     "all_arrival_processes",
     "all_key_distributions",
     "effective_workload",
-    "get_arrival_process",
-    "get_key_distribution",
     "mix_thresholds",
     "transaction_envelope",
 ]

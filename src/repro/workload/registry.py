@@ -26,8 +26,7 @@ from repro.workload.spec import (
 )
 
 __all__ = ["WorkloadComponent", "all_arrival_processes",
-           "all_key_distributions", "get_arrival_process",
-           "get_key_distribution"]
+           "all_key_distributions"]
 
 
 @dataclass(frozen=True)
@@ -75,24 +74,6 @@ def all_arrival_processes() -> Tuple[WorkloadComponent, ...]:
 def all_key_distributions() -> Tuple[WorkloadComponent, ...]:
     """Every registered key distribution, in registry order."""
     return _KEYS
-
-
-def _lookup(entries: Tuple[WorkloadComponent, ...], name: str,
-            what: str) -> WorkloadComponent:
-    for entry in entries:
-        if entry.name == name:
-            return entry
-    known = ", ".join(sorted(e.name for e in entries))
-    raise ConfigurationError(
-        f"unknown {what} {name!r}; known: {known}")
-
-
-def get_arrival_process(name: str) -> WorkloadComponent:
-    return _lookup(_ARRIVALS, name, "arrival process")
-
-
-def get_key_distribution(name: str) -> WorkloadComponent:
-    return _lookup(_KEYS, name, "key distribution")
 
 
 def _check(entries: Tuple[WorkloadComponent, ...],

@@ -23,8 +23,8 @@ import pytest
 from repro.algorithms import all_algorithms
 from repro.des import Acquire, READ, RWLock, Release, Simulator, WRITE
 from repro.errors import ProcessError
-from repro.obs import TelemetryOptions, TelemetryRecorder, dumps_ndjson
-from repro.obs.sampler import LevelState
+from repro.obs import (LevelState, TelemetryOptions, TelemetryRecorder,
+                       dumps_ndjson)
 from repro.simulator import SimulationConfig, run_simulation
 from repro.simulator.closed import run_closed_simulation
 from repro.workload import (MMPPArrivals, TransactionSpec, WorkloadSpec,

@@ -4,7 +4,7 @@ import pytest
 
 from repro.des import READ, RWLock, Simulator, WRITE
 from repro.errors import LockProtocolError
-from repro.obs.sampler import LevelState
+from repro.obs import LevelState
 
 
 def _run(script):

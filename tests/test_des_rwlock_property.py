@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.des import READ, RWLock, Simulator, WRITE
-from repro.obs.sampler import LevelState
+from repro.obs import LevelState
 
 CUSTOMERS = st.lists(
     st.tuples(

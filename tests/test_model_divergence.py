@@ -16,9 +16,9 @@ import pytest
 
 from repro.algorithms import all_algorithms
 from repro.errors import ConvergenceError, UnstableQueueError
+from repro.model import rwqueue
 from repro.model.params import paper_default_config
 from repro.model.rwqueue import RWQueueInput, solve_rw_queue
-from repro.resilience.faults import nan_faults
 
 #: Far past every algorithm's saturation knee at the paper's
 #: configuration (rates there are O(0.1) per root-search time).
@@ -30,6 +30,13 @@ _MODELED = [spec for spec in all_algorithms() if spec.has_model]
 @pytest.fixture(scope="module")
 def config():
     return paper_default_config()
+
+
+@pytest.fixture
+def poisoned(monkeypatch):
+    """Every Theorem 6 fixed-point evaluation returns NaN."""
+    monkeypatch.setattr(rwqueue, "_fixed_point_rhs",
+                        lambda rho, q: math.nan)
 
 
 @pytest.mark.parametrize("spec", _MODELED, ids=lambda s: s.name)
@@ -45,37 +52,23 @@ class TestPastSaturationPerAlgorithm:
                        for v in prediction.response_times.values())
 
     def test_poisoned_fixed_point_raises_convergence_error(
-            self, spec, config):
-        # Every evaluation NaN: the damped fallback cannot converge and
-        # must fail with the structured error, not emit NaN numbers.
-        with nan_faults(-1):
-            with pytest.raises((ConvergenceError, UnstableQueueError)) \
-                    as excinfo:
-                spec.analyze(config, _PAST_SATURATION_RATE)
+            self, spec, config, poisoned):
+        # Every evaluation NaN: the solver must fail with the
+        # structured error, not emit NaN numbers.
+        with pytest.raises((ConvergenceError, UnstableQueueError)) \
+                as excinfo:
+            spec.analyze(config, _PAST_SATURATION_RATE)
         if isinstance(excinfo.value, ConvergenceError):
             assert excinfo.value.solver == "rw-queue"
             assert excinfo.value.iterations is not None
 
-    def test_transient_poison_recovers_to_clean_result(self, spec, config):
-        # At a comfortably stable rate, one poisoned evaluation diverts
-        # to the damped fallback, which must land on the same root.
-        rate = 0.05
-        clean = spec.analyze(config, rate)
-        with nan_faults(1):
-            recovered = spec.analyze(config, rate)
-        assert recovered.stable == clean.stable
-        for operation, value in clean.response_times.items():
-            assert recovered.response_times[operation] == \
-                pytest.approx(value, rel=1e-6)
-
 
 class TestQueueSolverGuards:
 
-    def test_structured_convergence_error_fields(self):
+    def test_structured_convergence_error_fields(self, poisoned):
         q = RWQueueInput(lambda_r=0.5, lambda_w=0.1, mu_r=2.0, mu_w=1.0)
-        with nan_faults(-1):
-            with pytest.raises(ConvergenceError) as excinfo:
-                solve_rw_queue(q, level=3)
+        with pytest.raises(ConvergenceError) as excinfo:
+            solve_rw_queue(q, level=3)
         error = excinfo.value
         assert error.solver == "rw-queue"
         assert error.iterations is not None
@@ -86,15 +79,6 @@ class TestQueueSolverGuards:
         q = RWQueueInput(lambda_r=0.5, lambda_w=2.0, mu_r=2.0, mu_w=1.0)
         with pytest.raises(UnstableQueueError):
             solve_rw_queue(q)
-
-    def test_fallback_matches_brentq_root(self):
-        q = RWQueueInput(lambda_r=0.8, lambda_w=0.2, mu_r=3.0, mu_w=1.5)
-        clean = solve_rw_queue(q)
-        with nan_faults(1):
-            fallback = solve_rw_queue(q)
-        assert fallback.rho_w == pytest.approx(clean.rho_w, abs=1e-9)
-        assert fallback.aggregate_service_time == \
-            pytest.approx(clean.aggregate_service_time, rel=1e-9)
 
     def test_closed_system_prediction_is_finite(self):
         from repro.model.closed import closed_system_prediction

@@ -5,6 +5,7 @@ import math
 import pytest
 
 from repro.errors import ConfigurationError, UnstableQueueError
+from repro.model import rwqueue
 from repro.model.rwqueue import RWQueueInput, solve_rw_queue
 
 
@@ -142,46 +143,18 @@ class TestValidation:
         assert sol.rho_w == 0.0
 
 
-class TestDampedFallback:
-    """The damped iteration must cover the bracketing solver's failure
-    modes — poisoned evaluations, extreme utilization — and its errors
-    must carry the full operating point."""
+class TestPoisonedSolver:
+    """A non-finite fixed-point evaluation must raise a structured
+    ConvergenceError carrying the full operating point, never a NaN."""
 
-    def test_poisoned_bracket_falls_back_and_agrees(self):
-        from repro.resilience.faults import nan_faults
-        clean = _solve(0.5, 0.2, 1.0, 1.0)
-        # The poisoned evaluation is solve_rw_queue's own g(upper)
-        # stability guard, so the root finder never runs.
-        with nan_faults(1):
-            recovered = _solve(0.5, 0.2, 1.0, 1.0)
-        assert recovered.rho_w == pytest.approx(clean.rho_w, abs=1e-6)
-
-    def test_extreme_rho_fallback_converges(self):
-        """Near the stability boundary (rho_w ~ 0.97) the damped
-        iteration still lands on the bracketing solver's root."""
-        from repro.resilience.faults import nan_faults
-        q = RWQueueInput(0.2, 0.8, 1.0, 1.0)
-        clean = solve_rw_queue(q)
-        assert clean.rho_w > 0.97
-        with nan_faults(1):
-            recovered = solve_rw_queue(q)
-        assert recovered.rho_w == pytest.approx(clean.rho_w, abs=1e-4)
-
-    def test_saturated_fallback_still_reports_instability(self):
-        """A poisoned evaluation must not turn saturation into a bogus
-        ConvergenceError or a NaN: the ceiling-pinned iteration raises
-        UnstableQueueError like the bracketing path."""
-        from repro.resilience.faults import nan_faults
-        with nan_faults(1):
-            with pytest.raises(UnstableQueueError):
-                _solve(0.5, 1.5, 1.0, 1.0)
-
-    def test_persistent_poison_raises_with_operating_point(self):
+    def test_persistent_poison_raises_with_operating_point(
+            self, monkeypatch):
         from repro.errors import ConvergenceError
-        from repro.resilience.faults import nan_faults
-        with nan_faults(-1):  # every evaluation returns NaN
-            with pytest.raises(ConvergenceError) as exc_info:
-                solve_rw_queue(RWQueueInput(0.5, 0.2, 1.0, 1.0), level=2)
+        # Every evaluation returns NaN.
+        monkeypatch.setattr(rwqueue, "_fixed_point_rhs",
+                            lambda rho, q: math.nan)
+        with pytest.raises(ConvergenceError) as exc_info:
+            solve_rw_queue(RWQueueInput(0.5, 0.2, 1.0, 1.0), level=2)
         error = exc_info.value
         assert error.solver == "rw-queue"
         context = error.context
@@ -191,3 +164,20 @@ class TestDampedFallback:
         assert context["mu_r"] == 1.0
         assert context["mu_w"] == 1.0
         assert "rho_w_estimate" in context
+
+    def test_mid_search_poison_raises_with_operating_point(
+            self, monkeypatch):
+        from repro.errors import ConvergenceError
+        # The stability guard at the top of the bracket evaluates
+        # cleanly; the root finder's first evaluation, at rho = 0, is
+        # NaN.
+        clean = rwqueue._fixed_point_rhs
+        monkeypatch.setattr(
+            rwqueue, "_fixed_point_rhs",
+            lambda rho, q: clean(rho, q) if rho > 0.5 else math.nan)
+        with pytest.raises(ConvergenceError) as exc_info:
+            solve_rw_queue(RWQueueInput(0.5, 0.2, 1.0, 1.0), level=2)
+        error = exc_info.value
+        assert error.solver == "rw-queue"
+        assert error.context["level"] == 2
+        assert error.context["lambda_w"] == 0.2

@@ -2,17 +2,10 @@
 
 from __future__ import annotations
 
-import tracemalloc
-
 import pytest
 
 from repro.errors import ConfigurationError
 from repro.obs import (
-    NULL_COUNTER,
-    NULL_INSTRUMENTS,
-    NULL_TIMER,
-    Instrumentation,
-    NullInstrumentation,
     ProgressPrinter,
     RunTelemetry,
     SweepTelemetry,
@@ -22,11 +15,9 @@ from repro.obs import (
     dumps_ndjson,
     load_ndjson,
     loads_ndjson,
-    merge_counter_snapshots,
     merge_telemetry,
     write_ndjson,
 )
-from repro.obs.sampler import DecimatingRing, TelemetrySampler
 from repro.parallel import ResultCache, SimTask, run_batch
 from repro.simulator.config import SimulationConfig
 from repro.simulator.driver import run_simulation
@@ -49,88 +40,75 @@ def _record(config=None, **options) -> RunTelemetry:
 
 
 # ----------------------------------------------------------------------
-# Instruments: free when disabled
+# Counters: tallies and count/total pairs
 # ----------------------------------------------------------------------
 class TestInstruments:
 
-    def test_null_lookups_share_singletons(self):
-        null = NullInstrumentation()
-        assert null.counter("a") is NULL_COUNTER
-        assert null.counter("b") is NULL_COUNTER
-        assert null.timer("a") is NULL_TIMER
-        assert NULL_INSTRUMENTS.counter("x") is NULL_COUNTER
-        assert not null.enabled and Instrumentation.enabled
-
-    def test_null_instruments_allocate_nothing(self):
-        counter = NULL_INSTRUMENTS.counter("hot")
-        timer = NULL_INSTRUMENTS.timer("hot")
-        counter.inc()            # warm up any lazy interpreter state
-        timer.observe(1.0)
-        tracemalloc.start()
-        try:
-            for _i in range(10_000):     # control: the loop's own ints
-                pass
-            before, _ = tracemalloc.get_traced_memory()
-            for _i in range(10_000):
-                counter.inc()
-                timer.observe(0.5)
-            after, _ = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert after - before == 0
-        assert counter.value == 0 and timer.count == 0
-
     def test_counter_and_timer_accumulate(self):
-        instruments = Instrumentation()
-        counter = instruments.counter("events")
-        assert instruments.counter("events") is counter
-        counter.inc()
-        counter.inc(3)
-        timer = instruments.timer("response")
-        timer.observe(2.0)
-        timer.observe(4.0)
-        assert counter.value == 4
-        assert timer.count == 2 and timer.total == 6.0
-        assert timer.min == 2.0 and timer.max == 4.0 and timer.mean == 3.0
-        assert instruments.snapshot() == {
-            "events": 4, "response.count": 2, "response.total": 6.0}
+        recorder = TelemetryRecorder()
+        recorder.count("workload.keys")
+        recorder.count("workload.keys", 3)
+        recorder.observe("sim.response", 2.0)
+        recorder.observe("sim.response", 4.0)
+        counters = recorder.counters
+        assert counters["workload.keys"] == 4
+        assert counters["sim.response.count"] == 2
+        assert counters["sim.response.total"] == 6.0
+        # Every exported counter is seeded, in sorted order, at an int
+        # tally or count and a float total.
+        assert list(counters) == sorted(counters)
+        assert counters["workload.arrivals"] == 0
+        assert type(counters["workload.arrivals"]) is int
+        assert type(counters["workload.txn_hold.count"]) is int
+        assert type(counters["workload.txn_hold.total"]) is float
 
     def test_snapshot_merge_sums(self):
-        merged = merge_counter_snapshots([
-            {"a": 1, "b": 2.5}, {"b": 0.5, "c": 3}])
+        runs = [_record(_quick(seed=seed)) for seed in (7, 8)]
+        runs[0].counters = {"a": 1, "b": 2.5}
+        runs[1].counters = {"b": 0.5, "c": 3}
+        merged = merge_telemetry(runs).counters
         assert merged == {"a": 1, "b": 3.0, "c": 3}
         assert list(merged) == sorted(merged)
 
 
 # ----------------------------------------------------------------------
-# Sampler: bounded memory, monotone time
+# Sampling: bounded memory, monotone time
 # ----------------------------------------------------------------------
 class TestSampler:
 
     def test_ring_rejects_tiny_capacity(self):
         with pytest.raises(ConfigurationError):
-            DecimatingRing(3)
+            TelemetryOptions(ring_capacity=3)
+        TelemetryOptions(ring_capacity=4)
 
     def test_ring_decimates_and_keeps_order(self):
-        ring = DecimatingRing(8)
+        recorder = TelemetryRecorder(TelemetryOptions(ring_capacity=8))
         decimations = 0
         for i in range(50):
-            if ring.append((float(i), 0, 0, ())):
+            interval = recorder.interval
+            recorder.sample(float(i), in_flight=0, events=0)
+            if recorder.interval != interval:
                 decimations += 1
         assert decimations > 0
-        assert len(ring) < 8
-        times = [sample[0] for sample in ring]
+        assert len(recorder.samples) < 8
+        times = [sample[0] for sample in recorder.samples]
         assert times == sorted(times)
         assert len(set(times)) == len(times)  # strictly increasing
         assert times[0] == 0.0                # start of run retained
 
     def test_sampler_doubles_interval_on_decimation(self):
-        sampler = TelemetrySampler(2.0, capacity=4)
+        recorder = TelemetryRecorder(
+            TelemetryOptions(sample_interval=2.0, ring_capacity=4))
+        decimations = 0
         for i in range(40):
-            sampler.sample(float(i), in_flight=0, events=i)
-        assert sampler.interval > sampler.base_interval
-        assert sampler.interval == sampler.base_interval * 2 ** (
-            sampler.ring.stride.bit_length() - 1)
+            held = len(recorder.samples)
+            recorder.sample(float(i), in_flight=0, events=i)
+            if len(recorder.samples) <= held:
+                decimations += 1
+        assert decimations > 0
+        assert recorder.interval > recorder.options.sample_interval
+        assert recorder.interval == \
+            recorder.options.sample_interval * 2 ** decimations
 
     def test_run_timestamps_strictly_monotone(self):
         telemetry = _record(ring_capacity=64)
@@ -231,8 +209,9 @@ class TestExport:
         assert isinstance(loaded, SweepTelemetry)
         assert dumps_ndjson(loaded) == text
         assert loaded.seeds == [7, 8]
-        assert loaded.counters == merge_counter_snapshots(
-            run.counters for run in runs)
+        assert loaded.counters == {
+            name: runs[0].counters[name] + runs[1].counters[name]
+            for name in runs[0].counters}
 
     def test_loader_rejects_bad_artifacts(self):
         with pytest.raises(ConfigurationError):
@@ -321,3 +300,20 @@ class TestSimulateCLI:
         assert isinstance(loaded, SweepTelemetry)
         assert len(loaded.runs) == 2
         assert all(run.global_series.t for run in loaded.runs)
+
+    def test_all_quarantined_seeds_still_report(self, tmp_path, capsys,
+                                                monkeypatch):
+        # Every seed fails: no telemetry arrives, yet each seed's
+        # QUARANTINED line prints, --metrics-out is skipped with a note,
+        # and the command exits 1.
+        from repro.experiments.runner import main
+        from repro.resilience import FAULTS_ENV
+        monkeypatch.setenv(FAULTS_ENV, "kill-worker@0#*")
+        out = tmp_path / "metrics.ndjson"
+        code = main(["simulate", "--scale", "0.02", "--seeds", "1",
+                     "--max-retries", "0", "--metrics-out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "seed=0 QUARANTINED" in captured.out
+        assert "no telemetry written" in captured.err
+        assert not out.exists()

@@ -242,17 +242,24 @@ class TestResultCache:
         assert recovered == expected
         assert ResultCache(tmp_path).get(key) == expected
 
-    def test_legacy_headerless_entry_still_loads(self, tmp_path):
-        # Entries written before the checksum header must remain
-        # readable (no CODE_SALT bump accompanied the format change).
+    def test_legacy_headerless_entry_is_recomputed(self, tmp_path):
+        # A headerless pickle carries no checksum, so it is never
+        # loaded: it counts as a miss, is deleted, and the run is
+        # recomputed to the same result.
         cache = ResultCache(tmp_path)
         [expected] = run_batch([SimTask(_quick())], cache=cache)
         key = task_key(SimTask(_quick()), salt=cache.salt)
-        cache.path_for(key).write_bytes(
+        path = cache.path_for(key)
+        path.write_bytes(
             pickle.dumps(expected, protocol=pickle.HIGHEST_PROTOCOL))
         fresh = ResultCache(tmp_path)
-        assert fresh.get(key) == expected
-        assert fresh.stats.errors == 0
+        assert fresh.get(key) is None
+        assert fresh.stats.misses == 1 and fresh.stats.errors == 1
+        assert not path.exists()
+        [recomputed] = run_batch([SimTask(_quick())], cache=fresh)
+        assert recomputed == expected
+        assert fresh.stats.stores == 1
+        assert ResultCache(tmp_path).get(key) == expected
 
     def test_clear_empties_the_cache(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -51,8 +51,8 @@ class TestFaultPlan:
         with pytest.raises(ConfigurationError):
             FaultPlan.parse("kill-worker")  # needs a task index
         with pytest.raises(ConfigurationError):
-            # Solver NaN faults are a test seam (nan_faults), not a
-            # plan kind: the environment cannot arm them.
+            # Solver NaN faults are not a plan kind: the environment
+            # cannot arm them.
             FaultPlan.parse("inject-nanx-1")
 
     def test_attempt_selection(self):

@@ -30,8 +30,6 @@ from repro.workload import (
     all_arrival_processes,
     all_key_distributions,
     effective_workload,
-    get_arrival_process,
-    get_key_distribution,
     mix_thresholds,
 )
 
@@ -170,21 +168,16 @@ class TestRegistry:
     def test_vector_native_flags_match_specs(self):
         # Registry entries mirror their spec types, which carry no
         # vector_native flag any more.
+        entries = {entry.name: entry for entry in
+                   all_arrival_processes() + all_key_distributions()}
         for entry, spec_type in [
-                (get_arrival_process("mmpp"), MMPPArrivals),
-                (get_arrival_process("spike"), SpikeArrivals),
-                (get_key_distribution("zipf"), ZipfKeysSpec),
-                (get_key_distribution("migrating"),
-                 MigratingHotspotKeysSpec)]:
+                (entries["mmpp"], MMPPArrivals),
+                (entries["spike"], SpikeArrivals),
+                (entries["zipf"], ZipfKeysSpec),
+                (entries["migrating"], MigratingHotspotKeysSpec)]:
             assert entry.spec_type is spec_type
             assert not hasattr(entry, "vector_native")
             assert not hasattr(spec_type, "vector_native")
-
-    def test_unknown_component_lists_known_names(self):
-        with pytest.raises(ConfigurationError, match="poisson"):
-            get_arrival_process("fractal")
-        with pytest.raises(ConfigurationError, match="uniform"):
-            get_key_distribution("gaussian")
 
 
 # ----------------------------------------------------------------------
