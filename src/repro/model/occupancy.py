@@ -22,6 +22,7 @@ the integration tests use to cross-check the closed forms.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -102,9 +103,14 @@ class OccupancyModel:
     # Constructors
     # ------------------------------------------------------------------
     @classmethod
+    @functools.lru_cache(maxsize=256)
     def corollary1(cls, mix: OperationMix, order: int,
                    height: int) -> "OccupancyModel":
-        """The paper's closed-form occupancy (Corollary 1)."""
+        """The paper's closed-form occupancy (Corollary 1).
+
+        Memoized: every analysis at every arrival rate asks for it, and it
+        is a pure function of immutable inputs.  Errors are not cached.
+        """
         full = [pr_full_leaf(mix, order)]
         full.extend(pr_full_internal(order) for _ in range(height - 1))
         empty = [0.0] * height

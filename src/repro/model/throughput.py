@@ -11,11 +11,13 @@
 
 Both are monotone bisection searches over the analytical predictions, so
 they work unchanged for all three algorithm analyses (pass the analyzer
-callable).
+callable).  Each brackets the answer between two doublings of ``start``,
+found by bisecting the doubling exponent, then bisects the bracket.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 from repro.errors import ConfigurationError, ConvergenceError
@@ -29,21 +31,32 @@ Analyzer = Callable[..., AlgorithmPrediction]
 _BRACKET_LIMIT = 1e9
 
 
-def _bracket_instability(analyze: Analyzer, config: ModelConfig,
-                         probe, start: float) -> float:
-    """Grow an upper bound until the prediction goes unstable."""
-    hi = start
-    while probe(analyze(config, hi)) and hi < _BRACKET_LIMIT:
-        hi *= 2.0
-    if hi >= _BRACKET_LIMIT:
-        raise ConvergenceError(
-            "no instability found below the bracket limit; the algorithm "
-            "has no effective maximum throughput at this configuration "
-            "(the paper observes this for the Link-type algorithm)",
-            solver="max-throughput",
-            context={"bracket_limit": _BRACKET_LIMIT},
-        )
-    return hi
+def _first_failing_doubling(holds: Callable[[float], bool], start: float,
+                            within_limit: Callable[[float], bool],
+                            error: ConvergenceError) -> float:
+    """Smallest ``start * 2**k`` (k >= 1) at which ``holds`` fails.
+
+    ``holds(start)`` is known to be true and is not evaluated again.  The
+    exponent k is bisected over [1, K), where K is the first exponent
+    whose rate is no longer ``within_limit``; ``error`` is raised when
+    ``holds`` does not fail below K.  Scaling by a power of two is exact,
+    so for a predicate monotone in the rate (the premise :func:`_bisect`
+    also rests on) this returns the float that doubling one step at a
+    time reaches, in O(log K) evaluations instead of O(k).
+    """
+    limit = 0
+    while within_limit(math.ldexp(start, limit)):
+        limit += 1
+    lo, hi = 0, limit  # holds at exponent lo; fails at hi unless hi == limit
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if holds(math.ldexp(start, mid)):
+            lo = mid
+        else:
+            hi = mid
+    if hi == limit:
+        raise error
+    return math.ldexp(start, hi)
 
 
 def max_throughput(analyze: Analyzer, config: ModelConfig,
@@ -54,27 +67,33 @@ def max_throughput(analyze: Analyzer, config: ModelConfig,
     ``analyze`` is one of the ``analyze_*`` functions; extra keyword
     arguments are forwarded to it.
     """
-    def run(config: ModelConfig, rate: float) -> AlgorithmPrediction:
-        return analyze(config, rate, **analyzer_kwargs)
+    def stable(rate: float) -> bool:
+        return analyze(config, rate, **analyzer_kwargs).stable
 
-    def stable(prediction: AlgorithmPrediction) -> bool:
-        return prediction.stable
-
-    if not stable(run(config, start)):
+    if stable(start):
+        hi = _first_failing_doubling(
+            stable, start, lambda rate: rate < _BRACKET_LIMIT,
+            ConvergenceError(
+                "no instability found below the bracket limit; the "
+                "algorithm has no effective maximum throughput at this "
+                "configuration (the paper observes this for the Link-type "
+                "algorithm)",
+                solver="max-throughput",
+                context={"bracket_limit": _BRACKET_LIMIT}))
+    else:
         # Shrink until stable so the bracket is valid.
         lo = start
-        while not stable(run(config, lo)):
+        while True:
             lo /= 2.0
             if lo < 1e-15:
                 raise ConvergenceError(
                     "unstable even at negligible load",
                     solver="max-throughput",
                     context={"start": start})
+            if stable(lo):
+                break
         hi = lo * 2.0
-    else:
-        hi = _bracket_instability(run, config, stable, start)
-        lo = hi / 2.0
-    return _bisect(lambda rate: stable(run(config, rate)), lo, hi, rel_tol)
+    return _bisect(stable, hi / 2.0, hi, rel_tol)
 
 
 def arrival_rate_for_root_utilization(
@@ -90,38 +109,33 @@ def arrival_rate_for_root_utilization(
     if not 0.0 < target < 1.0:
         raise ConfigurationError(f"target utilization must be in (0,1), got {target}")
 
-    def utilization(rate: float) -> float:
+    def below(rate: float) -> bool:
         prediction = analyze(config, rate, **analyzer_kwargs)
         if use_max_level:
-            return prediction.max_writer_utilization
-        return prediction.root_writer_utilization
+            return prediction.max_writer_utilization < target
+        return prediction.root_writer_utilization < target
 
-    def below(rate: float) -> bool:
-        return utilization(rate) < target
-
-    if not below(start):
+    if below(start):
+        hi = _first_failing_doubling(
+            below, start, lambda rate: rate <= _BRACKET_LIMIT,
+            ConvergenceError(
+                f"utilization never reaches {target}; effectively "
+                "unbounded throughput at this configuration",
+                solver="root-utilization",
+                context={"target": target, "bracket_limit": _BRACKET_LIMIT}))
+    else:
         lo = start
-        while not below(lo):
+        while True:
             lo /= 2.0
             if lo < 1e-15:
                 raise ConvergenceError(
                     f"utilization exceeds {target} even at negligible load",
                     solver="root-utilization",
                     context={"target": target})
+            if below(lo):
+                break
         hi = lo * 2.0
-    else:
-        hi = start
-        while below(hi):
-            hi *= 2.0
-            if hi > _BRACKET_LIMIT:
-                raise ConvergenceError(
-                    f"utilization never reaches {target}; effectively "
-                    "unbounded throughput at this configuration",
-                    solver="root-utilization",
-                    context={"target": target,
-                             "bracket_limit": _BRACKET_LIMIT})
-        lo = hi / 2.0
-    return _bisect(below, lo, hi, rel_tol)
+    return _bisect(below, hi / 2.0, hi, rel_tol)
 
 
 def _bisect(predicate_holds_below: Callable[[float], bool], lo: float,
