@@ -56,10 +56,6 @@ class TreeStatistics:
     def nodes_at(self, level: int) -> int:
         return self._by_level()[level].n_nodes
 
-    def fill_factor(self) -> float:
-        """Leaf-space utilization: mean leaf entries / order."""
-        return self._by_level()[1].mean_entries / self.order
-
     def fraction_full(self, level: int) -> float:
         """Empirical Pr[F(level)]."""
         return self._by_level()[level].fraction_full

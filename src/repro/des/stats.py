@@ -124,10 +124,6 @@ class ReservoirSample:
         if j < self.capacity:
             self._items[j] = x
 
-    @property
-    def n_seen(self) -> int:
-        return self._seen
-
     def percentile(self, q: float) -> float:
         """q-th percentile (q in [0, 100]) by linear interpolation."""
         if not 0.0 <= q <= 100.0:

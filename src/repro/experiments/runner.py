@@ -15,13 +15,12 @@ Usage::
         --policy resilient --seed 7
 
 ``figures`` is the one-command full reproduction: it regenerates every
-requested figure (``--all`` or explicit ids), renders SVG (+PNG when
-matplotlib is installed) with the publication theme plus an NDJSON
-data sidecar per figure, and writes a validation report (markdown +
-JSON) whose model-vs-simulation error tables are checked against the
-registry thresholds — a breach (or a failed in-text claim) exits
-nonzero, which is the CI gate.  Every figure's aligned table also lands
-in ``tables.txt`` next to the report.  The run checkpoints per figure;
+requested figure (``--all`` or explicit ids), renders SVG with the
+publication theme plus an NDJSON data sidecar per figure, and writes a
+validation report (markdown + JSON) whose model-vs-simulation error
+tables are checked against the registry thresholds — a breach (or a
+failed in-text claim) exits nonzero, which is the CI gate.  Every
+figure's aligned table also lands in ``tables.txt`` next to the report.  The run checkpoints per figure;
 re-invoking with ``--resume`` serves completed figures from the
 journal.  See ``docs/reproduction.md``.
 
@@ -138,10 +137,9 @@ def _build_parser() -> argparse.ArgumentParser:
     figures.add_argument("--out", default="figures", metavar="DIR",
                          help="output directory (default: figures/)")
     figures.add_argument("--formats", default=None, metavar="LIST",
-                         help="comma-separated image formats (svg,png); "
-                              "default: svg plus png when matplotlib is "
-                              "installed; ndjson sidecars are always "
-                              "written")
+                         help="comma-separated figure formats, checked "
+                              "only: svg and ndjson are accepted, and "
+                              "both are always written")
     figures.add_argument("--threshold-scale", type=float, default=1.0,
                          metavar="F",
                          help="multiply every validation threshold by F "
@@ -232,6 +230,22 @@ def _non_negative_int(text: str) -> int:
         raise argparse.ArgumentTypeError(
             f"expected an integer >= 0, got {value}")
     return value
+
+
+#: The formats ``figures --formats`` accepts; both are always written.
+_FIGURE_FORMATS = ("svg", "ndjson")
+
+
+def _check_formats(text: Optional[str]) -> None:
+    """Refuse a ``--formats`` list naming anything but svg or ndjson
+    (any case, blank entries ignored).  The list selects nothing: every
+    figure is written as SVG plus its NDJSON sidecar."""
+    for name in (text or "").split(","):
+        name = name.strip().lower()
+        if name and name not in _FIGURE_FORMATS:
+            raise ConfigurationError(
+                f"unknown figure format {name!r}; accepted: "
+                f"{', '.join(_FIGURE_FORMATS)} (both are always written)")
 
 
 def _resilience_flags(sub: argparse.ArgumentParser) -> None:
@@ -326,6 +340,7 @@ def _figures(args) -> int:
         raise ConfigurationError(
             "figures needs explicit ids (e.g. fig03 fig10) or --all; "
             "`btree-perf list` shows the registered figures")
+    _check_formats(args.formats)
     figure_ids = None if args.all_figures and not args.figure_ids \
         else args.figure_ids
     if args.clear_cache:
@@ -337,12 +352,10 @@ def _figures(args) -> int:
         from repro.obs import ProgressPrinter
         progress = ProgressPrinter()
         log = lambda message: print(message, file=sys.stderr)  # noqa: E731
-    formats = args.formats.split(",") if args.formats else None
     with execution(jobs=args.jobs, cache=cache, progress=progress,
                    resilience=_resilience_from_args(args)):
         result = generate_figures(
             figure_ids=figure_ids, scale=args.scale, out_dir=args.out,
-            formats=formats,
             simulate=False if args.no_sim else None,
             resume=args.resume, journal_path=args.journal,
             threshold_scale=args.threshold_scale,

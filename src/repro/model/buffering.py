@@ -41,18 +41,6 @@ class BufferPlan:
     #: Hit rate per level, leaf-first.
     hit_rates: Tuple[float, ...]
 
-    @property
-    def total_pages(self) -> float:
-        return sum(self.pages)
-
-    def hit_rate(self, level: int) -> float:
-        return self.hit_rates[level - 1]
-
-    @property
-    def overall_hit_rate(self) -> float:
-        """Hit probability of a uniformly chosen descent access."""
-        return sum(self.hit_rates) / len(self.hit_rates)
-
 
 def plan_buffer(shape: TreeShape, buffer_pages: float) -> BufferPlan:
     """Distribute ``buffer_pages`` LRU frames over the tree's levels,

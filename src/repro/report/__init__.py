@@ -5,10 +5,10 @@ evidence set:
 
 * :mod:`repro.report.registry` — every paper + extension figure with
   its declared model-vs-simulation comparisons and error thresholds;
-* :mod:`repro.report.theme` — the publication theme shared by the SVG
-  and matplotlib backends;
-* :mod:`repro.report.svg` — dependency-free SVG rendering;
-* :mod:`repro.report.png` — the optional matplotlib PNG backend;
+* :mod:`repro.report.theme` — the publication theme every figure is
+  rendered with;
+* :mod:`repro.report.svg` — dependency-free SVG rendering, the only
+  figure format;
 * :mod:`repro.report.table` — aligned plain-text tables
   (``tables.txt``);
 * :mod:`repro.report.sidecar` — deterministic NDJSON data sidecars;

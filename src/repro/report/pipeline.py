@@ -1,11 +1,10 @@
 """The one-command figure/report pipeline.
 
 :func:`generate_figures` regenerates any subset of the registered
-figures (default: all of them), renders each as SVG (+PNG when
-matplotlib is installed) with the publication theme, writes the NDJSON
-data sidecar, and emits one validation report (markdown + JSON) whose
-model-vs-simulation error tables are checked against the registry's
-thresholds.
+figures (default: all of them), renders each as SVG with the
+publication theme, writes the NDJSON data sidecar, and emits one
+validation report (markdown + JSON) whose model-vs-simulation error
+tables are checked against the registry's thresholds.
 
 The run is **checkpointed and resumable**: a
 :class:`~repro.resilience.SweepJournal` at the output directory records
@@ -26,17 +25,15 @@ import json
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.experiments.common import ExperimentTable
 from repro.parallel.cache import CODE_SALT
-from repro.report.png import matplotlib_available, save_figure_image
 from repro.report.registry import FIGURES, FigureSpec, get_figure
 from repro.report.sidecar import write_sidecar
 from repro.report.svg import render_svg
 from repro.report.table import format_table
-from repro.report.theme import PUBLICATION, Theme
 from repro.report.validation import (
     ReproductionReport,
     build_report,
@@ -44,9 +41,6 @@ from repro.report.validation import (
     report_to_markdown,
 )
 from repro.resilience import SweepJournal
-
-#: Image formats the pipeline can emit (sidecars are always written).
-KNOWN_FORMATS = ("svg", "png")
 
 #: Default name of the figure-level checkpoint journal.
 JOURNAL_NAME = "figures-journal.ndjson"
@@ -58,7 +52,7 @@ class FigureOutput:
 
     figure_id: str
     table: ExperimentTable
-    #: format -> written path ("ndjson" is always present).
+    #: format -> written path ("svg" and "ndjson").
     paths: Dict[str, Path] = field(default_factory=dict)
     #: True when the table was served from the resume journal.
     resumed: bool = False
@@ -95,33 +89,6 @@ def figure_key(figure_id: str, scale: float,
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
-def resolve_formats(formats: Optional[Sequence[str]]) -> Tuple[str, ...]:
-    """The image formats to emit: the explicit request (strict — asking
-    for PNG without matplotlib is an error), or SVG plus PNG-when-
-    available by default."""
-    if formats is None:
-        return ("svg", "png") if matplotlib_available() else ("svg",)
-    resolved = []
-    for name in formats:
-        name = name.strip().lower()
-        if not name:
-            continue
-        if name == "ndjson":
-            continue  # sidecars are unconditional
-        if name not in KNOWN_FORMATS:
-            raise ConfigurationError(
-                f"unknown figure format {name!r}; known: "
-                f"{', '.join(KNOWN_FORMATS)} (ndjson sidecars are always "
-                f"written)")
-        if name == "png" and not matplotlib_available():
-            raise ConfigurationError(
-                "png output needs matplotlib (pip install "
-                "'repro[figures]'); svg and ndjson are dependency-free")
-        if name not in resolved:
-            resolved.append(name)
-    return tuple(resolved)
-
-
 def _run_figure(spec: FigureSpec, scale: float,
                 simulate: Optional[bool]) -> ExperimentTable:
     """Regenerate one figure's table (module-level so tests can stub
@@ -129,33 +96,24 @@ def _run_figure(spec: FigureSpec, scale: float,
     return spec.run(scale=scale, simulate=simulate)
 
 
-def _render(spec: FigureSpec, table: ExperimentTable, out_dir: Path,
-            formats: Tuple[str, ...], theme: Theme) -> Dict[str, Path]:
-    paths: Dict[str, Path] = {}
-    paths["ndjson"] = write_sidecar(table, out_dir / f"{spec.figure_id}.ndjson")
+def _render(spec: FigureSpec, table: ExperimentTable,
+            out_dir: Path) -> Dict[str, Path]:
+    sidecar = write_sidecar(table, out_dir / f"{spec.figure_id}.ndjson")
     columns = None
     if spec.plot_columns is not None:
         columns = [c for c in spec.plot_columns if c in table.columns]
-    if "svg" in formats:
-        svg_path = out_dir / f"{spec.figure_id}.svg"
-        svg_path.write_text(render_svg(table, y_columns=columns,
-                                       theme=theme), encoding="utf-8")
-        paths["svg"] = svg_path
-    if "png" in formats:
-        paths["png"] = save_figure_image(
-            table, out_dir / f"{spec.figure_id}.png",
-            y_columns=columns, theme=theme)
-    return paths
+    svg_path = out_dir / f"{spec.figure_id}.svg"
+    svg_path.write_text(render_svg(table, y_columns=columns),
+                        encoding="utf-8")
+    return {"ndjson": sidecar, "svg": svg_path}
 
 
 def generate_figures(figure_ids: Optional[Sequence[str]] = None,
                      scale: float = 1.0,
                      out_dir="figures",
-                     formats: Optional[Sequence[str]] = None,
                      simulate: Optional[bool] = None,
                      resume: bool = False,
                      journal_path=None,
-                     theme: Theme = PUBLICATION,
                      threshold_scale: float = 1.0,
                      include_claims: bool = True,
                      log: Optional[Callable[[str], None]] = None,
@@ -180,7 +138,6 @@ def generate_figures(figure_ids: Optional[Sequence[str]] = None,
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     emit = log if log is not None else (lambda message: None)
-    image_formats = resolve_formats(formats)
 
     keys = [figure_key(spec.figure_id, scale, simulate) for spec in specs]
     journal_file = Path(journal_path) if journal_path is not None \
@@ -196,7 +153,7 @@ def generate_figures(figure_ids: Optional[Sequence[str]] = None,
             else:
                 table = _run_figure(spec, scale, simulate)
                 journal.record_completed(index, attempts=1, result=table)
-            paths = _render(spec, table, out, image_formats, theme)
+            paths = _render(spec, table, out)
             seconds = time.perf_counter() - started
             outputs.append(FigureOutput(spec.figure_id, table, paths,
                                         resumed=resumed, seconds=seconds))

@@ -3,10 +3,9 @@
 The reproduction must be able to emit every paper figure on a machine
 with nothing beyond the core scientific stack installed, so this module
 renders an :class:`~repro.experiments.common.ExperimentTable` as a
-self-contained SVG document in pure Python.  When matplotlib is
-available the pipeline *additionally* rasterizes a PNG through
-:func:`repro.report.png.save_figure_image`; both backends share the
-:class:`~repro.report.theme.Theme` so the outputs match.
+self-contained SVG document in pure Python, styled by a
+:class:`~repro.report.theme.Theme`.  SVG is the pipeline's only figure
+format.
 
 Conventions: the first column is the x axis, every other numeric
 column is a series, saturated points (``+inf``) render as up-arrows
@@ -181,7 +180,7 @@ def render_svg(table: ExperimentTable,
                      f'font-size="{theme.tick_size}" '
                      f'fill="{theme.axis_color}">{_tick_label(tick)}</text>')
 
-    # Axes frame (left + bottom spines only, like the mpl theme).
+    # Axes frame (left + bottom spines only).
     parts.append(f'<line x1="{panel_x}" y1="{panel_y}" x2="{panel_x}" '
                  f'y2="{panel_y + panel_h}" stroke="{theme.axis_color}" '
                  f'stroke-width="1"/>')

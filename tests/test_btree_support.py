@@ -50,7 +50,8 @@ class TestBuilder:
         stats = collect_statistics(tree)
         assert stats.height == 5
         assert 3 <= stats.root_fanout <= 12
-        assert abs(stats.fill_factor() - LN2_FILL) < 0.06
+        leaf_fill = stats.fanout(1) / stats.order
+        assert abs(leaf_fill - LN2_FILL) < 0.06
 
     #: policy -> (nodes created, sha256 over each created node's
     #: ``(level, keys, n_children)`` in creation order) for

@@ -5,13 +5,12 @@ import json
 import pytest
 
 import repro.report.pipeline as pipeline_module
-from repro.errors import CheckpointError, ConfigurationError
-from repro.report.png import matplotlib_available
+from repro.errors import CheckpointError
 from repro.experiments.runner import main as runner_main
 from repro.parallel import ResultCache
 from repro.parallel.context import execution
 from repro.report import generate_figures, validate_report_dict
-from repro.report.pipeline import JOURNAL_NAME, figure_key, resolve_formats
+from repro.report.pipeline import JOURNAL_NAME, figure_key
 
 ANALYTICAL = ["fig11", "fig13"]
 
@@ -19,7 +18,6 @@ ANALYTICAL = ["fig11", "fig13"]
 def _generate(out_dir, **kwargs):
     kwargs.setdefault("figure_ids", ANALYTICAL)
     kwargs.setdefault("scale", 0.05)
-    kwargs.setdefault("formats", ("svg",))
     kwargs.setdefault("simulate", False)
     kwargs.setdefault("include_claims", False)
     return generate_figures(out_dir=out_dir, **kwargs)
@@ -103,30 +101,31 @@ class TestResume:
 
 
 class TestFormats:
-    def test_unknown_format_raises(self):
-        with pytest.raises(ConfigurationError, match="unknown figure"):
-            resolve_formats(["svg", "gif"])
+    """``--formats`` is a check only: SVG and the NDJSON sidecar are
+    always written, and any other name is refused."""
 
-    def test_ndjson_is_stripped_and_duplicates_collapse(self):
-        assert resolve_formats(["ndjson", "svg", "SVG "]) == ("svg",)
+    def _figures(self, out_dir, formats):
+        flag = [] if formats is None else ["--formats", formats]
+        return runner_main([
+            "figures", "fig11", "--no-sim", "--no-claims", "--no-cache",
+            "--scale", "0.05", "--out", str(out_dir)] + flag)
 
-    def test_default_always_includes_svg(self):
-        assert "svg" in resolve_formats(None)
+    @pytest.mark.parametrize("formats", ["svg,GIF", "png"])
+    def test_unknown_format_exits_nonzero_naming_svg(self, tmp_path,
+                                                     capsys, formats):
+        assert self._figures(tmp_path, formats) == 1
+        err = capsys.readouterr().err
+        assert "unknown figure format" in err
+        assert "svg" in err
+        assert not (tmp_path / "fig11.svg").exists()
 
-    @pytest.mark.skipif(matplotlib_available(),
-                        reason="matplotlib installed: png is legal")
-    def test_png_without_matplotlib_is_an_error(self):
-        with pytest.raises(ConfigurationError, match="matplotlib"):
-            resolve_formats(["png"])
-
-    @pytest.mark.skipif(not matplotlib_available(),
-                        reason="needs matplotlib")
-    def test_png_rendering(self, tmp_path):
-        result = _generate(tmp_path, figure_ids=["fig11"],
-                           formats=("svg", "png"))
-        png = result.figures[0].paths["png"]
-        assert png.exists()
-        assert png.read_bytes()[:8] == b"\x89PNG\r\n\x1a\n"
+    @pytest.mark.parametrize("formats", ["ndjson, SVG ", "svg,,", None])
+    def test_svg_and_sidecar_are_always_written(self, tmp_path, capsys,
+                                                formats):
+        code = self._figures(tmp_path, formats)
+        assert code == 0, capsys.readouterr().err
+        assert (tmp_path / "fig11.svg").exists()
+        assert (tmp_path / "fig11.ndjson").exists()
 
 
 class TestCli:
