@@ -10,11 +10,18 @@ tree holds the requested number of items.
 The simulator drivers go through ``warm_tree``, which grows each distinct
 tree once per process and lends it to every run, which undoes its changes
 afterwards.
+
+``build_tree`` runs one fused loop: the leaf descent and the leaf insert
+or delete of :meth:`BPlusTree.insert` / :meth:`BPlusTree.delete` and the
+``getrandbits`` rejection loop of ``random.Random.randrange`` are
+inlined, so the build makes the same draws in the same order and grows
+the same tree as calling those methods would, with fewer calls per key.
 """
 
 from __future__ import annotations
 
 import random
+from bisect import bisect_left, bisect_right
 from typing import List, Optional, Tuple
 
 from repro.btree.node import Node
@@ -71,19 +78,54 @@ def build_tree(n_items: int, order: int = 13,
         raise ConfigurationError(
             f"the B-tree is merge-at-empty only, got {merge_policy!r}")
     rng = rng if rng is not None else random.Random(seed)
+    if n_items > 0 and key_space < 1:
+        raise ConfigurationError(f"key space must be >= 1, got {key_space}")
     tree = BPlusTree(order=order, on_new_node=on_new_node,
                      on_free_node=on_free_node)
-    while len(tree) < n_items:
-        key = rng.randrange(key_space)
-        if rng.random() < insert_fraction:
-            tree.insert(key)
-        else:
-            # Deleting a uniformly random key usually misses; aim at the
-            # resident population half the time so deletes actually bite,
-            # as in a mixed workload with re-reads of existing keys.
-            if len(tree) > 0 and rng.random() < 0.5:
-                key = _approximate_resident_key(tree, key)
-            tree.delete(key)
+    getrandbits = rng.getrandbits
+    draw = rng.random
+    bits = key_space.bit_length()
+    size = 0
+    while size < n_items:
+        key = getrandbits(bits)  # rng.randrange(key_space), inlined
+        while key >= key_space:
+            key = getrandbits(bits)
+        insert = draw() < insert_fraction
+        leaf = tree.root
+        while not leaf.is_leaf:  # tree.find_leaf(key), inlined
+            leaf = leaf.children[bisect_right(leaf.keys, key)]
+        if insert:
+            keys = leaf.keys
+            i = bisect_left(keys, key)
+            if i < len(keys) and keys[i] == key:
+                continue
+            keys.insert(i, key)
+            size += 1
+            if len(keys) > order:
+                tree._size = size
+                tree.split_path(tree.path_to(key))
+            continue
+        # Deleting a uniformly random key usually misses; aim at the
+        # resident population half the time so deletes actually bite,
+        # as in a mixed workload with re-reads of existing keys: the
+        # middle key of the first non-empty leaf from ``key``'s on.
+        # That key lives in that leaf, so no second descent is needed.
+        if size > 0 and draw() < 0.5:
+            node = leaf
+            while node is not None and not node.keys:
+                node = node.right
+            if node is not None:
+                leaf = node
+                key = node.keys[len(node.keys) // 2]
+        keys = leaf.keys
+        i = bisect_left(keys, key)
+        if i < len(keys) and keys[i] == key:
+            del keys[i]
+            size -= 1
+            if not keys and leaf is not tree.root:
+                tree._size = size
+                tree.remove_empty_leaf(tree.path_to(key))
+    tree._size = size
     return tree
 
 
@@ -95,8 +137,9 @@ def warm_tree(build_seed: int, n_items: int, order: int,
 
     The memo keeps the last template only, so callers that run several
     trees should group their runs by tree (see
-    :func:`repro.experiments.common.sweep_replications`).  A miss builds
-    a lock-free template.  Every call lends the template itself, with
+    :func:`repro.experiments.common.sweep_replications`).  A miss retires
+    the old template's ``spare_locks`` and builds a lock-free template.
+    Every call lends the template itself, with
     its undo journal open (:meth:`~repro.btree.tree.BPlusTree.journal`):
     the caller must call ``rollback()`` on it when done, which puts back
     every node the caller changed and copies none it did not.  A call
@@ -114,6 +157,13 @@ def warm_tree(build_seed: int, n_items: int, order: int,
     if _last is not None and _last[0] == key:
         _last[1].rollback()  # in case the last loan was never returned
     else:
+        if _last is not None:
+            # Free the old template's locks now: the template itself may
+            # wait for the cyclic garbage collector.
+            spare_locks = _last[1].spare_locks
+            for lock in spare_locks:
+                lock.retire()
+            spare_locks.clear()
         _last = None  # drop the old template before growing the next
         created: List[Node] = []
         template = build_tree(n_items, order=order,
@@ -130,19 +180,3 @@ def warm_tree(build_seed: int, n_items: int, order: int,
     template.journal()
     template.on_new_node = on_new_node
     return template
-
-
-def _approximate_resident_key(tree: BPlusTree, probe: int) -> int:
-    """Return a key actually present in the tree near ``probe``.
-
-    Finds the leaf responsible for ``probe`` and picks one of its keys
-    (or walks right to the first non-empty leaf).  O(height) instead of
-    O(n), which keeps construction of 40k-item trees fast.
-    """
-    leaf = tree.find_leaf(probe)
-    node = leaf
-    while node is not None and not node.keys:
-        node = node.right  # type: ignore[assignment]
-    if node is None or not node.keys:
-        return probe
-    return node.keys[len(node.keys) // 2]

@@ -51,6 +51,12 @@ class BPlusTree:
     on_new_node / on_free_node:
         Hooks invoked whenever a node is allocated or deallocated; the
         simulator uses ``on_new_node`` to register each new node's level.
+
+    The :attr:`on_root_change` hook (None unless set) is called with the
+    new root whenever :meth:`grow_root` or a root collapse replaces it;
+    the simulator uses it to keep sampling the root's lock.  The tree
+    never reads :attr:`spare_locks`: it holds the node locks simulator
+    runs on this tree hand on to the next run on it.
     """
 
     def __init__(self, order: int = 13,
@@ -61,6 +67,8 @@ class BPlusTree:
         self.order = order
         self.on_new_node = on_new_node
         self.on_free_node = on_free_node
+        self.on_root_change: NodeHook = None
+        self.spare_locks: list = []
         self._size = 0
         self._splits = 0
         self._merges = 0
@@ -312,6 +320,8 @@ class BPlusTree:
         new_root.keys = [separator]
         new_root.children = [old_root, sibling]
         self.root = new_root
+        if self.on_root_change is not None:
+            self.on_root_change(new_root)
         return new_root
 
     def overflowed(self, node: Node) -> bool:
@@ -478,12 +488,15 @@ class BPlusTree:
     def _collapse_root(self) -> None:
         """Shrink the tree while the root is an internal node with a single
         child — the inverse of ``grow_root``."""
+        root = self.root
         while (not self.root.is_leaf
                and self.root.n_entries() == 1):
             old = self.root
             assert isinstance(old, InternalNode)
             self.root = old.children[0]
             self._free(old)
+        if self.on_root_change is not None and self.root is not root:
+            self.on_root_change(self.root)
 
     # ------------------------------------------------------------------
     # Link maintenance for removals

@@ -12,10 +12,16 @@ Johnson's SIGMETRICS '90 paper):
 
 The lock keeps no statistics of its own.  Grant waits go to its
 ``observer``; live per-level counts go to its ``telemetry`` slot; and
-the writer utilization :math:`\\rho_w` of paper Figure 10 comes from
-:func:`~repro.simulator.metrics.root_sampler`, which polls the root
-lock.  A maintained queued-writer counter makes that poll's
-writer-present check O(1): it never scans the wait queue.
+the root lock's ``on_change`` slot books the root samples behind the
+writer utilization :math:`\\rho_w` of paper Figure 10
+(:meth:`~repro.simulator.metrics.MetricsCollector.book_root_samples`).
+A maintained queued-writer counter makes the writer-present check
+O(1): it never scans the wait queue.  Each slot costs a lock event one
+attribute load and ``is None`` test while it is empty; ``on_change`` is
+read only by W grants, enqueues, writer releases and dispatches, so an
+uncontended R grant or an R release with nobody queued pays nothing
+for it.  The wait queue itself is allocated on the first contended
+request: most locks never queue.
 
 Each lock also interns one :class:`~repro.des.process.Acquire` per mode
 and one :class:`~repro.des.process.Release` (:attr:`acquire_read` /
@@ -27,7 +33,7 @@ nothing (see ``docs/performance.md``, "Kernel hot path").
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional, Set
+from typing import Callable, Deque, Optional, Set, Tuple, Union
 
 from repro.des.engine import Simulator
 from repro.des.process import (
@@ -61,17 +67,26 @@ class RWLock:
     sampler can read per-level queue depth and R/W utilization without
     walking the tree.  With telemetry off the cost is a single
     attribute load + ``is None`` test per lock event.
+
+    The :attr:`on_change` slot (normally None) may hold a callable that
+    the lock calls with the current time just before writer presence
+    or the queue length may change: before an uncontended W grant, an
+    enqueue, a writer release and a dispatch.  Between two calls both
+    stay as they were, so the callee can account for the whole span at
+    once.
     """
 
     __slots__ = (
-        "name", "observer", "telemetry", "acquire_read", "acquire_write",
-        "release_cmd", "_readers", "_writer", "_queue", "_queued_writers",
+        "name", "observer", "telemetry", "on_change", "acquire_read",
+        "acquire_write", "release_cmd", "_readers", "_writer", "_queue",
+        "_queued_writers",
     )
 
     def __init__(self, name: str = "", observer=None) -> None:
         self.name = name
         self.observer = observer
         self.telemetry = None
+        self.on_change: Optional[Callable[[float], None]] = None
         #: Interned commands — yield these instead of allocating
         #: ``Acquire``/``Release`` objects per lock round trip.
         self.acquire_read = Acquire(self, READ)
@@ -79,7 +94,9 @@ class RWLock:
         self.release_cmd = Release(self)
         self._readers: Set[Process] = set()
         self._writer: Optional[Process] = None
-        self._queue: Deque[LockRequest] = deque()
+        #: The wait queue: the empty tuple until the first contended
+        #: request replaces it with a deque.
+        self._queue: Union[Tuple[()], Deque[LockRequest]] = ()
         #: Number of W requests currently in :attr:`_queue`, maintained
         #: on enqueue/dequeue so :meth:`writer_waiting` is O(1).
         self._queued_writers: int = 0
@@ -142,6 +159,8 @@ class RWLock:
                     tel.held_read += 1
                     tel.grants_read += 1
             else:
+                if self.on_change is not None:
+                    self.on_change(sim.now)
                 self._writer = process
                 if tel is not None:
                     tel.held_write += 1
@@ -149,7 +168,12 @@ class RWLock:
             if self.observer is not None:
                 self.observer.on_wait(mode, 0.0)
             return True
-        self._queue.append(LockRequest(process, mode, sim.now))
+        if self.on_change is not None:
+            self.on_change(sim.now)
+        queue = self._queue
+        if queue.__class__ is tuple:
+            queue = self._queue = deque()
+        queue.append(LockRequest(process, mode, sim.now))
         if mode == WRITE:
             self._queued_writers += 1
         if tel is not None:
@@ -160,6 +184,8 @@ class RWLock:
         """Release ``process``'s hold and hand the lock to queued waiters."""
         tel = self.telemetry
         if self._writer is process:
+            if self.on_change is not None:
+                self.on_change(sim.now)
             self._writer = None
             if tel is not None:
                 tel.held_write -= 1
@@ -196,6 +222,8 @@ class RWLock:
         tel = self.telemetry
         observer = self.observer
         now = sim.now
+        if self.on_change is not None:
+            self.on_change(now)
         while queue:
             head = queue[0]
             mode = head.mode
@@ -214,6 +242,20 @@ class RWLock:
             if mode == WRITE:
                 # An exclusive grant blocks everything behind it.
                 break
+
+    def reset(self) -> None:
+        """Return the lock to the idle, unbound state of a new lock.
+
+        Clears the holders and the wait queue (dropping the deque), and
+        empties the observer, telemetry and ``on_change`` slots, so a
+        run that ended with the lock held or queued can hand it to the
+        next run.
+        """
+        self._readers.clear()
+        self._writer = None
+        self._queue = ()
+        self._queued_writers = 0
+        self.observer = self.telemetry = self.on_change = None
 
     def retire(self) -> None:
         """Drop the interned commands once the lock is no longer used.

@@ -25,7 +25,6 @@ from repro.simulator.driver import run_context
 from repro.simulator.metrics import (
     MetricsCollector,
     SimulationResult,
-    root_sampler,
     summarize,
 )
 from repro.simulator.operations import OP_DELETE, pick_resident_key
@@ -94,6 +93,7 @@ def run_closed_simulation(config: SimulationConfig,
                 yield from getattr(module, op_name)(ctx, key)
                 completions[0] += 1
                 if completions[0] == warmup and not metrics.measuring:
+                    metrics.book_root_samples(sim.now)
                     metrics.measuring = True
                     metrics.measure_start_time = sim.now
 
@@ -104,10 +104,10 @@ def run_closed_simulation(config: SimulationConfig,
         for index in range(multiprogramming_level):
             sim.spawn(terminal(), name=f"terminal-{index}",
                       delay=index * 1e-6)  # stagger identical start times
-        sim.spawn(root_sampler(tree, metrics), name="root-sampler")
         metrics.note_population(multiprogramming_level)
 
         sim.run()
+        metrics.book_root_samples(sim.now)
         metrics.measure_end_time = sim.now
 
         result = summarize(

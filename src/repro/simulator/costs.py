@@ -7,11 +7,15 @@ On-disk levels (all but the top ``in_memory_levels``) are dilated by the
 disk cost D.  The dilation is evaluated against the tree's *current*
 height, so a root split during the run keeps the same number of cached
 levels.
+
+Draws are ``-log(1 - u) / rate`` with ``u = rng.random()``: what
+``rng.expovariate(rate)`` computes, without its call.
 """
 
 from __future__ import annotations
 
 import random
+from math import log
 from typing import Dict
 
 from repro.btree.tree import BPlusTree
@@ -25,7 +29,7 @@ class ServiceTimeSampler:
                  rng: random.Random) -> None:
         self._costs = costs
         self._tree = tree
-        self._rng = rng
+        self._random = rng.random
         #: ``{height: {level: 1 / Se(level)}}``, filled on first use
         #: (``Se`` is positive: ``CostModel`` validates its factors).
         self._search_rates: Dict[int, Dict[int, float]] = {}
@@ -33,7 +37,9 @@ class ServiceTimeSampler:
     def _exp(self, mean: float) -> float:
         if mean <= 0.0:
             return 0.0
-        return self._rng.expovariate(1.0 / mean)
+        # Divide by the rate, as expovariate(1.0 / mean) does: ``* mean``
+        # can round differently.
+        return -log(1.0 - self._random()) / (1.0 / mean)
 
     def search(self, level: int) -> float:
         """Time to search a level-``level`` node."""
@@ -43,7 +49,7 @@ class ServiceTimeSampler:
             height = self._tree.height
             rate = 1.0 / self._costs.se(level, height)
             self._search_rates.setdefault(height, {})[level] = rate
-        return self._rng.expovariate(rate)
+        return -log(1.0 - self._random()) / rate
 
     def modify(self, level: int = 1) -> float:
         """Time to modify a level-``level`` node (usually a leaf)."""

@@ -14,7 +14,9 @@
    real search / insert / delete through the chosen algorithm's
    processes, with exponential service times;
 4. measures response times and lock waits after a warm-up, sampling the
-   root lock for the writer-presence probability rho_w (Figure 10);
+   root lock for the writer-presence probability rho_w (Figure 10) at
+   every time unit, booked in bulk whenever the root lock's state
+   changes (:meth:`MetricsCollector.book_root_samples`);
 5. aborts — flagging the run as *overflowed* — if the in-flight operation
    population exceeds the allocation, the paper's saturation signal.
 
@@ -44,7 +46,6 @@ from repro.simulator.costs import ServiceTimeSampler
 from repro.simulator.metrics import (
     MetricsCollector,
     SimulationResult,
-    root_sampler,
     summarize,
 )
 from repro.simulator.operations import (
@@ -84,13 +85,18 @@ def run_context(config: SimulationConfig, build_seed: int,
     so ``mean_lock_waits`` has a key for each such level even if no lock
     there is ever used.  ``telemetry`` counts those nodes per level the
     same way.  A node's lock is created on the first read of
-    ``node.lock``, named ``n{node_id}``; an idle lock accrues nothing,
-    so creating it late changes no number.  On exit, normal or not, the
-    locks are retired (freed without waiting for the cyclic garbage
-    collector) and dropped, and the tree is rolled back, so the memo's
-    template is again the tree the build grew.  The collector stops the
-    run's simulator on the event that records the
-    ``config.n_operations``-th measured operation.
+    ``node.lock``, named ``n{node_id}``: taken from the tree's
+    ``spare_locks`` when one is left there, else built; an idle lock
+    accrues nothing, so creating it late changes no number.  The
+    collector samples the root's lock
+    (:meth:`MetricsCollector.follow_root`), and the tree's
+    ``on_root_change`` hook keeps it on the root through root splits
+    and collapses.  On exit, normal or not, the hook is cleared, every
+    lock the run used is reset and handed to the next run on the same
+    template through ``spare_locks``, and the tree is rolled back, so
+    the memo's template is again the tree the build grew, with no locks.
+    The collector stops the run's simulator on the event that records
+    the ``config.n_operations``-th measured operation.
     """
     observer_for_level = metrics.observer_for_level
 
@@ -100,10 +106,17 @@ def run_context(config: SimulationConfig, build_seed: int,
             telemetry.count_node(node.level)
 
     locked: List[Node] = []
+    spare_locks: List[RWLock] = []  # the lent tree's, once it is lent
 
     def make_lock(node: Node) -> RWLock:
-        lock = RWLock(name=f"n{node.node_id}",
-                      observer=observer_for_level(node.level))
+        name = f"n{node.node_id}"
+        observer = observer_for_level(node.level)
+        if spare_locks:
+            lock = spare_locks.pop()
+            lock.name = name
+            lock.observer = observer
+        else:
+            lock = RWLock(name=name, observer=observer)
         if telemetry is not None:
             telemetry.watch(lock, node.level)
         locked.append(node)
@@ -115,17 +128,27 @@ def run_context(config: SimulationConfig, build_seed: int,
             config.mix.insert_share or 1.0, config.key_space,
             on_new_node=note_node,
         )
+        spare_locks = tree.spare_locks
         try:
             sim = Simulator()
             metrics.stop_after = config.n_operations
             metrics.on_stop = sim.stop
+            metrics.follow_root(tree.root.lock, sim.now)
+
+            def follow_root(root: Node) -> None:
+                metrics.follow_root(root.lock, sim.now)
+
+            tree.on_root_change = follow_root
             yield OperationContext(
                 sim, tree, ServiceTimeSampler(config.costs, tree, rng_service),
                 metrics, rng_keys, recovery=config.recovery,
                 t_trans=config.t_trans)
         finally:
+            tree.on_root_change = None
             for node in locked:
-                node.lock.retire()
+                lock = node.lock
+                lock.reset()
+                spare_locks.append(lock)
                 node.lock = None
             tree.rollback()
 
@@ -187,6 +210,7 @@ def run_simulation(config: SimulationConfig,
             state.population -= 1
             state.completions += 1
             if state.completions == warmup and not metrics.measuring:
+                metrics.book_root_samples(sim.now)
                 metrics.measuring = True
                 metrics.measure_start_time = sim.now
 
@@ -270,7 +294,6 @@ def run_simulation(config: SimulationConfig,
                 spawn()
 
         sim.spawn(arrivals(), name="arrivals")
-        sim.spawn(root_sampler(tree, metrics), name="root-sampler")
         if telemetry is not None:
             sim.spawn(telemetry.sampler_process(sim, lambda: state.population),
                       name="telemetry-sampler")
@@ -280,6 +303,7 @@ def run_simulation(config: SimulationConfig,
                       name="compactor")
 
         sim.run()
+        metrics.book_root_samples(sim.now)
         metrics.measure_end_time = sim.now
 
         result = summarize(

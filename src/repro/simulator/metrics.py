@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, Optional
+from typing import Callable, Dict, Optional
 
 from repro.des.process import READ
 from repro.des.stats import ReservoirSample, RunningStats
@@ -38,20 +38,9 @@ class GatedObserver:
                 self.write_waits.add(wait)
 
 
-#: Interval (in root-search time units) between root-utilization samples.
+#: Interval (in root-search time units) between root-utilization
+#: samples: the root lock is sampled at every positive multiple of it.
 ROOT_SAMPLE_INTERVAL = 1.0
-
-
-def root_sampler(tree, collector: "MetricsCollector") -> Iterator[float]:
-    """The process both drivers spawn to sample ``tree``'s root lock
-    every :data:`ROOT_SAMPLE_INTERVAL` into ``collector`` (the
-    writer-presence probability rho_w of Figure 10)."""
-    while True:
-        yield ROOT_SAMPLE_INTERVAL
-        lock = tree.root.lock
-        present = lock.writer is not None or lock.writer_waiting()
-        collector.record_root_sample(present,
-                                     queue_length=lock.queue_length)
 
 
 def _reservoir_seed(run_seed: int, index: int) -> int:
@@ -100,6 +89,11 @@ class MetricsCollector:
         self.root_writer_present_samples = 0
         #: Root lock queue-length sampling (Little's-law cross-check).
         self.root_queue_length_total = 0
+        #: The lock whose state the root samples read (the root's, see
+        #: :meth:`follow_root`) and the index of the first sample
+        #: instant not booked yet.
+        self.root_lock = None
+        self.next_root_sample = 1
         self.measure_start_time: Optional[float] = None
         self.measure_end_time: Optional[float] = None
         self.peak_population = 0
@@ -124,13 +118,40 @@ class MetricsCollector:
                     and self.on_stop is not None:
                 self.on_stop()
 
-    def record_root_sample(self, writer_present: bool,
-                           queue_length: int = 0) -> None:
-        if self.measuring:
-            self.root_samples += 1
-            if writer_present:
-                self.root_writer_present_samples += 1
-            self.root_queue_length_total += queue_length
+    def book_root_samples(self, now: float) -> None:
+        """Book every root sample instant in ``[next, now)`` at once.
+
+        The root is sampled at each positive multiple of
+        :data:`ROOT_SAMPLE_INTERVAL`: whether a writer holds or waits
+        for the root lock (Figure 10's rho_w) and how many requests
+        wait there.  The root lock calls this (its ``on_change`` slot)
+        just before either can change, so every instant not booked yet
+        saw the lock's current state; the drivers call it when the
+        measurement window opens and when the run ends.  Instants count
+        only while :attr:`measuring` is true.
+        """
+        count = math.ceil(now / ROOT_SAMPLE_INTERVAL) - self.next_root_sample
+        if count > 0:
+            self.next_root_sample += count
+            if self.measuring:
+                lock = self.root_lock
+                self.root_samples += count
+                if lock.writer is not None or lock.writer_waiting():
+                    self.root_writer_present_samples += count
+                self.root_queue_length_total += count * lock.queue_length
+
+    def follow_root(self, lock, now: float) -> None:
+        """Sample ``lock`` from ``now`` on: the tree's root changed.
+
+        Books the instants before ``now`` against the old root's lock
+        and moves the ``on_change`` slot to ``lock``.
+        """
+        old = self.root_lock
+        if old is not None:
+            self.book_root_samples(now)
+            old.on_change = None
+        self.root_lock = lock
+        lock.on_change = self.book_root_samples
 
     def note_population(self, population: int) -> None:
         if population > self.peak_population:

@@ -106,9 +106,9 @@ def test_golden_seed_closed_system():
 #: with every series.
 GOLDEN_TELEMETRY = {
     "plain":
-        "233f71c70cd80414ba5b8ff4ec7edd587d4b650105c30050c50f0b64333176b2",
+        "939d0f4371f61a6bb2d9e71c83cbc18489f31dadd0c22917251b510ac792d9d9",
     "mmpp-zipf-txn3":
-        "117b0ebd77013eb11d2d8f50631b4fce781a869a1f25924acf9f4b1d2fd7ab08",
+        "2f5db0d7c20a9618212e98fb381874d8eb5805b5b6e312c986b892c065715263",
 }
 
 TELEMETRY_CASES = {

@@ -208,7 +208,7 @@ def test_observer_receives_waits():
 
 def test_writer_presence_accounting(call_at):
     # The live counts a telemetry LevelState sees, and the writer
-    # presence root_sampler polls for rho_w (paper Figure 10).
+    # presence the root-sample booking reads for rho_w (paper Figure 10).
     sim = Simulator()
     lock = RWLock()
     lock.telemetry = state = LevelState(0)
