@@ -158,8 +158,8 @@ def warm_tree(build_seed: int, n_items: int, order: int,
         _last[1].rollback()  # in case the last loan was never returned
     else:
         if _last is not None:
-            # Free the old template's locks now: the template itself may
-            # wait for the cyclic garbage collector.
+            # Free the old template's locks now: each refers to itself
+            # through its interned commands until it is retired.
             spare_locks = _last[1].spare_locks
             for lock in spare_locks:
                 lock.retire()

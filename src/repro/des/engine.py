@@ -191,3 +191,15 @@ class Simulator:
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""
         self._stopped = True
+
+    def discard_pending(self) -> None:
+        """Drop the events still on the heap, for a run that is over.
+
+        A stopped run leaves suspended processes there whose generators
+        refer back to this simulator; dropping them frees that state at
+        once instead of at the next cyclic garbage collection.  The
+        dropped events were never executed, so :attr:`events_executed`
+        keeps its value.
+        """
+        self._sequence -= len(self._heap)
+        self._heap.clear()

@@ -7,6 +7,8 @@ subpackage exposes:
 * :mod:`~repro.model.params` — cost model, operation mix, tree shape.
 * :mod:`~repro.model.occupancy` — Pr[F(i)], Pr[Em(i)], E(i) (Corollary 1).
 * :mod:`~repro.model.rwqueue` — the FCFS R/W queue fixed point (Theorem 6).
+* :mod:`~repro.model.results` — ``solve_level``, one level's queue and
+  waits (Theorems 6, 4 and 3), which every analysis below shares.
 * :mod:`~repro.model.lock_coupling` — Naive Lock-coupling (Theorems 1-5).
 * :mod:`~repro.model.optimistic` — Optimistic Descent (redo-insert class).
 * :mod:`~repro.model.link` — the Link-type (Lehman-Yao) algorithm.

@@ -33,9 +33,11 @@ from repro.model.results import (
     SEARCH,
     AlgorithmPrediction,
     LevelSolution,
+    occupancy_for,
+    search_response,
+    solve_level,
     unstable_prediction,
 )
-from repro.model.rwqueue import RWQueueInput, solve_rw_queue
 
 ALGORITHM = names.LINK_TYPE
 
@@ -49,74 +51,47 @@ def analyze_link(config: ModelConfig, arrival_rate: float,
 
     mix, costs, shape = config.mix, config.costs, config.shape
     h = shape.height
-    occ = occupancy if occupancy is not None \
-        else OccupancyModel.corollary1(mix, config.order, h)
+    occ = occupancy_for(config, occupancy)
 
     se = [costs.se(level, h) for level in range(1, h + 1)]
     sp = [costs.sp(level, h) for level in range(1, h + 1)]
     modify = [costs.modify_at(level, h) for level in range(1, h + 1)]
 
     levels: List[LevelSolution] = []
-    for level in range(1, h + 1):
-        i = level - 1
-        share = shape.arrival_share(level)
-        if level == 1:
-            lam_r = mix.q_search * arrival_rate * share
-            lam_w = mix.q_update * arrival_rate * share
-        else:
-            lam_r = arrival_rate * share
-            # W locks arrive when a child completes a half-split.
-            lam_w = (mix.q_insert * arrival_rate
-                     * occ.split_propagation(level - 1) * share)
-        mu_r = 1.0 / se[i]
-        hold_w = modify[i] + occ.full(level) * sp[i]
-        mu_w = 1.0 / hold_w
+    try:
+        for level in range(1, h + 1):
+            i = level - 1
+            share = shape.arrival_share(level)
+            if level == 1:
+                lam_r = mix.q_search * arrival_rate * share
+                lam_w = mix.q_update * arrival_rate * share
+            else:
+                lam_r = arrival_rate * share
+                # W locks arrive when a child completes a half-split.
+                lam_w = (mix.q_insert * arrival_rate
+                         * occ.split_propagation(level - 1) * share)
+            hold_w = modify[i] + occ.full(level) * sp[i]
+            levels.append(solve_level(level, lam_r, lam_w, 1.0 / se[i],
+                                      1.0 / hold_w))
+    except UnstableQueueError as exc:
+        return unstable_prediction(ALGORITHM, arrival_rate, exc.level)
 
-        try:
-            queue = solve_rw_queue(
-                RWQueueInput(lambda_r=lam_r, lambda_w=lam_w,
-                             mu_r=mu_r, mu_w=mu_w),
-                level=level,
-            )
-        except UnstableQueueError:
-            return unstable_prediction(ALGORITHM, arrival_rate, level)
-
-        drain = queue.mean_reader_drain
-        wait_r = (queue.rho_w / (1.0 - queue.rho_w)
-                  * (1.0 / mu_w + drain)) if lam_w > 0 else 0.0
-        wait_w = wait_r + drain
-        levels.append(LevelSolution(
-            level=level, lambda_r=lam_r, lambda_w=lam_w,
-            mu_r=mu_r, mu_w=mu_w, rho_w=queue.rho_w,
-            r_u=queue.r_u, r_e=queue.r_e, R=wait_r, W=wait_w,
-        ))
-
-    responses = _responses(levels, se, sp, modify, occ, h)
-    return AlgorithmPrediction(
-        algorithm=ALGORITHM, arrival_rate=arrival_rate, stable=True,
-        levels=levels, response_times=responses,
-    )
-
-
-def _responses(levels: List[LevelSolution], se: List[float],
-               sp: List[float], modify: List[float],
-               occ: OccupancyModel, h: int) -> dict:
-    """Response times: a plain descent plus the expected split climb.
-
-    A split at level j costs the half-split itself (``Sp(j)``, paid under
-    the level-j W lock) and then a W lock + modify at level j+1; the climb
-    continues with probability Pr[F(j+1)].
-    """
-    per_search = sum(se[i] + levels[i].R for i in range(h))
+    # A plain descent plus the expected split climb: a split at level j
+    # costs the half-split itself (``Sp(j)``, paid under the level-j W
+    # lock) and then a W lock + modify at level j+1; the climb continues
+    # with probability Pr[F(j+1)].
     descent = (modify[0] + levels[0].W
                + sum(se[i] + levels[i].R for i in range(1, h)))
     climb = 0.0
     for j in range(1, h):
         step = sp[j - 1] + levels[j].W + modify[j]
         climb += occ.split_propagation(j) * step
-    per_insert = descent + climb
-    per_delete = descent
-    return {SEARCH: per_search, INSERT: per_insert, DELETE: per_delete}
+    responses = {SEARCH: search_response(levels, se),
+                 INSERT: descent + climb, DELETE: descent}
+    return AlgorithmPrediction(
+        algorithm=ALGORITHM, arrival_rate=arrival_rate, stable=True,
+        levels=levels, response_times=responses,
+    )
 
 
 def link_crossing_probability(config: ModelConfig, arrival_rate: float,
@@ -136,8 +111,7 @@ def link_crossing_probability(config: ModelConfig, arrival_rate: float,
     h = shape.height
     if not 1 <= level <= h:
         raise ConfigurationError(f"no level {level} in height-{h} tree")
-    occ = occupancy if occupancy is not None \
-        else OccupancyModel.corollary1(mix, config.order, h)
+    occ = occupancy_for(config, occupancy)
     split_rate_per_node = (mix.q_insert * arrival_rate
                            * occ.split_propagation(level)
                            * shape.arrival_share(level))

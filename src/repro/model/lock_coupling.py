@@ -21,7 +21,6 @@ from typing import List, Optional
 
 from repro.algorithms import names
 from repro.errors import ConfigurationError, UnstableQueueError
-from repro.model.mg1 import LockCouplingServer
 from repro.model.occupancy import OccupancyModel
 from repro.model.params import ModelConfig
 from repro.model.results import (
@@ -30,9 +29,12 @@ from repro.model.results import (
     SEARCH,
     AlgorithmPrediction,
     LevelSolution,
+    occupancy_for,
+    search_response,
+    solve_level,
     unstable_prediction,
+    w_descent_response,
 )
-from repro.model.rwqueue import RWQueueInput, solve_rw_queue
 
 ALGORITHM = names.NAIVE_LOCK_COUPLING
 
@@ -52,8 +54,7 @@ def analyze_lock_coupling(config: ModelConfig, arrival_rate: float,
 
     mix, costs, shape = config.mix, config.costs, config.shape
     h = shape.height
-    occ = occupancy if occupancy is not None \
-        else OccupancyModel.corollary1(mix, config.order, h)
+    occ = occupancy_for(config, occupancy)
 
     se = [costs.se(level, h) for level in range(1, h + 1)]        # Se(i)
     sp = [costs.sp(level, h) for level in range(1, h + 1)]        # Sp(i)
@@ -64,105 +65,48 @@ def analyze_lock_coupling(config: ModelConfig, arrival_rate: float,
     lam = [arrival_rate * shape.arrival_share(level)
            for level in range(1, h + 1)]
 
-    t_search: List[float] = []   # T(S, i)
-    t_insert: List[float] = []   # T(I, i)
-    t_delete: List[float] = []   # T(D, i)
+    # T(S, i), T(I, i), T(D, i) roll up from the leaves (Theorem 1).
+    t_i = t_d = modify
     levels: List[LevelSolution] = []
 
-    for level in range(1, h + 1):
-        i = level - 1
-        if level == 1:
-            t_s, t_i, t_d = se[0], modify, modify
-        else:
-            below = levels[i - 1]
-            t_s = se[i] + below.R
-            t_i = (se[i] + below.W
-                   + occ.full(level - 1) * t_insert[i - 1]
-                   + sp[i - 1] * occ.split_propagation(level - 1))
-            t_d = (se[i] + below.W
-                   + occ.empty(level - 1) * t_delete[i - 1]
-                   + mg[i - 1] * occ.merge_propagation(level - 1))
-        t_search.append(t_s)
-        t_insert.append(t_i)
-        t_delete.append(t_d)
+    try:
+        for level in range(1, h + 1):
+            i = level - 1
+            coupled = None
+            if level == 1:
+                t_s = se[0]
+            else:
+                below = levels[i - 1]
+                # Theorem 3: the propagation product stops at level-2
+                # because p_f already carries Pr[F(level-1)].
+                coupled = (se[i], mix.insert_share * occ.full(level - 1),
+                           t_i + sp[i - 1] * occ.split_propagation(level - 2),
+                           below)
+                t_s = se[i] + below.R
+                t_i = (se[i] + below.W
+                       + occ.full(level - 1) * t_i
+                       + sp[i - 1] * occ.split_propagation(level - 1))
+                t_d = (se[i] + below.W
+                       + occ.empty(level - 1) * t_d
+                       + mg[i - 1] * occ.merge_propagation(level - 1))
+            # Proposition 1: service rates of the reader / writer classes.
+            w_hold = mix.insert_share * t_i + mix.delete_share * t_d
+            levels.append(solve_level(
+                level, mix.q_search * lam[i], mix.q_update * lam[i],
+                1.0 / t_s, 1.0 / w_hold if w_hold > 0 else 0.0, coupled))
+    except UnstableQueueError as exc:
+        return unstable_prediction(ALGORITHM, arrival_rate, exc.level)
 
-        # Proposition 1: service rates of the reader / writer classes.
-        mu_r = 1.0 / t_s
-        w_hold = mix.insert_share * t_i + mix.delete_share * t_d
-        mu_w = 1.0 / w_hold if w_hold > 0 else 0.0
-        lam_r = mix.q_search * lam[i]
-        lam_w = mix.q_update * lam[i]
-
-        try:
-            queue = solve_rw_queue(
-                RWQueueInput(lambda_r=lam_r, lambda_w=lam_w,
-                             mu_r=mu_r, mu_w=mu_w),
-                level=level,
-            )
-        except UnstableQueueError:
-            return unstable_prediction(ALGORITHM, arrival_rate, level)
-
-        drain = queue.mean_reader_drain
-        if level == 1 or lam_w == 0.0:
-            # Theorem 4: exponential aggregate service.
-            wait_r = (queue.rho_w / (1.0 - queue.rho_w)
-                      * (1.0 / mu_w + drain)) if lam_w > 0 else 0.0
-        else:
-            below = levels[i - 1]
-            server = _theorem3_server(
-                se_i=se[i], queue_drain=drain, occ=occ, level=level,
-                mix=mix, t_insert_below=t_insert[i - 1],
-                sp_below=sp[i - 1], below=below,
-            )
-            wait_r = server.wait(lam_w, queue.rho_w)
-        wait_w = wait_r + drain
-
-        levels.append(LevelSolution(
-            level=level, lambda_r=lam_r, lambda_w=lam_w,
-            mu_r=mu_r, mu_w=mu_w, rho_w=queue.rho_w,
-            r_u=queue.r_u, r_e=queue.r_e, R=wait_r, W=wait_w,
-        ))
-
-    responses = _theorem5_responses(levels, se, sp, modify, occ, h)
+    # Theorem 5.  Per(D) groups M + W(1) apart from the upper levels.
+    split_work = sum(occ.split_propagation(j) * sp[j - 1]
+                     for j in range(1, h))
+    responses = {
+        SEARCH: search_response(levels, se),
+        INSERT: w_descent_response(levels, se, modify) + split_work,
+        DELETE: modify + levels[0].W + sum(se[i] + levels[i].W
+                                           for i in range(1, h)),
+    }
     return AlgorithmPrediction(
         algorithm=ALGORITHM, arrival_rate=arrival_rate, stable=True,
         levels=levels, response_times=responses,
     )
-
-
-def _theorem3_server(se_i: float, queue_drain: float, occ: OccupancyModel,
-                     level: int, mix, t_insert_below: float,
-                     sp_below: float, below: LevelSolution,
-                     ) -> LockCouplingServer:
-    """Assemble the Figure 2 hyperexponential server for ``level``.
-
-    ``t_f`` is read as a *time* (the paper's definition inverts it, but
-    the Laplace transform and moment formula require the time; see
-    DESIGN.md).  The propagation product excludes level-1..(level-2)
-    because ``p_f`` already carries Pr[F(level-1)].
-    """
-    p_f = mix.insert_share * occ.full(level - 1)
-    rho_o = below.rho_w
-    t_e = se_i + queue_drain
-    t_f = t_insert_below + sp_below * occ.split_propagation(level - 2)
-    inv_mu_o = (below.R / rho_o + below.r_u) if rho_o > 0.0 else 0.0
-    return LockCouplingServer(
-        t_e=t_e, p_f=p_f, t_f=t_f, rho_o=rho_o,
-        inv_mu_o=inv_mu_o, r_e_child=below.r_e,
-    )
-
-
-def _theorem5_responses(levels: List[LevelSolution], se: List[float],
-                        sp: List[float], modify: float,
-                        occ: OccupancyModel, h: int) -> dict:
-    """Operation response times (Theorem 5)."""
-    per_search = sum(se[i] + levels[i].R for i in range(h))
-    per_delete = modify + levels[0].W + sum(
-        se[i] + levels[i].W for i in range(1, h))
-    split_work = sum(occ.split_propagation(j) * sp[j - 1]
-                     for j in range(1, h))
-    per_insert = (modify
-                  + sum(se[i] for i in range(1, h))
-                  + sum(level.W for level in levels)
-                  + split_work)
-    return {SEARCH: per_search, INSERT: per_insert, DELETE: per_delete}

@@ -1,13 +1,16 @@
-"""Single-server queueing building blocks.
+"""The M/G/1 building blocks of paper Theorem 3.
 
-* :func:`mm1_wait` — the M/M/1 queueing delay used at the leaves
-  (paper Theorem 4).
 * :func:`pollaczek_khinchine_wait` — the M/G/1 delay
   ``W = lambda * E[X^2] / (2 (1 - rho))`` used with the hyperexponential
   lock-coupling server (paper Theorem 3, equation (1)).
 * :class:`LockCouplingServer` — the three-stage hyperexponential server of
   paper Figure 2 with the exact second moment obtained from its Laplace
   transform (equation (2)).
+
+Theorem 4's exponential-aggregate wait needs no separate helper: it is
+read off the Theorem 6 queue solution in
+:func:`repro.model.results.solve_level`, the one place this server is
+built too.
 """
 
 from __future__ import annotations
@@ -15,16 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError, UnstableQueueError
-
-
-def mm1_wait(arrival_rate: float, service_rate: float) -> float:
-    """Expected M/M/1 queueing delay ``rho / ((1 - rho) mu)``."""
-    if service_rate <= 0:
-        raise ConfigurationError("service rate must be positive")
-    rho = arrival_rate / service_rate
-    if rho >= 1.0:
-        raise UnstableQueueError(f"M/M/1 utilization {rho:.4f} >= 1")
-    return rho / ((1.0 - rho) * service_rate)
 
 
 def pollaczek_khinchine_wait(arrival_rate: float, second_moment: float,

@@ -30,7 +30,6 @@ from typing import List, Optional, Sequence
 
 from repro.algorithms import names
 from repro.errors import ConfigurationError, UnstableQueueError
-from repro.model.mg1 import LockCouplingServer
 from repro.model.occupancy import OccupancyModel
 from repro.model.params import ModelConfig
 from repro.model.results import (
@@ -39,9 +38,12 @@ from repro.model.results import (
     SEARCH,
     AlgorithmPrediction,
     LevelSolution,
+    occupancy_for,
+    search_response,
+    solve_level,
     unstable_prediction,
+    w_descent_response,
 )
-from repro.model.rwqueue import RWQueueInput, solve_rw_queue
 
 ALGORITHM = names.OPTIMISTIC_DESCENT
 
@@ -62,8 +64,7 @@ def analyze_optimistic(config: ModelConfig, arrival_rate: float,
 
     mix, costs, shape = config.mix, config.costs, config.shape
     h = shape.height
-    occ = occupancy if occupancy is not None \
-        else OccupancyModel.corollary1(mix, config.order, h)
+    occ = occupancy_for(config, occupancy)
     extras = list(internal_hold_extra) if internal_hold_extra is not None \
         else [0.0] * h
     if len(extras) != h:
@@ -80,98 +81,58 @@ def analyze_optimistic(config: ModelConfig, arrival_rate: float,
     redo_fraction = (mix.q_insert * occ.full(1)
                      + mix.q_delete * occ.empty(1))
 
-    t_redo: List[float] = []     # W-lock hold of a redo op at each level
     levels: List[LevelSolution] = []
 
-    for level in range(1, h + 1):
-        i = level - 1
-        if level == 1:
-            t_x = modify + leaf_hold_extra
-            mu_r = 1.0 / se[0]
-            lam_r = mix.q_search * lam[0]
-            # First descents W-lock the leaf too; they hold it for the
-            # modify (plus any recovery retention), same as a redo.
-            lam_w = (mix.q_update + redo_fraction) * lam[0]
-            mu_w = 1.0 / t_x
-        else:
-            below = levels[i - 1]
-            t_x = (se[i] + below.W
-                   + occ.full(level - 1) * t_redo[i - 1]
-                   + sp[i - 1] * occ.split_propagation(level - 1)
-                   + extras[i])
-            # Readers: all first descents.  At level 2 the updaters hold
-            # their R lock while waiting for the leaf W lock.
-            if level == 2:
-                hold_r = (mix.q_search * (se[i] + below.R)
-                          + mix.q_update * (se[i] + below.W))
+    try:
+        for level in range(1, h + 1):
+            i = level - 1
+            coupled = None
+            if level == 1:
+                t_x = modify + leaf_hold_extra  # a redo's W-lock hold
+                hold_r = se[0]
+                lam_r = mix.q_search * lam[0]
+                # First descents W-lock the leaf too; they hold it for the
+                # modify (plus any recovery retention), same as a redo.
+                lam_w = (mix.q_update + redo_fraction) * lam[0]
             else:
-                hold_r = se[i] + below.R
-            mu_r = 1.0 / hold_r
-            lam_r = lam[i]
-            lam_w = redo_fraction * lam[i]
-            mu_w = 1.0 / t_x
-        t_redo.append(t_x)
+                below = levels[i - 1]
+                # Redo operations lock-couple, so Theorem 3's server
+                # applies.  All redos are effectively inserts (Pr[Em] ~= 0).
+                coupled = (se[i], occ.full(level - 1),
+                           t_x + sp[i - 1] * occ.split_propagation(level - 2),
+                           below)
+                t_x = (se[i] + below.W
+                       + occ.full(level - 1) * t_x
+                       + sp[i - 1] * occ.split_propagation(level - 1)
+                       + extras[i])
+                # Readers: all first descents.  At level 2 the updaters
+                # hold their R lock while waiting for the leaf W lock.
+                if level == 2:
+                    hold_r = (mix.q_search * (se[i] + below.R)
+                              + mix.q_update * (se[i] + below.W))
+                else:
+                    hold_r = se[i] + below.R
+                lam_r = lam[i]
+                lam_w = redo_fraction * lam[i]
+            levels.append(solve_level(level, lam_r, lam_w, 1.0 / hold_r,
+                                      1.0 / t_x, coupled))
+    except UnstableQueueError as exc:
+        return unstable_prediction(ALGORITHM, arrival_rate, exc.level)
 
-        try:
-            queue = solve_rw_queue(
-                RWQueueInput(lambda_r=lam_r, lambda_w=lam_w,
-                             mu_r=mu_r, mu_w=mu_w),
-                level=level,
-            )
-        except UnstableQueueError:
-            return unstable_prediction(ALGORITHM, arrival_rate, level)
-
-        drain = queue.mean_reader_drain
-        if level == 1 or lam_w == 0.0:
-            wait_r = (queue.rho_w / (1.0 - queue.rho_w)
-                      * (1.0 / mu_w + drain)) if lam_w > 0 else 0.0
-        else:
-            below = levels[i - 1]
-            # Redo operations lock-couple, so Theorem 3's server applies.
-            # All redos are effectively inserts (Pr[Em] ~= 0).
-            p_f = occ.full(level - 1)
-            inv_mu_o = (below.R / below.rho_w + below.r_u) \
-                if below.rho_w > 0.0 else 0.0
-            server = LockCouplingServer(
-                t_e=se[i] + drain,
-                p_f=p_f,
-                t_f=t_redo[i - 1] + sp[i - 1] * occ.split_propagation(level - 2),
-                rho_o=below.rho_w,
-                inv_mu_o=inv_mu_o,
-                r_e_child=below.r_e,
-            )
-            wait_r = server.wait(lam_w, queue.rho_w)
-        wait_w = wait_r + drain
-
-        levels.append(LevelSolution(
-            level=level, lambda_r=lam_r, lambda_w=lam_w,
-            mu_r=mu_r, mu_w=mu_w, rho_w=queue.rho_w,
-            r_u=queue.r_u, r_e=queue.r_e, R=wait_r, W=wait_w,
-        ))
-
-    responses = _responses(levels, se, sp, modify, occ, mix, h)
+    # First descent plus Pr[F(1)] (Pr[Em(1)]) times a redo descent, which
+    # is a Naive Lock-coupling insert (Theorem 5's Per(I)) evaluated with
+    # *this* system's lock waits.
+    first_descent = (modify + levels[0].W
+                     + sum(se[i] + levels[i].R for i in range(1, h)))
+    redo_insert = (w_descent_response(levels, se, modify)
+                   + sum(occ.split_propagation(j) * sp[j - 1]
+                         for j in range(1, h)))
+    responses = {
+        SEARCH: search_response(levels, se),
+        INSERT: first_descent + occ.full(1) * redo_insert,
+        DELETE: first_descent + occ.empty(1) * redo_insert,
+    }
     return AlgorithmPrediction(
         algorithm=ALGORITHM, arrival_rate=arrival_rate, stable=True,
         levels=levels, response_times=responses,
     )
-
-
-def _responses(levels: List[LevelSolution], se: List[float],
-               sp: List[float], modify: float, occ: OccupancyModel,
-               mix, h: int) -> dict:
-    """Response times: first descent plus Pr[F(1)] times a redo descent.
-
-    The redo descent is a Naive Lock-coupling insert (Theorem 5's Per(I))
-    evaluated with *this* system's lock waits.
-    """
-    per_search = sum(se[i] + levels[i].R for i in range(h))
-    first_descent = (modify + levels[0].W
-                     + sum(se[i] + levels[i].R for i in range(1, h)))
-    redo_insert = (modify
-                   + sum(se[i] for i in range(1, h))
-                   + sum(level.W for level in levels)
-                   + sum(occ.split_propagation(j) * sp[j - 1]
-                         for j in range(1, h)))
-    per_insert = first_descent + occ.full(1) * redo_insert
-    per_delete = first_descent + occ.empty(1) * redo_insert
-    return {SEARCH: per_search, INSERT: per_insert, DELETE: per_delete}

@@ -21,7 +21,7 @@ operation (the paper uses 100 time units as a conservative value).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.algorithms import names
@@ -29,7 +29,7 @@ from repro.errors import ConfigurationError
 from repro.model.occupancy import OccupancyModel
 from repro.model.optimistic import analyze_optimistic
 from repro.model.params import ModelConfig
-from repro.model.results import AlgorithmPrediction
+from repro.model.results import AlgorithmPrediction, occupancy_for
 
 #: The paper's conservative remaining-transaction-time estimate.
 PAPER_T_TRANS = 100.0
@@ -72,8 +72,7 @@ def analyze_optimistic_with_recovery(
     if t_trans < 0:
         raise ConfigurationError(f"t_trans must be >= 0, got {t_trans}")
     h = config.height
-    occ = occupancy if occupancy is not None \
-        else OccupancyModel.corollary1(config.mix, config.order, h)
+    occ = occupancy_for(config, occupancy)
     leaf_extra = t_trans if policy.retain_leaf else 0.0
     extras = [0.0] * h
     if policy.retain_internal:
@@ -84,11 +83,5 @@ def analyze_optimistic_with_recovery(
         leaf_hold_extra=leaf_extra, internal_hold_extra=extras,
     )
     # Re-label so comparison plots can tell the policies apart.
-    return AlgorithmPrediction(
-        algorithm=f"{names.OPTIMISTIC_DESCENT}+{policy.name}",
-        arrival_rate=prediction.arrival_rate,
-        stable=prediction.stable,
-        levels=prediction.levels,
-        response_times=prediction.response_times,
-        saturated_level=prediction.saturated_level,
-    )
+    return replace(prediction,
+                   algorithm=f"{names.OPTIMISTIC_DESCENT}+{policy.name}")

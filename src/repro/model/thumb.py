@@ -26,6 +26,7 @@ from typing import Optional
 from repro.errors import ConfigurationError
 from repro.model.occupancy import OccupancyModel
 from repro.model.params import ModelConfig
+from repro.model.results import occupancy_for
 
 
 def _common_inputs(config: ModelConfig,
@@ -33,8 +34,7 @@ def _common_inputs(config: ModelConfig,
     h = config.height
     if h < 2:
         raise ConfigurationError("rules of thumb need a tree of height >= 2")
-    occ = occupancy if occupancy is not None \
-        else OccupancyModel.corollary1(config.mix, config.order, h)
+    occ = occupancy_for(config, occupancy)
     se_root = config.costs.se(h, h)
     se_2 = config.costs.se(2, h)
     e_root = config.shape.root_fanout

@@ -38,9 +38,12 @@ from repro.model.results import (
     SEARCH,
     AlgorithmPrediction,
     LevelSolution,
+    occupancy_for,
+    search_response,
+    solve_level,
     unstable_prediction,
+    w_descent_response,
 )
-from repro.model.rwqueue import RWQueueInput, solve_rw_queue
 
 ALGORITHM = names.TWO_PHASE_LOCKING
 
@@ -54,8 +57,7 @@ def analyze_two_phase(config: ModelConfig, arrival_rate: float,
 
     mix, costs, shape = config.mix, config.costs, config.shape
     h = shape.height
-    occ = occupancy if occupancy is not None \
-        else OccupancyModel.corollary1(mix, config.order, h)
+    occ = occupancy_for(config, occupancy)
 
     se = [costs.se(level, h) for level in range(1, h + 1)]
     sp = [costs.sp(level, h) for level in range(1, h + 1)]
@@ -67,51 +69,27 @@ def analyze_two_phase(config: ModelConfig, arrival_rate: float,
     lam = [arrival_rate * shape.arrival_share(level)
            for level in range(1, h + 1)]
 
-    t_search: List[float] = []
-    t_update: List[float] = []
     levels: List[LevelSolution] = []
 
-    for level in range(1, h + 1):
-        i = level - 1
-        if level == 1:
-            t_s = se[0]
-            t_u = modify + split_work
-        else:
-            below = levels[i - 1]
-            t_s = se[i] + below.R + t_search[i - 1]
-            t_u = se[i] + below.W + t_update[i - 1]
-        t_search.append(t_s)
-        t_update.append(t_u)
+    try:
+        for level in range(1, h + 1):
+            i = level - 1
+            if level == 1:
+                t_s = se[0]
+                t_u = modify + split_work
+            else:
+                below = levels[i - 1]
+                t_s = se[i] + below.R + t_s
+                t_u = se[i] + below.W + t_u
+            levels.append(solve_level(level, mix.q_search * lam[i],
+                                      mix.q_update * lam[i],
+                                      1.0 / t_s, 1.0 / t_u))
+    except UnstableQueueError as exc:
+        return unstable_prediction(ALGORITHM, arrival_rate, exc.level)
 
-        mu_r = 1.0 / t_s
-        mu_w = 1.0 / t_u
-        lam_r = mix.q_search * lam[i]
-        lam_w = mix.q_update * lam[i]
-        try:
-            queue = solve_rw_queue(
-                RWQueueInput(lambda_r=lam_r, lambda_w=lam_w,
-                             mu_r=mu_r, mu_w=mu_w),
-                level=level,
-            )
-        except UnstableQueueError:
-            return unstable_prediction(ALGORITHM, arrival_rate, level)
-
-        drain = queue.mean_reader_drain
-        wait_r = (queue.rho_w / (1.0 - queue.rho_w)
-                  * (1.0 / mu_w + drain)) if lam_w > 0 else 0.0
-        wait_w = wait_r + drain
-        levels.append(LevelSolution(
-            level=level, lambda_r=lam_r, lambda_w=lam_w,
-            mu_r=mu_r, mu_w=mu_w, rho_w=queue.rho_w,
-            r_u=queue.r_u, r_e=queue.r_e, R=wait_r, W=wait_w,
-        ))
-
-    per_search = sum(se[i] + levels[i].R for i in range(h))
-    per_update_base = (modify
-                       + sum(se[i] for i in range(1, h))
-                       + sum(level.W for level in levels))
+    per_update_base = w_descent_response(levels, se, modify)
     responses = {
-        SEARCH: per_search,
+        SEARCH: search_response(levels, se),
         INSERT: per_update_base + split_work,
         DELETE: per_update_base,
     }

@@ -116,4 +116,5 @@ def run_closed_simulation(config: SimulationConfig,
             seed=config.seed, overflowed=False,
             tree_size=len(tree), tree_height=tree.height,
         )
+    sim.discard_pending()
     return result

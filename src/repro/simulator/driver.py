@@ -314,6 +314,7 @@ def run_simulation(config: SimulationConfig,
         )
     if telemetry is not None:
         telemetry.finalize(result, sim)
+    sim.discard_pending()
     return result
 
 

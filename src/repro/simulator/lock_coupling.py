@@ -68,28 +68,38 @@ def _write_descent(ctx: OperationContext, key: int, for_insert: bool,
     Section 7)."""
     while True:
         node = yield from acquire_valid_root(ctx, WRITE)
-        locked: List[Node] = [node]
-        restart = False
-        while not node.is_leaf:
-            yield ctx.sampler.search(node.level)
-            child = node.child_for(key)
-            yield child.lock.acquire_write
-            if child.dead:  # pragma: no cover - coupling pins children
-                yield from release_all(locked)
-                yield child.lock.release_cmd
-                ctx.metrics.restarts += 1
-                restart = True
-                break
-            safe = (ctx.tree.is_insert_safe(child) if for_insert
-                    else ctx.tree.is_delete_safe(child))
-            if safe and release_early:
-                yield from release_all(locked)
-                locked = [child]
-            else:
-                locked.append(child)
-            node = child
-        if not restart:
+        locked = yield from _write_couple(ctx, node, key, for_insert,
+                                          release_early)
+        if locked is not None:
             return locked
+        ctx.metrics.restarts += 1  # pragma: no cover - coupling pins children
+
+
+def _write_couple(ctx: OperationContext, node: Node, key: int,
+                  for_insert: bool, release_early: bool = True) -> Generator:
+    """W-lock-couple from the already W-locked ``node`` down to the leaf.
+
+    Returns the still-locked path as :func:`_write_descent` does, or
+    ``None`` after releasing everything when a child it locked turned
+    out to be freed (the caller restarts)."""
+    locked: List[Node] = [node]
+    while not node.is_leaf:
+        yield ctx.sampler.search(node.level)
+        child = node.child_for(key)
+        yield child.lock.acquire_write
+        if child.dead:  # pragma: no cover - coupling pins children
+            yield from release_all(locked)
+            yield child.lock.release_cmd
+            return None
+        safe = (ctx.tree.is_insert_safe(child) if for_insert
+                else ctx.tree.is_delete_safe(child))
+        if safe and release_early:
+            yield from release_all(locked)
+            locked = [child]
+        else:
+            locked.append(child)
+        node = child
+    return locked
 
 
 def _apply_insert(ctx: OperationContext, key: int,

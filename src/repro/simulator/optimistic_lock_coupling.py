@@ -18,9 +18,8 @@ site names it.
 
 from __future__ import annotations
 
-from typing import Generator, List
+from typing import Generator
 
-from repro.btree.node import Node
 from repro.simulator import lock_coupling as naive
 from repro.simulator.operations import (
     OP_DELETE,
@@ -95,34 +94,10 @@ def _hybrid_descent(ctx: OperationContext, key: int,
             ctx.metrics.redo_descents += 1
             locked = yield from naive._write_descent(ctx, key, for_insert)
             return locked
-        locked = yield from _write_subdescent(ctx, top, key, for_insert)
+        # ``top`` absorbs any restructure, so the path never climbs above it.
+        locked = yield from naive._write_couple(ctx, top, key, for_insert)
         if locked is None:  # pragma: no cover - coupling pins children
             ctx.metrics.restarts += 1
             continue
         return locked
 
-
-def _write_subdescent(ctx: OperationContext, top: Node, key: int,
-                      for_insert: bool) -> Generator:
-    """Naive W-lock-coupling from an already W-locked *safe* node down
-    to the leaf; since ``top`` absorbs any restructure, the returned
-    path never needs to climb above it."""
-    locked: List[Node] = [top]
-    node = top
-    while not node.is_leaf:
-        yield ctx.sampler.search(node.level)
-        child = node.child_for(key)
-        yield child.lock.acquire_write
-        if child.dead:  # pragma: no cover - coupling pins children
-            yield from release_all(locked)
-            yield child.lock.release_cmd
-            return None
-        safe = (ctx.tree.is_insert_safe(child) if for_insert
-                else ctx.tree.is_delete_safe(child))
-        if safe:
-            yield from release_all(locked)
-            locked = [child]
-        else:
-            locked.append(child)
-        node = child
-    return locked

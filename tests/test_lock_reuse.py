@@ -6,8 +6,11 @@ retires them before it grows another tree.  A lock allocates its wait queue on i
 this may leak state from one run into the next.
 """
 
+import gc
 import random
+import weakref
 from collections import deque
+from dataclasses import replace
 
 import pytest
 
@@ -15,6 +18,7 @@ import repro.btree.builder as builder
 from repro.btree.builder import build_tree
 from repro.des import READ, WRITE, RWLock, Simulator
 from repro.simulator import SimulationConfig, driver, run_simulation
+from repro.simulator.closed import run_closed_simulation
 
 
 @pytest.fixture(autouse=True)
@@ -159,11 +163,29 @@ def test_run_on_another_tree_retires_the_pool():
     run_simulation(_config(seed=22))  # another build seed, another tree
     assert all(lock.acquire_read is None and lock.release_cmd is None
                for lock in old)
-    # Dropped too, so they are freed even while the old template waits
-    # for the cyclic garbage collector.
     assert old_template.spare_locks == []
     assert not {id(lock) for lock in old} & {
         id(lock) for lock in _spare_locks()}
+
+
+@pytest.mark.parametrize("stopped_run", [
+    lambda config: run_simulation(config),
+    lambda config: run_simulation(replace(config, **OVERFLOWING)),
+    lambda config: run_closed_simulation(config, 4),
+], ids=["open", "open-overflowing", "closed"])
+def test_stopped_run_leaves_no_cycle_to_its_template(stopped_run):
+    """A run stops with processes still suspended on its simulator's
+    heap; the drivers drop them, so the old template is freed as soon as
+    the memo lets it go, without the cyclic garbage collector."""
+    gc.collect()
+    gc.disable()
+    try:
+        stopped_run(_config())
+        template = weakref.ref(builder._last[1])
+        run_simulation(_config(seed=22))  # another tree replaces it
+        assert template() is None
+    finally:
+        gc.enable()
 
 
 def test_only_contended_locks_allocate_a_queue(lock_events):

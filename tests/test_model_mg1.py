@@ -1,39 +1,21 @@
-"""Unit tests for the M/M/1 / M/G/1 machinery and the Theorem 3 server."""
+"""Unit tests for the M/G/1 machinery and the Theorem 3 server."""
 
 import random
 
 import pytest
 
 from repro.errors import ConfigurationError, UnstableQueueError
-from repro.model.mg1 import (
-    LockCouplingServer,
-    mm1_wait,
-    pollaczek_khinchine_wait,
-)
-
-
-class TestMM1:
-    def test_closed_form(self):
-        # rho = 0.5, mu = 1 -> W = 1
-        assert mm1_wait(0.5, 1.0) == pytest.approx(1.0)
-        # rho = 0.8, mu = 2 -> 0.8 / (0.2 * 2) = 2
-        assert mm1_wait(1.6, 2.0) == pytest.approx(2.0)
-
-    def test_saturation(self):
-        with pytest.raises(UnstableQueueError):
-            mm1_wait(1.0, 1.0)
-
-    def test_bad_service_rate(self):
-        with pytest.raises(ConfigurationError):
-            mm1_wait(0.5, 0.0)
+from repro.model.mg1 import LockCouplingServer, pollaczek_khinchine_wait
 
 
 class TestPollaczekKhinchine:
-    def test_reduces_to_mm1_for_exponential_service(self):
-        lam, mu = 0.5, 1.0
-        # An exponential service time with mean m has E[X^2] = 2 m^2.
-        wait = pollaczek_khinchine_wait(lam, 2.0 / mu**2, lam / mu)
-        assert wait == pytest.approx(mm1_wait(lam, mu))
+    @pytest.mark.parametrize("lam, mu", [(0.5, 1.0), (1.6, 2.0)])
+    def test_reduces_to_mm1_for_exponential_service(self, lam, mu):
+        # An exponential service time with mean m has E[X^2] = 2 m^2, and
+        # the M/M/1 delay is rho / ((1 - rho) mu).
+        rho = lam / mu
+        wait = pollaczek_khinchine_wait(lam, 2.0 / mu**2, rho)
+        assert wait == pytest.approx(rho / ((1.0 - rho) * mu))
 
     def test_deterministic_service_halves_the_wait(self):
         lam, mean = 0.5, 1.0
