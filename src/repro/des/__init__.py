@@ -8,13 +8,14 @@ concurrent B-tree simulator of Johnson & Shasha (PODS 1990, Section 4):
   process scheduler.
 * :class:`~repro.des.process.Process` — processes are plain Python
   generators that yield commands to the engine: a ``float`` hold, or a
-  lock's interned :class:`~repro.des.process.Acquire` /
-  :class:`~repro.des.process.Release`.
+  lock's interned :class:`~repro.des.process.Acquire`.  They release a
+  lock by calling ``lock.release(sim)``.
 * :class:`~repro.des.rwlock.RWLock` — a first-come-first-served
   reader/writer lock queue: R locks are shared, W locks are exclusive and
   grants never overtake earlier requests (paper Section 3.2, "Lock types").
-* :mod:`~repro.des.stats` — the Welford accumulator and reservoir sample
-  behind response-time means, confidence intervals and percentiles.
+* :mod:`~repro.des.stats` — the running means behind response-time and
+  lock-wait means, the Welford accumulator with confidence intervals,
+  and the reservoir sample behind percentiles.
 
 The kernel is pure Python (no numpy): one scalar engine runs every
 simulation in the repository.  Service times are drawn inline with
@@ -23,17 +24,17 @@ simulation in the repository.  Service times are drawn inline with
 """
 
 from repro.des.engine import Simulator
-from repro.des.process import Acquire, Process, READ, Release, WRITE
+from repro.des.process import Acquire, Process, READ, WRITE
 from repro.des.rwlock import RWLock
-from repro.des.stats import ReservoirSample, RunningStats
+from repro.des.stats import ReservoirSample, RunningMean, RunningStats
 
 __all__ = [
     "Acquire",
     "Process",
     "READ",
     "RWLock",
-    "Release",
     "ReservoirSample",
+    "RunningMean",
     "RunningStats",
     "Simulator",
     "WRITE",

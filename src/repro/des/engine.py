@@ -10,11 +10,13 @@ because it is unique, heap comparisons never reach the payload fields.
 
 Processes (see :mod:`repro.des.process`) communicate with the kernel by
 yielding commands: a ``float`` hold, or a lock's interned
-:class:`~repro.des.process.Acquire` / :class:`~repro.des.process.Release`,
-which :meth:`Simulator.run` tells apart by class.  The kernel steps a
-process as far as it can without time passing — e.g. a lock acquired
-without contention is granted immediately within the same step — which
-keeps the event heap small and the simulator fast.
+:class:`~repro.des.process.Acquire`, which :meth:`Simulator.run` tells
+apart by class.  A release is not a command but a plain call,
+``lock.release(sim)``, made while the kernel steps the releasing
+process (:attr:`Simulator.current`).  The kernel steps a process as far
+as it can without time passing — e.g. a lock acquired without
+contention is granted immediately within the same step — which keeps
+the event heap small and the simulator fast.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable, List, Optional, Tuple
 
-from repro.des.process import Acquire, Process, Release
+from repro.des.process import Acquire, Process
 from repro.errors import ProcessError, SimulationError
 
 #: One scheduled event: resume ``process`` with ``send_value`` at ``time``.
@@ -39,14 +41,17 @@ class Simulator:
         def customer(lock):
             wait = yield lock.acquire_write
             yield 1.0                      # hold for one time unit
-            yield lock.release_cmd
+            lock.release(sim)
 
         sim.spawn(customer(lock))
         sim.run()
     """
 
     def __init__(self) -> None:
-        self._now: float = 0.0
+        #: Current simulation time.
+        self.now: float = 0.0
+        #: The process :meth:`run` is stepping; None outside a step.
+        self.current: Optional[Process] = None
         self._heap: List[Event] = []
         self._sequence: int = 0
         self._active: int = 0
@@ -56,11 +61,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Clock and bookkeeping
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulation time."""
-        return self._now
-
     @property
     def active_processes(self) -> int:
         """Number of spawned processes that have not yet finished."""
@@ -93,15 +93,15 @@ class Simulator:
         Returns the :class:`Process` handle.  ``on_done`` is invoked with
         the process when its generator finishes.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        if not delay >= 0:
+            _reject_delay(delay)
         process = Process(generator, name=name)
         process.on_done = on_done
         self._active += 1
         self._total_spawned += 1
         self._sequence += 1
         heapq.heappush(self._heap,
-                       (self._now + delay, self._sequence, process, None))
+                       (self.now + delay, self._sequence, process, None))
         return process
 
     def resume(self, process: Process, value=None, delay: float = 0.0) -> None:
@@ -109,11 +109,11 @@ class Simulator:
 
         Used by synchronisation objects (locks) to wake waiters.
         """
-        if delay < 0:
-            raise SimulationError(f"cannot schedule in the past (delay={delay})")
+        if not delay >= 0:
+            _reject_delay(delay)
         self._sequence += 1
         heapq.heappush(self._heap,
-                       (self._now + delay, self._sequence, process, value))
+                       (self.now + delay, self._sequence, process, value))
 
     # ------------------------------------------------------------------
     # Execution
@@ -126,11 +126,11 @@ class Simulator:
         ``until`` and advance the clock to exactly ``until``; an
         ``until`` before :attr:`now` is an error.  :meth:`stop` ends the
         run after the current event.  Returns the simulation time at
-        which the run stopped.
+        which the run stopped, with :attr:`current` back to None.
         """
-        if until is not None and until < self._now:
+        if until is not None and until < self.now:
             raise SimulationError(
-                f"cannot run until {until}, before now={self._now}")
+                f"cannot run until {until}, before now={self.now}")
         self._stopped = False
         # One loop for events and process steps: this body executes once
         # per event, so calls and attribute/global lookups are hoisted
@@ -141,13 +141,14 @@ class Simulator:
         heappop = heapq.heappop
         heappush = heapq.heappush
         acquire = Acquire
-        release = Release
         while heap:
             if until is not None and heap[0][0] > until:
-                self._now = until
+                self.now = until
+                self.current = None
                 return until
             now, _, process, send_value = heappop(heap)
-            self._now = now
+            self.now = now
+            self.current = process
             if process.done:
                 raise ProcessError(f"{process!r} resumed after completion")
             send = process.generator.send
@@ -170,23 +171,22 @@ class Simulator:
                         send_value = None
                         continue
                     raise ProcessError(
-                        f"{process!r} held for negative time {command!r}")
+                        f"{process!r} held for NaN time" if command != command
+                        else f"{process!r} held for negative time {command!r}")
                 if cls is acquire:
                     if command.lock.request(self, process, command.mode):
                         send_value = 0.0
                         continue
                     break  # the lock will resume us with the wait time
-                if cls is release:
-                    command.lock.release(self, process)
-                    send_value = None
-                    continue
                 raise ProcessError(
                     f"{process!r} yielded unsupported command {command!r}")
             if self._stopped:
+                self.current = None
                 return now
+        self.current = None
         if until is not None:
-            self._now = until
-        return self._now
+            self.now = until
+        return self.now
 
     def stop(self) -> None:
         """Request that :meth:`run` return after the current event."""
@@ -203,3 +203,12 @@ class Simulator:
         """
         self._sequence -= len(self._heap)
         self._heap.clear()
+        self.current = None
+
+
+def _reject_delay(delay: float) -> None:
+    """Refuse a negative or NaN scheduling delay (``not delay >= 0``
+    catches both): a NaN time on the heap compares false against
+    everything and would silently break the event order."""
+    raise SimulationError(
+        f"cannot schedule in the past or at NaN (delay={delay})")

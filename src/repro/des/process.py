@@ -1,7 +1,7 @@
 """Process abstraction and the commands a process may yield.
 
 A simulation *process* is a plain Python generator.  It advances the model
-by yielding one of three commands to the engine:
+by yielding one of two commands to the engine:
 
 * ``yield duration`` — a non-negative ``float``: let simulated time pass
   (the process is doing timed work, e.g. searching a node or waiting for
@@ -11,16 +11,18 @@ by yielding one of three commands to the engine:
   ``lock`` in ``READ`` or ``WRITE`` mode; the process is resumed when the
   lock is granted.  The value sent back into the generator is the time
   spent waiting in the lock queue.
-* ``yield lock.release_cmd`` — release ``lock`` (held by the yielding
-  process).  Releasing never blocks; the engine performs it synchronously
-  and immediately resumes the process, waking any queued waiters that
-  become grantable at the current simulation time.
 
-:class:`Acquire` and :class:`Release` are the classes of those lock
-commands.  Each :class:`~repro.des.rwlock.RWLock` interns one instance
-per command, the engine dispatches on the command's class, and the
-operation generators yield the cached instances — the steady-state
-command stream allocates nothing.
+Releasing is not a command: it never blocks, so a process calls
+``lock.release(sim)`` directly.  The lock releases it for
+:attr:`Simulator.current <repro.des.engine.Simulator.current>`, the
+process the engine is stepping, and wakes any queued waiters that
+become grantable at the current simulation time.
+
+:class:`Acquire` is the class of the lock commands.  Each
+:class:`~repro.des.rwlock.RWLock` interns one instance per mode, the
+engine dispatches on the command's class, and the operation generators
+yield the cached instances — the steady-state command stream allocates
+nothing.
 """
 
 from __future__ import annotations
@@ -39,18 +41,6 @@ READ = "R"
 WRITE = "W"
 
 _process_ids = itertools.count(1)
-
-
-class Release:
-    """Command: release ``lock`` (held by the yielding process)."""
-
-    __slots__ = ("lock",)
-
-    def __init__(self, lock: "RWLock") -> None:
-        self.lock = lock
-
-    def __repr__(self) -> str:
-        return f"Release(lock={self.lock!r})"
 
 
 class Acquire:

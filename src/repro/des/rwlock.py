@@ -10,10 +10,12 @@ Johnson's SIGMETRICS '90 paper):
   an earlier one, so a compatible reader still waits behind a queued
   writer.
 
-The lock keeps no statistics of its own.  Grant waits go to its
-``observer``; live per-level counts go to its ``telemetry`` slot; and
-the root lock's ``on_change`` slot books the root samples behind the
-writer utilization :math:`\\rho_w` of paper Figure 10
+The lock keeps no statistics of its own.  Each grant's wait goes into
+the :class:`~repro.des.stats.RunningMean` in its ``read_waits`` or
+``write_waits`` slot, updated inline (the simulator puts one pair per
+tree level there); live per-level counts go to its ``telemetry`` slot;
+and the root lock's ``on_change`` slot books the root samples behind
+the writer utilization :math:`\\rho_w` of paper Figure 10
 (:meth:`~repro.simulator.metrics.MetricsCollector.book_root_samples`).
 A maintained queued-writer counter makes the writer-present check
 O(1): it never scans the wait queue.  Each slot costs a lock event one
@@ -24,10 +26,11 @@ for it.  The wait queue itself is allocated on the first contended
 request: most locks never queue.
 
 Each lock also interns one :class:`~repro.des.process.Acquire` per mode
-and one :class:`~repro.des.process.Release` (:attr:`acquire_read` /
-:attr:`acquire_write` / :attr:`release_cmd`); operation generators yield
-those cached instances so the steady-state command stream allocates
-nothing (see ``docs/performance.md``, "Kernel hot path").
+(:attr:`acquire_read` / :attr:`acquire_write`); operation generators
+yield those cached instances so the steady-state command stream
+allocates nothing.  Releasing is a plain call, :meth:`RWLock.release`,
+for the process the engine is stepping (see ``docs/performance.md``,
+"Kernel hot path").
 """
 
 from __future__ import annotations
@@ -42,8 +45,8 @@ from repro.des.process import (
     Acquire,
     LockRequest,
     Process,
-    Release,
 )
+from repro.des.stats import RunningMean
 from repro.errors import LockProtocolError
 
 
@@ -54,10 +57,12 @@ class RWLock:
     ----------
     name:
         Label used in error messages (the simulator uses node ids).
-    observer:
-        Optional object with an ``on_wait(mode, wait)`` method, called on
-        every grant with the request's queueing delay.  The concurrent
-        B-tree simulator installs a per-level metrics collector here.
+
+    The :attr:`read_waits` / :attr:`write_waits` slots (normally None)
+    may hold a :class:`~repro.des.stats.RunningMean`; every R / W grant
+    adds its queueing delay to it, 0.0 for an uncontended grant.  The
+    concurrent B-tree simulator shares one pair among the locks of a
+    tree level.
 
     The :attr:`telemetry` slot (normally None) may hold any object with
     integer ``held_read`` / ``held_write`` / ``queued`` /
@@ -77,21 +82,21 @@ class RWLock:
     """
 
     __slots__ = (
-        "name", "observer", "telemetry", "on_change", "acquire_read",
-        "acquire_write", "release_cmd", "_readers", "_writer", "_queue",
+        "name", "read_waits", "write_waits", "telemetry", "on_change",
+        "acquire_read", "acquire_write", "_readers", "_writer", "_queue",
         "_queued_writers",
     )
 
-    def __init__(self, name: str = "", observer=None) -> None:
+    def __init__(self, name: str = "") -> None:
         self.name = name
-        self.observer = observer
+        self.read_waits: Optional[RunningMean] = None
+        self.write_waits: Optional[RunningMean] = None
         self.telemetry = None
         self.on_change: Optional[Callable[[float], None]] = None
-        #: Interned commands — yield these instead of allocating
-        #: ``Acquire``/``Release`` objects per lock round trip.
+        #: Interned commands — yield these instead of allocating an
+        #: ``Acquire`` per lock round trip.
         self.acquire_read = Acquire(self, READ)
         self.acquire_write = Acquire(self, WRITE)
-        self.release_cmd = Release(self)
         self._readers: Set[Process] = set()
         self._writer: Optional[Process] = None
         #: The wait queue: the empty tuple until the first contended
@@ -140,7 +145,10 @@ class RWLock:
         Returns True and grants immediately when the lock is free for
         ``mode`` and nobody is queued ahead; otherwise enqueues the request
         and returns False.  Queued processes are resumed by ``release``
-        with their queueing delay as the sent value.
+        with their queueing delay as the sent value.  Every grant adds
+        its wait to the mode's accumulator slot: ``mean += (wait - mean)
+        / n``, :meth:`RunningMean.add <repro.des.stats.RunningMean.add>`
+        inlined.
         """
         readers = self._readers
         if self._writer is process or process in readers:
@@ -158,6 +166,7 @@ class RWLock:
                 if tel is not None:
                     tel.held_read += 1
                     tel.grants_read += 1
+                waits = self.read_waits
             else:
                 if self.on_change is not None:
                     self.on_change(sim.now)
@@ -165,8 +174,10 @@ class RWLock:
                 if tel is not None:
                     tel.held_write += 1
                     tel.grants_write += 1
-            if self.observer is not None:
-                self.observer.on_wait(mode, 0.0)
+                waits = self.write_waits
+            if waits is not None:
+                waits.n = n = waits.n + 1
+                waits.running += (0.0 - waits.running) / n
             return True
         if self.on_change is not None:
             self.on_change(sim.now)
@@ -180,10 +191,22 @@ class RWLock:
             tel.queued += 1
         return False
 
-    def release(self, sim: Simulator, process: Process) -> None:
-        """Release ``process``'s hold and hand the lock to queued waiters."""
+    def release(self, sim: Simulator) -> None:
+        """Release the hold of the process ``sim`` is stepping
+        (:attr:`Simulator.current <repro.des.engine.Simulator.current>`)
+        and hand the lock to queued waiters.
+
+        A release never blocks, so it is a plain call from the process
+        body rather than a command.  Raises :class:`LockProtocolError`
+        if that process does not hold the lock, or if no process is
+        being stepped.
+        """
+        process = sim.current
         tel = self.telemetry
         if self._writer is process:
+            if process is None:
+                raise LockProtocolError(
+                    f"lock {self.name!r} released outside a process step")
             if self.on_change is not None:
                 self.on_change(sim.now)
             self._writer = None
@@ -193,6 +216,9 @@ class RWLock:
             self._readers.remove(process)
             if tel is not None:
                 tel.held_read -= 1
+        elif process is None:
+            raise LockProtocolError(
+                f"lock {self.name!r} released outside a process step")
         else:
             raise LockProtocolError(
                 f"{process.name} released lock {self.name!r} without holding it"
@@ -220,7 +246,6 @@ class RWLock:
         """Grant the longest compatible prefix of the wait queue."""
         queue = self._queue
         tel = self.telemetry
-        observer = self.observer
         now = sim.now
         if self.on_change is not None:
             self.on_change(now)
@@ -236,8 +261,10 @@ class RWLock:
                 tel.queued -= 1
             self._admit(head.process, mode)
             wait = now - head.requested_at
-            if observer is not None:
-                observer.on_wait(mode, wait)
+            waits = self.read_waits if mode == READ else self.write_waits
+            if waits is not None:
+                waits.n = n = waits.n + 1
+                waits.running += (wait - waits.running) / n
             sim.resume(head.process, wait)
             if mode == WRITE:
                 # An exclusive grant blocks everything behind it.
@@ -247,15 +274,16 @@ class RWLock:
         """Return the lock to the idle, unbound state of a new lock.
 
         Clears the holders and the wait queue (dropping the deque), and
-        empties the observer, telemetry and ``on_change`` slots, so a
-        run that ended with the lock held or queued can hand it to the
-        next run.
+        empties the wait accumulator, telemetry and ``on_change`` slots,
+        so a run that ended with the lock held or queued can hand it to
+        the next run.
         """
         self._readers.clear()
         self._writer = None
         self._queue = ()
         self._queued_writers = 0
-        self.observer = self.telemetry = self.on_change = None
+        self.read_waits = self.write_waits = None
+        self.telemetry = self.on_change = None
 
     def retire(self) -> None:
         """Drop the interned commands once the lock is no longer used.
@@ -264,7 +292,7 @@ class RWLock:
         garbage collector can free it; a retired lock is freed as soon
         as its last reference goes.
         """
-        self.acquire_read = self.acquire_write = self.release_cmd = None
+        self.acquire_read = self.acquire_write = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

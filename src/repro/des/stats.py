@@ -1,8 +1,11 @@
 """Statistics collectors used by the simulator.
 
+* :class:`RunningMean` — ``n`` and the Welford running mean, nothing
+  else: the simulator's per-operation response times and per-level lock
+  waits, updated once per event.
 * :class:`RunningStats` — numerically stable (Welford) accumulator for
   mean / variance / min / max plus a normal-approximation confidence
-  interval; used for response times and lock waits.
+  interval.
 * :class:`ReservoirSample` — a fixed-size uniform sample of a stream,
   from which response-time percentiles are estimated.
 """
@@ -11,6 +14,53 @@ from __future__ import annotations
 
 import math
 from typing import Iterable
+
+
+class RunningMean:
+    """``n`` and the running mean of a stream, and nothing more.
+
+    The mean takes the float operations :class:`RunningStats` performs
+    on its mean, in the same order: :meth:`add` is ``mean += (x - mean)
+    / n`` and :meth:`merge` is :meth:`RunningStats.merge`'s mean update,
+    so both accumulators report bit-identical means of the same stream.
+    :class:`~repro.des.rwlock.RWLock` performs :meth:`add` inline on
+    :attr:`n` and :attr:`running` at every grant.
+    """
+
+    __slots__ = ("n", "running")
+
+    def __init__(self) -> None:
+        self.n: int = 0
+        #: The running mean; 0.0 while :attr:`n` is 0.
+        self.running: float = 0.0
+
+    def add(self, x: float) -> None:
+        self.n = n = self.n + 1
+        self.running += (x - self.running) / n
+
+    def merge(self, other: "RunningMean") -> None:
+        """Fold another accumulator into this one."""
+        if other.n == 0:
+            return
+        if self.n == 0:
+            self.n = other.n
+            self.running = other.running
+            return
+        n = self.n + other.n
+        self.running += (other.running - self.running) * other.n / n
+        self.n = n
+
+    def reset(self) -> None:
+        """Forget every observation."""
+        self.n = 0
+        self.running = 0.0
+
+    @property
+    def mean(self) -> float:
+        return self.running if self.n else math.nan
+
+    def __repr__(self) -> str:
+        return f"RunningMean(n={self.n}, mean={self.mean:.6g})"
 
 
 class RunningStats:
@@ -116,11 +166,17 @@ class ReservoirSample:
         self._rng = random.Random(seed)
 
     def add(self, x: float) -> None:
-        self._seen += 1
+        self._seen = seen = self._seen + 1
         if len(self._items) < self.capacity:
             self._items.append(x)
             return
-        j = self._rng.randrange(self._seen)
+        # ``self._rng.randrange(seen)``, inlined: its getrandbits
+        # rejection loop draws the same numbers without the call.
+        getrandbits = self._rng.getrandbits
+        bits = seen.bit_length()
+        j = getrandbits(bits)
+        while j >= seen:
+            j = getrandbits(bits)
         if j < self.capacity:
             self._items[j] = x
 

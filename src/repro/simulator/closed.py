@@ -93,18 +93,15 @@ def run_closed_simulation(config: SimulationConfig,
                 yield from getattr(module, op_name)(ctx, key)
                 completions[0] += 1
                 if completions[0] == warmup and not metrics.measuring:
-                    metrics.book_root_samples(sim.now)
-                    metrics.measuring = True
-                    metrics.measure_start_time = sim.now
+                    metrics.open_window(sim.now)
 
         if warmup == 0:
-            metrics.measuring = True
-            metrics.measure_start_time = 0.0
+            metrics.open_window(0.0)
 
         for index in range(multiprogramming_level):
             sim.spawn(terminal(), name=f"terminal-{index}",
                       delay=index * 1e-6)  # stagger identical start times
-        metrics.note_population(multiprogramming_level)
+        metrics.peak_population = multiprogramming_level
 
         sim.run()
         metrics.book_root_samples(sim.now)

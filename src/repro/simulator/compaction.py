@@ -115,8 +115,8 @@ def _reclaim(ctx: OperationContext, leaf: LeafNode) -> Generator:
     yield leaf.lock.acquire_write
     yield ctx.sampler.merge(1)
     removed = ctx.tree.splice_out_empty_leaf(leaf, parent, left)
-    yield leaf.lock.release_cmd
+    leaf.lock.release(ctx.sim)
     if left is not None:
-        yield left.lock.release_cmd
-    yield parent.lock.release_cmd
+        left.lock.release(ctx.sim)
+    parent.lock.release(ctx.sim)
     return removed

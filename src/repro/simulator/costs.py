@@ -15,8 +15,8 @@ Draws are ``-log(1 - u) / rate`` with ``u = rng.random()``: what
 from __future__ import annotations
 
 import random
-from math import log
-from typing import Dict
+from math import log, nan
+from typing import Dict, Tuple
 
 from repro.btree.tree import BPlusTree
 from repro.model.params import CostModel
@@ -30,9 +30,10 @@ class ServiceTimeSampler:
         self._costs = costs
         self._tree = tree
         self._random = rng.random
-        #: ``{height: {level: 1 / Se(level)}}``, filled on first use
+        #: ``{height: rates}``, filled on first use: ``rates[level]`` is
+        #: ``1 / Se(level)`` for levels 1..height, ``rates[0]`` unused
         #: (``Se`` is positive: ``CostModel`` validates its factors).
-        self._search_rates: Dict[int, Dict[int, float]] = {}
+        self._search_rates: Dict[int, Tuple[float, ...]] = {}
 
     def _exp(self, mean: float) -> float:
         if mean <= 0.0:
@@ -45,11 +46,22 @@ class ServiceTimeSampler:
         """Time to search a level-``level`` node."""
         try:
             rate = self._search_rates[self._tree.root.level][level]
-        except KeyError:
-            height = self._tree.height
-            rate = 1.0 / self._costs.se(level, height)
-            self._search_rates.setdefault(height, {})[level] = rate
+        except (KeyError, IndexError):
+            rate = self._search_rate(level)
         return -log(1.0 - self._random()) / rate
+
+    def _search_rate(self, level: int) -> float:
+        """``1 / Se(level)`` at the current height, caching the height's
+        rates on first use."""
+        height = self._tree.height
+        rates = self._search_rates.get(height)
+        if rates is None:
+            se = self._costs.se
+            rates = self._search_rates[height] = (nan,) + tuple(
+                1.0 / se(i, height) for i in range(1, height + 1))
+        if 1 <= level <= height:
+            return rates[level]
+        return 1.0 / self._costs.se(level, height)
 
     def modify(self, level: int = 1) -> float:
         """Time to modify a level-``level`` node (usually a leaf)."""

@@ -13,9 +13,10 @@
 3. releases concurrent operations in a Poisson stream, each performing a
    real search / insert / delete through the chosen algorithm's
    processes, with exponential service times;
-4. measures response times and lock waits after a warm-up, sampling the
-   root lock for the writer-presence probability rho_w (Figure 10) at
-   every time unit, booked in bulk whenever the root lock's state
+4. measures response times and lock waits after a warm-up (every node
+   lock adds its grant waits to its level's running means, which the
+   window's opening resets), sampling the root lock for the
+   writer-presence probability rho_w (Figure 10) at every time unit, booked in bulk whenever the root lock's state
    changes (:meth:`MetricsCollector.book_root_samples`);
 5. aborts — flagging the run as *overflowed* — if the in-flight operation
    population exceeds the allocation, the paper's saturation signal.
@@ -80,10 +81,11 @@ def run_context(config: SimulationConfig, build_seed: int,
     :class:`OperationContext` on the borrowed warm-up tree.
 
     Every tree level the build or the run allocates a node at gets one
-    gated lock-wait observer (:meth:`MetricsCollector.observer_for_level`),
+    pair of lock-wait means (:meth:`MetricsCollector.waits_for_level`),
     registered when the node is allocated (or replayed from the build),
     so ``mean_lock_waits`` has a key for each such level even if no lock
-    there is ever used.  ``telemetry`` counts those nodes per level the
+    there is ever used; each node lock adds its grant waits to its
+    level's pair.  ``telemetry`` counts those nodes per level the
     same way.  A node's lock is created on the first read of
     ``node.lock``, named ``n{node_id}``: taken from the tree's
     ``spare_locks`` when one is left there, else built; an idle lock
@@ -98,10 +100,10 @@ def run_context(config: SimulationConfig, build_seed: int,
     The collector stops the run's simulator on the event that records
     the ``config.n_operations``-th measured operation.
     """
-    observer_for_level = metrics.observer_for_level
+    waits_for_level = metrics.waits_for_level
 
     def note_node(node: Node) -> None:
-        observer_for_level(node.level)
+        waits_for_level(node.level)
         if telemetry is not None:
             telemetry.count_node(node.level)
 
@@ -110,13 +112,12 @@ def run_context(config: SimulationConfig, build_seed: int,
 
     def make_lock(node: Node) -> RWLock:
         name = f"n{node.node_id}"
-        observer = observer_for_level(node.level)
         if spare_locks:
             lock = spare_locks.pop()
             lock.name = name
-            lock.observer = observer
         else:
-            lock = RWLock(name=name, observer=observer)
+            lock = RWLock(name=name)
+        lock.read_waits, lock.write_waits = waits_for_level(node.level)
         if telemetry is not None:
             telemetry.watch(lock, node.level)
         locked.append(node)
@@ -210,13 +211,10 @@ def run_simulation(config: SimulationConfig,
             state.population -= 1
             state.completions += 1
             if state.completions == warmup and not metrics.measuring:
-                metrics.book_root_samples(sim.now)
-                metrics.measuring = True
-                metrics.measure_start_time = sim.now
+                metrics.open_window(sim.now)
 
         if warmup == 0:
-            metrics.measuring = True
-            metrics.measure_start_time = 0.0
+            metrics.open_window(0.0)
 
         runtime = WorkloadRuntime(config, rng_keys)
         picker = runtime.picker
@@ -250,9 +248,10 @@ def run_simulation(config: SimulationConfig,
         def spawn_operation() -> None:
             op_name, key = draw_member(sim.now)
             factory = getattr(module, op_name)
-            state.population += 1
-            metrics.note_population(state.population)
-            if state.population > config.max_population:
+            state.population = population = state.population + 1
+            if population > metrics.peak_population:
+                metrics.peak_population = population
+            if population > config.max_population:
                 state.overflowed = True
                 sim.stop()
                 return
@@ -266,9 +265,10 @@ def run_simulation(config: SimulationConfig,
         def spawn_transaction() -> None:
             now = sim.now
             members = tuple(draw_member(now) for _ in range(txn_size))
-            state.population += 1
-            metrics.note_population(state.population)
-            if state.population > config.max_population:
+            state.population = population = state.population + 1
+            if population > metrics.peak_population:
+                metrics.peak_population = population
+            if population > config.max_population:
                 state.overflowed = True
                 sim.stop()
                 return

@@ -30,7 +30,7 @@ def search(ctx: OperationContext, key: int) -> Generator:
     started = ctx.sim.now
     leaf = yield from _read_descent(ctx, key, stack=None)
     leaf.contains(key)
-    yield leaf.lock.release_cmd
+    leaf.lock.release(ctx.sim)
     ctx.finish(OP_SEARCH, started)
 
 
@@ -42,7 +42,7 @@ def insert(ctx: OperationContext, key: int) -> Generator:
     yield ctx.sampler.modify(1)
     ctx.tree.apply_leaf_insert(leaf, key)
     if not ctx.tree.overflowed(leaf):
-        yield leaf.lock.release_cmd
+        leaf.lock.release(ctx.sim)
         ctx.finish(OP_INSERT, started)
         return
     yield from _split_cascade(ctx, leaf, stack)
@@ -66,7 +66,7 @@ def scan(ctx: OperationContext, low: int, high: int,
             out.extend(k for k in node.keys if low <= k < high)
         done = node.high_key is None or node.high_key >= high
         successor = node.right
-        yield node.lock.release_cmd
+        node.lock.release(ctx.sim)
         if done or successor is None:
             break
         node = successor
@@ -84,7 +84,7 @@ def delete(ctx: OperationContext, key: int) -> Generator:
     leaf = yield from _wlock_covering(ctx, target, key)
     yield ctx.sampler.modify(1)
     ctx.tree.apply_leaf_delete(leaf, key)
-    yield leaf.lock.release_cmd
+    leaf.lock.release(ctx.sim)
     ctx.finish(OP_DELETE, started)
 
 
@@ -110,7 +110,7 @@ def _read_descent(ctx: OperationContext, key: int,
         yield ctx.sampler.search(node.level)
         if not node.covers(key):
             successor = node.right
-            yield node.lock.release_cmd
+            node.lock.release(ctx.sim)
             ctx.metrics.link_crossings += 1
             node = successor
             continue
@@ -118,7 +118,7 @@ def _read_descent(ctx: OperationContext, key: int,
             return node
         assert isinstance(node, InternalNode)
         child = node.child_for(key)
-        yield node.lock.release_cmd
+        node.lock.release(ctx.sim)
         if stack is not None:
             stack.append(node)
         node = child
@@ -132,7 +132,7 @@ def _wlock_covering(ctx: OperationContext, node: Node, key: int) -> Generator:
         if node.covers(key):
             return node
         successor = node.right
-        yield node.lock.release_cmd
+        node.lock.release(ctx.sim)
         ctx.metrics.link_crossings += 1
         node = successor
         yield ctx.sampler.search(node.level)
@@ -147,7 +147,7 @@ def _split_cascade(ctx: OperationContext, node: Node,
         sibling, separator = ctx.tree.half_split(node)
         ctx.metrics.splits += 1
         at_top = ctx.tree.root is node
-        yield node.lock.release_cmd
+        node.lock.release(ctx.sim)
         if at_top:
             # This block runs atomically (no yields), so the root pointer
             # swing cannot race with another grower: any earlier splitter
@@ -161,7 +161,7 @@ def _split_cascade(ctx: OperationContext, node: Node,
         assert isinstance(parent, InternalNode)
         ctx.tree.complete_split(parent, separator, sibling)
         if not ctx.tree.overflowed(parent):
-            yield parent.lock.release_cmd
+            parent.lock.release(ctx.sim)
             return
         node = parent
 
@@ -186,13 +186,13 @@ def _locate_parent(ctx: OperationContext, level: int, separator: int,
         yield ctx.sampler.search(node.level)
         if not node.covers(separator):
             successor = node.right
-            yield node.lock.release_cmd
+            node.lock.release(ctx.sim)
             ctx.metrics.link_crossings += 1
             node = successor
             continue
         assert isinstance(node, InternalNode)
         child = node.child_for(separator)
-        yield node.lock.release_cmd
+        node.lock.release(ctx.sim)
         node = child
     parent = yield from _wlock_covering(ctx, node, separator)
     return parent

@@ -47,7 +47,7 @@ def delete(ctx: OperationContext, key: int) -> Generator:
     yield ctx.sampler.modify(1)
     ctx.tree.apply_leaf_delete(leaf, key)
     emptied = (leaf.n_entries() == 0 and leaf is not ctx.tree.root)
-    yield leaf.lock.release_cmd
+    leaf.lock.release(ctx.sim)
     if emptied:
         removed = yield from _reclaim(ctx, leaf)
         if removed:

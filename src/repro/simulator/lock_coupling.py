@@ -31,7 +31,7 @@ def search(ctx: OperationContext, key: int) -> Generator:
     yield ctx.sampler.search(1)
     assert isinstance(leaf, LeafNode)
     leaf.contains(key)
-    yield leaf.lock.release_cmd
+    leaf.lock.release(ctx.sim)
     ctx.finish(OP_SEARCH, started)
 
 
@@ -40,7 +40,7 @@ def insert(ctx: OperationContext, key: int) -> Generator:
     started = ctx.sim.now
     locked = yield from _write_descent(ctx, key, for_insert=True)
     yield from _apply_insert(ctx, key, locked)
-    yield from release_all(locked)
+    release_all(ctx.sim, locked)
     ctx.finish(OP_INSERT, started)
 
 
@@ -49,7 +49,7 @@ def delete(ctx: OperationContext, key: int) -> Generator:
     started = ctx.sim.now
     locked = yield from _write_descent(ctx, key, for_insert=False)
     yield from _apply_delete(ctx, key, locked)
-    yield from release_all(locked)
+    release_all(ctx.sim, locked)
     ctx.finish(OP_DELETE, started)
 
 
@@ -88,13 +88,13 @@ def _write_couple(ctx: OperationContext, node: Node, key: int,
         child = node.child_for(key)
         yield child.lock.acquire_write
         if child.dead:  # pragma: no cover - coupling pins children
-            yield from release_all(locked)
-            yield child.lock.release_cmd
+            release_all(ctx.sim, locked)
+            child.lock.release(ctx.sim)
             return None
         safe = (ctx.tree.is_insert_safe(child) if for_insert
                 else ctx.tree.is_delete_safe(child))
         if safe and release_early:
-            yield from release_all(locked)
+            release_all(ctx.sim, locked)
             locked = [child]
         else:
             locked.append(child)

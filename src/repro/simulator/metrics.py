@@ -6,36 +6,22 @@ algorithm-specific counters (link crossings for the Link-type algorithm,
 redo descents for Optimistic Descent).  :class:`MetricsCollector` gathers
 all of them; :class:`SimulationResult` is the frozen summary a run
 returns.
+
+Response times and lock waits are kept as running means
+(:class:`~repro.des.stats.RunningMean`): a run reports only their means.
+The node locks add their grant waits to their level's pair themselves,
+from the first grant on; the drivers call
+:meth:`MetricsCollector.open_window` when the warm-up ends, which resets
+those means, so only grants made inside the measurement window count.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict, Optional, Tuple
 
-from repro.des.process import READ
-from repro.des.stats import ReservoirSample, RunningStats
-
-
-class GatedObserver:
-    """One tree level's lock-wait accumulators.  Every node lock at the
-    level reports its grant waits here; they count only while the
-    collector's measurement window is open."""
-
-    __slots__ = ("collector", "read_waits", "write_waits")
-
-    def __init__(self, collector: "MetricsCollector") -> None:
-        self.collector = collector
-        self.read_waits = RunningStats()
-        self.write_waits = RunningStats()
-
-    def on_wait(self, mode: str, wait: float) -> None:
-        if self.collector.measuring:
-            if mode == READ:
-                self.read_waits.add(wait)
-            else:
-                self.write_waits.add(wait)
+from repro.des.stats import ReservoirSample, RunningMean
 
 
 #: Interval (in root-search time units) between root-utilization
@@ -63,19 +49,20 @@ class MetricsCollector:
     """
 
     def __init__(self, seed: int = 0) -> None:
-        #: Response-time accumulators keyed by "search"/"insert"/"delete".
-        self.response: Dict[str, RunningStats] = {
-            "search": RunningStats(),
-            "insert": RunningStats(),
-            "delete": RunningStats(),
+        #: Response-time means keyed by "search"/"insert"/"delete".
+        self.response: Dict[str, RunningMean] = {
+            "search": RunningMean(),
+            "insert": RunningMean(),
+            "delete": RunningMean(),
         }
         #: Reservoir samples for latency percentiles, per operation type.
         self.response_samples: Dict[str, ReservoirSample] = {
             name: ReservoirSample(seed=_reservoir_seed(seed, i))
             for i, name in enumerate(("search", "insert", "delete"))
         }
-        #: Lock-wait observers keyed by level (created on demand).
-        self.level_waits: Dict[int, GatedObserver] = {}
+        #: ``{level: (read waits, write waits)}``, created on demand;
+        #: the locks of a level add their grant waits to its pair.
+        self.level_waits: Dict[int, Tuple[RunningMean, RunningMean]] = {}
         self.measured_operations = 0
         self.link_crossings = 0
         self.redo_descents = 0
@@ -103,11 +90,22 @@ class MetricsCollector:
         self.stop_after: Optional[int] = None
         self.on_stop: Optional[Callable[[], None]] = None
 
-    def observer_for_level(self, level: int) -> GatedObserver:
-        observer = self.level_waits.get(level)
-        if observer is None:
-            observer = self.level_waits[level] = GatedObserver(self)
-        return observer
+    def waits_for_level(self, level: int) -> Tuple[RunningMean, RunningMean]:
+        """The ``(read, write)`` wait means of tree level ``level``."""
+        waits = self.level_waits.get(level)
+        if waits is None:
+            waits = self.level_waits[level] = (RunningMean(), RunningMean())
+        return waits
+
+    def open_window(self, now: float) -> None:
+        """Start measuring at ``now``: book the root samples before it,
+        and forget the lock waits of the grants made so far."""
+        self.book_root_samples(now)
+        self.measuring = True
+        self.measure_start_time = now
+        for read, write in self.level_waits.values():
+            read.reset()
+            write.reset()
 
     def record_response(self, operation: str, elapsed: float) -> None:
         if self.measuring:
@@ -126,19 +124,21 @@ class MetricsCollector:
         for the root lock (Figure 10's rho_w) and how many requests
         wait there.  The root lock calls this (its ``on_change`` slot)
         just before either can change, so every instant not booked yet
-        saw the lock's current state; the drivers call it when the
-        measurement window opens and when the run ends.  Instants count
-        only while :attr:`measuring` is true.
+        saw the lock's current state; :meth:`open_window` calls it when
+        the measurement window opens, and the drivers when the run
+        ends.  Instants count only while :attr:`measuring` is true.
         """
-        count = math.ceil(now / ROOT_SAMPLE_INTERVAL) - self.next_root_sample
-        if count > 0:
-            self.next_root_sample += count
-            if self.measuring:
-                lock = self.root_lock
-                self.root_samples += count
-                if lock.writer is not None or lock.writer_waiting():
-                    self.root_writer_present_samples += count
-                self.root_queue_length_total += count * lock.queue_length
+        position = now / ROOT_SAMPLE_INTERVAL
+        if position <= self.next_root_sample:
+            return  # no sample instant has passed
+        count = math.ceil(position) - self.next_root_sample
+        self.next_root_sample += count
+        if self.measuring:
+            lock = self.root_lock
+            self.root_samples += count
+            if lock.writer is not None or lock.writer_waiting():
+                self.root_writer_present_samples += count
+            self.root_queue_length_total += count * lock.queue_length
 
     def follow_root(self, lock, now: float) -> None:
         """Sample ``lock`` from ``now`` on: the tree's root changed.
@@ -152,10 +152,6 @@ class MetricsCollector:
             old.on_change = None
         self.root_lock = lock
         lock.on_change = self.book_root_samples
-
-    def note_population(self, population: int) -> None:
-        if population > self.peak_population:
-            self.peak_population = population
 
 
 @dataclass(frozen=True)
@@ -215,12 +211,15 @@ def summarize(collector: MetricsCollector, *, algorithm: str,
     per_op = {name: acc.mean for name, acc in collector.response.items()}
     percentiles = {name: sample.quantile_summary()
                    for name, sample in collector.response_samples.items()}
-    pooled = RunningStats()
+    pooled = RunningMean()
     for acc in collector.response.values():
         pooled.merge(acc)
+    # The locks count from the first grant; a window that never opened
+    # (a run that overflowed during its warm-up) measured no wait.
     waits = {
-        level: (obs.read_waits.mean, obs.write_waits.mean)
-        for level, obs in sorted(collector.level_waits.items())
+        level: ((read.mean, write.mean) if collector.measuring
+                else (math.nan, math.nan))
+        for level, (read, write) in sorted(collector.level_waits.items())
     }
     rho_root = (collector.root_writer_present_samples / collector.root_samples
                 if collector.root_samples else math.nan)

@@ -4,9 +4,10 @@ Each algorithm module exposes three generator factories — ``search``,
 ``insert``, ``delete`` — taking an :class:`OperationContext` and a key.
 The generators yield the kernel's commands, none of which allocates: a
 ``float`` (hold that much simulated time) and the per-lock interned
-``lock.acquire_read`` / ``lock.acquire_write`` / ``lock.release_cmd``
-instances (see :mod:`repro.des.process`).  Code between yields executes
-atomically in simulated time, so
+``lock.acquire_read`` / ``lock.acquire_write`` instances (see
+:mod:`repro.des.process`).  They release a lock with a plain call,
+``lock.release(ctx.sim)``, which never blocks.  Code between yields
+executes atomically in simulated time, so
 structural tree changes made while holding the right locks are race-free
 by construction (the same property the paper's simulator relies on).
 
@@ -82,14 +83,15 @@ def acquire_valid_root(ctx: OperationContext, mode: str) -> Generator:
         yield lock.acquire_read if read else lock.acquire_write
         if node is ctx.tree.root and not node.dead:
             return node
-        yield lock.release_cmd
+        lock.release(ctx.sim)
         ctx.metrics.restarts += 1
 
 
-def release_all(locked) -> Generator:
-    """Sub-generator: release every lock in ``locked`` (top-down order)."""
+def release_all(sim: Simulator, locked) -> None:
+    """Release the lock of every node in ``locked`` (top-down order)
+    for the process ``sim`` is stepping."""
     for node in locked:
-        yield node.lock.release_cmd
+        node.lock.release(sim)
 
 
 def coupled_read_descent(ctx: OperationContext, key: int,
@@ -105,9 +107,9 @@ def coupled_read_descent(ctx: OperationContext, key: int,
         yield ctx.sampler.search(node.level)
         child = node.child_for(key)
         yield child.lock.acquire_read
-        yield node.lock.release_cmd
+        node.lock.release(ctx.sim)
         if child.dead:  # pragma: no cover - pinned by coupling; root edge only
-            yield child.lock.release_cmd
+            child.lock.release(ctx.sim)
             ctx.metrics.restarts += 1
             node = yield from acquire_valid_root(ctx, READ)
             continue

@@ -57,7 +57,7 @@ def _update(ctx: OperationContext, key: int, for_insert: bool) -> Generator:
         return
 
     # Unsafe leaf: release everything and redo with W locks.
-    yield leaf.lock.release_cmd
+    leaf.lock.release(ctx.sim)
     ctx.metrics.redo_descents += 1
     yield from _redo(ctx, key, for_insert, started, op_name)
 
@@ -72,15 +72,15 @@ def _optimistic_leaf_lock(ctx: OperationContext, key: int) -> Generator:
         parent = yield from coupled_read_descent(ctx, key, stop_level=2)
         if parent.is_leaf:
             # The tree shrank under us; retry.
-            yield parent.lock.release_cmd
+            parent.lock.release(ctx.sim)
             ctx.metrics.restarts += 1
             continue
         yield ctx.sampler.search(parent.level)
         leaf = parent.child_for(key)
         yield leaf.lock.acquire_write
-        yield parent.lock.release_cmd
+        parent.lock.release(ctx.sim)
         if leaf.dead:  # pragma: no cover - coupling pins the child
-            yield leaf.lock.release_cmd
+            leaf.lock.release(ctx.sim)
             ctx.metrics.restarts += 1
             continue
         assert isinstance(leaf, LeafNode)
@@ -137,8 +137,8 @@ def _finish_with_retention(ctx: OperationContext, locked: List[Node],
             retained.append(node)
         else:
             released.append(node)
-    yield from release_all(released)
+    release_all(ctx.sim, released)
     ctx.finish(op_name, started)
     if retained:
         yield ctx.sampler.transaction_remainder(ctx.t_trans)
-        yield from release_all(retained)
+        release_all(ctx.sim, retained)

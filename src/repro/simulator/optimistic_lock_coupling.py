@@ -53,7 +53,7 @@ def _update(ctx: OperationContext, key: int, for_insert: bool) -> Generator:
         yield from naive._apply_insert(ctx, key, locked)
     else:
         yield from naive._apply_delete(ctx, key, locked)
-    yield from release_all(locked)
+    release_all(ctx.sim, locked)
     ctx.finish(op_name, started)
 
 
@@ -75,22 +75,22 @@ def _hybrid_descent(ctx: OperationContext, key: int,
                                                  stop_level=_W_LEVELS + 1)
         if parent.level != _W_LEVELS + 1:
             # The tree shrank under us; retry.
-            yield parent.lock.release_cmd
+            parent.lock.release(ctx.sim)
             ctx.metrics.restarts += 1
             continue
         yield ctx.sampler.search(parent.level)
         top = parent.child_for(key)
         yield top.lock.acquire_write
-        yield parent.lock.release_cmd
+        parent.lock.release(ctx.sim)
         if top.dead:  # pragma: no cover - coupling pins the child
-            yield top.lock.release_cmd
+            top.lock.release(ctx.sim)
             ctx.metrics.restarts += 1
             continue
         safe = (ctx.tree.is_insert_safe(top) if for_insert
                 else ctx.tree.is_delete_safe(top))
         if not safe:
             # A restructure could climb past level 2: full W redo.
-            yield top.lock.release_cmd
+            top.lock.release(ctx.sim)
             ctx.metrics.redo_descents += 1
             locked = yield from naive._write_descent(ctx, key, for_insert)
             return locked

@@ -32,7 +32,7 @@ def search(ctx: OperationContext, key: int) -> Generator:
     leaf = locked[-1]
     assert isinstance(leaf, LeafNode)
     leaf.contains(key)
-    yield from release_all(locked)
+    release_all(ctx.sim, locked)
     ctx.finish(OP_SEARCH, started)
 
 
@@ -40,7 +40,7 @@ def insert(ctx: OperationContext, key: int) -> Generator:
     started = ctx.sim.now
     locked = yield from _full_descent(ctx, key, WRITE)
     yield from naive._apply_insert(ctx, key, locked)
-    yield from release_all(locked)
+    release_all(ctx.sim, locked)
     ctx.finish(OP_INSERT, started)
 
 
@@ -48,7 +48,7 @@ def delete(ctx: OperationContext, key: int) -> Generator:
     started = ctx.sim.now
     locked = yield from _full_descent(ctx, key, WRITE)
     yield from naive._apply_delete(ctx, key, locked)
-    yield from release_all(locked)
+    release_all(ctx.sim, locked)
     ctx.finish(OP_DELETE, started)
 
 
@@ -66,8 +66,8 @@ def _full_descent(ctx: OperationContext, key: int,
             lock = child.lock
             yield lock.acquire_read if read else lock.acquire_write
             if child.dead:  # pragma: no cover - path fully locked
-                yield from release_all(locked)
-                yield lock.release_cmd
+                release_all(ctx.sim, locked)
+                lock.release(ctx.sim)
                 ctx.metrics.restarts += 1
                 restart = True
                 break

@@ -44,7 +44,7 @@ class TransactionLockTable:
     Locks are created on first touch and kept for the run (the
     footprint is bounded by the number of distinct keys transactions
     touch, far below the key universe for any realistic run length).
-    The table is deliberately observer-free: transaction-lock waits are
+    The table's locks keep no wait means: transaction-lock waits are
     contention *above* the tree and must not pollute the per-level
     latch-wait statistics.
     """
@@ -92,6 +92,6 @@ def transaction_envelope(module, ctx, members: List[Tuple[str, int]],
     for op_name, key in members:
         yield from getattr(module, op_name)(ctx, key)
     for key in ordered:
-        yield table.lock_for(key).release_cmd
+        table.lock_for(key).release(ctx.sim)
     if on_commit is not None:
         on_commit(ctx.sim.now - locked_at)

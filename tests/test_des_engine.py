@@ -38,6 +38,43 @@ def test_schedule_in_the_past_rejected(call_at):
         sim.resume(call_at(sim, 1.0, lambda: None), delay=-0.1)
 
 
+def test_nan_delay_rejected(call_at):
+    sim = Simulator()
+
+    def process():
+        yield 1.0
+
+    nan = float("nan")
+    with pytest.raises(SimulationError, match="nan"):
+        sim.spawn(process(), delay=nan)
+    assert sim.active_processes == 0 and sim.total_spawned == 0
+    proc = call_at(sim, 1.0, lambda: None)
+    with pytest.raises(SimulationError, match="nan"):
+        sim.resume(proc, delay=nan)
+    assert sim.events_executed == 0
+    assert sim.run() == 1.0  # only the valid event reached the heap
+
+
+def test_current_is_the_stepped_process_and_none_outside(call_at):
+    sim = Simulator()
+    seen = []
+
+    def process():
+        seen.append(sim.current)
+        yield 1.0
+        seen.append(sim.current)
+
+    proc = sim.spawn(process())
+    assert sim.current is None
+    sim.run(until=0.5)
+    assert sim.current is None
+    call_at(sim, 0.75, sim.stop)
+    sim.run()
+    assert sim.current is None
+    sim.run()
+    assert seen == [proc, proc] and sim.current is None
+
+
 def test_schedule_at_absolute_time(call_at):
     sim = Simulator()
     seen = []
@@ -234,7 +271,7 @@ def test_resume_after_completion_is_an_error():
 
 
 def test_lock_protocol_through_engine():
-    """Acquire grants immediately when free; Release wakes waiters."""
+    """Acquire grants immediately when free; a release wakes waiters."""
     sim = Simulator()
     lock = RWLock("x")
     waits = {}
@@ -242,7 +279,7 @@ def test_lock_protocol_through_engine():
     def writer(name, hold):
         waits[name] = yield lock.acquire_write
         yield hold
-        yield lock.release_cmd
+        lock.release(sim)
 
     sim.spawn(writer("w1", 5.0))
     sim.spawn(writer("w2", 1.0), delay=1.0)
@@ -259,12 +296,12 @@ def test_reader_wait_value_sent_back():
     def writer():
         yield lock.acquire_write
         yield 3.0
-        yield lock.release_cmd
+        lock.release(sim)
 
     def reader():
         wait = yield lock.acquire_read
         observed.append((sim.now, wait))
-        yield lock.release_cmd
+        lock.release(sim)
 
     sim.spawn(writer())
     sim.spawn(reader(), delay=1.0)
@@ -310,13 +347,13 @@ def _counted_workload(sim, call_at, action=lambda: None):
     def writer(first_hold):
         yield lock.acquire_write
         yield first_hold
-        yield lock.release_cmd
+        lock.release(sim)
         yield 1.0
 
     def late_writer():
         yield lock.acquire_write
         yield 1.0
-        yield lock.release_cmd
+        lock.release(sim)
         yield 0.0
 
     sim.spawn(writer(2.0), name="A")

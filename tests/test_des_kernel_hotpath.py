@@ -21,7 +21,7 @@ import hashlib
 import pytest
 
 from repro.algorithms import all_algorithms
-from repro.des import Acquire, READ, RWLock, Release, Simulator, WRITE
+from repro.des import Acquire, READ, RWLock, Simulator, WRITE
 from repro.errors import ProcessError
 from repro.obs import (LevelState, TelemetryOptions, TelemetryRecorder,
                        dumps_ndjson)
@@ -196,6 +196,13 @@ def test_negative_float_hold_raises():
         sim.run()
 
 
+def test_nan_hold_raises():
+    sim = Simulator()
+    sim.spawn(gen(float("nan")))
+    with pytest.raises(ProcessError, match="NaN time"):
+        sim.run()
+
+
 def test_negative_int_hold_raises():
     sim = Simulator()
     sim.spawn(gen(-2))
@@ -230,8 +237,8 @@ def test_lock_interns_one_command_per_mode():
                                (lock.acquire_write, Acquire, WRITE)):
         assert command.__class__ is cls
         assert command.lock is lock and command.mode == mode
-    assert lock.release_cmd.__class__ is Release
-    assert lock.release_cmd.lock is lock
+    # Releasing is a plain call, not a command: nothing to intern.
+    assert not hasattr(lock, "release_cmd")
 
 
 def test_interned_and_allocated_commands_equivalent():
@@ -239,11 +246,11 @@ def test_interned_and_allocated_commands_equivalent():
         if interned:
             wait = yield lock.acquire_write
             yield 1.0
-            yield lock.release_cmd
+            lock.release(sim)
         else:
             wait = yield Acquire(lock, WRITE)
             yield 1.0
-            yield Release(lock)
+            lock.release(sim)
         log.append((sim.now, wait))
 
     outcomes = []
@@ -279,17 +286,17 @@ def test_writer_waiting_counter_tracks_queue(call_at):
         yield lock.acquire_write
         scan(False)
         yield 5.0
-        yield lock.release_cmd
+        lock.release(sim)
 
     def reader():
         yield 1.0
         yield lock.acquire_read
-        yield lock.release_cmd
+        lock.release(sim)
 
     def writer():
         yield 2.0
         yield lock.acquire_write
-        yield lock.release_cmd
+        lock.release(sim)
 
     sim.spawn(holder())
     sim.spawn(reader())
@@ -308,7 +315,7 @@ def test_writer_waiting_counter_many_writers(call_at):
     def writer(duration):
         yield lock.acquire_write
         yield duration
-        yield lock.release_cmd
+        lock.release(sim)
 
     for _ in range(5):
         sim.spawn(writer(1.0))

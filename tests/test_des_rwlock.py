@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import READ, RWLock, Simulator, WRITE
+from repro.des import READ, RWLock, RunningMean, Simulator, WRITE
 from repro.errors import LockProtocolError
 from repro.obs import LevelState
 
@@ -25,7 +25,7 @@ def test_readers_share():
         yield lock.acquire_read
         concurrent.append(len(lock.readers))
         yield hold
-        yield lock.release_cmd
+        lock.release(sim)
 
     sim.spawn(reader(2.0))
     sim.spawn(reader(2.0), delay=0.5)
@@ -46,7 +46,7 @@ def test_writer_excludes_writer():
         active.append(name)
         yield 1.0
         active.remove(name)
-        yield lock.release_cmd
+        lock.release(sim)
 
     for i in range(4):
         sim.spawn(writer(i), delay=0.1 * i)
@@ -64,12 +64,12 @@ def test_writer_excludes_readers():
         trace.append(("w-in", sim.now))
         yield 5.0
         trace.append(("w-out", sim.now))
-        yield lock.release_cmd
+        lock.release(sim)
 
     def reader():
         yield lock.acquire_read
         trace.append(("r-in", sim.now))
-        yield lock.release_cmd
+        lock.release(sim)
 
     sim.spawn(writer())
     sim.spawn(reader(), delay=1.0)
@@ -87,18 +87,18 @@ def test_fcfs_reader_does_not_overtake_queued_writer():
     def holder():
         yield lock.acquire_read
         yield 4.0
-        yield lock.release_cmd
+        lock.release(sim)
 
     def writer():
         yield lock.acquire_write
         grants.append(("w", sim.now))
         yield 1.0
-        yield lock.release_cmd
+        lock.release(sim)
 
     def late_reader():
         yield lock.acquire_read
         grants.append(("r", sim.now))
-        yield lock.release_cmd
+        lock.release(sim)
 
     sim.spawn(holder())
     sim.spawn(writer(), delay=1.0)       # queues behind the holder
@@ -115,13 +115,13 @@ def test_consecutive_readers_granted_together():
     def writer():
         yield lock.acquire_write
         yield 3.0
-        yield lock.release_cmd
+        lock.release(sim)
 
     def reader(name):
         yield lock.acquire_read
         grants.append((name, sim.now))
         yield 1.0
-        yield lock.release_cmd
+        lock.release(sim)
 
     sim.spawn(writer())
     sim.spawn(reader("r1"), delay=1.0)
@@ -135,11 +135,75 @@ def test_release_without_holding_raises():
     lock = RWLock("naked")
 
     def bad():
-        yield lock.release_cmd
+        lock.release(sim)
+        yield 1.0
 
     sim.spawn(bad())
-    with pytest.raises(LockProtocolError):
+    with pytest.raises(LockProtocolError, match="without holding"):
         sim.run()
+
+
+def test_release_by_a_process_that_does_not_hold_it_raises():
+    sim = Simulator()
+    lock = RWLock("taken")
+
+    def holder():
+        yield lock.acquire_write
+        yield 5.0
+        lock.release(sim)
+
+    def reader_holder():
+        yield lock.acquire_read
+        yield 5.0
+
+    def intruder():
+        yield 1.0
+        lock.release(sim)
+
+    sim.spawn(holder())
+    sim.spawn(intruder())
+    with pytest.raises(LockProtocolError, match="without holding"):
+        sim.run()
+    assert lock.writer is not None  # the holder keeps its W lock
+
+    sim = Simulator()
+    lock = RWLock("shared")
+    sim.spawn(reader_holder())
+    sim.spawn(intruder())
+    with pytest.raises(LockProtocolError, match="without holding"):
+        sim.run()
+    assert len(lock.readers) == 1
+
+
+def test_release_outside_a_step_raises():
+    sim = Simulator()
+    lock = RWLock("outside")
+    with pytest.raises(LockProtocolError, match="outside a process step"):
+        lock.release(sim)  # free lock, no process stepped
+
+    def holder():
+        yield lock.acquire_write
+        yield 5.0
+
+    sim.spawn(holder())
+    sim.run(until=1.0)
+    assert sim.current is None and lock.writer is not None
+    with pytest.raises(LockProtocolError, match="outside a process step"):
+        lock.release(sim)  # held, but not by a process being stepped
+    assert lock.writer is not None
+
+    sim = Simulator()
+    lock = RWLock("read-held")
+
+    def reader():
+        yield lock.acquire_read
+        yield 5.0
+
+    sim.spawn(reader())
+    sim.run(until=1.0)
+    with pytest.raises(LockProtocolError, match="outside a process step"):
+        lock.release(sim)
+    assert len(lock.readers) == 1
 
 
 def test_reentrant_request_raises():
@@ -171,39 +235,37 @@ def test_holds_reports_mode_via_direct_api():
     assert lock.holds(writer) is None
     assert lock.queue_length == 1
     assert lock.writer_waiting()
-    lock.release(sim, reader)
+    sim.current = reader  # what the engine sets while stepping ``reader``
+    lock.release(sim)
     assert lock.holds(writer) == WRITE
     assert lock.writer is writer
-    lock.release(sim, writer)
+    sim.current = writer
+    lock.release(sim)
     assert lock.writer is None
     assert lock.queue_length == 0
 
 
-def test_observer_receives_waits():
-    class Observer:
-        def __init__(self):
-            self.calls = []
-
-        def on_wait(self, mode, wait):
-            self.calls.append((mode, round(wait, 9)))
-
+def test_grant_waits_reach_generator_and_running_means():
     sim = Simulator()
-    observer = Observer()
-    lock = RWLock(observer=observer)
+    lock = RWLock()
+    lock.read_waits, lock.write_waits = RunningMean(), RunningMean()
+    calls = []
 
     def writer():
-        yield lock.acquire_write
+        calls.append((WRITE, round((yield lock.acquire_write), 9)))
         yield 2.0
-        yield lock.release_cmd
+        lock.release(sim)
 
     def reader():
-        yield lock.acquire_read
-        yield lock.release_cmd
+        calls.append((READ, round((yield lock.acquire_read), 9)))
+        lock.release(sim)
 
     sim.spawn(writer())
     sim.spawn(reader(), delay=0.5)
     sim.run()
-    assert observer.calls == [(WRITE, 0.0), (READ, 1.5)]
+    assert calls == [(WRITE, 0.0), (READ, 1.5)]
+    assert (lock.write_waits.n, lock.write_waits.mean) == (1, 0.0)
+    assert (lock.read_waits.n, lock.read_waits.mean) == (1, 1.5)
 
 
 def test_writer_presence_accounting(call_at):
@@ -222,12 +284,12 @@ def test_writer_presence_accounting(call_at):
     def writer():
         yield lock.acquire_write
         yield 4.0
-        yield lock.release_cmd
+        lock.release(sim)
 
     def reader():
         yield lock.acquire_read
         yield 2.0
-        yield lock.release_cmd
+        lock.release(sim)
 
     sim.spawn(reader())
     sim.spawn(writer(), delay=1.0)  # waits 1 unit behind the reader
@@ -247,7 +309,7 @@ def test_grant_counters():
 
     def reader():
         yield lock.acquire_read
-        yield lock.release_cmd
+        lock.release(sim)
 
     for i in range(5):
         sim.spawn(reader(), delay=float(i))

@@ -11,10 +11,12 @@ on the full execution:
 * work conservation — the lock is never free while someone waits.
 """
 
+import math
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des import READ, RWLock, Simulator, WRITE
+from repro.des import READ, RWLock, RunningMean, RunningStats, Simulator, WRITE
 from repro.obs import LevelState
 
 CUSTOMERS = st.lists(
@@ -41,7 +43,7 @@ def _execute(schedule):
         granted = sim.now
         holders_now = (len(lock.readers), lock.writer is not None)
         yield hold
-        yield lock.release_cmd
+        lock.release(sim)
         records.append({
             "index": index, "mode": mode,
             "requested": requested, "granted": granted,
@@ -114,18 +116,15 @@ def test_accounting_consistent(schedule):
     sim = Simulator()
     lock = RWLock("acct")
     lock.telemetry = state = LevelState(0)
+    lock.read_waits, lock.write_waits = RunningMean(), RunningMean()
     waits = []
 
-    class Observer:
-        def on_wait(self, mode, wait):
-            waits.append((mode, wait))
-
-    lock.observer = Observer()
-
     def customer(mode, hold):
-        yield (lock.acquire_read if mode == READ else lock.acquire_write)
+        wait = yield (lock.acquire_read if mode == READ
+                      else lock.acquire_write)
+        waits.append((mode, wait))
         yield hold
-        yield lock.release_cmd
+        lock.release(sim)
 
     n_readers = sum(1 for _d, mode, _h in schedule if mode == READ)
     n_writers = len(schedule) - n_readers
@@ -138,3 +137,14 @@ def test_accounting_consistent(schedule):
     assert sum(1 for mode, _w in waits if mode == READ) == n_readers
     assert len(waits) == len(schedule)
     assert all(wait >= 0.0 for _m, wait in waits)
+    # The lock's running means saw the waits sent back.  A queued grant
+    # reaches its generator one event after the lock booked it, so a
+    # same-instant uncontended grant can swap places in ``waits``: the
+    # means agree to rounding here.  ``test_running_means.py`` checks
+    # the bits on whole simulator runs.
+    for mode, means in ((READ, lock.read_waits), (WRITE, lock.write_waits)):
+        expected = RunningStats()
+        expected.extend(wait for m, wait in waits if m == mode)
+        assert means.n == expected.n
+        assert (means.n == 0 and math.isnan(means.mean)) or math.isclose(
+            means.mean, expected.mean, rel_tol=1e-12, abs_tol=1e-12)

@@ -82,7 +82,8 @@ def _assert_template_clean():
     for lock in template.spare_locks:
         assert lock.readers == frozenset() and lock.writer is None
         assert lock._queue == () and lock._queued_writers == 0
-        assert lock.observer is None and lock.telemetry is None
+        assert lock.read_waits is None and lock.write_waits is None
+        assert lock.telemetry is None
         assert lock.on_change is None
         assert lock.acquire_read is not None  # reset, not retired
 
@@ -110,14 +111,15 @@ def test_run_after_overflow_with_held_locks_is_unaffected(monkeypatch,
 @pytest.fixture
 def made_locks(monkeypatch):
     """Every lock a run's lock factory hands out, as (node, lock, the
-    lock's name and observer then)."""
+    lock's name and wait means then)."""
     made = []
     lock_factory = driver.lock_factory
 
     def recording_factory(factory):
         def make(node):
             lock = factory(node)
-            made.append((node, lock, lock.name, lock.observer))
+            made.append((node, lock, lock.name,
+                         (lock.read_waits, lock.write_waits)))
             return lock
         return lock_factory(make)
 
@@ -136,7 +138,15 @@ def test_pooled_locks_are_reused_renamed_and_rebound(monkeypatch,
             super().__init__(*args, **kwargs)
             built.append(self)
 
+    collectors = []
+
+    class RecordingCollector(driver.MetricsCollector):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            collectors.append(self)
+
     monkeypatch.setattr(driver, "RWLock", CountingLock)
+    monkeypatch.setattr(driver, "MetricsCollector", RecordingCollector)
     config = _config()
     first = run_simulation(config)
     assert len(built) == len(made_locks) == len(_spare_locks()) > 0
@@ -147,11 +157,14 @@ def test_pooled_locks_are_reused_renamed_and_rebound(monkeypatch,
     assert len(built) == len(first_made)
     assert {id(made[1]) for made in made_locks} == \
         {id(lock) for lock in built}
-    collectors = []
-    for run in (first_made, made_locks):
+    assert len(collectors) == 2
+    for run, collector in zip((first_made, made_locks), collectors):
         assert all(name == f"n{node.node_id}" for node, _lock, name, _ in run)
-        (collector,) = {observer.collector for *_made, observer in run}
-        collectors.append(collector)
+        # Each lock is bound to its level's wait means in this run's
+        # collector, never to the previous run's.
+        for node, _lock, _name, (read, write) in run:
+            level_read, level_write = collector.level_waits[node.level]
+            assert read is level_read and write is level_write
     assert collectors[0] is not collectors[1]
 
 
@@ -161,7 +174,7 @@ def test_run_on_another_tree_retires_the_pool():
     old = list(old_template.spare_locks)
     assert old and all(lock.acquire_read is not None for lock in old)
     run_simulation(_config(seed=22))  # another build seed, another tree
-    assert all(lock.acquire_read is None and lock.release_cmd is None
+    assert all(lock.acquire_read is None and lock.acquire_write is None
                for lock in old)
     assert old_template.spare_locks == []
     assert not {id(lock) for lock in old} & {
@@ -207,7 +220,7 @@ def test_queue_is_allocated_on_first_contended_request():
         yield lock.acquire_write if mode == WRITE else lock.acquire_read
         log.append(lock._queue)
         yield hold
-        yield lock.release_cmd
+        lock.release(sim)
 
     sim.spawn(holder(READ, 1.0))
     sim.spawn(holder(READ, 1.0), delay=0.5)
