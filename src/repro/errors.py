@@ -75,11 +75,6 @@ class ResilienceError(ReproError):
     """Base class for sweep-resilience failures (see :mod:`repro.resilience`)."""
 
 
-class CheckpointError(ResilienceError):
-    """A checkpoint journal cannot be used (wrong task list, bad
-    header, unwritable path)."""
-
-
 class InjectedFaultError(ResilienceError):
     """A deterministic fault from the fault-injection harness fired.
 
@@ -91,10 +86,6 @@ class InjectedFaultError(ResilienceError):
 
 class BTreeError(ReproError):
     """Base class for B-tree structural errors."""
-
-
-class KeyNotFoundError(BTreeError, KeyError):
-    """A delete or lookup referenced a key that is not in the tree."""
 
 
 class InvariantViolationError(BTreeError):

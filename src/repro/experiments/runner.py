@@ -7,7 +7,7 @@ Usage::
     btree-perf list-workloads
     btree-perf figures --all [--scale 0.1] [--jobs 4] [--out figures]
     btree-perf figures fig11 --no-sim --formats svg
-    btree-perf figures fig03 fig10 --scale 0.05 --resume
+    btree-perf figures fig03 fig10 --scale 0.05
     btree-perf simulate --algorithm link-type --rate 0.2 \\
         --metrics-out run.ndjson --progress
     btree-perf list-cluster-policies
@@ -20,9 +20,8 @@ publication theme plus an NDJSON data sidecar per figure, and writes a
 validation report (markdown + JSON) whose model-vs-simulation error
 tables are checked against the registry thresholds — a breach (or a
 failed in-text claim) exits nonzero, which is the CI gate.  Every
-figure's aligned table also lands in ``tables.txt`` next to the report.  The run checkpoints per figure;
-re-invoking with ``--resume`` serves completed figures from the
-journal.  See ``docs/reproduction.md``.
+figure's aligned table also lands in ``tables.txt`` next to the report.
+See ``docs/reproduction.md``.
 
 ``list-algorithms`` prints the :mod:`repro.algorithms` registry — every
 registered algorithm with its display label, whether it has an
@@ -33,7 +32,9 @@ distribution, plus the transaction envelope.
 
 Simulation runs are memoized in an on-disk cache (``$REPRO_CACHE_DIR``
 or ``~/.cache/repro``), so re-running an experiment at the same scale
-reuses every already-computed point; ``--no-cache`` disables the cache
+reuses every already-computed point.  That is also the resume: an
+interrupted ``figures`` run invoked again computes only what it had
+not finished.  ``--no-cache`` disables the cache (and so the resume)
 and ``--clear-cache`` empties it first.  ``--jobs N`` fans a sweep's
 independent simulation runs out over ``N`` worker processes (the
 default, 1, is serial); results are bit-identical either way.  See
@@ -140,11 +141,12 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="comma-separated figure formats, checked "
                               "only: svg and ndjson are accepted, and "
                               "both are always written")
-    figures.add_argument("--threshold-scale", type=float, default=1.0,
+    figures.add_argument("--threshold-scale", type=_positive_scale,
+                         default=1.0,
                          metavar="F",
                          help="multiply every validation threshold by F "
                               "(tighten < 1, loosen > 1; default 1.0)")
-    figures.add_argument("--scale", type=float, default=1.0,
+    figures.add_argument("--scale", type=_positive_scale, default=1.0,
                          help="simulation effort scale (1.0 = paper "
                               "scale)")
     figures.add_argument("--no-sim", action="store_true",
@@ -166,14 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
     figures.add_argument("--progress", action="store_true",
                          help="stream per-figure and per-run progress "
                               "lines to stderr")
-    figures.add_argument("--resume", action="store_true",
-                         help="resume an interrupted run: completed "
-                              "figures are served from the journal in "
-                              "--out (and interrupted sweeps from the "
-                              "result cache)")
-    figures.add_argument("--journal", default=None, metavar="PATH",
-                         help="figure checkpoint journal (default: "
-                              "<out>/figures-journal.ndjson)")
     _resilience_flags(figures)
 
     simulate = sub.add_parser(
@@ -188,7 +182,7 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--seeds", type=int, default=1, metavar="N",
                           help="replication seeds seed..seed+N-1 "
                                "(default 1)")
-    simulate.add_argument("--scale", type=float, default=1.0,
+    simulate.add_argument("--scale", type=_positive_scale, default=1.0,
                           help="simulation effort scale (1.0 = paper "
                                "scale)")
     simulate.add_argument("--sample-interval", type=float, default=1.0,
@@ -208,16 +202,24 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _positive_seconds(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not a number of seconds") from None
-    if not math.isfinite(value) or value <= 0:
-        raise argparse.ArgumentTypeError(
-            f"expected a positive, finite number of seconds, got {text}")
-    return value
+def _positive_finite(noun: str):
+    """An argparse type accepting a positive, finite float; ``noun``
+    names the value in its error messages."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not a {noun}") from None
+        if not math.isfinite(value) or value <= 0:
+            raise argparse.ArgumentTypeError(
+                f"expected a positive, finite {noun}, got {text}")
+        return value
+    return parse
+
+
+_positive_seconds = _positive_finite("number of seconds")
+_positive_scale = _positive_finite("scale factor")
 
 
 def _non_negative_int(text: str) -> int:
@@ -357,12 +359,10 @@ def _figures(args) -> int:
         result = generate_figures(
             figure_ids=figure_ids, scale=args.scale, out_dir=args.out,
             simulate=False if args.no_sim else None,
-            resume=args.resume, journal_path=args.journal,
             threshold_scale=args.threshold_scale,
             include_claims=not args.no_claims, log=log)
     report = result.report
-    print(f"{len(result.figures)} figure(s) -> {result.out_dir} "
-          f"({sum(1 for o in result.figures if o.resumed)} resumed); "
+    print(f"{len(result.figures)} figure(s) -> {result.out_dir}; "
           f"report: {result.report_markdown}")
     if not report.passed:
         for breach in report.breaches:

@@ -14,8 +14,9 @@ evidence set:
 * :mod:`repro.report.sidecar` — deterministic NDJSON data sidecars;
 * :mod:`repro.report.validation` — per-figure error tables and the
   machine-checked reproduction report (markdown + JSON + schema);
-* :mod:`repro.report.pipeline` — the resumable one-command run behind
-  ``btree-perf figures``.
+* :mod:`repro.report.pipeline` — the one-command run behind
+  ``btree-perf figures``; a rerun on the same result cache is its
+  resume.
 
 See ``docs/reproduction.md`` for the end-to-end workflow.
 """
@@ -23,7 +24,6 @@ See ``docs/reproduction.md`` for the end-to-end workflow.
 from repro.report.pipeline import (
     FigureOutput,
     PipelineResult,
-    figure_key,
     generate_figures,
 )
 from repro.report.registry import (
@@ -75,7 +75,6 @@ __all__ = [
     "build_report",
     "dumps_report",
     "dumps_sidecar",
-    "figure_key",
     "format_table",
     "generate_figures",
     "get_figure",

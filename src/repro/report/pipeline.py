@@ -6,22 +6,18 @@ publication theme, writes the NDJSON data sidecar, and emits one
 validation report (markdown + JSON) whose model-vs-simulation error
 tables are checked against the registry's thresholds.
 
-The run is **checkpointed and resumable**: a
-:class:`~repro.resilience.SweepJournal` at the output directory records
-every completed figure's table (keyed by figure id, scale, simulate
-flag and the simulator's :data:`~repro.parallel.cache.CODE_SALT`), so a
-killed run re-invoked with ``resume=True`` serves finished figures from
-the journal and only computes the remainder.  Below the figure level,
-the sweeps inside each figure fan out through :mod:`repro.parallel`
+The sweeps inside each figure fan out through :mod:`repro.parallel`
 (ambient ``execution(jobs=..., cache=...)`` context) and hit the
-on-disk :class:`~repro.parallel.ResultCache`, so even a figure that was
-mid-flight when the run died resumes from its cached simulation points.
+on-disk :class:`~repro.parallel.ResultCache`.  That cache is the
+resume: a killed run re-invoked on the same cache serves every
+simulation point it had finished and computes only the rest, and a
+rerun of a finished one is all cache hits and writes byte-identical
+output.  A run without a cache recomputes everything.
 """
 
 from __future__ import annotations
 
-import hashlib
-import json
+import math
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,7 +25,6 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.experiments.common import ExperimentTable
-from repro.parallel.cache import CODE_SALT
 from repro.report.registry import FIGURES, FigureSpec, get_figure
 from repro.report.sidecar import write_sidecar
 from repro.report.svg import render_svg
@@ -40,10 +35,6 @@ from repro.report.validation import (
     dumps_report,
     report_to_markdown,
 )
-from repro.resilience import SweepJournal
-
-#: Default name of the figure-level checkpoint journal.
-JOURNAL_NAME = "figures-journal.ndjson"
 
 
 @dataclass
@@ -54,8 +45,6 @@ class FigureOutput:
     table: ExperimentTable
     #: format -> written path ("svg" and "ndjson").
     paths: Dict[str, Path] = field(default_factory=dict)
-    #: True when the table was served from the resume journal.
-    resumed: bool = False
     seconds: float = 0.0
 
 
@@ -69,31 +58,10 @@ class PipelineResult:
     report_json: Path
     report_markdown: Path
     tables_text: Path
-    journal_path: Path
 
     @property
     def passed(self) -> bool:
         return self.report.passed
-
-
-def figure_key(figure_id: str, scale: float,
-               simulate: Optional[bool]) -> str:
-    """Content key pinning one figure run for journal resume.
-
-    Includes the simulator's code salt so a journal written by a build
-    whose simulation results differ is refused rather than replayed.
-    """
-    blob = json.dumps({"figure": figure_id, "scale": scale,
-                       "simulate": simulate, "salt": CODE_SALT},
-                      sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
-def _run_figure(spec: FigureSpec, scale: float,
-                simulate: Optional[bool]) -> ExperimentTable:
-    """Regenerate one figure's table (module-level so tests can stub
-    it to assert resume semantics)."""
-    return spec.run(scale=scale, simulate=simulate)
 
 
 def _render(spec: FigureSpec, table: ExperimentTable,
@@ -112,8 +80,6 @@ def generate_figures(figure_ids: Optional[Sequence[str]] = None,
                      scale: float = 1.0,
                      out_dir="figures",
                      simulate: Optional[bool] = None,
-                     resume: bool = False,
-                     journal_path=None,
                      threshold_scale: float = 1.0,
                      include_claims: bool = True,
                      log: Optional[Callable[[str], None]] = None,
@@ -132,44 +98,30 @@ def generate_figures(figure_ids: Optional[Sequence[str]] = None,
     """
     ids = list(figure_ids) if figure_ids else list(FIGURES)
     specs = [get_figure(figure_id) for figure_id in ids]
-    if threshold_scale <= 0:
-        raise ConfigurationError(
-            f"threshold scale must be > 0, got {threshold_scale}")
+    for name, value in (("scale", scale),
+                        ("threshold scale", threshold_scale)):
+        if not math.isfinite(value) or value <= 0:
+            raise ConfigurationError(
+                f"{name} must be positive and finite, got {value}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     emit = log if log is not None else (lambda message: None)
 
-    keys = [figure_key(spec.figure_id, scale, simulate) for spec in specs]
-    journal_file = Path(journal_path) if journal_path is not None \
-        else out / JOURNAL_NAME
     outputs: List[FigureOutput] = []
-    with SweepJournal(journal_file, keys, resume=resume) as journal:
-        for index, spec in enumerate(specs):
-            started = time.perf_counter()
-            replayed = journal.completed.get(index)
-            resumed = isinstance(replayed, ExperimentTable)
-            if resumed:
-                table = replayed
-            else:
-                table = _run_figure(spec, scale, simulate)
-                journal.record_completed(index, attempts=1, result=table)
-            paths = _render(spec, table, out)
-            seconds = time.perf_counter() - started
-            outputs.append(FigureOutput(spec.figure_id, table, paths,
-                                        resumed=resumed, seconds=seconds))
-            origin = "journal" if resumed else "computed"
-            rendered = "+".join(sorted(paths))
-            emit(f"[{index + 1}/{len(specs)}] {spec.figure_id} "
-                 f"{origin} in {seconds:.1f}s -> {rendered}")
-        report = build_report(
-            [(spec, output.table) for spec, output in zip(specs, outputs)],
-            scale=scale, threshold_scale=threshold_scale,
-            include_claims=include_claims)
-        journal.close(summary={
-            "figures": len(outputs),
-            "resumed": sum(1 for o in outputs if o.resumed),
-            "validation_passed": report.passed,
-        })
+    for index, spec in enumerate(specs):
+        started = time.perf_counter()
+        table = spec.run(scale=scale, simulate=simulate)
+        paths = _render(spec, table, out)
+        seconds = time.perf_counter() - started
+        outputs.append(FigureOutput(spec.figure_id, table, paths,
+                                    seconds=seconds))
+        rendered = "+".join(sorted(paths))
+        emit(f"[{index + 1}/{len(specs)}] {spec.figure_id} "
+             f"in {seconds:.1f}s -> {rendered}")
+    report = build_report(
+        [(spec, output.table) for spec, output in zip(specs, outputs)],
+        scale=scale, threshold_scale=threshold_scale,
+        include_claims=include_claims)
 
     report_json = out / "report.json"
     report_json.write_text(dumps_report(report), encoding="utf-8")
@@ -192,5 +144,4 @@ def generate_figures(figure_ids: Optional[Sequence[str]] = None,
     return PipelineResult(out_dir=out, figures=outputs, report=report,
                           report_json=report_json,
                           report_markdown=report_markdown,
-                          tables_text=tables_text,
-                          journal_path=journal_file)
+                          tables_text=tables_text)

@@ -14,9 +14,9 @@ flagged ``overflowed``; everything else goes through one failure path:
   preempts stalled tasks at any ``jobs``; exhausted tasks are
   quarantined and the sweep continues, with the account in a
   :class:`BatchReport`.
-* **checkpoint/resume** — :class:`SweepJournal` is the append-only
-  figure journal behind ``btree-perf figures --resume``; an interrupted
-  run serves its finished figures from it.
+* **resume** — the content-keyed :class:`~repro.parallel.ResultCache`
+  is the checkpoint: an interrupted run re-invoked on the same cache
+  serves every point it had finished (``--no-cache`` opts out).
 * **fault injection** — :class:`FaultPlan` /
   :mod:`repro.resilience.faults` deterministically kill workers, stall
   tasks and corrupt cache entries, driving the test suite and the CI
@@ -39,7 +39,6 @@ from repro.resilience.faults import (
     corrupt_cache_entry,
     plan_from_env,
 )
-from repro.resilience.manifest import SweepJournal
 from repro.resilience.policy import ResilienceOptions, RetryPolicy
 from repro.resilience.report import (
     ERROR_TIMEOUT,
@@ -65,7 +64,6 @@ __all__ = [
     "SIMULATION_KINDS",
     "SLOW_SHARD",
     "STALL_TASK",
-    "SweepJournal",
     "corrupt_cache_entry",
     "plan_from_env",
 ]

@@ -26,7 +26,6 @@ class TestErrorHierarchy:
             errors.ConvergenceError("x"),
             errors.ProcessError("x"),
             errors.LockProtocolError("x"),
-            errors.KeyNotFoundError("x"),
             errors.InvariantViolationError("x"),
         ]
         for error in leaf_errors:
@@ -34,9 +33,6 @@ class TestErrorHierarchy:
 
     def test_configuration_error_is_value_error(self):
         assert isinstance(errors.ConfigurationError("x"), ValueError)
-
-    def test_key_not_found_is_key_error(self):
-        assert isinstance(errors.KeyNotFoundError("x"), KeyError)
 
     def test_unstable_queue_carries_level(self):
         error = errors.UnstableQueueError("saturated", level=4)

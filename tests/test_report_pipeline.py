@@ -1,16 +1,16 @@
-"""The one-command figure pipeline: artifacts, determinism, resume."""
+"""The one-command figure pipeline: artifacts, determinism, resume
+on the result cache."""
 
 import json
+import math
 
 import pytest
 
-import repro.report.pipeline as pipeline_module
-from repro.errors import CheckpointError
+from repro.errors import ConfigurationError
 from repro.experiments.runner import main as runner_main
 from repro.parallel import ResultCache
 from repro.parallel.context import execution
 from repro.report import generate_figures, validate_report_dict
-from repro.report.pipeline import JOURNAL_NAME, figure_key
 
 ANALYTICAL = ["fig11", "fig13"]
 
@@ -33,8 +33,6 @@ class TestArtifacts:
         assert result.report_json.exists()
         assert result.report_markdown.exists()
         assert result.tables_text.exists()
-        assert result.journal_path == tmp_path / JOURNAL_NAME
-        assert result.journal_path.exists()
         # The written JSON must satisfy the shipped schema constraints.
         validate_report_dict(
             json.loads(result.report_json.read_text(encoding="utf-8")))
@@ -52,52 +50,60 @@ class TestArtifacts:
 
 class TestDeterminism:
     def test_sidecars_byte_identical_across_cached_runs(self, tmp_path):
-        # The regression the issue pins: two runs of the same figures
-        # on fixed seeds — the second served from the result cache —
-        # must produce byte-identical sidecars (and SVGs).
-        cache = ResultCache(tmp_path / "cache")
+        # The result cache is the resume: a second run of the same
+        # figures on fixed seeds is all cache hits, stores nothing, and
+        # writes the same files, byte for byte, and no others.
         ids = ["fig03", "fig11"]
-        with execution(cache=cache):
+        with execution(cache=ResultCache(tmp_path / "cache")):
             _generate(tmp_path / "run1", figure_ids=ids, scale=0.02,
                       simulate=None)
+        rerun = ResultCache(tmp_path / "cache")
+        with execution(cache=rerun):
             _generate(tmp_path / "run2", figure_ids=ids, scale=0.02,
                       simulate=None)
-        for figure_id in ids:
-            for suffix in (".ndjson", ".svg"):
-                first = (tmp_path / "run1" / (figure_id + suffix)).read_bytes()
-                second = (tmp_path / "run2" / (figure_id + suffix)).read_bytes()
-                assert first == second, f"{figure_id}{suffix} differs"
+        assert rerun.stats.hits > 0
+        assert rerun.stats.misses == 0
+        assert rerun.stats.stores == 0
+        names = [figure_id + suffix for figure_id in ids
+                 for suffix in (".ndjson", ".svg")]
+        names += ["report.json", "report.md", "tables.txt"]
+        for name in names:
+            first = (tmp_path / "run1" / name).read_bytes()
+            second = (tmp_path / "run2" / name).read_bytes()
+            assert first == second, f"{name} differs"
+        for run in ("run1", "run2"):
+            assert sorted(p.name for p in (tmp_path / run).iterdir()) \
+                == sorted(names)
 
-    def test_figure_key_pins_scale_and_simulate(self):
-        base = figure_key("fig03", 0.1, None)
-        assert base == figure_key("fig03", 0.1, None)
-        assert base != figure_key("fig03", 0.2, None)
-        assert base != figure_key("fig03", 0.1, False)
-        assert base != figure_key("fig04", 0.1, None)
 
+class TestScaleChecks:
+    """A scale must be positive and finite: zero, negative and
+    non-finite values are refused before any figure runs."""
 
-class TestResume:
-    def test_resume_serves_figures_from_journal(self, tmp_path,
-                                                monkeypatch):
-        first = _generate(tmp_path)
-        assert all(not output.resumed for output in first.figures)
+    BAD = ["0", "-1", "nan", "inf"]
 
-        def _boom(spec, scale, simulate):
-            raise AssertionError(
-                f"{spec.figure_id} recomputed despite a complete journal")
+    @pytest.mark.parametrize("argv", [
+        ["figures", "fig11", "--no-sim", "--no-cache", "--scale"],
+        ["figures", "fig11", "--no-sim", "--no-cache", "--threshold-scale"],
+        ["simulate", "--scale"],
+    ])
+    @pytest.mark.parametrize("value", BAD)
+    def test_cli_flag_rejected(self, tmp_path, capsys, monkeypatch, argv,
+                               value):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            runner_main(argv[:-1] + [f"{argv[-1]}={value}"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
 
-        monkeypatch.setattr(pipeline_module, "_run_figure", _boom)
-        # Images are re-rendered from journaled tables even on resume.
-        (tmp_path / "fig11.svg").unlink()
-        second = _generate(tmp_path, resume=True)
-        assert all(output.resumed for output in second.figures)
-        assert (tmp_path / "fig11.svg").exists()
-        assert second.passed
-
-    def test_journal_refuses_mismatched_parameters(self, tmp_path):
-        _generate(tmp_path, scale=0.05)
-        with pytest.raises(CheckpointError):
-            _generate(tmp_path, scale=0.08, resume=True)
+    @pytest.mark.parametrize("keyword", ["scale", "threshold_scale"])
+    @pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+    def test_generate_figures_rejects(self, tmp_path, keyword, value):
+        with pytest.raises(ConfigurationError):
+            _generate(tmp_path, **{keyword: value})
+        assert not (tmp_path / "report.json").exists()
 
 
 class TestFormats:

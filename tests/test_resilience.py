@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from repro.errors import CheckpointError, ConfigurationError
+from repro.errors import ConfigurationError
 from repro.resilience import (
     BatchReport,
     FailureRecord,
@@ -17,9 +17,7 @@ from repro.resilience import (
     CORRUPT_CACHE,
     ResilienceOptions,
     RetryPolicy,
-    SweepJournal,
 )
-from repro.resilience.manifest import keys_digest
 
 
 # ----------------------------------------------------------------------
@@ -94,58 +92,6 @@ class TestRetryPolicy:
         with pytest.raises(ConfigurationError):
             ResilienceOptions(task_timeout=math.nan)
         ResilienceOptions(task_timeout=0.5)
-
-
-# ----------------------------------------------------------------------
-# Figure journal
-# ----------------------------------------------------------------------
-class TestSweepJournal:
-
-    def test_write_and_replay(self, tmp_path):
-        path = tmp_path / "sweep.ndjson"
-        keys = ["k0", "k1", "k2"]
-        with SweepJournal(path, keys) as journal:
-            journal.record_completed(0, attempts=1, result={"x": 1})
-            journal.record_completed(2, attempts=1, result=[3])
-            journal.close(summary={"figures": 3})
-        resumed = SweepJournal(path, keys, resume=True)
-        try:
-            assert resumed.completed == {0: {"x": 1}, 2: [3]}
-        finally:
-            resumed.close()
-
-    def test_task_list_mismatch_refused(self, tmp_path):
-        path = tmp_path / "sweep.ndjson"
-        SweepJournal(path, ["a", "b"]).close()
-        with pytest.raises(CheckpointError):
-            SweepJournal(path, ["a", "different"], resume=True)
-        with pytest.raises(CheckpointError):
-            SweepJournal(path, ["a", "b", "c"], resume=True)
-
-    def test_torn_final_line_tolerated(self, tmp_path):
-        path = tmp_path / "sweep.ndjson"
-        keys = ["k0", "k1"]
-        with SweepJournal(path, keys) as journal:
-            journal.record_completed(0, attempts=1, result=41)
-            journal.record_completed(1, attempts=1, result=42)
-        # Simulate a crash mid-append: chop the last line in half.
-        text = path.read_text()
-        path.write_text(text[:len(text) - 25])
-        resumed = SweepJournal(path, keys, resume=True)
-        try:
-            assert resumed.completed == {0: 41}  # task 1 recomputes
-        finally:
-            resumed.close()
-
-    def test_non_journal_file_refused(self, tmp_path):
-        path = tmp_path / "not-a-journal.ndjson"
-        path.write_text("hello world\n")
-        with pytest.raises(CheckpointError):
-            SweepJournal(path, ["a"], resume=True)
-
-    def test_digest_is_order_sensitive(self):
-        assert keys_digest(["a", "b"]) != keys_digest(["b", "a"])
-        assert keys_digest([None, "a"]) != keys_digest(["a", None])
 
 
 # ----------------------------------------------------------------------
