@@ -7,7 +7,9 @@ corresponding paper figure as an :class:`~repro.experiments.common.ExperimentTab
 shrinks the simulation effort for quick runs; ``scale=1.0`` matches the
 paper's 10,000 measured operations and 5 seeds.
 
-Use :data:`repro.report.FIGURES` to enumerate them (``get_figure(id).run``
+A driver with a simulated series is a generator that yields its
+simulation tasks once and returns its table.  Use
+:data:`repro.report.FIGURES` to enumerate them (``get_figure(id).run``
 regenerates one) or ``btree-perf figures`` to render them with the
 validation report.
 """

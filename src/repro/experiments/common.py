@@ -1,20 +1,43 @@
-"""Shared experiment plumbing: result tables and sweep helpers."""
+"""Shared experiment plumbing: result tables and sweep helpers.
+
+A driver that simulates is a generator function: it hands every
+simulation task of its figure over with one ``results = yield tasks``
+(a list of :class:`~repro.parallel.SimTask`) and gets the results back
+in task order; :func:`repro.experiments.registry.run_drivers` runs the
+tasks of every driver in a run as one de-duplicated batch.  The sweep
+helpers below are sub-generators for ``yield from``.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Generator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    TypeVar,
+)
 
 from repro.algorithms import AlgorithmSpec
 from repro.model.params import ModelConfig
 from repro.model.results import AlgorithmPrediction
-from repro.parallel import replication_grid
+from repro.parallel import SimTask, replication_tasks
 from repro.simulator.config import SimulationConfig
 from repro.simulator.driver import pooled_response_means
 from repro.simulator.metrics import SimulationResult
 
 Analyzer = Callable[..., AlgorithmPrediction]
+
+T = TypeVar("T")
+
+#: A generator that yields one task list, is sent the results in task
+#: order, and returns ``T``.
+YieldsTasks = Generator[List[SimTask], List[Optional[SimulationResult]], T]
 
 
 def base_sim_config(spec: AlgorithmSpec | str, arrival_rate: float = 0.1,
@@ -61,6 +84,11 @@ class ExperimentTable:
         self.notes.append(text)
 
 
+#: A driver call with a simulated series: it yields its tasks once and
+#: returns its table.
+SimulatedFigure = YieldsTasks[ExperimentTable]
+
+
 def scaled_sim_config(base: SimulationConfig, scale: float) -> SimulationConfig:
     """Shrink a simulation configuration's effort by ``scale``."""
     if scale >= 1.0:
@@ -82,44 +110,51 @@ def model_response(analyzer: Analyzer, config: ModelConfig, rate: float,
     return prediction.response(operation)
 
 
-def sweep_replications(base: SimulationConfig, rates: Sequence[float],
-                       scale: float, seeds: Optional[int] = None,
-                       ) -> List[List[SimulationResult]]:
-    """Replication results for every rate, one fan-out for the grid.
+def sweep_replications(bases: Sequence[SimulationConfig],
+                       rates: Sequence[float], scale: float,
+                       seeds: Optional[int] = None,
+                       ) -> YieldsTasks[List[List[List[SimulationResult]]]]:
+    """Replication results for every ``(base, rate)``, from one yield.
 
-    The whole ``(rate, seed)`` grid goes out as a single
-    :func:`~repro.parallel.replication_grid` batch, so a parallel
-    execution context overlaps *all* of a figure's simulation runs
-    instead of blocking point by point; returns the per-rate result
-    lists in rate order (each in seed order, identical to serial
-    execution).
+    Returns ``out[b][r]``, the seed-ordered results of ``bases[b]`` at
+    ``rates[r]``.  The grid is yielded seed-major (every point of one
+    seed, then the next seed): runs of one seed share a warm-up tree,
+    so the one-tree memo of :func:`repro.btree.builder.warm_tree` grows
+    each tree once.  Runs are independent, so the order changes no
+    result.
     """
     n = seeds if seeds is not None else sim_seeds(scale)
-    return replication_grid([scaled_sim_config(base.with_rate(rate), scale)
-                             for rate in rates], n)
+    per_point = [replication_tasks(
+        scaled_sim_config(base.with_rate(rate), scale), n)
+        for base in bases for rate in rates]
+    flat = yield [replicas[seed] for seed in range(n)
+                  for replicas in per_point]
+    points = len(per_point)
+    return [[flat[b * len(rates) + r::points] for r in range(len(rates))]
+            for b in range(len(bases))]
 
 
-def sweep_simulated_responses(base: SimulationConfig,
+def sweep_simulated_responses(bases: Sequence[SimulationConfig],
                               rates: Sequence[float], scale: float,
                               seeds: Optional[int] = None,
-                              ) -> List[Dict[str, float]]:
-    """Pooled simulated response means for every rate (one fan-out);
-    +inf where every replication overflowed."""
-    return [pooled_response_means(results)
-            for results in sweep_replications(base, rates, scale, seeds)]
+                              ) -> YieldsTasks[List[List[Dict[str, float]]]]:
+    """Pooled simulated response means for every ``(base, rate)``,
+    from one yield; +inf where every replication overflowed."""
+    grid = yield from sweep_replications(bases, rates, scale, seeds)
+    return [[pooled_response_means(results) for results in per_rate]
+            for per_rate in grid]
 
 
 def response_sweep(table: ExperimentTable, rates: Sequence[float],
                    analyzer: Analyzer, model_config: ModelConfig,
                    operation: str, sim_base: Optional[SimulationConfig],
                    scale: float, analyzer_kwargs: Optional[dict] = None,
-                   ) -> None:
+                   ) -> YieldsTasks[None]:
     """Fill ``table`` with (rate, model, sim) response-time rows.
 
     When ``sim_base`` is None only the analytical column is produced
-    (columns must match).  The simulated points for the whole sweep are
-    submitted as one batch, so under ``execution(jobs=N)`` they run
-    concurrently.
+    (columns must match) and nothing is yielded; otherwise the whole
+    sweep's simulated points go out in one yield.
     """
     kwargs = analyzer_kwargs or {}
     models = [model_response(analyzer, model_config, rate, operation,
@@ -128,7 +163,7 @@ def response_sweep(table: ExperimentTable, rates: Sequence[float],
         for rate, model in zip(rates, models):
             table.add(rate, _rounded(model))
         return
-    sims = sweep_simulated_responses(sim_base, rates, scale)
+    (sims,) = yield from sweep_simulated_responses([sim_base], rates, scale)
     for rate, model, sim in zip(rates, models, sims):
         table.add(rate, _rounded(model), _rounded(sim[operation]))
 

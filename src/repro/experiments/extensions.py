@@ -32,7 +32,8 @@
   cluster simulator (see ``docs/robustness.md``).
 
 The comparison sets are derived from :mod:`repro.algorithms` (specs and
-capability flags), never from hard-coded name literals.
+capability flags), never from hard-coded name literals.  ``ext08``'s
+cluster runs are not simulation tasks, so ``ext08`` runs them inline.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from repro.algorithms import all_algorithms, get_algorithm, names
 from repro.errors import ConvergenceError
 from repro.experiments.common import (
     ExperimentTable,
+    SimulatedFigure,
     base_sim_config,
     sweep_simulated_responses,
 )
@@ -52,7 +54,7 @@ from repro.model import (
 )
 from repro.model.buffering import buffered_config, pages_for_top_levels
 from repro.model.params import OperationMix
-from repro.parallel import SimTask, run_batch
+from repro.parallel import SimTask
 
 _NAIVE = get_algorithm(names.NAIVE_LOCK_COUPLING)
 _OPTIMISTIC = get_algorithm(names.OPTIMISTIC_DESCENT)
@@ -64,7 +66,7 @@ _OLC = get_algorithm(names.OPTIMISTIC_LOCK_COUPLING)
 _COMPARED = (_TWO_PHASE, _NAIVE, _OPTIMISTIC, _LINK)
 
 
-def ext01(scale: float = 1.0, simulate: bool = False) -> ExperimentTable:
+def ext01(scale: float = 1.0, simulate: bool = False) -> SimulatedFigure:
     """Two-Phase Locking in the Figure 12 comparison."""
     config = paper_default_config()
     columns = ["arrival_rate"] + [f"{spec.short}_insert"
@@ -79,7 +81,8 @@ def ext01(scale: float = 1.0, simulate: bool = False) -> ExperimentTable:
     sim_means = None
     if simulate:
         base = base_sim_config(_TWO_PHASE)
-        sim_means = sweep_simulated_responses(base, rates, scale)
+        (sim_means,) = yield from sweep_simulated_responses(
+            [base], rates, scale)
     for index, rate in enumerate(rates):
         row = [rate]
         for spec in _COMPARED:
@@ -157,7 +160,7 @@ def _closed_specs():
     return tuple(spec for spec in all_algorithms() if spec.supports_closed)
 
 
-def ext04(scale: float = 1.0, simulate: bool = True) -> ExperimentTable:
+def ext04(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
     """Closed-system throughput and search response vs MPL, with the
     interactive response-time-law prediction alongside the simulation."""
     from repro.model.closed import closed_system_prediction
@@ -184,11 +187,11 @@ def ext04(scale: float = 1.0, simulate: bool = True) -> ExperimentTable:
             n_operations=n_ops, warmup_operations=warmup, seed=17)
 
     model_config = measured_model_config(sim_config(specs[0], 1))
-    # The whole (mpl, algorithm) grid fans out as one batch of closed
-    # tasks; run_batch preserves submission order.
+    # The whole (mpl, algorithm) grid goes out as one yield of closed
+    # tasks; the results come back in task order.
     tasks = [SimTask(sim_config(spec, mpl), kind="closed", mpl=mpl)
              for mpl in _MPL_LEVELS for spec in specs]
-    flat = iter(run_batch(tasks))
+    flat = iter((yield tasks))
     for mpl in _MPL_LEVELS:
         throughputs = []
         responses = []
@@ -209,7 +212,7 @@ def ext04(scale: float = 1.0, simulate: bool = True) -> ExperimentTable:
     return table
 
 
-def ext05(scale: float = 1.0, simulate: bool = True) -> ExperimentTable:
+def ext05(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
     """Simulated insert response vs hotspot skew (hot 20% of keys)."""
     del simulate  # inherently simulated
     specs = (_NAIVE, _LINK)
@@ -230,7 +233,7 @@ def ext05(scale: float = 1.0, simulate: bool = True) -> ExperimentTable:
             seed=23, key_distribution="hotspot",
             hot_fraction=0.2, hot_probability=hot_probability))
         for hot_probability in skews for spec in specs]
-    flat = iter(run_batch(tasks))
+    flat = iter((yield tasks))
     for hot_probability in skews:
         row = [hot_probability]
         rho = math.nan
@@ -250,7 +253,7 @@ def ext05(scale: float = 1.0, simulate: bool = True) -> ExperimentTable:
     return table
 
 
-def ext06(scale: float = 1.0, simulate: bool = True) -> ExperimentTable:
+def ext06(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
     """Optimistic Lock-coupling vs the paper's three core algorithms.
 
     The head-to-head sweep for the registry's extensibility proof: the
@@ -272,7 +275,7 @@ def ext06(scale: float = 1.0, simulate: bool = True) -> ExperimentTable:
             n_operations=n_ops,
             warmup_operations=max(40, n_ops // 10), seed=11))
         for rate in rates for spec in specs]
-    flat = iter(run_batch(tasks))
+    flat = iter((yield tasks))
     for rate in rates:
         row = [rate]
         for _spec in specs:
@@ -312,7 +315,7 @@ def _ext07_traces():
     )
 
 
-def ext07(scale: float = 1.0, simulate: bool = True) -> ExperimentTable:
+def ext07(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
     """Workload sensitivity: the algorithm comparison re-run under the
     pluggable workload subsystem's non-stationary / skewed traces.
 
@@ -337,7 +340,7 @@ def ext07(scale: float = 1.0, simulate: bool = True) -> ExperimentTable:
             warmup_operations=max(40, n_ops // 10), seed=17,
             workload=workload))
         for _trace_id, _name, workload in traces for spec in specs]
-    flat = iter(run_batch(tasks))
+    flat = iter((yield tasks))
     for trace_id, _name, _workload in traces:
         row = [trace_id]
         for _spec in specs:

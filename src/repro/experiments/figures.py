@@ -8,6 +8,8 @@ Each function regenerates the figure's plotted series as an
 * ``simulate=False`` produces the analytical series only (Figures 11 and
   13-16 are analytical in the paper as well).
 * Response times are in the paper's units (one root search = 1).
+* A driver with a simulated series is a generator
+  (:data:`~repro.experiments.common.SimulatedFigure`).
 
 The default configuration is Section 5.3: order 13, ~40,000 items
 (5 levels, root fanout ~6), 2 in-memory levels, disk cost 5, mix
@@ -38,6 +40,7 @@ from repro.model.params import CostModel, ModelConfig, TreeShape
 from repro.errors import ConvergenceError
 from repro.experiments.common import (
     ExperimentTable,
+    SimulatedFigure,
     base_sim_config,
     response_sweep,
     sweep_replications,
@@ -59,15 +62,16 @@ NODE_SIZES = (7, 13, 21, 31, 43, 59, 81, 101)
 
 def _response_figure(experiment_id: str, figure: str, title: str,
                      spec: AlgorithmSpec, rates: Sequence[float],
-                     operation: str, scale: float, simulate: bool,
-                     ) -> ExperimentTable:
+                     operation: str, scale: float,
+                     simulate: bool) -> SimulatedFigure:
     columns = ["arrival_rate", f"model_{operation}_response"]
     if simulate:
         columns.append(f"sim_{operation}_response")
     table = ExperimentTable(experiment_id, title, figure, columns)
     sim_base = base_sim_config(spec) if simulate else None
-    response_sweep(table, rates, spec.analyze, paper_default_config(),
-                   operation, sim_base, scale)
+    yield from response_sweep(table, rates, spec.analyze,
+                              paper_default_config(), operation, sim_base,
+                              scale)
     table.note("disk cost D=5, 2 in-memory levels, N=13, ~40k items, "
                "mix (.3,.5,.2)")
     return table
@@ -76,52 +80,58 @@ def _response_figure(experiment_id: str, figure: str, title: str,
 # ----------------------------------------------------------------------
 # Figures 3-8: response time vs arrival rate, analysis vs simulation
 # ----------------------------------------------------------------------
-def fig03(scale: float = 1.0, simulate: bool = True) -> ExperimentTable:
+def fig03(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
     """Naive Lock-coupling insert response time vs arrival rate."""
-    return _response_figure("fig03", "Figure 3",
-                            "Naive Lock-coupling insert response vs arrival rate",
-                            _NAIVE, NAIVE_RATES, "insert", scale, simulate)
+    return (yield from _response_figure(
+        "fig03", "Figure 3",
+        "Naive Lock-coupling insert response vs arrival rate",
+        _NAIVE, NAIVE_RATES, "insert", scale, simulate))
 
 
-def fig04(scale: float = 1.0, simulate: bool = True) -> ExperimentTable:
+def fig04(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
     """Naive Lock-coupling search response time vs arrival rate."""
-    return _response_figure("fig04", "Figure 4",
-                            "Naive Lock-coupling search response vs arrival rate",
-                            _NAIVE, NAIVE_RATES, "search", scale, simulate)
+    return (yield from _response_figure(
+        "fig04", "Figure 4",
+        "Naive Lock-coupling search response vs arrival rate",
+        _NAIVE, NAIVE_RATES, "search", scale, simulate))
 
 
-def fig05(scale: float = 1.0, simulate: bool = True) -> ExperimentTable:
+def fig05(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
     """Optimistic Descent insert response time vs arrival rate."""
-    return _response_figure("fig05", "Figure 5",
-                            "Optimistic Descent insert response vs arrival rate",
-                            _OPTIMISTIC, OPTIMISTIC_RATES, "insert", scale, simulate)
+    return (yield from _response_figure(
+        "fig05", "Figure 5",
+        "Optimistic Descent insert response vs arrival rate",
+        _OPTIMISTIC, OPTIMISTIC_RATES, "insert", scale, simulate))
 
 
-def fig06(scale: float = 1.0, simulate: bool = True) -> ExperimentTable:
+def fig06(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
     """Optimistic Descent search response time vs arrival rate."""
-    return _response_figure("fig06", "Figure 6",
-                            "Optimistic Descent search response vs arrival rate",
-                            _OPTIMISTIC, OPTIMISTIC_RATES, "search", scale, simulate)
+    return (yield from _response_figure(
+        "fig06", "Figure 6",
+        "Optimistic Descent search response vs arrival rate",
+        _OPTIMISTIC, OPTIMISTIC_RATES, "search", scale, simulate))
 
 
-def fig07(scale: float = 1.0, simulate: bool = True) -> ExperimentTable:
+def fig07(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
     """Link-type insert response time vs arrival rate."""
-    return _response_figure("fig07", "Figure 7",
-                            "Link-type insert response vs arrival rate",
-                            _LINK, LINK_RATES, "insert", scale, simulate)
+    return (yield from _response_figure(
+        "fig07", "Figure 7",
+        "Link-type insert response vs arrival rate",
+        _LINK, LINK_RATES, "insert", scale, simulate))
 
 
-def fig08(scale: float = 1.0, simulate: bool = True) -> ExperimentTable:
+def fig08(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
     """Link-type search response time vs arrival rate."""
-    return _response_figure("fig08", "Figure 8",
-                            "Link-type search response vs arrival rate",
-                            _LINK, LINK_RATES, "search", scale, simulate)
+    return (yield from _response_figure(
+        "fig08", "Figure 8",
+        "Link-type search response vs arrival rate",
+        _LINK, LINK_RATES, "search", scale, simulate))
 
 
 # ----------------------------------------------------------------------
 # Figure 9: link crossings are rare
 # ----------------------------------------------------------------------
-def fig09(scale: float = 1.0, simulate: bool = True) -> ExperimentTable:
+def fig09(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
     """Link-crossing rate vs arrival rate (negligible-effect claim)."""
     config = paper_default_config(disk_cost=10.0)
     columns = ["arrival_rate", "model_crossings_per_1k_ops"]
@@ -133,7 +143,8 @@ def fig09(scale: float = 1.0, simulate: bool = True) -> ExperimentTable:
     sim_results = None
     if simulate:
         sim_base = base_sim_config(_LINK, costs=CostModel(disk_cost=10.0))
-        sim_results = sweep_replications(sim_base, LINK_RATES, scale)
+        (sim_results,) = yield from sweep_replications(
+            [sim_base], LINK_RATES, scale)
     for index, rate in enumerate(LINK_RATES):
         model_per_1k = round(
             1000.0 * expected_crossings_per_descent(config, rate), 3)
@@ -153,7 +164,7 @@ def fig09(scale: float = 1.0, simulate: bool = True) -> ExperimentTable:
 # ----------------------------------------------------------------------
 # Figure 10: root writer utilization grows non-linearly
 # ----------------------------------------------------------------------
-def fig10(scale: float = 1.0, simulate: bool = True) -> ExperimentTable:
+def fig10(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
     """Naive Lock-coupling root writer utilization vs arrival rate."""
     config = paper_default_config()
     columns = ["arrival_rate", "model_rho_w_root"]
@@ -165,7 +176,8 @@ def fig10(scale: float = 1.0, simulate: bool = True) -> ExperimentTable:
     sim_results = None
     if simulate:
         sim_base = base_sim_config(_NAIVE)
-        sim_results = sweep_replications(sim_base, NAIVE_RATES, scale)
+        (sim_results,) = yield from sweep_replications(
+            [sim_base], NAIVE_RATES, scale)
     for index, rate in enumerate(NAIVE_RATES):
         prediction = _NAIVE.analyze(config, rate)
         rho = prediction.root_writer_utilization
@@ -207,7 +219,7 @@ def fig11(scale: float = 1.0, simulate: bool = False) -> ExperimentTable:
 # ----------------------------------------------------------------------
 # Figure 12: the three algorithms compared
 # ----------------------------------------------------------------------
-def fig12(scale: float = 1.0, simulate: bool = False) -> ExperimentTable:
+def fig12(scale: float = 1.0, simulate: bool = False) -> SimulatedFigure:
     """Insert response comparison: Naive vs Optimistic vs Link-type."""
     config = paper_default_config()
     columns = ["arrival_rate", "naive_insert", "optimistic_insert",
@@ -222,9 +234,8 @@ def fig12(scale: float = 1.0, simulate: bool = False) -> ExperimentTable:
     specs = (_NAIVE, _OPTIMISTIC, _LINK)
     sim_means = None
     if simulate:
-        sim_means = [sweep_simulated_responses(base_sim_config(spec), rates,
-                                               scale)
-                     for spec in specs]
+        sim_means = yield from sweep_simulated_responses(
+            [base_sim_config(spec) for spec in specs], rates, scale)
     for index, rate in enumerate(rates):
         row = [rate]
         for spec in specs:
@@ -294,7 +305,7 @@ def fig14(scale: float = 1.0, simulate: bool = False) -> ExperimentTable:
 # ----------------------------------------------------------------------
 def _recovery_figure(experiment_id: str, figure: str, order: int,
                      shape: Optional[TreeShape], rates: Sequence[float],
-                     scale: float, simulate: bool) -> ExperimentTable:
+                     scale: float, simulate: bool) -> SimulatedFigure:
     config = paper_default_config(order=order, disk_cost=10.0)
     if shape is not None:
         config = ModelConfig(mix=config.mix, costs=config.costs,
@@ -309,14 +320,13 @@ def _recovery_figure(experiment_id: str, figure: str, order: int,
         figure, columns)
     sim_means = None
     if simulate:
-        sim_means = [
-            sweep_simulated_responses(
-                base_sim_config(_OPTIMISTIC, order=order,
-                          costs=CostModel(disk_cost=10.0),
-                          recovery=recovery, t_trans=100.0),
-                rates, scale)
-            for recovery in ("no-recovery", "leaf-only-recovery",
-                             "naive-recovery")]
+        sim_means = yield from sweep_simulated_responses(
+            [base_sim_config(_OPTIMISTIC, order=order,
+                             costs=CostModel(disk_cost=10.0),
+                             recovery=recovery, t_trans=100.0)
+             for recovery in ("no-recovery", "leaf-only-recovery",
+                              "naive-recovery")],
+            rates, scale)
     for index, rate in enumerate(rates):
         row = [rate]
         for policy in (NO_RECOVERY, LEAF_ONLY_RECOVERY, NAIVE_RECOVERY):
@@ -337,14 +347,14 @@ def _recovery_figure(experiment_id: str, figure: str, order: int,
     return table
 
 
-def fig15(scale: float = 1.0, simulate: bool = False) -> ExperimentTable:
+def fig15(scale: float = 1.0, simulate: bool = False) -> SimulatedFigure:
     """Recovery comparison with the paper's N=13, 5-level tree."""
     rates = (0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0, 1.5)
-    return _recovery_figure("fig15", "Figure 15", 13, None, rates,
-                            scale, simulate)
+    return (yield from _recovery_figure("fig15", "Figure 15", 13, None,
+                                        rates, scale, simulate))
 
 
-def fig16(scale: float = 1.0, simulate: bool = False) -> ExperimentTable:
+def fig16(scale: float = 1.0, simulate: bool = False) -> SimulatedFigure:
     """Recovery comparison with N=59 and a 4-level tree.
 
     A 40k-item tree of order 59 only reaches 3 levels at the ln 2 fill
@@ -353,8 +363,8 @@ def fig16(scale: float = 1.0, simulate: bool = False) -> ExperimentTable:
     """
     shape = TreeShape.ideal(500_000, 59)
     rates = (0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0)
-    table = _recovery_figure("fig16", "Figure 16", 59, shape, rates,
-                             scale, simulate=False)
+    table = yield from _recovery_figure("fig16", "Figure 16", 59, shape,
+                                        rates, scale, simulate=False)
     del scale, simulate  # the 500k-item tree is analytical only
     table.note("paper states N=59 gives 4 levels; at ln2 fill that needs "
                ">67k items, so the shape uses 500k items (height 4, "

@@ -35,8 +35,9 @@ or ``~/.cache/repro``), so re-running an experiment at the same scale
 reuses every already-computed point.  That is also the resume: an
 interrupted ``figures`` run invoked again computes only what it had
 not finished.  ``--no-cache`` disables the cache (and so the resume)
-and ``--clear-cache`` empties it first.  ``--jobs N`` fans a sweep's
-independent simulation runs out over ``N`` worker processes (the
+and ``--clear-cache`` empties it first.  A ``figures`` run collects the
+simulation tasks of all of its figures into one de-duplicated batch,
+and ``--jobs N`` fans that batch out over ``N`` worker processes (the
 default, 1, is serial); results are bit-identical either way.  See
 ``docs/performance.md``.
 
@@ -65,7 +66,7 @@ from typing import List, Optional
 
 from repro.algorithms import algorithm_names, all_algorithms, names
 from repro.errors import ConfigurationError, ReproError
-from repro.parallel import ResultCache, execution
+from repro.parallel import ResultCache
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -157,9 +158,10 @@ def _build_parser() -> argparse.ArgumentParser:
     figures.add_argument("--no-claims", action="store_true",
                          help="leave the paper's in-text claims out of "
                               "the validation report")
-    figures.add_argument("--jobs", type=int, default=1, metavar="N",
-                         help="worker processes for each figure's "
-                              "simulation sweep (default 1: serial)")
+    figures.add_argument("--jobs", type=_non_negative_int, default=1,
+                         metavar="N",
+                         help="worker processes for the run's simulation "
+                              "batch (default 1: serial)")
     figures.add_argument("--no-cache", action="store_true",
                          help="disable the on-disk simulation result "
                               "cache")
@@ -179,7 +181,8 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="Poisson arrival rate (default 0.2)")
     simulate.add_argument("--seed", type=int, default=0,
                           help="base random seed (default 0)")
-    simulate.add_argument("--seeds", type=int, default=1, metavar="N",
+    simulate.add_argument("--seeds", type=_positive_int, default=1,
+                          metavar="N",
                           help="replication seeds seed..seed+N-1 "
                                "(default 1)")
     simulate.add_argument("--scale", type=_positive_scale, default=1.0,
@@ -195,7 +198,8 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--progress", action="store_true",
                           help="stream one line per completed run to "
                                "stderr")
-    simulate.add_argument("--jobs", type=int, default=1, metavar="N",
+    simulate.add_argument("--jobs", type=_non_negative_int, default=1,
+                          metavar="N",
                           help="worker processes for the replication "
                                "seeds (default 1: serial)")
     _resilience_flags(simulate)
@@ -222,16 +226,23 @@ _positive_seconds = _positive_finite("number of seconds")
 _positive_scale = _positive_finite("scale factor")
 
 
-def _non_negative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"{text!r} is not an integer") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 0, got {value}")
-    return value
+def _int_at_least(minimum: int):
+    """An argparse type accepting an integer >= ``minimum``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"{text!r} is not an integer") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(
+                f"expected an integer >= {minimum}, got {value}")
+        return value
+    return parse
+
+
+_non_negative_int = _int_at_least(0)
+_positive_int = _int_at_least(1)
 
 
 #: The formats ``figures --formats`` accepts; both are always written.
@@ -354,13 +365,13 @@ def _figures(args) -> int:
         from repro.obs import ProgressPrinter
         progress = ProgressPrinter()
         log = lambda message: print(message, file=sys.stderr)  # noqa: E731
-    with execution(jobs=args.jobs, cache=cache, progress=progress,
-                   resilience=_resilience_from_args(args)):
-        result = generate_figures(
-            figure_ids=figure_ids, scale=args.scale, out_dir=args.out,
-            simulate=False if args.no_sim else None,
-            threshold_scale=args.threshold_scale,
-            include_claims=not args.no_claims, log=log)
+    result = generate_figures(
+        figure_ids=figure_ids, scale=args.scale, out_dir=args.out,
+        simulate=False if args.no_sim else None,
+        threshold_scale=args.threshold_scale,
+        include_claims=not args.no_claims, log=log, jobs=args.jobs,
+        cache=cache, progress=progress,
+        resilience=_resilience_from_args(args))
     report = result.report
     print(f"{len(result.figures)} figure(s) -> {result.out_dir}; "
           f"report: {result.report_markdown}")
@@ -475,10 +486,9 @@ def _simulate(args) -> int:
         args.scale)
     options = TelemetryOptions(sample_interval=args.sample_interval)
     progress = ProgressPrinter(total=args.seeds) if args.progress else None
-    with execution(resilience=_resilience_from_args(args)):
-        results, merged = collect_replications(
-            config, n_seeds=args.seeds, options=options, jobs=args.jobs,
-            progress=progress)
+    results, merged = collect_replications(
+        config, n_seeds=args.seeds, options=options, jobs=args.jobs,
+        progress=progress, resilience=_resilience_from_args(args))
     if args.metrics_out and merged is None:
         print(f"no telemetry written to {args.metrics_out}: every seed "
               f"was quarantined", file=sys.stderr)

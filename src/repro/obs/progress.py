@@ -3,10 +3,8 @@
 A :class:`ProgressPrinter` is an ordinary ``progress`` callback (one
 call per completed :class:`~repro.simulator.metrics.SimulationResult`,
 in completion order when parallel) that writes one line per run to a
-stream — stderr by default, so stdout stays clean.  The CLI
-installs it into the ambient execution context
-(``execution(progress=...)``), from where every ``run_batch`` below
-picks it up.
+stream — stderr by default, so stdout stays clean.  The CLI passes
+it as the ``progress`` argument of the run's one ``run_batch``.
 """
 
 from __future__ import annotations

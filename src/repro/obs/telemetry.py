@@ -38,6 +38,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
+from repro.resilience.policy import ResilienceOptions
 from repro.simulator.config import SimulationConfig
 from repro.simulator.metrics import SimulationResult
 
@@ -341,20 +342,21 @@ def merge_telemetry(runs: Sequence[RunTelemetry]) -> SweepTelemetry:
 
 def collect_replications(config: SimulationConfig, n_seeds: int = 5,
                          options: Optional[TelemetryOptions] = None,
-                         jobs: Optional[int] = None,
+                         jobs: int = 1,
                          progress: Optional[Callable[[SimulationResult], None]]
                          = None,
+                         resilience: Optional[ResilienceOptions] = None,
                          ) -> Tuple[List[SimulationResult],
                                     Optional[SweepTelemetry]]:
     """Run one sweep point under telemetry and merge the artifacts.
 
     Fans the seeds out exactly like
-    :func:`~repro.simulator.driver.run_replications` (``jobs`` defaults
-    to the ambient execution context) and returns ``(results, merged)``
-    where ``merged`` is the point's :class:`SweepTelemetry`, or None
-    when no seed delivered telemetry (every one quarantined).  Telemetry
-    runs bypass the result cache: the time series are the artifact, and
-    a memoized result has none.
+    :func:`~repro.simulator.driver.run_replications` (serial unless
+    ``jobs`` > 1; fail-fast unless ``resilience`` is given) and returns
+    ``(results, merged)`` where ``merged`` is the point's
+    :class:`SweepTelemetry`, or None when no seed delivered telemetry
+    (every one quarantined).  Telemetry runs bypass the result cache:
+    the time series are the artifact, and a memoized result has none.
     """
     from repro.parallel import run_batch
     from repro.parallel.executor import SimTask
@@ -369,9 +371,9 @@ def collect_replications(config: SimulationConfig, n_seeds: int = 5,
         captured[index] = telemetry
 
     results = run_batch(tasks, jobs=jobs, progress=progress,
-                        telemetry_sink=sink)
-    # Under a resilient execution context a seed can be quarantined and
-    # deliver no telemetry; merge whatever arrived.
+                        telemetry_sink=sink, resilience=resilience)
+    # Under a failure policy a seed can be quarantined and deliver no
+    # telemetry; merge whatever arrived.
     runs = [captured[index] for index in range(len(tasks))
             if index in captured]
     return results, merge_telemetry(runs) if runs else None

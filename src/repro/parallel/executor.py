@@ -16,8 +16,7 @@ Determinism contract: for a fixed task list, the returned list is
 identical whatever ``jobs`` is and whatever mixture of cache hits and
 recomputes served it.
 
-With a :class:`~repro.resilience.ResilienceOptions` installed (argument
-or ambient :func:`~repro.parallel.context.execution` context), the
+With a :class:`~repro.resilience.ResilienceOptions` passed in, the
 batch additionally survives hostile conditions: per-task exceptions and
 ``BrokenProcessPool`` trigger bounded retries with exponential backoff,
 exhausted tasks are quarantined (a ``None`` slot in the returned list)
@@ -57,12 +56,6 @@ from typing import (
 
 from repro.errors import ConfigurationError
 from repro.parallel.cache import CODE_SALT, ResultCache, config_key
-from repro.parallel.context import (
-    resolve_cache,
-    resolve_jobs,
-    resolve_progress,
-    resolve_resilience,
-)
 from repro.resilience.faults import (
     FaultPlan,
     FaultSpec,
@@ -144,25 +137,6 @@ def replication_tasks(config: SimulationConfig,
             for offset in range(n_seeds)]
 
 
-def replication_grid(configs: Sequence[SimulationConfig], n_seeds: int,
-                     jobs: Optional[int] = None,
-                     ) -> List[List[Optional[SimulationResult]]]:
-    """:func:`replication_tasks` for every config, run as one
-    :func:`run_batch`; returns the per-config result lists in config
-    order, each in seed order.
-
-    The grid is submitted seed-major (every config of one seed, then
-    the next seed): runs of one seed share a warm-up tree, so the
-    one-tree memo of :func:`repro.btree.builder.warm_tree` grows each
-    tree once.  Runs are independent, so the order changes no result.
-    """
-    per_config = [replication_tasks(config, n_seeds) for config in configs]
-    tasks = [replicas[seed] for seed in range(n_seeds)
-             for replicas in per_config]
-    flat = run_batch(tasks, jobs=jobs)
-    return [flat[i::len(configs)] for i in range(len(configs))]
-
-
 def execute_task(task: SimTask) -> Any:
     """Run one task to completion (top-level, hence picklable: this is
     the function worker processes import and call).
@@ -195,7 +169,7 @@ def _execute_guarded(task: SimTask,
 
 
 def run_batch(tasks: Sequence[SimTask],
-              jobs: Optional[int] = None,
+              jobs: int = 1,
               cache: Optional[ResultCache] = None,
               progress: Optional[Callable[[SimulationResult], None]] = None,
               telemetry_sink: Optional[Callable[[int, "RunTelemetry"], None]]
@@ -204,13 +178,12 @@ def run_batch(tasks: Sequence[SimTask],
               ) -> List[Optional[SimulationResult]]:
     """Execute ``tasks`` and return their results in task order.
 
-    ``jobs``/``cache``/``progress``/``resilience`` default to the
-    ambient :class:`~repro.parallel.context.ExecutionContext` (serial,
-    no cache, silent, fail-fast).  ``jobs <= 1`` runs
-    everything inline in this process — byte-for-byte today's serial
-    behavior; ``jobs > 1`` fans cache misses out over that many worker
-    processes.  ``progress`` is called once per result; in parallel
-    mode the call order follows completion order, not task order.
+    The defaults are serial, uncached, silent and fail-fast.  ``jobs``
+    0 or 1 runs everything inline in this process; ``jobs > 1`` fans
+    cache misses out over that many worker processes; a negative
+    ``jobs`` raises ConfigurationError.  ``progress`` is called once per
+    result; in parallel mode the call order follows completion order,
+    not task order.
 
     Tasks carrying telemetry options always execute (never served from
     or stored into the cache); their
@@ -219,26 +192,23 @@ def run_batch(tasks: Sequence[SimTask],
     still holds plain results at every position.
 
     Without a failure policy, the first task exception propagates and
-    the tasks not yet started are cancelled.  With one — installed
-    explicitly, through the ambient context, or implicitly by a
-    ``$REPRO_FAULTS`` plan — the batch runs resiliently: failed tasks
-    are retried then quarantined (``None`` in the returned list) and
-    the sweep always terminates; use :func:`run_batch_report` to also
-    get the failure records.
+    the tasks not yet started are cancelled.  With one — passed as
+    ``resilience``, or implied by a ``$REPRO_FAULTS`` plan — the batch
+    runs resiliently: failed tasks are retried then quarantined
+    (``None`` in the returned list) and the sweep always terminates;
+    use :func:`run_batch_report` to also get the failure records.
     """
-    resolved = resolve_resilience(resilience)
-    if resolved is None and plan_from_env() is not None:
+    if resilience is None and plan_from_env() is not None:
         # A fault plan in the environment (the CI smoke harness) gets
         # the default failure policy, else injected faults would simply
         # crash the sweep they are meant to exercise.
-        resolved = ResilienceOptions()
-    return _Batch(list(tasks), resolve_jobs(jobs), resolve_cache(cache),
-                  resolve_progress(progress), telemetry_sink,
-                  resolved).run().results
+        resilience = ResilienceOptions()
+    return _Batch(list(tasks), jobs, cache, progress, telemetry_sink,
+                  resilience).run().results
 
 
 def run_batch_report(tasks: Sequence[SimTask],
-                     jobs: Optional[int] = None,
+                     jobs: int = 1,
                      cache: Optional[ResultCache] = None,
                      progress: Optional[Callable[[SimulationResult], None]]
                      = None,
@@ -249,13 +219,11 @@ def run_batch_report(tasks: Sequence[SimTask],
     """:func:`run_batch` with the full :class:`~repro.resilience.\
 BatchReport` (results, failure records, event totals).
 
-    Always runs resiliently; ``resilience`` defaults to the ambient
-    context's options, else to ``ResilienceOptions()``.
+    Always runs resiliently; ``resilience`` defaults to
+    ``ResilienceOptions()``.
     """
-    resolved = resolve_resilience(resilience) or ResilienceOptions()
-    return _Batch(list(tasks), resolve_jobs(jobs), resolve_cache(cache),
-                  resolve_progress(progress), telemetry_sink,
-                  resolved).run()
+    return _Batch(list(tasks), jobs, cache, progress, telemetry_sink,
+                  resilience or ResilienceOptions()).run()
 
 
 class _Batch:
@@ -266,13 +234,15 @@ class _Batch:
     futures are cancelled; nothing is retried or quarantined.
     """
 
-    def __init__(self, tasks: List[SimTask], n_jobs: int,
+    def __init__(self, tasks: List[SimTask], jobs: int,
                  cache: Optional[ResultCache],
                  progress: Optional[Callable],
                  telemetry_sink: Optional[Callable],
                  options: Optional[ResilienceOptions]) -> None:
+        if jobs < 0:
+            raise ConfigurationError(f"jobs must be >= 0, got {jobs}")
         self.tasks = tasks
-        self.n_jobs = n_jobs
+        self.n_jobs = max(jobs, 1)  # 0 and 1 both run inline
         self.cache = cache
         self.progress = progress
         self.telemetry_sink = telemetry_sink

@@ -6,10 +6,12 @@ publication theme, writes the NDJSON data sidecar, and emits one
 validation report (markdown + JSON) whose model-vs-simulation error
 tables are checked against the registry's thresholds.
 
-The sweeps inside each figure fan out through :mod:`repro.parallel`
-(ambient ``execution(jobs=..., cache=...)`` context) and hit the
-on-disk :class:`~repro.parallel.ResultCache`.  That cache is the
-resume: a killed run re-invoked on the same cache serves every
+Every figure's driver hands its simulation tasks over, and
+:func:`~repro.experiments.registry.run_drivers` runs the tasks of the
+whole run as one de-duplicated :func:`~repro.parallel.run_batch` with
+the ``jobs``/``cache``/``progress``/``resilience`` given here, which
+hits the on-disk :class:`~repro.parallel.ResultCache`.  That cache is
+the resume: a killed run re-invoked on the same cache serves every
 simulation point it had finished and computes only the rest, and a
 rerun of a finished one is all cache hits and writes byte-identical
 output.  A run without a cache recomputes everything.
@@ -25,6 +27,8 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
 from repro.experiments.common import ExperimentTable
+from repro.experiments.registry import run_drivers
+from repro.parallel import ResultCache
 from repro.report.registry import FIGURES, FigureSpec, get_figure
 from repro.report.sidecar import write_sidecar
 from repro.report.svg import render_svg
@@ -35,6 +39,7 @@ from repro.report.validation import (
     dumps_report,
     report_to_markdown,
 )
+from repro.resilience.policy import ResilienceOptions
 
 
 @dataclass
@@ -45,6 +50,7 @@ class FigureOutput:
     table: ExperimentTable
     #: format -> written path ("svg" and "ndjson").
     paths: Dict[str, Path] = field(default_factory=dict)
+    #: Rendering time; the run's one batch ran before it.
     seconds: float = 0.0
 
 
@@ -83,6 +89,10 @@ def generate_figures(figure_ids: Optional[Sequence[str]] = None,
                      threshold_scale: float = 1.0,
                      include_claims: bool = True,
                      log: Optional[Callable[[str], None]] = None,
+                     jobs: int = 1,
+                     cache: Optional[ResultCache] = None,
+                     progress: Optional[Callable] = None,
+                     resilience: Optional[ResilienceOptions] = None,
                      ) -> PipelineResult:
     """Run the full figure/report pipeline.
 
@@ -91,7 +101,10 @@ def generate_figures(figure_ids: Optional[Sequence[str]] = None,
     paper's simulated figures simulate, the analytical ones don't);
     ``simulate=False`` forces analytical-only output everywhere.
     ``threshold_scale`` multiplies every validation threshold
-    (tighten with values < 1, loosen with > 1).
+    (tighten with values < 1, loosen with > 1).  All figures'
+    simulations run first, as one :func:`~repro.parallel.run_batch`
+    with ``jobs``, ``cache``, ``progress`` and ``resilience``; the
+    per-figure log lines time rendering only.
 
     Returns a :class:`PipelineResult`; callers that need a CI gate
     check ``result.passed`` (the CLI maps a breach to a nonzero exit).
@@ -107,10 +120,12 @@ def generate_figures(figure_ids: Optional[Sequence[str]] = None,
     out.mkdir(parents=True, exist_ok=True)
     emit = log if log is not None else (lambda message: None)
 
+    tables = run_drivers([spec.start(scale, simulate) for spec in specs],
+                         jobs=jobs, cache=cache, progress=progress,
+                         resilience=resilience)
     outputs: List[FigureOutput] = []
-    for index, spec in enumerate(specs):
+    for index, (spec, table) in enumerate(zip(specs, tables)):
         started = time.perf_counter()
-        table = spec.run(scale=scale, simulate=simulate)
         paths = _render(spec, table, out)
         seconds = time.perf_counter() - started
         outputs.append(FigureOutput(spec.figure_id, table, paths,

@@ -23,12 +23,14 @@ headroom over the observed error (see ``docs/reproduction.md``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.algorithms import names
 from repro.errors import ConfigurationError
 from repro.experiments.common import ExperimentTable
-from repro.experiments.registry import driver
+from repro.experiments.registry import driver, run_drivers
+from repro.parallel import ResultCache
+from repro.resilience.policy import ResilienceOptions
 
 #: Error metrics a comparison may declare.
 RELATIVE = "relative"
@@ -70,14 +72,29 @@ class FigureSpec:
         """``"paper"`` for Figures 3-16, ``"ext"`` for the extensions."""
         return "ext" if self.figure_id.startswith("ext") else "paper"
 
-    def run(self, scale: float = 1.0,
-            simulate: Optional[bool] = None) -> ExperimentTable:
-        """Regenerate the figure's table; ``simulate=None`` keeps the
-        driver's own default (simulated where the paper's figure is)."""
+    def start(self, scale: float = 1.0, simulate: Optional[bool] = None):
+        """Call the figure's driver: its table, or the generator that
+        yields its simulation tasks (finish it with
+        :func:`~repro.experiments.registry.run_drivers`).
+        ``simulate=None`` keeps the driver's own default (simulated
+        where the paper's figure is)."""
         run = driver(self.figure_id)
         if simulate is None:
             return run(scale=scale)
         return run(scale=scale, simulate=simulate)
+
+    def run(self, scale: float = 1.0, simulate: Optional[bool] = None,
+            jobs: int = 1, cache: Optional[ResultCache] = None,
+            progress: Optional[Callable] = None,
+            resilience: Optional[ResilienceOptions] = None,
+            ) -> ExperimentTable:
+        """Regenerate the figure's table, its simulations run as one
+        batch with the given settings (serial, uncached, silent and
+        fail-fast by default)."""
+        (table,) = run_drivers([self.start(scale, simulate)], jobs=jobs,
+                               cache=cache, progress=progress,
+                               resilience=resilience)
+        return table
 
 
 def _response_pair(algorithm: str, operation: str,

@@ -322,16 +322,16 @@ def run_replications(config: SimulationConfig,
                      n_seeds: int = 5,
                      progress: Optional[Callable[[SimulationResult], None]]
                      = None,
-                     jobs: Optional[int] = None,
+                     jobs: int = 1,
                      cache: Optional["ResultCache"] = None,
                      ) -> List[SimulationResult]:
     """Run ``config`` under ``n_seeds`` different seeds (paper: 5).
 
-    ``jobs``/``cache`` default to the ambient execution context (see
-    :mod:`repro.parallel`): serial and uncached.  ``jobs=N`` runs the
-    seeds on ``N`` worker processes; results are returned in seed order
-    and are bit-identical to the serial path.  ``progress`` is called
-    once per completed result (completion order when parallel).
+    Serial and uncached by default (see :mod:`repro.parallel`).
+    ``jobs=N`` runs the seeds on ``N`` worker processes; results are
+    returned in seed order and are bit-identical to the serial path.
+    ``progress`` is called once per completed result (completion order
+    when parallel).
     """
     from repro.parallel import replication_tasks, run_batch
     return run_batch(replication_tasks(config, n_seeds),

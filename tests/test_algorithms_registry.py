@@ -210,8 +210,8 @@ class TestSurfacing:
         assert get_figure("ext06").kind == "ext"
 
     def test_ext06_runs_at_tiny_scale(self):
-        from repro.experiments.extensions import ext06
-        table = ext06(scale=0.0)
+        from repro.report import get_figure
+        table = get_figure("ext06").run(scale=0.0)
         assert table.columns == ["arrival_rate", "naive_insert",
                                  "optimistic_insert", "link_insert",
                                  "olc_insert"]

@@ -12,6 +12,7 @@ from repro.btree import BPlusTree, check_invariants
 from repro.btree.builder import build_tree, warm_tree
 from repro.des.rwlock import RWLock
 from repro.experiments.common import sweep_replications
+from repro.experiments.registry import run_drivers
 from repro.model.params import OperationMix
 from repro.obs import TelemetryOptions, TelemetryRecorder
 from repro.simulator import SimulationConfig, driver, run_simulation
@@ -292,7 +293,8 @@ def test_same_key_gives_no_rebuild(build_calls):
 def test_multi_seed_sweep_builds_each_tree_once(build_calls):
     base = _run_config(n_operations=200, warmup_operations=20)
     rates = (0.1, 0.2, 0.3)
-    swept = sweep_replications(base, rates, scale=1.0, seeds=3)
+    ((swept,),) = run_drivers(
+        [sweep_replications([base], rates, scale=1.0, seeds=3)])
     # Seed-major submission: one build per seed, not one per run.
     assert len(build_calls) == 3
     expected = [[run_simulation(base.with_rate(rate).with_seed(base.seed + k))

@@ -6,7 +6,7 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import ExperimentTable
-from repro.experiments.figures import fig11, fig12, fig13, fig14, fig15, fig16
+from repro.experiments.figures import fig11, fig13, fig14
 from repro.experiments.runner import main as cli_main
 from repro.report import FIGURES, all_figure_ids, format_table, get_figure
 
@@ -68,7 +68,7 @@ class TestAnalyticalFigures:
         assert all(a > b for a, b in zip(throughputs, throughputs[1:]))
 
     def test_fig12_ordering_holds_row_wise(self):
-        table = fig12()
+        table = get_figure("fig12").run()
         for rate, naive, optimistic, link in table.rows:
             if math.isinf(naive):
                 continue
@@ -76,7 +76,7 @@ class TestAnalyticalFigures:
             assert optimistic >= link * 0.95
 
     def test_fig12_naive_saturates_first(self):
-        table = fig12()
+        table = get_figure("fig12").run()
         naive = table.column("naive_insert")
         link = table.column("link_insert")
         assert any(math.isinf(v) for v in naive)
@@ -98,7 +98,7 @@ class TestAnalyticalFigures:
             assert last > first  # Optimistic gains with node size
 
     def test_fig15_policy_ordering(self):
-        table = fig15()
+        table = get_figure("fig15").run()
         for row in table.rows:
             _rate, none, leaf, naive = row
             if math.isinf(none):
@@ -108,7 +108,7 @@ class TestAnalyticalFigures:
                 assert leaf <= naive * 1.001
 
     def test_fig15_naive_saturates_earliest(self):
-        table = fig15()
+        table = get_figure("fig15").run()
         naive = table.column("naive_recovery_insert")
         none = table.column("no_recovery_insert")
         n_sat_naive = sum(1 for v in naive if math.isinf(v))
@@ -116,13 +116,12 @@ class TestAnalyticalFigures:
         assert n_sat_naive > n_sat_none
 
     def test_fig16_uses_four_level_shape(self):
-        table = fig16()
+        table = get_figure("fig16").run()
         assert any("height 4" in note for note in table.notes)
         assert len(table.rows) > 0
 
     def test_ext01_two_phase_is_worst(self):
-        from repro.experiments.extensions import ext01
-        table = ext01()
+        table = get_figure("ext01").run()
         for row in table.rows:
             _rate, two_phase, naive, optimistic, link = row
             if math.isinf(two_phase):

@@ -12,8 +12,6 @@ from repro.parallel import (
     ResultCache,
     SimTask,
     config_key,
-    current_context,
-    execution,
     replication_tasks,
     run_batch,
     task_key,
@@ -272,38 +270,38 @@ class TestResultCache:
 
 
 # ----------------------------------------------------------------------
-# Execution context
+# Batch settings: explicit arguments with serial, uncached defaults
 # ----------------------------------------------------------------------
-class TestExecutionContext:
+class TestBatchDefaults:
 
-    def test_default_is_serial_uncached(self):
-        context = current_context()
-        assert not context.parallel
-        assert context.cache is None
+    def test_default_is_serial_uncached(self, tmp_path, monkeypatch):
+        from repro.parallel import executor
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        executed = []
 
-    def test_nested_contexts_inherit_and_restore(self, tmp_path):
+        def counting(task):
+            executed.append(task)
+            return run_simulation(task.config)
+
+        # A pool worker would run the real function in another process;
+        # every call landing here means the batch ran inline.
+        monkeypatch.setattr(executor, "execute_task", counting)
+        tasks = [SimTask(_quick(seed=seed)) for seed in (7, 8)]
+        assert run_batch(tasks) == [run_simulation(task.config)
+                                    for task in tasks]
+        assert executed == tasks
+        assert not any(tmp_path.iterdir())  # nothing cached
+
+    def test_batch_uses_the_cache_passed_in(self, tmp_path):
         cache = ResultCache(tmp_path)
-        with execution(jobs=4, cache=cache):
-            assert current_context().parallel
-            with execution(jobs=1):
-                inner = current_context()
-                assert not inner.parallel
-                assert inner.cache is cache  # inherited
-            assert current_context().jobs == 4
-        assert current_context().cache is None
-
-    def test_batch_picks_up_ambient_cache(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        with execution(cache=cache):
-            run_batch([SimTask(_quick())])
-            run_batch([SimTask(_quick())])
+        run_batch([SimTask(_quick())], cache=cache)
+        run_batch([SimTask(_quick())], cache=cache)
         assert cache.stats.hits == 1
         assert cache.stats.stores == 1
 
     def test_negative_jobs_rejected(self):
         with pytest.raises(ConfigurationError):
-            with execution(jobs=-1):
-                pass  # pragma: no cover
+            run_batch([SimTask(_quick())], jobs=-1)
 
 
 # ----------------------------------------------------------------------
@@ -317,26 +315,62 @@ class TestFigurePipeline:
         from repro.report import get_figure
         experiment = get_figure("ext05")
         cache = ResultCache(tmp_path)
-        with execution(cache=cache):
-            first = experiment.run(scale=0.01)
+        first = experiment.run(scale=0.01, cache=cache)
         computed = cache.stats.stores
         assert computed > 0
         assert cache.stats.hits == 0
 
-        with execution(cache=cache):
-            second = experiment.run(scale=0.01)
+        second = experiment.run(scale=0.01, cache=cache)
         assert cache.stats.hits == computed  # every point reused
         assert cache.stats.stores == computed  # nothing recomputed
         assert second.rows == first.rows
 
     def test_sweep_helpers_match_pointwise_calls(self):
         from repro.experiments.common import sweep_simulated_responses
+        from repro.experiments.registry import run_drivers
         base = _quick()
         rates = (0.1, 0.2)
-        swept = sweep_simulated_responses(base, rates, scale=0.01)
-        pointwise = [sweep_simulated_responses(base, [rate], scale=0.01)[0]
-                     for rate in rates]
-        assert swept == pointwise
+        swept, *pointwise = run_drivers(
+            [sweep_simulated_responses([base], rates, scale=0.01)]
+            + [sweep_simulated_responses([base], [rate], scale=0.01)
+               for rate in rates])
+        assert swept == [[grid[0][0] for grid in pointwise]]
+
+    def test_figures_run_executes_each_distinct_task_once(
+            self, tmp_path, monkeypatch):
+        # fig04 sweeps the same Naive Lock-coupling points as fig03:
+        # one seed per rate at this scale, so 7 distinct tasks, not 14.
+        from repro.parallel import executor
+        from repro.report import generate_figures
+        executed = []
+        real = executor.execute_task
+        monkeypatch.setattr(executor, "execute_task",
+                            lambda task: executed.append(task) or real(task))
+        generate_figures(["fig03", "fig04"], scale=0.02,
+                         out_dir=tmp_path, include_claims=False)
+        assert len(executed) == 7
+        assert len(set(executed)) == 7
+
+    def test_figures_run_is_one_batch(self, tmp_path, monkeypatch):
+        from repro.parallel import executor
+        from repro.report import generate_figures
+        batches = []
+        real = executor._Batch.run
+        monkeypatch.setattr(executor._Batch, "run",
+                            lambda batch: batches.append(batch) or real(batch))
+        generate_figures(["fig03", "fig09", "ext05"], scale=0.01,
+                         out_dir=tmp_path, include_claims=False)
+        assert len(batches) == 1
+
+    def test_driver_yielding_twice_is_refused(self):
+        from repro.experiments.registry import run_drivers
+
+        def greedy():
+            yield [SimTask(_quick())]
+            yield [SimTask(_quick(seed=8))]
+
+        with pytest.raises(ConfigurationError, match="second time"):
+            run_drivers([greedy()])
 
     def test_cli_cache_flags(self, tmp_path, monkeypatch):
         from repro.experiments.runner import main as cli_main

@@ -9,7 +9,6 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.experiments.runner import main as runner_main
 from repro.parallel import ResultCache
-from repro.parallel.context import execution
 from repro.report import generate_figures, validate_report_dict
 
 ANALYTICAL = ["fig11", "fig13"]
@@ -54,13 +53,11 @@ class TestDeterminism:
         # figures on fixed seeds is all cache hits, stores nothing, and
         # writes the same files, byte for byte, and no others.
         ids = ["fig03", "fig11"]
-        with execution(cache=ResultCache(tmp_path / "cache")):
-            _generate(tmp_path / "run1", figure_ids=ids, scale=0.02,
-                      simulate=None)
+        _generate(tmp_path / "run1", figure_ids=ids, scale=0.02,
+                  simulate=None, cache=ResultCache(tmp_path / "cache"))
         rerun = ResultCache(tmp_path / "cache")
-        with execution(cache=rerun):
-            _generate(tmp_path / "run2", figure_ids=ids, scale=0.02,
-                      simulate=None)
+        _generate(tmp_path / "run2", figure_ids=ids, scale=0.02,
+                  simulate=None, cache=rerun)
         assert rerun.stats.hits > 0
         assert rerun.stats.misses == 0
         assert rerun.stats.stores == 0
@@ -104,6 +101,26 @@ class TestScaleChecks:
         with pytest.raises(ConfigurationError):
             _generate(tmp_path, **{keyword: value})
         assert not (tmp_path / "report.json").exists()
+
+
+class TestCountChecks:
+    """A seed count below 1 and a negative worker count are refused
+    while parsing, before anything runs."""
+
+    @pytest.mark.parametrize("argv", [
+        ["simulate", "--seeds=0"],
+        ["simulate", "--seeds=-1"],
+        ["simulate", "--jobs=-1"],
+        ["figures", "fig11", "--no-sim", "--no-cache", "--jobs=-1"],
+    ])
+    def test_cli_flag_rejected(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exit_info:
+            runner_main(argv)
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
+        assert not any(tmp_path.iterdir())
 
 
 class TestFormats:

@@ -23,7 +23,6 @@ from repro.parallel import (
     ResultCache,
     SimTask,
     execute_task,
-    execution,
     run_batch,
     run_batch_report,
 )
@@ -288,14 +287,22 @@ class TestEnvDrivenFaults:
         assert results[0] is None
         assert all(r is not None for r in results[1:])
 
-    def test_ambient_context_carries_resilience(self):
+    def test_figure_run_carries_resilience(self):
+        # fig03 at this scale is one seed per rate: task 1 is the whole
+        # rate-0.1 point, so its quarantine leaves that point saturated
+        # (+inf) while the figure still finishes.
+        import math
+
+        from repro.report import get_figure
         plan = FaultPlan(specs=(
             FaultSpec(kind=KILL_WORKER, task_index=1, attempts=None),))
         options = ResilienceOptions(retry=_FAST_RETRY, faults=plan)
-        with execution(resilience=options):
-            results = run_batch(_tasks(3), jobs=2)
-        assert results[1] is None
-        assert results[0] is not None and results[2] is not None
+        table = get_figure("fig03").run(scale=0.01, jobs=2,
+                                        resilience=options)
+        sims = table.column("sim_insert_response")
+        assert len(sims) == 7
+        assert math.isinf(sims[1])
+        assert math.isfinite(sims[0])
 
 
 # ----------------------------------------------------------------------
