@@ -151,9 +151,9 @@ def analyze_cluster(spec: ClusterSpec, offered_rate: float,
     (usually from :func:`shard_service_demands`) feeds both sides of
     the model-vs-simulation comparison.
     """
-    if offered_rate <= 0:
+    if not math.isfinite(offered_rate) or offered_rate <= 0:
         raise ConfigurationError(
-            f"offered rate must be positive, got {offered_rate}")
+            f"offered rate must be positive and finite, got {offered_rate}")
     for op in _OPS:
         if service_means.get(op, 0.0) <= 0:
             raise ConfigurationError(

@@ -80,12 +80,13 @@ class ClusterSimConfig:
     faults: FaultPlan = field(default_factory=FaultPlan)
 
     def __post_init__(self) -> None:
-        if self.arrival_rate <= 0:
+        if not math.isfinite(self.arrival_rate) or self.arrival_rate <= 0:
             raise ConfigurationError(
-                f"arrival rate must be positive, got {self.arrival_rate}")
-        if self.horizon <= 0:
+                f"arrival rate must be positive and finite, got "
+                f"{self.arrival_rate}")
+        if not math.isfinite(self.horizon) or self.horizon <= 0:
             raise ConfigurationError(
-                f"horizon must be positive, got {self.horizon}")
+                f"horizon must be positive and finite, got {self.horizon}")
         if self.router_service < 0:
             raise ConfigurationError(
                 f"router service must be >= 0, got {self.router_service}")

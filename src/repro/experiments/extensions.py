@@ -186,6 +186,7 @@ def ext04(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
             spec, arrival_rate=1.0, n_items=8_000,
             n_operations=n_ops, warmup_operations=warmup, seed=17)
 
+    # The model reads the shape of the tree the closed runs start from.
     model_config = measured_model_config(sim_config(specs[0], 1))
     # The whole (mpl, algorithm) grid goes out as one yield of closed
     # tasks; the results come back in task order.

@@ -105,13 +105,15 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="defense preset (see "
                               "list-cluster-policies; default "
                               "resilient)")
-    cluster.add_argument("--rate", type=float, default=None,
+    cluster.add_argument("--rate", type=_positive_rate, default=None,
                          help="total cluster arrival rate; default "
                               "derives it from --rho")
-    cluster.add_argument("--rho", type=float, default=0.25,
+    cluster.add_argument("--rho", type=_positive_finite("utilization"),
+                         default=0.25,
                          help="target per-shard primary utilization "
                               "when --rate is omitted (default 0.25)")
-    cluster.add_argument("--horizon", type=float, default=2_000.0,
+    cluster.add_argument("--horizon", type=_positive_finite("horizon"),
+                         default=2_000.0,
                          help="arrival horizon in simulated time units "
                               "(default 2000)")
     cluster.add_argument("--seed", type=int, default=1,
@@ -177,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run one simulator configuration with full telemetry")
     simulate.add_argument("--algorithm", default=names.LINK_TYPE,
                           choices=sorted(algorithm_names()))
-    simulate.add_argument("--rate", type=float, default=0.2,
+    simulate.add_argument("--rate", type=_positive_rate, default=0.2,
                           help="Poisson arrival rate (default 0.2)")
     simulate.add_argument("--seed", type=int, default=0,
                           help="base random seed (default 0)")
@@ -224,6 +226,7 @@ def _positive_finite(noun: str):
 
 _positive_seconds = _positive_finite("number of seconds")
 _positive_scale = _positive_finite("scale factor")
+_positive_rate = _positive_finite("arrival rate")
 
 
 def _int_at_least(minimum: int):

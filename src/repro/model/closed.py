@@ -67,7 +67,9 @@ def closed_system_prediction(analyzer: Analyzer, config: ModelConfig,
     the open model's maximum throughput (beyond which R is infinite).
     On the plateau the fixed point sits at the capacity itself and the
     response time follows from the response-time law
-    ``R = N / X - Z``.
+    ``R = N / X - Z``.  The capacity search is memoized
+    (:func:`~repro.model.throughput.max_throughput`), so a sweep over
+    populations of one configuration runs it once.
     """
     if multiprogramming_level < 1:
         raise ConfigurationError(

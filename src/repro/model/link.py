@@ -33,6 +33,7 @@ from repro.model.results import (
     SEARCH,
     AlgorithmPrediction,
     LevelSolution,
+    level_terms,
     occupancy_for,
     search_response,
     solve_level,
@@ -49,28 +50,25 @@ def analyze_link(config: ModelConfig, arrival_rate: float,
     if arrival_rate <= 0:
         raise ConfigurationError(f"arrival rate must be positive, got {arrival_rate}")
 
-    mix, costs, shape = config.mix, config.costs, config.shape
-    h = shape.height
-    occ = occupancy_for(config, occupancy)
-
-    se = [costs.se(level, h) for level in range(1, h + 1)]
-    sp = [costs.sp(level, h) for level in range(1, h + 1)]
-    modify = [costs.modify_at(level, h) for level in range(1, h + 1)]
+    mix = config.mix
+    h = config.height
+    terms = level_terms(config, occupancy)
+    se, sp, modify = terms.se, terms.sp, terms.modify_at
+    split = terms.split
 
     levels: List[LevelSolution] = []
     try:
         for level in range(1, h + 1):
             i = level - 1
-            share = shape.arrival_share(level)
+            share = terms.share[i]
             if level == 1:
                 lam_r = mix.q_search * arrival_rate * share
                 lam_w = mix.q_update * arrival_rate * share
             else:
                 lam_r = arrival_rate * share
                 # W locks arrive when a child completes a half-split.
-                lam_w = (mix.q_insert * arrival_rate
-                         * occ.split_propagation(level - 1) * share)
-            hold_w = modify[i] + occ.full(level) * sp[i]
+                lam_w = mix.q_insert * arrival_rate * split[level - 1] * share
+            hold_w = modify[i] + terms.full[i] * sp[i]
             levels.append(solve_level(level, lam_r, lam_w, 1.0 / se[i],
                                       1.0 / hold_w))
     except UnstableQueueError as exc:
@@ -85,7 +83,7 @@ def analyze_link(config: ModelConfig, arrival_rate: float,
     climb = 0.0
     for j in range(1, h):
         step = sp[j - 1] + levels[j].W + modify[j]
-        climb += occ.split_propagation(j) * step
+        climb += split[j] * step
     responses = {SEARCH: search_response(levels, se),
                  INSERT: descent + climb, DELETE: descent}
     return AlgorithmPrediction(

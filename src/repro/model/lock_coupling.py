@@ -29,7 +29,7 @@ from repro.model.results import (
     SEARCH,
     AlgorithmPrediction,
     LevelSolution,
-    occupancy_for,
+    level_terms,
     search_response,
     solve_level,
     unstable_prediction,
@@ -52,18 +52,17 @@ def analyze_lock_coupling(config: ModelConfig, arrival_rate: float,
     if arrival_rate <= 0:
         raise ConfigurationError(f"arrival rate must be positive, got {arrival_rate}")
 
-    mix, costs, shape = config.mix, config.costs, config.shape
-    h = shape.height
-    occ = occupancy_for(config, occupancy)
-
-    se = [costs.se(level, h) for level in range(1, h + 1)]        # Se(i)
-    sp = [costs.sp(level, h) for level in range(1, h + 1)]        # Sp(i)
-    mg = [costs.mg(level, h) for level in range(1, h + 1)]        # Mg(i)
-    modify = costs.modify(h)                                      # M
+    mix = config.mix
+    h = config.height
+    terms = level_terms(config, occupancy)
+    se, sp, mg, modify = terms.se, terms.sp, terms.mg, terms.modify
+    full, empty = terms.full, terms.empty                  # Pr[F], Pr[Em]
+    split, merge = terms.split, terms.merge
+    insert_share, delete_share = mix.insert_share, mix.delete_share
+    q_search, q_update = mix.q_search, mix.q_update
 
     # Per-level arrival rates (Proposition 2); index 0 = level 1 (leaves).
-    lam = [arrival_rate * shape.arrival_share(level)
-           for level in range(1, h + 1)]
+    lam = [arrival_rate * share for share in terms.share]
 
     # T(S, i), T(I, i), T(D, i) roll up from the leaves (Theorem 1).
     t_i = t_d = modify
@@ -79,30 +78,28 @@ def analyze_lock_coupling(config: ModelConfig, arrival_rate: float,
                 below = levels[i - 1]
                 # Theorem 3: the propagation product stops at level-2
                 # because p_f already carries Pr[F(level-1)].
-                coupled = (se[i], mix.insert_share * occ.full(level - 1),
-                           t_i + sp[i - 1] * occ.split_propagation(level - 2),
+                coupled = (se[i], insert_share * full[i - 1],
+                           t_i + sp[i - 1] * split[level - 2],
                            below)
                 t_s = se[i] + below.R
                 t_i = (se[i] + below.W
-                       + occ.full(level - 1) * t_i
-                       + sp[i - 1] * occ.split_propagation(level - 1))
+                       + full[i - 1] * t_i
+                       + sp[i - 1] * split[level - 1])
                 t_d = (se[i] + below.W
-                       + occ.empty(level - 1) * t_d
-                       + mg[i - 1] * occ.merge_propagation(level - 1))
+                       + empty[i - 1] * t_d
+                       + mg[i - 1] * merge[level - 1])
             # Proposition 1: service rates of the reader / writer classes.
-            w_hold = mix.insert_share * t_i + mix.delete_share * t_d
+            w_hold = insert_share * t_i + delete_share * t_d
             levels.append(solve_level(
-                level, mix.q_search * lam[i], mix.q_update * lam[i],
+                level, q_search * lam[i], q_update * lam[i],
                 1.0 / t_s, 1.0 / w_hold if w_hold > 0 else 0.0, coupled))
     except UnstableQueueError as exc:
         return unstable_prediction(ALGORITHM, arrival_rate, exc.level)
 
     # Theorem 5.  Per(D) groups M + W(1) apart from the upper levels.
-    split_work = sum(occ.split_propagation(j) * sp[j - 1]
-                     for j in range(1, h))
     responses = {
         SEARCH: search_response(levels, se),
-        INSERT: w_descent_response(levels, se, modify) + split_work,
+        INSERT: w_descent_response(levels, se, modify) + terms.split_work,
         DELETE: modify + levels[0].W + sum(se[i] + levels[i].W
                                            for i in range(1, h)),
     }

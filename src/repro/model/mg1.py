@@ -15,7 +15,7 @@ built too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from repro.errors import ConfigurationError, UnstableQueueError
 
@@ -30,8 +30,8 @@ def pollaczek_khinchine_wait(arrival_rate: float, second_moment: float,
     return arrival_rate * second_moment / (2.0 * (1.0 - utilization))
 
 
-@dataclass(frozen=True)
-class LockCouplingServer:
+class LockCouplingServer(namedtuple(
+        "LockCouplingServer", "t_e p_f t_f rho_o inv_mu_o r_e_child")):
     """The hyperexponential W-lock server of paper Figure 2 / Theorem 3.
 
     A W lock at level i is held for:
@@ -50,18 +50,16 @@ class LockCouplingServer:
     rho_o/mu_o^2 + p_f t_f^2 + (1 - rho_o) r_e_child^2]``.
     """
 
-    t_e: float
-    p_f: float
-    t_f: float
-    rho_o: float
-    inv_mu_o: float
-    r_e_child: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p_f <= 1.0:
-            raise ConfigurationError(f"p_f={self.p_f} outside [0, 1]")
-        if not 0.0 <= self.rho_o <= 1.0:
-            raise ConfigurationError(f"rho_o={self.rho_o} outside [0, 1]")
+    def __new__(cls, t_e: float, p_f: float, t_f: float, rho_o: float,
+                inv_mu_o: float, r_e_child: float) -> "LockCouplingServer":
+        if not 0.0 <= p_f <= 1.0:
+            raise ConfigurationError(f"p_f={p_f} outside [0, 1]")
+        if not 0.0 <= rho_o <= 1.0:
+            raise ConfigurationError(f"rho_o={rho_o} outside [0, 1]")
+        return super().__new__(cls, t_e, p_f, t_f, rho_o, inv_mu_o,
+                               r_e_child)
 
     @property
     def t_o(self) -> float:

@@ -38,7 +38,7 @@ from repro.model.results import (
     SEARCH,
     AlgorithmPrediction,
     LevelSolution,
-    occupancy_for,
+    level_terms,
     search_response,
     solve_level,
     unstable_prediction,
@@ -62,24 +62,22 @@ def analyze_optimistic(config: ModelConfig, arrival_rate: float,
     if arrival_rate <= 0:
         raise ConfigurationError(f"arrival rate must be positive, got {arrival_rate}")
 
-    mix, costs, shape = config.mix, config.costs, config.shape
-    h = shape.height
-    occ = occupancy_for(config, occupancy)
+    mix = config.mix
+    h = config.height
+    terms = level_terms(config, occupancy)
     extras = list(internal_hold_extra) if internal_hold_extra is not None \
         else [0.0] * h
     if len(extras) != h:
         raise ConfigurationError(
             f"internal_hold_extra needs {h} entries, got {len(extras)}")
 
-    se = [costs.se(level, h) for level in range(1, h + 1)]
-    sp = [costs.sp(level, h) for level in range(1, h + 1)]
-    modify = costs.modify(h)
+    se, sp, modify = terms.se, terms.sp, terms.modify
+    full, split = terms.full, terms.split
 
-    lam = [arrival_rate * shape.arrival_share(level)
-           for level in range(1, h + 1)]
+    lam = [arrival_rate * share for share in terms.share]
     # Fraction of all operations that redo (make a W-lock second descent).
-    redo_fraction = (mix.q_insert * occ.full(1)
-                     + mix.q_delete * occ.empty(1))
+    redo_fraction = (mix.q_insert * full[0]
+                     + mix.q_delete * terms.empty[0])
 
     levels: List[LevelSolution] = []
 
@@ -98,12 +96,12 @@ def analyze_optimistic(config: ModelConfig, arrival_rate: float,
                 below = levels[i - 1]
                 # Redo operations lock-couple, so Theorem 3's server
                 # applies.  All redos are effectively inserts (Pr[Em] ~= 0).
-                coupled = (se[i], occ.full(level - 1),
-                           t_x + sp[i - 1] * occ.split_propagation(level - 2),
+                coupled = (se[i], full[i - 1],
+                           t_x + sp[i - 1] * split[level - 2],
                            below)
                 t_x = (se[i] + below.W
-                       + occ.full(level - 1) * t_x
-                       + sp[i - 1] * occ.split_propagation(level - 1)
+                       + full[i - 1] * t_x
+                       + sp[i - 1] * split[level - 1]
                        + extras[i])
                 # Readers: all first descents.  At level 2 the updaters
                 # hold their R lock while waiting for the leaf W lock.
@@ -125,12 +123,11 @@ def analyze_optimistic(config: ModelConfig, arrival_rate: float,
     first_descent = (modify + levels[0].W
                      + sum(se[i] + levels[i].R for i in range(1, h)))
     redo_insert = (w_descent_response(levels, se, modify)
-                   + sum(occ.split_propagation(j) * sp[j - 1]
-                         for j in range(1, h)))
+                   + terms.split_work)
     responses = {
         SEARCH: search_response(levels, se),
-        INSERT: first_descent + occ.full(1) * redo_insert,
-        DELETE: first_descent + occ.empty(1) * redo_insert,
+        INSERT: first_descent + full[0] * redo_insert,
+        DELETE: first_descent + terms.empty[0] * redo_insert,
     }
     return AlgorithmPrediction(
         algorithm=ALGORITHM, arrival_rate=arrival_rate, stable=True,

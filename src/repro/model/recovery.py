@@ -29,7 +29,7 @@ from repro.errors import ConfigurationError
 from repro.model.occupancy import OccupancyModel
 from repro.model.optimistic import analyze_optimistic
 from repro.model.params import ModelConfig
-from repro.model.results import AlgorithmPrediction, occupancy_for
+from repro.model.results import AlgorithmPrediction, level_terms
 
 #: The paper's conservative remaining-transaction-time estimate.
 PAPER_T_TRANS = 100.0
@@ -71,15 +71,14 @@ def analyze_optimistic_with_recovery(
     """
     if t_trans < 0:
         raise ConfigurationError(f"t_trans must be >= 0, got {t_trans}")
-    h = config.height
-    occ = occupancy_for(config, occupancy)
+    full = level_terms(config, occupancy).full
     leaf_extra = t_trans if policy.retain_leaf else 0.0
-    extras = [0.0] * h
+    extras = [0.0] * config.height
     if policy.retain_internal:
-        for level in range(2, h + 1):
-            extras[level - 1] = occ.full(level) * t_trans
+        for i in range(1, config.height):
+            extras[i] = full[i] * t_trans
     prediction = analyze_optimistic(
-        config, arrival_rate, occupancy=occ,
+        config, arrival_rate, occupancy=occupancy,
         leaf_hold_extra=leaf_extra, internal_hold_extra=extras,
     )
     # Re-label so comparison plots can tell the policies apart.

@@ -2,22 +2,24 @@
 analyses.
 
 The framework models a tree as one FCFS R/W lock queue per level.  An
-analysis states only each level's arrival rates and hold times and
-hands them to :func:`solve_level`, which solves the queue (Theorem 6)
-and its waits (Theorem 4, or Theorem 3 for lock-coupled holds); the
+analysis takes its configuration's rate-independent terms from
+:func:`level_terms`, states each level's arrival rates and hold times
+and hands them to :func:`solve_level`, which solves the queue (Theorem
+6) and its waits (Theorem 4, or Theorem 3 for lock-coupled holds); the
 response sums every analysis shares live here too.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.model.mg1 import LockCouplingServer
 from repro.model.occupancy import OccupancyModel
 from repro.model.params import ModelConfig
-from repro.model.rwqueue import RWQueueInput, solve_rw_queue
+from repro.model.rwqueue import solve_rw_queue
 
 #: Canonical operation labels used in response-time dictionaries.
 SEARCH = "search"
@@ -25,14 +27,13 @@ INSERT = "insert"
 DELETE = "delete"
 
 
-@dataclass(frozen=True)
-class LevelSolution:
+class LevelSolution(NamedTuple):
     """The solved lock queue of one representative node at ``level``.
 
     All quantities follow the paper's variable names: ``R``/``W`` are the
     expected times to *obtain* an R/W lock at the level, ``rho_w`` the
     writer presence probability, ``r_u``/``r_e`` the reader drains of
-    Theorem 6.
+    Theorem 6.  A named tuple: every level solve builds one.
     """
 
     level: int
@@ -110,6 +111,85 @@ def occupancy_for(config: ModelConfig,
     return OccupancyModel.corollary1(config.mix, config.order, config.height)
 
 
+@dataclass(frozen=True)
+class LevelTerms:
+    """The rate-independent per-level terms of one ``(config,
+    occupancy)``.  Every tuple is indexed leaf-first: entry ``i`` is
+    level ``i + 1``."""
+
+    #: The occupancy the terms were computed with (Corollary 1's closed
+    #: form when the analysis was given none).
+    occupancy: OccupancyModel
+    #: Se(i), Sp(i), Mg(i) and the generalised modify cost of level i.
+    se: Tuple[float, ...]
+    sp: Tuple[float, ...]
+    mg: Tuple[float, ...]
+    modify_at: Tuple[float, ...]
+    #: M: the leaf modify.
+    modify: float
+    #: Proposition 2: the share of the total arrival rate one node of
+    #: level i sees.
+    share: Tuple[float, ...]
+    #: Pr[F(i)] and Pr[Em(i)].
+    full: Tuple[float, ...]
+    empty: Tuple[float, ...]
+    #: ``split[k]`` / ``merge[k]`` = prod_{j=1..k} Pr[F(j)] / Pr[Em(j)],
+    #: for k = 0..h (``split[0] == 1``).
+    split: Tuple[float, ...]
+    merge: Tuple[float, ...]
+    #: sum_{j=1..h-1} split[j] Sp(j): the expected restructuring work of
+    #: an insert.
+    split_work: float
+
+
+def _level_terms(config: ModelConfig,
+                 occupancy: Optional[OccupancyModel]) -> LevelTerms:
+    occ = occupancy_for(config, occupancy)
+    costs, shape, h = config.costs, config.shape, config.height
+    levels = range(1, h + 1)
+    sp = tuple(costs.sp(level, h) for level in levels)
+    # The products grow term by term in the order the occupancy model's
+    # own split_propagation / merge_propagation multiply them.
+    split, merge = [1.0], [1.0]
+    for level in levels:
+        split.append(split[-1] * occ.full(level))
+        merge.append(merge[-1] * occ.empty(level))
+    return LevelTerms(
+        occupancy=occ,
+        se=tuple(costs.se(level, h) for level in levels),
+        sp=sp,
+        mg=tuple(costs.mg(level, h) for level in levels),
+        modify_at=tuple(costs.modify_at(level, h) for level in levels),
+        modify=costs.modify(h),
+        share=tuple(shape.arrival_share(level) for level in levels),
+        full=tuple(occ.full(level) for level in levels),
+        empty=tuple(occ.empty(level) for level in levels),
+        split=tuple(split),
+        merge=tuple(merge),
+        split_work=sum(split[j] * sp[j - 1] for j in range(1, h)),
+    )
+
+
+_cached_level_terms = functools.lru_cache(maxsize=256)(_level_terms)
+
+
+def level_terms(config: ModelConfig,
+                occupancy: Optional[OccupancyModel] = None) -> LevelTerms:
+    """The rate-independent terms of ``config`` and ``occupancy`` (or
+    Corollary 1's).
+
+    Memoized like :meth:`OccupancyModel.corollary1`: every analysis at
+    every arrival rate asks for them, and they are a pure function of
+    immutable inputs.  Errors are not cached, and unhashable inputs (an
+    occupancy built from lists, say) are computed without the memo.
+    """
+    try:
+        hash((config, occupancy))
+    except TypeError:
+        return _level_terms(config, occupancy)
+    return _cached_level_terms(config, occupancy)
+
+
 def solve_level(level: int, lam_r: float, lam_w: float, mu_r: float,
                 mu_w: float,
                 coupled: Optional[Tuple[float, float, float,
@@ -127,28 +207,23 @@ def solve_level(level: int, lam_r: float, lam_w: float, mu_r: float,
     :class:`~repro.errors.UnstableQueueError` carrying ``level`` when
     the queue saturates.
     """
-    queue = solve_rw_queue(
-        RWQueueInput(lambda_r=lam_r, lambda_w=lam_w, mu_r=mu_r, mu_w=mu_w),
-        level=level,
-    )
-    drain = queue.mean_reader_drain
+    rho_w, r_u, r_e, _t_a = solve_rw_queue((lam_r, lam_w, mu_r, mu_w),
+                                           level=level)
+    drain = rho_w * r_u + (1.0 - rho_w) * r_e
     if coupled is None or lam_w == 0.0:
-        wait_r = (queue.rho_w / (1.0 - queue.rho_w)
+        wait_r = (rho_w / (1.0 - rho_w)
                   * (1.0 / mu_w + drain)) if lam_w > 0 else 0.0
     else:
         se_i, p_f, t_f, below = coupled
         rho_o = below.rho_w
         inv_mu_o = (below.R / rho_o + below.r_u) if rho_o > 0.0 else 0.0
-        server = LockCouplingServer(
-            t_e=se_i + drain, p_f=p_f, t_f=t_f, rho_o=rho_o,
-            inv_mu_o=inv_mu_o, r_e_child=below.r_e,
-        )
-        wait_r = server.wait(lam_w, queue.rho_w)
-    return LevelSolution(
-        level=level, lambda_r=lam_r, lambda_w=lam_w, mu_r=mu_r, mu_w=mu_w,
-        rho_w=queue.rho_w, r_u=queue.r_u, r_e=queue.r_e,
-        R=wait_r, W=wait_r + drain,
-    )
+        # (t_e, p_f, t_f, rho_o, inv_mu_o, r_e_child)
+        server = LockCouplingServer(se_i + drain, p_f, t_f, rho_o, inv_mu_o,
+                                    below.r_e)
+        wait_r = server.wait(lam_w, rho_w)
+    # Positional, in field order: a named tuple builds faster that way.
+    return LevelSolution(level, lam_r, lam_w, mu_r, mu_w, rho_w, r_u, r_e,
+                         wait_r, wait_r + drain)
 
 
 def search_response(levels: Sequence[LevelSolution],

@@ -32,7 +32,8 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import Callable, NamedTuple, Optional
 
 from repro.errors import (
     ConfigurationError,
@@ -48,26 +49,31 @@ _BRENT_RTOL = 4 * sys.float_info.epsilon
 _BRENT_MAXITER = 100
 
 
-@dataclass(frozen=True)
-class RWQueueInput:
-    """Arrival and service rates of one FCFS R/W queue."""
-
-    lambda_r: float
-    lambda_w: float
-    mu_r: float
-    mu_w: float
-
-    def __post_init__(self) -> None:
-        if self.lambda_r < 0 or self.lambda_w < 0:
-            raise ConfigurationError("arrival rates must be non-negative")
-        if self.lambda_r > 0 and self.mu_r <= 0:
-            raise ConfigurationError("readers arrive but mu_r <= 0")
-        if self.lambda_w > 0 and self.mu_w <= 0:
-            raise ConfigurationError("writers arrive but mu_w <= 0")
+def _check_rates(lambda_r: float, lambda_w: float, mu_r: float,
+                 mu_w: float) -> None:
+    if lambda_r < 0 or lambda_w < 0:
+        raise ConfigurationError("arrival rates must be non-negative")
+    if lambda_r > 0 and mu_r <= 0:
+        raise ConfigurationError("readers arrive but mu_r <= 0")
+    if lambda_w > 0 and mu_w <= 0:
+        raise ConfigurationError("writers arrive but mu_w <= 0")
 
 
-@dataclass(frozen=True)
-class RWQueueSolution:
+class RWQueueInput(namedtuple("RWQueueInput",
+                              "lambda_r lambda_w mu_r mu_w")):
+    """Arrival and service rates of one FCFS R/W queue, checked on
+    construction.  Any ``(lambda_r, lambda_w, mu_r, mu_w)`` tuple is
+    accepted by :func:`solve_rw_queue` too."""
+
+    __slots__ = ()
+
+    def __new__(cls, lambda_r: float, lambda_w: float, mu_r: float,
+                mu_w: float) -> "RWQueueInput":
+        _check_rates(lambda_r, lambda_w, mu_r, mu_w)
+        return super().__new__(cls, lambda_r, lambda_w, mu_r, mu_w)
+
+
+class RWQueueSolution(NamedTuple):
     """Fixed-point solution of Theorem 6."""
 
     #: Probability that a W lock is present (holding or queued).
@@ -86,22 +92,37 @@ class RWQueueSolution:
         return self.rho_w * self.r_u + (1.0 - self.rho_w) * self.r_e
 
 
-def _reader_drains(rho: float, q: RWQueueInput) -> tuple:
-    """(r_u, r_e) at writer presence ``rho``."""
-    if q.lambda_r == 0.0:
-        return 0.0, 0.0
-    if q.lambda_w == 0.0:
-        # No writers: the drains are irrelevant; define the limiting r_e.
-        r_e = math.log1p((1.0 + rho) * q.lambda_r / (q.mu_r + q.lambda_w)) / q.mu_r
-        return 0.0, r_e
-    r_u = math.log1p(rho * q.lambda_r / q.lambda_w) / q.mu_r
-    r_e = math.log1p((1.0 + rho) * q.lambda_r / (q.mu_r + q.lambda_w)) / q.mu_r
-    return r_u, r_e
+def _residual(lambda_r: float, lambda_w: float, mu_r: float,
+              mu_w: float) -> Callable[[float], float]:
+    """Theorem 6's residual ``g(rho) = rho - lambda_w * T_a(rho)`` for
+    one queue with writers, as a closure over its rates.
+
+    The drains are ``r_u = log1p(rho lambda_r / lambda_w) / mu_r`` and
+    ``r_e = log1p((1 + rho) lambda_r / (mu_r + lambda_w)) / mu_r``; only
+    rate-only subexpressions are hoisted, so every evaluation does the
+    float operations of the unhoisted formula and returns the same bits.
+    """
+    inv_mu_w = 1.0 / mu_w
+    if lambda_r == 0.0:
+        # No readers: both drains are 0.0, and adding zeros to 1/mu_w
+        # changes no bit.
+        load = lambda_w * inv_mu_w
+        return lambda rho: rho - load
+    reader_writer = mu_r + lambda_w
+    log1p = math.log1p
+
+    def g(rho: float) -> float:
+        r_u = log1p(rho * lambda_r / lambda_w) / mu_r
+        r_e = log1p((1.0 + rho) * lambda_r / reader_writer) / mu_r
+        return rho - lambda_w * (inv_mu_w + rho * r_u + (1.0 - rho) * r_e)
+    return g
 
 
-def _brentq(f, a: float, b: float, xtol: float) -> float:
+def _brentq(f, a: float, b: float, xtol: float,
+            f_b: Optional[float] = None) -> float:
     """Root of ``f`` in the sign-changing bracket ``[a, b]`` by Brent's
-    method.
+    method.  ``f_b`` is ``f(b)`` when the caller has already evaluated
+    it; ``f`` must then be pure.
 
     A line-for-line port of the reference C ``brentq`` (Brent 1973,
     ch. 4; docs/robustness.md) with its defaults ``rtol = 4 eps`` and
@@ -120,7 +141,7 @@ def _brentq(f, a: float, b: float, xtol: float) -> float:
     fpre = f(xpre)
     if fpre != fpre:
         raise ValueError(f"f({xpre}) is NaN; the root finder cannot continue")
-    fcur = f(xcur)
+    fcur = f(xcur) if f_b is None else f_b
     if fcur != fcur:
         raise ValueError(f"f({xcur}) is NaN; the root finder cannot continue")
     if fpre == 0:
@@ -129,25 +150,33 @@ def _brentq(f, a: float, b: float, xtol: float) -> float:
         return xcur
     if (fpre < 0) == (fcur < 0):
         raise ValueError("f(a) and f(b) must have different signs")
+    # Each |.| the loop tests is taken once per iteration; the tests and
+    # the float operations are the reference's.
+    rtol = _BRENT_RTOL
     for _ in range(_BRENT_MAXITER):
         if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
             xblk = xpre
             fblk = fpre
             spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
+        abs_fcur = abs(fcur)
+        abs_fblk = abs(fblk)
+        if abs_fblk < abs_fcur:
             xpre = xcur
             xcur = xblk
             xblk = xpre
             fpre = fcur
             fcur = fblk
             fblk = fpre
+            abs_fcur = abs_fblk
 
-        delta = (xtol + _BRENT_RTOL * abs(xcur)) / 2
+        delta = (xtol + rtol * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
+        abs_sbis = abs(sbis)
+        if fcur == 0 or abs_sbis < delta:
             return xcur
 
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
+        abs_spre = abs(spre)
+        if abs_spre > delta and abs_fcur < abs(fpre):
             try:
                 if xpre == xblk:
                     # interpolate
@@ -161,7 +190,9 @@ def _brentq(f, a: float, b: float, xtol: float) -> float:
             except ZeroDivisionError:
                 # C yields inf or NaN here, which fails the test below.
                 stry = math.nan
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            # min(abs_spre, limit), as the builtin picks it.
+            limit = 3 * abs_sbis - delta
+            if 2 * abs(stry) < (limit if limit < abs_spre else abs_spre):
                 # good short step
                 spre = scur
                 scur = stry
@@ -185,24 +216,20 @@ def _brentq(f, a: float, b: float, xtol: float) -> float:
         f"failed to converge after {_BRENT_MAXITER} iterations")
 
 
-def _error_context(q: RWQueueInput, level: int | None,
-                   rho: float) -> dict:
+def _error_context(rates: tuple, level: int | None, rho: float) -> dict:
     """Full operating point for a ConvergenceError: which queue, at
     what arrival/service rates, and where the solver last stood —
     enough to reproduce the failure without re-running the sweep."""
-    return {"level": level, "lambda_r": q.lambda_r,
-            "lambda_w": q.lambda_w, "mu_r": q.mu_r, "mu_w": q.mu_w,
-            "rho_w_estimate": rho}
+    lambda_r, lambda_w, mu_r, mu_w = rates
+    return {"level": level, "lambda_r": lambda_r, "lambda_w": lambda_w,
+            "mu_r": mu_r, "mu_w": mu_w, "rho_w_estimate": rho}
 
 
-def _fixed_point_rhs(rho: float, q: RWQueueInput) -> float:
-    r_u, r_e = _reader_drains(rho, q)
-    return q.lambda_w * (1.0 / q.mu_w + rho * r_u + (1.0 - rho) * r_e)
-
-
-def solve_rw_queue(q: RWQueueInput, tol: float = 1e-12,
+def solve_rw_queue(q, tol: float = 1e-12,
                    level: int | None = None) -> RWQueueSolution:
-    """Solve the Theorem 6 fixed point for ``q``.
+    """Solve the Theorem 6 fixed point for the queue ``q``, an
+    :class:`RWQueueInput` or any ``(lambda_r, lambda_w, mu_r, mu_w)``
+    tuple.
 
     Raises :class:`~repro.errors.UnstableQueueError` when no root exists
     in [0, 1) — i.e. the writer load saturates the queue.  ``level`` is
@@ -214,14 +241,15 @@ def solve_rw_queue(q: RWQueueInput, tol: float = 1e-12,
     carrying the operating point rather than propagating NaN into
     result tables.
     """
-    if q.lambda_w == 0.0:
-        r_u, r_e = _reader_drains(0.0, q)
-        return RWQueueSolution(rho_w=0.0, r_u=r_u, r_e=r_e,
-                               aggregate_service_time=0.0)
+    lambda_r, lambda_w, mu_r, mu_w = q
+    _check_rates(lambda_r, lambda_w, mu_r, mu_w)
+    if lambda_w == 0.0:
+        # No writers: the drains are irrelevant; define the limiting r_e.
+        r_e = (math.log1p(lambda_r / (mu_r + lambda_w)) / mu_r
+               if lambda_r != 0.0 else 0.0)
+        return RWQueueSolution(0.0, 0.0, r_e, 0.0)
 
-    def g(rho: float) -> float:
-        return rho - _fixed_point_rhs(rho, q)
-
+    g = _residual(lambda_r, lambda_w, mu_r, mu_w)
     # g(0) < 0 always (writers arrive, so f(0) > 0).  The queue is stable
     # iff g crosses zero before rho = 1.
     upper = _RHO_CEILING
@@ -234,18 +262,22 @@ def solve_rw_queue(q: RWQueueInput, tol: float = 1e-12,
     if g_upper <= 0.0:
         raise UnstableQueueError(
             f"no stable writer utilization: offered load rho_w >= 1 "
-            f"(lambda_w={q.lambda_w:.6g}, mu_w={q.mu_w:.6g})",
+            f"(lambda_w={lambda_w:.6g}, mu_w={mu_w:.6g})",
             level=level,
         )
     try:
-        rho = _brentq(g, 0.0, upper, tol)
+        rho = _brentq(g, 0.0, upper, tol, f_b=g_upper)
     except (ValueError, RuntimeError) as exc:
         raise ConvergenceError(
             f"R/W queue root finder failed: {exc}",
             solver="rw-queue", residual=math.nan,
             context=_error_context(q, level, math.nan)) from exc
-    r_u, r_e = _reader_drains(rho, q)
-    t_a = 1.0 / q.mu_w + rho * r_u + (1.0 - rho) * r_e
+    if lambda_r == 0.0:
+        r_u = r_e = 0.0
+    else:
+        r_u = math.log1p(rho * lambda_r / lambda_w) / mu_r
+        r_e = math.log1p((1.0 + rho) * lambda_r / (mu_r + lambda_w)) / mu_r
+    t_a = 1.0 / mu_w + rho * r_u + (1.0 - rho) * r_e
     if not (math.isfinite(r_u) and math.isfinite(r_e)
             and math.isfinite(t_a)):
         raise ConvergenceError(
@@ -253,6 +285,4 @@ def solve_rw_queue(q: RWQueueInput, tol: float = 1e-12,
             f"(r_u={r_u:.6g}, r_e={r_e:.6g}, T_a={t_a:.6g})",
             solver="rw-queue", residual=math.nan,
             context=_error_context(q, level, rho))
-    return RWQueueSolution(rho_w=rho, r_u=r_u, r_e=r_e,
-                           aggregate_service_time=t_a)
-
+    return RWQueueSolution(rho, r_u, r_e, t_a)

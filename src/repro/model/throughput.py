@@ -13,10 +13,15 @@ Both are monotone bisection searches over the analytical predictions, so
 they work unchanged for all three algorithm analyses (pass the analyzer
 callable).  Each brackets the answer between two doublings of ``start``,
 found by bisecting the doubling exponent, then bisects the bracket.
+
+A search is a pure function of its arguments, and the figures and claims
+ask for many of the same ones, so each distinct search runs once per
+process (:func:`_searched`).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
@@ -59,14 +64,47 @@ def _first_failing_doubling(holds: Callable[[float], bool], start: float,
     return math.ldexp(start, hi)
 
 
+#: Distinct searches one process remembers; a ``figures --all`` run
+#: makes about a hundred.
+_SEARCH_MEMO_SIZE = 512
+
+
+@functools.lru_cache(maxsize=_SEARCH_MEMO_SIZE)
+def _memo(search: Callable[..., float], args: tuple, kwargs: tuple) -> float:
+    return search(*args, **dict(kwargs))
+
+
+def _searched(search: Callable[..., float], *args, **kwargs) -> float:
+    """``search(*args, **kwargs)``, run once per process for each
+    distinct set of arguments.
+
+    The key is the analyzer, the configuration and every other argument,
+    keyword arguments included, compared by value; a search that raises
+    stores nothing.  A call with an unhashable argument runs unmemoized.
+    """
+    items = tuple(sorted(kwargs.items()))
+    try:
+        hash((args, items))
+    except TypeError:
+        return search(*args, **kwargs)
+    return _memo(search, args, items)
+
+
 def max_throughput(analyze: Analyzer, config: ModelConfig,
                    rel_tol: float = 1e-4, start: float = 1e-3,
                    **analyzer_kwargs) -> float:
     """Largest arrival rate with a stable prediction (Theorem 2).
 
     ``analyze`` is one of the ``analyze_*`` functions; extra keyword
-    arguments are forwarded to it.
+    arguments are forwarded to it.  Each distinct search runs once per
+    process.
     """
+    return _searched(_max_throughput, analyze, config, rel_tol, start,
+                     **analyzer_kwargs)
+
+
+def _max_throughput(analyze: Analyzer, config: ModelConfig, rel_tol: float,
+                    start: float, **analyzer_kwargs) -> float:
     def stable(rate: float) -> bool:
         return analyze(config, rate, **analyzer_kwargs).stable
 
@@ -104,8 +142,17 @@ def arrival_rate_for_root_utilization(
 
     With ``use_max_level=True`` the criterion is the maximum rho_w over
     all levels instead of the root's (appropriate for the Link-type
-    algorithm, whose bottleneck is usually a lower level).
+    algorithm, whose bottleneck is usually a lower level).  Each
+    distinct search runs once per process.
     """
+    return _searched(_rate_for_root_utilization, analyze, config, target,
+                     rel_tol, start, use_max_level, **analyzer_kwargs)
+
+
+def _rate_for_root_utilization(analyze: Analyzer, config: ModelConfig,
+                               target: float, rel_tol: float, start: float,
+                               use_max_level: bool,
+                               **analyzer_kwargs) -> float:
     if not 0.0 < target < 1.0:
         raise ConfigurationError(f"target utilization must be in (0,1), got {target}")
 

@@ -38,7 +38,7 @@ from repro.model.results import (
     SEARCH,
     AlgorithmPrediction,
     LevelSolution,
-    occupancy_for,
+    level_terms,
     search_response,
     solve_level,
     unstable_prediction,
@@ -55,19 +55,14 @@ def analyze_two_phase(config: ModelConfig, arrival_rate: float,
     if arrival_rate <= 0:
         raise ConfigurationError(f"arrival rate must be positive, got {arrival_rate}")
 
-    mix, costs, shape = config.mix, config.costs, config.shape
-    h = shape.height
-    occ = occupancy_for(config, occupancy)
-
-    se = [costs.se(level, h) for level in range(1, h + 1)]
-    sp = [costs.sp(level, h) for level in range(1, h + 1)]
-    modify = costs.modify(h)
+    mix = config.mix
+    h = config.height
+    terms = level_terms(config, occupancy)
+    se, modify = terms.se, terms.modify
     # All restructuring work, charged while the whole path is locked.
-    split_work = sum(occ.split_propagation(j) * sp[j - 1]
-                     for j in range(1, h))
+    split_work = terms.split_work
 
-    lam = [arrival_rate * shape.arrival_share(level)
-           for level in range(1, h + 1)]
+    lam = [arrival_rate * share for share in terms.share]
 
     levels: List[LevelSolution] = []
 

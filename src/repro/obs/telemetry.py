@@ -84,7 +84,7 @@ class TelemetryOptions:
         # for floats: an int from a library caller must not reach it.
         object.__setattr__(self, "sample_interval",
                            float(self.sample_interval))
-        if self.sample_interval <= 0:
+        if not self.sample_interval > 0:  # NaN too
             raise ConfigurationError(
                 f"sample_interval must be positive, "
                 f"got {self.sample_interval}")

@@ -20,7 +20,7 @@ import random
 
 from repro.algorithms import get_algorithm
 from repro.errors import ConfigurationError
-from repro.simulator.config import SimulationConfig
+from repro.simulator.config import SimulationConfig, run_seeds
 from repro.simulator.driver import run_context
 from repro.simulator.metrics import (
     MetricsCollector,
@@ -51,11 +51,10 @@ def run_closed_simulation(config: SimulationConfig,
         raise ConfigurationError(f"think_time must be >= 0, got {think_time}")
 
     module = get_algorithm(config.algorithm).ops
-    seed_root = random.Random(config.seed)
-    build_seed = seed_root.randrange(2 ** 63)
-    rng_keys = random.Random(seed_root.randrange(2 ** 63))
-    rng_service = random.Random(seed_root.randrange(2 ** 63))
-    rng_think = random.Random(seed_root.randrange(2 ** 63))
+    build_seed, keys_seed, service_seed, think_seed = run_seeds(config.seed)
+    rng_keys = random.Random(keys_seed)
+    rng_service = random.Random(service_seed)
+    rng_think = random.Random(think_seed)
 
     metrics = MetricsCollector(seed=config.seed)
 

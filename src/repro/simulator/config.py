@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import math
+import random
 from dataclasses import dataclass, field, replace
-from typing import Optional
+from typing import Optional, Tuple
 
 from repro.algorithms.names import DEFAULT_ALGORITHM
 from repro.btree.builder import DEFAULT_KEY_SPACE
@@ -78,8 +80,10 @@ class SimulationConfig:
         # this module loads, but is complete by instantiation time.
         from repro.algorithms import get_algorithm
         spec = get_algorithm(self.algorithm)  # raises with known names
-        if self.arrival_rate <= 0:
-            raise ConfigurationError("arrival_rate must be positive")
+        if not math.isfinite(self.arrival_rate) or self.arrival_rate <= 0:
+            raise ConfigurationError(
+                f"arrival_rate must be positive and finite, got "
+                f"{self.arrival_rate}")
         if self.n_operations < 1:
             raise ConfigurationError("n_operations must be >= 1")
         if self.warmup_operations < 0:
@@ -133,3 +137,12 @@ class SimulationConfig:
             n_operations=max(100, int(self.n_operations * factor)),
             warmup_operations=max(20, int(self.warmup_operations * factor)),
         )
+
+
+def run_seeds(seed: int) -> Tuple[int, int, int, int]:
+    """The four seeds a run derives from its configuration's ``seed``:
+    the build seed of the tree it starts from (see
+    :func:`~repro.btree.builder.warm_tree`), then one seed for each of
+    the run's three random streams."""
+    root = random.Random(seed)
+    return tuple(root.randrange(2 ** 63) for _ in range(4))

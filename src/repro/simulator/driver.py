@@ -42,7 +42,7 @@ from repro.btree.builder import warm_tree
 from repro.btree.node import Node, lock_factory
 from repro.des.engine import Simulator
 from repro.des.rwlock import RWLock
-from repro.simulator.config import SimulationConfig
+from repro.simulator.config import SimulationConfig, run_seeds
 from repro.simulator.costs import ServiceTimeSampler
 from repro.simulator.metrics import (
     MetricsCollector,
@@ -182,11 +182,11 @@ def run_simulation(config: SimulationConfig,
     """
     module = get_algorithm(config.algorithm).ops
 
-    seed_root = random.Random(config.seed)
-    build_seed = seed_root.randrange(2 ** 63)
-    rng_arrivals = random.Random(seed_root.randrange(2 ** 63))
-    rng_keys = random.Random(seed_root.randrange(2 ** 63))
-    rng_service = random.Random(seed_root.randrange(2 ** 63))
+    build_seed, arrivals_seed, keys_seed, service_seed = run_seeds(
+        config.seed)
+    rng_arrivals = random.Random(arrivals_seed)
+    rng_keys = random.Random(keys_seed)
+    rng_service = random.Random(service_seed)
 
     metrics = MetricsCollector(seed=config.seed)
     if telemetry is not None:

@@ -16,7 +16,7 @@ from repro.model.rwqueue import (
     _RHO_CEILING,
     RWQueueInput,
     _brentq,
-    _fixed_point_rhs,
+    _residual,
 )
 
 _SETTINGS = settings(max_examples=300, deadline=None)
@@ -30,10 +30,6 @@ def queue_inputs(draw):
     lambda_r = draw(st.one_of(st.just(0.0), _LOG_RATE.map(lambda e: 10 ** e)))
     lambda_w, mu_r, mu_w = (10 ** draw(_LOG_RATE) for _ in range(3))
     return RWQueueInput(lambda_r, lambda_w, mu_r, mu_w)
-
-
-def _residual(q):
-    return lambda rho: rho - _fixed_point_rhs(rho, q)
 
 
 def _outcome(solve):
@@ -57,7 +53,7 @@ class TestMatchesReference:
            xtol=st.sampled_from([1e-12, 2e-12, 1e-9, 1e-6]))
     def test_same_root_bits_or_same_error(self, reference_brentq, q, upper,
                                           xtol):
-        g = _residual(q)
+        g = _residual(*q)
         ours = _outcome(lambda: _brentq(g, 0.0, upper, xtol))
         reference = _outcome(
             lambda: reference_brentq(g, 0.0, upper, xtol=xtol))
@@ -124,6 +120,14 @@ class TestFailures:
     def test_root_at_an_end_returns_that_end(self):
         assert _brentq(lambda x: x, 0.0, 1.0, 1e-12) == 0.0
         assert _brentq(lambda x: x - 1.0, 0.0, 1.0, 1e-12) == 1.0
+
+    def test_known_f_of_b_is_not_evaluated_again(self):
+        f = _Counted(lambda x: x * x - 0.5)
+        root = _brentq(f, 0.0, 1.0, 1e-12, f_b=0.5)
+        assert f.calls[0] == 0.0
+        assert 1.0 not in f.calls
+        assert root.hex() == _brentq(lambda x: x * x - 0.5, 0.0, 1.0,
+                                     1e-12).hex()
 
     def test_converges_on_a_smooth_root(self):
         root = _brentq(lambda x: x * x - 2.0, 0.0, 2.0, 1e-12)

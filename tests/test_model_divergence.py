@@ -35,8 +35,8 @@ def config():
 @pytest.fixture
 def poisoned(monkeypatch):
     """Every Theorem 6 fixed-point evaluation returns NaN."""
-    monkeypatch.setattr(rwqueue, "_fixed_point_rhs",
-                        lambda rho, q: math.nan)
+    monkeypatch.setattr(rwqueue, "_residual",
+                        lambda *rates: lambda rho: math.nan)
 
 
 @pytest.mark.parametrize("spec", _MODELED, ids=lambda s: s.name)

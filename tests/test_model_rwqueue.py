@@ -151,8 +151,8 @@ class TestPoisonedSolver:
             self, monkeypatch):
         from repro.errors import ConvergenceError
         # Every evaluation returns NaN.
-        monkeypatch.setattr(rwqueue, "_fixed_point_rhs",
-                            lambda rho, q: math.nan)
+        monkeypatch.setattr(rwqueue, "_residual",
+                            lambda *rates: lambda rho: math.nan)
         with pytest.raises(ConvergenceError) as exc_info:
             solve_rw_queue(RWQueueInput(0.5, 0.2, 1.0, 1.0), level=2)
         error = exc_info.value
@@ -171,10 +171,13 @@ class TestPoisonedSolver:
         # The stability guard at the top of the bracket evaluates
         # cleanly; the root finder's first evaluation, at rho = 0, is
         # NaN.
-        clean = rwqueue._fixed_point_rhs
-        monkeypatch.setattr(
-            rwqueue, "_fixed_point_rhs",
-            lambda rho, q: clean(rho, q) if rho > 0.5 else math.nan)
+        clean = rwqueue._residual
+
+        def poisoned_below_half(*rates):
+            g = clean(*rates)
+            return lambda rho: g(rho) if rho > 0.5 else math.nan
+
+        monkeypatch.setattr(rwqueue, "_residual", poisoned_below_half)
         with pytest.raises(ConvergenceError) as exc_info:
             solve_rw_queue(RWQueueInput(0.5, 0.2, 1.0, 1.0), level=2)
         error = exc_info.value

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.btree import collect_statistics
+from repro.btree.builder import warm_tree
+from repro.model.params import TreeShape
 from repro.model.validation import measured_model_config
-from repro.simulator.config import SimulationConfig
+from repro.simulator.config import SimulationConfig, run_seeds
 
 
 @pytest.fixture(scope="module")
@@ -24,3 +27,17 @@ class TestMeasuredModelConfig:
         a = measured_model_config(quick_config)
         b = measured_model_config(quick_config)
         assert a.shape == b.shape
+
+    def test_shape_is_the_tree_the_runs_start_from(self, quick_config):
+        """The measured tree is the one ``warm_tree`` lends the runs of
+        ``quick_config``: grown from the run's derived build seed, not
+        from the configuration's seed itself."""
+        tree = warm_tree(run_seeds(quick_config.seed)[0],
+                         quick_config.n_items, quick_config.order,
+                         quick_config.mix.insert_share,
+                         quick_config.key_space)
+        try:
+            lent = TreeShape.from_statistics(collect_statistics(tree))
+        finally:
+            tree.rollback()
+        assert measured_model_config(quick_config).shape == lent
