@@ -104,6 +104,15 @@ class ClusterSimConfig:
             raise ConfigurationError(
                 f"operation mix sums to {total}, not 1")
 
+    def __hash__(self) -> int:
+        # Hashable like every other task config, so equal cluster tasks
+        # de-duplicate; the two dicts are treated as read-only.
+        return hash((self.spec, self.arrival_rate,
+                     tuple(sorted(self.service_means.items())),
+                     tuple(sorted(self.mix.items())), self.policies,
+                     self.router_service, self.horizon, self.seed,
+                     self.faults))
+
 
 class _Op:
     """One routed operation."""

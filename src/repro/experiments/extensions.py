@@ -32,13 +32,13 @@
   cluster simulator (see ``docs/robustness.md``).
 
 The comparison sets are derived from :mod:`repro.algorithms` (specs and
-capability flags), never from hard-coded name literals.  ``ext08``'s
-cluster runs are not simulation tasks, so ``ext08`` runs them inline.
+capability flags), never from hard-coded name literals.
 """
 
 from __future__ import annotations
 
 import math
+from typing import Optional
 
 from repro.algorithms import all_algorithms, get_algorithm, names
 from repro.errors import ConvergenceError
@@ -186,13 +186,18 @@ def ext04(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
             spec, arrival_rate=1.0, n_items=8_000,
             n_operations=n_ops, warmup_operations=warmup, seed=17)
 
-    # The model reads the shape of the tree the closed runs start from.
-    model_config = measured_model_config(sim_config(specs[0], 1))
-    # The whole (mpl, algorithm) grid goes out as one yield of closed
-    # tasks; the results come back in task order.
-    tasks = [SimTask(sim_config(spec, mpl), kind="closed", mpl=mpl)
-             for mpl in _MPL_LEVELS for spec in specs]
+    # One yield: the shape of the tree the closed runs start from (the
+    # model reads it), then the whole (mpl, algorithm) grid of closed
+    # tasks; the results come back in task order.  The shape task goes
+    # first, so the closed runs borrow the tree it grew.
+    shape_config = sim_config(specs[0], 1)
+    tasks = [SimTask(shape_config, kind="shape")] + [
+        SimTask(sim_config(spec, mpl), kind="closed", mpl=mpl)
+        for mpl in _MPL_LEVELS for spec in specs]
     flat = iter((yield tasks))
+    shape = next(flat)
+    model_config = None if shape is None \
+        else measured_model_config(shape_config, shape=shape)
     for mpl in _MPL_LEVELS:
         throughputs = []
         responses = []
@@ -200,10 +205,10 @@ def ext04(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
             result = next(flat)
             throughputs.append(round(result.throughput, 4))
             responses.append(round(result.mean_response["search"], 3))
-        predicted = closed_system_prediction(specs[0].analyze,
-                                             model_config, mpl)
-        table.add(mpl, *throughputs, *responses,
-                  round(predicted.throughput, 4))
+        predicted = math.nan if model_config is None else round(
+            closed_system_prediction(specs[0].analyze, model_config,
+                                     mpl).throughput, 4)
+        table.add(mpl, *throughputs, *responses, predicted)
     table.note("naive lock-coupling plateaus once the root saturates "
                "(response then grows linearly with MPL); the link-type "
                "algorithm scales on toward the service limit")
@@ -365,7 +370,16 @@ _EXT08_FAULT_RATES = (0, 1, 2)
 _EXT08_RHO = 0.25
 
 
-def ext08(scale: float = 1.0, simulate: bool = True) -> ExperimentTable:
+def _measured(result, name: str, digits: Optional[int] = None) -> float:
+    """``result.<name>``, rounded to ``digits`` when given, or NaN for a
+    quarantined (``None``) run."""
+    if result is None:
+        return math.nan
+    value = getattr(result, name)
+    return value if digits is None else round(value, digits)
+
+
+def ext08(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
     """Cluster chaos: availability/goodput degradation of a sharded
     B-tree cluster under injected faults, policies on vs off.
 
@@ -373,13 +387,15 @@ def ext08(scale: float = 1.0, simulate: bool = True) -> ExperimentTable:
     with common random numbers — once ``fragile`` (no defenses), once
     ``resilient`` (retries + hedged reads + circuit breaker) — against
     the same deterministic chaos schedule
-    (:func:`repro.cluster.chaos.chaos_plan`).  The analytical
-    composition supplies the model columns: the router M/G/1 +
-    per-shard multi-class M/G/1 response (validated on the fault-free
-    rows, where the simulated steady state is the model's regime) and
-    the closed-form availability under crash windows with and without
-    the retry rescue horizon.  Per-shard service demands and the
-    rho_w = 0.5 breaker anchor both come from the single-tree
+    (:func:`repro.cluster.chaos.chaos_plan`).  The 24 runs go out as
+    one yield of ``"cluster"`` tasks, so they share the figures run's
+    batch and result cache; a quarantined run leaves its columns NaN.
+    The analytical composition supplies the model columns: the router
+    M/G/1 + per-shard multi-class M/G/1 response (validated on the
+    fault-free rows, where the simulated steady state is the model's
+    regime) and the closed-form availability under crash windows with
+    and without the retry rescue horizon.  Per-shard service demands
+    and the rho_w = 0.5 breaker anchor both come from the single-tree
     per-level queue network — the cluster tier composes the paper's
     model, it does not replace it.
     """
@@ -392,7 +408,6 @@ def ext08(scale: float = 1.0, simulate: bool = True) -> ExperimentTable:
         chaos_plan,
         get_policies,
         predict_availability,
-        run_cluster_simulation,
         shard_service_demands,
     )
     config = paper_default_config(disk_cost=1.0)  # memory-resident tier
@@ -421,7 +436,8 @@ def ext08(scale: float = 1.0, simulate: bool = True) -> ExperimentTable:
          "model_availability_resilient", "availability_resilient",
          "goodput_fragile", "goodput_resilient",
          "shed_writes", "retries", "hedged_wins"])
-    scenario = 0
+    cells = []  # (shards, fault_rate, spec, offered, model response, plan)
+    tasks = []
     for shards in _EXT08_SHARDS:
         spec = ClusterSpec(shards=shards, replicas=replicas)
         offered = shards * per_shard_rate
@@ -429,32 +445,33 @@ def ext08(scale: float = 1.0, simulate: bool = True) -> ExperimentTable:
         model_response = round(prediction.mixed_response(mix), 3)
         for fault_rate in _EXT08_FAULT_RATES:
             plan = chaos_plan(shards, fault_rate, horizon)
-            seed = 101 + 7 * scenario
-            runs = {}
-            for policies in (fragile, resilient):
-                runs[policies.name] = run_cluster_simulation(
-                    ClusterSimConfig(
-                        spec=spec, arrival_rate=offered,
-                        service_means=demands, mix=mix,
-                        policies=policies, horizon=horizon, seed=seed,
-                        faults=plan))
-            frag, res = runs["fragile"], runs["resilient"]
-            # The response comparison is only meaningful fault-free:
-            # faulted rows mix outage transients into the mean.
-            sim_response = (round(frag.mean_response, 3)
-                            if fault_rate == 0 else math.nan)
-            table.add(
-                scenario, shards, fault_rate, round(offered, 4),
-                model_response, sim_response,
-                round(predict_availability(spec, plan, fragile,
-                                           horizon), 4),
-                round(frag.availability, 4),
-                round(predict_availability(spec, plan, resilient,
-                                           horizon), 4),
-                round(res.availability, 4),
-                round(frag.goodput, 4), round(res.goodput, 4),
-                res.shed_writes, res.retries, res.hedged_wins)
-            scenario += 1
+            seed = 101 + 7 * len(cells)
+            cells.append((shards, fault_rate, spec, offered,
+                          model_response, plan))
+            tasks += [SimTask(ClusterSimConfig(
+                spec=spec, arrival_rate=offered, service_means=demands,
+                mix=mix, policies=policies, horizon=horizon, seed=seed,
+                faults=plan), kind="cluster")
+                for policies in (fragile, resilient)]
+    flat = iter((yield tasks))
+    for scenario, (shards, fault_rate, spec, offered, model_response,
+                   plan) in enumerate(cells):
+        frag, res = next(flat), next(flat)
+        # The response comparison is only meaningful fault-free:
+        # faulted rows mix outage transients into the mean.
+        sim_response = (_measured(frag, "mean_response", 3)
+                        if fault_rate == 0 else math.nan)
+        table.add(
+            scenario, shards, fault_rate, round(offered, 4),
+            model_response, sim_response,
+            round(predict_availability(spec, plan, fragile, horizon), 4),
+            _measured(frag, "availability", 4),
+            round(predict_availability(spec, plan, resilient, horizon),
+                  4),
+            _measured(res, "availability", 4),
+            _measured(frag, "goodput", 4), _measured(res, "goodput", 4),
+            _measured(res, "shed_writes"), _measured(res, "retries"),
+            _measured(res, "hedged_wins"))
     lam_half = breaker_arrival_rate(_NAIVE.analyze, config)
     table.note("scenarios: " + "; ".join(
         f"{i}=(shards={s}, faults={f})"

@@ -49,7 +49,7 @@ from repro.model.thumb import (
     rule_of_thumb_3,
     rule_of_thumb_4,
 )
-from repro.model.validation import measured_model_config
+from repro.model.validation import measured_model_config, measured_shape
 from repro.model.closed import (
     ClosedSystemPrediction,
     closed_system_prediction,
@@ -86,6 +86,7 @@ __all__ = [
     "effective_load",
     "max_throughput",
     "measured_model_config",
+    "measured_shape",
     "paper_default_config",
     "piecewise_response",
     "rule_of_thumb_1",

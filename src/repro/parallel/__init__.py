@@ -1,8 +1,10 @@
 """Parallel sweep execution with on-disk result caching.
 
-Every simulation run in this repository is a pure function of its
-:class:`~repro.simulator.config.SimulationConfig` (plus, for closed
-runs, the multiprogramming level), which buys two things at once:
+Every run in this repository is a pure function of its configuration
+(plus, for closed runs, the multiprogramming level), whether it is a
+simulation run, a cluster run or the shape of a run's starting tree
+(the four task kinds of :class:`SimTask`), which buys two things at
+once:
 
 * **fan-out** — a run's whole ``(config, seed)`` grid can run on a
   process pool (:func:`run_batch`, ``jobs=N``) with bit-identical
@@ -33,6 +35,7 @@ from repro.parallel.executor import (
     SimTask,
     execute_task,
     replication_tasks,
+    result_type,
     run_batch,
     run_batch_report,
     task_key,
@@ -47,6 +50,7 @@ __all__ = [
     "default_cache_dir",
     "execute_task",
     "replication_tasks",
+    "result_type",
     "run_batch",
     "run_batch_report",
     "task_key",

@@ -1,12 +1,15 @@
-"""On-disk memoization of completed simulation runs.
+"""On-disk memoization of completed runs.
 
 ``run_simulation(config)`` is a pure function of its
 :class:`~repro.simulator.config.SimulationConfig` (every RNG stream is
-derived from ``config.seed``), so its :class:`SimulationResult` can be
-memoized on disk and reused across processes and invocations.  A cache
-entry is keyed by a stable content hash of the full configuration plus:
+derived from ``config.seed``), and so are the closed-system run, the
+cluster run over a :class:`~repro.cluster.sim.ClusterSimConfig` and the
+shape of the tree a run starts from, so each result can be memoized on
+disk and reused across processes and invocations.  A cache entry is
+keyed by a stable content hash of the full configuration plus:
 
-* a *kind* tag ("open" or "closed" — the two simulator entry points),
+* a *kind* tag ("open", "closed", "cluster" or "shape" — the task
+  kinds of :class:`~repro.parallel.SimTask`),
 * any extra run parameters outside the config (the closed system's
   multiprogramming level and think time),
 * a **code-version salt** (:data:`CODE_SALT`), bumped whenever a change
@@ -16,7 +19,7 @@ entry is keyed by a stable content hash of the full configuration plus:
 Layout on disk (see ``docs/performance.md``)::
 
     <cache dir>/
-        <key[:2]>/<key>.pkl     # pickled SimulationResult
+        <key[:2]>/<key>.pkl     # one pickled result
 
 where ``<cache dir>`` is ``$REPRO_CACHE_DIR`` when set, else
 ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``).  Entries are
@@ -41,7 +44,6 @@ import tempfile
 from pathlib import Path
 from typing import Any, Optional
 
-from repro.simulator.config import SimulationConfig
 from repro.simulator.metrics import SimulationResult
 
 #: Code-version salt folded into every cache key.  Bump it whenever a
@@ -90,10 +92,11 @@ def _is_default_workload(workload: Any) -> bool:
     return workload == DEFAULT_WORKLOAD
 
 
-def config_key(config: SimulationConfig, *, kind: str = "open",
+def config_key(config: Any, *, kind: str = "open",
                extra: Optional[dict] = None,
                salt: str = CODE_SALT) -> str:
-    """Stable content hash identifying one simulation run.
+    """Stable content hash identifying one run of ``config`` (a
+    simulation or a cluster configuration).
 
     The same configuration always hashes to the same key, across
     processes and Python invocations (no reliance on ``hash()`` or
@@ -134,7 +137,7 @@ class CacheStats:
 
 
 class ResultCache:
-    """Directory-backed store of pickled :class:`SimulationResult`\\ s."""
+    """Directory-backed store of pickled task results."""
 
     def __init__(self, directory: Optional[os.PathLike] = None,
                  salt: str = CODE_SALT) -> None:
@@ -148,12 +151,13 @@ class ResultCache:
         # very large sweep grids.
         return self.directory / key[:2] / f"{key}.pkl"
 
-    def get(self, key: str) -> Optional[SimulationResult]:
+    def get(self, key: str, expect: type = SimulationResult) -> Any:
         """The cached result for ``key``, or None on a miss.
 
-        A corrupt, truncated, or checksum-failing entry is removed and
-        reported as a miss (the caller recomputes and overwrites it) —
-        corruption must never crash a sweep or leak a damaged result.
+        A corrupt, truncated, or checksum-failing entry, or one that is
+        not an ``expect`` instance, is removed and reported as a miss
+        (the caller recomputes and overwrites it) — corruption must
+        never crash a sweep or leak a damaged result.
         """
         path = self.path_for(key)
         try:
@@ -169,7 +173,7 @@ class ResultCache:
         except Exception:
             # Anything: torn pickle, checksum mismatch, hostile bytes.
             return self._reject(path)
-        if not isinstance(result, SimulationResult):
+        if not isinstance(result, expect):
             return self._reject(path)
         self.stats.hits += 1
         return result
@@ -196,7 +200,7 @@ class ResultCache:
             pass
         return None
 
-    def put(self, key: str, result: SimulationResult) -> None:
+    def put(self, key: str, result: Any) -> None:
         """Store ``result`` under ``key`` atomically (tmp + rename),
         with the payload checksum prepended."""
         path = self.path_for(key)

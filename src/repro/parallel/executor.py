@@ -4,8 +4,10 @@ A figure sweep is a grid of independent ``(config, seed)`` points —
 ``run_simulation`` shares no state between runs and derives every RNG
 stream from ``config.seed`` — so the grid can execute in any order, on
 any number of worker processes, and still produce bit-identical
-:class:`~repro.simulator.metrics.SimulationResult`\\ s.  :func:`run_batch`
-is the single choke point all sweeps go through:
+results.  A :class:`SimTask` is one such point of one of four kinds:
+an open or a closed simulation run, a cluster run, or the shape of the
+tree a simulation run starts from.  :func:`run_batch` is the single
+choke point all sweeps go through:
 
 1. look every task up in the (optional) on-disk result cache;
 2. run the misses — inline when serial, else on a
@@ -52,6 +54,7 @@ from typing import (
     Sequence,
     Set,
     Tuple,
+    Union,
 )
 
 from repro.errors import ConfigurationError
@@ -74,11 +77,15 @@ from repro.simulator.config import SimulationConfig
 from repro.simulator.metrics import SimulationResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.cluster.sim import ClusterSimConfig
     from repro.obs.telemetry import RunTelemetry, TelemetryOptions
 
 #: Task kinds understood by :func:`execute_task`.
 KIND_OPEN = "open"
 KIND_CLOSED = "closed"
+KIND_CLUSTER = "cluster"
+KIND_SHAPE = "shape"
+_KINDS = (KIND_OPEN, KIND_CLOSED, KIND_CLUSTER, KIND_SHAPE)
 
 #: Bound on how long pool teardown may block (joining dead workers).
 _TEARDOWN_GRACE = 5.0
@@ -89,11 +96,24 @@ _POLL_INTERVAL = 0.05
 
 @dataclass(frozen=True)
 class SimTask:
-    """One schedulable simulation run.
+    """One schedulable run.
 
-    ``kind`` selects the simulator entry point: "open" (Poisson
-    arrivals, the paper's setting) or "closed" (fixed multiprogramming
-    level ``mpl``, optional exponential ``think_time``).
+    ``kind`` selects the entry point and the result type:
+
+    * "open" — Poisson arrivals, the paper's setting
+      (:func:`~repro.simulator.driver.run_simulation`, a
+      :class:`SimulationResult`);
+    * "closed" — fixed multiprogramming level ``mpl``, optional
+      exponential ``think_time``
+      (:func:`~repro.simulator.closed.run_closed_simulation`, a
+      :class:`SimulationResult`);
+    * "cluster" — ``config`` is a
+      :class:`~repro.cluster.sim.ClusterSimConfig`
+      (:func:`~repro.cluster.sim.run_cluster_simulation`, a
+      :class:`~repro.cluster.metrics.ClusterResult`);
+    * "shape" — the shape of the tree the runs of ``config`` start from
+      (:func:`~repro.model.validation.measured_shape`, a
+      :class:`~repro.model.params.TreeShape`).
 
     ``telemetry`` (a picklable
     :class:`~repro.obs.telemetry.TelemetryOptions`) asks the run to
@@ -102,17 +122,22 @@ class SimTask:
     has none — and are supported for open tasks only.
     """
 
-    config: SimulationConfig
+    config: Union[SimulationConfig, "ClusterSimConfig"]
     kind: str = KIND_OPEN
     mpl: Optional[int] = None
     think_time: float = 0.0
     telemetry: Optional["TelemetryOptions"] = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (KIND_OPEN, KIND_CLOSED):
+        if self.kind not in _KINDS:
             raise ConfigurationError(
-                f"unknown task kind {self.kind!r}; expected "
-                f"{KIND_OPEN!r} or {KIND_CLOSED!r}")
+                f"unknown task kind {self.kind!r}; expected one of "
+                f"{', '.join(repr(kind) for kind in _KINDS)}")
+        if (self.kind == KIND_CLUSTER) == \
+                isinstance(self.config, SimulationConfig):
+            raise ConfigurationError(
+                f"a {self.kind!r} task cannot run a "
+                f"{type(self.config).__name__}")
         if self.kind == KIND_CLOSED and (self.mpl is None or self.mpl < 1):
             raise ConfigurationError(
                 f"closed tasks need a multiprogramming level >= 1, "
@@ -122,11 +147,23 @@ class SimTask:
                 "telemetry collection is supported for open tasks only")
 
 
+def result_type(kind: str) -> type:
+    """The type of result a task of ``kind`` returns; a cache entry of
+    any other type is never served for such a task."""
+    if kind == KIND_CLUSTER:
+        from repro.cluster.metrics import ClusterResult
+        return ClusterResult
+    if kind == KIND_SHAPE:
+        from repro.model.params import TreeShape
+        return TreeShape
+    return SimulationResult
+
+
 def task_key(task: SimTask, salt: str = CODE_SALT) -> str:
     """The task's content key, under which the result cache stores
     the task's result."""
-    extra = {} if task.kind == KIND_OPEN else \
-        {"mpl": task.mpl, "think_time": task.think_time}
+    extra = {"mpl": task.mpl, "think_time": task.think_time} \
+        if task.kind == KIND_CLOSED else {}
     return config_key(task.config, kind=task.kind, extra=extra, salt=salt)
 
 
@@ -141,8 +178,8 @@ def execute_task(task: SimTask) -> Any:
     """Run one task to completion (top-level, hence picklable: this is
     the function worker processes import and call).
 
-    Returns the task's :class:`SimulationResult` — or, when the task
-    carries telemetry options, the full
+    Returns the task's result (see :class:`SimTask`) — or, when the
+    task carries telemetry options, the full
     :class:`~repro.obs.telemetry.RunTelemetry` (whose ``result`` field
     is the run's result)."""
     # Imported here, not at module top, to keep the worker import light
@@ -151,6 +188,12 @@ def execute_task(task: SimTask) -> Any:
         from repro.simulator.closed import run_closed_simulation
         return run_closed_simulation(task.config, task.mpl,
                                      think_time=task.think_time)
+    if task.kind == KIND_CLUSTER:
+        from repro.cluster.sim import run_cluster_simulation
+        return run_cluster_simulation(task.config)
+    if task.kind == KIND_SHAPE:
+        from repro.model.validation import measured_shape
+        return measured_shape(task.config)
     from repro.simulator.driver import run_simulation
     if task.telemetry is not None:
         from repro.obs.telemetry import TelemetryRecorder
@@ -171,11 +214,11 @@ def _execute_guarded(task: SimTask,
 def run_batch(tasks: Sequence[SimTask],
               jobs: int = 1,
               cache: Optional[ResultCache] = None,
-              progress: Optional[Callable[[SimulationResult], None]] = None,
+              progress: Optional[Callable[[Any], None]] = None,
               telemetry_sink: Optional[Callable[[int, "RunTelemetry"], None]]
               = None,
               resilience: Optional[ResilienceOptions] = None,
-              ) -> List[Optional[SimulationResult]]:
+              ) -> List[Any]:
     """Execute ``tasks`` and return their results in task order.
 
     The defaults are serial, uncached, silent and fail-fast.  ``jobs``
@@ -184,6 +227,10 @@ def run_batch(tasks: Sequence[SimTask],
     ``jobs`` raises ConfigurationError.  ``progress`` is called once per
     result; in parallel mode the call order follows completion order,
     not task order.
+
+    A cache entry is served only when its type is the one its task's
+    kind returns (:func:`result_type`); any other entry counts as a
+    corruption, is deleted and recomputed.
 
     Tasks carrying telemetry options always execute (never served from
     or stored into the cache); their
@@ -210,8 +257,7 @@ def run_batch(tasks: Sequence[SimTask],
 def run_batch_report(tasks: Sequence[SimTask],
                      jobs: int = 1,
                      cache: Optional[ResultCache] = None,
-                     progress: Optional[Callable[[SimulationResult], None]]
-                     = None,
+                     progress: Optional[Callable[[Any], None]] = None,
                      telemetry_sink: Optional[
                          Callable[[int, "RunTelemetry"], None]] = None,
                      resilience: Optional[ResilienceOptions] = None,
@@ -258,7 +304,7 @@ class _Batch:
             None if task.telemetry is not None else task_key(task, salt=salt)
             for task in tasks]
         n = len(tasks)
-        self.results: List[Optional[SimulationResult]] = [None] * n
+        self.results: List[Any] = [None] * n
         #: Failed attempts charged so far, per task.
         self.failures = [0] * n
         #: Earliest monotonic time a retry may be resubmitted.
@@ -298,7 +344,8 @@ class _Batch:
             for _ in self.faults.cache_faults(index):
                 corrupt_cache_entry(self.cache, key)
             errors_before = self.cache.stats.errors
-            hit = self.cache.get(key)
+            hit = self.cache.get(key,
+                                 expect=result_type(self.tasks[index].kind))
             if self.cache.stats.errors > errors_before:
                 self.report.cache_corruptions += 1
             if hit is None:

@@ -165,9 +165,11 @@ class TestAvailability:
 
 
 class TestExt08:
-    def test_tiny_sweep_shape_and_degradation(self):
-        from repro.experiments.extensions import ext08
-        table = ext08(scale=0.05)
+    def test_tiny_sweep_shape_and_degradation(self, tmp_path):
+        from repro.parallel import ResultCache
+        from repro.report import get_figure
+        table = get_figure("ext08").run(scale=0.05,
+                                        cache=ResultCache(tmp_path))
         assert len(table.rows) == 12
         shed = sum(table.column("shed_writes"))
         retries = sum(table.column("retries"))
@@ -178,8 +180,12 @@ class TestExt08:
             assert 0.9 <= fragile <= 1.0
             assert 0.9 <= resilient <= 1.0
 
-    def test_deterministic_across_invocations(self):
-        from repro.experiments.extensions import ext08
-        a, b = ext08(scale=0.05), ext08(scale=0.05)
+    def test_deterministic_across_invocations(self, tmp_path):
+        # Two caches, so the second invocation simulates again.
+        from repro.parallel import ResultCache
+        from repro.report import get_figure
+        a, b = (get_figure("ext08").run(
+            scale=0.05, cache=ResultCache(tmp_path / name))
+            for name in ("a", "b"))
         assert a.rows == b.rows
         assert a.notes == b.notes

@@ -304,6 +304,30 @@ class TestEnvDrivenFaults:
         assert math.isinf(sims[1])
         assert math.isfinite(sims[0])
 
+    def test_ext08_finishes_with_a_quarantined_cluster_run(self):
+        # ext08's tasks are (fragile, resilient) per scenario: task 1 is
+        # scenario 0's resilient run, so its quarantine leaves that
+        # row's resilient columns NaN and every other cell measured.
+        import math
+
+        from repro.report import get_figure
+        plan = FaultPlan(specs=(
+            FaultSpec(kind=KILL_WORKER, task_index=1, attempts=None),))
+        options = ResilienceOptions(retry=_FAST_RETRY, faults=plan)
+        table = get_figure("ext08").run(scale=0.05, jobs=2,
+                                        resilience=options)
+        assert len(table.rows) == 12
+        first = dict(zip(table.columns, table.rows[0]))
+        assert {column for column, value in first.items()
+                if math.isnan(value)} == {
+            "availability_resilient", "goodput_resilient", "shed_writes",
+            "retries", "hedged_wins"}
+        for row in table.rows[1:]:
+            measured = dict(zip(table.columns, row))
+            del measured["sim_response"]  # NaN on every faulted row
+            assert not any(math.isnan(value)
+                           for value in measured.values()), row
+
 
 # ----------------------------------------------------------------------
 # Acceptance: the ISSUE's 20-task hostile sweep
