@@ -168,6 +168,23 @@ def response_sweep(table: ExperimentTable, rates: Sequence[float],
         table.add(rate, _rounded(model), _rounded(sim[operation]))
 
 
+def measured(result, name: str, digits: Optional[int] = None) -> float:
+    """``result.<name>``, rounded to ``digits`` when given.  A
+    quarantined (``None``) run measured nothing: NaN (the report's
+    ``undefined``), never +inf (saturated) and never a crash."""
+    if result is None:
+        return math.nan
+    value = getattr(result, name)
+    return value if digits is None else round(value, digits)
+
+
+def run_response(result: Optional[SimulationResult],
+                 operation: str) -> float:
+    """One run's mean ``operation`` response to 3 places; +inf when it
+    overflowed, NaN when it was quarantined."""
+    return round(pooled_response_means([result])[operation], 3)
+
+
 def _rounded(value: float, digits: int = 3) -> float:
     if value is None or math.isnan(value):
         return math.nan

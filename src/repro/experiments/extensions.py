@@ -38,7 +38,6 @@ capability flags), never from hard-coded name literals.
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 from repro.algorithms import all_algorithms, get_algorithm, names
 from repro.errors import ConvergenceError
@@ -46,6 +45,8 @@ from repro.experiments.common import (
     ExperimentTable,
     SimulatedFigure,
     base_sim_config,
+    measured,
+    run_response,
     sweep_simulated_responses,
 )
 from repro.model import (
@@ -203,8 +204,8 @@ def ext04(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
         responses = []
         for _spec in specs:
             result = next(flat)
-            throughputs.append(round(result.throughput, 4))
-            responses.append(round(result.mean_response["search"], 3))
+            throughputs.append(measured(result, "throughput", 4))
+            responses.append(run_response(result, "search"))
         predicted = math.nan if model_config is None else round(
             closed_system_prediction(specs[0].analyze, model_config,
                                      mpl).throughput, 4)
@@ -245,12 +246,11 @@ def ext05(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
         rho = math.nan
         for spec in specs:
             result = next(flat)
-            row.append(math.inf if result.overflowed
-                       else round(result.mean_response["insert"], 3))
+            row.append(run_response(result, "insert"))
             if spec.coupling_updates:
                 # Root writer utilization is the telling statistic for
                 # algorithms whose updates W-couple from the root.
-                rho = round(result.root_writer_utilization, 4)
+                rho = measured(result, "root_writer_utilization", 4)
         row.append(rho)
         table.add(*row)
     table.note("hot_probability 0.2 over a 0.2 fraction is uniform; "
@@ -285,9 +285,7 @@ def ext06(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
     for rate in rates:
         row = [rate]
         for _spec in specs:
-            result = next(flat)
-            row.append(math.inf if result.overflowed
-                       else round(result.mean_response["insert"], 3))
+            row.append(run_response(next(flat), "insert"))
         table.add(*row)
     table.note("the hybrid R-couples the upper levels and W-couples only "
                "the bottom two, so it tracks optimistic descent at low "
@@ -350,9 +348,7 @@ def ext07(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
     for trace_id, _name, _workload in traces:
         row = [trace_id]
         for _spec in specs:
-            result = next(flat)
-            row.append(math.inf if result.overflowed
-                       else round(result.mean_response["insert"], 3))
+            row.append(run_response(next(flat), "insert"))
         table.add(*row)
     table.note("traces: " + "; ".join(
         f"{trace_id}={name}" for trace_id, name, _ in traces))
@@ -368,15 +364,6 @@ _EXT08_SHARDS = (4, 8, 16, 32)
 _EXT08_FAULT_RATES = (0, 1, 2)
 #: Nominal per-shard primary utilization the offered load targets.
 _EXT08_RHO = 0.25
-
-
-def _measured(result, name: str, digits: Optional[int] = None) -> float:
-    """``result.<name>``, rounded to ``digits`` when given, or NaN for a
-    quarantined (``None``) run."""
-    if result is None:
-        return math.nan
-    value = getattr(result, name)
-    return value if digits is None else round(value, digits)
 
 
 def ext08(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
@@ -459,19 +446,19 @@ def ext08(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
         frag, res = next(flat), next(flat)
         # The response comparison is only meaningful fault-free:
         # faulted rows mix outage transients into the mean.
-        sim_response = (_measured(frag, "mean_response", 3)
+        sim_response = (measured(frag, "mean_response", 3)
                         if fault_rate == 0 else math.nan)
         table.add(
             scenario, shards, fault_rate, round(offered, 4),
             model_response, sim_response,
             round(predict_availability(spec, plan, fragile, horizon), 4),
-            _measured(frag, "availability", 4),
+            measured(frag, "availability", 4),
             round(predict_availability(spec, plan, resilient, horizon),
                   4),
-            _measured(res, "availability", 4),
-            _measured(frag, "goodput", 4), _measured(res, "goodput", 4),
-            _measured(res, "shed_writes"), _measured(res, "retries"),
-            _measured(res, "hedged_wins"))
+            measured(res, "availability", 4),
+            measured(frag, "goodput", 4), measured(res, "goodput", 4),
+            measured(res, "shed_writes"), measured(res, "retries"),
+            measured(res, "hedged_wins"))
     lam_half = breaker_arrival_rate(_NAIVE.analyze, config)
     table.note("scenarios: " + "; ".join(
         f"{i}=(shards={s}, faults={f})"

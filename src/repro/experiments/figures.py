@@ -151,11 +151,12 @@ def fig09(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
         if sim_results is None:
             table.add(rate, model_per_1k)
             continue
-        results = sim_results[index]
-        ops = sum(r.measured_operations for r in results)
-        crossings = sum(r.link_crossings for r in results)
+        ran = [r for r in sim_results[index] if r is not None]
+        ops = sum(r.measured_operations for r in ran)
+        crossings = sum(r.link_crossings for r in ran)
         per_1k = 1000.0 * crossings / ops if ops else math.nan
-        table.add(rate, model_per_1k, round(per_1k, 3), ops)
+        table.add(rate, model_per_1k, round(per_1k, 3),
+                  ops if ran else math.nan)
     table.note("disk cost D=10 (as in the paper's Figure 9); crossings "
                "are rare at every sustainable load")
     return table
@@ -185,11 +186,15 @@ def fig10(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
         if sim_results is None:
             table.add(rate, rho)
             continue
-        usable = [r.root_writer_utilization for r in sim_results[index]
+        ran = [r for r in sim_results[index] if r is not None]
+        usable = [r.root_writer_utilization for r in ran
                   if not r.overflowed and not math.isnan(
                       r.root_writer_utilization)]
-        sim_rho = sum(usable) / len(usable) if usable else math.inf
-        table.add(rate, rho, round(sim_rho, 4) if usable else math.inf)
+        if usable:
+            sim_rho = round(sum(usable) / len(usable), 4)
+        else:  # saturated, or nothing ran
+            sim_rho = math.inf if ran else math.nan
+        table.add(rate, rho, sim_rho)
     table.note("the simulated value samples writer *presence* (holding or "
                "queued) at the root lock, a slight over-estimate of the "
                "model's aggregate-customer rho_w")

@@ -190,7 +190,9 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--scale", type=_positive_scale, default=1.0,
                           help="simulation effort scale (1.0 = paper "
                                "scale)")
-    simulate.add_argument("--sample-interval", type=float, default=1.0,
+    simulate.add_argument("--sample-interval",
+                          type=_positive_finite("sample interval"),
+                          default=1.0,
                           metavar="T",
                           help="simulated time between telemetry samples "
                                "(default 1.0)")

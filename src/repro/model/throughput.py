@@ -108,30 +108,19 @@ def _max_throughput(analyze: Analyzer, config: ModelConfig, rel_tol: float,
     def stable(rate: float) -> bool:
         return analyze(config, rate, **analyzer_kwargs).stable
 
-    if stable(start):
-        hi = _first_failing_doubling(
-            stable, start, lambda rate: rate < _BRACKET_LIMIT,
-            ConvergenceError(
-                "no instability found below the bracket limit; the "
-                "algorithm has no effective maximum throughput at this "
-                "configuration (the paper observes this for the Link-type "
-                "algorithm)",
-                solver="max-throughput",
-                context={"bracket_limit": _BRACKET_LIMIT}))
-    else:
-        # Shrink until stable so the bracket is valid.
-        lo = start
-        while True:
-            lo /= 2.0
-            if lo < 1e-15:
-                raise ConvergenceError(
-                    "unstable even at negligible load",
-                    solver="max-throughput",
-                    context={"start": start})
-            if stable(lo):
-                break
-        hi = lo * 2.0
-    return _bisect(stable, hi / 2.0, hi, rel_tol)
+    return _bracketed_search(
+        stable, start, rel_tol, lambda rate: rate < _BRACKET_LIMIT,
+        unbounded=ConvergenceError(
+            "no instability found below the bracket limit; the "
+            "algorithm has no effective maximum throughput at this "
+            "configuration (the paper observes this for the Link-type "
+            "algorithm)",
+            solver="max-throughput",
+            context={"bracket_limit": _BRACKET_LIMIT}),
+        never_holds=ConvergenceError(
+            "unstable even at negligible load",
+            solver="max-throughput",
+            context={"start": start}))
 
 
 def arrival_rate_for_root_utilization(
@@ -162,27 +151,41 @@ def _rate_for_root_utilization(analyze: Analyzer, config: ModelConfig,
             return prediction.max_writer_utilization < target
         return prediction.root_writer_utilization < target
 
-    if below(start):
-        hi = _first_failing_doubling(
-            below, start, lambda rate: rate <= _BRACKET_LIMIT,
-            ConvergenceError(
-                f"utilization never reaches {target}; effectively "
-                "unbounded throughput at this configuration",
-                solver="root-utilization",
-                context={"target": target, "bracket_limit": _BRACKET_LIMIT}))
+    return _bracketed_search(
+        below, start, rel_tol, lambda rate: rate <= _BRACKET_LIMIT,
+        unbounded=ConvergenceError(
+            f"utilization never reaches {target}; effectively "
+            "unbounded throughput at this configuration",
+            solver="root-utilization",
+            context={"target": target, "bracket_limit": _BRACKET_LIMIT}),
+        never_holds=ConvergenceError(
+            f"utilization exceeds {target} even at negligible load",
+            solver="root-utilization",
+            context={"target": target}))
+
+
+def _bracketed_search(holds: Callable[[float], bool], start: float,
+                      rel_tol: float,
+                      within_limit: Callable[[float], bool],
+                      unbounded: ConvergenceError,
+                      never_holds: ConvergenceError) -> float:
+    """Largest rate at which the monotone ``holds`` is true, to
+    ``rel_tol``: double ``start`` to the first failure
+    (:func:`_first_failing_doubling`; ``unbounded`` past
+    ``within_limit``) or halve it until ``holds`` (``never_holds`` below
+    1e-15), then bisect."""
+    if holds(start):
+        hi = _first_failing_doubling(holds, start, within_limit, unbounded)
     else:
         lo = start
         while True:
             lo /= 2.0
             if lo < 1e-15:
-                raise ConvergenceError(
-                    f"utilization exceeds {target} even at negligible load",
-                    solver="root-utilization",
-                    context={"target": target})
-            if below(lo):
+                raise never_holds
+            if holds(lo):
                 break
         hi = lo * 2.0
-    return _bisect(below, hi / 2.0, hi, rel_tol)
+    return _bisect(holds, hi / 2.0, hi, rel_tol)
 
 
 def _bisect(predicate_holds_below: Callable[[float], bool], lo: float,

@@ -15,7 +15,9 @@ makes a run observable *while it happens* and exportable after:
   (:func:`write_ndjson` / :func:`load_ndjson`).
 * **aggregation** — per-seed runs of one sweep point merge into a
   single :class:`SweepTelemetry`, identically whether the seeds ran
-  serially or on :mod:`repro.parallel` workers.
+  serially or on :mod:`repro.parallel` workers, where a telemetry run
+  is an ordinary ``"telemetry"`` task, keyed and cached like any
+  other.
 
 Entry points: pass a :class:`TelemetryRecorder` to
 :func:`~repro.simulator.driver.run_simulation`, or let

@@ -15,6 +15,7 @@ from typing import Any, Optional, TextIO
 
 from repro.algorithms import display_label
 from repro.model.params import TreeShape
+from repro.obs.telemetry import RunTelemetry
 
 
 class ProgressPrinter:
@@ -25,7 +26,8 @@ class ProgressPrinter:
     (:func:`repro.algorithms.display_label`; composite names — e.g.
     recovery-policy suffixes — fall back to the raw string).  A cluster
     run prints its policy bundle, offered rate, seed, availability and
-    goodput; a tree shape its height and fanouts.
+    goodput; a tree shape its height and fanouts.  A
+    :class:`~repro.obs.telemetry.RunTelemetry` prints as its run.
 
     ``total`` is optional (sweep sizes are known per batch, not
     globally); without it the counter is open-ended (``[k]``).
@@ -42,6 +44,8 @@ class ProgressPrinter:
         # tier unloaded.
         from repro.cluster.metrics import ClusterResult
         self.completed += 1
+        if isinstance(result, RunTelemetry):
+            result = result.result
         prefix = (f"[{self.completed}/{self.total}]" if self.total
                   else f"[{self.completed}]")
         if isinstance(result, ClusterResult):

@@ -34,6 +34,7 @@ for a fixed configuration and seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -84,9 +85,9 @@ class TelemetryOptions:
         # for floats: an int from a library caller must not reach it.
         object.__setattr__(self, "sample_interval",
                            float(self.sample_interval))
-        if not self.sample_interval > 0:  # NaN too
+        if not 0 < self.sample_interval < math.inf:  # NaN too
             raise ConfigurationError(
-                f"sample_interval must be positive, "
+                f"sample_interval must be positive and finite, "
                 f"got {self.sample_interval}")
         if self.ring_capacity < 4:
             raise ConfigurationError(
@@ -343,37 +344,29 @@ def merge_telemetry(runs: Sequence[RunTelemetry]) -> SweepTelemetry:
 def collect_replications(config: SimulationConfig, n_seeds: int = 5,
                          options: Optional[TelemetryOptions] = None,
                          jobs: int = 1,
-                         progress: Optional[Callable[[SimulationResult], None]]
+                         progress: Optional[Callable[[RunTelemetry], None]]
                          = None,
                          resilience: Optional[ResilienceOptions] = None,
-                         ) -> Tuple[List[SimulationResult],
+                         ) -> Tuple[List[Optional[SimulationResult]],
                                     Optional[SweepTelemetry]]:
     """Run one sweep point under telemetry and merge the artifacts.
 
-    Fans the seeds out exactly like
-    :func:`~repro.simulator.driver.run_replications` (serial unless
-    ``jobs`` > 1; fail-fast unless ``resilience`` is given) and returns
-    ``(results, merged)`` where ``merged`` is the point's
-    :class:`SweepTelemetry`, or None when no seed delivered telemetry
-    (every one quarantined).  Telemetry runs bypass the result cache:
-    the time series are the artifact, and a memoized result has none.
+    The seeds run as ``"telemetry"`` tasks of one
+    :func:`~repro.parallel.run_batch` (serial unless ``jobs`` > 1;
+    fail-fast unless ``resilience`` is given; ``progress`` gets each
+    :class:`RunTelemetry`).  Returns ``(results, merged)``: the per-seed
+    results (``None`` where a seed was quarantined) and the merged
+    :class:`SweepTelemetry` of the rest, or None when none is left.
     """
     from repro.parallel import run_batch
-    from repro.parallel.executor import SimTask
+    from repro.parallel.executor import KIND_TELEMETRY, SimTask
 
     options = options if options is not None else TelemetryOptions()
     tasks = [SimTask(config.with_seed(config.seed + offset),
-                     telemetry=options)
+                     kind=KIND_TELEMETRY, telemetry=options)
              for offset in range(n_seeds)]
-    captured: Dict[int, RunTelemetry] = {}
-
-    def sink(index: int, telemetry: RunTelemetry) -> None:
-        captured[index] = telemetry
-
-    results = run_batch(tasks, jobs=jobs, progress=progress,
-                        telemetry_sink=sink, resilience=resilience)
-    # Under a failure policy a seed can be quarantined and deliver no
-    # telemetry; merge whatever arrived.
-    runs = [captured[index] for index in range(len(tasks))
-            if index in captured]
-    return results, merge_telemetry(runs) if runs else None
+    runs = run_batch(tasks, jobs=jobs, progress=progress,
+                     resilience=resilience)
+    delivered = [run for run in runs if run is not None]
+    return ([None if run is None else run.result for run in runs],
+            merge_telemetry(delivered) if delivered else None)

@@ -1,9 +1,10 @@
 """Parallel sweep execution with on-disk result caching.
 
 Every run in this repository is a pure function of its configuration
-(plus, for closed runs, the multiprogramming level), whether it is a
-simulation run, a cluster run or the shape of a run's starting tree
-(the four task kinds of :class:`SimTask`), which buys two things at
+(plus, for closed runs, the multiprogramming level, and for telemetry
+runs, the telemetry options), whether it is a simulation run, a
+telemetry run, a cluster run or the shape of a run's starting tree
+(the five task kinds of :class:`SimTask`), which buys two things at
 once:
 
 * **fan-out** — a run's whole ``(config, seed)`` grid can run on a

@@ -3,15 +3,16 @@
 ``run_simulation(config)`` is a pure function of its
 :class:`~repro.simulator.config.SimulationConfig` (every RNG stream is
 derived from ``config.seed``), and so are the closed-system run, the
-cluster run over a :class:`~repro.cluster.sim.ClusterSimConfig` and the
-shape of the tree a run starts from, so each result can be memoized on
+telemetry of a run, the cluster run over a
+:class:`~repro.cluster.sim.ClusterSimConfig` and the shape of the tree
+a run starts from, so each result can be memoized on
 disk and reused across processes and invocations.  A cache entry is
 keyed by a stable content hash of the full configuration plus:
 
-* a *kind* tag ("open", "closed", "cluster" or "shape" — the task
-  kinds of :class:`~repro.parallel.SimTask`),
+* a *kind* tag ("open", "closed", "telemetry", "cluster" or "shape" —
+  the task kinds of :class:`~repro.parallel.SimTask`),
 * any extra run parameters outside the config (the closed system's
-  multiprogramming level and think time),
+  multiprogramming level and think time, a telemetry run's options),
 * a **code-version salt** (:data:`CODE_SALT`), bumped whenever a change
   to the simulator alters results, which atomically invalidates every
   stale entry.

@@ -4,10 +4,10 @@ A figure sweep is a grid of independent ``(config, seed)`` points —
 ``run_simulation`` shares no state between runs and derives every RNG
 stream from ``config.seed`` — so the grid can execute in any order, on
 any number of worker processes, and still produce bit-identical
-results.  A :class:`SimTask` is one such point of one of four kinds:
-an open or a closed simulation run, a cluster run, or the shape of the
-tree a simulation run starts from.  :func:`run_batch` is the single
-choke point all sweeps go through:
+results.  A :class:`SimTask` is one such point of one of five kinds:
+an open or a closed simulation run, an open run under full telemetry,
+a cluster run, or the shape of the tree a simulation run starts from.
+:func:`run_batch` is the single choke point all sweeps go through:
 
 1. look every task up in the (optional) on-disk result cache;
 2. run the misses — inline when serial, else on a
@@ -43,7 +43,7 @@ import time
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -78,14 +78,15 @@ from repro.simulator.metrics import SimulationResult
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.cluster.sim import ClusterSimConfig
-    from repro.obs.telemetry import RunTelemetry, TelemetryOptions
+    from repro.obs.telemetry import TelemetryOptions
 
 #: Task kinds understood by :func:`execute_task`.
 KIND_OPEN = "open"
 KIND_CLOSED = "closed"
 KIND_CLUSTER = "cluster"
 KIND_SHAPE = "shape"
-_KINDS = (KIND_OPEN, KIND_CLOSED, KIND_CLUSTER, KIND_SHAPE)
+KIND_TELEMETRY = "telemetry"
+_KINDS = (KIND_OPEN, KIND_CLOSED, KIND_CLUSTER, KIND_SHAPE, KIND_TELEMETRY)
 
 #: Bound on how long pool teardown may block (joining dead workers).
 _TEARDOWN_GRACE = 5.0
@@ -113,13 +114,12 @@ class SimTask:
       :class:`~repro.cluster.metrics.ClusterResult`);
     * "shape" — the shape of the tree the runs of ``config`` start from
       (:func:`~repro.model.validation.measured_shape`, a
-      :class:`~repro.model.params.TreeShape`).
-
-    ``telemetry`` (a picklable
-    :class:`~repro.obs.telemetry.TelemetryOptions`) asks the run to
-    also record full run telemetry.  Telemetry runs bypass the result
-    cache — the time series are the artifact, and a memoized result
-    has none — and are supported for open tasks only.
+      :class:`~repro.model.params.TreeShape`);
+    * "telemetry" — an open run recorded under the ``telemetry``
+      options (a :class:`~repro.obs.telemetry.TelemetryOptions`, which
+      only this kind takes and must have), a
+      :class:`~repro.obs.telemetry.RunTelemetry` whose ``result`` is
+      the run's :class:`SimulationResult`.
     """
 
     config: Union[SimulationConfig, "ClusterSimConfig"]
@@ -142,9 +142,10 @@ class SimTask:
             raise ConfigurationError(
                 f"closed tasks need a multiprogramming level >= 1, "
                 f"got {self.mpl!r}")
-        if self.telemetry is not None and self.kind != KIND_OPEN:
+        if (self.telemetry is None) == (self.kind == KIND_TELEMETRY):
             raise ConfigurationError(
-                "telemetry collection is supported for open tasks only")
+                "telemetry options go with, and only with, a "
+                f"{KIND_TELEMETRY!r} task")
 
 
 def result_type(kind: str) -> type:
@@ -156,14 +157,21 @@ def result_type(kind: str) -> type:
     if kind == KIND_SHAPE:
         from repro.model.params import TreeShape
         return TreeShape
+    if kind == KIND_TELEMETRY:
+        from repro.obs.telemetry import RunTelemetry
+        return RunTelemetry
     return SimulationResult
 
 
 def task_key(task: SimTask, salt: str = CODE_SALT) -> str:
     """The task's content key, under which the result cache stores
     the task's result."""
-    extra = {"mpl": task.mpl, "think_time": task.think_time} \
-        if task.kind == KIND_CLOSED else {}
+    if task.kind == KIND_CLOSED:
+        extra = {"mpl": task.mpl, "think_time": task.think_time}
+    elif task.kind == KIND_TELEMETRY:
+        extra = asdict(task.telemetry)
+    else:
+        extra = {}
     return config_key(task.config, kind=task.kind, extra=extra, salt=salt)
 
 
@@ -178,10 +186,7 @@ def execute_task(task: SimTask) -> Any:
     """Run one task to completion (top-level, hence picklable: this is
     the function worker processes import and call).
 
-    Returns the task's result (see :class:`SimTask`) — or, when the
-    task carries telemetry options, the full
-    :class:`~repro.obs.telemetry.RunTelemetry` (whose ``result`` field
-    is the run's result)."""
+    Returns the task's result (see :class:`SimTask`)."""
     # Imported here, not at module top, to keep the worker import light
     # and to avoid a cycle (driver -> parallel -> driver).
     if task.kind == KIND_CLOSED:
@@ -195,7 +200,7 @@ def execute_task(task: SimTask) -> Any:
         from repro.model.validation import measured_shape
         return measured_shape(task.config)
     from repro.simulator.driver import run_simulation
-    if task.telemetry is not None:
+    if task.kind == KIND_TELEMETRY:
         from repro.obs.telemetry import TelemetryRecorder
         recorder = TelemetryRecorder(task.telemetry)
         run_simulation(task.config, telemetry=recorder)
@@ -215,8 +220,6 @@ def run_batch(tasks: Sequence[SimTask],
               jobs: int = 1,
               cache: Optional[ResultCache] = None,
               progress: Optional[Callable[[Any], None]] = None,
-              telemetry_sink: Optional[Callable[[int, "RunTelemetry"], None]]
-              = None,
               resilience: Optional[ResilienceOptions] = None,
               ) -> List[Any]:
     """Execute ``tasks`` and return their results in task order.
@@ -232,12 +235,6 @@ def run_batch(tasks: Sequence[SimTask],
     kind returns (:func:`result_type`); any other entry counts as a
     corruption, is deleted and recomputed.
 
-    Tasks carrying telemetry options always execute (never served from
-    or stored into the cache); their
-    :class:`~repro.obs.telemetry.RunTelemetry` is delivered through
-    ``telemetry_sink(task_index, telemetry)`` while the returned list
-    still holds plain results at every position.
-
     Without a failure policy, the first task exception propagates and
     the tasks not yet started are cancelled.  With one — passed as
     ``resilience``, or implied by a ``$REPRO_FAULTS`` plan — the batch
@@ -250,7 +247,7 @@ def run_batch(tasks: Sequence[SimTask],
         # the default failure policy, else injected faults would simply
         # crash the sweep they are meant to exercise.
         resilience = ResilienceOptions()
-    return _Batch(list(tasks), jobs, cache, progress, telemetry_sink,
+    return _Batch(list(tasks), jobs, cache, progress,
                   resilience).run().results
 
 
@@ -258,8 +255,6 @@ def run_batch_report(tasks: Sequence[SimTask],
                      jobs: int = 1,
                      cache: Optional[ResultCache] = None,
                      progress: Optional[Callable[[Any], None]] = None,
-                     telemetry_sink: Optional[
-                         Callable[[int, "RunTelemetry"], None]] = None,
                      resilience: Optional[ResilienceOptions] = None,
                      ) -> BatchReport:
     """:func:`run_batch` with the full :class:`~repro.resilience.\
@@ -268,7 +263,7 @@ BatchReport` (results, failure records, event totals).
     Always runs resiliently; ``resilience`` defaults to
     ``ResilienceOptions()``.
     """
-    return _Batch(list(tasks), jobs, cache, progress, telemetry_sink,
+    return _Batch(list(tasks), jobs, cache, progress,
                   resilience or ResilienceOptions()).run()
 
 
@@ -283,7 +278,6 @@ class _Batch:
     def __init__(self, tasks: List[SimTask], jobs: int,
                  cache: Optional[ResultCache],
                  progress: Optional[Callable],
-                 telemetry_sink: Optional[Callable],
                  options: Optional[ResilienceOptions]) -> None:
         if jobs < 0:
             raise ConfigurationError(f"jobs must be >= 0, got {jobs}")
@@ -291,7 +285,6 @@ class _Batch:
         self.n_jobs = max(jobs, 1)  # 0 and 1 both run inline
         self.cache = cache
         self.progress = progress
-        self.telemetry_sink = telemetry_sink
         self.fail_fast = options is None
         if options is None:
             options = ResilienceOptions()
@@ -300,9 +293,7 @@ class _Batch:
             else plan_from_env()
         self.faults = faults if faults is not None else FaultPlan()
         salt = cache.salt if cache is not None else CODE_SALT
-        self.keys: List[Optional[str]] = [
-            None if task.telemetry is not None else task_key(task, salt=salt)
-            for task in tasks]
+        self.keys = [task_key(task, salt=salt) for task in tasks]
         n = len(tasks)
         self.results: List[Any] = [None] * n
         #: Failed attempts charged so far, per task.
@@ -337,9 +328,6 @@ class _Batch:
             return pending
         missed: List[int] = []
         for index in pending:
-            if self.tasks[index].telemetry is not None:
-                missed.append(index)
-                continue
             key = self.keys[index]
             for _ in self.faults.cache_faults(index):
                 corrupt_cache_entry(self.cache, key)
@@ -558,22 +546,15 @@ class _Batch:
                 message=message, attempts=attempts)
             self.report.failures.append(record)
             return False
-        delay = policy.delay_for(attempts,
-                                 token=self.keys[index] or f"task-{index}")
+        delay = policy.delay_for(attempts, token=self.keys[index])
         self.eligible_at[index] = time.monotonic() + delay
         self.report.retries += 1
         return True
 
-    def _record_success(self, index: int, outcome: Any,
+    def _record_success(self, index: int, result: Any,
                         store: bool = True) -> None:
-        if self.tasks[index].telemetry is not None:
-            result = outcome.result
-            if self.telemetry_sink is not None:
-                self.telemetry_sink(index, outcome)
-        else:
-            result = outcome
-            if store and self.cache is not None:
-                self.cache.put(self.keys[index], result)
+        if store and self.cache is not None:
+            self.cache.put(self.keys[index], result)
         self.results[index] = result
         self.suspects.discard(index)
         if self.progress is not None:

@@ -23,7 +23,7 @@ class FailureRecord:
     """The final failure state of one task."""
 
     index: int
-    key: Optional[str]
+    key: str
     #: Exception class name, or :data:`ERROR_TIMEOUT` /
     #: :data:`ERROR_WORKER_DIED` for executor-level failures.
     error: str
@@ -31,7 +31,7 @@ class FailureRecord:
     attempts: int
 
     def describe(self) -> str:
-        return (f"task {self.index} ({self.key or 'unkeyed'}): "
+        return (f"task {self.index} ({self.key}): "
                 f"{self.error} after {self.attempts} attempt(s) — "
                 f"{self.message}")
 

@@ -344,11 +344,13 @@ def pooled_response_means(results: Sequence[Optional[SimulationResult]]
     +inf when every replication overflowed (saturated setting).
 
     ``None`` entries (quarantined tasks from a resilient sweep) are
-    skipped, like overflowed runs."""
-    usable = [r for r in results if r is not None and not r.overflowed]
+    skipped; when every entry is ``None`` nothing was measured and each
+    mean is NaN, not +inf."""
+    ran = [r for r in results if r is not None]
+    usable = [r for r in ran if not r.overflowed]
     if not usable:
-        return {OP_SEARCH: math.inf, OP_INSERT: math.inf,
-                OP_DELETE: math.inf}
+        value = math.inf if ran else math.nan
+        return {OP_SEARCH: value, OP_INSERT: value, OP_DELETE: value}
     out: Dict[str, float] = {}
     for op in (OP_SEARCH, OP_INSERT, OP_DELETE):
         values = [r.mean_response[op] for r in usable

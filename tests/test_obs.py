@@ -18,7 +18,6 @@ from repro.obs import (
     merge_telemetry,
     write_ndjson,
 )
-from repro.parallel import ResultCache, SimTask, run_batch
 from repro.simulator.config import SimulationConfig
 from repro.simulator.driver import run_simulation
 from repro.simulator.metrics import _reservoir_seed
@@ -239,7 +238,7 @@ class TestExport:
 
 
 # ----------------------------------------------------------------------
-# Batch integration: parallel == serial, cache bypass
+# Batch integration: parallel == serial
 # ----------------------------------------------------------------------
 class TestBatchIntegration:
 
@@ -248,24 +247,6 @@ class TestBatchIntegration:
         _, serial = collect_replications(config, n_seeds=3, jobs=1)
         _, fanned = collect_replications(config, n_seeds=3, jobs=2)
         assert dumps_ndjson(fanned) == dumps_ndjson(serial)
-
-    def test_telemetry_tasks_bypass_the_cache(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        task = SimTask(_quick(), telemetry=TelemetryOptions())
-        seen = {}
-        results = run_batch([task], cache=cache,
-                            telemetry_sink=lambda i, t: seen.update({i: t}))
-        assert results[0].measured_operations > 0
-        assert isinstance(seen[0], RunTelemetry)
-        assert cache.stats.stores == 0 and cache.stats.hits == 0
-        # A second pass recomputes rather than hitting the cache.
-        run_batch([task], cache=cache, telemetry_sink=lambda i, t: None)
-        assert cache.stats.hits == 0
-
-    def test_telemetry_requires_open_tasks(self):
-        with pytest.raises(ConfigurationError):
-            SimTask(_quick(), kind="closed", mpl=4,
-                    telemetry=TelemetryOptions())
 
     def test_progress_printer_lines(self, capsys):
         import io

@@ -289,8 +289,9 @@ class TestEnvDrivenFaults:
 
     def test_figure_run_carries_resilience(self):
         # fig03 at this scale is one seed per rate: task 1 is the whole
-        # rate-0.1 point, so its quarantine leaves that point saturated
-        # (+inf) while the figure still finishes.
+        # rate-0.1 point, so its quarantine leaves that point undefined
+        # (NaN, not the +inf of a saturated point) while the figure
+        # still finishes.
         import math
 
         from repro.report import get_figure
@@ -301,8 +302,8 @@ class TestEnvDrivenFaults:
                                         resilience=options)
         sims = table.column("sim_insert_response")
         assert len(sims) == 7
-        assert math.isinf(sims[1])
-        assert math.isfinite(sims[0])
+        assert math.isnan(sims[1])
+        assert all(math.isfinite(sim) for sim in sims[:1] + sims[2:])
 
     def test_ext08_finishes_with_a_quarantined_cluster_run(self):
         # ext08's tasks are (fragile, resilient) per scenario: task 1 is
@@ -327,6 +328,37 @@ class TestEnvDrivenFaults:
             del measured["sim_response"]  # NaN on every faulted row
             assert not any(math.isnan(value)
                            for value in measured.values()), row
+
+    @pytest.mark.parametrize("figure_id,task_index,undefined", [
+        # One seed per point at this scale: task 1 is a whole point.
+        ("fig09", 1, {(1, "sim_crossings_per_1k_ops"), (1, "sim_ops")}),
+        ("fig10", 1, {(1, "sim_rho_w_root")}),
+        # Task 0 is the shape task; task 1 the first closed run.
+        ("ext04", 1, {(0, "naive_throughput"),
+                      (0, "naive_search_response")}),
+        # Task 0 is the naive run, whose root utilization is reported.
+        ("ext05", 0, {(0, "naive_insert"), (0, "naive_rho_root")}),
+        ("ext06", 1, {(0, "optimistic_insert")}),
+        ("ext07", 1, {(0, "optimistic_insert")}),
+    ], ids=["fig09", "fig10", "ext04", "ext05", "ext06", "ext07"])
+    def test_driver_finishes_with_a_quarantined_run(
+            self, figure_id, task_index, undefined):
+        # A quarantined run measured nothing: the figure finishes with
+        # exactly that run's cells NaN (undefined, not +inf).
+        import math
+
+        from repro.report import get_figure
+        plan = FaultPlan(specs=(FaultSpec(
+            kind=KILL_WORKER, task_index=task_index, attempts=None),))
+        options = ResilienceOptions(retry=RetryPolicy(max_retries=0),
+                                    faults=plan)
+        table = get_figure(figure_id).run(scale=0.01, jobs=1,
+                                          resilience=options)
+        cells = {(row, column): value
+                 for row, values in enumerate(table.rows)
+                 for column, value in zip(table.columns, values)}
+        assert {cell for cell, value in cells.items()
+                if math.isnan(value)} == undefined
 
 
 # ----------------------------------------------------------------------

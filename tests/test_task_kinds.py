@@ -1,6 +1,6 @@
-"""Tests for the cluster and shape task kinds: keys, execution, cache
-type checks, progress lines, and a warm figures run that simulates
-nothing."""
+"""Tests for the cluster, shape and telemetry task kinds: keys,
+execution, cache type checks, progress lines, and a warm figures run
+that simulates nothing."""
 
 from __future__ import annotations
 
@@ -20,7 +20,12 @@ from repro.cluster import (
 from repro.errors import ConfigurationError
 from repro.model.params import TreeShape
 from repro.model.validation import measured_model_config, measured_shape
-from repro.obs import ProgressPrinter
+from repro.obs import (
+    ProgressPrinter,
+    RunTelemetry,
+    TelemetryOptions,
+    dumps_ndjson,
+)
 from repro.parallel import (
     ResultCache,
     SimTask,
@@ -49,6 +54,11 @@ def _cluster(**overrides) -> ClusterSimConfig:
                     horizon=200.0, seed=3)
     defaults.update(overrides)
     return ClusterSimConfig(**defaults)
+
+
+def _telemetry(**options) -> SimTask:
+    return SimTask(_quick(), kind="telemetry",
+                   telemetry=TelemetryOptions(**options))
 
 
 # ----------------------------------------------------------------------
@@ -90,6 +100,37 @@ class TestKinds:
         assert task_key(SimTask(_cluster(), kind="cluster")) != \
             task_key(SimTask(_cluster(seed=4), kind="cluster"))
 
+    def test_telemetry_tasks_key_by_kind_and_options(self):
+        key = task_key(_telemetry())
+        assert key == task_key(_telemetry())
+        assert key != task_key(SimTask(_quick()))
+        assert key != task_key(_telemetry(sample_interval=2.0))
+        assert key != task_key(_telemetry(ring_capacity=8))
+
+    def test_telemetry_task_returns_the_runs_telemetry(self):
+        telemetry = execute_task(_telemetry())
+        assert isinstance(telemetry, RunTelemetry)
+        assert telemetry.result == execute_task(SimTask(_quick()))
+
+    def test_telemetry_kind_needs_options(self):
+        with pytest.raises(ConfigurationError, match="telemetry options"):
+            SimTask(_quick(), kind="telemetry")
+
+    @pytest.mark.parametrize("kind", ["open", "closed", "shape", "cluster"])
+    def test_other_kinds_refuse_telemetry_options(self, kind):
+        config = _cluster() if kind == "cluster" else _quick()
+        with pytest.raises(ConfigurationError, match="telemetry options"):
+            SimTask(config, kind=kind, mpl=2, telemetry=TelemetryOptions())
+
+    def test_second_telemetry_batch_on_one_cache_is_a_hit(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        [first] = run_batch([_telemetry()], cache=cache)
+        assert first.result.measured_operations > 0
+        assert cache.stats.stores == 1
+        [second] = run_batch([_telemetry()], cache=cache)
+        assert (cache.stats.hits, cache.stats.stores) == (1, 1)
+        assert dumps_ndjson(second) == dumps_ndjson(first)
+
     def test_equal_cluster_tasks_run_once_in_a_figures_batch(
             self, monkeypatch):
         from repro.experiments.registry import run_drivers
@@ -113,15 +154,17 @@ class TestKinds:
 # ----------------------------------------------------------------------
 class TestCacheTypeByKind:
 
-    @pytest.mark.parametrize("planted_kind,task", [
-        ("cluster", SimTask(_quick())),
-        ("open", SimTask(_cluster(), kind="cluster")),
-        ("open", SimTask(_quick(), kind="shape")),
-    ], ids=["cluster-under-open", "open-under-cluster", "open-under-shape"])
+    @pytest.mark.parametrize("planted_task,task", [
+        (SimTask(_cluster(), kind="cluster"), SimTask(_quick())),
+        (SimTask(_quick()), SimTask(_cluster(), kind="cluster")),
+        (SimTask(_quick()), SimTask(_quick(), kind="shape")),
+        (SimTask(_quick()), _telemetry()),
+        (_telemetry(), SimTask(_quick())),
+    ], ids=["cluster-under-open", "open-under-cluster", "open-under-shape",
+            "open-under-telemetry", "telemetry-under-open"])
     def test_wrong_type_entry_is_a_corruption(self, tmp_path,
-                                              planted_kind, task):
-        planted = execute_task(SimTask(_cluster(), kind="cluster")) \
-            if planted_kind == "cluster" else execute_task(SimTask(_quick()))
+                                              planted_task, task):
+        planted = execute_task(planted_task)
         cache = ResultCache(tmp_path)
         key = task_key(task, salt=cache.salt)
         cache.put(key, planted)
@@ -161,6 +204,17 @@ class TestProgressLines:
                         r"availability=\S+ goodput=\S+$", cluster_line)
         assert re.match(r"\[2/2\] tree shape -> height=\d+ fanouts=\[",
                         shape_line)
+
+    def test_telemetry_prints_as_its_run(self):
+        telemetry = execute_task(_telemetry())
+        lines = []
+        for item in (telemetry, telemetry.result):
+            stream = io.StringIO()
+            ProgressPrinter(total=1, stream=stream)(item)
+            lines.append(stream.getvalue())
+        assert lines[0] == lines[1]
+        assert lines[0].startswith("[1/1] Naive Lock-coupling rate=0.15 "
+                                   "seed=7 -> ")
 
     def test_figures_ext08_progress_prints_24_cluster_lines(
             self, tmp_path, capsys):
