@@ -24,7 +24,7 @@ def main() -> None:
           f"({'paper' if scale == 1.0 else 'quick'} settings)\n")
     # Each driver hands over its simulation tasks; run_drivers runs the
     # six figures' tasks as one batch, each shared point only once.
-    tables = run_drivers([
+    tables, _report = run_drivers([
         figure(scale=scale, simulate=True)
         for figure in (fig03, fig04, fig05, fig06, fig07, fig08)
     ])

@@ -6,13 +6,19 @@ framework and reports the measured quantity next to the paper's
 wording.  ``btree-perf figures`` embeds every claim's verdict in its
 markdown + JSON validation report and fails the run when one breaks
 (:mod:`repro.report.validation`, ``docs/reproduction.md``).
+
+A claim that rests on capacity searches is a generator, like a figure
+driver: it yields its searches once (:func:`claim_checks`), so a
+``figures`` run hands them to its one batch and the result cache.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Tuple
+from typing import Any, Callable, List, Tuple
 
+from repro.experiments.common import YieldsTasks, capacities
+from repro.experiments.registry import run_drivers
 from repro.model import (
     LEAF_ONLY_RECOVERY,
     NAIVE_RECOVERY,
@@ -22,11 +28,10 @@ from repro.model import (
     analyze_optimistic,
     analyze_optimistic_with_recovery,
     analyze_two_phase,
-    arrival_rate_for_root_utilization,
-    max_throughput,
     paper_default_config,
 )
 from repro.model.link import link_crossing_probability
+from repro.model.throughput import CapacitySearch
 
 
 @dataclass(frozen=True)
@@ -38,11 +43,17 @@ class ClaimResult:
     holds: bool
 
 
-def _claim_ordering() -> ClaimResult:
+#: A claim's value: a generator that yields its searches and returns
+#: the verdict.
+Claim = YieldsTasks[ClaimResult]
+
+
+def _claim_ordering() -> Claim:
     config = paper_default_config()
-    naive = max_throughput(analyze_lock_coupling, config)
-    optimistic = max_throughput(analyze_optimistic, config)
-    link = max_throughput(analyze_link, config)
+    naive, optimistic, link = yield from capacities([
+        CapacitySearch.of(analyze, config)
+        for analyze in (analyze_lock_coupling, analyze_optimistic,
+                        analyze_link)])
     return ClaimResult(
         "ordering", "Section 5.3",
         "Link-type >> Optimistic Descent >> Naive Lock-coupling",
@@ -52,11 +63,11 @@ def _claim_ordering() -> ClaimResult:
     )
 
 
-def _claim_rho_half() -> ClaimResult:
+def _claim_rho_half() -> Claim:
     config = paper_default_config()
-    half = arrival_rate_for_root_utilization(analyze_lock_coupling, config,
-                                             target=0.5)
-    peak = max_throughput(analyze_lock_coupling, config)
+    half, peak = yield from capacities([
+        CapacitySearch.of(analyze_lock_coupling, config, target=0.5),
+        CapacitySearch.of(analyze_lock_coupling, config)])
     increase = (peak - half) / half
     return ClaimResult(
         "rho-half-to-one", "Section 5.3 / Figure 10",
@@ -66,14 +77,14 @@ def _claim_rho_half() -> ClaimResult:
     )
 
 
-def _claim_node_size_rules() -> ClaimResult:
+def _claim_node_size_rules() -> Claim:
     small, large = 13, 101
-    naive = [arrival_rate_for_root_utilization(
-        analyze_lock_coupling, paper_default_config(order=n), target=0.5)
-        for n in (small, large)]
-    optimistic = [arrival_rate_for_root_utilization(
-        analyze_optimistic, paper_default_config(order=n), target=0.5)
-        for n in (small, large)]
+    rates = yield from capacities([
+        CapacitySearch.of(analyze, paper_default_config(order=n),
+                          target=0.5)
+        for analyze in (analyze_lock_coupling, analyze_optimistic)
+        for n in (small, large)])
+    naive, optimistic = rates[:2], rates[2:]
     naive_ratio = naive[1] / naive[0]
     optimistic_ratio = optimistic[1] / optimistic[0]
     return ClaimResult(
@@ -98,14 +109,14 @@ def _claim_link_crossings() -> ClaimResult:
     )
 
 
-def _claim_recovery() -> ClaimResult:
+def _claim_recovery() -> Claim:
     config = paper_default_config(disk_cost=10.0)
-    peaks = {
-        policy.name: max_throughput(
-            analyze_optimistic_with_recovery, config, policy=policy,
-            t_trans=100.0)
-        for policy in (NO_RECOVERY, LEAF_ONLY_RECOVERY, NAIVE_RECOVERY)
-    }
+    policies = (NO_RECOVERY, LEAF_ONLY_RECOVERY, NAIVE_RECOVERY)
+    rates = yield from capacities([
+        CapacitySearch.of(analyze_optimistic_with_recovery, config,
+                          policy=policy, t_trans=100.0)
+        for policy in policies])
+    peaks = {policy.name: rate for policy, rate in zip(policies, rates)}
     leaf_share = peaks["leaf-only-recovery"] / peaks["no-recovery"]
     naive_share = peaks["naive-recovery"] / peaks["no-recovery"]
     return ClaimResult(
@@ -118,10 +129,11 @@ def _claim_recovery() -> ClaimResult:
     )
 
 
-def _claim_two_phase() -> ClaimResult:
+def _claim_two_phase() -> Claim:
     config = paper_default_config()
-    two_phase = max_throughput(analyze_two_phase, config)
-    naive = max_throughput(analyze_lock_coupling, config)
+    two_phase, naive = yield from capacities([
+        CapacitySearch.of(analyze_two_phase, config),
+        CapacitySearch.of(analyze_lock_coupling, config)])
     return ClaimResult(
         "restrictive-serialization", "Section 1 (extension)",
         "restrictive serialization on the index causes a bottleneck",
@@ -131,7 +143,7 @@ def _claim_two_phase() -> ClaimResult:
     )
 
 
-_CLAIMS: Tuple[Callable[[], ClaimResult], ...] = (
+_CLAIMS: Tuple[Callable[[], Any], ...] = (
     _claim_ordering,
     _claim_rho_half,
     _claim_node_size_rules,
@@ -141,6 +153,15 @@ _CLAIMS: Tuple[Callable[[], ClaimResult], ...] = (
 )
 
 
-def evaluate_claims() -> List[ClaimResult]:
-    """Evaluate every registered claim (analytical; a few seconds)."""
+def claim_checks() -> List[Any]:
+    """One call of every registered claim: a :class:`ClaimResult`, or
+    a :data:`Claim` generator to finish with
+    :func:`~repro.experiments.registry.run_drivers`."""
     return [claim() for claim in _CLAIMS]
+
+
+def evaluate_claims() -> List[ClaimResult]:
+    """Evaluate every registered claim (analytical; its searches run as
+    one serial, uncached batch)."""
+    results, _report = run_drivers(claim_checks())
+    return results

@@ -1,18 +1,23 @@
 """Shared experiment plumbing: result tables and sweep helpers.
 
-A driver that simulates is a generator function: it hands every
-simulation task of its figure over with one ``results = yield tasks``
-(a list of :class:`~repro.parallel.SimTask`) and gets the results back
-in task order; :func:`repro.experiments.registry.run_drivers` runs the
-tasks of every driver in a run as one de-duplicated batch.  The sweep
-helpers below are sub-generators for ``yield from``.
+A driver that simulates or searches is a generator function: it hands
+every simulation run and capacity search of its figure over with one
+``results = yield tasks`` (a list of :class:`~repro.parallel.SimTask`)
+and gets the results back in task order;
+:func:`repro.experiments.registry.run_drivers` runs the tasks of every
+driver in a run as one de-duplicated batch.  The sweep helpers below
+are sub-generators for ``yield from``, and :func:`gather` runs several
+of them with one yield.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import (
+    Any,
     Callable,
     Dict,
     Generator,
@@ -24,8 +29,10 @@ from typing import (
 )
 
 from repro.algorithms import AlgorithmSpec
+from repro.errors import ConfigurationError
 from repro.model.params import ModelConfig
 from repro.model.results import AlgorithmPrediction
+from repro.model.throughput import CapacitySearch
 from repro.parallel import SimTask, replication_tasks
 from repro.simulator.config import SimulationConfig
 from repro.simulator.driver import pooled_response_means
@@ -37,7 +44,57 @@ T = TypeVar("T")
 
 #: A generator that yields one task list, is sent the results in task
 #: order, and returns ``T``.
-YieldsTasks = Generator[List[SimTask], List[Optional[SimulationResult]], T]
+YieldsTasks = Generator[List[SimTask], List[Any], T]
+
+
+def finish(generator: YieldsTasks[T], results: List[Any]) -> T:
+    """Send ``results`` to a generator at its one yield; its return
+    value.  A second yield raises ConfigurationError."""
+    try:
+        generator.send(results)
+    except StopIteration as stop:
+        return stop.value
+    raise ConfigurationError(
+        f"driver {generator.__name__} yielded a second time; a driver "
+        "hands over all of its tasks in one yield")
+
+
+def gather(*parts: Any) -> YieldsTasks[List[Any]]:
+    """The values of ``parts``, in order, from one combined yield.
+
+    A part that is a generator of this protocol is advanced to its one
+    yield; the yielded task lists go out concatenated, and each part
+    is sent back the results of its own tasks.  Any other part is
+    already its own value.  Nothing is yielded when no part yields.
+    """
+    values = list(parts)
+    waiting = []  # (part index, number of tasks it yielded)
+    tasks: List[SimTask] = []
+    for index, part in enumerate(parts):
+        if not inspect.isgenerator(part):
+            continue
+        try:
+            yielded = part.send(None)
+        except StopIteration as stop:
+            values[index] = stop.value
+            continue
+        waiting.append((index, len(yielded)))
+        tasks += yielded
+    if waiting:
+        results = iter((yield tasks))
+        for index, count in waiting:
+            values[index] = finish(parts[index],
+                                   list(islice(results, count)))
+    return values
+
+
+def capacities(searches: Sequence[CapacitySearch],
+               ) -> YieldsTasks[List[float]]:
+    """The rates of ``searches`` (``math.inf`` where unbounded), from
+    one yield of ``"search"`` tasks; NaN where a search was
+    quarantined."""
+    rates = yield [SimTask(search, kind="search") for search in searches]
+    return [math.nan if rate is None else rate for rate in rates]
 
 
 def base_sim_config(spec: AlgorithmSpec | str, arrival_rate: float = 0.1,
@@ -84,8 +141,8 @@ class ExperimentTable:
         self.notes.append(text)
 
 
-#: A driver call with a simulated series: it yields its tasks once and
-#: returns its table.
+#: A driver call with a simulated series or a capacity search: it
+#: yields its tasks once and returns its table.
 SimulatedFigure = YieldsTasks[ExperimentTable]
 
 

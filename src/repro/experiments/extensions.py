@@ -40,21 +40,20 @@ from __future__ import annotations
 import math
 
 from repro.algorithms import all_algorithms, get_algorithm, names
-from repro.errors import ConvergenceError
 from repro.experiments.common import (
     ExperimentTable,
     SimulatedFigure,
     base_sim_config,
+    capacities,
+    gather,
     measured,
     run_response,
     sweep_simulated_responses,
 )
-from repro.model import (
-    max_throughput,
-    paper_default_config,
-)
+from repro.model import paper_default_config
 from repro.model.buffering import buffered_config, pages_for_top_levels
 from repro.model.params import OperationMix
+from repro.model.throughput import CapacitySearch
 from repro.parallel import SimTask
 
 _NAIVE = get_algorithm(names.NAIVE_LOCK_COUPLING)
@@ -79,27 +78,26 @@ def ext01(scale: float = 1.0, simulate: bool = False) -> SimulatedFigure:
         "Insert response with Two-Phase Locking added to the comparison",
         "Extension (full version): Two-Phase Locking", columns)
     rates = (0.005, 0.01, 0.02, 0.03, 0.05, 0.1, 0.3, 1.0)
-    sim_means = None
-    if simulate:
-        base = base_sim_config(_TWO_PHASE)
-        (sim_means,) = yield from sweep_simulated_responses(
-            [base], rates, scale)
+    sims = sweep_simulated_responses(
+        [base_sim_config(_TWO_PHASE)], rates, scale) if simulate else None
+    sims, peak_rates = yield from gather(sims, capacities([
+        CapacitySearch.of(spec.analyze, config) for spec in _COMPARED]))
     for index, rate in enumerate(rates):
         row = [rate]
         for spec in _COMPARED:
             value = spec.analyze(config, rate).response("insert")
             row.append(math.inf if math.isinf(value) else round(value, 3))
-        if sim_means is not None:
-            row.append(round(sim_means[index]["insert"], 3))
+        if sims is not None:
+            row.append(round(sims[0][index]["insert"], 3))
         table.add(*row)
-    peaks = {spec.short: round(max_throughput(spec.analyze, config), 4)
-             for spec in _COMPARED}
+    peaks = {spec.short: round(peak, 4)
+             for spec, peak in zip(_COMPARED, peak_rates)}
     table.note(f"maximum throughputs: {peaks} — strict 2PL costs an order "
                "of magnitude against even Naive Lock-coupling")
     return table
 
 
-def ext02(scale: float = 1.0, simulate: bool = False) -> ExperimentTable:
+def ext02(scale: float = 1.0, simulate: bool = False) -> SimulatedFigure:
     """Maximum throughput vs LRU buffer-pool size."""
     del scale, simulate  # analytical sweep
     config = paper_default_config(disk_cost=10.0)
@@ -110,21 +108,19 @@ def ext02(scale: float = 1.0, simulate: bool = False) -> ExperimentTable:
         ["buffer_frames", "naive_max_throughput",
          "optimistic_max_throughput"])
     top2 = pages_for_top_levels(config.shape, 2)
-    for frames in (0.0, 2.0, round(top2, 1), 20.0, 60.0, 200.0, 600.0,
-                   6000.0):
-        buffered = buffered_config(config, frames)
-        try:
-            naive = round(max_throughput(_NAIVE.analyze, buffered), 4)
-        except ConvergenceError:  # pragma: no cover - bounded loads
-            naive = math.inf
-        optimistic = round(max_throughput(_OPTIMISTIC.analyze, buffered), 4)
-        table.add(frames, naive, optimistic)
+    frame_counts = (0.0, 2.0, round(top2, 1), 20.0, 60.0, 200.0, 600.0,
+                    6000.0)
+    peaks = iter((yield from capacities([
+        CapacitySearch.of(spec.analyze, buffered_config(config, frames))
+        for frames in frame_counts for spec in (_NAIVE, _OPTIMISTIC)])))
+    for frames in frame_counts:
+        table.add(frames, round(next(peaks), 4), round(next(peaks), 4))
     table.note(f"~{top2:.0f} frames cache the top two levels — the knee "
                "of the curve and the paper's fixed setting")
     return table
 
 
-def ext03(scale: float = 1.0, simulate: bool = False) -> ExperimentTable:
+def ext03(scale: float = 1.0, simulate: bool = False) -> SimulatedFigure:
     """Maximum throughput vs search fraction of the mix.
 
     Updates keep the paper's 5:2 insert:delete split; ``q_s`` sweeps
@@ -137,15 +133,18 @@ def ext03(scale: float = 1.0, simulate: bool = False) -> ExperimentTable:
         "Extension: operation-mix sensitivity",
         ["q_search"] + [f"{spec.short}_max_throughput"
                         for spec in _COMPARED])
-    for q_search in (0.05, 0.2, 0.3, 0.5, 0.7, 0.9, 0.95):
+    fractions = (0.05, 0.2, 0.3, 0.5, 0.7, 0.9, 0.95)
+    configs = []
+    for q_search in fractions:
         q_insert = (1.0 - q_search) * 5.0 / 7.0
         mix = OperationMix(q_search=q_search, q_insert=q_insert,
                            q_delete=1.0 - q_search - q_insert)
-        config = paper_default_config(mix=mix)
-        row = [q_search]
-        for spec in _COMPARED:
-            row.append(round(max_throughput(spec.analyze, config), 4))
-        table.add(*row)
+        configs.append(paper_default_config(mix=mix))
+    peaks = iter((yield from capacities([
+        CapacitySearch.of(spec.analyze, config)
+        for config in configs for spec in _COMPARED])))
+    for q_search in fractions:
+        table.add(q_search, *(round(next(peaks), 4) for _ in _COMPARED))
     table.note("every algorithm is writer-bound, so capacity scales "
                "roughly with 1/(1-q_s); the ordering and relative "
                "margins are mix-invariant")
@@ -189,15 +188,18 @@ def ext04(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
 
     # One yield: the shape of the tree the closed runs start from (the
     # model reads it), then the whole (mpl, algorithm) grid of closed
-    # tasks; the results come back in task order.  The shape task goes
-    # first, so the closed runs borrow the tree it grew.
+    # tasks, then the model's capacity on that tree; the results come
+    # back in task order.  The shape task goes first, so the closed
+    # runs borrow the tree it grew.
     shape_config = sim_config(specs[0], 1)
     tasks = [SimTask(shape_config, kind="shape")] + [
         SimTask(sim_config(spec, mpl), kind="closed", mpl=mpl)
-        for mpl in _MPL_LEVELS for spec in specs]
-    flat = iter((yield tasks))
-    shape = next(flat)
-    model_config = None if shape is None \
+        for mpl in _MPL_LEVELS for spec in specs] + [
+        SimTask(CapacitySearch.of(specs[0].analyze, shape_config),
+                kind="search")]
+    shape, *runs, capacity = yield tasks
+    flat = iter(runs)
+    model_config = None if shape is None or capacity is None \
         else measured_model_config(shape_config, shape=shape)
     for mpl in _MPL_LEVELS:
         throughputs = []
@@ -207,8 +209,8 @@ def ext04(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
             throughputs.append(measured(result, "throughput", 4))
             responses.append(run_response(result, "search"))
         predicted = math.nan if model_config is None else round(
-            closed_system_prediction(specs[0].analyze, model_config,
-                                     mpl).throughput, 4)
+            closed_system_prediction(specs[0].analyze, model_config, mpl,
+                                     capacity=capacity).throughput, 4)
         table.add(mpl, *throughputs, *responses, predicted)
     table.note("naive lock-coupling plateaus once the root saturates "
                "(response then grows linearly with MPL); the link-type "
@@ -375,8 +377,9 @@ def ext08(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
     ``resilient`` (retries + hedged reads + circuit breaker) — against
     the same deterministic chaos schedule
     (:func:`repro.cluster.chaos.chaos_plan`).  The 24 runs go out as
-    one yield of ``"cluster"`` tasks, so they share the figures run's
-    batch and result cache; a quarantined run leaves its columns NaN.
+    one yield of ``"cluster"`` tasks, with the breaker anchor's
+    ``"search"`` task last, so they share the figures run's batch and
+    result cache; a quarantined run leaves its columns NaN.
     The analytical composition supplies the model columns: the router
     M/G/1 + per-shard multi-class M/G/1 response (validated on the
     fault-free rows, where the simulated steady state is the model's
@@ -391,7 +394,6 @@ def ext08(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
         ClusterSimConfig,
         ClusterSpec,
         analyze_cluster,
-        breaker_arrival_rate,
         chaos_plan,
         get_policies,
         predict_availability,
@@ -440,7 +442,11 @@ def ext08(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
                 mix=mix, policies=policies, horizon=horizon, seed=seed,
                 faults=plan), kind="cluster")
                 for policies in (fragile, resilient)]
-    flat = iter((yield tasks))
+    # The breaker's rho_w = 0.5 anchor goes last, as a capacity search.
+    tasks.append(SimTask(CapacitySearch.of(_NAIVE.analyze, config,
+                                           target=0.5), kind="search"))
+    *runs, lam_half = yield tasks
+    flat = iter(runs)
     for scenario, (shards, fault_rate, spec, offered, model_response,
                    plan) in enumerate(cells):
         frag, res = next(flat), next(flat)
@@ -459,7 +465,8 @@ def ext08(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
             measured(frag, "goodput", 4), measured(res, "goodput", 4),
             measured(res, "shed_writes"), measured(res, "retries"),
             measured(res, "hedged_wins"))
-    lam_half = breaker_arrival_rate(_NAIVE.analyze, config)
+    if lam_half is None:  # quarantined
+        lam_half = math.nan
     table.note("scenarios: " + "; ".join(
         f"{i}=(shards={s}, faults={f})"
         for i, (s, f) in enumerate(

@@ -8,8 +8,9 @@ Each function regenerates the figure's plotted series as an
 * ``simulate=False`` produces the analytical series only (Figures 11 and
   13-16 are analytical in the paper as well).
 * Response times are in the paper's units (one root search = 1).
-* A driver with a simulated series is a generator
-  (:data:`~repro.experiments.common.SimulatedFigure`).
+* A driver with a simulated series or a capacity search is a generator
+  (:data:`~repro.experiments.common.SimulatedFigure`); Figures 11, 13
+  and 14 yield their searches as ``"search"`` tasks.
 
 The default configuration is Section 5.3: order 13, ~40,000 items
 (5 levels, root fanout ~6), 2 in-memory levels, disk cost 5, mix
@@ -27,8 +28,6 @@ from repro.model import (
     NAIVE_RECOVERY,
     NO_RECOVERY,
     analyze_optimistic_with_recovery,
-    arrival_rate_for_root_utilization,
-    max_throughput,
     paper_default_config,
     rule_of_thumb_1,
     rule_of_thumb_2,
@@ -37,11 +36,12 @@ from repro.model import (
 )
 from repro.model.link import expected_crossings_per_descent
 from repro.model.params import CostModel, ModelConfig, TreeShape
-from repro.errors import ConvergenceError
+from repro.model.throughput import CapacitySearch
 from repro.experiments.common import (
     ExperimentTable,
     SimulatedFigure,
     base_sim_config,
+    capacities,
     response_sweep,
     sweep_replications,
     sweep_simulated_responses,
@@ -206,16 +206,19 @@ def fig10(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
 # ----------------------------------------------------------------------
 # Figure 11: maximum throughput vs disk cost
 # ----------------------------------------------------------------------
-def fig11(scale: float = 1.0, simulate: bool = False) -> ExperimentTable:
+def fig11(scale: float = 1.0, simulate: bool = False) -> SimulatedFigure:
     """Naive Lock-coupling maximum throughput vs disk access cost."""
     del scale, simulate  # analytical figure
     table = ExperimentTable(
         "fig11", "Naive Lock-coupling maximum throughput vs disk cost",
         "Figure 11", ["disk_cost", "max_throughput"])
-    for disk_cost in (1.0, 2.0, 3.0, 5.0, 8.0, 10.0, 15.0, 20.0):
-        config = paper_default_config(disk_cost=disk_cost)
-        table.add(disk_cost,
-                  round(max_throughput(_NAIVE.analyze, config), 4))
+    disk_costs = (1.0, 2.0, 3.0, 5.0, 8.0, 10.0, 15.0, 20.0)
+    peaks = yield from capacities([
+        CapacitySearch.of(_NAIVE.analyze,
+                          paper_default_config(disk_cost=disk_cost))
+        for disk_cost in disk_costs])
+    for disk_cost, peak in zip(disk_costs, peaks):
+        table.add(disk_cost, round(peak, 4))
     table.note("locking nodes two levels below the root (the first "
                "on-disk level) dominates as D grows")
     return table
@@ -259,31 +262,30 @@ def fig12(scale: float = 1.0, simulate: bool = False) -> SimulatedFigure:
 # Figures 13/14: rules of thumb vs the full analysis
 # ----------------------------------------------------------------------
 def _thumb_figure(experiment_id: str, figure: str, title: str,
-                  analyzer, full_rule, limit_rule) -> ExperimentTable:
+                  analyzer, full_rule, limit_rule) -> SimulatedFigure:
     table = ExperimentTable(
         experiment_id, title, figure,
         ["node_size", "disk_cost", "analytical_rate_rho_half",
          "rule_of_thumb", "limit_rule_of_thumb"])
-    for disk_cost in (1.0, 10.0):
-        for order in NODE_SIZES:
-            config = paper_default_config(order=order, disk_cost=disk_cost)
-            try:
-                analytical = arrival_rate_for_root_utilization(
-                    analyzer, config, target=0.5)
-            except ConvergenceError:
-                analytical = math.inf
-            table.add(order, disk_cost, round(analytical, 4),
-                      round(full_rule(config), 4),
-                      round(limit_rule(config), 4))
+    points = [(order, disk_cost,
+               paper_default_config(order=order, disk_cost=disk_cost))
+              for disk_cost in (1.0, 10.0) for order in NODE_SIZES]
+    rates = yield from capacities([
+        CapacitySearch.of(analyzer, config, target=0.5)
+        for _order, _disk_cost, config in points])
+    for (order, disk_cost, config), analytical in zip(points, rates):
+        table.add(order, disk_cost, round(analytical, 4),
+                  round(full_rule(config), 4),
+                  round(limit_rule(config), 4))
     table.note("tree shape re-idealised per node size at ~40k items; "
                "rates in units of 1/root-search")
     return table
 
 
-def fig13(scale: float = 1.0, simulate: bool = False) -> ExperimentTable:
+def fig13(scale: float = 1.0, simulate: bool = False) -> SimulatedFigure:
     """Rule of Thumb 1 and limit Rule 2 vs the Naive LC analysis."""
     del scale, simulate
-    table = _thumb_figure(
+    table = yield from _thumb_figure(
         "fig13", "Figure 13",
         "Naive Lock-coupling rule-of-thumb vs analytical lambda(rho=.5)",
         _NAIVE.analyze, rule_of_thumb_1,
@@ -293,10 +295,10 @@ def fig13(scale: float = 1.0, simulate: bool = False) -> ExperimentTable:
     return table
 
 
-def fig14(scale: float = 1.0, simulate: bool = False) -> ExperimentTable:
+def fig14(scale: float = 1.0, simulate: bool = False) -> SimulatedFigure:
     """Rule of Thumb 3 and limit Rule 4 vs the Optimistic analysis."""
     del scale, simulate
-    table = _thumb_figure(
+    table = yield from _thumb_figure(
         "fig14", "Figure 14",
         "Optimistic Descent rule-of-thumb vs analytical lambda(rho=.5)",
         _OPTIMISTIC.analyze, rule_of_thumb_3, rule_of_thumb_4)

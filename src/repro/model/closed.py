@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 from repro.errors import ConfigurationError, ConvergenceError
 from repro.model.params import ModelConfig
@@ -60,6 +60,7 @@ def closed_system_prediction(analyzer: Analyzer, config: ModelConfig,
                              think_time: float = 0.0,
                              rel_tol: float = 1e-6,
                              max_iterations: int = 500,
+                             capacity: Optional[float] = None,
                              **analyzer_kwargs) -> ClosedSystemPrediction:
     """Solve the interactive response-time fixed point for ``analyzer``.
 
@@ -67,9 +68,10 @@ def closed_system_prediction(analyzer: Analyzer, config: ModelConfig,
     the open model's maximum throughput (beyond which R is infinite).
     On the plateau the fixed point sits at the capacity itself and the
     response time follows from the response-time law
-    ``R = N / X - Z``.  The capacity search is memoized
-    (:func:`~repro.model.throughput.max_throughput`), so a sweep over
-    populations of one configuration runs it once.
+    ``R = N / X - Z``.  ``capacity`` is that maximum throughput when
+    the caller already has it (a sweep over populations of one
+    configuration searches for it once); without it,
+    :func:`~repro.model.throughput.max_throughput` searches here.
     """
     if multiprogramming_level < 1:
         raise ConfigurationError(
@@ -78,7 +80,8 @@ def closed_system_prediction(analyzer: Analyzer, config: ModelConfig,
     if think_time < 0:
         raise ConfigurationError(f"think_time must be >= 0, got {think_time}")
 
-    capacity = max_throughput(analyzer, config, **analyzer_kwargs)
+    if capacity is None:
+        capacity = max_throughput(analyzer, config, **analyzer_kwargs)
     n = multiprogramming_level
 
     def response_at(x: float) -> float:

@@ -26,7 +26,8 @@ class ProgressPrinter:
     (:func:`repro.algorithms.display_label`; composite names — e.g.
     recovery-policy suffixes — fall back to the raw string).  A cluster
     run prints its policy bundle, offered rate, seed, availability and
-    goodput; a tree shape its height and fanouts.  A
+    goodput; a tree shape its height and fanouts; a capacity search
+    (a ``float``) its rate.  A
     :class:`~repro.obs.telemetry.RunTelemetry` prints as its run.
 
     ``total`` is optional (sweep sizes are known per batch, not
@@ -53,6 +54,8 @@ class ProgressPrinter:
                     f"rate={result.offered_rate:g} seed={result.seed} "
                     f"-> availability={result.availability:.4g} "
                     f"goodput={result.goodput:.4g}")
+        elif isinstance(result, float):
+            line = f"capacity search -> rate={result:.6g}"
         elif isinstance(result, TreeShape):
             fanouts = ", ".join(f"{result.fanout(level):.4g}"
                                 for level in range(2, result.height + 1))

@@ -4,7 +4,8 @@ Every run in this repository is a pure function of its configuration
 (plus, for closed runs, the multiprogramming level, and for telemetry
 runs, the telemetry options), whether it is a simulation run, a
 telemetry run, a cluster run or the shape of a run's starting tree
-(the five task kinds of :class:`SimTask`), which buys two things at
+(the five task kinds of :class:`SimTask` that simulate), and so is a
+capacity search of the model (the sixth kind), which buys two things at
 once:
 
 * **fan-out** — a run's whole ``(config, seed)`` grid can run on a

@@ -6,26 +6,30 @@ publication theme, writes the NDJSON data sidecar, and emits one
 validation report (markdown + JSON) whose model-vs-simulation error
 tables are checked against the registry's thresholds.
 
-Every figure's driver hands its simulation tasks over, and
+Every figure's driver, and every in-text claim, hands its simulation
+runs and capacity searches over, and
 :func:`~repro.experiments.registry.run_drivers` runs the tasks of the
 whole run as one de-duplicated :func:`~repro.parallel.run_batch` with
 the ``jobs``/``cache``/``progress``/``resilience`` given here, which
 hits the on-disk :class:`~repro.parallel.ResultCache`.  That cache is
 the resume: a killed run re-invoked on the same cache serves every
-simulation point it had finished and computes only the rest, and a
-rerun of a finished one is all cache hits and writes byte-identical
-output.  A run without a cache recomputes everything.
+simulation point and search it had finished and computes only the
+rest, and a rerun of a finished one is all cache hits and writes
+byte-identical output.  A run without a cache recomputes everything.
+A batch that retried or quarantined a task says so on stderr.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.errors import ConfigurationError
+from repro.experiments.claims import claim_checks
 from repro.experiments.common import ExperimentTable
 from repro.experiments.registry import run_drivers
 from repro.parallel import ResultCache
@@ -40,6 +44,7 @@ from repro.report.validation import (
     report_to_markdown,
 )
 from repro.resilience.policy import ResilienceOptions
+from repro.resilience.report import BatchReport
 
 
 @dataclass
@@ -64,6 +69,8 @@ class PipelineResult:
     report_json: Path
     report_markdown: Path
     tables_text: Path
+    #: The account of the run's one batch (retries, quarantines).
+    batch: BatchReport
 
     @property
     def passed(self) -> bool:
@@ -102,9 +109,12 @@ def generate_figures(figure_ids: Optional[Sequence[str]] = None,
     ``simulate=False`` forces analytical-only output everywhere.
     ``threshold_scale`` multiplies every validation threshold
     (tighten with values < 1, loosen with > 1).  All figures'
-    simulations run first, as one :func:`~repro.parallel.run_batch`
-    with ``jobs``, ``cache``, ``progress`` and ``resilience``; the
-    per-figure log lines time rendering only.
+    simulations and capacity searches, and the claims' searches when
+    ``include_claims``, run first, as one
+    :func:`~repro.parallel.run_batch` with ``jobs``, ``cache``,
+    ``progress`` and ``resilience``; the per-figure log lines time
+    rendering only.  When that batch retried or quarantined a task,
+    its :meth:`~repro.resilience.BatchReport.summary` goes to stderr.
 
     Returns a :class:`PipelineResult`; callers that need a CI gate
     check ``result.passed`` (the CLI maps a breach to a nonzero exit).
@@ -120,9 +130,13 @@ def generate_figures(figure_ids: Optional[Sequence[str]] = None,
     out.mkdir(parents=True, exist_ok=True)
     emit = log if log is not None else (lambda message: None)
 
-    tables = run_drivers([spec.start(scale, simulate) for spec in specs],
-                         jobs=jobs, cache=cache, progress=progress,
-                         resilience=resilience)
+    claims = claim_checks() if include_claims else []
+    values, batch = run_drivers(
+        [spec.start(scale, simulate) for spec in specs] + claims,
+        jobs=jobs, cache=cache, progress=progress, resilience=resilience)
+    if batch.retries or batch.failures:
+        print(f"figures batch: {batch.summary()}", file=sys.stderr)
+    tables = values[:len(specs)]
     outputs: List[FigureOutput] = []
     for index, (spec, table) in enumerate(zip(specs, tables)):
         started = time.perf_counter()
@@ -136,7 +150,7 @@ def generate_figures(figure_ids: Optional[Sequence[str]] = None,
     report = build_report(
         [(spec, output.table) for spec, output in zip(specs, outputs)],
         scale=scale, threshold_scale=threshold_scale,
-        include_claims=include_claims)
+        claims=values[len(specs):])
 
     report_json = out / "report.json"
     report_json.write_text(dumps_report(report), encoding="utf-8")
@@ -159,4 +173,4 @@ def generate_figures(figure_ids: Optional[Sequence[str]] = None,
     return PipelineResult(out_dir=out, figures=outputs, report=report,
                           report_json=report_json,
                           report_markdown=report_markdown,
-                          tables_text=tables_text)
+                          tables_text=tables_text, batch=batch)

@@ -74,7 +74,7 @@ class FigureSpec:
 
     def start(self, scale: float = 1.0, simulate: Optional[bool] = None):
         """Call the figure's driver: its table, or the generator that
-        yields its simulation tasks (finish it with
+        yields its simulation and search tasks (finish it with
         :func:`~repro.experiments.registry.run_drivers`).
         ``simulate=None`` keeps the driver's own default (simulated
         where the paper's figure is)."""
@@ -88,12 +88,12 @@ class FigureSpec:
             progress: Optional[Callable] = None,
             resilience: Optional[ResilienceOptions] = None,
             ) -> ExperimentTable:
-        """Regenerate the figure's table, its simulations run as one
-        batch with the given settings (serial, uncached, silent and
-        fail-fast by default)."""
-        (table,) = run_drivers([self.start(scale, simulate)], jobs=jobs,
-                               cache=cache, progress=progress,
-                               resilience=resilience)
+        """Regenerate the figure's table, its simulations and searches
+        run as one batch with the given settings (serial, uncached,
+        silent and fail-fast by default)."""
+        (table,), _report = run_drivers(
+            [self.start(scale, simulate)], jobs=jobs, cache=cache,
+            progress=progress, resilience=resilience)
         return table
 
 

@@ -28,10 +28,10 @@ import json
 import math
 from dataclasses import dataclass, field
 from statistics import median
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.errors import ConfigurationError
-from repro.experiments.claims import ClaimResult, evaluate_claims
+from repro.experiments.claims import ClaimResult
 from repro.experiments.common import ExperimentTable
 from repro.report.registry import ABSOLUTE, Comparison, FigureSpec
 
@@ -197,20 +197,19 @@ def validate_figure(spec: FigureSpec, table: ExperimentTable,
 
 def build_report(pairs: Sequence[Tuple[FigureSpec, ExperimentTable]],
                  scale: float, threshold_scale: float = 1.0,
-                 include_claims: bool = True) -> ReproductionReport:
+                 claims: Sequence[ClaimResult] = ()) -> ReproductionReport:
     """The full report over ``(spec, table)`` pairs.
 
-    ``include_claims`` folds the paper's in-text claims
-    (:mod:`repro.experiments.claims`) into the same document, so one
-    artifact carries every machine-checked statement of the
+    ``claims`` are the verdicts of the paper's in-text claims
+    (:mod:`repro.experiments.claims`), folded into the same document so
+    one artifact carries every machine-checked statement of the
     reproduction.
     """
     report = ReproductionReport(scale=scale,
                                 threshold_scale=threshold_scale)
     for spec, table in pairs:
         report.figures.append(validate_figure(spec, table))
-    if include_claims:
-        report.claims = evaluate_claims()
+    report.claims = list(claims)
     return report
 
 

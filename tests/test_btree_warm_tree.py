@@ -293,7 +293,7 @@ def test_same_key_gives_no_rebuild(build_calls):
 def test_multi_seed_sweep_builds_each_tree_once(build_calls):
     base = _run_config(n_operations=200, warmup_operations=20)
     rates = (0.1, 0.2, 0.3)
-    ((swept,),) = run_drivers(
+    ((swept,),), _report = run_drivers(
         [sweep_replications([base], rates, scale=1.0, seeds=3)])
     # Seed-major submission: one build per seed, not one per run.
     assert len(build_calls) == 3

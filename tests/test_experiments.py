@@ -6,7 +6,6 @@ import pytest
 
 from repro.errors import ConfigurationError
 from repro.experiments import ExperimentTable
-from repro.experiments.figures import fig11, fig13, fig14
 from repro.experiments.runner import main as cli_main
 from repro.report import FIGURES, all_figure_ids, format_table, get_figure
 
@@ -63,7 +62,7 @@ class TestAnalyticalFigures:
     """The simulation-free figures run quickly at full fidelity."""
 
     def test_fig11_monotone_decreasing(self):
-        table = fig11()
+        table = get_figure("fig11").run()
         throughputs = table.column("max_throughput")
         assert all(a > b for a, b in zip(throughputs, throughputs[1:]))
 
@@ -83,13 +82,13 @@ class TestAnalyticalFigures:
         assert not any(math.isinf(v) for v in link)
 
     def test_fig13_thumb_between_zero_and_limit(self):
-        table = fig13()
+        table = get_figure("fig13").run()
         for _order, _d, analytical, thumb, limit in table.rows:
             assert 0 < thumb <= limit * 1.0001
             assert analytical > 0
 
     def test_fig14_rates_grow_with_node_size(self):
-        table = fig14()
+        table = get_figure("fig14").run()
         by_d = {}
         for order, d, analytical, _t, _l in table.rows:
             by_d.setdefault(d, []).append((order, analytical))
@@ -129,8 +128,7 @@ class TestAnalyticalFigures:
             assert two_phase >= naive >= optimistic * 0.98
 
     def test_ext02_throughput_monotone_in_buffer(self):
-        from repro.experiments.extensions import ext02
-        table = ext02()
+        table = get_figure("ext02").run()
         naive = table.column("naive_max_throughput")
         assert all(a <= b for a, b in zip(naive, naive[1:]))
 

@@ -33,10 +33,10 @@ def test_measured_strings_are_informative(results):
 
 def test_cli_claims_exit_code(tmp_path, capsys, monkeypatch):
     """A failed in-text claim fails ``btree-perf figures``."""
-    import repro.report.validation as validation
+    from repro.experiments import claims
 
-    fake = [ClaimResult("x", "Section 0", "up is down", "no", False)]
-    monkeypatch.setattr(validation, "evaluate_claims", lambda: fake)
+    fake = ClaimResult("x", "Section 0", "up is down", "no", False)
+    monkeypatch.setattr(claims, "_CLAIMS", (lambda: fake,))
     code = cli_main(["figures", "fig11", "--no-sim", "--no-cache",
                      "--formats", "svg", "--out", str(tmp_path)])
     assert code == 1

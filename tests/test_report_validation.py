@@ -120,8 +120,7 @@ class TestGates:
         bad = _table([(1.0, 10.0, 20.0)])  # 100% error
         validation = validate_figure(spec, bad)
         assert not validation.passed()
-        report = build_report([(spec, bad)], scale=0.1,
-                              include_claims=False)
+        report = build_report([(spec, bad)], scale=0.1)
         assert len(report.breaches) == 1
         assert not report.passed
         report.claims = [ClaimResult("c1", "S1", "stmt", "meas", True)]
@@ -133,7 +132,7 @@ class TestJsonRoundTrip:
         spec = _spec(threshold=0.25)
         table = _table([(1.0, 10.0, 11.0), (2.0, math.inf, math.inf)])
         report = build_report([(spec, table)], scale=0.1,
-                              threshold_scale=1.5, include_claims=False)
+                              threshold_scale=1.5)
         report.claims = [
             ClaimResult("ordering", "Section 5.3", "a >> b",
                         "measured text", True),
@@ -183,7 +182,7 @@ class TestMarkdown:
         spec = _spec(threshold=0.25)
         report = build_report(
             [(spec, _table([(1.0, 10.0, 20.0)]))],  # breach
-            scale=0.1, include_claims=False)
+            scale=0.1)
         report.claims = [ClaimResult("c1", "S1", "stmt", "meas", False)]
         text = report_to_markdown(report)
         assert "**FAIL**" in text
@@ -194,8 +193,7 @@ class TestMarkdown:
     def test_analytical_only_run_reads_cleanly(self):
         spec = get_figure("fig11")  # no comparisons declared
         table = spec.run(scale=0.02, simulate=False)
-        report = build_report([(spec, table)], scale=0.02,
-                              include_claims=False)
+        report = build_report([(spec, table)], scale=0.02)
         assert report.passed
         text = report_to_markdown(report)
         assert "**PASS**" in text

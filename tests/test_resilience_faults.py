@@ -340,7 +340,14 @@ class TestEnvDrivenFaults:
         ("ext05", 0, {(0, "naive_insert"), (0, "naive_rho_root")}),
         ("ext06", 1, {(0, "optimistic_insert")}),
         ("ext07", 1, {(0, "optimistic_insert")}),
-    ], ids=["fig09", "fig10", "ext04", "ext05", "ext06", "ext07"])
+        # A capacity search is a task too: fig11's first, and ext04's
+        # last (after its shape task and 21 closed runs), which every
+        # model prediction reads.
+        ("fig11", 0, {(0, "max_throughput")}),
+        ("ext04", 22, {(row, "naive_model_throughput")
+                       for row in range(7)}),
+    ], ids=["fig09", "fig10", "ext04", "ext05", "ext06", "ext07",
+            "fig11-search", "ext04-search"])
     def test_driver_finishes_with_a_quarantined_run(
             self, figure_id, task_index, undefined):
         # A quarantined run measured nothing: the figure finishes with
@@ -359,6 +366,25 @@ class TestEnvDrivenFaults:
                  for column, value in zip(table.columns, values)}
         assert {cell for cell, value in cells.items()
                 if math.isnan(value)} == undefined
+
+
+    def test_figures_run_reports_its_losses_on_stderr(self, tmp_path,
+                                                      capsys):
+        from repro.report import generate_figures
+        plan = FaultPlan(specs=(FaultSpec(
+            kind=KILL_WORKER, task_index=1, attempts=None),))
+        result = generate_figures(
+            ["fig09"], scale=0.01, out_dir=tmp_path / "lossy",
+            include_claims=False, resilience=ResilienceOptions(
+                retry=RetryPolicy(max_retries=0), faults=plan))
+        assert result.batch.quarantined_indices == [1]
+        assert capsys.readouterr().err == \
+            f"figures batch: {result.batch.summary()}\n"
+        clean = generate_figures(
+            ["fig09"], scale=0.01, out_dir=tmp_path / "clean",
+            include_claims=False, resilience=ResilienceOptions())
+        assert clean.batch.ok and clean.batch.retries == 0
+        assert capsys.readouterr().err == ""
 
 
 # ----------------------------------------------------------------------
