@@ -40,7 +40,6 @@ from repro.cluster.metrics import ClusterResult, ShardStats
 from repro.cluster.model import (
     ClusterPrediction,
     analyze_cluster,
-    breaker_arrival_rate,
     predict_availability,
     rescue_horizon,
     shard_service_demands,
@@ -69,7 +68,6 @@ __all__ = [
     "RouterRetryPolicy",
     "ShardStats",
     "analyze_cluster",
-    "breaker_arrival_rate",
     "chaos_plan",
     "get_policies",
     "policy_names",

@@ -24,9 +24,11 @@ retries every operation arriving inside a crash window fails; with a
 :class:`~repro.cluster.policies.RouterRetryPolicy` an operation whose
 remaining outage is shorter than the retry schedule's total span
 (:func:`rescue_horizon`) is rescued.  The paper's rho_w = 0.5 rule of
-thumb enters through :func:`breaker_arrival_rate` — the per-shard
-arrival rate at which the single-tree root writer utilization crosses
-0.5, i.e. where the circuit breaker's regime begins.
+thumb enters ext08 as a capacity search
+(:class:`~repro.model.throughput.CapacitySearch` with ``target=0.5``):
+the per-shard arrival rate at which the single-tree root writer
+utilization crosses 0.5, i.e. where the circuit breaker's regime
+begins.
 """
 
 from __future__ import annotations
@@ -37,10 +39,9 @@ from typing import Callable, Dict, Optional
 
 from repro.cluster.policies import ClusterPolicies, RouterRetryPolicy
 from repro.cluster.spec import ClusterSpec
-from repro.errors import ConfigurationError, ConvergenceError
+from repro.errors import ConfigurationError
 from repro.model.params import ModelConfig
 from repro.model.results import DELETE, INSERT, SEARCH
-from repro.model.throughput import arrival_rate_for_root_utilization
 from repro.resilience.faults import SHARD_CRASH, FaultPlan
 
 #: Arrival rate standing in for "zero load" when extracting demands.
@@ -59,19 +60,6 @@ def shard_service_demands(analyze: Callable, config: ModelConfig,
     """
     prediction = analyze(config, ZERO_LOAD_RATE, **analyzer_kwargs)
     return {op: prediction.response(op) for op in _OPS}
-
-
-def breaker_arrival_rate(analyze: Callable, config: ModelConfig,
-                         target: float = 0.5,
-                         **analyzer_kwargs) -> float:
-    """Per-shard arrival rate where root writer utilization hits
-    ``target`` (the paper's 0.5 rule of thumb); +inf when the
-    configuration never reaches it (the Link-type regime)."""
-    try:
-        return arrival_rate_for_root_utilization(
-            analyze, config, target=target, **analyzer_kwargs)
-    except ConvergenceError:
-        return math.inf
 
 
 def rescue_horizon(retry: RouterRetryPolicy) -> float:

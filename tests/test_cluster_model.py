@@ -10,7 +10,6 @@ from repro.cluster import (
     ClusterSimConfig,
     ClusterSpec,
     analyze_cluster,
-    breaker_arrival_rate,
     chaos_plan,
     get_policies,
     predict_availability,
@@ -42,9 +41,13 @@ class TestDemands:
     def test_breaker_anchor_is_the_rho_half_rate(self):
         from repro.algorithms import get_algorithm, names
         from repro.model import paper_default_config
+        from repro.model.throughput import CapacitySearch
+        from repro.parallel import SimTask, execute_task
         alg = get_algorithm(names.NAIVE_LOCK_COUPLING)
-        rate = breaker_arrival_rate(alg.analyze,
-                                    paper_default_config(disk_cost=1.0))
+        # ext08's anchor: a search task for rho_w = 0.5.
+        rate = execute_task(SimTask(CapacitySearch.of(
+            alg.analyze, paper_default_config(disk_cost=1.0), target=0.5),
+            kind="search"))
         assert 0 < rate < math.inf
         rho = alg.analyze(paper_default_config(disk_cost=1.0),
                           rate).root_writer_utilization
