@@ -25,7 +25,7 @@ def main() -> None:
     # Each driver hands over its simulation tasks; run_drivers runs the
     # six figures' tasks as one batch, each shared point only once.
     tables, _report = run_drivers([
-        figure(scale=scale, simulate=True)
+        figure(scale=scale)
         for figure in (fig03, fig04, fig05, fig06, fig07, fig08)
     ])
     for table in tables:

@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import (
     Any,
-    Callable,
     Dict,
     Generator,
     List,
@@ -30,15 +29,11 @@ from typing import (
 
 from repro.algorithms import AlgorithmSpec
 from repro.errors import ConfigurationError
-from repro.model.params import ModelConfig
-from repro.model.results import AlgorithmPrediction
 from repro.model.throughput import CapacitySearch
 from repro.parallel import SimTask, replication_tasks
 from repro.simulator.config import SimulationConfig
 from repro.simulator.driver import pooled_response_means
 from repro.simulator.metrics import SimulationResult
-
-Analyzer = Callable[..., AlgorithmPrediction]
 
 T = TypeVar("T")
 
@@ -160,13 +155,6 @@ def sim_seeds(scale: float, full: int = 5) -> int:
     return max(1, min(full, int(round(full * scale * 2))))
 
 
-def model_response(analyzer: Analyzer, config: ModelConfig, rate: float,
-                   operation: str, **kwargs) -> float:
-    """One analytical response-time point; +inf past the knee."""
-    prediction = analyzer(config, rate, **kwargs)
-    return prediction.response(operation)
-
-
 def sweep_replications(bases: Sequence[SimulationConfig],
                        rates: Sequence[float], scale: float,
                        seeds: Optional[int] = None,
@@ -202,29 +190,6 @@ def sweep_simulated_responses(bases: Sequence[SimulationConfig],
             for per_rate in grid]
 
 
-def response_sweep(table: ExperimentTable, rates: Sequence[float],
-                   analyzer: Analyzer, model_config: ModelConfig,
-                   operation: str, sim_base: Optional[SimulationConfig],
-                   scale: float, analyzer_kwargs: Optional[dict] = None,
-                   ) -> YieldsTasks[None]:
-    """Fill ``table`` with (rate, model, sim) response-time rows.
-
-    When ``sim_base`` is None only the analytical column is produced
-    (columns must match) and nothing is yielded; otherwise the whole
-    sweep's simulated points go out in one yield.
-    """
-    kwargs = analyzer_kwargs or {}
-    models = [model_response(analyzer, model_config, rate, operation,
-                             **kwargs) for rate in rates]
-    if sim_base is None:
-        for rate, model in zip(rates, models):
-            table.add(rate, _rounded(model))
-        return
-    (sims,) = yield from sweep_simulated_responses([sim_base], rates, scale)
-    for rate, model, sim in zip(rates, models, sims):
-        table.add(rate, _rounded(model), _rounded(sim[operation]))
-
-
 def measured(result, name: str, digits: Optional[int] = None) -> float:
     """``result.<name>``, rounded to ``digits`` when given.  A
     quarantined (``None``) run measured nothing: NaN (the report's
@@ -241,10 +206,3 @@ def run_response(result: Optional[SimulationResult],
     overflowed, NaN when it was quarantined."""
     return round(pooled_response_means([result])[operation], 3)
 
-
-def _rounded(value: float, digits: int = 3) -> float:
-    if value is None or math.isnan(value):
-        return math.nan
-    if math.isinf(value):
-        return math.inf
-    return round(value, digits)

@@ -52,7 +52,7 @@ from repro.experiments.common import (
 )
 from repro.model import paper_default_config
 from repro.model.buffering import buffered_config, pages_for_top_levels
-from repro.model.params import OperationMix
+from repro.model.params import PAPER_MIX, OperationMix
 from repro.model.throughput import CapacitySearch
 from repro.parallel import SimTask
 
@@ -97,9 +97,9 @@ def ext01(scale: float = 1.0, simulate: bool = False) -> SimulatedFigure:
     return table
 
 
-def ext02(scale: float = 1.0, simulate: bool = False) -> SimulatedFigure:
+def ext02(scale: float = 1.0) -> SimulatedFigure:
     """Maximum throughput vs LRU buffer-pool size."""
-    del scale, simulate  # analytical sweep
+    del scale  # analytical sweep
     config = paper_default_config(disk_cost=10.0)
     table = ExperimentTable(
         "ext02",
@@ -120,13 +120,13 @@ def ext02(scale: float = 1.0, simulate: bool = False) -> SimulatedFigure:
     return table
 
 
-def ext03(scale: float = 1.0, simulate: bool = False) -> SimulatedFigure:
+def ext03(scale: float = 1.0) -> SimulatedFigure:
     """Maximum throughput vs search fraction of the mix.
 
     Updates keep the paper's 5:2 insert:delete split; ``q_s`` sweeps
     from update-heavy to read-mostly.
     """
-    del scale, simulate  # analytical sweep
+    del scale  # analytical sweep
     table = ExperimentTable(
         "ext03",
         "Maximum throughput vs search fraction q_s (updates split 5:2)",
@@ -137,8 +137,12 @@ def ext03(scale: float = 1.0, simulate: bool = False) -> SimulatedFigure:
     configs = []
     for q_search in fractions:
         q_insert = (1.0 - q_search) * 5.0 / 7.0
-        mix = OperationMix(q_search=q_search, q_insert=q_insert,
-                           q_delete=1.0 - q_search - q_insert)
+        # The formula's q_delete at the paper's q_s is 0.19999999999999996;
+        # PAPER_MIX itself lets that row share the paper configuration's
+        # searches.
+        mix = PAPER_MIX if q_search == PAPER_MIX.q_search else OperationMix(
+            q_search=q_search, q_insert=q_insert,
+            q_delete=1.0 - q_search - q_insert)
         configs.append(paper_default_config(mix=mix))
     peaks = iter((yield from capacities([
         CapacitySearch.of(spec.analyze, config)
@@ -160,7 +164,7 @@ def _closed_specs():
     return tuple(spec for spec in all_algorithms() if spec.supports_closed)
 
 
-def ext04(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
+def ext04(scale: float = 1.0) -> SimulatedFigure:
     """Closed-system throughput and search response vs MPL, with the
     interactive response-time-law prediction alongside the simulation."""
     from repro.model.closed import closed_system_prediction
@@ -174,7 +178,6 @@ def ext04(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
         ["mpl"] + [f"{spec.short}_throughput" for spec in specs]
                 + [f"{spec.short}_search_response" for spec in specs]
                 + [f"{specs[0].short}_model_throughput"])
-    del simulate  # inherently simulated
     n_ops = max(300, int(1_500 * scale))
 
     def sim_config(spec, mpl: int):
@@ -221,9 +224,8 @@ def ext04(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
     return table
 
 
-def ext05(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
+def ext05(scale: float = 1.0) -> SimulatedFigure:
     """Simulated insert response vs hotspot skew (hot 20% of keys)."""
-    del simulate  # inherently simulated
     specs = (_NAIVE, _LINK)
     table = ExperimentTable(
         "ext05",
@@ -261,14 +263,13 @@ def ext05(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
     return table
 
 
-def ext06(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
+def ext06(scale: float = 1.0) -> SimulatedFigure:
     """Optimistic Lock-coupling vs the paper's three core algorithms.
 
     The head-to-head sweep for the registry's extensibility proof: the
     hybrid variant ships entirely as a spec + ops module and is compared
     here without any change to the core dispatch sites.
     """
-    del simulate  # inherently simulated
     specs = _closed_specs() + (_OLC,)
     table = ExperimentTable(
         "ext06",
@@ -321,7 +322,7 @@ def _ext07_traces():
     )
 
 
-def ext07(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
+def ext07(scale: float = 1.0) -> SimulatedFigure:
     """Workload sensitivity: the algorithm comparison re-run under the
     pluggable workload subsystem's non-stationary / skewed traces.
 
@@ -330,7 +331,6 @@ def ext07(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
     the traffic — burstiness, key skew, a moving hotspot, a flash
     crowd — from its volume (see ``docs/workloads.md``).
     """
-    del simulate  # inherently simulated
     specs = _closed_specs() + (_OLC,)
     traces = _ext07_traces()
     table = ExperimentTable(
@@ -368,7 +368,7 @@ _EXT08_FAULT_RATES = (0, 1, 2)
 _EXT08_RHO = 0.25
 
 
-def ext08(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
+def ext08(scale: float = 1.0) -> SimulatedFigure:
     """Cluster chaos: availability/goodput degradation of a sharded
     B-tree cluster under injected faults, policies on vs off.
 
@@ -389,7 +389,6 @@ def ext08(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
     per-level queue network — the cluster tier composes the paper's
     model, it does not replace it.
     """
-    del simulate  # inherently simulated
     from repro.cluster import (
         ClusterSimConfig,
         ClusterSpec,

@@ -5,8 +5,10 @@ Each function regenerates the figure's plotted series as an
 
 * ``scale`` shrinks simulation effort (measured operations and seeds);
   ``scale=1.0`` reproduces the paper's 10,000 operations over 5 seeds.
-* ``simulate=False`` produces the analytical series only (Figures 11 and
-  13-16 are analytical in the paper as well).
+* Figures 3-10 always simulate: the paper checks them against
+  simulation.  Figures 11, 13, 14 and 16 are analytical, as in the
+  paper.  Figures 12 and 15 take ``simulate`` (default False): their
+  simulated columns exist only when it is True.
 * Response times are in the paper's units (one root search = 1).
 * A driver with a simulated series or a capacity search is a generator
   (:data:`~repro.experiments.common.SimulatedFigure`); Figures 11, 13
@@ -42,7 +44,6 @@ from repro.experiments.common import (
     SimulatedFigure,
     base_sim_config,
     capacities,
-    response_sweep,
     sweep_replications,
     sweep_simulated_responses,
 )
@@ -62,16 +63,19 @@ NODE_SIZES = (7, 13, 21, 31, 43, 59, 81, 101)
 
 def _response_figure(experiment_id: str, figure: str, title: str,
                      spec: AlgorithmSpec, rates: Sequence[float],
-                     operation: str, scale: float,
-                     simulate: bool) -> SimulatedFigure:
-    columns = ["arrival_rate", f"model_{operation}_response"]
-    if simulate:
-        columns.append(f"sim_{operation}_response")
-    table = ExperimentTable(experiment_id, title, figure, columns)
-    sim_base = base_sim_config(spec) if simulate else None
-    yield from response_sweep(table, rates, spec.analyze,
-                              paper_default_config(), operation, sim_base,
-                              scale)
+                     operation: str, scale: float) -> SimulatedFigure:
+    """(rate, model, sim) ``operation`` response rows; the sweep's
+    simulated points go out in one yield."""
+    config = paper_default_config()
+    table = ExperimentTable(experiment_id, title, figure, [
+        "arrival_rate", f"model_{operation}_response",
+        f"sim_{operation}_response"])
+    models = [spec.analyze(config, rate).response(operation)
+              for rate in rates]
+    (sims,) = yield from sweep_simulated_responses(
+        [base_sim_config(spec)], rates, scale)
+    for rate, model, sim in zip(rates, models, sims):
+        table.add(rate, round(model, 3), round(sim[operation], 3))
     table.note("disk cost D=5, 2 in-memory levels, N=13, ~40k items, "
                "mix (.3,.5,.2)")
     return table
@@ -80,78 +84,71 @@ def _response_figure(experiment_id: str, figure: str, title: str,
 # ----------------------------------------------------------------------
 # Figures 3-8: response time vs arrival rate, analysis vs simulation
 # ----------------------------------------------------------------------
-def fig03(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
+def fig03(scale: float = 1.0) -> SimulatedFigure:
     """Naive Lock-coupling insert response time vs arrival rate."""
     return (yield from _response_figure(
         "fig03", "Figure 3",
         "Naive Lock-coupling insert response vs arrival rate",
-        _NAIVE, NAIVE_RATES, "insert", scale, simulate))
+        _NAIVE, NAIVE_RATES, "insert", scale))
 
 
-def fig04(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
+def fig04(scale: float = 1.0) -> SimulatedFigure:
     """Naive Lock-coupling search response time vs arrival rate."""
     return (yield from _response_figure(
         "fig04", "Figure 4",
         "Naive Lock-coupling search response vs arrival rate",
-        _NAIVE, NAIVE_RATES, "search", scale, simulate))
+        _NAIVE, NAIVE_RATES, "search", scale))
 
 
-def fig05(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
+def fig05(scale: float = 1.0) -> SimulatedFigure:
     """Optimistic Descent insert response time vs arrival rate."""
     return (yield from _response_figure(
         "fig05", "Figure 5",
         "Optimistic Descent insert response vs arrival rate",
-        _OPTIMISTIC, OPTIMISTIC_RATES, "insert", scale, simulate))
+        _OPTIMISTIC, OPTIMISTIC_RATES, "insert", scale))
 
 
-def fig06(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
+def fig06(scale: float = 1.0) -> SimulatedFigure:
     """Optimistic Descent search response time vs arrival rate."""
     return (yield from _response_figure(
         "fig06", "Figure 6",
         "Optimistic Descent search response vs arrival rate",
-        _OPTIMISTIC, OPTIMISTIC_RATES, "search", scale, simulate))
+        _OPTIMISTIC, OPTIMISTIC_RATES, "search", scale))
 
 
-def fig07(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
+def fig07(scale: float = 1.0) -> SimulatedFigure:
     """Link-type insert response time vs arrival rate."""
     return (yield from _response_figure(
         "fig07", "Figure 7",
         "Link-type insert response vs arrival rate",
-        _LINK, LINK_RATES, "insert", scale, simulate))
+        _LINK, LINK_RATES, "insert", scale))
 
 
-def fig08(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
+def fig08(scale: float = 1.0) -> SimulatedFigure:
     """Link-type search response time vs arrival rate."""
     return (yield from _response_figure(
         "fig08", "Figure 8",
         "Link-type search response vs arrival rate",
-        _LINK, LINK_RATES, "search", scale, simulate))
+        _LINK, LINK_RATES, "search", scale))
 
 
 # ----------------------------------------------------------------------
 # Figure 9: link crossings are rare
 # ----------------------------------------------------------------------
-def fig09(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
+def fig09(scale: float = 1.0) -> SimulatedFigure:
     """Link-crossing rate vs arrival rate (negligible-effect claim)."""
     config = paper_default_config(disk_cost=10.0)
-    columns = ["arrival_rate", "model_crossings_per_1k_ops"]
-    if simulate:
-        columns += ["sim_crossings_per_1k_ops", "sim_ops"]
     table = ExperimentTable(
         "fig09", "Link-type link crossings vs arrival rate", "Figure 9",
-        columns)
-    sim_results = None
-    if simulate:
-        sim_base = base_sim_config(_LINK, costs=CostModel(disk_cost=10.0))
-        (sim_results,) = yield from sweep_replications(
-            [sim_base], LINK_RATES, scale)
-    for index, rate in enumerate(LINK_RATES):
+        ["arrival_rate", "model_crossings_per_1k_ops",
+         "sim_crossings_per_1k_ops", "sim_ops"])
+    sim_base = base_sim_config(_LINK, costs=CostModel(disk_cost=10.0))
+    (sim_results,) = yield from sweep_replications(
+        [sim_base], LINK_RATES, scale)
+    for rate, results in zip(LINK_RATES, sim_results):
         model_per_1k = round(
             1000.0 * expected_crossings_per_descent(config, rate), 3)
-        if sim_results is None:
-            table.add(rate, model_per_1k)
-            continue
-        ran = [r for r in sim_results[index] if r is not None]
+        ran = [r for r in results if r is not None]
         ops = sum(r.measured_operations for r in ran)
         crossings = sum(r.link_crossings for r in ran)
         per_1k = 1000.0 * crossings / ops if ops else math.nan
@@ -165,28 +162,19 @@ def fig09(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
 # ----------------------------------------------------------------------
 # Figure 10: root writer utilization grows non-linearly
 # ----------------------------------------------------------------------
-def fig10(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
+def fig10(scale: float = 1.0) -> SimulatedFigure:
     """Naive Lock-coupling root writer utilization vs arrival rate."""
     config = paper_default_config()
-    columns = ["arrival_rate", "model_rho_w_root"]
-    if simulate:
-        columns.append("sim_rho_w_root")
     table = ExperimentTable(
         "fig10", "Root writer utilization, Naive Lock-coupling",
-        "Figure 10", columns)
-    sim_results = None
-    if simulate:
-        sim_base = base_sim_config(_NAIVE)
-        (sim_results,) = yield from sweep_replications(
-            [sim_base], NAIVE_RATES, scale)
-    for index, rate in enumerate(NAIVE_RATES):
+        "Figure 10", ["arrival_rate", "model_rho_w_root", "sim_rho_w_root"])
+    (sim_results,) = yield from sweep_replications(
+        [base_sim_config(_NAIVE)], NAIVE_RATES, scale)
+    for rate, results in zip(NAIVE_RATES, sim_results):
         prediction = _NAIVE.analyze(config, rate)
         rho = prediction.root_writer_utilization
         rho = math.inf if math.isinf(rho) else round(rho, 4)
-        if sim_results is None:
-            table.add(rate, rho)
-            continue
-        ran = [r for r in sim_results[index] if r is not None]
+        ran = [r for r in results if r is not None]
         usable = [r.root_writer_utilization for r in ran
                   if not r.overflowed and not math.isnan(
                       r.root_writer_utilization)]
@@ -206,9 +194,9 @@ def fig10(scale: float = 1.0, simulate: bool = True) -> SimulatedFigure:
 # ----------------------------------------------------------------------
 # Figure 11: maximum throughput vs disk cost
 # ----------------------------------------------------------------------
-def fig11(scale: float = 1.0, simulate: bool = False) -> SimulatedFigure:
+def fig11(scale: float = 1.0) -> SimulatedFigure:
     """Naive Lock-coupling maximum throughput vs disk access cost."""
-    del scale, simulate  # analytical figure
+    del scale  # analytical figure
     table = ExperimentTable(
         "fig11", "Naive Lock-coupling maximum throughput vs disk cost",
         "Figure 11", ["disk_cost", "max_throughput"])
@@ -282,9 +270,9 @@ def _thumb_figure(experiment_id: str, figure: str, title: str,
     return table
 
 
-def fig13(scale: float = 1.0, simulate: bool = False) -> SimulatedFigure:
+def fig13(scale: float = 1.0) -> SimulatedFigure:
     """Rule of Thumb 1 and limit Rule 2 vs the Naive LC analysis."""
-    del scale, simulate
+    del scale
     table = yield from _thumb_figure(
         "fig13", "Figure 13",
         "Naive Lock-coupling rule-of-thumb vs analytical lambda(rho=.5)",
@@ -295,9 +283,9 @@ def fig13(scale: float = 1.0, simulate: bool = False) -> SimulatedFigure:
     return table
 
 
-def fig14(scale: float = 1.0, simulate: bool = False) -> SimulatedFigure:
+def fig14(scale: float = 1.0) -> SimulatedFigure:
     """Rule of Thumb 3 and limit Rule 4 vs the Optimistic analysis."""
-    del scale, simulate
+    del scale
     table = yield from _thumb_figure(
         "fig14", "Figure 14",
         "Optimistic Descent rule-of-thumb vs analytical lambda(rho=.5)",
@@ -361,7 +349,7 @@ def fig15(scale: float = 1.0, simulate: bool = False) -> SimulatedFigure:
                                         rates, scale, simulate))
 
 
-def fig16(scale: float = 1.0, simulate: bool = False) -> SimulatedFigure:
+def fig16(scale: float = 1.0) -> SimulatedFigure:
     """Recovery comparison with N=59 and a 4-level tree.
 
     A 40k-item tree of order 59 only reaches 3 levels at the ln 2 fill
@@ -370,9 +358,9 @@ def fig16(scale: float = 1.0, simulate: bool = False) -> SimulatedFigure:
     """
     shape = TreeShape.ideal(500_000, 59)
     rates = (0.1, 0.25, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0)
+    # The 500k-item tree is analytical only.
     table = yield from _recovery_figure("fig16", "Figure 16", 59, shape,
                                         rates, scale, simulate=False)
-    del scale, simulate  # the 500k-item tree is analytical only
     table.note("paper states N=59 gives 4 levels; at ln2 fill that needs "
                ">67k items, so the shape uses 500k items (height 4, "
                "root fanout ~7)")

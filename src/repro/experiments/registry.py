@@ -23,10 +23,11 @@ _DRIVER_ID = re.compile(r"(fig|ext)\d\d")
 
 
 def driver(figure_id: str) -> Callable[..., Any]:
-    """The ``(scale, simulate)`` driver function of ``figure_id``;
-    raises ConfigurationError when there is none.  It returns an
-    ExperimentTable, or, with simulated series or capacity searches, a
-    generator that yields its tasks once and returns the table."""
+    """The driver function of ``figure_id``; raises ConfigurationError
+    when there is none.  It takes ``scale`` (fig12, fig15 and ext01
+    also ``simulate``, default False) and returns an ExperimentTable
+    or, with simulated series or capacity searches, a generator that
+    yields its tasks once and returns the table."""
     module = extensions if figure_id.startswith("ext") else figures
     run = getattr(module, figure_id, None) \
         if _DRIVER_ID.fullmatch(figure_id) else None

@@ -6,7 +6,6 @@ Usage::
     btree-perf list-algorithms
     btree-perf list-workloads
     btree-perf figures --all [--scale 0.1] [--jobs 4] [--out figures]
-    btree-perf figures fig11 --no-sim --formats svg
     btree-perf figures fig03 fig10 --scale 0.05
     btree-perf simulate --algorithm link-type --rate 0.2 \\
         --metrics-out run.ndjson --progress
@@ -152,11 +151,6 @@ def _build_parser() -> argparse.ArgumentParser:
     figures.add_argument("--scale", type=_positive_scale, default=1.0,
                          help="simulation effort scale (1.0 = paper "
                               "scale)")
-    figures.add_argument("--no-sim", action="store_true",
-                         help="analytical series only: skip the "
-                              "simulator wherever a figure has a model "
-                              "series (ext04-ext08 are inherently "
-                              "simulated and still simulate)")
     figures.add_argument("--no-claims", action="store_true",
                          help="leave the paper's in-text claims out of "
                               "the validation report")
@@ -372,7 +366,6 @@ def _figures(args) -> int:
         log = lambda message: print(message, file=sys.stderr)  # noqa: E731
     result = generate_figures(
         figure_ids=figure_ids, scale=args.scale, out_dir=args.out,
-        simulate=False if args.no_sim else None,
         threshold_scale=args.threshold_scale,
         include_claims=not args.no_claims, log=log, jobs=args.jobs,
         cache=cache, progress=progress,

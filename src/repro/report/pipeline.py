@@ -92,7 +92,6 @@ def _render(spec: FigureSpec, table: ExperimentTable,
 def generate_figures(figure_ids: Optional[Sequence[str]] = None,
                      scale: float = 1.0,
                      out_dir="figures",
-                     simulate: Optional[bool] = None,
                      threshold_scale: float = 1.0,
                      include_claims: bool = True,
                      log: Optional[Callable[[str], None]] = None,
@@ -104,9 +103,7 @@ def generate_figures(figure_ids: Optional[Sequence[str]] = None,
     """Run the full figure/report pipeline.
 
     ``figure_ids`` defaults to every registered figure, in registry
-    order.  ``simulate=None`` keeps each figure's own default (the
-    paper's simulated figures simulate, the analytical ones don't);
-    ``simulate=False`` forces analytical-only output everywhere.
+    order, each run as its driver's defaults make it.
     ``threshold_scale`` multiplies every validation threshold
     (tighten with values < 1, loosen with > 1).  All figures'
     simulations and capacity searches, and the claims' searches when
@@ -132,7 +129,7 @@ def generate_figures(figure_ids: Optional[Sequence[str]] = None,
 
     claims = claim_checks() if include_claims else []
     values, batch = run_drivers(
-        [spec.start(scale, simulate) for spec in specs] + claims,
+        [spec.start(scale) for spec in specs] + claims,
         jobs=jobs, cache=cache, progress=progress, resilience=resilience)
     if batch.retries or batch.failures:
         print(f"figures batch: {batch.summary()}", file=sys.stderr)

@@ -72,19 +72,14 @@ class FigureSpec:
         """``"paper"`` for Figures 3-16, ``"ext"`` for the extensions."""
         return "ext" if self.figure_id.startswith("ext") else "paper"
 
-    def start(self, scale: float = 1.0, simulate: Optional[bool] = None):
+    def start(self, scale: float = 1.0):
         """Call the figure's driver: its table, or the generator that
         yields its simulation and search tasks (finish it with
-        :func:`~repro.experiments.registry.run_drivers`).
-        ``simulate=None`` keeps the driver's own default (simulated
-        where the paper's figure is)."""
-        run = driver(self.figure_id)
-        if simulate is None:
-            return run(scale=scale)
-        return run(scale=scale, simulate=simulate)
+        :func:`~repro.experiments.registry.run_drivers`)."""
+        return driver(self.figure_id)(scale=scale)
 
-    def run(self, scale: float = 1.0, simulate: Optional[bool] = None,
-            jobs: int = 1, cache: Optional[ResultCache] = None,
+    def run(self, scale: float = 1.0, jobs: int = 1,
+            cache: Optional[ResultCache] = None,
             progress: Optional[Callable] = None,
             resilience: Optional[ResilienceOptions] = None,
             ) -> ExperimentTable:
@@ -92,7 +87,7 @@ class FigureSpec:
         run as one batch with the given settings (serial, uncached,
         silent and fail-fast by default)."""
         (table,), _report = run_drivers(
-            [self.start(scale, simulate)], jobs=jobs, cache=cache,
+            [self.start(scale)], jobs=jobs, cache=cache,
             progress=progress, resilience=resilience)
         return table
 
@@ -139,8 +134,8 @@ _ENTRIES: Tuple[FigureSpec, ...] = (
                            metric=RELATIVE, threshold=0.60),)),
     FigureSpec("fig11"),
     # Figures 12/15 and ext01 are analytical by default; their sim
-    # columns (and these comparisons) only materialize under
-    # ``simulate=True`` runs.
+    # columns (and these comparisons) only materialize when their
+    # drivers are called with ``simulate=True``.
     FigureSpec("fig12", (
         Comparison(names.NAIVE_LOCK_COUPLING, "insert response",
                    "naive_insert", "sim_naive_insert", threshold=0.40),

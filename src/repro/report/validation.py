@@ -89,8 +89,10 @@ class ComparisonResult:
     def passed(self, threshold_scale: float = 1.0) -> bool:
         """True when the median error is within the (scaled) threshold.
 
-        A comparison with *no* valid points passes vacuously — a no-sim
-        run or an all-saturated sweep carries no evidence either way.
+        A comparison with *no* valid points passes vacuously: a run of
+        fig12, fig15 or ext01 without ``simulate=True`` (no sim column),
+        or an all-saturated or all-quarantined sweep, carries no
+        evidence either way.
         """
         value = self.median_error
         if math.isnan(value):
@@ -162,8 +164,8 @@ def evaluate_comparison(spec: FigureSpec, comparison: Comparison,
                         table: ExperimentTable) -> ComparisonResult:
     """Error rows for one declared column pair over ``table``.
 
-    Missing columns (an analytical-only run of a figure whose sim
-    columns are conditional) yield an empty, vacuously-passing result.
+    Missing columns (fig12, fig15 or ext01 run without
+    ``simulate=True``) yield an empty, vacuously-passing result.
     """
     result = ComparisonResult(
         figure_id=spec.figure_id, algorithm=comparison.algorithm,

@@ -144,10 +144,6 @@ class TestSimulatedFigureSmoke:
         # Low-load rows must agree loosely even at a tiny scale.
         assert sim[0] == pytest.approx(model[0], rel=0.35)
 
-    def test_no_sim_variant(self):
-        table = get_figure("fig04").run(scale=0.02, simulate=False)
-        assert "sim_search_response" not in table.columns
-
 
 class TestCli:
     def test_list(self, capsys):
@@ -161,7 +157,7 @@ class TestCli:
             assert parts[1] == spec.kind
 
     def test_run_analytical(self, tmp_path):
-        assert cli_main(["figures", "fig11", "--no-sim", "--no-cache",
+        assert cli_main(["figures", "fig11", "--no-cache",
                          "--formats", "svg", "--out", str(tmp_path)]) == 0
         tables = (tmp_path / "tables.txt").read_text(encoding="utf-8")
         assert "max_throughput" in tables
@@ -176,3 +172,12 @@ class TestCli:
             cli_main([command])
         assert exit_info.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+    def test_removed_no_sim_flag_is_refused(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["figures", "fig11", "--no-sim", "--out",
+                      str(tmp_path)])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "--no-sim" in err
+        assert not any(tmp_path.iterdir())

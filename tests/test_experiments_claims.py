@@ -37,7 +37,7 @@ def test_cli_claims_exit_code(tmp_path, capsys, monkeypatch):
 
     fake = ClaimResult("x", "Section 0", "up is down", "no", False)
     monkeypatch.setattr(claims, "_CLAIMS", (lambda: fake,))
-    code = cli_main(["figures", "fig11", "--no-sim", "--no-cache",
+    code = cli_main(["figures", "fig11", "--no-cache",
                      "--formats", "svg", "--out", str(tmp_path)])
     assert code == 1
     assert "CLAIM FAILED x: no" in capsys.readouterr().err

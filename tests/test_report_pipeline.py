@@ -17,7 +17,6 @@ ANALYTICAL = ["fig11", "fig13"]
 def _generate(out_dir, **kwargs):
     kwargs.setdefault("figure_ids", ANALYTICAL)
     kwargs.setdefault("scale", 0.05)
-    kwargs.setdefault("simulate", False)
     kwargs.setdefault("include_claims", False)
     return generate_figures(out_dir=out_dir, **kwargs)
 
@@ -54,10 +53,10 @@ class TestDeterminism:
         # writes the same files, byte for byte, and no others.
         ids = ["fig03", "fig11"]
         _generate(tmp_path / "run1", figure_ids=ids, scale=0.02,
-                  simulate=None, cache=ResultCache(tmp_path / "cache"))
+                  cache=ResultCache(tmp_path / "cache"))
         rerun = ResultCache(tmp_path / "cache")
         _generate(tmp_path / "run2", figure_ids=ids, scale=0.02,
-                  simulate=None, cache=rerun)
+                  cache=rerun)
         assert rerun.stats.hits > 0
         assert rerun.stats.misses == 0
         assert rerun.stats.stores == 0
@@ -80,8 +79,8 @@ class TestScaleChecks:
     BAD = ["0", "-1", "nan", "inf"]
 
     @pytest.mark.parametrize("argv", [
-        ["figures", "fig11", "--no-sim", "--no-cache", "--scale"],
-        ["figures", "fig11", "--no-sim", "--no-cache", "--threshold-scale"],
+        ["figures", "fig11", "--no-cache", "--scale"],
+        ["figures", "fig11", "--no-cache", "--threshold-scale"],
         ["simulate", "--scale"],
     ])
     @pytest.mark.parametrize("value", BAD)
@@ -111,7 +110,7 @@ class TestCountChecks:
         ["simulate", "--seeds=0"],
         ["simulate", "--seeds=-1"],
         ["simulate", "--jobs=-1"],
-        ["figures", "fig11", "--no-sim", "--no-cache", "--jobs=-1"],
+        ["figures", "fig11", "--no-cache", "--jobs=-1"],
     ])
     def test_cli_flag_rejected(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
@@ -130,7 +129,7 @@ class TestFormats:
     def _figures(self, out_dir, formats):
         flag = [] if formats is None else ["--formats", formats]
         return runner_main([
-            "figures", "fig11", "--no-sim", "--no-claims", "--no-cache",
+            "figures", "fig11", "--no-claims", "--no-cache",
             "--scale", "0.05", "--out", str(out_dir)] + flag)
 
     @pytest.mark.parametrize("formats", ["svg,GIF", "png"])
@@ -159,7 +158,7 @@ class TestCli:
     def test_figures_subcommand_end_to_end(self, tmp_path, capsys):
         code = runner_main([
             "figures", "fig11", "fig13", "--out", str(tmp_path),
-            "--formats", "svg", "--no-sim", "--no-claims", "--no-cache",
+            "--formats", "svg", "--no-claims", "--no-cache",
             "--scale", "0.05"])
         captured = capsys.readouterr()
         assert code == 0, captured.err

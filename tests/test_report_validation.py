@@ -192,7 +192,7 @@ class TestMarkdown:
 
     def test_analytical_only_run_reads_cleanly(self):
         spec = get_figure("fig11")  # no comparisons declared
-        table = spec.run(scale=0.02, simulate=False)
+        table = spec.run(scale=0.02)
         report = build_report([(spec, table)], scale=0.02)
         assert report.passed
         text = report_to_markdown(report)
