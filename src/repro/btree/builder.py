@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from typing import List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.btree.node import Node
 from repro.btree.policies import MERGE_AT_EMPTY, MergePolicy
@@ -33,9 +33,13 @@ from repro.errors import ConfigurationError
 #: enough that random inserts rarely collide.
 DEFAULT_KEY_SPACE = 1 << 30
 
-#: ``warm_tree``'s one template: (key, template tree, every node it ever
-#: allocated, in creation order), or None before the first call.
-_last: Optional[Tuple[tuple, BPlusTree, List[Node]]] = None
+#: ``(level, count)`` pairs: how many nodes a build allocated at each
+#: tree level (freed ones included), levels in first-allocation order.
+BuildLevels = Tuple[Tuple[int, int], ...]
+
+#: ``warm_tree``'s one template: (key, template tree, its build levels),
+#: or None before the first call.
+_last: Optional[Tuple[tuple, BPlusTree, BuildLevels]] = None
 
 
 def build_tree(n_items: int, order: int = 13,
@@ -131,52 +135,52 @@ def build_tree(n_items: int, order: int = 13,
 
 def warm_tree(build_seed: int, n_items: int, order: int,
               insert_fraction: float, key_space: int,
-              on_new_node: NodeHook = None) -> BPlusTree:
+              on_new_node: NodeHook = None
+              ) -> Tuple[BPlusTree, BuildLevels]:
     """The tree ``build_tree`` grows from ``random.Random(build_seed)``,
-    built only when the previous call asked for a different tree.
+    built only when the previous call asked for a different tree, and
+    its build levels.
 
     The memo keeps the last template only, so callers that run several
     trees should group their runs by tree (see
-    :func:`repro.experiments.common.sweep_replications`).  A miss retires
-    the old template's ``spare_locks`` and builds a lock-free template.
-    Every call lends the template itself, with
-    its undo journal open (:meth:`~repro.btree.tree.BPlusTree.journal`):
-    the caller must call ``rollback()`` on it when done, which puts back
-    every node the caller changed and copies none it did not.  A call
-    also rolls back a loan that was never returned.
+    :func:`repro.experiments.common.sweep_replications`).  A miss drops
+    the old template (reference counting frees it and its
+    ``spare_locks``) and builds a lock-free template.  Every call lends
+    the template itself, with its undo journal open
+    (:meth:`~repro.btree.tree.BPlusTree.journal`): the caller must call
+    ``rollback()`` on it when done, which puts back every node the
+    caller changed and copies none it did not.  A call also rolls back a
+    loan that was never returned.
 
-    ``on_new_node`` first runs over every node the build allocated
-    (freed ones included) in creation order, as it would have run during
-    the build, and then becomes the tree's hook.  Within the loan the
-    tree is indistinguishable from ``build_tree(...,
+    The build levels are ``(level, count)`` pairs: how many nodes the
+    build allocated at each level, freed ones included, levels in the
+    order the build first allocated at them — what ``on_new_node``
+    would have seen during the build, summed per level.
+    ``on_new_node`` becomes the tree's hook for the loan.  Within the
+    loan the tree is indistinguishable from ``build_tree(...,
     rng=random.Random(build_seed), on_new_node=on_new_node)``, except
-    that its ``node_id`` values come from the build.
+    that its ``node_id`` values come from the build and the hook sees
+    only the nodes the loan allocates.
     """
     global _last
     key = (build_seed, n_items, order, insert_fraction, key_space)
     if _last is not None and _last[0] == key:
         _last[1].rollback()  # in case the last loan was never returned
     else:
-        if _last is not None:
-            # Free the old template's locks now: each refers to itself
-            # through its interned commands until it is retired.
-            spare_locks = _last[1].spare_locks
-            for lock in spare_locks:
-                lock.retire()
-            spare_locks.clear()
         _last = None  # drop the old template before growing the next
-        created: List[Node] = []
+        counts: Dict[int, int] = {}
+
+        def count(node: Node) -> None:
+            counts[node.level] = counts.get(node.level, 0) + 1
+
         template = build_tree(n_items, order=order,
                               insert_fraction=insert_fraction,
                               key_space=key_space,
                               rng=random.Random(build_seed),
-                              on_new_node=created.append)
+                              on_new_node=count)
         template.on_new_node = None
-        _last = (key, template, created)
-    _key, template, created = _last
-    if on_new_node is not None:
-        for node in created:
-            on_new_node(node)
+        _last = (key, template, tuple(counts.items()))
+    _key, template, levels = _last
     template.journal()
     template.on_new_node = on_new_node
-    return template
+    return template, levels

@@ -7,9 +7,12 @@ concurrent B-tree simulator of Johnson & Shasha (PODS 1990, Section 4):
 * :class:`~repro.des.engine.Simulator` — event heap, simulation clock and
   process scheduler.
 * :class:`~repro.des.process.Process` — processes are plain Python
-  generators that yield commands to the engine: a ``float`` hold, or a
-  lock's interned :class:`~repro.des.process.Acquire`.  They release a
-  lock by calling ``lock.release(sim)``.
+  generators that yield one of two values to the engine: a ``float``
+  hold, or :data:`~repro.des.process.WAIT`, which parks them until
+  something resumes them.  They take a lock with ``yield
+  lock.acquire_read(sim)`` / ``acquire_write(sim)`` (``0.0`` on an
+  immediate grant, else ``WAIT``) and release it by calling
+  ``lock.release(sim)``.
 * :class:`~repro.des.rwlock.RWLock` — a first-come-first-served
   reader/writer lock queue: R locks are shared, W locks are exclusive and
   grants never overtake earlier requests (paper Section 3.2, "Lock types").
@@ -24,12 +27,11 @@ simulation in the repository.  Service times are drawn inline with
 """
 
 from repro.des.engine import Simulator
-from repro.des.process import Acquire, Process, READ, WRITE
+from repro.des.process import Process, READ, WAIT, WRITE
 from repro.des.rwlock import RWLock
 from repro.des.stats import ReservoirSample, RunningMean, RunningStats
 
 __all__ = [
-    "Acquire",
     "Process",
     "READ",
     "RWLock",
@@ -37,5 +39,6 @@ __all__ = [
     "RunningMean",
     "RunningStats",
     "Simulator",
+    "WAIT",
     "WRITE",
 ]

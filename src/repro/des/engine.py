@@ -8,15 +8,17 @@ simultaneous events deterministic (FIFO in scheduling order), which in
 turn makes whole simulation runs reproducible for a fixed random seed;
 because it is unique, heap comparisons never reach the payload fields.
 
-Processes (see :mod:`repro.des.process`) communicate with the kernel by
-yielding commands: a ``float`` hold, or a lock's interned
-:class:`~repro.des.process.Acquire`, which :meth:`Simulator.run` tells
-apart by class.  A release is not a command but a plain call,
-``lock.release(sim)``, made while the kernel steps the releasing
-process (:attr:`Simulator.current`).  The kernel steps a process as far
-as it can without time passing — e.g. a lock acquired without
-contention is granted immediately within the same step — which keeps
-the event heap small and the simulator fast.
+Processes (see :mod:`repro.des.process`) yield one of two values: a
+``float`` hold, or :data:`~repro.des.process.WAIT`, which parks the
+process until something resumes it.  Locks are plain calls made while
+the kernel steps a process (:attr:`Simulator.current`):
+``lock.acquire_read(sim)`` / ``acquire_write(sim)`` return ``0.0`` — a
+zero hold — on an immediate grant and :data:`~repro.des.process.WAIT`
+when the request queues, and ``lock.release(sim)`` returns nothing.
+The kernel steps a process as far as it can without time passing —
+e.g. a lock acquired without contention is granted immediately within
+the same step — which keeps the event heap small and the simulator
+fast.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import heapq
 from typing import Callable, List, Optional, Tuple
 
-from repro.des.process import Acquire, Process
+from repro.des.process import WAIT, Process
 from repro.errors import ProcessError, SimulationError
 
 #: One scheduled event: resume ``process`` with ``send_value`` at ``time``.
@@ -39,7 +41,7 @@ class Simulator:
         sim = Simulator()
 
         def customer(lock):
-            wait = yield lock.acquire_write
+            wait = yield lock.acquire_write(sim)
             yield 1.0                      # hold for one time unit
             lock.release(sim)
 
@@ -134,13 +136,14 @@ class Simulator:
         self._stopped = False
         # One loop for events and process steps: this body executes once
         # per event, so calls and attribute/global lookups are hoisted
-        # into locals.  Holds push their resume record inline, commands
-        # dispatch on their class by identity, and the clock cannot
+        # into locals.  Holds push their resume record inline, a zero
+        # hold (an immediate lock grant among them) sends 0.0 back
+        # within the step, WAIT parks the process, and the clock cannot
         # advance within a step.
         heap = self._heap
         heappop = heapq.heappop
         heappush = heapq.heappush
-        acquire = Acquire
+        wait = WAIT
         while heap:
             if until is not None and heap[0][0] > until:
                 self.now = until
@@ -168,16 +171,13 @@ class Simulator:
                         heappush(heap, (now + command, seq, process, None))
                         break
                     if command == 0.0:
-                        send_value = None
+                        send_value = 0.0
                         continue
                     raise ProcessError(
                         f"{process!r} held for NaN time" if command != command
                         else f"{process!r} held for negative time {command!r}")
-                if cls is acquire:
-                    if command.lock.request(self, process, command.mode):
-                        send_value = 0.0
-                        continue
-                    break  # the lock will resume us with the wait time
+                if command is wait:
+                    break  # parked: e.g. the lock resumes it with the wait
                 raise ProcessError(
                     f"{process!r} yielded unsupported command {command!r}")
             if self._stopped:

@@ -1,67 +1,56 @@
-"""Process abstraction and the commands a process may yield.
+"""Process abstraction and the two things a process may yield.
 
 A simulation *process* is a plain Python generator.  It advances the model
-by yielding one of two commands to the engine:
+by yielding one of two values to the engine:
 
 * ``yield duration`` — a non-negative ``float``: let simulated time pass
   (the process is doing timed work, e.g. searching a node or waiting for
-  a disk read).  A zero hold continues within the same step.  Any other
-  number — an ``int``, a ``bool`` — is an unsupported command.
-* ``yield lock.acquire_read`` / ``yield lock.acquire_write`` — request
-  ``lock`` in ``READ`` or ``WRITE`` mode; the process is resumed when the
-  lock is granted.  The value sent back into the generator is the time
-  spent waiting in the lock queue.
+  a disk read).  A zero hold continues within the same step and sends
+  ``0.0`` back.  Any other number — an ``int``, a ``bool`` — is an
+  unsupported command.
+* ``yield WAIT`` — park: the process is not rescheduled until something
+  resumes it (:meth:`Simulator.resume
+  <repro.des.engine.Simulator.resume>`) with the value to send back.
 
-Releasing is not a command: it never blocks, so a process calls
-``lock.release(sim)`` directly.  The lock releases it for
-:attr:`Simulator.current <repro.des.engine.Simulator.current>`, the
-process the engine is stepping, and wakes any queued waiters that
-become grantable at the current simulation time.
-
-:class:`Acquire` is the class of the lock commands.  Each
-:class:`~repro.des.rwlock.RWLock` interns one instance per mode, the
-engine dispatches on the command's class, and the operation generators
-yield the cached instances — the steady-state command stream allocates
-nothing.
+Locks are plain calls around those two.  ``yield
+lock.acquire_read(sim)`` / ``yield lock.acquire_write(sim)`` requests
+``lock`` in ``READ`` or ``WRITE`` mode for :attr:`Simulator.current
+<repro.des.engine.Simulator.current>`, the process the engine is
+stepping: an immediate grant returns ``0.0``, a zero hold; otherwise the
+request is queued and the call returns :data:`WAIT`, and the lock resumes
+the process once it is granted.  Either way the value sent back into the
+generator is the time spent waiting in the lock queue.  Releasing never
+blocks, so ``lock.release(sim)`` yields nothing; it wakes any queued
+waiters that become grantable at the current simulation time.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import TYPE_CHECKING, Generator
+from typing import Generator
 
 from repro.errors import ProcessError
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checking
-    from repro.des.rwlock import RWLock
 
 #: Shared lock mode (the paper's "R lock").
 READ = "R"
 #: Exclusive lock mode (the paper's "W lock").
 WRITE = "W"
 
-_process_ids = itertools.count(1)
 
+class _Wait:
+    """The type of :data:`WAIT`: one instance, told apart by identity."""
 
-class Acquire:
-    """Command: request ``lock`` in ``mode`` (``READ`` or ``WRITE``).
-
-    The engine resumes the process once the lock is granted and sends the
-    queueing delay (grant time minus request time) back into the generator,
-    so operations can account their waiting time exactly as the paper's
-    simulator does.
-    """
-
-    __slots__ = ("lock", "mode")
-
-    def __init__(self, lock: "RWLock", mode: str) -> None:
-        if mode not in (READ, WRITE):
-            raise ProcessError(f"unknown lock mode {mode!r}")
-        self.lock = lock
-        self.mode = mode
+    __slots__ = ()
 
     def __repr__(self) -> str:
-        return f"Acquire(lock={self.lock!r}, mode={self.mode!r})"
+        return "WAIT"
+
+
+#: Yielded to park the process until something resumes it; what a lock
+#: acquire that had to queue returns.
+WAIT = _Wait()
+
+_process_ids = itertools.count(1)
 
 
 class Process:
@@ -71,7 +60,7 @@ class Process:
     ----------
     generator:
         The generator driving the process.  It must yield float holds
-        and its locks' interned commands only.
+        and :data:`WAIT` only.
     name:
         Optional human-readable label used in error messages.
     """

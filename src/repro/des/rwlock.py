@@ -25,27 +25,23 @@ uncontended R grant or an R release with nobody queued pays nothing
 for it.  The wait queue itself is allocated on the first contended
 request: most locks never queue.
 
-Each lock also interns one :class:`~repro.des.process.Acquire` per mode
-(:attr:`acquire_read` / :attr:`acquire_write`); operation generators
-yield those cached instances so the steady-state command stream
-allocates nothing.  Releasing is a plain call, :meth:`RWLock.release`,
-for the process the engine is stepping (see ``docs/performance.md``,
-"Kernel hot path").
+Acquiring and releasing are plain calls for the process the engine is
+stepping: :meth:`RWLock.acquire_read` / :meth:`RWLock.acquire_write`
+return what the process yields, ``0.0`` on an immediate grant and
+:data:`~repro.des.process.WAIT` when the request queues, and
+:meth:`RWLock.release` returns nothing.  So a lock is two small objects,
+itself and the list of its R holders: it refers to nothing that refers
+back to it, and reference counting frees it as soon as its last user
+lets go (see ``docs/performance.md``, "Lean node locks").
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional, Set, Tuple, Union
+from typing import Callable, Deque, List, Optional, Tuple, Union
 
 from repro.des.engine import Simulator
-from repro.des.process import (
-    READ,
-    WRITE,
-    Acquire,
-    LockRequest,
-    Process,
-)
+from repro.des.process import READ, WAIT, WRITE, LockRequest, Process
 from repro.des.stats import RunningMean
 from repro.errors import LockProtocolError
 
@@ -56,7 +52,8 @@ class RWLock:
     Parameters
     ----------
     name:
-        Label used in error messages (the simulator uses node ids).
+        Label used in error messages (the simulator passes the node's
+        ``node_id``, an int the node already holds).
 
     The :attr:`read_waits` / :attr:`write_waits` slots (normally None)
     may hold a :class:`~repro.des.stats.RunningMean`; every R / W grant
@@ -83,21 +80,19 @@ class RWLock:
 
     __slots__ = (
         "name", "read_waits", "write_waits", "telemetry", "on_change",
-        "acquire_read", "acquire_write", "_readers", "_writer", "_queue",
-        "_queued_writers",
+        "_readers", "_writer", "_queue", "_queued_writers",
     )
 
-    def __init__(self, name: str = "") -> None:
+    def __init__(self, name: object = "") -> None:
         self.name = name
         self.read_waits: Optional[RunningMean] = None
         self.write_waits: Optional[RunningMean] = None
         self.telemetry = None
         self.on_change: Optional[Callable[[float], None]] = None
-        #: Interned commands — yield these instead of allocating an
-        #: ``Acquire`` per lock round trip.
-        self.acquire_read = Acquire(self, READ)
-        self.acquire_write = Acquire(self, WRITE)
-        self._readers: Set[Process] = set()
+        #: The R holders in grant order: a list, not a set, because it
+        #: is smaller and readers release roughly in grant order, so
+        #: ``remove`` finds them near the front.
+        self._readers: List[Process] = []
         self._writer: Optional[Process] = None
         #: The wait queue: the empty tuple until the first contended
         #: request replaces it with a deque.
@@ -139,67 +134,74 @@ class RWLock:
     # ------------------------------------------------------------------
     # Request / release protocol
     # ------------------------------------------------------------------
-    def request(self, sim: Simulator, process: Process, mode: str) -> bool:
-        """Request the lock for ``process``.
+    def acquire_read(self, sim: Simulator) -> object:
+        """Request the lock in R mode for the process ``sim`` is
+        stepping; yield the result.
 
-        Returns True and grants immediately when the lock is free for
-        ``mode`` and nobody is queued ahead; otherwise enqueues the request
-        and returns False.  Queued processes are resumed by ``release``
-        with their queueing delay as the sent value.  Every grant adds
-        its wait to the mode's accumulator slot: ``mean += (wait - mean)
-        / n``, :meth:`RunningMean.add <repro.des.stats.RunningMean.add>`
-        inlined.
+        Returns ``0.0`` — a zero hold — and grants at once when no
+        writer holds the lock and nobody is queued; otherwise queues the
+        request and returns :data:`~repro.des.process.WAIT`, and
+        :meth:`release` resumes the process with its queueing delay once
+        the lock is granted.  Every grant adds its wait to
+        :attr:`read_waits`: ``mean += (wait - mean) / n``,
+        :meth:`RunningMean.add <repro.des.stats.RunningMean.add>`
+        inlined.  Raises :class:`LockProtocolError` outside a process
+        step or if the process already holds the lock.
         """
+        process = sim.current
         readers = self._readers
-        if self._writer is process or process in readers:
-            raise LockProtocolError(
-                f"{process.name} already holds lock {self.name!r}; "
-                "re-entrant locking is not part of the protocol"
-            )
-        tel = self.telemetry
-        if not self._queue and self._writer is None \
-                and (mode == READ or not readers):
+        if process is None or self._writer is process or process in readers:
+            self._refuse(process)
+        if not self._queue and self._writer is None:
             # The uncontended grant, inlined: the common case of every
             # descent.  ``_admit`` serves the queued grants.
-            if mode == READ:
-                readers.add(process)
-                if tel is not None:
-                    tel.held_read += 1
-                    tel.grants_read += 1
-                waits = self.read_waits
-            else:
-                if self.on_change is not None:
-                    self.on_change(sim.now)
-                self._writer = process
-                if tel is not None:
-                    tel.held_write += 1
-                    tel.grants_write += 1
-                waits = self.write_waits
+            readers.append(process)
+            tel = self.telemetry
+            if tel is not None:
+                tel.held_read += 1
+                tel.grants_read += 1
+            waits = self.read_waits
             if waits is not None:
                 waits.n = n = waits.n + 1
                 waits.running += (0.0 - waits.running) / n
-            return True
-        if self.on_change is not None:
-            self.on_change(sim.now)
-        queue = self._queue
-        if queue.__class__ is tuple:
-            queue = self._queue = deque()
-        queue.append(LockRequest(process, mode, sim.now))
-        if mode == WRITE:
-            self._queued_writers += 1
-        if tel is not None:
-            tel.queued += 1
-        return False
+            return 0.0
+        return self._enqueue(sim, process, READ)
+
+    def acquire_write(self, sim: Simulator) -> object:
+        """Request the lock in W mode for the process ``sim`` is
+        stepping; yield the result.
+
+        As :meth:`acquire_read`, but the grant is immediate only when
+        the lock is free and nobody is queued, and its wait goes to
+        :attr:`write_waits`.
+        """
+        process = sim.current
+        readers = self._readers
+        if process is None or self._writer is process or process in readers:
+            self._refuse(process)
+        if not self._queue and self._writer is None and not readers:
+            if self.on_change is not None:
+                self.on_change(sim.now)
+            self._writer = process
+            tel = self.telemetry
+            if tel is not None:
+                tel.held_write += 1
+                tel.grants_write += 1
+            waits = self.write_waits
+            if waits is not None:
+                waits.n = n = waits.n + 1
+                waits.running += (0.0 - waits.running) / n
+            return 0.0
+        return self._enqueue(sim, process, WRITE)
 
     def release(self, sim: Simulator) -> None:
         """Release the hold of the process ``sim`` is stepping
         (:attr:`Simulator.current <repro.des.engine.Simulator.current>`)
         and hand the lock to queued waiters.
 
-        A release never blocks, so it is a plain call from the process
-        body rather than a command.  Raises :class:`LockProtocolError`
-        if that process does not hold the lock, or if no process is
-        being stepped.
+        A release never blocks, so there is nothing to yield.  Raises
+        :class:`LockProtocolError` if that process does not hold the
+        lock, or if no process is being stepped.
         """
         process = sim.current
         tel = self.telemetry
@@ -212,27 +214,52 @@ class RWLock:
             self._writer = None
             if tel is not None:
                 tel.held_write -= 1
-        elif process in self._readers:
-            self._readers.remove(process)
-            if tel is not None:
-                tel.held_read -= 1
         elif process is None:
             raise LockProtocolError(
                 f"lock {self.name!r} released outside a process step")
         else:
-            raise LockProtocolError(
-                f"{process.name} released lock {self.name!r} without holding it"
-            )
+            try:
+                self._readers.remove(process)
+            except ValueError:
+                raise LockProtocolError(
+                    f"{process.name} released lock {self.name!r} "
+                    "without holding it") from None
+            if tel is not None:
+                tel.held_read -= 1
         if self._queue:
             self._dispatch(sim)
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
+    def _refuse(self, process: Optional[Process]) -> None:
+        """Raise for an acquire outside a process step or by a holder."""
+        if process is None:
+            raise LockProtocolError(
+                f"lock {self.name!r} acquired outside a process step")
+        raise LockProtocolError(
+            f"{process.name} already holds lock {self.name!r}; "
+            "re-entrant locking is not part of the protocol")
+
+    def _enqueue(self, sim: Simulator, process: Process, mode: str) -> object:
+        """Queue a request that cannot be granted now; returns
+        :data:`~repro.des.process.WAIT`."""
+        if self.on_change is not None:
+            self.on_change(sim.now)
+        queue = self._queue
+        if queue.__class__ is tuple:
+            queue = self._queue = deque()
+        queue.append(LockRequest(process, mode, sim.now))
+        if mode == WRITE:
+            self._queued_writers += 1
+        if self.telemetry is not None:
+            self.telemetry.queued += 1
+        return WAIT
+
     def _admit(self, process: Process, mode: str) -> None:
         tel = self.telemetry
         if mode == READ:
-            self._readers.add(process)
+            self._readers.append(process)
             if tel is not None:
                 tel.held_read += 1
                 tel.grants_read += 1
@@ -284,15 +311,6 @@ class RWLock:
         self._queued_writers = 0
         self.read_waits = self.write_waits = None
         self.telemetry = self.on_change = None
-
-    def retire(self) -> None:
-        """Drop the interned commands once the lock is no longer used.
-
-        They refer back to the lock, so until then only the cyclic
-        garbage collector can free it; a retired lock is freed as soon
-        as its last reference goes.
-        """
-        self.acquire_read = self.acquire_write = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

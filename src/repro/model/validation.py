@@ -29,9 +29,9 @@ def measured_shape(sim_config: SimulationConfig) -> TreeShape:
     :class:`~repro.parallel.SimTask` computes this in a batch, where
     the result cache serves it on a rerun.
     """
-    tree = warm_tree(run_seeds(sim_config.seed)[0], sim_config.n_items,
-                     sim_config.order, sim_config.mix.insert_share or 1.0,
-                     sim_config.key_space)
+    tree, _levels = warm_tree(
+        run_seeds(sim_config.seed)[0], sim_config.n_items, sim_config.order,
+        sim_config.mix.insert_share or 1.0, sim_config.key_space)
     try:
         return TreeShape.from_statistics(collect_statistics(tree))
     finally:

@@ -223,9 +223,9 @@ class TelemetryRecorder:
             state = self.levels[level] = LevelState(level)
         return state
 
-    def count_node(self, level: int) -> None:
-        """Count one tree node allocated at ``level``."""
-        self._level_state(level).nodes += 1
+    def count_node(self, level: int, nodes: int = 1) -> None:
+        """Count ``nodes`` tree nodes allocated at ``level``."""
+        self._level_state(level).nodes += nodes
 
     def watch(self, lock, level: int) -> None:
         """Attach one node lock to its level's live aggregate state."""

@@ -108,11 +108,11 @@ def _reclaim(ctx: OperationContext, leaf: LeafNode) -> Generator:
     if located is None:
         return False
     parent, left = located
-    yield parent.lock.acquire_write
+    yield parent.lock.acquire_write(ctx.sim)
     yield ctx.sampler.search(parent.level)
     if left is not None:
-        yield left.lock.acquire_write
-    yield leaf.lock.acquire_write
+        yield left.lock.acquire_write(ctx.sim)
+    yield leaf.lock.acquire_write(ctx.sim)
     yield ctx.sampler.merge(1)
     removed = ctx.tree.splice_out_empty_leaf(leaf, parent, left)
     leaf.lock.release(ctx.sim)

@@ -82,14 +82,15 @@ def run_context(config: SimulationConfig, build_seed: int,
 
     Every tree level the build or the run allocates a node at gets one
     pair of lock-wait means (:meth:`MetricsCollector.waits_for_level`),
-    registered when the node is allocated (or replayed from the build),
-    so ``mean_lock_waits`` has a key for each such level even if no lock
-    there is ever used; each node lock adds its grant waits to its
-    level's pair.  ``telemetry`` counts those nodes per level the
+    registered from the tree's build levels, levels in the order the
+    build first allocated at them, and then when the run allocates a
+    node, so ``mean_lock_waits`` has a key for each such level even if
+    no lock there is ever used; each node lock adds its grant waits to
+    its level's pair.  ``telemetry`` counts those nodes per level the
     same way.  A node's lock is created on the first read of
-    ``node.lock``, named ``n{node_id}``: taken from the tree's
-    ``spare_locks`` when one is left there, else built; an idle lock
-    accrues nothing, so creating it late changes no number.  The
+    ``node.lock``, named by the node's ``node_id``: taken from the
+    tree's ``spare_locks`` when one is left there, else built; an idle
+    lock accrues nothing, so creating it late changes no number.  The
     collector samples the root's lock
     (:meth:`MetricsCollector.follow_root`), and the tree's
     ``on_root_change`` hook keeps it on the root through root splits
@@ -111,12 +112,11 @@ def run_context(config: SimulationConfig, build_seed: int,
     spare_locks: List[RWLock] = []  # the lent tree's, once it is lent
 
     def make_lock(node: Node) -> RWLock:
-        name = f"n{node.node_id}"
         if spare_locks:
             lock = spare_locks.pop()
-            lock.name = name
+            lock.name = node.node_id
         else:
-            lock = RWLock(name=name)
+            lock = RWLock(name=node.node_id)
         lock.read_waits, lock.write_waits = waits_for_level(node.level)
         if telemetry is not None:
             telemetry.watch(lock, node.level)
@@ -124,11 +124,15 @@ def run_context(config: SimulationConfig, build_seed: int,
         return lock
 
     with lock_factory(make_lock):
-        tree = warm_tree(
+        tree, build_levels = warm_tree(
             build_seed, config.n_items, config.order,
             config.mix.insert_share or 1.0, config.key_space,
             on_new_node=note_node,
         )
+        for level, nodes in build_levels:
+            waits_for_level(level)
+            if telemetry is not None:
+                telemetry.count_node(level, nodes)
         spare_locks = tree.spare_locks
         try:
             sim = Simulator()

@@ -70,7 +70,7 @@ def scan(ctx: OperationContext, low: int, high: int,
         if done or successor is None:
             break
         node = successor
-        yield node.lock.acquire_read
+        yield node.lock.acquire_read(ctx.sim)
         yield ctx.sampler.search(1)
     ctx.finish(OP_SEARCH, started)
 
@@ -106,7 +106,7 @@ def _read_descent(ctx: OperationContext, key: int,
         if node.is_leaf and stop_above_leaf:
             # Single-leaf tree or routed child: caller W-locks it.
             return node
-        yield node.lock.acquire_read
+        yield node.lock.acquire_read(ctx.sim)
         yield ctx.sampler.search(node.level)
         if not node.covers(key):
             successor = node.right
@@ -128,7 +128,7 @@ def _wlock_covering(ctx: OperationContext, node: Node, key: int) -> Generator:
     """W-lock ``node``, chasing right links until the locked node covers
     ``key``.  Returns the locked node."""
     while True:
-        yield node.lock.acquire_write
+        yield node.lock.acquire_write(ctx.sim)
         if node.covers(key):
             return node
         successor = node.right
@@ -182,7 +182,7 @@ def _locate_parent(ctx: OperationContext, level: int, separator: int,
     # Fresh partial descent from the current root down to `level`.
     node: Node = ctx.tree.root
     while node.level > level:
-        yield node.lock.acquire_read
+        yield node.lock.acquire_read(ctx.sim)
         yield ctx.sampler.search(node.level)
         if not node.covers(separator):
             successor = node.right

@@ -86,7 +86,7 @@ def _write_couple(ctx: OperationContext, node: Node, key: int,
     while not node.is_leaf:
         yield ctx.sampler.search(node.level)
         child = node.child_for(key)
-        yield child.lock.acquire_write
+        yield child.lock.acquire_write(ctx.sim)
         if child.dead:  # pragma: no cover - coupling pins children
             release_all(ctx.sim, locked)
             child.lock.release(ctx.sim)

@@ -2,14 +2,15 @@
 
 Each algorithm module exposes three generator factories — ``search``,
 ``insert``, ``delete`` — taking an :class:`OperationContext` and a key.
-The generators yield the kernel's commands, none of which allocates: a
-``float`` (hold that much simulated time) and the per-lock interned
-``lock.acquire_read`` / ``lock.acquire_write`` instances (see
-:mod:`repro.des.process`).  They release a lock with a plain call,
-``lock.release(ctx.sim)``, which never blocks.  Code between yields
-executes atomically in simulated time, so
-structural tree changes made while holding the right locks are race-free
-by construction (the same property the paper's simulator relies on).
+The generators yield what the kernel takes (see :mod:`repro.des.process`):
+a ``float`` (hold that much simulated time), and whatever a lock call
+returns, ``yield lock.acquire_read(ctx.sim)`` /
+``yield lock.acquire_write(ctx.sim)`` (``0.0`` on an immediate grant,
+else ``WAIT`` until the lock resumes them).  They release a lock with a
+plain call, ``lock.release(ctx.sim)``, which never blocks.  Code between
+yields executes atomically in simulated time, so structural tree changes
+made while holding the right locks are race-free by construction (the
+same property the paper's simulator relies on).
 
 Restart rules (the only deviations from the textbook protocols, both
 consequences of implementing the algorithms on a *growing/shrinking*
@@ -80,7 +81,7 @@ def acquire_valid_root(ctx: OperationContext, mode: str) -> Generator:
     while True:
         node = ctx.tree.root
         lock = node.lock
-        yield lock.acquire_read if read else lock.acquire_write
+        yield (lock.acquire_read if read else lock.acquire_write)(ctx.sim)
         if node is ctx.tree.root and not node.dead:
             return node
         lock.release(ctx.sim)
@@ -106,7 +107,7 @@ def coupled_read_descent(ctx: OperationContext, key: int,
     while node.level > stop_level:
         yield ctx.sampler.search(node.level)
         child = node.child_for(key)
-        yield child.lock.acquire_read
+        yield child.lock.acquire_read(ctx.sim)
         node.lock.release(ctx.sim)
         if child.dead:  # pragma: no cover - pinned by coupling; root edge only
             child.lock.release(ctx.sim)

@@ -77,7 +77,7 @@ def _optimistic_leaf_lock(ctx: OperationContext, key: int) -> Generator:
             continue
         yield ctx.sampler.search(parent.level)
         leaf = parent.child_for(key)
-        yield leaf.lock.acquire_write
+        yield leaf.lock.acquire_write(ctx.sim)
         parent.lock.release(ctx.sim)
         if leaf.dead:  # pragma: no cover - coupling pins the child
             leaf.lock.release(ctx.sim)

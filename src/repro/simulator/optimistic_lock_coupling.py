@@ -80,7 +80,7 @@ def _hybrid_descent(ctx: OperationContext, key: int,
             continue
         yield ctx.sampler.search(parent.level)
         top = parent.child_for(key)
-        yield top.lock.acquire_write
+        yield top.lock.acquire_write(ctx.sim)
         parent.lock.release(ctx.sim)
         if top.dead:  # pragma: no cover - coupling pins the child
             top.lock.release(ctx.sim)

@@ -64,7 +64,7 @@ def _full_descent(ctx: OperationContext, key: int,
             yield ctx.sampler.search(node.level)
             child = node.child_for(key)
             lock = child.lock
-            yield lock.acquire_read if read else lock.acquire_write
+            yield (lock.acquire_read if read else lock.acquire_write)(ctx.sim)
             if child.dead:  # pragma: no cover - path fully locked
                 release_all(ctx.sim, locked)
                 lock.release(ctx.sim)

@@ -87,7 +87,8 @@ def transaction_envelope(module, ctx, members: List[Tuple[str, int]],
     ordered = sorted(modes)
     for key in ordered:
         lock = table.lock_for(key)
-        yield lock.acquire_write if modes[key] else lock.acquire_read
+        yield (lock.acquire_write if modes[key] else lock.acquire_read)(
+            ctx.sim)
     locked_at = ctx.sim.now
     for op_name, key in members:
         yield from getattr(module, op_name)(ctx, key)

@@ -50,24 +50,41 @@ def _grow(make):
     return make(seen.append), seen
 
 
-def _shape(tree, nodes):
-    """Everything observable about a tree and its allocation history,
-    with nodes named by creation index instead of identity."""
+def _build_levels(nodes):
+    """``(level, count)`` pairs over ``nodes``, levels in the order they
+    first occur: what ``warm_tree`` reports for a build that allocated
+    ``nodes``."""
+    counts = {}
+    for node in nodes:
+        counts[node.level] = counts.get(node.level, 0) + 1
+    return tuple(counts.items())
+
+
+def _nodes(tree):
+    """Every node of ``tree`` (every node a run can reach), level by
+    level from the leaves, left to right."""
+    return [node for level in range(1, tree.height + 1)
+            for node in tree.level_nodes(level)]
+
+
+def _shape(tree):
+    """Everything observable about a tree, with nodes named by their
+    position in :func:`_nodes` and ``node_id`` values taken relative to
+    the smallest, so that two builds of one tree compare equal."""
+    nodes = _nodes(tree)
     index = {id(node): i for i, node in enumerate(nodes)}
+    first_id = min(node.node_id for node in nodes)
 
     def name(node):
         return None if node is None else index[id(node)]
 
-    allocation = [(node.level, list(node.keys), node.high_key, node.dead,
-                   name(node.right),
-                   [name(c) for c in getattr(node, "children", ())])
-                  for node in nodes]
-    levels = [[(list(node.keys), node.high_key)
-               for node in tree.level_nodes(level)]
-              for level in range(1, tree.height + 1)]
+    structure = [(node.node_id - first_id, node.level, list(node.keys),
+                  node.high_key, node.dead, name(node.right),
+                  [name(c) for c in getattr(node, "children", ())])
+                 for node in nodes]
     return (tree.order, len(tree), tree.height,
             tree.split_count, tree.merge_count, name(tree.root), list(tree),
-            levels, allocation)
+            structure)
 
 
 @pytest.mark.parametrize("n_items,order,insert_fraction", SHAPES)
@@ -76,16 +93,16 @@ def test_clone_equals_fresh_build(n_items, order, insert_fraction):
     fresh, fresh_nodes = _grow(lambda hook: build_tree(
         n_items, order=order, insert_fraction=insert_fraction,
         rng=random.Random(seed), on_new_node=hook))
-    expected = _shape(fresh, fresh_nodes)
+    expected = (_shape(fresh), _build_levels(fresh_nodes))
     check_invariants(fresh)
     for _ in ("miss", "hit"):
-        lease, lease_nodes = _grow(lambda hook: warm_tree(
-            seed, n_items, order, insert_fraction,
-            builder.DEFAULT_KEY_SPACE, on_new_node=hook))
+        seen = []
+        lease, levels = warm_tree(seed, n_items, order, insert_fraction,
+                                  builder.DEFAULT_KEY_SPACE,
+                                  on_new_node=seen.append)
         check_invariants(lease)
-        assert _shape(lease, lease_nodes) == expected
-        ids = [node.node_id for node in lease_nodes]
-        assert ids == list(range(ids[0], ids[0] + len(ids)))
+        assert (_shape(lease), levels) == expected
+        assert seen == []  # the hook is the loan's: no build node replayed
         lease.rollback()
 
 
@@ -94,10 +111,13 @@ def test_returned_lease_leaves_template_as_built():
     fresh, fresh_nodes = _grow(lambda hook: build_tree(
         800, order=4, insert_fraction=0.6, key_space=1 << 20,
         rng=random.Random(3), on_new_node=hook))
-    expected = _shape(fresh, fresh_nodes)
-    first, first_nodes = _grow(lambda hook: warm_tree(*args, on_new_node=hook))
-    _key, template, template_nodes = builder._last
-    assert first is template and first_nodes == template_nodes
+    expected = _shape(fresh)
+    loaned = []
+    first, levels = warm_tree(*args, on_new_node=loaned.append)
+    _key, template, memo_levels = builder._last
+    assert first is template and levels is memo_levels
+    assert levels == _build_levels(fresh_nodes)
+    template_nodes = _nodes(template)
     keys_before = {node: node.keys for node in template_nodes}
     # Mutating the lease changes the template until the lease is returned.
     for key in list(first)[::2]:
@@ -105,20 +125,23 @@ def test_returned_lease_leaves_template_as_built():
     for key in range(0, 1 << 20, 997):
         first.insert(key)
     assert list(first) != list(fresh)
+    # The hook saw the nodes the loan allocated, and only those.
+    assert loaned and not {id(node) for node in loaned} & {
+        id(node) for node in template_nodes}
     first.rollback()
-    assert _shape(template, template_nodes) == expected
+    assert template.on_new_node is None
+    assert _shape(template) == expected
     assert all(node.lock is None for node in template_nodes)
     # Only the nodes the mutation wrote were copied.
     copied = [node for node in template_nodes
               if node.keys is not keys_before[node]]
     assert 0 < len(copied) < len(template_nodes)
     # A lease that is never returned is rolled back by the next call.
-    unreturned = warm_tree(*args)
+    unreturned, _levels = warm_tree(*args)
     for key in list(unreturned)[::3]:
         unreturned.delete(key)
-    second, second_nodes = _grow(lambda hook: warm_tree(*args,
-                                                        on_new_node=hook))
-    assert _shape(second, second_nodes) == expected
+    second, _levels = warm_tree(*args)
+    assert _shape(second) == expected
     second.rollback()
 
 
@@ -144,10 +167,13 @@ def test_same_seed_runs_identical_after_mutating_run(build_calls):
 
 def _fresh_build(build_seed, n_items, order, insert_fraction, key_space,
                  on_new_node=None):
-    """``warm_tree`` without the memo: the reference it must match."""
-    return build_tree(n_items, order=order, insert_fraction=insert_fraction,
+    """``warm_tree`` without the memo: the reference it must match. The hook sees
+    the build's nodes as it allocates them, so no build levels are left
+    to register."""
+    tree = build_tree(n_items, order=order, insert_fraction=insert_fraction,
                       key_space=key_space,
                       rng=random.Random(build_seed), on_new_node=on_new_node)
+    return tree, ()
 
 
 def test_telemetry_identical_on_hit_and_miss(monkeypatch):
@@ -167,8 +193,9 @@ def test_telemetry_identical_on_hit_and_miss(monkeypatch):
         patch.setattr(driver, "warm_tree", _fresh_build)
         expected = telemetry()
     assert telemetry() == expected  # miss
-    _key, _template, nodes = builder._last
-    assert any(node.dead for node in nodes)
+    _key, template, levels = builder._last
+    # The build freed nodes: it allocated more than the tree holds.
+    assert sum(count for _level, count in levels) > len(_nodes(template))
     assert telemetry() == expected  # hit
 
 
@@ -188,11 +215,12 @@ def test_failed_run_leaves_template_as_built(monkeypatch):
         patch.setattr(BPlusTree, "complete_split", split_then_fail)
         with pytest.raises(RuntimeError, match="injected"):
             run_simulation(config)
-    key, template, nodes = builder._last
-    fresh, fresh_nodes = _grow(lambda hook: _fresh_build(*key,
-                                                         on_new_node=hook))
-    assert _shape(template, nodes) == _shape(fresh, fresh_nodes)
-    assert all(node.lock is None for node in nodes)
+    key, template, levels = builder._last
+    fresh, fresh_nodes = _grow(lambda hook: _fresh_build(
+        *key, on_new_node=hook)[0])
+    assert _shape(template) == _shape(fresh)
+    assert levels == _build_levels(fresh_nodes)
+    assert all(node.lock is None for node in _nodes(template))
     assert repr(run_simulation(config)) == expected
 
 
@@ -207,10 +235,10 @@ def test_small_run_locks_only_the_nodes_it_reaches(monkeypatch):
     monkeypatch.setattr(driver, "RWLock", CountingLock)
     run_simulation(_run_config(n_items=3_000, n_operations=50,
                                warmup_operations=5))
-    _key, template, nodes = builder._last
-    assert 0 < len(locks) < len(nodes) / 2
+    _key, template, levels = builder._last
+    assert 0 < len(locks) < sum(count for _level, count in levels) / 2
     assert len({lock.name for lock in locks}) == len(locks)
-    assert all(node.lock is None for node in nodes)
+    assert all(node.lock is None for node in _nodes(template))
 
 
 def test_memo_hit_allocates_only_the_nodes_the_run_creates(monkeypatch):
@@ -225,11 +253,12 @@ def test_memo_hit_allocates_only_the_nodes_the_run_creates(monkeypatch):
         patch.setattr(driver, "warm_tree", _fresh_build)
         fresh_count, fresh = allocations()
     run_simulation(config)  # miss: grows the template
-    _key, _template, nodes = builder._last
+    _key, _template, levels = builder._last
     hit_count, hit = allocations()
     assert repr(hit) == repr(fresh)
     assert hit.splits > 0
-    assert hit_count == fresh_count - len(nodes) > 0
+    built = sum(count for _level, count in levels)
+    assert hit_count == fresh_count - built > 0
 
 
 def _eager_build(*args, on_new_node=None):
@@ -263,10 +292,10 @@ def test_lazy_locks_match_eager_locks_after_height_shrank(monkeypatch,
         expected, expected_telemetry = run()
     for _ in ("miss", "hit"):
         result, telemetry = run()
-        _key, template, nodes = builder._last
-        assert max(node.level for node in nodes) > template.height
-        assert max(result.mean_lock_waits) == max(node.level
-                                                  for node in nodes)
+        _key, template, levels = builder._last
+        top = max(level for level, _count in levels)
+        assert top > template.height
+        assert max(result.mean_lock_waits) == top
         assert repr(result) == repr(expected)
         # Level node counts include nodes no lock was created for.
         assert telemetry == expected_telemetry

@@ -277,7 +277,7 @@ def test_lock_protocol_through_engine():
     waits = {}
 
     def writer(name, hold):
-        waits[name] = yield lock.acquire_write
+        waits[name] = yield lock.acquire_write(sim)
         yield hold
         lock.release(sim)
 
@@ -294,12 +294,12 @@ def test_reader_wait_value_sent_back():
     observed = []
 
     def writer():
-        yield lock.acquire_write
+        yield lock.acquire_write(sim)
         yield 3.0
         lock.release(sim)
 
     def reader():
-        wait = yield lock.acquire_read
+        wait = yield lock.acquire_read(sim)
         observed.append((sim.now, wait))
         lock.release(sim)
 
@@ -345,13 +345,13 @@ def _counted_workload(sim, call_at, action=lambda: None):
     lock = RWLock("counted")
 
     def writer(first_hold):
-        yield lock.acquire_write
+        yield lock.acquire_write(sim)
         yield first_hold
         lock.release(sim)
         yield 1.0
 
     def late_writer():
-        yield lock.acquire_write
+        yield lock.acquire_write(sim)
         yield 1.0
         lock.release(sim)
         yield 0.0

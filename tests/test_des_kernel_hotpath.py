@@ -1,7 +1,8 @@
 """Regression tests for the allocation-free kernel hot path.
 
 Three layers of protection for the hot-path rewrite (one heap record
-kind, interned commands, float holds, O(1) writer-waiting counter):
+kind, float holds and ``WAIT`` as the only yields, lock calls, O(1)
+writer-waiting counter):
 
 * **Golden-seed determinism** — full simulator runs hashed against
   fingerprints captured when the rewrite was proven byte-identical to
@@ -9,7 +10,7 @@ kind, interned commands, float holds, O(1) writer-waiting counter):
   consumption, or result contents shows up here (and must be paired
   with a ``CODE_SALT`` bump in ``repro.parallel.cache``).
 * **Scheduling paths** — the heap record as a process start and as a
-  resume carrying a value, and every command the step loop accepts,
+  resume carrying a value, and both values the step loop accepts,
   including the error paths.
 * **Equivalence checks** — the maintained queued-writer counter vs a
   direct queue scan.
@@ -21,7 +22,7 @@ import hashlib
 import pytest
 
 from repro.algorithms import all_algorithms
-from repro.des import Acquire, READ, RWLock, Simulator, WRITE
+from repro.des import WAIT, RWLock, Simulator, WRITE
 from repro.errors import ProcessError
 from repro.obs import (LevelState, TelemetryOptions, TelemetryRecorder,
                        dumps_ndjson)
@@ -228,46 +229,68 @@ def test_stop_interrupts_run(call_at):
 
 
 # ----------------------------------------------------------------------
-# Interned commands
+# Lock calls
 # ----------------------------------------------------------------------
-def test_lock_interns_one_command_per_mode():
+def test_acquire_returns_a_zero_hold_or_wait():
+    sim = Simulator()
     lock = RWLock("n")
-    assert lock.acquire_read is lock.acquire_read
-    for command, cls, mode in ((lock.acquire_read, Acquire, READ),
-                               (lock.acquire_write, Acquire, WRITE)):
-        assert command.__class__ is cls
-        assert command.lock is lock and command.mode == mode
-    # Releasing is a plain call, not a command: nothing to intern.
-    assert not hasattr(lock, "release_cmd")
+    returned = []
+
+    def holder():
+        returned.append(lock.acquire_write(sim))
+        yield 1.0
+        lock.release(sim)
+
+    def waiter():
+        returned.append(lock.acquire_read(sim))
+        yield WAIT
+
+    sim.spawn(holder())
+    sim.spawn(waiter(), delay=0.5)
+    sim.run(until=0.75)
+    # The immediate grant is a float zero hold, the queued request WAIT.
+    assert returned == [0.0, WAIT] and returned[0].__class__ is float
+    assert lock.queue_length == 1
+    # The lock calls replace the request method and the command objects.
+    assert not hasattr(RWLock, "request") and not hasattr(lock, "retire")
 
 
-def test_interned_and_allocated_commands_equivalent():
-    def worker(sim, lock, interned, log):
-        if interned:
-            wait = yield lock.acquire_write
-            yield 1.0
-            lock.release(sim)
-        else:
-            wait = yield Acquire(lock, WRITE)
-            yield 1.0
-            lock.release(sim)
+def test_grants_send_their_wait_back_and_park_costs_no_event():
+    sim = Simulator()
+    lock = RWLock("n")
+    lock.telemetry = state = LevelState(0)
+    log = []
+
+    def worker():
+        wait = yield lock.acquire_write(sim)
+        yield 1.0
+        lock.release(sim)
         log.append((sim.now, wait))
 
-    outcomes = []
-    for interned in (True, False):
-        sim = Simulator()
-        lock = RWLock("n")
-        lock.telemetry = state = LevelState(0)
-        log = []
-        sim.spawn(worker(sim, lock, interned, log))
-        sim.spawn(worker(sim, lock, interned, log))
-        end = sim.run()
-        outcomes.append((end, log, state.grants_write))
-    assert outcomes[0] == outcomes[1]
-    end, log, grants = outcomes[0]
-    assert end == 2.0
-    assert grants == 2
+    sim.spawn(worker())
+    sim.spawn(worker())
+    assert sim.run() == 2.0
+    assert state.grants_write == 2
+    # The first grant's zero hold sends 0.0 back; the second worker
+    # parks on WAIT and the release resumes it with its wait.
     assert log == [(1.0, 0.0), (2.0, 1.0)]
+    # Two starts, two hold ends and one resume: parking adds no event.
+    assert sim.events_executed == 5
+
+
+def test_parked_process_waits_for_resume(call_at):
+    sim = Simulator()
+    got = []
+
+    def sleeper():
+        got.append((yield WAIT))
+        got.append(sim.now)
+
+    proc = sim.spawn(sleeper())
+    assert sim.run() == 0.0 and got == [] and not proc.done
+    call_at(sim, 3.0, lambda: sim.resume(proc, "wake"))
+    sim.run()
+    assert got == ["wake", 3.0] and proc.done
 
 
 # ----------------------------------------------------------------------
@@ -283,19 +306,19 @@ def test_writer_waiting_counter_tracks_queue(call_at):
         assert lock.writer_waiting() == actual == expected
 
     def holder():
-        yield lock.acquire_write
+        yield lock.acquire_write(sim)
         scan(False)
         yield 5.0
         lock.release(sim)
 
     def reader():
         yield 1.0
-        yield lock.acquire_read
+        yield lock.acquire_read(sim)
         lock.release(sim)
 
     def writer():
         yield 2.0
-        yield lock.acquire_write
+        yield lock.acquire_write(sim)
         lock.release(sim)
 
     sim.spawn(holder())
@@ -313,7 +336,7 @@ def test_writer_waiting_counter_many_writers(call_at):
     lock = RWLock("counted")
 
     def writer(duration):
-        yield lock.acquire_write
+        yield lock.acquire_write(sim)
         yield duration
         lock.release(sim)
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.des import READ, RWLock, RunningMean, Simulator, WRITE
+from repro.des import READ, RWLock, RunningMean, Simulator, WAIT, WRITE
 from repro.errors import LockProtocolError
 from repro.obs import LevelState
 
@@ -22,7 +22,7 @@ def test_readers_share():
     concurrent = []
 
     def reader(hold):
-        yield lock.acquire_read
+        yield lock.acquire_read(sim)
         concurrent.append(len(lock.readers))
         yield hold
         lock.release(sim)
@@ -41,7 +41,7 @@ def test_writer_excludes_writer():
     overlap = []
 
     def writer(name):
-        yield lock.acquire_write
+        yield lock.acquire_write(sim)
         overlap.append(list(active))
         active.append(name)
         yield 1.0
@@ -60,14 +60,14 @@ def test_writer_excludes_readers():
     trace = []
 
     def writer():
-        yield lock.acquire_write
+        yield lock.acquire_write(sim)
         trace.append(("w-in", sim.now))
         yield 5.0
         trace.append(("w-out", sim.now))
         lock.release(sim)
 
     def reader():
-        yield lock.acquire_read
+        yield lock.acquire_read(sim)
         trace.append(("r-in", sim.now))
         lock.release(sim)
 
@@ -85,18 +85,18 @@ def test_fcfs_reader_does_not_overtake_queued_writer():
     grants = []
 
     def holder():
-        yield lock.acquire_read
+        yield lock.acquire_read(sim)
         yield 4.0
         lock.release(sim)
 
     def writer():
-        yield lock.acquire_write
+        yield lock.acquire_write(sim)
         grants.append(("w", sim.now))
         yield 1.0
         lock.release(sim)
 
     def late_reader():
-        yield lock.acquire_read
+        yield lock.acquire_read(sim)
         grants.append(("r", sim.now))
         lock.release(sim)
 
@@ -113,12 +113,12 @@ def test_consecutive_readers_granted_together():
     grants = []
 
     def writer():
-        yield lock.acquire_write
+        yield lock.acquire_write(sim)
         yield 3.0
         lock.release(sim)
 
     def reader(name):
-        yield lock.acquire_read
+        yield lock.acquire_read(sim)
         grants.append((name, sim.now))
         yield 1.0
         lock.release(sim)
@@ -148,12 +148,12 @@ def test_release_by_a_process_that_does_not_hold_it_raises():
     lock = RWLock("taken")
 
     def holder():
-        yield lock.acquire_write
+        yield lock.acquire_write(sim)
         yield 5.0
         lock.release(sim)
 
     def reader_holder():
-        yield lock.acquire_read
+        yield lock.acquire_read(sim)
         yield 5.0
 
     def intruder():
@@ -182,7 +182,7 @@ def test_release_outside_a_step_raises():
         lock.release(sim)  # free lock, no process stepped
 
     def holder():
-        yield lock.acquire_write
+        yield lock.acquire_write(sim)
         yield 5.0
 
     sim.spawn(holder())
@@ -196,7 +196,7 @@ def test_release_outside_a_step_raises():
     lock = RWLock("read-held")
 
     def reader():
-        yield lock.acquire_read
+        yield lock.acquire_read(sim)
         yield 5.0
 
     sim.spawn(reader())
@@ -211,8 +211,8 @@ def test_reentrant_request_raises():
     lock = RWLock()
 
     def bad():
-        yield lock.acquire_read
-        yield lock.acquire_read
+        yield lock.acquire_read(sim)
+        yield lock.acquire_read(sim)
 
     sim.spawn(bad())
     with pytest.raises(LockProtocolError):
@@ -229,13 +229,15 @@ def test_holds_reports_mode_via_direct_api():
     lock = RWLock()
     reader = Process(idle(), name="r")
     writer = Process(idle(), name="w")
-    assert lock.request(sim, reader, READ) is True
+    sim.current = reader  # what the engine sets while stepping ``reader``
+    assert lock.acquire_read(sim) == 0.0  # granted
     assert lock.holds(reader) == READ
-    assert lock.request(sim, writer, WRITE) is False  # queued
+    sim.current = writer
+    assert lock.acquire_write(sim) is WAIT  # queued
     assert lock.holds(writer) is None
     assert lock.queue_length == 1
     assert lock.writer_waiting()
-    sim.current = reader  # what the engine sets while stepping ``reader``
+    sim.current = reader
     lock.release(sim)
     assert lock.holds(writer) == WRITE
     assert lock.writer is writer
@@ -252,12 +254,12 @@ def test_grant_waits_reach_generator_and_running_means():
     calls = []
 
     def writer():
-        calls.append((WRITE, round((yield lock.acquire_write), 9)))
+        calls.append((WRITE, round((yield lock.acquire_write(sim)), 9)))
         yield 2.0
         lock.release(sim)
 
     def reader():
-        calls.append((READ, round((yield lock.acquire_read), 9)))
+        calls.append((READ, round((yield lock.acquire_read(sim)), 9)))
         lock.release(sim)
 
     sim.spawn(writer())
@@ -282,12 +284,12 @@ def test_writer_presence_accounting(call_at):
                           lock.writer is not None or lock.writer_waiting()))
 
     def writer():
-        yield lock.acquire_write
+        yield lock.acquire_write(sim)
         yield 4.0
         lock.release(sim)
 
     def reader():
-        yield lock.acquire_read
+        yield lock.acquire_read(sim)
         yield 2.0
         lock.release(sim)
 
@@ -308,7 +310,7 @@ def test_grant_counters():
     lock.telemetry = state = LevelState(0)
 
     def reader():
-        yield lock.acquire_read
+        yield lock.acquire_read(sim)
         lock.release(sim)
 
     for i in range(5):

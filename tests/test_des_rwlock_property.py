@@ -39,7 +39,8 @@ def _execute(schedule):
 
     def customer(index, mode, hold):
         requested = sim.now
-        wait = yield (lock.acquire_read if mode == READ else lock.acquire_write)
+        wait = yield (lock.acquire_read if mode == READ
+                      else lock.acquire_write)(sim)
         granted = sim.now
         holders_now = (len(lock.readers), lock.writer is not None)
         yield hold
@@ -121,7 +122,7 @@ def test_accounting_consistent(schedule):
 
     def customer(mode, hold):
         wait = yield (lock.acquire_read if mode == READ
-                      else lock.acquire_write)
+                      else lock.acquire_write)(sim)
         waits.append((mode, wait))
         yield hold
         lock.release(sim)

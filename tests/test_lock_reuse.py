@@ -1,9 +1,11 @@
 """Node locks outlive a run, but not their warm-up template.
 
 At the end of a run its locks are reset and kept in the tree's
-``spare_locks`` for the next run on the same template; ``warm_tree``
-retires them before it grows another tree.  A lock allocates its wait queue on its first contended request.  None of
-this may leak state from one run into the next.
+``spare_locks`` for the next run on the same template; when
+``warm_tree`` grows another tree, reference counting frees the old
+template and its locks.  A lock allocates its wait queue on its first
+contended request.  None of this may leak state from one run into the
+next.
 """
 
 import gc
@@ -16,7 +18,7 @@ import pytest
 
 import repro.btree.builder as builder
 from repro.btree.builder import build_tree
-from repro.des import READ, WRITE, RWLock, Simulator
+from repro.des import READ, WAIT, WRITE, RWLock, Simulator
 from repro.simulator import SimulationConfig, driver, run_simulation
 from repro.simulator.closed import run_closed_simulation
 
@@ -28,10 +30,13 @@ def empty_memo(monkeypatch):
 
 def _fresh_build(build_seed, n_items, order, insert_fraction, key_space,
                  on_new_node=None):
-    """``warm_tree`` without the memo."""
-    return build_tree(n_items, order=order, insert_fraction=insert_fraction,
+    """``warm_tree`` without the memo. The hook sees
+    the build's nodes as it allocates them, so no build levels are left
+    to register."""
+    tree = build_tree(n_items, order=order, insert_fraction=insert_fraction,
                       key_space=key_space,
                       rng=random.Random(build_seed), on_new_node=on_new_node)
+    return tree, ()
 
 
 def _config(**overrides):
@@ -50,34 +55,43 @@ OVERFLOWING = dict(arrival_rate=3.0, max_population=30, warmup_operations=5)
 @pytest.fixture
 def lock_events(monkeypatch):
     """Record each lock's state just before it is reset, and every lock
-    a request ever found contended."""
+    an acquire ever found contended."""
     before_reset, contended = [], set()
-    reset, request = RWLock.reset, RWLock.request
+    reset = RWLock.reset
 
     def recording_reset(lock):
         before_reset.append((lock, len(lock.readers), lock.writer,
                              lock.queue_length, lock._queue))
         reset(lock)
 
-    def recording_request(lock, sim, process, mode):
-        granted = request(lock, sim, process, mode)
-        if not granted:
-            contended.add(lock)
-        return granted
+    def recording(acquire):
+        def call(lock, sim):
+            result = acquire(lock, sim)
+            if result is WAIT:
+                contended.add(lock)
+            return result
+        return call
 
     monkeypatch.setattr(RWLock, "reset", recording_reset)
-    monkeypatch.setattr(RWLock, "request", recording_request)
+    for name in ("acquire_read", "acquire_write"):
+        monkeypatch.setattr(RWLock, name, recording(getattr(RWLock, name)))
     return before_reset, contended
 
 
 def _spare_locks():
-    _key, template, _nodes = builder._last
+    _key, template, _levels = builder._last
     return template.spare_locks
 
 
+def _nodes(tree):
+    """Every node of ``tree`` (every node a run can reach)."""
+    return [node for level in range(1, tree.height + 1)
+            for node in tree.level_nodes(level)]
+
+
 def _assert_template_clean():
-    _key, template, nodes = builder._last
-    assert all(node.lock is None for node in nodes)
+    _key, template, _levels = builder._last
+    assert all(node.lock is None for node in _nodes(template))
     assert template.spare_locks
     for lock in template.spare_locks:
         assert lock.readers == frozenset() and lock.writer is None
@@ -85,7 +99,6 @@ def _assert_template_clean():
         assert lock.read_waits is None and lock.write_waits is None
         assert lock.telemetry is None
         assert lock.on_change is None
-        assert lock.acquire_read is not None  # reset, not retired
 
 
 def test_run_after_overflow_with_held_locks_is_unaffected(monkeypatch,
@@ -159,7 +172,8 @@ def test_pooled_locks_are_reused_renamed_and_rebound(monkeypatch,
         {id(lock) for lock in built}
     assert len(collectors) == 2
     for run, collector in zip((first_made, made_locks), collectors):
-        assert all(name == f"n{node.node_id}" for node, _lock, name, _ in run)
+        # Named by the node's own id object: nothing new is allocated.
+        assert all(name is node.node_id for node, _lock, name, _ in run)
         # Each lock is bound to its level's wait means in this run's
         # collector, never to the previous run's.
         for node, _lock, _name, (read, write) in run:
@@ -168,17 +182,18 @@ def test_pooled_locks_are_reused_renamed_and_rebound(monkeypatch,
     assert collectors[0] is not collectors[1]
 
 
-def test_run_on_another_tree_retires_the_pool():
+def test_run_on_another_tree_builds_a_new_pool():
     run_simulation(_config())
-    _key, old_template, _nodes = builder._last
-    old = list(old_template.spare_locks)
-    assert old and all(lock.acquire_read is not None for lock in old)
+    _key, old_template, _levels = builder._last
+    old = list(old_template.spare_locks)  # kept alive: ids stay unique
+    assert old
     run_simulation(_config(seed=22))  # another build seed, another tree
-    assert all(lock.acquire_read is None and lock.acquire_write is None
-               for lock in old)
-    assert old_template.spare_locks == []
+    assert _spare_locks()
     assert not {id(lock) for lock in old} & {
         id(lock) for lock in _spare_locks()}
+    # Nothing touches the old pool: it goes when its template goes
+    # (tests/test_lock_footprint.py).
+    assert old_template.spare_locks == old
 
 
 @pytest.mark.parametrize("stopped_run", [
@@ -217,7 +232,7 @@ def test_queue_is_allocated_on_first_contended_request():
     log = []
 
     def holder(mode, hold):
-        yield lock.acquire_write if mode == WRITE else lock.acquire_read
+        yield (lock.acquire_write if mode == WRITE else lock.acquire_read)(sim)
         log.append(lock._queue)
         yield hold
         lock.release(sim)

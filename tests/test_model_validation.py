@@ -32,10 +32,10 @@ class TestMeasuredModelConfig:
         """The measured tree is the one ``warm_tree`` lends the runs of
         ``quick_config``: grown from the run's derived build seed, not
         from the configuration's seed itself."""
-        tree = warm_tree(run_seeds(quick_config.seed)[0],
-                         quick_config.n_items, quick_config.order,
-                         quick_config.mix.insert_share,
-                         quick_config.key_space)
+        tree, _levels = warm_tree(run_seeds(quick_config.seed)[0],
+                                  quick_config.n_items, quick_config.order,
+                                  quick_config.mix.insert_share,
+                                  quick_config.key_space)
         try:
             lent = TreeShape.from_statistics(collect_statistics(tree))
         finally:

@@ -15,8 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des import READ, WRITE, Acquire, RunningMean, RunningStats, \
-    RWLock, Simulator
+from repro.des import READ, WRITE, RunningMean, RunningStats, RWLock, \
+    Simulator
 from repro.simulator import SimulationConfig, driver, run_simulation
 from repro.simulator.closed import run_closed_simulation
 from repro.simulator.metrics import MetricsCollector
@@ -81,15 +81,16 @@ def test_reset_forgets_everything():
 class Capturing:
     """A process body that steps ``generator`` unchanged and appends one
     ``(waits, mode, wait, requested_at, granted_at)`` record per lock
-    grant to ``sink``.  The wait is the value the engine sends back for
-    the generator's ``Acquire``; ``waits`` is the lock's ``(read_waits,
-    write_waits)`` pair, which names its tree level (a run's end unbinds
-    its locks)."""
+    grant to ``sink``.  The wait is the value the engine sends back
+    after the generator's lock call; ``waits`` is the lock's
+    ``(read_waits, write_waits)`` pair, which names its tree level (a
+    run's end unbinds its locks)."""
 
     def __init__(self, generator, sink, sim):
         self.generator, self.sink, self.sim = generator, sink, sim
-        #: The record of the ``Acquire`` that is out, but for the wait.
-        self.pending = None
+        #: The record of the lock call made in the current step, and of
+        #: the one whose wait is out, but for the wait.
+        self.requested = self.pending = None
 
     def deliver(self, wait):
         waits, mode, requested_at = self.pending
@@ -100,10 +101,9 @@ class Capturing:
         if self.pending is not None:
             self.deliver(value)
         command = self.generator.send(value)
-        if command.__class__ is Acquire:
-            lock = command.lock
-            self.pending = ((lock.read_waits, lock.write_waits),
-                            command.mode, self.sim.now)
+        # A lock call is the last thing a generator does before it
+        # yields the call's result.
+        self.pending, self.requested = self.requested, None
         return command
 
 
@@ -117,6 +117,19 @@ def capture(monkeypatch):
     whose process the stopped run never resumed is captured from the
     wait its resume event carries."""
     runs = []
+
+    def noting(acquire, mode):
+        def call(lock, sim):
+            body = sim.current.generator
+            body.requested = ((lock.read_waits, lock.write_waits), mode,
+                              sim.now)
+            return acquire(lock, sim)
+        return call
+
+    monkeypatch.setattr(RWLock, "acquire_read",
+                        noting(RWLock.acquire_read, READ))
+    monkeypatch.setattr(RWLock, "acquire_write",
+                        noting(RWLock.acquire_write, WRITE))
 
     class CapturingSimulator(Simulator):
         def spawn(self, generator, *args, **kwargs):
@@ -218,13 +231,13 @@ def test_window_counts_grants_inside_it_only():
     collector.root_lock = lock
 
     def holder():
-        yield lock.acquire_write          # t=0: granted before the window
+        yield lock.acquire_write(sim)     # t=0: granted before the window
         yield 2.0
         lock.release(sim)                 # t=2: grants the queued reader
 
     def early_reader():
         yield 1.0
-        yield lock.acquire_read           # t=1: queued before the window
+        yield lock.acquire_read(sim)      # t=1: queued before the window
         lock.release(sim)
 
     def opener():
