@@ -40,7 +40,8 @@ and ``--jobs N`` fans that batch out over ``N`` worker processes (the
 default, 1, is serial); results are bit-identical either way.  See
 ``docs/performance.md``.
 
-``--progress`` streams one line per completed run to stderr;
+``--progress`` streams one line per completed run to stderr (on
+``figures`` with a cache, then one line of the cache's counters);
 ``simulate`` runs one configuration under full telemetry and
 ``--metrics-out PATH`` exports it as NDJSON (``docs/observability.md``).
 
@@ -373,6 +374,7 @@ def _figures(args) -> int:
     report = result.report
     print(f"{len(result.figures)} figure(s) -> {result.out_dir}; "
           f"report: {result.report_markdown}")
+    status = 0
     if not report.passed:
         for breach in report.breaches:
             print(f"BREACH {breach.figure_id} {breach.quantity} "
@@ -383,8 +385,12 @@ def _figures(args) -> int:
         for claim in report.failed_claims:
             print(f"CLAIM FAILED {claim.claim_id}: {claim.measured}",
                   file=sys.stderr)
-        return 1
-    return 0
+        status = 1
+    if log is not None and cache is not None:
+        stats = cache.stats
+        log(f"figures cache: {stats.hits} hits, {stats.misses} misses, "
+            f"{stats.stores} stores, {stats.errors} errors")
+    return status
 
 
 def _cluster(args) -> int:

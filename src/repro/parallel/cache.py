@@ -46,6 +46,7 @@ import tempfile
 from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
+from repro.errors import ConfigurationError
 from repro.simulator.metrics import SimulationResult
 
 #: Code-version salt folded into every cache key.  Bump it whenever a
@@ -161,6 +162,15 @@ class ResultCache:
                  salt: str = CODE_SALT) -> None:
         self.directory = Path(directory) if directory is not None \
             else default_cache_dir()
+        # A file where the directory (or one of its parents) should be
+        # would only fail at the first store, after a task has run.
+        for path in (self.directory, *self.directory.parents):
+            if path.exists():
+                if not path.is_dir():
+                    raise ConfigurationError(
+                        f"result cache directory {str(self.directory)!r} "
+                        f"is unusable: {str(path)!r} is not a directory")
+                break
         self.salt = salt
         self.stats = CacheStats()
 

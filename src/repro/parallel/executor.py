@@ -15,6 +15,9 @@ one of the model's capacity searches.
    ``ProcessPoolExecutor`` via the top-level picklable :func:`execute_task`;
 3. store fresh results back and return them **in task order**.
 
+``concurrent.futures`` and ``multiprocessing`` are imported only when a
+batch starts a pool, so a serial run never loads them.
+
 Determinism contract: for a fixed task list, the returned list is
 identical whatever ``jobs`` is and whatever mixture of cache hits and
 recomputes served it.
@@ -42,8 +45,6 @@ from __future__ import annotations
 
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass
 from typing import (
     TYPE_CHECKING,
@@ -392,6 +393,13 @@ class _Batch:
         """Run one pool until the queue drains or the pool must be
         rebuilt (worker death / expired deadline).  Returns True when a
         rebuild is needed; unfinished tasks are already requeued."""
+        # The pool stack (multiprocessing, and with it socket and
+        # subprocess) is imported where a pool starts, so a serial run
+        # never loads it.
+        from concurrent.futures import FIRST_COMPLETED, \
+            ProcessPoolExecutor, wait
+        from concurrent.futures.process import BrokenProcessPool
+
         workers = min(self.n_jobs, max(len(queue), 1))
         pool = ProcessPoolExecutor(max_workers=workers)
         futures: Dict[Any, int] = {}
@@ -463,6 +471,8 @@ class _Batch:
 
         A ``BrokenProcessPool`` from ``pool.submit`` propagates, with
         the unsubmitted task back at the front of the queue."""
+        from concurrent.futures.process import BrokenProcessPool
+
         limit = 1 if self.suspects else workers
         now = time.monotonic()
         for _ in range(len(queue)):

@@ -56,7 +56,7 @@ number and simulated time, never off wall-clock timing or randomness.
 
 from __future__ import annotations
 
-import multiprocessing
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -130,6 +130,20 @@ class FaultSpec:
         if self.kind in SIMULATION_KINDS and self.task_index is None:
             raise ConfigurationError(
                 f"{self.kind} faults need a task_index naming the shard")
+        if self.task_index is not None and self.task_index < 0:
+            raise ConfigurationError(
+                f"fault task index must be >= 0, got {self.task_index}")
+        if self.attempts is not None and any(a < 0 for a in self.attempts):
+            raise ConfigurationError(
+                f"fault attempts must be >= 0, got {self.attempts}")
+        # NaN passes every range check below, so finiteness comes first.
+        for what, value in (("stall seconds", self.seconds),
+                            ("fault start time", self.at),
+                            ("fault duration", self.duration),
+                            ("fault factor", self.factor)):
+            if not math.isfinite(value):
+                raise ConfigurationError(
+                    f"{what} must be finite, got {value}")
         if self.seconds < 0:
             raise ConfigurationError(
                 f"stall seconds must be >= 0, got {self.seconds}")
@@ -268,9 +282,13 @@ def _parse_spec(chunk: str) -> FaultSpec:
             duration = window
         else:
             seconds = window
-    return FaultSpec(kind=chunk, task_index=index, attempts=attempts,
-                     seconds=seconds, at=at,
-                     duration=duration, factor=factor)
+    try:
+        return FaultSpec(kind=chunk, task_index=index, attempts=attempts,
+                         seconds=seconds, at=at,
+                         duration=duration, factor=factor)
+    except ConfigurationError as error:
+        raise ConfigurationError(
+            f"fault spec {original!r}: {error}") from None
 
 
 def _parse_int(text: str, original: str, what: str) -> int:
@@ -313,6 +331,9 @@ def apply_worker_faults(specs: Tuple[FaultSpec, ...]) -> None:
             time.sleep(spec.seconds)
     for spec in specs:
         if spec.kind == KILL_WORKER:
+            # A pool worker has multiprocessing loaded already; importing
+            # it here keeps it out of a serial run.
+            import multiprocessing
             if multiprocessing.parent_process() is not None:
                 os._exit(KILL_EXIT_CODE)
             raise InjectedFaultError(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+import re
 
 import pytest
 
@@ -286,6 +287,15 @@ class TestResultCache:
         assert fresh.stats.stores == 1
         assert ResultCache(tmp_path).get(key) == expected
 
+    @pytest.mark.parametrize("below", [(), ("sub",)])
+    def test_file_in_place_of_directory_is_refused(self, tmp_path, below):
+        # Refused when the cache is built, not at its first store after
+        # a task has already run.
+        blocker = tmp_path / "cache"
+        blocker.write_text("not a directory")
+        with pytest.raises(ConfigurationError, match="not a directory"):
+            ResultCache(blocker.joinpath(*below))
+
     def test_clear_empties_the_cache(self, tmp_path):
         cache = ResultCache(tmp_path)
         run_replications(_quick(), n_seeds=2, cache=cache)
@@ -418,6 +428,39 @@ class TestFigurePipeline:
         assert cli_main(argv + ["--clear-cache", "--no-cache"]) == 0
         assert sidecar.read_bytes() == first
         assert not list(cache_dir.glob("*/*.pkl"))  # cleared, not refilled
+
+    def test_cli_refuses_a_file_as_cache_dir(self, tmp_path, monkeypatch,
+                                             capsys):
+        from repro.experiments.runner import main as cli_main
+        blocker = tmp_path / "cache"
+        blocker.write_text("not a directory")
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(blocker))
+        assert cli_main(["figures", "fig11", "--scale", "0.01",
+                         "--formats", "svg", "--out",
+                         str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: result cache directory")
+        assert "Traceback" not in err
+        assert err.count("\n") == 1
+
+    def test_cli_progress_ends_with_cache_stats(self, tmp_path, monkeypatch,
+                                                capsys):
+        from repro.experiments.runner import main as cli_main
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        argv = ["figures", "ext05", "--scale", "0.01", "--formats", "svg",
+                "--no-claims", "--out", str(tmp_path / "out")]
+        assert cli_main(argv + ["--progress"]) == 0
+        cold = capsys.readouterr().err.splitlines()[-1]
+        match = re.fullmatch(r"figures cache: 0 hits, (\d+) misses, "
+                             r"(\d+) stores, 0 errors", cold)
+        assert match and match[1] == match[2] != "0", cold
+        assert cli_main(argv + ["--progress"]) == 0
+        warm = capsys.readouterr().err.splitlines()[-1]
+        assert warm == (f"figures cache: {match[1]} hits, 0 misses, "
+                        f"0 stores, 0 errors")
+        # Without --progress the run prints nothing of the cache.
+        assert cli_main(argv) == 0
+        assert "figures cache" not in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 
@@ -52,6 +53,22 @@ class TestFaultPlan:
             # Solver NaN faults are not a plan kind: the environment
             # cannot arm them.
             FaultPlan.parse("inject-nanx-1")
+
+    @pytest.mark.parametrize("text", [
+        "kill-worker@-1",          # no task has a negative index
+        "kill-worker@0#-1",        # nor a negative attempt
+        "kill-worker@0#0+-2",
+        "stall-task@0~nan",        # NaN passes every range check
+        "stall-task@0~inf",
+        "shard-crash@0!nan",
+        "shard-crash@0~inf",
+        "slow-shard@0%nan",
+        "replica-lag@0%inf",
+    ])
+    def test_spec_that_can_never_fire_is_refused(self, text):
+        with pytest.raises(ConfigurationError,
+                           match=re.escape(f"fault spec {text!r}")):
+            FaultPlan.parse(text)
 
     def test_attempt_selection(self):
         transient = FaultSpec(kind=KILL_WORKER, task_index=0)

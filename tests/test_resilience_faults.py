@@ -11,13 +11,12 @@ end, through ``$REPRO_FAULTS``.
 
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
-from concurrent.futures import wait as futures_wait
 
 import pytest
 
 from repro.errors import InjectedFaultError
-from repro.parallel import executor as executor_module
 from repro.parallel import (
     CacheStats,
     ResultCache,
@@ -130,19 +129,24 @@ class TestWorkerDeath:
         # Force the race where the pool breaks between the parent's last
         # wait and its next submit: each submit first waits on every
         # future this pool already returned, so task 0's kill breaks
-        # the pool before task 1 is submitted.
-        class WaitingPool(executor_module.ProcessPoolExecutor):
+        # the pool before task 1 is submitted.  The executor imports the
+        # pool class from concurrent.futures each round, so that is the
+        # name to patch.
+        pools = []
+
+        class WaitingPool(concurrent.futures.ProcessPoolExecutor):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
                 self.returned = []
+                pools.append(self)
 
             def submit(self, *args, **kwargs):
-                futures_wait(self.returned, timeout=60)
+                concurrent.futures.wait(self.returned, timeout=60)
                 future = super().submit(*args, **kwargs)
                 self.returned.append(future)
                 return future
 
-        monkeypatch.setattr(executor_module, "ProcessPoolExecutor",
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                             WaitingPool)
         plan = FaultPlan(specs=(
             FaultSpec(kind=KILL_WORKER, task_index=0),))
@@ -151,6 +155,8 @@ class TestWorkerDeath:
             resilience=ResilienceOptions(retry=_FAST_RETRY, faults=plan))
         assert report.ok, report.summary()
         assert report.retries == 1, report.summary()
+        # The break rebuilt the pool, and every round used the patch.
+        assert len(pools) == report.pool_rebuilds + 1 >= 2
         clean = run_batch(_tasks(3), jobs=1)
         assert _fingerprints(report.results) == _fingerprints(clean)
 
