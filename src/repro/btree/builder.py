@@ -24,7 +24,7 @@ import random
 from bisect import bisect_left, bisect_right
 from typing import Dict, Optional, Tuple
 
-from repro.btree.node import Node
+from repro.btree.node import MAX_KEY_SPACE, Node
 from repro.btree.policies import MERGE_AT_EMPTY, MergePolicy
 from repro.btree.tree import BPlusTree, NodeHook
 from repro.errors import ConfigurationError
@@ -65,7 +65,9 @@ def build_tree(n_items: int, order: int = 13,
         Must be :data:`~repro.btree.policies.MERGE_AT_EMPTY`, the only
         policy the tree implements.
     key_space:
-        Keys are drawn uniformly from ``[0, key_space)``.
+        Keys are drawn uniformly from ``[0, key_space)``; at least
+        ``n_items`` and at most :data:`~repro.btree.node.MAX_KEY_SPACE`
+        (``2**63``), the range of a leaf's typed keys.
     seed / rng:
         Reproducibility controls; ``rng`` wins when both are given.
 
@@ -82,8 +84,14 @@ def build_tree(n_items: int, order: int = 13,
         raise ConfigurationError(
             f"the B-tree is merge-at-empty only, got {merge_policy!r}")
     rng = rng if rng is not None else random.Random(seed)
-    if n_items > 0 and key_space < 1:
-        raise ConfigurationError(f"key space must be >= 1, got {key_space}")
+    if n_items > key_space:
+        # The build inserts distinct keys until it holds n_items of them.
+        raise ConfigurationError(
+            f"cannot draw {n_items} distinct keys from a key space of "
+            f"{key_space}")
+    if key_space > MAX_KEY_SPACE:
+        raise ConfigurationError(
+            f"key space must be <= 2**63, got {key_space}")
     tree = BPlusTree(order=order, on_new_node=on_new_node,
                      on_free_node=on_free_node)
     getrandbits = rng.getrandbits

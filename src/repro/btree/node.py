@@ -13,16 +13,29 @@ the links) and the Link-type algorithm (which relies on them):
 A Lehman-Yao descent that lands on a node whose ``high_key`` is <= the
 search key has been overtaken by a split and must follow the right link
 (a "link crossing", paper Figure 9).
+
+A leaf keeps its keys in an ``array('q')`` of signed 64-bit integers,
+8 bytes a key instead of a boxed ``int`` and a list slot; splits, the
+builder and the tree's undo journal copy them by slicing, which keeps
+the type.  Internal nodes keep their separators in a list: there are
+few of them and the descent reads them on every level.  Keys are drawn
+from ``[0, key_space)``, so a key space may be at most
+:data:`MAX_KEY_SPACE`.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from bisect import bisect_left, bisect_right
 from contextlib import contextmanager
-from typing import Any, Callable, Iterator, List, Optional
+from typing import Any, Callable, Iterator, List, MutableSequence, Optional
 
 from repro.errors import BTreeError
+
+#: Exclusive upper bound on a key: the largest key space a tree holds,
+#: since a leaf stores each key as a signed 64-bit integer.
+MAX_KEY_SPACE = 1 << 63
 
 _node_ids = itertools.count(1)
 
@@ -52,10 +65,10 @@ class Node:
 
     __slots__ = ("node_id", "level", "keys", "right", "high_key", "_lock", "dead")
 
-    def __init__(self, level: int) -> None:
+    def __init__(self, level: int, keys: MutableSequence[int]) -> None:
         self.node_id: int = next(_node_ids)
         self.level: int = level
-        self.keys: List[int] = []
+        self.keys = keys
         self.right: Optional["Node"] = None
         self.high_key: Optional[int] = None
         self._lock = None
@@ -97,13 +110,13 @@ class Node:
 
 class LeafNode(Node):
     """Level-1 node holding the keys themselves (B+-tree: all keys live
-    in the leaves)."""
+    in the leaves), in an ``array('q')``."""
 
     __slots__ = ()
     is_leaf = True
 
     def __init__(self) -> None:
-        super().__init__(level=1)
+        super().__init__(1, array("q"))
 
     def n_entries(self) -> int:
         return len(self.keys)
@@ -143,7 +156,7 @@ class InternalNode(Node):
     def __init__(self, level: int) -> None:
         if level < 2:
             raise BTreeError(f"internal node cannot be at level {level}")
-        super().__init__(level)
+        super().__init__(level, [])
         self.children: List[Node] = []
 
     def n_entries(self) -> int:

@@ -22,8 +22,9 @@ O(1): it never scans the wait queue.  Each slot costs a lock event one
 attribute load and ``is None`` test while it is empty; ``on_change`` is
 read only by W grants, enqueues, writer releases and dispatches, so an
 uncontended R grant or an R release with nobody queued pays nothing
-for it.  The wait queue itself is allocated on the first contended
-request: most locks never queue.
+for it.  The wait queue exists only while someone waits: a contended
+request allocates a deque, and the dispatch that grants the last waiter
+drops it, so the many locks that queued once hold no empty deque.
 
 Acquiring and releasing are plain calls for the process the engine is
 stepping: :meth:`RWLock.acquire_read` / :meth:`RWLock.acquire_write`
@@ -94,8 +95,8 @@ class RWLock:
         #: ``remove`` finds them near the front.
         self._readers: List[Process] = []
         self._writer: Optional[Process] = None
-        #: The wait queue: the empty tuple until the first contended
-        #: request replaces it with a deque.
+        #: The wait queue: a deque while a request waits, else the
+        #: empty tuple (see :meth:`_enqueue` and :meth:`_dispatch`).
         self._queue: Union[Tuple[()], Deque[LockRequest]] = ()
         #: Number of W requests currently in :attr:`_queue`, maintained
         #: on enqueue/dequeue so :meth:`writer_waiting` is O(1).
@@ -270,7 +271,8 @@ class RWLock:
                 tel.grants_write += 1
 
     def _dispatch(self, sim: Simulator) -> None:
-        """Grant the longest compatible prefix of the wait queue."""
+        """Grant the longest compatible prefix of the wait queue, and
+        drop the queue once it is empty."""
         queue = self._queue
         tel = self.telemetry
         now = sim.now
@@ -296,6 +298,8 @@ class RWLock:
             if mode == WRITE:
                 # An exclusive grant blocks everything behind it.
                 break
+        if not queue:
+            self._queue = ()
 
     def reset(self) -> None:
         """Return the lock to the idle, unbound state of a new lock.

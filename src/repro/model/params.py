@@ -153,6 +153,15 @@ class CostModel:
         return self.merge_factor * self.se(level, height)
 
 
+def check_t_trans(t_trans: float) -> None:
+    """Refuse a ``T_trans`` (remaining transaction time under a recovery
+    policy) that is not finite and >= 0: the model adds it to W hold
+    times and the simulator holds locks for a draw of it."""
+    if not (math.isfinite(t_trans) and t_trans >= 0):
+        raise ConfigurationError(
+            f"t_trans must be finite and >= 0, got {t_trans}")
+
+
 @dataclass(frozen=True)
 class TreeShape:
     """Height and per-level fanouts.

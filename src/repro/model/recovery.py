@@ -25,10 +25,9 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 from repro.algorithms import names
-from repro.errors import ConfigurationError
 from repro.model.occupancy import OccupancyModel
 from repro.model.optimistic import analyze_optimistic
-from repro.model.params import ModelConfig
+from repro.model.params import ModelConfig, check_t_trans
 from repro.model.results import AlgorithmPrediction, level_terms
 
 #: The paper's conservative remaining-transaction-time estimate.
@@ -69,8 +68,7 @@ def analyze_optimistic_with_recovery(
     ``T_trans`` whenever leaf locks are retained; level-i W holds gain
     ``Pr[F(i)] * T_trans`` under Naive recovery.
     """
-    if t_trans < 0:
-        raise ConfigurationError(f"t_trans must be >= 0, got {t_trans}")
+    check_t_trans(t_trans)
     full = level_terms(config, occupancy).full
     leaf_extra = t_trans if policy.retain_leaf else 0.0
     extras = [0.0] * config.height

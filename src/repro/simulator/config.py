@@ -9,9 +9,11 @@ from typing import Optional, Tuple
 
 from repro.algorithms.names import DEFAULT_ALGORITHM
 from repro.btree.builder import DEFAULT_KEY_SPACE
+from repro.btree.node import MAX_KEY_SPACE
 from repro.btree.policies import MERGE_AT_EMPTY, MergePolicy
 from repro.errors import ConfigurationError
-from repro.model.params import PAPER_MIX, CostModel, OperationMix
+from repro.model.params import (PAPER_MIX, CostModel, OperationMix,
+                                check_t_trans)
 from repro.workload.spec import WorkloadSpec
 
 
@@ -44,6 +46,8 @@ class SimulationConfig:
     #: The paper's "space allocated for concurrent operations": the run
     #: aborts (saturation) if more operations than this are in flight.
     max_population: int = 2_000
+    #: Keys are drawn from ``[0, key_space)``; 1 to ``2**63``, the
+    #: range of a leaf's typed keys.
     key_space: int = DEFAULT_KEY_SPACE
     seed: int = 0
     #: Recovery policy name: "no-recovery", "leaf-only-recovery" or
@@ -90,20 +94,26 @@ class SimulationConfig:
             raise ConfigurationError("warmup_operations must be >= 0")
         if self.max_population < 1:
             raise ConfigurationError("max_population must be >= 1")
+        if not 1 <= self.key_space <= MAX_KEY_SPACE:
+            raise ConfigurationError(
+                f"key_space must be in [1, 2**63], got {self.key_space}")
         if self.recovery not in ("no-recovery", "leaf-only-recovery",
                                  "naive-recovery"):
             raise ConfigurationError(f"unknown recovery {self.recovery!r}")
         if self.recovery != "no-recovery" and not spec.supports_recovery:
             raise ConfigurationError(
                 f"recovery policies are not modelled for {spec.label}")
+        check_t_trans(self.t_trans)
         if self.compaction_interval is not None:
             if not spec.supports_compaction:
                 raise ConfigurationError(
                     "background compaction applies to link trees "
                     "(the other algorithms merge inline)")
-            if self.compaction_interval <= 0:
+            if not (math.isfinite(self.compaction_interval)
+                    and self.compaction_interval > 0):
                 raise ConfigurationError(
-                    "compaction_interval must be positive")
+                    f"compaction_interval must be positive and finite, "
+                    f"got {self.compaction_interval}")
         if self.key_distribution not in ("uniform", "hotspot"):
             raise ConfigurationError(
                 f"unknown key distribution {self.key_distribution!r}; "

@@ -18,13 +18,13 @@ class TestLeafNode:
         leaf = LeafNode()
         for key in (5, 1, 3, 4, 2):
             assert leaf.insert_key(key)
-        assert leaf.keys == [1, 2, 3, 4, 5]
+        assert list(leaf.keys) == [1, 2, 3, 4, 5]
 
     def test_duplicate_insert_rejected(self):
         leaf = LeafNode()
         assert leaf.insert_key(7)
         assert not leaf.insert_key(7)
-        assert leaf.keys == [7]
+        assert list(leaf.keys) == [7]
 
     def test_contains(self):
         leaf = LeafNode()
@@ -39,7 +39,7 @@ class TestLeafNode:
         leaf.insert_key(2)
         assert leaf.delete_key(1)
         assert not leaf.delete_key(1)
-        assert leaf.keys == [2]
+        assert list(leaf.keys) == [2]
 
     def test_covers_with_high_key(self):
         leaf = LeafNode()

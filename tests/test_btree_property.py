@@ -113,9 +113,9 @@ def test_half_split_preserves_contents(keys):
     """Half-splitting an overfilled leaf never loses or reorders keys."""
     tree = BPlusTree(order=4)
     leaf = tree.root
-    leaf.keys = sorted(keys)
+    leaf.keys.extend(sorted(keys))
     sibling, separator = tree.half_split(leaf)
-    assert leaf.keys + sibling.keys == sorted(keys)
+    assert list(leaf.keys + sibling.keys) == sorted(keys)
     assert all(k < separator for k in leaf.keys)
     assert all(k >= separator for k in sibling.keys)
     assert leaf.high_key == separator

@@ -69,7 +69,7 @@ class TestBuilder:
                    on_new_node=created.append)
         digest = hashlib.sha256()
         for node in created:
-            digest.update(repr((node.level, node.keys,
+            digest.update(repr((node.level, list(node.keys),
                                 len(getattr(node, "children", ())))).encode())
         assert (len(created), digest.hexdigest()) == \
             self.GOLDEN_SHAPES[policy]
@@ -165,7 +165,7 @@ class TestValidator:
         leaf = tree.find_leaf(0)
         removed = len(leaf.keys)
         tree._size -= removed
-        leaf.keys.clear()
+        del leaf.keys[:]
         with pytest.raises(InvariantViolationError):
             check_invariants(tree)  # policy floor violated
         check_invariants(tree, allow_underflow=True)  # link-tree mode

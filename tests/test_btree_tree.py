@@ -142,8 +142,8 @@ class TestPrimitives:
             tree.root.keys.append(key)  # overfill directly
         sibling, separator = tree.half_split(tree.root)
         assert separator == sibling.keys[0]
-        assert tree.root.keys == [1, 2]
-        assert sibling.keys == [3, 4, 5]
+        assert list(tree.root.keys) == [1, 2]
+        assert list(sibling.keys) == [3, 4, 5]
         assert tree.root.right is sibling
         assert tree.root.high_key == separator
         assert sibling.high_key is None

@@ -19,7 +19,9 @@ from hypothesis import strategies as st
 
 from repro.btree.builder import build_tree
 from repro.btree.tree import BPlusTree
+from repro.errors import ConfigurationError
 from repro.model.params import CostModel
+from repro.simulator import SimulationConfig, run_simulation
 from repro.simulator.costs import ServiceTimeSampler
 from repro.workload.keys import UniformKeys
 
@@ -100,6 +102,16 @@ def test_fused_build_covers_splits_merges_and_collapses():
 def test_empty_key_space_is_rejected():
     with pytest.raises(ValueError):
         build_tree(1, key_space=0)
+
+
+def test_more_items_than_keys_is_rejected():
+    """Such a build never reaches its size: it once looped forever."""
+    with pytest.raises(ConfigurationError, match="distinct keys"):
+        build_tree(300, key_space=5)
+    config = SimulationConfig(n_items=300, key_space=5, n_operations=10)
+    with pytest.raises(ConfigurationError, match="distinct keys"):
+        run_simulation(config)
+    assert len(build_tree(16, order=3, key_space=16, seed=1)) == 16
 
 
 @_SETTINGS

@@ -3,8 +3,9 @@
 At the end of a run its locks are reset and kept in the tree's
 ``spare_locks`` for the next run on the same template; when
 ``warm_tree`` grows another tree, reference counting frees the old
-template and its locks.  A lock allocates its wait queue on its first
-contended request.  None of this may leak state from one run into the
+template and its locks.  A lock holds a wait queue only while a request
+waits: a contended request allocates it and the grant of the last
+waiter drops it.  None of this may leak state from one run into the
 next.
 """
 
@@ -217,33 +218,47 @@ def test_stopped_run_leaves_no_cycle_to_its_template(stopped_run):
 
 
 def test_only_contended_locks_allocate_a_queue(lock_events):
+    """The run stops with requests queued: exactly the locks that still
+    have waiters hold a deque then, and each of them was contended;
+    every other lock, contended earlier or never, is back to ``()``."""
     before_reset, contended = lock_events
     run_simulation(_config(**OVERFLOWING))
     assert contended and len(contended) < len(before_reset)
-    for lock, _readers, _writer, _queued, queue in before_reset:
-        assert isinstance(queue, deque) == (lock in contended)
-        if lock not in contended:
+    waiting = [lock for lock, _r, _w, queued, _q in before_reset if queued]
+    assert waiting and len(waiting) < len(contended)
+    for lock, _readers, _writer, queued, queue in before_reset:
+        assert isinstance(queue, deque) == bool(queued)
+        if queued:
+            assert lock in contended and len(queue) == queued
+        else:
             assert queue == ()
 
 
 def test_queue_is_allocated_on_first_contended_request():
+    """A queue exists from the first contended request until the grant
+    of the last waiter."""
     sim = Simulator()
     lock = RWLock("n1")
     log = []
 
     def holder(mode, hold):
         yield (lock.acquire_write if mode == WRITE else lock.acquire_read)(sim)
-        log.append(lock._queue)
+        log.append((type(lock._queue), len(lock._queue)))
         yield hold
+        log.append((type(lock._queue), len(lock._queue)))
         lock.release(sim)
 
     sim.spawn(holder(READ, 1.0))
     sim.spawn(holder(READ, 1.0), delay=0.5)
     sim.run()
-    assert lock._queue == () and log == [(), ()]
+    assert lock._queue == () and log == [(tuple, 0)] * 4
+    log.clear()
     sim.spawn(holder(WRITE, 1.0))
     sim.spawn(holder(READ, 1.0), delay=0.5)
     sim.run()
-    assert isinstance(lock._queue, deque) and not lock._queue
+    # The writer's grant, its release with the reader queued, then the
+    # reader's grant and release after the dispatch dropped the deque.
+    assert log == [(tuple, 0), (deque, 1), (tuple, 0), (tuple, 0)]
+    assert lock._queue == ()
     lock.reset()
     assert lock._queue == ()

@@ -3,8 +3,10 @@
 A zero inter-arrival gap (rate ``inf``) is a zero hold that the kernel
 continues within the same step forever, and a NaN rate turns into a NaN
 hold or a NaN model; so the configurations refuse both and the CLI flags
-exit 2 with an argparse ``error:`` line.  Each CLI case runs in a child
-interpreter under a timeout, so a regression fails instead of hanging.
+exit 2 with an argparse ``error:`` line.  The same holds for a run's
+compaction interval and its remaining transaction time ``t_trans``.
+Each CLI case runs in a child interpreter under a timeout, so a
+regression fails instead of hanging.
 """
 
 import math
@@ -18,6 +20,9 @@ import pytest
 import repro
 from repro.cluster import ClusterSimConfig, ClusterSpec, analyze_cluster
 from repro.errors import ConfigurationError
+from repro.model.params import paper_default_config
+from repro.model.recovery import (LEAF_ONLY_RECOVERY,
+                                  analyze_optimistic_with_recovery)
 from repro.obs import TelemetryOptions
 from repro.simulator.config import SimulationConfig
 
@@ -65,6 +70,40 @@ def test_cli_rejects_non_finite_flag(argv):
 def test_simulation_config_rejects_rate(rate):
     with pytest.raises(ConfigurationError, match="arrival_rate"):
         SimulationConfig(arrival_rate=rate)
+
+
+@pytest.mark.parametrize("interval", [math.inf, math.nan, 0.0, -1.0])
+def test_simulation_config_rejects_compaction_interval(interval):
+    """A NaN interval once passed ``<= 0`` and swept forever at time 0;
+    ``inf`` raised ZeroDivisionError mid-run."""
+    with pytest.raises(ConfigurationError, match="compaction_interval"):
+        SimulationConfig(algorithm="link-type",
+                         compaction_interval=interval)
+
+
+@pytest.mark.parametrize("t_trans", [math.inf, math.nan, -1.0])
+@pytest.mark.parametrize("recovery", ["no-recovery", "leaf-only-recovery"])
+def test_simulation_config_rejects_t_trans(t_trans, recovery):
+    """NaN once crashed mid-run on a NaN hold and a negative value ran
+    as a zero hold; the model refuses the same values."""
+    with pytest.raises(ConfigurationError, match="t_trans"):
+        SimulationConfig(algorithm="optimistic-descent", recovery=recovery,
+                         t_trans=t_trans)
+
+
+@pytest.mark.parametrize("t_trans", [math.inf, math.nan, -1.0])
+def test_recovery_model_rejects_t_trans(t_trans):
+    with pytest.raises(ConfigurationError, match="t_trans"):
+        analyze_optimistic_with_recovery(paper_default_config(), 0.1,
+                                         policy=LEAF_ONLY_RECOVERY,
+                                         t_trans=t_trans)
+
+
+def test_zero_t_trans_is_accepted():
+    SimulationConfig(algorithm="optimistic-descent",
+                     recovery="leaf-only-recovery", t_trans=0.0)
+    analyze_optimistic_with_recovery(paper_default_config(), 0.1,
+                                     policy=LEAF_ONLY_RECOVERY, t_trans=0.0)
 
 
 @pytest.mark.parametrize("interval", [math.inf, math.nan, 0.0, -1.0])

@@ -89,7 +89,7 @@ class TestSpliceOutEmptyLeaf:
         leaf = parent.children[0]
         while parent.n_entries() > 1:
             parent.remove_child(parent.children[-1])
-        leaf.keys.clear()
+        del leaf.keys[:]
         assert not tree.splice_out_empty_leaf(leaf, parent, None)
 
 
