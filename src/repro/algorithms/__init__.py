@@ -26,7 +26,6 @@ from repro.algorithms.spec import (
 from repro.algorithms import naive_lock_coupling  # noqa: F401
 from repro.algorithms import optimistic_descent  # noqa: F401
 from repro.algorithms import link_type  # noqa: F401
-from repro.algorithms import link_symmetric  # noqa: F401
 from repro.algorithms import two_phase  # noqa: F401
 from repro.algorithms import optimistic_lock_coupling  # noqa: F401
 

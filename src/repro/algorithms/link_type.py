@@ -1,8 +1,9 @@
 """Registry spec: the Link-type (Lehman-Yao) algorithm.
 
 Descents hold one lock at a time and recover from concurrent splits by
-chasing right-links; merges never happen inline, so the background
-compactor is the only way empty leaves are reclaimed.
+chasing right-links; merges never happen, so deletes leave empty
+leaves in place (the paper ignores them: with inserts outnumbering
+deletes they are rare).
 """
 
 from repro.algorithms.names import LINK_TYPE
@@ -16,5 +17,4 @@ SPEC = register_algorithm(AlgorithmSpec(
     analyze_ref="repro.model.link:analyze_link",
     has_link_crossings=True,
     supports_closed=True,
-    supports_compaction=True,
 ))

@@ -11,7 +11,6 @@ name literals elsewhere in ``src/``, so dispatch cannot re-fragment.
 NAIVE_LOCK_COUPLING = "naive-lock-coupling"
 OPTIMISTIC_DESCENT = "optimistic-descent"
 LINK_TYPE = "link-type"
-LINK_SYMMETRIC = "link-symmetric"
 TWO_PHASE_LOCKING = "two-phase-locking"
 OPTIMISTIC_LOCK_COUPLING = "optimistic-lock-coupling"
 

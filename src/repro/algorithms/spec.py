@@ -31,7 +31,6 @@ CAPABILITY_FLAGS = (
     "has_link_crossings",
     "supports_closed",
     "supports_recovery",
-    "supports_compaction",
     "coupling_updates",
 )
 
@@ -73,8 +72,6 @@ class AlgorithmSpec:
     supports_closed: bool = False
     #: Recovery lock-retention policies apply (paper Section 7).
     supports_recovery: bool = False
-    #: Needs the background compactor — never merges inline.
-    supports_compaction: bool = False
     #: Updates hold coupled W locks on the descent path, so the root
     #: writer presence rho_w is the load-limiting signal (Figure 10).
     coupling_updates: bool = False

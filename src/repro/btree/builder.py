@@ -26,7 +26,7 @@ from typing import Dict, Optional, Tuple
 
 from repro.btree.node import MAX_KEY_SPACE, Node
 from repro.btree.policies import MERGE_AT_EMPTY, MergePolicy
-from repro.btree.tree import BPlusTree, NodeHook
+from repro.btree.tree import BPlusTree, NodeHook, check_order
 from repro.errors import ConfigurationError
 
 #: Default size of the integer key universe used by the experiments; large
@@ -40,6 +40,19 @@ BuildLevels = Tuple[Tuple[int, int], ...]
 #: ``warm_tree``'s one template: (key, template tree, its build levels),
 #: or None before the first call.
 _last: Optional[Tuple[tuple, BPlusTree, BuildLevels]] = None
+
+
+def check_build_size(n_items: int, order: int, key_space: int) -> None:
+    """Refuse a tree :func:`build_tree` cannot build: a node size below
+    3, a negative item count, or more items than distinct keys (the
+    build inserts distinct keys until it holds ``n_items``)."""
+    check_order(order)
+    if n_items < 0:
+        raise ConfigurationError(f"cannot build a tree of {n_items} items")
+    if n_items > key_space:
+        raise ConfigurationError(
+            f"cannot draw {n_items} distinct keys from a key space of "
+            f"{key_space}")
 
 
 def build_tree(n_items: int, order: int = 13,
@@ -73,8 +86,7 @@ def build_tree(n_items: int, order: int = 13,
 
     Returns the populated :class:`~repro.btree.tree.BPlusTree`.
     """
-    if n_items < 0:
-        raise ConfigurationError(f"cannot build a tree of {n_items} items")
+    check_build_size(n_items, order, key_space)
     if not 0.5 < insert_fraction <= 1.0:
         raise ConfigurationError(
             "insert_fraction must be in (0.5, 1.0] so the tree grows "
@@ -84,11 +96,6 @@ def build_tree(n_items: int, order: int = 13,
         raise ConfigurationError(
             f"the B-tree is merge-at-empty only, got {merge_policy!r}")
     rng = rng if rng is not None else random.Random(seed)
-    if n_items > key_space:
-        # The build inserts distinct keys until it holds n_items of them.
-        raise ConfigurationError(
-            f"cannot draw {n_items} distinct keys from a key space of "
-            f"{key_space}")
     if key_space > MAX_KEY_SPACE:
         raise ConfigurationError(
             f"key space must be <= 2**63, got {key_space}")

@@ -40,6 +40,12 @@ from repro.errors import BTreeError, ConfigurationError
 NodeHook = Optional[Callable[[Node], None]]
 
 
+def check_order(order: int) -> None:
+    """Refuse a node size below 3, which cannot split."""
+    if order < 3:
+        raise ConfigurationError(f"order must be >= 3, got {order}")
+
+
 class BPlusTree:
     """A merge-at-empty B+-tree with right links.
 
@@ -62,8 +68,7 @@ class BPlusTree:
     def __init__(self, order: int = 13,
                  on_new_node: NodeHook = None,
                  on_free_node: NodeHook = None) -> None:
-        if order < 3:
-            raise ConfigurationError(f"order must be >= 3, got {order}")
+        check_order(order)
         self.order = order
         self.on_new_node = on_new_node
         self.on_free_node = on_free_node
@@ -414,45 +419,6 @@ class BPlusTree:
             self._size -= 1
             return True
         return False
-
-    def splice_out_empty_leaf(self, leaf: Node, parent: InternalNode,
-                              left: Optional[Node]) -> bool:
-        """Remove one empty leaf given its parent and level-chain left
-        neighbour (Sagiv-style background compression for link trees).
-
-        The caller holds the appropriate locks; this method re-validates
-        the structural preconditions — they may have been broken between
-        choosing the candidate and acquiring the locks — and returns
-        False (doing nothing) when any fails:
-
-        * ``leaf`` is still alive, empty, and a child of ``parent``;
-        * ``parent`` keeps at least one other child (a parent emptied of
-          children is left for the next pass or a root collapse);
-        * ``left`` is still the node whose right link targets ``leaf``
-          (or None when ``leaf`` is the leftmost of its level).
-        """
-        if leaf.dead or leaf.n_entries() > 0 or leaf is self.root:
-            return False
-        if parent.dead or leaf not in parent.children:
-            return False
-        if len(parent.children) == 1:
-            return False
-        if left is None:
-            if self._scan_for_left_neighbour(leaf) is not None:
-                return False
-        elif left.dead or left.right is not leaf:
-            return False
-        absorbed_left = parent.children.index(leaf) > 0
-        if self._undo is not None:
-            self._save(parent, left)
-        if left is not None:
-            left.right = leaf.right
-            if absorbed_left:
-                left.high_key = leaf.high_key
-        parent.remove_child(leaf)
-        self._free(leaf)
-        self._merges += 1
-        return True
 
     # ------------------------------------------------------------------
     # Whole operations (sequential)

@@ -54,18 +54,12 @@ from repro.model.closed import (
     ClosedSystemPrediction,
     closed_system_prediction,
 )
-from repro.model.workload import (
-    EffectiveLoad,
-    effective_load,
-    piecewise_response,
-)
 
 __all__ = [
     "AlgorithmPrediction",
     "ClosedSystemPrediction",
     "closed_system_prediction",
     "CostModel",
-    "EffectiveLoad",
     "LEAF_ONLY_RECOVERY",
     "LevelSolution",
     "ModelConfig",
@@ -83,12 +77,10 @@ __all__ = [
     "analyze_optimistic_with_recovery",
     "analyze_two_phase",
     "arrival_rate_for_root_utilization",
-    "effective_load",
     "max_throughput",
     "measured_model_config",
     "measured_shape",
     "paper_default_config",
-    "piecewise_response",
     "rule_of_thumb_1",
     "rule_of_thumb_2",
     "rule_of_thumb_3",

@@ -122,6 +122,12 @@ def write_ndjson(path: Union[str, os.PathLike],
 # Loading
 # ----------------------------------------------------------------------
 def _parse_result(values: dict) -> SimulationResult:
+    unknown = set(values) - {f.name for f in
+                             dataclasses.fields(SimulationResult)}
+    if unknown:
+        raise ConfigurationError(
+            f"telemetry result record has fields this loader does not "
+            f"know: {sorted(unknown)}")
     values = dict(values)
     values["mean_lock_waits"] = {
         int(level): tuple(waits)

@@ -105,12 +105,6 @@ def _canonical(value: Any) -> Any:
                     f"for cache keying: {value!r}")
 
 
-def _is_default_workload(workload: Any) -> bool:
-    """True when ``workload`` is the default spec (legacy behaviour)."""
-    from repro.workload.spec import DEFAULT_WORKLOAD
-    return workload == DEFAULT_WORKLOAD
-
-
 def config_key(config: Any, *, kind: str = "open",
                extra: Optional[dict] = None,
                salt: str = CODE_SALT) -> str:
@@ -121,23 +115,15 @@ def config_key(config: Any, *, kind: str = "open",
     processes and Python invocations (no reliance on ``hash()`` or
     pickle byte stability); changing ``salt`` changes every key.
 
-    A config whose ``workload`` is absent *or equal to the default
-    spec* hashes exactly as it did before the field existed (both
-    reproduce the legacy behaviour bit-identically), so pre-existing
-    cache entries stay valid without a CODE_SALT bump; any non-default
-    :class:`~repro.workload.spec.WorkloadSpec` is content-hashed into
-    the key like every other field.
+    Every field of ``config`` is hashed, by name, with no special
+    case: a renamed, added or deleted field gives every task a new key,
+    so a cached result can never be read under a changed meaning.
     """
-    config_payload = _canonical(config)
-    if isinstance(config_payload, dict):
-        workload = getattr(config, "workload", None)
-        if workload is None or _is_default_workload(workload):
-            config_payload.pop("workload", None)
     payload = {
         "salt": salt,
         "kind": kind,
         "extra": _canonical(extra or {}),
-        "config": config_payload,
+        "config": _canonical(config),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

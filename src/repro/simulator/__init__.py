@@ -2,8 +2,9 @@
 
 Runs the concurrency-control algorithms — the paper's Naive
 Lock-coupling, Optimistic Descent and Link-type, plus the Two-Phase
-Locking baseline and the symmetric link variant — as discrete-event
-processes against an actual :class:`~repro.btree.tree.BPlusTree`:
+Locking baseline and the optimistic lock-coupling hybrid — as
+discrete-event processes against an actual
+:class:`~repro.btree.tree.BPlusTree`:
 
 * operations arrive in a Poisson process and perform real searches,
   inserts and deletes on the shared tree;

@@ -5,16 +5,16 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.algorithms.names import DEFAULT_ALGORITHM
-from repro.btree.builder import DEFAULT_KEY_SPACE
+from repro.btree.builder import DEFAULT_KEY_SPACE, check_build_size
 from repro.btree.node import MAX_KEY_SPACE
 from repro.btree.policies import MERGE_AT_EMPTY, MergePolicy
 from repro.errors import ConfigurationError
 from repro.model.params import (PAPER_MIX, CostModel, OperationMix,
                                 check_t_trans)
-from repro.workload.spec import WorkloadSpec
+from repro.workload.spec import DEFAULT_WORKLOAD, WorkloadSpec
 
 
 @dataclass(frozen=True)
@@ -56,28 +56,13 @@ class SimulationConfig:
     recovery: str = "no-recovery"
     #: Expected remaining transaction time for recovery lock retention.
     t_trans: float = 100.0
-    #: Mean time between background compaction sweeps (Sagiv-style
-    #: compression of empty leaves); None disables the compactor.
-    #: Only meaningful for link-style algorithms (registered with
-    #: ``supports_compaction``), the ones that never merge inline.
-    compaction_interval: Optional[float] = None
-    #: Key-selection distribution: "uniform" (the paper's workload) or
-    #: "hotspot" (a contiguous hot key range, concentrating contention
-    #: on one subtree).
-    key_distribution: str = "uniform"
-    #: Hotspot parameters (used when key_distribution == "hotspot"):
-    #: ``hot_probability`` of the accesses target the first
-    #: ``hot_fraction`` of the key space (default 80/20).
-    hot_fraction: float = 0.2
-    hot_probability: float = 0.8
-    #: Full workload description (arrival process, key distribution,
+    #: Workload description (arrival process, key distribution,
     #: transaction envelope) — see :mod:`repro.workload` and
-    #: ``docs/workloads.md``.  ``None`` (and the default
-    #: ``WorkloadSpec()``) reproduces the legacy stationary-Poisson /
-    #: ``key_distribution`` behaviour bit-identically and is omitted
-    #: from result-cache keys; a non-default spec supersedes the legacy
-    #: ``key_distribution`` fields and is content-hashed into the key.
-    workload: Optional[WorkloadSpec] = None
+    #: ``docs/workloads.md``; a skewed key draw is a key spec such as
+    #: ``HotspotKeysSpec``.  ``None`` stands for the paper's workload
+    #: and is stored as :data:`~repro.workload.spec.DEFAULT_WORKLOAD`,
+    #: so both spellings compare and hash alike.
+    workload: WorkloadSpec = DEFAULT_WORKLOAD
 
     def __post_init__(self) -> None:
         # Local import: repro.algorithms may still be initialising when
@@ -97,6 +82,8 @@ class SimulationConfig:
         if not 1 <= self.key_space <= MAX_KEY_SPACE:
             raise ConfigurationError(
                 f"key_space must be in [1, 2**63], got {self.key_space}")
+        # The tree a run builds; refused here, not inside a worker.
+        check_build_size(self.n_items, self.order, self.key_space)
         if self.recovery not in ("no-recovery", "leaf-only-recovery",
                                  "naive-recovery"):
             raise ConfigurationError(f"unknown recovery {self.recovery!r}")
@@ -104,30 +91,12 @@ class SimulationConfig:
             raise ConfigurationError(
                 f"recovery policies are not modelled for {spec.label}")
         check_t_trans(self.t_trans)
-        if self.compaction_interval is not None:
-            if not spec.supports_compaction:
-                raise ConfigurationError(
-                    "background compaction applies to link trees "
-                    "(the other algorithms merge inline)")
-            if not (math.isfinite(self.compaction_interval)
-                    and self.compaction_interval > 0):
-                raise ConfigurationError(
-                    f"compaction_interval must be positive and finite, "
-                    f"got {self.compaction_interval}")
-        if self.key_distribution not in ("uniform", "hotspot"):
+        if self.workload is None:
+            object.__setattr__(self, "workload", DEFAULT_WORKLOAD)
+        elif not isinstance(self.workload, WorkloadSpec):
             raise ConfigurationError(
-                f"unknown key distribution {self.key_distribution!r}; "
-                "expected 'uniform' or 'hotspot'")
-        if self.workload is not None:
-            if not isinstance(self.workload, WorkloadSpec):
-                raise ConfigurationError(
-                    f"workload must be a WorkloadSpec, got "
-                    f"{type(self.workload).__name__}")
-            if self.key_distribution != "uniform":
-                raise ConfigurationError(
-                    "workload and key_distribution are mutually "
-                    "exclusive: express the skew through the workload's "
-                    "key spec (e.g. HotspotKeysSpec)")
+                f"workload must be a WorkloadSpec, got "
+                f"{type(self.workload).__name__}")
         if self.merge_policy != MERGE_AT_EMPTY:
             raise ConfigurationError(
                 "the simulator requires merge-at-empty (the paper's "

@@ -301,10 +301,6 @@ def run_simulation(config: SimulationConfig,
         if telemetry is not None:
             sim.spawn(telemetry.sampler_process(sim, lambda: state.population),
                       name="telemetry-sampler")
-        if config.compaction_interval is not None:
-            from repro.simulator.compaction import compactor
-            sim.spawn(compactor(ctx, config.compaction_interval),
-                      name="compactor")
 
         sim.run()
         metrics.book_root_samples(sim.now)

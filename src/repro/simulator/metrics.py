@@ -69,8 +69,6 @@ class MetricsCollector:
         self.restarts = 0
         self.splits = 0
         self.leaf_removals = 0
-        #: Empty leaves reclaimed by the background compactor (link trees).
-        self.compactions = 0
         #: Root writer-presence sampling (Figure 10's rho_w).
         self.root_samples = 0
         self.root_writer_present_samples = 0
@@ -186,7 +184,6 @@ class SimulationResult:
     restarts: int
     splits: int
     leaf_removals: int
-    compactions: int
     peak_population: int
     final_tree_size: int
     final_height: int
@@ -246,7 +243,6 @@ def summarize(collector: MetricsCollector, *, algorithm: str,
         restarts=collector.restarts,
         splits=collector.splits,
         leaf_removals=collector.leaf_removals,
-        compactions=collector.compactions,
         peak_population=collector.peak_population,
         final_tree_size=tree_size,
         final_height=tree_height,

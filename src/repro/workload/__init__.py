@@ -44,7 +44,6 @@ from repro.workload.spec import (
     UniformKeysSpec,
     WorkloadSpec,
     ZipfKeysSpec,
-    effective_workload,
     mix_thresholds,
 )
 from repro.workload.transactions import (
@@ -80,7 +79,6 @@ __all__ = [
     "ZipfKeysSpec",
     "all_arrival_processes",
     "all_key_distributions",
-    "effective_workload",
     "mix_thresholds",
     "transaction_envelope",
 ]

@@ -1,10 +1,9 @@
 """Binding a workload spec to one run's RNG streams.
 
 :class:`WorkloadRuntime` is the object the simulation drivers hold: it
-resolves a config's effective :class:`~repro.workload.spec.WorkloadSpec`
-(explicit field, legacy ``key_distribution`` fields, or the default),
-validates the operation mix once, and exposes the per-run samplers.
-For the default spec every draw it makes is the identical call on the
+binds a config's :class:`~repro.workload.spec.WorkloadSpec`, validates
+the operation mix once, and exposes the per-run samplers.  For the
+default spec every draw it makes is the identical call on the
 identical stream the legacy driver made, which is what keeps the
 fixed-seed golden fingerprints byte-identical.
 """
@@ -13,11 +12,7 @@ from __future__ import annotations
 
 import random
 
-from repro.workload.spec import (
-    WorkloadSpec,
-    effective_workload,
-    mix_thresholds,
-)
+from repro.workload.spec import WorkloadSpec, mix_thresholds
 
 __all__ = ["WorkloadRuntime"]
 
@@ -35,7 +30,7 @@ class WorkloadRuntime:
                  "_t_update")
 
     def __init__(self, config, rng_keys: random.Random) -> None:
-        spec = effective_workload(config)
+        spec = config.workload
         self.spec: WorkloadSpec = spec
         self.picker = spec.keys.build(config.key_space, rng_keys)
         self.transaction_size = spec.transaction.size

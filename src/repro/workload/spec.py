@@ -16,16 +16,16 @@ single load knob a sweep varies, and a spec describes the *shape* of
 the traffic around it (``PoissonArrivals()`` is factor 1 everywhere —
 today's stationary stream).
 
-``DEFAULT_WORKLOAD`` (`WorkloadSpec()` with every default) reproduces
-the legacy behaviour bit-identically and is excluded from cache keys,
-so pre-existing cached results stay valid (no CODE_SALT bump).
+``DEFAULT_WORKLOAD`` (`WorkloadSpec()` with every default) is the
+paper's workload: stationary Poisson arrivals, uniform keys and
+single-operation transactions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import ClassVar, Optional, Tuple
+from typing import ClassVar, Tuple
 
 from repro.errors import ConfigurationError
 
@@ -69,21 +69,6 @@ class ArrivalSpec:
         """A runtime sampler for this process at base ``rate``."""
         raise NotImplementedError
 
-    def factor_segments(self) -> Tuple[Tuple[float, float], ...]:
-        """``(weight, factor)`` pairs describing the process as a
-        piecewise-stationary mixture (weights sum to 1).  The model
-        layer composes per-segment M/G/1 responses over these."""
-        raise NotImplementedError
-
-    def mean_factor(self) -> float:
-        """Time-averaged rate factor of the process."""
-        return sum(w * f for w, f in self.factor_segments())
-
-    def stationary(self) -> bool:
-        """True when the process is a plain Poisson stream (the regime
-        the paper's Theorems 1-6 assume)."""
-        return len(self.factor_segments()) == 1
-
 
 @dataclass(frozen=True)
 class PoissonArrivals(ArrivalSpec):
@@ -95,9 +80,6 @@ class PoissonArrivals(ArrivalSpec):
     def build(self, rate: float, rng):
         from repro.workload.arrivals import PoissonSampler
         return PoissonSampler(rate, rng)
-
-    def factor_segments(self) -> Tuple[Tuple[float, float], ...]:
-        return ((1.0, 1.0),)
 
 
 @dataclass(frozen=True)
@@ -130,11 +112,6 @@ class MMPPArrivals(ArrivalSpec):
     def build(self, rate: float, rng):
         from repro.workload.arrivals import MMPPSampler
         return MMPPSampler(rate, rng, self)
-
-    def factor_segments(self) -> Tuple[Tuple[float, float], ...]:
-        total = self.mean_on + self.mean_off
-        return ((self.mean_on / total, self.on_factor),
-                (self.mean_off / total, self.off_factor))
 
 
 @dataclass(frozen=True)
@@ -174,11 +151,6 @@ class ScheduleArrivals(ArrivalSpec):
         return PiecewiseSampler(rate, rng, self.live_segments(),
                                 cycle=True)
 
-    def factor_segments(self) -> Tuple[Tuple[float, float], ...]:
-        live = self.live_segments()
-        total = sum(d for d, _ in live)
-        return tuple((d / total, f) for d, f in live)
-
 
 @dataclass(frozen=True)
 class SpikeArrivals(ArrivalSpec):
@@ -208,12 +180,6 @@ class SpikeArrivals(ArrivalSpec):
         head.append((self.duration, self.multiplier))
         return PiecewiseSampler(rate, rng, tuple(head), cycle=False,
                                 tail_factor=1.0)
-
-    def factor_segments(self) -> Tuple[Tuple[float, float], ...]:
-        # The spike is transient; weight it over one "incident window"
-        # of 10x its duration around the burst, the scale on which its
-        # queueing impact is felt.
-        return ((0.9, 1.0), (0.1, self.multiplier))
 
 
 # ---------------------------------------------------------------------------
@@ -356,10 +322,10 @@ class TransactionSpec:
 class WorkloadSpec:
     """One workload: arrival process + key distribution + transactions.
 
-    Frozen and content-hashable: a non-default spec set on
-    :class:`~repro.simulator.config.SimulationConfig` is folded into
-    the on-disk result-cache key, while the default spec (and
-    ``workload=None``) hashes exactly as before the field existed.
+    Frozen and content-hashable: every spec set on
+    :class:`~repro.simulator.config.SimulationConfig` (the default
+    one included) is folded into the on-disk result-cache key like
+    any other config field.
     """
 
     arrival: ArrivalSpec = field(default_factory=PoissonArrivals)
@@ -375,7 +341,6 @@ class WorkloadSpec:
         _require(isinstance(self.transaction, TransactionSpec),
                  f"transaction must be a TransactionSpec, "
                  f"got {type(self.transaction).__name__}")
-
 
 
 #: The spec equal to "no spec": stationary Poisson, uniform keys,
@@ -404,21 +369,3 @@ def mix_thresholds(mix) -> Tuple[float, float]:
             f"operation mix (q_search={q_search}, q_insert={q_insert}, "
             f"q_delete={q_delete}) sums to {total}, not 1")
     return q_search, q_search + q_insert
-
-
-def effective_workload(config) -> Optional[WorkloadSpec]:
-    """The :class:`WorkloadSpec` a simulation config asks for.
-
-    ``config.workload`` when set; otherwise a spec derived from the
-    legacy ``key_distribution`` fields (``"hotspot"`` maps to
-    :class:`HotspotKeysSpec` with the config's parameters, anything
-    else to the default spec).
-    """
-    workload = getattr(config, "workload", None)
-    if workload is not None:
-        return workload
-    if getattr(config, "key_distribution", "uniform") == "hotspot":
-        return WorkloadSpec(keys=HotspotKeysSpec(
-            hot_fraction=config.hot_fraction,
-            hot_probability=config.hot_probability))
-    return DEFAULT_WORKLOAD

@@ -28,7 +28,6 @@ class TestRegistryInvariants:
             names.NAIVE_LOCK_COUPLING,
             names.OPTIMISTIC_DESCENT,
             names.LINK_TYPE,
-            names.LINK_SYMMETRIC,
             names.TWO_PHASE_LOCKING,
             names.OPTIMISTIC_LOCK_COUPLING,
         )
@@ -91,9 +90,7 @@ class TestRegistryInvariants:
         assert caps[names.OPTIMISTIC_DESCENT] == (
             "has_restarts", "supports_closed", "supports_recovery")
         assert caps[names.LINK_TYPE] == (
-            "has_link_crossings", "supports_closed", "supports_compaction")
-        assert caps[names.LINK_SYMMETRIC] == (
-            "has_link_crossings", "supports_compaction")
+            "has_link_crossings", "supports_closed")
         assert caps[names.TWO_PHASE_LOCKING] == (
             "has_restarts", "coupling_updates")
         assert caps[names.OPTIMISTIC_LOCK_COUPLING] == (
@@ -122,13 +119,6 @@ class TestConfigGates:
         with pytest.raises(ConfigurationError, match="recovery"):
             SimulationConfig(algorithm=names.OPTIMISTIC_LOCK_COUPLING,
                              recovery="leaf-only-recovery")
-
-    def test_compaction_gated_on_supports_compaction(self):
-        SimulationConfig(algorithm=names.LINK_SYMMETRIC,
-                         compaction_interval=50.0)
-        with pytest.raises(ConfigurationError, match="compaction"):
-            SimulationConfig(algorithm=names.OPTIMISTIC_LOCK_COUPLING,
-                             compaction_interval=50.0)
 
 
 # ----------------------------------------------------------------------

@@ -21,7 +21,7 @@ from repro.btree.builder import build_tree
 from repro.btree.tree import BPlusTree
 from repro.errors import ConfigurationError
 from repro.model.params import CostModel
-from repro.simulator import SimulationConfig, run_simulation
+from repro.simulator import SimulationConfig
 from repro.simulator.costs import ServiceTimeSampler
 from repro.workload.keys import UniformKeys
 
@@ -105,12 +105,12 @@ def test_empty_key_space_is_rejected():
 
 
 def test_more_items_than_keys_is_rejected():
-    """Such a build never reaches its size: it once looped forever."""
+    """Such a build never reaches its size: it once looped forever.
+    A simulation config asking for one is refused when constructed."""
     with pytest.raises(ConfigurationError, match="distinct keys"):
         build_tree(300, key_space=5)
-    config = SimulationConfig(n_items=300, key_space=5, n_operations=10)
     with pytest.raises(ConfigurationError, match="distinct keys"):
-        run_simulation(config)
+        SimulationConfig(n_items=300, key_space=5, n_operations=10)
     assert len(build_tree(16, order=3, key_space=16, seed=1)) == 16
 
 

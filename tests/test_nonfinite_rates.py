@@ -4,7 +4,7 @@ A zero inter-arrival gap (rate ``inf``) is a zero hold that the kernel
 continues within the same step forever, and a NaN rate turns into a NaN
 hold or a NaN model; so the configurations refuse both and the CLI flags
 exit 2 with an argparse ``error:`` line.  The same holds for a run's
-compaction interval and its remaining transaction time ``t_trans``.
+remaining transaction time ``t_trans``.
 Each CLI case runs in a child interpreter under a timeout, so a
 regression fails instead of hanging.
 """
@@ -70,15 +70,6 @@ def test_cli_rejects_non_finite_flag(argv):
 def test_simulation_config_rejects_rate(rate):
     with pytest.raises(ConfigurationError, match="arrival_rate"):
         SimulationConfig(arrival_rate=rate)
-
-
-@pytest.mark.parametrize("interval", [math.inf, math.nan, 0.0, -1.0])
-def test_simulation_config_rejects_compaction_interval(interval):
-    """A NaN interval once passed ``<= 0`` and swept forever at time 0;
-    ``inf`` raised ZeroDivisionError mid-run."""
-    with pytest.raises(ConfigurationError, match="compaction_interval"):
-        SimulationConfig(algorithm="link-type",
-                         compaction_interval=interval)
 
 
 @pytest.mark.parametrize("t_trans", [math.inf, math.nan, -1.0])

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -220,6 +222,19 @@ class TestExport:
         with pytest.raises(ConfigurationError):
             loads_ndjson('{"record":"header","schema":99,"kind":"run",'
                          '"algorithm":"x","arrival_rate":0.1,"seeds":[0]}\n')
+
+    def test_loader_rejects_unknown_result_fields(self):
+        """A result record with a field ``SimulationResult`` lacks (an
+        artifact from before ``compactions`` was removed, say) is
+        refused with a message, not a TypeError."""
+        lines = dumps_ndjson(_record()).splitlines()
+        for i, line in enumerate(lines):
+            record = json.loads(line)
+            if record["record"] == "result":
+                record["values"]["compactions"] = 0
+                lines[i] = json.dumps(record)
+        with pytest.raises(ConfigurationError, match="compactions"):
+            loads_ndjson("\n".join(lines) + "\n")
 
     def test_loader_skips_unknown_records(self):
         telemetry = _record()

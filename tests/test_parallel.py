@@ -30,7 +30,7 @@ from repro.simulator.driver import (
     run_replications,
     run_simulation,
 )
-from repro.workload import WorkloadSpec, ZipfKeysSpec
+from repro.workload import HotspotKeysSpec, WorkloadSpec, ZipfKeysSpec
 
 
 def _quick(**overrides) -> SimulationConfig:
@@ -139,23 +139,27 @@ class TestConfigKey:
 
 
 class TestGoldenKeys:
-    """Pinned ``task_key`` values: any change to a config field's
-    canonical form (a renamed or added ``MergePolicy`` field, say)
-    silently invalidates every cached result, and must fail here
-    unless it bumps ``CODE_SALT`` on purpose."""
+    """Pinned ``task_key`` values.  ``config_key`` hashes every config
+    field by name, so adding, renaming or deleting a field gives every
+    task a new key by construction: no cached result can be read under
+    a changed meaning, and the change re-pins these keys (with the new
+    value shown to follow from the old payload) without a ``CODE_SALT``
+    bump.  A change that keeps every field but alters results, or any
+    other key drift, must fail here unless it bumps the salt on
+    purpose."""
 
     @pytest.mark.parametrize("task,expected", [
         (SimTask(SimulationConfig()),
-         "7f0942ac2b60fb05d71b453dd3d78112bc85ffc556ab0e07eb2b2ff7585db99e"),
+         "1361db65df70148c54551a499d81bdb763fd5aea66394561479e43bf6bf365e4"),
         (SimTask(SimulationConfig(algorithm="optimistic-descent"),
                  kind="closed", mpl=8, think_time=2.0),
-         "108107aab1a14ba44f4e1d785e511a03636bac48db0c306c6f369ffea8977a0b"),
-        (SimTask(SimulationConfig(key_distribution="hotspot",
-                                  hot_fraction=0.2, hot_probability=0.8)),
-         "389a0f455978f050b62c4830bfb64d5b7566d5f4b55fd4c308a3dc083aac68c2"),
+         "addadc7120a092f900000364cb217d34e970118f1a1f93efed7c322eedb91dc6"),
+        (SimTask(SimulationConfig(workload=WorkloadSpec(
+            keys=HotspotKeysSpec(hot_fraction=0.2, hot_probability=0.8)))),
+         "bc0eba0f4b84c1a93c26e2807cd99b85bed3fc4c414709cc5db0d2211615b701"),
         (SimTask(SimulationConfig(
             workload=WorkloadSpec(keys=ZipfKeysSpec(theta=0.9)))),
-         "7cd72e33a21f27d251c1dd807f3c062d46db488dbce4d762d4167933c5880291"),
+         "b451e37f9640c17cdbabae8f2d6bdbecddd1d682654806b74bea705db66d8c4a"),
         (SimTask(CapacitySearch.of(analyze_lock_coupling,
                                    paper_default_config()), kind="search"),
          "649a47cd5a99959fcb0595aa0ef1eec95010314bd30bc4ab48b002069bb2c1c8"),

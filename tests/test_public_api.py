@@ -56,31 +56,3 @@ def test_console_script_target_exists():
     from repro.experiments.runner import main
     assert callable(main)
 
-
-def test_compactor_max_sweeps_terminates():
-    """The compactor generator honours its sweep budget (used by tests
-    and by callers that want a bounded pass)."""
-    import random
-
-    from repro.btree.builder import build_tree
-    from repro.des.engine import Simulator
-    from repro.des.rwlock import RWLock
-    from repro.model.params import CostModel
-    from repro.simulator.compaction import compactor
-    from repro.simulator.costs import ServiceTimeSampler
-    from repro.simulator.metrics import MetricsCollector
-    from repro.simulator.operations import OperationContext
-
-    def attach(node):
-        node.lock = RWLock(str(node.node_id))
-
-    tree = build_tree(200, order=4, rng=random.Random(1),
-                      on_new_node=attach)
-    sim = Simulator()
-    ctx = OperationContext(
-        sim, tree,
-        ServiceTimeSampler(CostModel(), tree, random.Random(2)),
-        MetricsCollector(), random.Random(3))
-    process = sim.spawn(compactor(ctx, interval=1.0, max_sweeps=3))
-    sim.run()
-    assert process.done

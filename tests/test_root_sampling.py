@@ -30,7 +30,6 @@ CASES = {
     "optimistic-lock-coupling": dict(arrival_rate=0.3),
     "two-phase-locking": dict(arrival_rate=0.04),
     "link-type": dict(arrival_rate=3.0, n_items=30, order=3),
-    "link-symmetric": dict(arrival_rate=3.0, n_items=30, order=3),
 }
 
 #: A tiny tree grown and shrunk by a delete-heavy mix: under the
@@ -39,7 +38,7 @@ ROOT_CHURN = dict(n_items=8, order=3, key_space=16, seed=7,
                   arrival_rate=0.05, mix=OperationMix(0.3, 0.357, 0.343))
 
 #: The algorithms that never merge: their root only splits.
-LINK = ("link-type", "link-symmetric")
+LINK = ("link-type",)
 
 
 def polling_root_sampler(tree, metrics, counts):

@@ -190,7 +190,6 @@ CONTENDED = {
     "optimistic-lock-coupling": 0.6,
     "two-phase-locking": 0.04,
     "link-type": 3.0,
-    "link-symmetric": 3.0,
 }
 
 

@@ -114,6 +114,38 @@ def test_size_counter_matches_contents(algorithm):
     assert len(tree) == sum(1 for _ in tree.items())
 
 
+def test_link_deletes_leave_empty_leaves():
+    """Link-type deletes never merge: deleting most of a small tree
+    concurrently strands empty leaves, and the tree stays valid with
+    underflow allowed."""
+    rng = random.Random(3)
+
+    def attach_lock(node: Node) -> None:
+        node.lock = RWLock(name=str(node.node_id))
+
+    tree = build_tree(600, order=4, key_space=1_500,
+                      rng=random.Random(4), on_new_node=attach_lock)
+    sim = Simulator()
+    ctx = OperationContext(
+        sim, tree, ServiceTimeSampler(CostModel(disk_cost=2.0), tree,
+                                      random.Random(5)),
+        MetricsCollector(), rng)
+    delete = get_algorithm("link-type").ops.delete
+    resident = list(tree.items())
+    rng.shuffle(resident)
+    t = 0.0
+    for key in resident[:450]:
+        t += rng.expovariate(2.0)
+        sim.spawn(delete(ctx, key), delay=t)
+    sim.run()
+    assert sim.active_processes == 0
+    assert sorted(tree.items()) == sorted(resident[450:])
+    empty = sum(1 for leaf in tree.leaves()
+                if not leaf.keys and leaf is not tree.root)
+    assert empty > 10
+    check_invariants(tree, allow_underflow=True)
+
+
 def test_naive_update_splits_under_pressure():
     tree, metrics, _issued = _drive("naive-lock-coupling", n_ops=1_000,
                                     rate=1.0, seed=4)

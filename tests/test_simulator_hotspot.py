@@ -1,9 +1,7 @@
 """Tests for the hotspot key-distribution wiring in the drivers."""
 
-import pytest
-
-from repro.errors import ConfigurationError
 from repro.simulator import SimulationConfig, run_simulation
+from repro.workload import HotspotKeysSpec, WorkloadSpec
 from repro.workload.keys import HotspotKeys, UniformKeys
 from repro.workload.runtime import WorkloadRuntime
 
@@ -16,20 +14,21 @@ def _config(**overrides):
     return SimulationConfig(**defaults)
 
 
-class TestConfig:
-    def test_unknown_distribution_rejected(self):
-        with pytest.raises(ConfigurationError):
-            _config(key_distribution="zipf")
+def _hotspot(**overrides):
+    """A hotspot workload: ``hot_probability`` of the accesses go to
+    the first ``hot_fraction`` of the key space (default 80/20)."""
+    return WorkloadSpec(keys=HotspotKeysSpec(**overrides))
 
+
+class TestConfig:
     def test_picker_factory(self):
-        """The legacy ``key_distribution`` fields map onto the
-        equivalent key spec."""
+        """The workload's key spec picks the runtime key picker."""
         import random
         rng = random.Random(0)
         assert isinstance(WorkloadRuntime(_config(), rng).picker, UniformKeys)
         picker = WorkloadRuntime(
-            _config(key_distribution="hotspot", hot_fraction=0.1,
-                    hot_probability=0.9), rng).picker
+            _config(workload=_hotspot(hot_fraction=0.1,
+                                      hot_probability=0.9)), rng).picker
         assert isinstance(picker, HotspotKeys)
         assert picker.hot_fraction == 0.1
         assert picker.hot_probability == 0.9
@@ -37,7 +36,7 @@ class TestConfig:
 
 class TestHotspotRuns:
     def test_run_completes(self):
-        result = run_simulation(_config(key_distribution="hotspot"))
+        result = run_simulation(_config(workload=_hotspot()))
         assert not result.overflowed
         assert result.measured_operations >= 400
 
@@ -48,8 +47,8 @@ class TestHotspotRuns:
                                          n_operations=800))
         skewed = run_simulation(_config(arrival_rate=0.3,
                                         n_operations=800,
-                                        key_distribution="hotspot",
-                                        hot_probability=0.95))
+                                        workload=_hotspot(
+                                            hot_probability=0.95)))
         assert skewed.mean_response["insert"] \
             > 1.1 * uniform.mean_response["insert"]
 
@@ -60,13 +59,13 @@ class TestHotspotRuns:
         skewed = run_simulation(_config(algorithm="link-type",
                                         arrival_rate=0.3,
                                         n_operations=800,
-                                        key_distribution="hotspot",
-                                        hot_probability=0.95))
+                                        workload=_hotspot(
+                                            hot_probability=0.95)))
         assert skewed.mean_response["insert"] \
             < 1.3 * uniform.mean_response["insert"]
 
     def test_closed_mode_accepts_hotspot(self):
         from repro.simulator.closed import run_closed_simulation
         result = run_closed_simulation(
-            _config(key_distribution="hotspot"), multiprogramming_level=4)
+            _config(workload=_hotspot()), multiprogramming_level=4)
         assert result.throughput > 0

@@ -437,6 +437,28 @@ class TestWarmRunSimulatesNothing:
             assert (tmp_path / "warm" / name).read_bytes() == \
                 (tmp_path / "cold" / name).read_bytes(), name
 
+    def test_every_registered_algorithm_runs_in_a_figure(self):
+        """The tasks an all-figures run batches (what the drivers and
+        claims yield, before anything runs) simulate every registered
+        algorithm: none is carried without a figure that checks it.
+
+        The one known gap is pinned by name, so a new algorithm without
+        a figure fails here, and so does the gap closing: Two-Phase
+        Locking is simulated only by ``ext01(simulate=True)``, and the
+        all-figures run calls ext01 analytically."""
+        from repro.algorithms import all_algorithms, names
+        from repro.experiments.claims import claim_checks
+        from repro.experiments.common import gather
+        from repro.report import FIGURES, get_figure
+        calls = [get_figure(figure_id).start(0.01) for figure_id in FIGURES]
+        tasks = gather(*calls, *claim_checks()).send(None)
+        simulated = {task.config.algorithm for task in tasks
+                     if isinstance(task.config, SimulationConfig)}
+        missing = [spec.name for spec in all_algorithms()
+                   if spec.name not in simulated]
+        assert missing == [names.TWO_PHASE_LOCKING], \
+            f"no figure simulates {missing}"
+
     def test_ext04_grows_its_tree_once(self, monkeypatch, work_calls):
         from repro.btree import builder
         from repro.report import get_figure

@@ -73,16 +73,6 @@ class TestDefaultPathIdentity:
                                      6, think_time=1.0)
         assert fingerprint(plain) == fingerprint(spec)
 
-    def test_hotspot_spec_matches_legacy_key_distribution(self):
-        legacy = _config(key_distribution="hotspot", hot_fraction=0.2,
-                         hot_probability=0.8)
-        spec = _config(workload=WorkloadSpec(keys=HotspotKeysSpec(
-            hot_fraction=0.2, hot_probability=0.8)))
-        assert fingerprint(run_simulation(legacy)) == \
-            fingerprint(run_simulation(spec))
-        assert fingerprint(run_closed_simulation(legacy, 6)) == \
-            fingerprint(run_closed_simulation(spec, 6))
-
 
 # ----------------------------------------------------------------------
 # Non-default workloads through the open driver

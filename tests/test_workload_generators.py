@@ -154,7 +154,6 @@ class TestArrivalSamplers:
         spec = ScheduleArrivals(segments=((0.0, 3.0), (10.0, 1.0),
                                           (0.0, 0.5)))
         assert spec.live_segments() == ((10.0, 1.0),)
-        assert spec.factor_segments() == ((1.0, 1.0),)
 
     def test_schedule_spec_rejects_degenerate_schedules(self):
         with pytest.raises(ConfigurationError):

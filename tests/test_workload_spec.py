@@ -1,10 +1,9 @@
-"""WorkloadSpec plumbing: validation, registry, cache keys, model.
+"""WorkloadSpec plumbing: validation, registry, cache keys.
 
-The load-bearing contract: the default :class:`WorkloadSpec` (and
-``workload=None``) must hash and behave exactly like the pre-workload
-configuration — cache keys unchanged, no CODE_SALT bump — while any
-non-default spec is content-hashed into the key like every other
-config field.
+The load-bearing contract: ``workload=None`` is stored as the default
+:class:`WorkloadSpec`, so both spellings compare and hash alike, and
+every spec is content-hashed into the key like every other config
+field.
 """
 
 from types import SimpleNamespace
@@ -12,7 +11,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro.errors import ConfigurationError
-from repro.model.workload import effective_load, piecewise_response
 from repro.parallel.cache import config_key
 from repro.simulator.config import SimulationConfig
 from repro.workload import (
@@ -29,7 +27,6 @@ from repro.workload import (
     ZipfKeysSpec,
     all_arrival_processes,
     all_key_distributions,
-    effective_workload,
     mix_thresholds,
 )
 
@@ -49,7 +46,6 @@ class TestSpecSemantics:
     def test_default_spec_flags(self):
         spec = WorkloadSpec()
         assert spec == DEFAULT_WORKLOAD
-        assert spec.arrival.stationary()
 
     @pytest.mark.parametrize("spec", [
         WorkloadSpec(arrival=MMPPArrivals()),
@@ -70,7 +66,11 @@ class TestSpecSemantics:
             assert not hasattr(part, "vector_native")
 
     def test_mmpp_defaults_are_mean_preserving(self):
-        assert MMPPArrivals().mean_factor() == pytest.approx(1.0)
+        mmpp = MMPPArrivals()
+        mean = ((mmpp.on_factor * mmpp.mean_on
+                 + mmpp.off_factor * mmpp.mean_off)
+                / (mmpp.mean_on + mmpp.mean_off))
+        assert mean == pytest.approx(1.0)
 
     def test_spec_rejects_wrong_component_types(self):
         with pytest.raises(ConfigurationError):
@@ -101,24 +101,15 @@ class TestSpecSemantics:
 # ----------------------------------------------------------------------
 class TestConfigIntegration:
 
-    def test_effective_workload_resolution(self):
-        assert effective_workload(_config()) == DEFAULT_WORKLOAD
+    def test_workload_resolution(self):
+        assert _config().workload is DEFAULT_WORKLOAD
+        assert _config(workload=None).workload is DEFAULT_WORKLOAD
         explicit = WorkloadSpec(arrival=MMPPArrivals())
-        assert effective_workload(_config(workload=explicit)) is explicit
-        legacy = _config(key_distribution="hotspot", hot_fraction=0.1,
-                         hot_probability=0.9)
-        assert effective_workload(legacy) == WorkloadSpec(
-            keys=HotspotKeysSpec(hot_fraction=0.1, hot_probability=0.9))
+        assert _config(workload=explicit).workload is explicit
 
     def test_config_rejects_non_spec_workload(self):
         with pytest.raises(ConfigurationError, match="WorkloadSpec"):
             _config(workload="mmpp")
-
-    def test_workload_and_legacy_skew_mutually_exclusive(self):
-        with pytest.raises(ConfigurationError,
-                           match="mutually exclusive"):
-            _config(workload=WorkloadSpec(keys=HotspotKeysSpec()),
-                    key_distribution="hotspot")
 
 
 # ----------------------------------------------------------------------
@@ -179,51 +170,3 @@ class TestRegistry:
             assert not hasattr(entry, "vector_native")
             assert not hasattr(spec_type, "vector_native")
 
-
-# ----------------------------------------------------------------------
-# Model-layer composition
-# ----------------------------------------------------------------------
-class TestEffectiveLoadModel:
-
-    def test_poisson_is_exact_and_stationary(self):
-        load = effective_load(PoissonArrivals())
-        assert load.stationary
-        assert load.mean_factor == pytest.approx(1.0)
-        assert load.peak_factor == pytest.approx(1.0)
-        assert load.burstiness == pytest.approx(0.0)
-        assert load.divergence is None
-
-    def test_mmpp_summary_is_honestly_flagged(self):
-        load = effective_load(MMPPArrivals())
-        assert not load.stationary
-        assert load.mean_factor == pytest.approx(1.0)
-        assert load.peak_factor == pytest.approx(3.0)
-        assert load.burstiness > 0.0
-        assert load.divergence is not None
-        assert "quasi-static" in load.divergence
-
-    def test_spike_summary_is_honestly_flagged(self):
-        load = effective_load(SpikeArrivals())
-        assert load.divergence is not None
-        assert "transient" in load.divergence
-
-    def test_schedule_composition_is_trusted(self):
-        load = effective_load(ScheduleArrivals())
-        assert not load.stationary
-        assert load.divergence is None
-
-    def test_piecewise_response_weights_segments(self):
-        def analyze(config, rate):
-            return SimpleNamespace(response=lambda op: rate * 10.0)
-        arrival = ScheduleArrivals(segments=((100.0, 0.5), (100.0, 1.5)))
-        composed = piecewise_response(analyze, None, 1.0, arrival,
-                                      "insert")
-        assert composed == pytest.approx(0.5 * 5.0 + 0.5 * 15.0)
-
-    def test_piecewise_response_saturated_segment_is_infinite(self):
-        def analyze(config, rate):
-            value = float("inf") if rate > 1.0 else rate
-            return SimpleNamespace(response=lambda op: value)
-        composed = piecewise_response(analyze, None, 1.0,
-                                      MMPPArrivals(), "search")
-        assert composed == float("inf")
