@@ -135,6 +135,42 @@ class TestMergeAtEmpty:
         check_invariants(tree)
 
 
+
+class TestLeftNeighbour:
+    """The left neighbour through which a merge-at-empty removal
+    unlinks a node: found from the access path, or by scanning the
+    level's right-link chain when the path gives out."""
+
+    def _tree(self):
+        tree = BPlusTree(order=4)
+        for key in range(200):
+            tree.insert(key)
+        assert tree.height >= 3
+        return tree
+
+    @pytest.mark.parametrize("level", [1, 2])
+    def test_scan_finds_the_node_linking_to_it(self, level):
+        tree = self._tree()
+        nodes = list(tree.level_nodes(level))
+        assert len(nodes) > 1
+        assert tree._scan_for_left_neighbour(nodes[0]) is None
+        for left, node in zip(nodes, nodes[1:]):
+            assert tree._scan_for_left_neighbour(node) is left
+
+    @pytest.mark.parametrize("suffix", ["full-path", "parent-only",
+                                        "no-path"])
+    def test_any_path_suffix_agrees_with_the_scan(self, suffix):
+        tree = self._tree()
+        for leaf in tree.leaves():
+            path = tree.path_to(leaf.keys[0])
+            assert path[-1] is leaf
+            ancestors = {"full-path": path[:-1],
+                         "parent-only": path[-2:-1],
+                         "no-path": []}[suffix]
+            assert tree._left_neighbour(leaf, ancestors) \
+                is tree._scan_for_left_neighbour(leaf)
+
+
 class TestPrimitives:
     def test_half_split_leaf(self):
         tree = BPlusTree(order=4)

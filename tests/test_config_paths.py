@@ -6,7 +6,8 @@ before any run starts.
 * ext05's hotspot sweep, written through ``HotspotKeysSpec``, prints the
   rows it printed through the former ``key_distribution`` fields.
 * A config whose tree cannot be built is refused when it is
-  constructed, with the builder's own message, not later in a worker.
+  constructed, with the builder's own message, not later in a worker;
+  so is every other config no run could start from.
 """
 
 import math
@@ -14,6 +15,7 @@ import math
 import pytest
 
 from repro.btree.builder import build_tree
+from repro.btree.policies import MergePolicy
 from repro.errors import ConfigurationError
 from repro.parallel import SimTask, task_key
 from repro.report import get_figure
@@ -66,3 +68,28 @@ def test_unbuildable_tree_refused_at_construction(fields, build):
 def test_hotspot_refuses_nan(spec, field):
     with pytest.raises(ConfigurationError, match=field):
         spec(**{field: math.nan})
+
+
+@pytest.mark.parametrize("fields,message", [
+    (dict(algorithm="link-symmetric"),
+     "unknown algorithm 'link-symmetric'; expected one of link-type, "),
+    (dict(n_operations=0), "n_operations must be >= 1"),
+    (dict(warmup_operations=-1), "warmup_operations must be >= 0"),
+    (dict(max_population=0), "max_population must be >= 1"),
+    (dict(key_space=0), "key_space must be in [1, 2**63], got 0"),
+    (dict(key_space=2**63 + 1), "key_space must be in [1, 2**63]"),
+    (dict(recovery="eager-recovery"), "unknown recovery 'eager-recovery'"),
+    (dict(algorithm="link-type", recovery="naive-recovery"),
+     "recovery policies are not modelled for"),
+    (dict(workload={"keys": "zipf"}),
+     "workload must be a WorkloadSpec, got dict"),
+    (dict(merge_policy=MergePolicy("merge-at-half", 1, 2)),
+     "the simulator requires merge-at-empty"),
+], ids=["removed-algorithm", "no-operations", "negative-warmup",
+        "no-population", "empty-key-space", "key-space-above-2**63",
+        "unknown-recovery", "recovery-without-a-model",
+        "workload-not-a-spec", "merge-policy-not-at-empty"])
+def test_unrunnable_config_refused_at_construction(fields, message):
+    with pytest.raises(ConfigurationError) as refused:
+        SimulationConfig(**fields)
+    assert str(refused.value).startswith(message)

@@ -173,6 +173,12 @@ class TestCli:
         assert exit_info.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
 
+    def test_removed_algorithm_is_an_invalid_choice(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["simulate", "--algorithm", "link-symmetric"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'link-symmetric'" in capsys.readouterr().err
+
     def test_removed_no_sim_flag_is_refused(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as exit_info:
             cli_main(["figures", "fig11", "--no-sim", "--out",

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import pickle
 import re
 
 import pytest
 
+from repro.btree.policies import MergePolicy
 from repro.errors import ConfigurationError
 from repro.model import (
     NAIVE_RECOVERY,
@@ -14,6 +17,7 @@ from repro.model import (
     analyze_optimistic_with_recovery,
     paper_default_config,
 )
+from repro.model.params import CostModel, OperationMix
 from repro.model.throughput import CapacitySearch
 from repro.parallel import (
     CODE_SALT,
@@ -30,7 +34,8 @@ from repro.simulator.driver import (
     run_replications,
     run_simulation,
 )
-from repro.workload import HotspotKeysSpec, WorkloadSpec, ZipfKeysSpec
+from repro.workload import (HotspotKeysSpec, MMPPArrivals,
+                            TransactionSpec, WorkloadSpec, ZipfKeysSpec)
 
 
 def _quick(**overrides) -> SimulationConfig:
@@ -136,6 +141,86 @@ class TestConfigKey:
         config = _quick()
         assert config_key(config, salt="sim-v1") != \
             config_key(config, salt="sim-v2")
+
+
+#: A value other than the default for every field of the configs
+#: that ``config_key`` walks, by class and field name.
+OTHER_VALUES = {
+    SimulationConfig: {
+        "algorithm": "link-type",
+        "arrival_rate": 0.25,
+        "order": 9,
+        "n_items": 1_000,
+        "mix": OperationMix(0.5, 0.3, 0.2),
+        "costs": CostModel(disk_cost=10.0),
+        # No second legal value: set past the constructor's check.
+        "merge_policy": MergePolicy("merge-at-half", 1, 2),
+        "n_operations": 300,
+        "warmup_operations": 30,
+        "max_population": 50,
+        "key_space": 10**6,
+        "seed": 8,
+        "recovery": "naive-recovery",
+        "t_trans": 50.0,
+        "workload": WorkloadSpec(keys=ZipfKeysSpec(theta=0.9)),
+    },
+    CostModel: {
+        "node_search_time": 2.0,
+        "disk_cost": 10.0,
+        "in_memory_levels": 3,
+        "modify_factor": 1.5,
+        "split_factor": 4.0,
+        "merge_factor": 2.0,
+        "level_dilations": (1.0, 1.0, 5.0),
+    },
+    WorkloadSpec: {
+        "arrival": MMPPArrivals(),
+        "keys": HotspotKeysSpec(hot_fraction=0.2, hot_probability=0.8),
+        "transaction": TransactionSpec(size=3),
+    },
+}
+
+
+def _field_cases():
+    return [(cls, f.name) for cls in OTHER_VALUES
+            for f in dataclasses.fields(cls)]
+
+
+def _with_field(value, name, other):
+    changed = copy.copy(value)
+    object.__setattr__(changed, name, other)
+    return changed
+
+
+class TestEveryFieldIsHashed:
+    """``config_key`` hashes every field, with no special case: a
+    config that differs from another in any one field, nested specs
+    included, gets a different key."""
+
+    @pytest.mark.parametrize("cls", list(OTHER_VALUES),
+                             ids=lambda cls: cls.__name__)
+    def test_table_names_exactly_the_fields(self, cls):
+        assert set(OTHER_VALUES[cls]) == \
+            {f.name for f in dataclasses.fields(cls)}
+
+    @pytest.mark.parametrize(
+        "cls,name", _field_cases(),
+        ids=[f"{cls.__name__}.{name}" for cls, name in _field_cases()])
+    def test_one_changed_field_changes_the_key(self, cls, name):
+        other = OTHER_VALUES[cls][name]
+        if cls is SimulationConfig:
+            base = SimulationConfig(algorithm="optimistic-descent")
+            changed = _with_field(base, name, other)
+        elif cls is CostModel:
+            base = SimulationConfig(costs=CostModel())
+            changed = _with_field(
+                base, "costs", _with_field(base.costs, name, other))
+        else:
+            base = SimulationConfig(workload=WorkloadSpec())
+            changed = _with_field(
+                base, "workload", _with_field(base.workload, name, other))
+        assert changed != base
+        assert config_key(changed) != config_key(base)
 
 
 class TestGoldenKeys:
