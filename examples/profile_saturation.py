@@ -18,7 +18,8 @@ import random
 from repro.btree.builder import build_tree
 from repro.des import RWLock, Simulator
 from repro.model.params import CostModel
-from repro.simulator import SimulationConfig, run_simulation
+from repro.parallel import SimTask, run_batch
+from repro.simulator import SimulationConfig
 from repro.simulator.costs import ServiceTimeSampler
 from repro.simulator.metrics import MetricsCollector
 from repro.simulator.operations import OperationContext
@@ -30,11 +31,13 @@ def latency_panel() -> None:
     print("Naive Lock-coupling latency panel (search), ~0.61 = saturation:")
     print(f"{'rate':>6} {'mean':>8} {'p50':>8} {'p90':>8} {'p99':>8} "
           f"{'bottleneck level (W wait)':>28}")
-    for rate in (0.1, 0.3, 0.5, 0.58):
-        result = run_simulation(SimulationConfig(
-            algorithm="naive-lock-coupling", arrival_rate=rate,
-            n_items=8_000, n_operations=1_500, warmup_operations=150,
-            seed=5))
+    rates = (0.1, 0.3, 0.5, 0.58)
+    # One batch: its runs share one warm-up tree (one seed, one build).
+    results = run_batch([SimTask(SimulationConfig(
+        algorithm="naive-lock-coupling", arrival_rate=rate,
+        n_items=8_000, n_operations=1_500, warmup_operations=150,
+        seed=5)) for rate in rates])
+    for rate, result in zip(rates, results):
         p = result.response_percentiles["search"]
         worst_level, (_r, worst_wait) = max(
             result.mean_lock_waits.items(),

@@ -7,9 +7,10 @@ operation phase" (Section 4).  ``build_tree`` reproduces that: it applies
 insert/delete operations drawn with the mix's update proportions until the
 tree holds the requested number of items.
 
-The simulator drivers go through ``warm_tree``, which grows each distinct
-tree once per process and lends it to every run, which undoes its changes
-afterwards.
+The simulator drivers go through ``warm_tree``.  Inside a batch
+(:func:`tree_memo`) it grows each distinct tree once and lends it to
+every run, which undoes its changes afterwards; outside one it hands
+the run a tree of its own.
 
 ``build_tree`` runs one fused loop: the leaf descent and the leaf insert
 or delete of :meth:`BPlusTree.insert` / :meth:`BPlusTree.delete` and the
@@ -22,7 +23,8 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left, bisect_right
-from typing import Dict, Optional, Tuple
+from contextlib import contextmanager
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.btree.node import MAX_KEY_SPACE, Node
 from repro.btree.policies import MERGE_AT_EMPTY, MergePolicy
@@ -38,8 +40,30 @@ DEFAULT_KEY_SPACE = 1 << 30
 BuildLevels = Tuple[Tuple[int, int], ...]
 
 #: ``warm_tree``'s one template: (key, template tree, its build levels),
-#: or None before the first call.
+#: or None outside a :func:`tree_memo` scope and before its first call.
 _last: Optional[Tuple[tuple, BPlusTree, BuildLevels]] = None
+
+#: True inside a :func:`tree_memo` scope.
+_memo_open = False
+
+
+@contextmanager
+def tree_memo() -> Iterator[None]:
+    """Within the block, :func:`warm_tree` keeps the last tree it grew
+    and lends it to every call that asks for the same tree.
+
+    A batch of runs opens this scope, so its runs on one tree share one
+    build.  Scopes nest; when the outermost one closes, the template is
+    dropped, its spare locks with it.
+    """
+    global _last, _memo_open
+    outer, _memo_open = _memo_open, True
+    try:
+        yield
+    finally:
+        _memo_open = outer
+        if not outer:
+            _last = None
 
 
 def check_build_size(n_items: int, order: int, key_space: int) -> None:
@@ -152,12 +176,16 @@ def warm_tree(build_seed: int, n_items: int, order: int,
               insert_fraction: float, key_space: int,
               on_new_node: NodeHook = None
               ) -> Tuple[BPlusTree, BuildLevels]:
-    """The tree ``build_tree`` grows from ``random.Random(build_seed)``,
-    built only when the previous call asked for a different tree, and
-    its build levels.
+    """The tree ``build_tree`` grows from ``random.Random(build_seed)``
+    and its build levels.
 
-    The memo keeps the last template only, so callers that run several
-    trees should group their runs by tree (see
+    Outside a :func:`tree_memo` scope every call builds the tree and
+    hands it over: the caller owns it, no journal is open and nothing
+    keeps it once the caller lets it go.
+
+    Inside one, the tree is built only when the previous call asked for
+    a different tree.  The memo keeps the last template only, so callers
+    that run several trees should group their runs by tree (see
     :func:`repro.experiments.common.sweep_replications`).  A miss drops
     the old template (reference counting frees it and its
     ``spare_locks``) and builds a lock-free template.  Every call lends
@@ -171,11 +199,11 @@ def warm_tree(build_seed: int, n_items: int, order: int,
     build allocated at each level, freed ones included, levels in the
     order the build first allocated at them — what ``on_new_node``
     would have seen during the build, summed per level.
-    ``on_new_node`` becomes the tree's hook for the loan.  Within the
-    loan the tree is indistinguishable from ``build_tree(...,
+    ``on_new_node`` becomes the tree's hook for the caller.  The tree is
+    indistinguishable from ``build_tree(...,
     rng=random.Random(build_seed), on_new_node=on_new_node)``, except
-    that its ``node_id`` values come from the build and the hook sees
-    only the nodes the loan allocates.
+    that the hook sees only the nodes the caller allocates (and, on a
+    loan, that its ``node_id`` values come from the build).
     """
     global _last
     key = (build_seed, n_items, order, insert_fraction, key_space)
@@ -188,13 +216,16 @@ def warm_tree(build_seed: int, n_items: int, order: int,
         def count(node: Node) -> None:
             counts[node.level] = counts.get(node.level, 0) + 1
 
-        template = build_tree(n_items, order=order,
-                              insert_fraction=insert_fraction,
-                              key_space=key_space,
-                              rng=random.Random(build_seed),
-                              on_new_node=count)
-        template.on_new_node = None
-        _last = (key, template, tuple(counts.items()))
+        tree = build_tree(n_items, order=order,
+                          insert_fraction=insert_fraction,
+                          key_space=key_space,
+                          rng=random.Random(build_seed),
+                          on_new_node=count)
+        if not _memo_open:
+            tree.on_new_node = on_new_node
+            return tree, tuple(counts.items())
+        tree.on_new_node = None
+        _last = (key, tree, tuple(counts.items()))
     _key, template, levels = _last
     template.journal()
     template.on_new_node = on_new_node

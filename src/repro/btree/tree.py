@@ -24,9 +24,9 @@ serves all three concurrency-control schemes.
 
 Every node write goes through this module, so :meth:`BPlusTree.journal`
 can record the state of each node before its first change and
-:meth:`BPlusTree.rollback` can put it back: a simulation runs on a
-shared tree and undoes its changes afterwards instead of copying the
-tree first.
+:meth:`BPlusTree.rollback` can put it back: the runs of a batch share
+one tree, and each undoes its changes afterwards instead of copying the
+tree first.  A run outside a batch owns its tree and opens no journal.
 """
 
 from __future__ import annotations
@@ -119,6 +119,11 @@ class BPlusTree:
         self._undo = {}
         self._undo_tree = (self.root, self._size, self._splits,
                            self._merges, self.on_new_node)
+
+    @property
+    def journaling(self) -> bool:
+        """True from :meth:`journal` until :meth:`rollback`."""
+        return self._undo is not None
 
     def rollback(self) -> None:
         """Put back the state :meth:`journal` saw and stop recording.

@@ -164,8 +164,8 @@ def sweep_replications(bases: Sequence[SimulationConfig],
     Returns ``out[b][r]``, the seed-ordered results of ``bases[b]`` at
     ``rates[r]``.  The grid is yielded seed-major (every point of one
     seed, then the next seed): runs of one seed share a warm-up tree,
-    so the one-tree memo of :func:`repro.btree.builder.warm_tree` grows
-    each tree once.  Runs are independent, so the order changes no
+    so the batch's one-tree memo of :func:`repro.btree.builder.warm_tree`
+    grows each tree once.  Runs are independent, so the order changes no
     result.
     """
     n = seeds if seeds is not None else sim_seeds(scale)

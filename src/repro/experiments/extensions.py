@@ -194,7 +194,8 @@ def ext04(scale: float = 1.0) -> SimulatedFigure:
     # model reads it), then the whole (mpl, algorithm) grid of closed
     # tasks, then the model's capacity on that tree; the results come
     # back in task order.  The shape task goes first, so the closed
-    # runs borrow the tree it grew.
+    # runs borrow the tree it grew from the batch's warm-up tree memo
+    # (each pool worker grows it once).
     shape_config = sim_config(specs[0], 1)
     tasks = [SimTask(shape_config, kind="shape")] + [
         SimTask(sim_config(spec, mpl), kind="closed", mpl=mpl)

@@ -22,10 +22,11 @@ def measured_shape(sim_config: SimulationConfig) -> TreeShape:
     """The shape of the tree the simulator's runs of ``sim_config``
     start from.
 
-    The tree is :func:`~repro.btree.builder.warm_tree`'s loan, grown
-    from the run's derived build seed and rolled back after the
-    measurement, so the runs that follow borrow the same template
-    instead of growing it again.  A ``"shape"``
+    The tree is the one :func:`~repro.btree.builder.warm_tree` gives
+    for the run's derived build seed.  Inside a batch it is the memo's
+    loan, rolled back after the measurement, so the runs that follow
+    borrow the same template instead of growing it again; outside one
+    it is built for the measurement and freed after it.  A ``"shape"``
     :class:`~repro.parallel.SimTask` computes this in a batch, where
     the result cache serves it on a rerun.
     """

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import time
 from collections import deque
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass
 from typing import (
     TYPE_CHECKING,
@@ -59,6 +60,7 @@ from typing import (
     Union,
 )
 
+from repro.btree.builder import tree_memo
 from repro.errors import ConfigurationError
 from repro.parallel.cache import CODE_SALT, ResultCache, config_key
 from repro.resilience.faults import (
@@ -226,6 +228,17 @@ def execute_task(task: SimTask) -> Any:
     return run_simulation(task.config)
 
 
+#: A pool worker's warm-up tree memo scope, open for the worker's life.
+_worker_memo = ExitStack()
+
+
+def _open_worker_memo() -> None:
+    """Initializer of the process pool's workers: open the warm-up tree
+    memo (:func:`~repro.btree.builder.tree_memo`) for the worker's
+    lifetime, so its tasks on one tree share one build."""
+    _worker_memo.enter_context(tree_memo())
+
+
 def _execute_guarded(task: SimTask,
                      fault_specs: Tuple[FaultSpec, ...]) -> Any:
     """Worker entry point of the process pool: fire the task's injected
@@ -362,23 +375,24 @@ class _Batch:
     # Inline (jobs <= 1)
     # ------------------------------------------------------------------
     def _run_inline(self, pending: List[int]) -> None:
-        for index in pending:
-            while True:
-                attempt = self.failures[index]
-                specs = self.faults.worker_faults(index, attempt)
-                try:
-                    apply_worker_faults(specs)
-                    outcome = execute_task(self.tasks[index])
-                except Exception as error:
-                    if self.fail_fast:
-                        raise
-                    if self._charge(index, type(error).__name__,
-                                    str(error)):
-                        time.sleep(self._remaining_backoff(index))
-                        continue
+        with tree_memo():
+            for index in pending:
+                while True:
+                    attempt = self.failures[index]
+                    specs = self.faults.worker_faults(index, attempt)
+                    try:
+                        apply_worker_faults(specs)
+                        outcome = execute_task(self.tasks[index])
+                    except Exception as error:
+                        if self.fail_fast:
+                            raise
+                        if self._charge(index, type(error).__name__,
+                                        str(error)):
+                            time.sleep(self._remaining_backoff(index))
+                            continue
+                        break
+                    self._record_success(index, outcome)
                     break
-                self._record_success(index, outcome)
-                break
 
     # ------------------------------------------------------------------
     # Process pool (jobs >= 2, or any jobs with a task timeout)
@@ -401,7 +415,8 @@ class _Batch:
         from concurrent.futures.process import BrokenProcessPool
 
         workers = min(self.n_jobs, max(len(queue), 1))
-        pool = ProcessPoolExecutor(max_workers=workers)
+        pool = ProcessPoolExecutor(max_workers=workers,
+                                   initializer=_open_worker_memo)
         futures: Dict[Any, int] = {}
         running_since: Dict[int, float] = {}
         torn_down = False

@@ -2,12 +2,12 @@
 
 ``run_simulation``:
 
-1. borrows the B-tree that a random insert/delete sequence with the
+1. gets the B-tree that a random insert/delete sequence with the
    same insert/delete proportions as the concurrent mix grows
-   (construction phase) from the warm-up tree memo
-   (:func:`~repro.btree.builder.warm_tree`), which keeps the last tree
-   it grew, and rolls back the run's changes to it afterwards
-   (:func:`run_context`);
+   (construction phase) from :func:`~repro.btree.builder.warm_tree`:
+   inside a batch, a loan from the warm-up tree memo, which keeps the
+   last tree it grew, and whose changes the run rolls back afterwards;
+   outside one, a tree of the run's own (:func:`run_context`);
 2. gives a node a FCFS R/W lock the first time an operation reaches it
    (nodes created later by concurrent splits included);
 3. releases concurrent operations in a Poisson stream, each performing a
@@ -78,7 +78,8 @@ def run_context(config: SimulationConfig, build_seed: int,
                 metrics: MetricsCollector,
                 telemetry=None) -> Iterator[OperationContext]:
     """The set-up both drivers share: yields the run's
-    :class:`OperationContext` on the borrowed warm-up tree.
+    :class:`OperationContext` on the warm-up tree from
+    :func:`~repro.btree.builder.warm_tree`.
 
     Every tree level the build or the run allocates a node at gets one
     pair of lock-wait means (:meth:`MetricsCollector.waits_for_level`),
@@ -94,10 +95,13 @@ def run_context(config: SimulationConfig, build_seed: int,
     collector samples the root's lock
     (:meth:`MetricsCollector.follow_root`), and the tree's
     ``on_root_change`` hook keeps it on the root through root splits
-    and collapses.  On exit, normal or not, the hook is cleared, every
-    lock the run used is reset and handed to the next run on the same
-    template through ``spare_locks``, and the tree is rolled back, so
-    the memo's template is again the tree the build grew, with no locks.
+    and collapses.  On exit, normal or not, the hook is cleared and
+    every lock the run used is reset, which drops the run's suspended
+    processes.  A tree lent by the memo (inside a batch) also hands
+    those locks to the next run on the same template through
+    ``spare_locks`` and is rolled back, so the memo's template is again
+    the tree the build grew, with no locks.  A tree the run owns
+    (outside a batch) dies with the run: reference counting frees it.
     The collector stops the run's simulator on the event that records
     the ``config.n_operations``-th measured operation.
     """
@@ -150,11 +154,13 @@ def run_context(config: SimulationConfig, build_seed: int,
                 t_trans=config.t_trans)
         finally:
             tree.on_root_change = None
+            lent = tree.journaling  # else the tree dies with the run
             for node in locked:
                 lock = node.lock
-                lock.reset()
-                spare_locks.append(lock)
-                node.lock = None
+                lock.reset()  # drops the suspended processes it holds
+                if lent:
+                    spare_locks.append(lock)
+                    node.lock = None
             tree.rollback()
 
 

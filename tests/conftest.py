@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import repro.btree.builder as builder
 from repro.model.params import (
     CostModel,
     ModelConfig,
@@ -20,6 +21,15 @@ from repro.simulator.config import SimulationConfig
 def rng():
     """A deterministic RNG for sampling-based tests."""
     return random.Random(0xBEEF)
+
+
+@pytest.fixture
+def batch_memo(monkeypatch):
+    """The test runs inside one batch's warm-up tree memo scope
+    (:func:`repro.btree.builder.tree_memo`), from an empty memo."""
+    monkeypatch.setattr(builder, "_last", None)
+    with builder.tree_memo():
+        yield
 
 
 @pytest.fixture

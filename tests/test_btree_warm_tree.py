@@ -1,6 +1,6 @@
-"""The warm-up tree memo: ``warm_tree`` lends the tree a fresh build
-grows, and runs on it create locks only where they reach and leave it as
-built."""
+"""The warm-up tree memo: inside a batch, ``warm_tree`` lends the tree a
+fresh build grows, and runs on it create locks only where they reach and
+leave it as built."""
 
 import random
 
@@ -26,9 +26,8 @@ SHAPES = [
 ]
 
 
-@pytest.fixture(autouse=True)
-def empty_memo(monkeypatch):
-    monkeypatch.setattr(builder, "_last", None)
+#: Every test runs inside one batch's memo scope.
+pytestmark = pytest.mark.usefixtures("batch_memo")
 
 
 @pytest.fixture

@@ -75,6 +75,7 @@ def test_leaves_hold_typed_keys_and_internal_nodes_lists():
     check_invariants(tree)
 
 
+@pytest.mark.usefixtures("batch_memo")
 def test_splits_and_rollback_keep_leaf_keys_typed():
     tree, _levels = warm_tree(4, 2_000, 5, 5.0 / 7.0, 1 << 30)
     before = [(node, list(node.keys)) for node in _nodes(tree)]
@@ -96,6 +97,7 @@ def test_splits_and_rollback_keep_leaf_keys_typed():
     assert [(node, list(node.keys)) for node in _nodes(tree)] == before
 
 
+@pytest.mark.usefixtures("batch_memo")
 def test_a_run_leaves_its_template_typed():
     config = SimulationConfig(algorithm="link-type", arrival_rate=2.0,
                               n_items=2_000, order=5, n_operations=300,

@@ -65,6 +65,7 @@ def test_node_lock_costs_at_most_200_bytes():
     assert 0 < per_lock <= MAX_LOCK_BYTES
 
 
+@pytest.mark.usefixtures("batch_memo")
 def test_old_template_lock_dies_when_warm_tree_switches(monkeypatch):
     class WeakLock(RWLock):
         __slots__ = ("__weakref__",)

@@ -1,7 +1,7 @@
 """Node locks outlive a run, but not their warm-up template.
 
-At the end of a run its locks are reset and kept in the tree's
-``spare_locks`` for the next run on the same template; when
+At the end of a run in a batch its locks are reset and kept in the
+tree's ``spare_locks`` for the next run on the same template; when
 ``warm_tree`` grows another tree, reference counting frees the old
 template and its locks.  A lock holds a wait queue only while a request
 waits: a contended request allocates it and the grant of the last
@@ -24,9 +24,8 @@ from repro.simulator import SimulationConfig, driver, run_simulation
 from repro.simulator.closed import run_closed_simulation
 
 
-@pytest.fixture(autouse=True)
-def empty_memo(monkeypatch):
-    monkeypatch.setattr(builder, "_last", None)
+#: Every test runs inside one batch's memo scope.
+pytestmark = pytest.mark.usefixtures("batch_memo")
 
 
 def _fresh_build(build_seed, n_items, order, insert_fraction, key_space,
